@@ -13,6 +13,11 @@
 //!   like-for-like in one process (the `simd_` entry is the fused tier
 //!   there — fused dispatch is the default). The active ISA and the build's
 //!   numeric contract are printed once at startup.
+//! * `small_problem_threshold` — GEMMs under `SMALL_PROBLEM_MACS` through the
+//!   `i-k-j` loop, the blocked kernel packing A per call, and the blocked
+//!   kernel on pre-packed A (what a `Conv2d` eval forward runs): the
+//!   measurement behind the rule that sends a small problem to the blocked
+//!   kernel only when it has `MR` rows and `MR` steps of depth.
 //! * `elementwise` — ReLU forward / bias broadcast / axpy on the dispatched
 //!   SIMD backend vs. forced scalar vs. the seed closure idioms; under
 //!   `fast-kernels` + FMA an `axpy_forced_muladd` entry pins the unfused
@@ -27,7 +32,9 @@
 //! once without to compare serial vs. row-parallel GEMM on multicore hosts
 //! (on a single-core container both paths are the serial kernel).
 
-use appeal_tensor::kernels::{self, elementwise, naive, Isa};
+use appeal_tensor::kernels::{
+    self, elementwise, naive, GemmInit, GemmPath, Isa, PackScratch, PackedA,
+};
 use appeal_tensor::prelude::*;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -92,6 +99,61 @@ fn bench_matmul_shapes(c: &mut Criterion) {
                 bch.iter(|| black_box(&a).matmul(black_box(&b)))
             });
             kernels::force_fused(prev);
+        }
+    }
+    group.finish();
+}
+
+/// Both kernels at problems under `SMALL_PROBLEM_MACS`, bias-seeded like a
+/// conv: the little net's pointwise convolutions (`[out_c] x [in_c] x
+/// [oh*ow]`, which the blocked kernel wins), then shapes on the other side
+/// of the rule — a depthwise forward (`m = 1`), its input-gradient outer
+/// product (`k = 1`), three rows — and two at its edge (`m = MR`; a dense
+/// layer at batch 8).
+fn bench_small_problem_threshold(c: &mut Criterion) {
+    let mut group = c.benchmark_group("small_problem_threshold");
+    group.sample_size(if quick() { 5 } else { 40 });
+    let mut rng = SeededRng::new(0x5A_A1);
+    let mut packs = PackScratch::new();
+    for (m, k, n) in [
+        (24usize, 16usize, 9usize),
+        (16, 16, 36),
+        (16, 8, 36),
+        (24, 12, 36),
+        (40, 24, 9),
+        (1, 9, 144),
+        (9, 1, 144),
+        (3, 9, 144),
+        (4, 27, 144),
+        (8, 24, 10),
+    ] {
+        let a = randn_vec(&mut rng, m * k);
+        let b = randn_vec(&mut rng, k * n);
+        let bias = randn_vec(&mut rng, m);
+        let packed = PackedA::pack(m, k, &a);
+        let mut out = vec![0.0f32; m * n];
+        for (name, path, packed) in [
+            ("ikj", GemmPath::Ikj, None),
+            ("blocked", GemmPath::Blocked, None),
+            ("blocked_prepacked", GemmPath::Blocked, Some(&packed)),
+        ] {
+            group.bench_function(format!("{name}_{m}x{k}x{n}"), |bch| {
+                bch.iter(|| {
+                    kernels::gemm_into_on(
+                        path,
+                        m,
+                        k,
+                        n,
+                        black_box(&a),
+                        packed,
+                        black_box(&b),
+                        GemmInit::RowBias(&bias),
+                        &mut out,
+                        &mut packs,
+                    );
+                    black_box(&out);
+                })
+            });
         }
     }
     group.finish();
@@ -285,6 +347,7 @@ fn bench_conv_backward(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_matmul_shapes,
+    bench_small_problem_threshold,
     bench_elementwise,
     bench_conv_forward,
     bench_conv_backward

@@ -28,9 +28,12 @@
 //! **Probe identity.** Admission is typed: [`CircuitBreaker::admit`] tells
 //! the caller whether the attempt it just admitted is a half-open *probe* or
 //! a regular closed-state send, and the caller echoes that tag back when the
-//! attempt resolves. Only probe outcomes drive half-open transitions; a
-//! straggler regular attempt (sent before the trip, resolving mid-probe) is
-//! ignored instead of consuming a probe slot or closing the breaker on stale
+//! attempt resolves. A probe's tag is the *generation* of the half-open
+//! window that admitted it (the count of `Open → HalfOpen` transitions so
+//! far). Only probes of the live window drive half-open transitions; a
+//! straggler — a regular attempt sent before the trip, or a probe of an
+//! earlier window that a re-trip already ledgered as orphaned — is ignored
+//! instead of consuming a probe slot or closing the breaker on stale
 //! evidence. Probe accounting reconciles exactly:
 //! `attempts == ok + failed + orphaned + in flight`, where orphaned probes
 //! are those whose window closed under them (the breaker re-tripped or
@@ -123,9 +126,21 @@ pub enum Admission {
     Denied,
     /// Admitted as a regular closed-state attempt.
     Allowed,
-    /// Admitted as a half-open probe; the caller must resolve it with the
-    /// probe-tagged outcome calls so probe accounting reconciles.
-    Probe,
+    /// Admitted as a probe of the half-open window with this generation; the
+    /// caller must resolve it with the probe-tagged outcome calls, echoing
+    /// the generation, so probe accounting reconciles.
+    Probe(u64),
+}
+
+impl Admission {
+    /// The half-open generation to echo back when the attempt resolves, if
+    /// it was admitted as a probe.
+    pub fn probe_generation(self) -> Option<u64> {
+        match self {
+            Admission::Probe(generation) => Some(generation),
+            Admission::Denied | Admission::Allowed => None,
+        }
+    }
 }
 
 /// Per-node circuit breaker over appeal outcomes, driven entirely by the
@@ -207,7 +222,7 @@ impl CircuitBreaker {
                 if self.probes_in_flight < self.config.probes {
                     self.probes_in_flight += 1;
                     self.probe_attempts += 1;
-                    Admission::Probe
+                    Admission::Probe(self.half_opened)
                 } else {
                     Admission::Denied
                 }
@@ -231,26 +246,29 @@ impl CircuitBreaker {
     /// than `slow_ms` counts as a failure — a path that technically delivers
     /// but blows the latency target is still a path to stop trusting.
     pub fn on_success(&mut self, now_nanos: u64, round_trip_ms: f64) {
-        self.resolve(now_nanos, round_trip_ms > self.config.slow_ms, false);
+        self.resolve(now_nanos, round_trip_ms > self.config.slow_ms, None);
     }
 
     /// Records a failed *regular* appeal (link down, deadline expired,
     /// response corrupted).
     pub fn on_failure(&mut self, now_nanos: u64) {
-        self.resolve(now_nanos, true, false);
+        self.resolve(now_nanos, true, None);
     }
 
-    /// Records a completed attempt that was admitted as a half-open probe.
-    pub fn on_probe_success(&mut self, now_nanos: u64, round_trip_ms: f64) {
-        self.resolve(now_nanos, round_trip_ms > self.config.slow_ms, true);
+    /// Records a completed attempt that was admitted as a probe of half-open
+    /// window `generation`.
+    pub fn on_probe_success(&mut self, now_nanos: u64, round_trip_ms: f64, generation: u64) {
+        let failed = round_trip_ms > self.config.slow_ms;
+        self.resolve(now_nanos, failed, Some(generation));
     }
 
-    /// Records a failed attempt that was admitted as a half-open probe.
-    pub fn on_probe_failure(&mut self, now_nanos: u64) {
-        self.resolve(now_nanos, true, true);
+    /// Records a failed attempt that was admitted as a probe of half-open
+    /// window `generation`.
+    pub fn on_probe_failure(&mut self, now_nanos: u64, generation: u64) {
+        self.resolve(now_nanos, true, Some(generation));
     }
 
-    fn resolve(&mut self, now_nanos: u64, failed: bool, probe: bool) {
+    fn resolve(&mut self, now_nanos: u64, failed: bool, probe: Option<u64>) {
         match self.state(now_nanos) {
             BreakerState::Closed => {
                 // Probe tags carry no meaning here: a probe whose half-open
@@ -269,12 +287,13 @@ impl CircuitBreaker {
                 }
             }
             BreakerState::HalfOpen => {
-                if !probe {
-                    // A straggler regular attempt from before the trip. It
-                    // holds no probe slot and its evidence predates the open
-                    // window — ignoring it keeps the probe ledger exact and
-                    // stops stale outcomes from closing (or re-tripping) the
-                    // breaker.
+                if probe != Some(self.half_opened) {
+                    // A straggler: a regular attempt from before the trip, or
+                    // a probe of an earlier half-open window, orphan-ledgered
+                    // when that window re-tripped. Either holds no slot of
+                    // this window and its evidence predates it — ignoring it
+                    // keeps the probe ledger exact and stops stale outcomes
+                    // from closing (or re-tripping) the breaker.
                     return;
                 }
                 self.probes_in_flight = self.probes_in_flight.saturating_sub(1);
@@ -411,18 +430,18 @@ mod tests {
 
         // 10 ms later the timer admits probes, capped at `probes` in flight.
         let probe_time = crate::ms_to_nanos(10.0);
-        assert_eq!(b.admit(probe_time), Admission::Probe);
+        assert_eq!(b.admit(probe_time), Admission::Probe(1));
         assert_eq!(b.state(probe_time), BreakerState::HalfOpen);
-        assert_eq!(b.admit(probe_time), Admission::Probe);
+        assert_eq!(b.admit(probe_time), Admission::Probe(1));
         assert_eq!(
             b.admit(probe_time),
             Admission::Denied,
             "third concurrent probe refused"
         );
 
-        b.on_probe_success(probe_time, 5.0);
+        b.on_probe_success(probe_time, 5.0, 1);
         assert_eq!(b.state(probe_time), BreakerState::HalfOpen);
-        b.on_probe_success(probe_time, 5.0);
+        b.on_probe_success(probe_time, 5.0, 1);
         assert_eq!(b.state(probe_time), BreakerState::Closed);
         assert_eq!((b.half_opened(), b.closed()), (1, 1));
         assert_eq!((b.probe_attempts(), b.probe_ok()), (2, 2));
@@ -436,15 +455,15 @@ mod tests {
             b.on_failure(0);
         }
         let t = crate::ms_to_nanos(10.0);
-        assert_eq!(b.admit(t), Admission::Probe);
-        b.on_probe_failure(t);
+        assert_eq!(b.admit(t), Admission::Probe(1));
+        b.on_probe_failure(t, 1);
         assert_eq!(b.state(t), BreakerState::Open);
         assert_eq!(b.opened(), 2);
         assert_eq!(b.probe_failed(), 1);
         probe_ledger_reconciles(&b);
         // The timer restarted from the probe failure, not the first trip.
         assert_eq!(b.admit(t + 1), Admission::Denied);
-        assert_eq!(b.admit(t + crate::ms_to_nanos(10.0)), Admission::Probe);
+        assert_eq!(b.admit(t + crate::ms_to_nanos(10.0)), Admission::Probe(2));
     }
 
     #[test]
@@ -483,16 +502,20 @@ mod tests {
             b.on_failure(0);
         }
         let t = crate::ms_to_nanos(10.0);
-        assert_eq!(b.admit(t), Admission::Probe);
-        assert_eq!(b.admit(t), Admission::Probe);
+        assert_eq!(b.admit(t), Admission::Probe(1));
+        assert_eq!(b.admit(t), Admission::Probe(1));
         assert_eq!(b.admit(t), Admission::Denied, "budget exhausted");
         assert_eq!(
             b.admit(t + 1),
             Admission::Denied,
             "time alone frees nothing"
         );
-        b.on_probe_success(t + 2, 5.0);
-        assert_eq!(b.admit(t + 2), Admission::Probe, "resolution frees a slot");
+        b.on_probe_success(t + 2, 5.0, 1);
+        assert_eq!(
+            b.admit(t + 2),
+            Admission::Probe(1),
+            "resolution frees a slot"
+        );
         probe_ledger_reconciles(&b);
     }
 
@@ -529,8 +552,8 @@ mod tests {
             b.on_failure(0);
         }
         let t = crate::ms_to_nanos(10.0);
-        assert_eq!(b.admit(t), Admission::Probe);
-        assert_eq!(b.admit(t), Admission::Probe);
+        assert_eq!(b.admit(t), Admission::Probe(1));
+        assert_eq!(b.admit(t), Admission::Probe(1));
         // Stragglers from before the trip resolve now — both flavors.
         b.on_success(t, 5.0);
         b.on_failure(t);
@@ -538,8 +561,8 @@ mod tests {
         assert_eq!(b.opened(), 1, "a straggler failure must not re-trip");
         assert_eq!(b.probes_in_flight(), 2, "slots untouched");
         // The real probes still decide the outcome.
-        b.on_probe_success(t, 5.0);
-        b.on_probe_success(t, 5.0);
+        b.on_probe_success(t, 5.0, 1);
+        b.on_probe_success(t, 5.0, 1);
         assert_eq!(b.state(t), BreakerState::Closed);
         probe_ledger_reconciles(&b);
     }
@@ -551,15 +574,45 @@ mod tests {
             b.on_failure(0);
         }
         let t = crate::ms_to_nanos(10.0);
-        assert_eq!(b.admit(t), Admission::Probe);
-        assert_eq!(b.admit(t), Admission::Probe);
-        b.on_probe_failure(t); // re-trips with one probe still out
+        assert_eq!(b.admit(t), Admission::Probe(1));
+        assert_eq!(b.admit(t), Admission::Probe(1));
+        b.on_probe_failure(t, 1); // re-trips with one probe still out
         assert_eq!(b.state(t), BreakerState::Open);
         assert_eq!(b.probe_orphaned(), 1);
         // The orphan resolving later (while open) changes nothing.
-        b.on_probe_success(t + 1, 5.0);
+        b.on_probe_success(t + 1, 5.0, 1);
         assert_eq!(b.state(t + 1), BreakerState::Open);
         assert_eq!(b.probe_ok(), 0);
+        probe_ledger_reconciles(&b);
+    }
+
+    #[test]
+    fn orphan_answer_in_a_later_half_open_window_is_a_straggler() {
+        // A probe orphaned by a re-trip was ledgered at the trip. If the
+        // breaker is half-open *again* when its answer arrives, that answer
+        // belongs to the old window: it must not take a slot from the new
+        // window's probe, count as a second outcome, or help close the
+        // breaker.
+        let mut b = CircuitBreaker::new(config()).unwrap();
+        for _ in 0..4 {
+            b.on_failure(0);
+        }
+        let t = crate::ms_to_nanos(10.0);
+        assert_eq!(b.admit(t), Admission::Probe(1));
+        assert_eq!(b.admit(t), Admission::Probe(1));
+        b.on_probe_failure(t, 1); // re-trips; the other probe is orphaned
+        assert_eq!(b.probe_orphaned(), 1);
+        let t2 = 2 * t;
+        assert_eq!(b.admit(t2), Admission::Probe(2));
+        b.on_probe_success(t2, 5.0, 1); // the orphan's answer, one window late
+        assert_eq!(b.probes_in_flight(), 1, "the live probe keeps its slot");
+        assert_eq!(b.probe_ok(), 0, "an orphan is ledgered once, as orphaned");
+        probe_ledger_reconciles(&b);
+        b.on_probe_success(t2 + 2, 5.0, 2);
+        assert_eq!(b.admit(t2 + 2), Admission::Probe(2));
+        b.on_probe_success(t2 + 3, 5.0, 2);
+        assert_eq!(b.state(t2 + 3), BreakerState::Closed);
+        assert_eq!((b.probe_attempts(), b.probe_ok()), (4, 2));
         probe_ledger_reconciles(&b);
     }
 
@@ -575,11 +628,11 @@ mod tests {
         let open = crate::ms_to_nanos(10.0);
         assert_eq!(b.peek_state(open - 1), BreakerState::Open);
         assert_eq!(b.peek_state(open), BreakerState::HalfOpen);
-        assert_eq!(b.admit(open), Admission::Probe);
-        b.on_probe_failure(open); // second trip at the same boundary instant
+        assert_eq!(b.admit(open), Admission::Probe(1));
+        b.on_probe_failure(open, 1); // second trip at the same boundary instant
         assert_eq!(b.opened(), 2);
         assert_eq!(b.admit(2 * open - 1), Admission::Denied);
-        assert_eq!(b.admit(2 * open), Admission::Probe);
+        assert_eq!(b.admit(2 * open), Admission::Probe(2));
         assert_eq!(b.half_opened(), 2);
         probe_ledger_reconciles(&b);
     }
@@ -592,7 +645,7 @@ mod tests {
         assert_eq!(b.opened(), 1);
         assert!(!b.preemptive_open(6), "already open");
         let t = 5 + crate::ms_to_nanos(10.0);
-        assert_eq!(b.admit(t), Admission::Probe);
+        assert_eq!(b.admit(t), Admission::Probe(1));
         assert!(!b.preemptive_open(t), "half-open is already protecting");
         assert_eq!(b.opened(), 1);
     }
@@ -606,7 +659,7 @@ mod tests {
         assert_eq!(b.peek_state(open), BreakerState::Open, "probe deferred");
         let staggered = open + crate::ms_to_nanos(5.0);
         assert_eq!(b.peek_state(staggered - 1), BreakerState::Open);
-        assert_eq!(b.admit(staggered), Admission::Probe);
+        assert_eq!(b.admit(staggered), Admission::Probe(1));
         // Deferring while not open is a no-op.
         b.defer_probe(crate::ms_to_nanos(100.0));
         assert_eq!(b.state(staggered), BreakerState::HalfOpen);

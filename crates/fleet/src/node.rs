@@ -197,16 +197,15 @@ impl EdgeNode {
     /// Records one failed appeal attempt into both controllers — the breaker
     /// (probe-tagged) and the health plane. A trip triggered here runs the
     /// staggered-probe election.
-    pub(crate) fn record_appeal_failure(&mut self, now_nanos: u64, probe: bool) {
+    pub(crate) fn record_appeal_failure(&mut self, now_nanos: u64, probe: Option<u64>) {
         if let Some(h) = self.health.as_mut() {
             h.record_failure();
         }
         let tripped = if let Some(b) = self.breaker.as_mut() {
             let before = b.opened();
-            if probe {
-                b.on_probe_failure(now_nanos);
-            } else {
-                b.on_failure(now_nanos);
+            match probe {
+                Some(generation) => b.on_probe_failure(now_nanos, generation),
+                None => b.on_failure(now_nanos),
             }
             b.opened() > before
         } else {
@@ -224,17 +223,16 @@ impl EdgeNode {
         &mut self,
         now_nanos: u64,
         round_trip_ms: f64,
-        probe: bool,
+        probe: Option<u64>,
     ) {
         let mut slow = false;
         let mut tripped = false;
         if let Some(b) = self.breaker.as_mut() {
             slow = b.is_slow(round_trip_ms);
             let before = b.opened();
-            if probe {
-                b.on_probe_success(now_nanos, round_trip_ms);
-            } else {
-                b.on_success(now_nanos, round_trip_ms);
+            match probe {
+                Some(generation) => b.on_probe_success(now_nanos, round_trip_ms, generation),
+                None => b.on_success(now_nanos, round_trip_ms),
             }
             tripped = b.opened() > before;
         }

@@ -178,9 +178,10 @@ struct AppealCtx {
     decided_nanos: u64,
     attempt: u32,
     prev_backoff_ms: f64,
-    /// Whether the *current* attempt was admitted as a half-open breaker
-    /// probe; echoed back so probe outcomes ledger exactly once.
-    is_probe: bool,
+    /// The half-open generation that admitted the *current* attempt as a
+    /// breaker probe, if one did; echoed back so probe outcomes ledger
+    /// exactly once.
+    probe: Option<u64>,
 }
 
 struct Event {
@@ -312,7 +313,7 @@ fn send_appeal(
     match link.try_transmit_ms(input_bytes, sev, link_rng) {
         Err(_) => {
             n.stats.link_down += 1;
-            n.record_appeal_failure(now, ctx.is_probe);
+            n.record_appeal_failure(now, ctx.probe);
             retry_or_degrade(n, request, node, ctx, now, recovery, link_rng, q, outcomes);
         }
         Ok(up) => {
@@ -330,7 +331,7 @@ fn send_appeal(
                 }
                 None => {
                     n.stats.appeal_queue_full += 1;
-                    n.record_appeal_failure(now, ctx.is_probe);
+                    n.record_appeal_failure(now, ctx.probe);
                     retry_or_degrade(n, request, node, ctx, now, recovery, link_rng, q, outcomes);
                 }
                 Some(departure) => {
@@ -658,7 +659,7 @@ impl FleetSim {
                                 decided_nanos: now,
                                 attempt: 1,
                                 prev_backoff_ms: 0.0,
-                                is_probe: admission == Admission::Probe,
+                                probe: admission.probe_generation(),
                             });
                             let state = appeal_state[request].as_mut().expect("just set");
                             send_appeal(
@@ -786,11 +787,12 @@ impl FleetSim {
                     // An answer for a superseded attempt is a straggler: it
                     // resolves the request, but must not settle the probe
                     // slot held by the *current* attempt.
-                    let is_probe =
-                        appeal_state[request].is_some_and(|s| s.attempt == attempt && s.is_probe);
+                    let probe = appeal_state[request]
+                        .filter(|s| s.attempt == attempt)
+                        .and_then(|s| s.probe);
                     if faults.corrupts_response(now, request, attempt) {
                         n.stats.response_corrupt += 1;
-                        n.record_appeal_failure(now, is_probe);
+                        n.record_appeal_failure(now, probe);
                         let rec = recovery.expect("corrupting faults require a recovery policy");
                         let state = appeal_state[request]
                             .as_mut()
@@ -813,7 +815,7 @@ impl FleetSim {
                     if let Some(a) = n.adaptive.as_mut() {
                         a.observe(round_trip_ms);
                     }
-                    n.record_appeal_success(now, round_trip_ms, is_probe);
+                    n.record_appeal_success(now, round_trip_ms, probe);
                     n.observe_cloud_signal(now, &signal);
                     outcomes[request] = Some(Outcome {
                         completed_nanos: now,
@@ -849,7 +851,7 @@ impl FleetSim {
                     // A retry admitted at the open-timer boundary *is* the
                     // half-open probe: tag the attempt so it ledgers once,
                     // as a probe, not twice.
-                    state.is_probe = admission == Admission::Probe;
+                    state.probe = admission.probe_generation();
                     let sev = severity_at(degrade, now) * faults.link_severity(now);
                     send_appeal(
                         n,
@@ -885,8 +887,8 @@ impl FleetSim {
                     }
                     let n = &mut self.nodes[node];
                     n.stats.appeal_timeouts += 1;
-                    let is_probe = state.is_probe;
-                    n.record_appeal_failure(now, is_probe);
+                    let probe = state.probe;
+                    n.record_appeal_failure(now, probe);
                     retry_or_degrade(
                         n,
                         request,

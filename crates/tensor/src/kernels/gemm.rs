@@ -23,7 +23,7 @@
 //! ascending order and the microkernel reloads/stores the output tile at slab
 //! boundaries rather than reassociating partial sums. Since Rust never
 //! contracts `a * b + c` into a fused multiply-add on its own, the blocked
-//! kernel, the small-problem fallback and the rayon row-parallel path are all
+//! kernel, the plain `i-k-j` loop and the rayon row-parallel path are all
 //! **bit-identical** to the naive `i-k-j` triple loop (see
 //! [`super::naive::matmul_naive`]) on the default build — which is what
 //! keeps serving results byte-stable across kernel choices and thread
@@ -38,12 +38,47 @@
 //! from two to one — so results remain bit-identical across thread counts
 //! and runs of one build, and tolerance-bounded against the seed (the
 //! `deterministic-per-build` contract; see `docs/DETERMINISM.md`). Edge
-//! tiles and the small-problem `i-k-j` path keep separate mul+add in both
-//! tiers: they cover O(edge) of the work, and keeping them unfused means a
-//! problem small enough to skip blocking reproduces the seed exactly even
-//! on a `fast-kernels` build.
+//! tiles, the `i-k-j` path and every problem of at most
+//! `SMALL_PROBLEM_MACS` multiply-accumulates keep separate mul+add in both
+//! tiers: edge tiles cover O(edge) of the work, and a small problem
+//! reproduces the seed exactly even on a `fast-kernels` build — whichever
+//! kernel it runs on.
+//!
+//! # Which kernel a problem runs on
+//!
+//! Above `SMALL_PROBLEM_MACS` always the blocked one. A small problem runs
+//! on it too if it has at least `MR` rows and `MR` steps of depth — a full
+//! register strip to fill and enough work per packed element to pay for the
+//! packing — and on the plain `i-k-j` loop otherwise: with one to three rows
+//! (a depthwise convolution, a dense layer at batch 1) most of the tile
+//! would be padding, and at `k = 1` or `2` (an outer product) packing costs
+//! more than the multiply. `kernel_microbench`'s `small_problem_threshold`
+//! group times both kernels on both sides of that rule; the choice never
+//! shows in the output bits.
+//!
+//! # Edge tiles
+//!
+//! A tile at the bottom or right edge covers only `mrows x ncols` valid
+//! elements, but both packers zero-pad their strips to `MR` rows / `NR`
+//! columns, so it runs the **same** dispatched microkernel as a full tile
+//! (always the unfused one): the valid corner of a full accumulator block is
+//! seeded, the whole block is computed, and only the valid corner is stored.
+//! Lanes are independent output elements, so whatever the padded lanes
+//! compute — including `NaN` from `inf * 0` — never reaches the output, and
+//! per valid element the operation sequence is the identical ascending-`p`
+//! mul-then-add. The convolution shapes the nets issue (`n = 9`, `n = 36`)
+//! are mostly edge tiles; this is what keeps them on the SIMD backend.
+//!
+//! # Pre-packed left operands
+//!
+//! A constant left operand (a layer's weights) can be packed once into a
+//! [`PackedA`] and passed to [`gemm_packed_into`]; the blocked kernel then
+//! reads its `MR`-row strips straight from those panels instead of re-running
+//! the A packer per call. Raw and pre-packed operands share every line of
+//! the blocked and row-parallel drivers — only where a macro-block's strips
+//! come from differs — so the results are bit-identical by construction.
 
-use super::scratch::PackScratch;
+use super::scratch::{self, PackScratch};
 use super::simd::{self, Isa};
 
 /// Rows of the register microkernel tile. With [`NR`]` = 16` the `MR x NR`
@@ -70,8 +105,9 @@ pub const KC: usize = 128;
 /// reuses it without refetching from L3/memory.
 pub const NC: usize = 256;
 
-/// Problems with fewer multiply-accumulates than this skip packing entirely
-/// and run the plain `i-k-j` loop (bit-identical, lower overhead).
+/// Problems of at most this many multiply-accumulates never fuse, and skip
+/// packing for the plain `i-k-j` loop unless they fill a register strip (see
+/// "Which kernel a problem runs on" in the module docs).
 const SMALL_PROBLEM_MACS: usize = 32 * 1024;
 
 /// Minimum multiply-accumulates before the row-parallel path is worthwhile.
@@ -93,11 +129,11 @@ pub enum GemmInit<'a> {
 
 /// `out[m x n] <- init ⊕ a[m x k] x b[k x n]`, all row-major slices.
 ///
-/// Dispatches between the small-problem `i-k-j` loop, the serial blocked
-/// kernel and the rayon row-parallel blocked kernel; all three produce
+/// Dispatches between the `i-k-j` loop, the serial blocked kernel and the
+/// rayon row-parallel blocked kernel (see the module docs); all three produce
 /// bit-identical results (see the module docs). `packs` supplies the packing
 /// panels for the serial blocked path; the parallel path packs into
-/// per-worker buffers instead (worker threads are transient).
+/// per-band buffers instead (see `gemm_parallel`).
 ///
 /// # Panics
 ///
@@ -108,6 +144,82 @@ pub fn gemm_into(
     k: usize,
     n: usize,
     a: &[f32],
+    b: &[f32],
+    init: GemmInit<'_>,
+    out: &mut [f32],
+    packs: &mut PackScratch,
+) {
+    gemm_dispatch(None, m, k, n, a, None, b, init, out, packs);
+}
+
+/// [`gemm_into`] for a constant left operand whose panels were packed once
+/// with [`PackedA::pack`]: the blocked paths read `packed` instead of
+/// re-packing `a` on every call; the `i-k-j` path still walks the row-major
+/// `a`. Bit-identical to [`gemm_into`] on the same inputs.
+///
+/// # Panics
+///
+/// Panics if a slice length does not match its `m`/`k`/`n` dimensions, or if
+/// `packed` was not built from an `m x k` operand.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_packed_into(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    packed: &PackedA,
+    b: &[f32],
+    init: GemmInit<'_>,
+    out: &mut [f32],
+    packs: &mut PackScratch,
+) {
+    assert_eq!(
+        (packed.m, packed.k),
+        (m, k),
+        "gemm: packed A was built for a different shape"
+    );
+    gemm_dispatch(None, m, k, n, a, Some(packed), b, init, out, packs);
+}
+
+/// One of the two kernels a small problem can run on.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GemmPath {
+    /// The plain `i-k-j` loop.
+    Ikj,
+    /// The packed, register-tiled kernel.
+    Blocked,
+}
+
+/// Measurement hook for `kernel_microbench`: [`gemm_into`] (or, with
+/// `packed`, [`gemm_packed_into`]) on the given kernel whatever the problem's
+/// shape, so both can be timed on both sides of the rule that picks one.
+/// Not a tuning knob — nothing but that bench calls it.
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_into_on(
+    path: GemmPath,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    packed: Option<&PackedA>,
+    b: &[f32],
+    init: GemmInit<'_>,
+    out: &mut [f32],
+    packs: &mut PackScratch,
+) {
+    gemm_dispatch(Some(path), m, k, n, a, packed, b, init, out, packs);
+}
+
+#[allow(clippy::too_many_arguments)]
+fn gemm_dispatch(
+    path: Option<GemmPath>,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    packed: Option<&PackedA>,
     b: &[f32],
     init: GemmInit<'_>,
     out: &mut [f32],
@@ -127,24 +239,108 @@ pub fn gemm_into(
         return;
     }
     let macs = m * k * n;
-    if macs <= SMALL_PROBLEM_MACS {
+    let small = macs <= SMALL_PROBLEM_MACS;
+    let path = path.unwrap_or(if small && (m < MR || k < MR) {
+        GemmPath::Ikj
+    } else {
+        GemmPath::Blocked
+    });
+    if path == GemmPath::Ikj {
         gemm_ikj(m, k, n, a, b, init, out);
         return;
     }
-    // Resolve the SIMD backend and numeric tier once per gemm_into call, so
-    // every tile of this GEMM — across all row bands of the parallel path —
-    // uses the same kernel even if an override flips mid-call.
+    let a = match packed {
+        Some(p) => AOperand::Packed {
+            panels: &p.panels,
+            strips: m.div_ceil(MR),
+            strip0: 0,
+        },
+        None => AOperand::Raw(a),
+    };
+    // Resolve the SIMD backend and numeric tier once per call, so every
+    // tile of this GEMM — across all row bands of the parallel path — uses
+    // the same kernel even if an override flips mid-call.
     let isa = simd::active_isa();
-    let fused = simd::fused_for_isa(isa);
+    let fused = !small && simd::fused_for_isa(isa);
     let threads = rayon::current_num_threads();
     // Stay serial inside an outer parallel region (sharded batch workers):
     // the batch is already parallel at that level, so splitting each
     // per-sample GEMM again would only add queueing overhead on the shared
     // worker pool.
-    if threads > 1 && macs >= PAR_MIN_MACS && m >= 2 * MR && !super::scratch::in_worker_region() {
+    if threads > 1 && macs >= PAR_MIN_MACS && m >= 2 * MR && !scratch::in_worker_region() {
         gemm_parallel(isa, fused, m, k, n, a, b, init, out, threads, packs);
     } else {
         gemm_blocked(isa, fused, m, k, n, a, b, init, out, packs);
+    }
+}
+
+/// The `MR`-row strip panels of a constant `m x k` left operand, packed
+/// once for [`gemm_packed_into`]. Layout: one slab per `KC` slice of the
+/// inner dimension, each holding every `MR`-row strip of the matrix as
+/// `[strip][p][MR]` (rows past `m` zero) — exactly what `pack_a` writes for
+/// a macro-block, so any `MC`-aligned block of any row band is a contiguous
+/// sub-slice.
+#[derive(Debug, Clone)]
+pub struct PackedA {
+    m: usize,
+    k: usize,
+    panels: Vec<f32>,
+}
+
+impl PackedA {
+    /// Packs the row-major `m x k` matrix `a`. Counted in
+    /// [`scratch::ScratchStats::weight_floats_packed`] so tests can pin that
+    /// steady-state inference never re-packs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a.len() != m * k`.
+    pub fn pack(m: usize, k: usize, a: &[f32]) -> Self {
+        assert_eq!(a.len(), m * k, "PackedA: A must be m*k");
+        let strips = m.div_ceil(MR);
+        let mut panels = vec![0.0f32; strips * MR * k];
+        let mut pc = 0;
+        while pc < k {
+            let kcb = KC.min(k - pc);
+            let slab = &mut panels[pc * strips * MR..(pc + kcb) * strips * MR];
+            pack_a(a, k, 0, m, pc, kcb, slab);
+            pc += kcb;
+        }
+        scratch::count_weight_floats_packed(panels.len());
+        Self { m, k, panels }
+    }
+}
+
+/// Where the blocked kernel gets a macro-block's `MR`-row strips from.
+#[derive(Clone, Copy)]
+enum AOperand<'a> {
+    /// Row-major values (leading dimension `k`), packed per macro-block.
+    Raw(&'a [f32]),
+    /// [`PackedA`] panels of a matrix with `strips` strips in total, viewed
+    /// from strip `strip0` down (a row band of the parallel path).
+    Packed {
+        panels: &'a [f32],
+        strips: usize,
+        strip0: usize,
+    },
+}
+
+impl AOperand<'_> {
+    /// The operand restricted to `rows` rows from `row0` (a multiple of
+    /// [`MR`], as row bands are).
+    fn band(self, row0: usize, rows: usize, k: usize) -> Self {
+        match self {
+            AOperand::Raw(a) => AOperand::Raw(&a[row0 * k..(row0 + rows) * k]),
+            AOperand::Packed {
+                panels,
+                strips,
+                strip0,
+            } => AOperand::Packed {
+                panels,
+                strips,
+                strip0: strip0 + row0 / MR,
+            },
+        }
     }
 }
 
@@ -211,7 +407,7 @@ fn gemm_parallel(
     m: usize,
     k: usize,
     n: usize,
-    a: &[f32],
+    a: AOperand<'_>,
     b: &[f32],
     init: GemmInit<'_>,
     out: &mut [f32],
@@ -232,12 +428,11 @@ fn gemm_parallel(
         row0 += rows;
     }
     let band_slice = |band_row0: usize, rows: usize| {
-        let band_a = &a[band_row0 * k..(band_row0 + rows) * k];
         let band_init = match init {
             GemmInit::RowBias(bias) => GemmInit::RowBias(&bias[band_row0..band_row0 + rows]),
             other => other,
         };
-        (band_a, band_init)
+        (a.band(band_row0, rows, k), band_init)
     };
     let mut jobs = jobs.into_iter();
     let first = jobs.next();
@@ -245,7 +440,7 @@ fn gemm_parallel(
         for (band, (band_row0, rows, band_out)) in jobs.enumerate() {
             s.spawn(move |_| {
                 let (band_a, band_init) = band_slice(band_row0, rows);
-                super::scratch::with_band_packs(band, |packs| {
+                scratch::with_band_packs(band, |packs| {
                     gemm_blocked(
                         isa, fused, rows, k, n, band_a, b, band_init, band_out, packs,
                     );
@@ -272,13 +467,13 @@ fn gemm_blocked(
     m: usize,
     k: usize,
     n: usize,
-    a: &[f32],
+    a: AOperand<'_>,
     b: &[f32],
     init: GemmInit<'_>,
     out: &mut [f32],
     packs: &mut PackScratch,
 ) {
-    // The backend and numeric tier come resolved from `gemm_into`; the
+    // The backend and numeric tier come resolved from `gemm_dispatch`; the
     // microkernel dispatches branch-predictably per tile.
     let pair = simd::has_paired_microkernel(isa);
     let a_panel_len = MC.div_ceil(MR) * MR * KC;
@@ -297,8 +492,21 @@ fn gemm_blocked(
             while ic < m {
                 let mcb = MC.min(m - ic);
                 let i_tiles = mcb.div_ceil(MR);
-                let a_pack = packs.a.take(a_panel_len);
-                pack_a(a, k, ic, mcb, pc, kcb, a_pack);
+                let a_pack: &[f32] = match a {
+                    AOperand::Raw(a) => {
+                        let a_pack = packs.a.take(a_panel_len);
+                        pack_a(a, k, ic, mcb, pc, kcb, a_pack);
+                        a_pack
+                    }
+                    AOperand::Packed {
+                        panels,
+                        strips,
+                        strip0,
+                    } => {
+                        let block0 = pc * strips * MR + (strip0 + ic / MR) * kcb * MR;
+                        &panels[block0..block0 + i_tiles * kcb * MR]
+                    }
+                };
                 for jt in 0..j_tiles {
                     let j0 = jc + jt * NR;
                     let ncols = NR.min(n - j0);
@@ -308,32 +516,41 @@ fn gemm_blocked(
                         let i0 = ic + it * MR;
                         let mrows = MR.min(m - i0);
                         let a_tile = &a_pack[it * kcb * MR..(it + 1) * kcb * MR];
-                        if pair
-                            && ncols == NR
-                            && mrows == MR
-                            && it + 1 < i_tiles
-                            && m - (i0 + MR) >= MR
-                        {
+                        let full = mrows == MR && ncols == NR;
+                        if pair && full && it + 1 < i_tiles && m - (i0 + MR) >= MR {
                             // Two vertically adjacent full strips: the
                             // widened 2*MR x NR AVX-512 kernel.
                             let a_hi = &a_pack[(it + 1) * kcb * MR..(it + 2) * kcb * MR];
-                            micro_kernel_full_pair(
-                                fused, kcb, a_tile, a_hi, b_tile, init, first_slab, i0, j0, n, out,
+                            run_tile(
+                                2 * MR,
+                                NR,
+                                init,
+                                first_slab,
+                                i0,
+                                j0,
+                                n,
+                                out,
+                                |acc: &mut [[f32; NR]; 2 * MR]| {
+                                    simd::microkernel_8x16(fused, kcb, a_tile, a_hi, b_tile, acc)
+                                },
                             );
                             it += 2;
                             continue;
                         }
-                        if mrows == MR && ncols == NR {
-                            // Full tile: every bound is a constant, so the
-                            // accumulator tile stays in SIMD registers.
-                            micro_kernel_full(
-                                isa, fused, kcb, a_tile, b_tile, init, first_slab, i0, j0, n, out,
-                            );
-                        } else {
-                            micro_kernel_edge(
-                                kcb, a_tile, b_tile, init, first_slab, i0, j0, mrows, ncols, n, out,
-                            );
-                        }
+                        // Edge tiles never fuse (see the module docs).
+                        run_tile(
+                            mrows,
+                            ncols,
+                            init,
+                            first_slab,
+                            i0,
+                            j0,
+                            n,
+                            out,
+                            |acc: &mut [[f32; NR]; MR]| {
+                                simd::microkernel_4x16(isa, fused && full, kcb, a_tile, b_tile, acc)
+                            },
+                        );
                         it += 1;
                     }
                 }
@@ -345,139 +562,55 @@ fn gemm_blocked(
     }
 }
 
-/// The register-tiled inner kernel for a full `MR x NR` output tile:
-/// loads the tile (or its [`GemmInit`] seed on the first slab), runs
-/// `acc[r][c] += a[p][r] * b[p][c]` for every `p` in ascending order on the
-/// dispatched SIMD backend, and stores it back.
+/// The one tile routine, for an `ROWS x NR` accumulator block of which the
+/// top-left `mrows x ncols` corner is valid output at `(i0, j0)`: seed the
+/// corner (the [`GemmInit`] seed on the first `KC` slab, the current output
+/// afterwards or for `Accumulate`), run `kernel` over the whole block —
+/// `acc[r][c] += a[p][r] * b[p][c]` for every `p` ascending, on zero-padded
+/// panels — and store the corner back. Full, paired and edge tiles differ
+/// only in `ROWS`, the valid extents and the microkernel passed in, so the
+/// seeding rules cannot diverge between them.
 #[inline]
 #[allow(clippy::too_many_arguments)]
-fn micro_kernel_full(
-    isa: Isa,
-    fused: bool,
-    kc: usize,
-    a_tile: &[f32],
-    b_tile: &[f32],
-    init: GemmInit<'_>,
-    first_slab: bool,
-    i0: usize,
-    j0: usize,
-    ldc: usize,
-    out: &mut [f32],
-) {
-    let mut acc = [[0.0f32; NR]; MR];
-    seed_tile_rows(&mut acc, init, first_slab, i0, j0, ldc, out);
-    simd::microkernel_4x16(isa, fused, kc, a_tile, b_tile, &mut acc);
-    store_tile_rows(&acc, i0, j0, ldc, out);
-}
-
-/// The widened paired-strip kernel for two vertically adjacent full
-/// `MR x NR` tiles (a `2*MR x NR` output block): seed/load all `2*MR` rows,
-/// run the widened microkernel, store back. Per element this is the same
-/// ascending-`p` mul-then-add sequence as every other path.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn micro_kernel_full_pair(
-    fused: bool,
-    kc: usize,
-    a_lo: &[f32],
-    a_hi: &[f32],
-    b_tile: &[f32],
-    init: GemmInit<'_>,
-    first_slab: bool,
-    i0: usize,
-    j0: usize,
-    ldc: usize,
-    out: &mut [f32],
-) {
-    let mut acc = [[0.0f32; NR]; 2 * MR];
-    seed_tile_rows(&mut acc, init, first_slab, i0, j0, ldc, out);
-    simd::microkernel_8x16(fused, kc, a_lo, a_hi, b_tile, &mut acc);
-    store_tile_rows(&acc, i0, j0, ldc, out);
-}
-
-/// Seeds a full-width accumulator block of any row count starting at output
-/// row `i0`: the [`GemmInit`] seed on the first `KC` slab, the current
-/// output values afterwards (or for `Accumulate`). Shared by the single and
-/// paired full-tile kernels so the seeding rules cannot diverge between
-/// dispatch paths.
-#[inline]
-fn seed_tile_rows(
-    acc: &mut [[f32; NR]],
-    init: GemmInit<'_>,
-    first_slab: bool,
-    i0: usize,
-    j0: usize,
-    ldc: usize,
-    out: &[f32],
-) {
-    if first_slab {
-        match init {
-            GemmInit::Zero => {}
-            GemmInit::Accumulate => load_tile_rows(acc, out, i0, j0, ldc),
-            GemmInit::RowBias(bias) => {
-                for (r, acc_row) in acc.iter_mut().enumerate() {
-                    *acc_row = [bias[i0 + r]; NR];
-                }
-            }
-        }
-    } else {
-        load_tile_rows(acc, out, i0, j0, ldc);
-    }
-}
-
-/// Loads full `NR`-wide rows of `out` starting at `(i0, j0)` into the
-/// accumulator block.
-#[inline]
-fn load_tile_rows(acc: &mut [[f32; NR]], out: &[f32], i0: usize, j0: usize, ldc: usize) {
-    for (r, acc_row) in acc.iter_mut().enumerate() {
-        let row = (i0 + r) * ldc + j0;
-        acc_row.copy_from_slice(&out[row..row + NR]);
-    }
-}
-
-/// Stores the accumulator block back to full `NR`-wide rows of `out`.
-#[inline]
-fn store_tile_rows(acc: &[[f32; NR]], i0: usize, j0: usize, ldc: usize, out: &mut [f32]) {
-    for (r, acc_row) in acc.iter().enumerate() {
-        let row = (i0 + r) * ldc + j0;
-        out[row..row + NR].copy_from_slice(acc_row);
-    }
-}
-
-/// Scalar fallback for partial tiles at the right/bottom edges: identical
-/// accumulation order, one output element at a time.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn micro_kernel_edge(
-    kc: usize,
-    a_tile: &[f32],
-    b_tile: &[f32],
-    init: GemmInit<'_>,
-    first_slab: bool,
-    i0: usize,
-    j0: usize,
+fn run_tile<const ROWS: usize>(
     mrows: usize,
     ncols: usize,
+    init: GemmInit<'_>,
+    first_slab: bool,
+    i0: usize,
+    j0: usize,
     ldc: usize,
     out: &mut [f32],
+    kernel: impl FnOnce(&mut [[f32; NR]; ROWS]),
 ) {
-    for r in 0..mrows {
-        for c in 0..ncols {
-            let oi = (i0 + r) * ldc + j0 + c;
-            let mut acc = if first_slab {
-                match init {
-                    GemmInit::Zero => 0.0,
-                    GemmInit::Accumulate => out[oi],
-                    GemmInit::RowBias(bias) => bias[i0 + r],
-                }
-            } else {
-                out[oi]
-            };
-            for p in 0..kc {
-                acc += a_tile[p * MR + r] * b_tile[p * NR + c];
-            }
-            out[oi] = acc;
+    let mut acc = [[0.0f32; NR]; ROWS];
+    if !first_slab || matches!(init, GemmInit::Accumulate) {
+        for (r, acc_row) in acc[..mrows].iter_mut().enumerate() {
+            let row = (i0 + r) * ldc + j0;
+            copy_tile_row(acc_row, &out[row..row + ncols]);
         }
+    } else if let GemmInit::RowBias(bias) = init {
+        for (acc_row, &bv) in acc.iter_mut().zip(&bias[i0..i0 + mrows]) {
+            *acc_row = [bv; NR];
+        }
+    }
+    kernel(&mut acc);
+    for (r, acc_row) in acc[..mrows].iter().enumerate() {
+        let row = (i0 + r) * ldc + j0;
+        copy_tile_row(&mut out[row..row + ncols], acc_row);
+    }
+}
+
+/// `dst[..n] = src[..n]` for `n = min(dst.len(), src.len()) <= NR`. The
+/// full-width case is spelled out with a constant length so it stays a pair
+/// of vector moves rather than a `memcpy` call.
+#[inline(always)]
+fn copy_tile_row(dst: &mut [f32], src: &[f32]) {
+    let n = dst.len().min(src.len());
+    if n == NR {
+        dst[..NR].copy_from_slice(&src[..NR]);
+    } else {
+        dst[..n].copy_from_slice(&src[..n]);
     }
 }
 

@@ -80,7 +80,12 @@ pub mod scratch;
 pub mod simd;
 pub mod tolerance;
 
-pub use gemm::{gemm_bias_cols, gemm_into, transpose_into, GemmInit, KC, MC, MR, NC, NR};
+pub use gemm::{
+    gemm_bias_cols, gemm_into, gemm_packed_into, transpose_into, GemmInit, PackedA, KC, MC, MR, NC,
+    NR,
+};
+#[doc(hidden)]
+pub use gemm::{gemm_into_on, GemmPath};
 pub use im2col::{col2im, im2col};
 pub use quant_gemm::quant_gemm_into;
 pub use scratch::{
@@ -321,15 +326,14 @@ mod tests {
         }
     }
 
-    /// Shapes large enough for the blocked/packed path (multiple `KC` slabs,
-    /// paired AVX-512 strips, ragged microkernel edges) stay bit-identical
-    /// to the naive loop on every ISA, for every [`GemmInit`] mode.
-    #[test]
-    fn simd_blocked_paths_bit_identical_across_isas() {
+    /// Runs every shape under every supported ISA and every [`GemmInit`]
+    /// mode against the naive `i-k-j` accumulation: bit equality on unfused
+    /// dispatch, the build's contract where the fused tier is active.
+    fn check_shapes_across_isas_and_inits(shapes: &[(usize, usize, usize)], rng_seed: u64) {
         let _lock = simd::isa_override_test_lock();
-        let mut rng = SeededRng::new(0x51_4E);
+        let mut rng = SeededRng::new(rng_seed);
         let mut packs = PackScratch::new();
-        for &(m, k, n) in &[(96usize, 160usize, 96usize), (130, 200, 70), (37, 300, 33)] {
+        for &(m, k, n) in shapes {
             let a = random_vec(&mut rng, m * k);
             let b = random_vec(&mut rng, k * n);
             let bias = random_vec(&mut rng, m);
@@ -382,6 +386,166 @@ mod tests {
                 force_isa(prev);
             }
         }
+    }
+
+    /// Shapes large enough for the blocked/packed path (multiple `KC` slabs,
+    /// paired AVX-512 strips, ragged microkernel edges) stay bit-identical
+    /// to the naive loop on every ISA, for every [`GemmInit`] mode.
+    #[test]
+    fn simd_blocked_paths_bit_identical_across_isas() {
+        check_shapes_across_isas_and_inits(
+            &[(96, 160, 96), (130, 200, 70), (37, 300, 33)],
+            0x51_4E,
+        );
+    }
+
+    /// The blocked kernel's edge tiles at the shapes that reach them: every
+    /// convolution GEMM the big and little nets issue above
+    /// `SMALL_PROBLEM_MACS` (`n = 9`: every tile is an edge tile; `n = 36`:
+    /// a 4-column tail; `m = 40, 12`: no paired strip for the last rows),
+    /// then `m % MR != 0` against `n` in `{1, 9, 15, 17, 36}` with `k > KC`
+    /// so partial tiles are reloaded and re-stored across slabs (and
+    /// `m > MC` once, for a second macro-block), then the little net's
+    /// pointwise convolutions, small problems that still fill a strip.
+    #[test]
+    fn blocked_edge_tiles_match_reference_on_every_isa() {
+        check_shapes_across_isas_and_inits(
+            &[
+                (40, 360, 9),
+                (40, 216, 9),
+                (24, 216, 36),
+                (24, 108, 36),
+                (12, 108, 144),
+                (12, 27, 144),
+                (8, 27, 144),
+                (70, 500, 1),
+                (13, 300, 9),
+                (10, 300, 15),
+                (7, 300, 17),
+                (5, 200, 36),
+                (24, 16, 9),
+                (16, 16, 36),
+                (16, 8, 36),
+                (24, 12, 36),
+                (40, 24, 9),
+            ],
+            0x51_4F,
+        );
+    }
+
+    /// `±inf` and `NaN` inside the valid region of edge tiles: the padded
+    /// lanes of those tiles compute `inf * 0 = NaN`, and none of it may
+    /// reach an output element whose own row of A and column of B are
+    /// finite.
+    #[test]
+    fn edge_tile_padding_never_leaks_into_stored_output() {
+        let _lock = simd::isa_override_test_lock();
+        // Rows 8 (a one-row bottom strip) and 2, columns 20 (the 5-column
+        // tail tile) and 3 carry the specials.
+        let (m, k, n) = (9usize, 200usize, 21usize);
+        let mut rng = SeededRng::new(0x1EA4);
+        let mut a = random_vec(&mut rng, m * k);
+        let mut b = random_vec(&mut rng, k * n);
+        a[8 * k + 150] = f32::INFINITY;
+        a[2 * k + 7] = f32::NAN;
+        b[130 * n + 20] = f32::NEG_INFINITY;
+        b[40 * n + 3] = f32::NAN;
+        let expect = naive::matmul_naive(m, k, n, &a, &b);
+        let mut packs = PackScratch::new();
+        for isa in supported_isas() {
+            let prev = force_isa(Some(isa));
+            let mut out = vec![0.0f32; m * n];
+            gemm_into(m, k, n, &a, &b, GemmInit::Zero, &mut out, &mut packs);
+            force_isa(prev);
+            for i in 0..m {
+                for j in 0..n {
+                    let (got, want) = (out[i * n + j], expect[i * n + j]);
+                    let tag = format!("({i}, {j}) on {isa}: {got} vs {want}");
+                    if [2, 8].contains(&i) || [3, 20].contains(&j) {
+                        // NaN payloads are not part of the contract.
+                        assert!(
+                            got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                            "special element {tag}"
+                        );
+                    } else {
+                        assert!(got.is_finite(), "padding leaked into {tag}");
+                        tolerance::assert_matches_reference(
+                            &[got],
+                            &[want],
+                            || {
+                                tolerance::gemm_abs_scales(m, k, n, &a, &b, None)[i * n + j..][..1]
+                                    .to_vec()
+                            },
+                            k + 1,
+                            &tag,
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A pre-packed left operand goes through the same blocked and
+    /// row-parallel drivers as a raw one: bit-equal outputs in every
+    /// [`GemmInit`] mode and both build tiers, over multi-slab `k`, a second
+    /// `MC` block, edge strips, a shape above the row-parallel threshold and
+    /// two small problems, one for each kernel.
+    #[test]
+    fn pre_packed_a_is_bit_identical_to_raw_a() {
+        let mut rng = SeededRng::new(0x9AC4);
+        let mut packs = PackScratch::new();
+        for &(m, k, n) in &[
+            (40usize, 360usize, 9usize),
+            (24, 216, 36),
+            (70, 300, 17),
+            (13, 129, 33),
+            (96, 160, 160),
+            (8, 27, 16),
+            (2, 27, 16),
+        ] {
+            let a = random_vec(&mut rng, m * k);
+            let b = random_vec(&mut rng, k * n);
+            let bias = random_vec(&mut rng, m);
+            let seed_out = random_vec(&mut rng, m * n);
+            let packed = PackedA::pack(m, k, &a);
+            for (mode, init) in [
+                GemmInit::Zero,
+                GemmInit::Accumulate,
+                GemmInit::RowBias(&bias),
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                let mut raw = seed_out.clone();
+                gemm_into(m, k, n, &a, &b, init, &mut raw, &mut packs);
+                let mut pre = seed_out.clone();
+                gemm_packed_into(m, k, n, &a, &packed, &b, init, &mut pre, &mut packs);
+                assert_bits_eq(
+                    &pre,
+                    &raw,
+                    &format!("packed vs raw {m}x{k}x{n} mode={mode}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "packed A was built for a different shape")]
+    fn pre_packed_a_rejects_a_mismatched_shape() {
+        let a = vec![0.0f32; 8 * 6];
+        let packed = PackedA::pack(8, 6, &a);
+        let (b, mut out) = (vec![0.0f32; 8 * 3], vec![0.0f32; 6 * 3]);
+        gemm_packed_into(
+            6,
+            8,
+            3,
+            &a,
+            &packed,
+            &b,
+            GemmInit::Zero,
+            &mut out,
+            &mut PackScratch::new(),
+        );
     }
 
     /// `Accumulate` keeps the existing output and adds products in `p` order
@@ -618,8 +782,8 @@ mod tests {
             gemm_into(m, k, n, &a, &b, GemmInit::Zero, &mut out, &mut packs);
             assert_bits_eq(&out, &expect, &format!("fused-on small {m}x{k}x{n}"));
         }
-        // Edge tiles: m = 3 < MR forces every microkernel tile onto the
-        // scalar edge path while the MAC count (3*300*40 = 36K) takes the
+        // Edge tiles: m = 3 < MR makes every microkernel tile a partial
+        // (never-fused) one while the MAC count (3*300*40 = 36K) takes the
         // blocked route.
         let (m, k, n) = (3usize, 300usize, 40usize);
         let a = random_vec(&mut rng, m * k);

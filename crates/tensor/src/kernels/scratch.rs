@@ -49,9 +49,15 @@
 //!    marks batch-shard workers so `gemm_into` stays serial under them —
 //!    the batch is already parallel at the sharding level.
 //!
-//! Growth and reuse events are counted in process-wide atomics (see
-//! [`stats`]) so tests can assert that a steady-state serving loop performs
-//! zero scratch allocations (`tests/hot_path_allocations.rs`). The
+//! 7. **Packed weights are not scratch.** A layer's pre-packed weight panels
+//!    ([`super::gemm::PackedA`]) are derived state owned by the layer, not
+//!    an arena: they are cloned with it, and rebuilt only after the layer's
+//!    parameters were handed out mutably.
+//!
+//! Growth and reuse events — and floats packed into weight panels — are
+//! counted in process-wide atomics (see [`stats`]) so tests can assert that
+//! a steady-state serving loop performs zero scratch allocations and packs
+//! no weights (`tests/hot_path_allocations.rs`). The
 //! `fast-kernels` feature does not change any of this: the fused
 //! microkernels consume the same packed panels with the same shapes, so
 //! scratch behavior is tier-independent.
@@ -64,6 +70,8 @@ use std::sync::Mutex;
 static SCRATCH_ALLOCS: AtomicU64 = AtomicU64::new(0);
 /// Times a scratch buffer was handed out without touching the allocator.
 static SCRATCH_REUSES: AtomicU64 = AtomicU64::new(0);
+/// Floats written into packed weight panels ([`super::gemm::PackedA`]).
+static WEIGHT_FLOATS_PACKED: AtomicU64 = AtomicU64::new(0);
 
 /// A point-in-time snapshot of the process-wide scratch counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,6 +80,11 @@ pub struct ScratchStats {
     pub allocs: u64,
     /// Cumulative allocation-free buffer reuses since process start.
     pub reuses: u64,
+    /// Cumulative floats packed into layer-held weight panels
+    /// ([`super::gemm::PackedA`]) since process start. Layers pack on their
+    /// first eval forward and again only after their parameters were handed
+    /// out mutably, so a steady-state serving loop must not increase this.
+    pub weight_floats_packed: u64,
 }
 
 /// Reads the process-wide scratch counters.
@@ -82,7 +95,13 @@ pub fn stats() -> ScratchStats {
     ScratchStats {
         allocs: SCRATCH_ALLOCS.load(Ordering::Relaxed),
         reuses: SCRATCH_REUSES.load(Ordering::Relaxed),
+        weight_floats_packed: WEIGHT_FLOATS_PACKED.load(Ordering::Relaxed),
     }
+}
+
+/// Records `floats` values packed into a weight panel.
+pub(crate) fn count_weight_floats_packed(floats: usize) {
+    WEIGHT_FLOATS_PACKED.fetch_add(floats as u64, Ordering::Relaxed);
 }
 
 /// A grow-only `f32` buffer with high-water-mark reuse.

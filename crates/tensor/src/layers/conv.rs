@@ -19,9 +19,16 @@
 //! calling thread and on the persistent rayon pool workers alike (model
 //! replicas carry no scratch of their own). The input is only cached for
 //! backward when `train == true`.
+//!
+//! [`Conv2d`] additionally keeps its weights' GEMM panels
+//! ([`kernels::PackedA`]) once an eval forward has built them, so inference
+//! packs the constant left operand once instead of once per sample. The
+//! panels are derived from the weights and dropped wherever those can change
+//! or stop being used: `params_mut()`, `forward(train = true)` and
+//! `quantize_weights()`.
 
 use crate::init::Init;
-use crate::kernels::{self, GemmInit};
+use crate::kernels::{self, GemmInit, PackedA};
 use crate::layer::{Layer, Param};
 use crate::quant::{q8_block_scale, QuantLayerReport, QuantMatrix};
 use crate::rng::SeededRng;
@@ -79,6 +86,9 @@ pub struct Conv2d {
     padding: usize,
     cached_input: Option<Tensor>,
     quant: Option<QuantConv>,
+    /// GEMM panels of `weight`, built by the first f32 eval forward. Only
+    /// ever `Some` while `weight` is unchanged since they were packed.
+    packed_weight: Option<PackedA>,
 }
 
 impl Conv2d {
@@ -117,6 +127,7 @@ impl Conv2d {
             padding,
             cached_input: None,
             quant: None,
+            packed_weight: None,
         }
     }
 
@@ -227,6 +238,17 @@ impl Layer for Conv2d {
                 return out;
             }
         }
+        let packed = if train {
+            // Training is about to change the weights.
+            self.packed_weight = None;
+            None
+        } else {
+            Some(
+                &*self
+                    .packed_weight
+                    .get_or_insert_with(|| PackedA::pack(oc, ckk, wgt)),
+            )
+        };
         kernels::with_thread_scratch(|scratch| {
             for b in 0..n {
                 let xb = &x[b * c * h * w..(b + 1) * c * h * w];
@@ -238,16 +260,21 @@ impl Layer for Conv2d {
                     kernels::im2col(xb, c, h, w, k, self.stride, self.padding, oh, ow, cols);
                     cols
                 };
-                kernels::gemm_into(
-                    oc,
-                    ckk,
-                    s,
-                    wgt,
-                    cols,
-                    GemmInit::RowBias(bias),
-                    ob,
-                    &mut scratch.packs,
-                );
+                let init = GemmInit::RowBias(bias);
+                match packed {
+                    Some(packed) => kernels::gemm_packed_into(
+                        oc,
+                        ckk,
+                        s,
+                        wgt,
+                        packed,
+                        cols,
+                        init,
+                        ob,
+                        &mut scratch.packs,
+                    ),
+                    None => kernels::gemm_into(oc, ckk, s, wgt, cols, init, ob, &mut scratch.packs),
+                }
             }
         });
         out
@@ -355,6 +382,8 @@ impl Layer for Conv2d {
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
+        // The caller may write the weights through the returned borrow.
+        self.packed_weight = None;
         vec![&mut self.weight, &mut self.bias]
     }
 
@@ -384,6 +413,8 @@ impl Layer for Conv2d {
         let ckk = self.in_channels * self.kernel * self.kernel;
         let qm = QuantMatrix::from_rows(w, self.out_channels, ckk);
         let report = qm.report_against_rows(self.name(), w);
+        // Eval forwards run the quantized GEMM from here on.
+        self.packed_weight = None;
         self.quant = Some(QuantConv {
             weight: qm,
             act_scale: None,
@@ -791,6 +822,38 @@ mod tests {
             conv.quant.as_ref().unwrap().act_scale,
             Some(q8_block_scale(absmax))
         );
+    }
+
+    #[test]
+    fn packed_weight_follows_the_weights_it_was_built_from() {
+        // An 8x72x64 GEMM per sample: it runs on the blocked kernel, so the
+        // eval forward really reads the packed panels.
+        let mut rng = SeededRng::new(0x9AC5);
+        let mut conv = Conv2d::new(8, 8, 3, 1, 1, &mut rng);
+        let x = Tensor::randn(&[2, 8, 8, 8], &mut rng);
+        assert!(conv.packed_weight.is_none());
+        let trained = conv.forward(&x, true);
+        assert!(conv.packed_weight.is_none(), "train forwards never pack");
+        let eval = conv.forward(&x, false);
+        assert!(conv.packed_weight.is_some(), "first eval forward packs");
+        assert_eq!(trained.data(), eval.data());
+        // A replica carries the panels; a weight edit through `params_mut`
+        // drops them and the next eval forward sees the new weights.
+        assert!(conv.clone().packed_weight.is_some());
+        for v in conv.params_mut()[0].value.data_mut() {
+            *v = -*v;
+        }
+        assert!(conv.packed_weight.is_none(), "params_mut invalidates");
+        let flipped = conv.forward(&x, false);
+        let expect = conv.forward(&x, true);
+        assert!(conv.packed_weight.is_none(), "forward(train) invalidates");
+        assert_eq!(flipped.data(), expect.data());
+        assert_ne!(flipped.data(), eval.data());
+        let _ = conv.forward(&x, false);
+        conv.quantize_weights();
+        assert!(conv.packed_weight.is_none(), "quantizing invalidates");
+        let _ = conv.forward(&x, false);
+        assert!(conv.packed_weight.is_none(), "quantized eval never packs");
     }
 
     #[test]

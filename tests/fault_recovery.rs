@@ -418,3 +418,72 @@ fn retry_admitted_at_the_open_timer_boundary_ledgers_one_probe() {
         "every admitted probe resolves exactly once"
     );
 }
+
+/// The chaos scenario: sixteen LTE nodes, two cloud blackouts over 20–40 %
+/// and 60–70 % of the trace, the stock retry + breaker ladder (three
+/// half-open probes), gossip and the cooperative policy.
+fn chaos_config(seed: u64, spec: &TraceSpec) -> FleetConfig {
+    let at = |share: f64| (spec.span_nanos() as f64 * share) as u64;
+    let blackout = |from: f64, until: f64| FaultEvent::CloudBlackout {
+        from_nanos: at(from),
+        until_nanos: at(until),
+    };
+    let faults = FaultPlan::new(seed, vec![blackout(0.20, 0.40), blackout(0.60, 0.70)]).unwrap();
+    FleetConfig {
+        nodes: 16,
+        link: StochasticLink::lte(),
+        recovery: Some(RecoveryConfig::default_for_appeals()),
+        slo_ms: 250.0,
+        seed,
+        ..cooperative_config(faults)
+    }
+}
+
+/// Runs the chaos scenario once per seed; every run must reconcile.
+fn chaos_ledgers_reconcile(seeds: impl Iterator<Item = u64>) {
+    // The ledgers do not depend on what the networks compute, so these are
+    // the smallest the zoo builds.
+    let mut rng = SeededRng::new(2021);
+    let little = ModelSpec::little(ModelFamily::MobileNetLike, [1, 8, 8], 4)
+        .with_width(0.25)
+        .build(&mut rng);
+    let big = ModelSpec::big([1, 8, 8], 4)
+        .with_width(0.25)
+        .build(&mut rng);
+    let net = TwoHeadNet::from_parts(little, &mut rng);
+    let mut probes = 0;
+    for seed in seeds {
+        let spec = TraceSpec {
+            seed,
+            ..trace(16 * 100, 2 * MS)
+        };
+        let m = FleetSim::new(net.clone(), big.clone(), chaos_config(seed, &spec))
+            .expect("valid config")
+            .run(&spec);
+        let violations = m.check();
+        assert!(violations.is_empty(), "seed {seed}: {violations:?}");
+        assert_eq!(m.completed, 1600, "seed {seed}: no request may strand");
+        probes += m.probe_attempts;
+    }
+    assert!(probes > 0, "the scenario must exercise half-open probing");
+}
+
+/// Regression: a probe orphaned by a re-trip was ledgered at the trip, and
+/// counted again when its answer arrived in a *later* half-open window ("N
+/// probes admitted but N+1 accounted for"). These are seeds on which the
+/// chaos scenario with the stock three probes did exactly that.
+#[test]
+fn chaos_ledgers_reconcile_on_seeds_that_double_counted_an_orphan() {
+    chaos_ledgers_reconcile([5, 23, 37, 42].into_iter());
+}
+
+/// The same over 200 seeds (nine of which failed before the fix). A debug
+/// build takes minutes over this; CI runs it with `--release`.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "200 seeds x 1600 requests; run with --release"
+)]
+fn chaos_ledgers_reconcile_with_the_stock_breaker_over_200_seeds() {
+    chaos_ledgers_reconcile(1..=200);
+}

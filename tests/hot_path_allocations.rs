@@ -9,7 +9,10 @@
 //! im2col and packing buffer is a reuse — eval-mode forward passes do not
 //! clone their inputs into training caches, and (new with the persistent
 //! rayon worker pool) steady-state **multi-band** GEMMs perform zero packing
-//! allocations no matter which pool worker picks up which band.
+//! allocations no matter which pool worker picks up which band. Convolution
+//! weights are packed into GEMM panels by the warm-up and never again in
+//! steady state — until `params_mut()` hands the weights out, which must
+//! drop the panels.
 //!
 //! Kept as the only test in this file so no concurrently running test can
 //! perturb the process-wide counters. `RAYON_NUM_THREADS` is pinned to 4 at
@@ -18,7 +21,7 @@
 
 use appeal_models::{ModelFamily, ModelSpec};
 use appeal_tensor::kernels;
-use appeal_tensor::{SeededRng, Tensor};
+use appeal_tensor::{Layer, SeededRng, Tensor};
 use appealnet_core::serve::{Engine, InferenceRequest, ThresholdPolicy};
 use appealnet_core::two_head::TwoHeadNet;
 
@@ -32,6 +35,7 @@ fn steady_state_submit_reuses_scratch_without_allocating() {
     let little = ModelSpec::little(ModelFamily::MobileNetLike, [3, 12, 12], 6).build(&mut rng);
     let big = ModelSpec::big([3, 12, 12], 6).build(&mut rng);
     let net = TwoHeadNet::from_parts(little, &mut rng);
+    let big_replica = big.clone();
     // max_batch 1: every submit answers immediately, the worst case for
     // per-request overhead. δ = 1.0 forces every request through both the
     // edge scorer and the big network, exercising every conv/dense scratch.
@@ -75,9 +79,53 @@ fn steady_state_submit_reuses_scratch_without_allocating() {
         "steady-state submits must reuse warmed scratch buffers \
          (saw {reuses} reuses over {steady_requests} requests)"
     );
+    assert!(
+        before.weight_floats_packed > 0,
+        "the warm-up packs the convolution weights"
+    );
+    assert_eq!(
+        after.weight_floats_packed, before.weight_floats_packed,
+        "steady-state submits must not re-pack any weights"
+    );
     assert_eq!(engine.stats().requests, 3 + steady_requests);
 
+    params_mut_invalidates_packed_weights(big_replica, &mut rng);
     multi_band_gemm_reuses_pooled_band_scratch(&mut rng);
+}
+
+/// The packed panels are only valid for the weights they were built from:
+/// eval forwards on unchanged weights pack nothing, and handing the
+/// parameters out mutably makes the next eval forward pack again.
+fn params_mut_invalidates_packed_weights(
+    mut big: appeal_models::ClassifierParts,
+    rng: &mut SeededRng,
+) {
+    let image = Tensor::randn(&[1, 3, 12, 12], rng);
+    let first = big.forward(&image, false);
+    let packed = kernels::scratch_stats().weight_floats_packed;
+    let again = big.forward(&image, false);
+    assert_eq!(
+        kernels::scratch_stats().weight_floats_packed,
+        packed,
+        "unchanged weights must not be re-packed"
+    );
+    assert_eq!(first.data(), again.data());
+
+    for p in big.backbone.params_mut() {
+        for v in p.value.data_mut() {
+            *v *= 0.5;
+        }
+    }
+    let halved = big.forward(&image, false);
+    assert!(
+        kernels::scratch_stats().weight_floats_packed > packed,
+        "a params_mut() touch must drop the packed weights"
+    );
+    assert_ne!(
+        first.data(),
+        halved.data(),
+        "the eval forward after a weight edit must see the new weights"
+    );
 }
 
 /// Steady-state multi-band GEMMs perform zero packing allocations: spawned
