@@ -1,9 +1,9 @@
 //! Criterion bench: score histogram and AUROC computation (the analysis
 //! behind Fig. 4), measured on synthetic artifacts of realistic size.
 
+use appealnet_core::artifacts::EvaluationArtifacts;
 use appealnet_core::experiments::fig4::{auroc, score_histogram};
 use appealnet_core::scores::ScoreKind;
-use appealnet_core::system::EvaluationArtifacts;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 

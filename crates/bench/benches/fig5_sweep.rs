@@ -1,9 +1,9 @@
 //! Criterion bench: skipping-rate sweeps over the four routing methods (the
 //! computation behind each Fig. 5 panel once the models are trained).
 
+use appealnet_core::artifacts::EvaluationArtifacts;
 use appealnet_core::scores::ScoreKind;
 use appealnet_core::sweep::{paper_sr_grid, sweep_methods};
-use appealnet_core::system::EvaluationArtifacts;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 

@@ -1,8 +1,8 @@
 //! Criterion bench: minimum-cost threshold search under an AccI constraint
 //! (the per-cell computation of Table I).
 
+use appealnet_core::artifacts::EvaluationArtifacts;
 use appealnet_core::scores::ScoreKind;
-use appealnet_core::system::EvaluationArtifacts;
 use appealnet_core::tuning::{max_accuracy_for_skipping_rate, min_cost_for_acci};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -1,8 +1,8 @@
 //! Criterion bench: the black-box (oracle cloud) appealing-rate search of
 //! Table II, where the big network is always correct.
 
+use appealnet_core::artifacts::EvaluationArtifacts;
 use appealnet_core::scores::ScoreKind;
-use appealnet_core::system::EvaluationArtifacts;
 use appealnet_core::tuning::min_cost_for_acci;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -5,8 +5,8 @@
 //! network (dynamic and calibrated activation scales), evaluates all three
 //! variants on the same test split, and sweeps an SR grid with thresholds
 //! derived from the *f32* artifacts — so every row compares the tiers at the
-//! same δ. The report also charges the hardware model's quantized edge costs
-//! (`SystemModel::expected_cost_quantized`).
+//! same δ. Each tier is charged on the edge device it runs on
+//! (`SystemModel::with_quantized_edge` for the Q8_0 net).
 //!
 //! The binary is its own regression harness and exits non-zero when:
 //!
@@ -52,6 +52,17 @@ fn main() {
     }
     write_report("quant_sweep", &first);
     eprintln!("[quant_sweep done in {}]", elapsed_secs(start));
+}
+
+/// The typical deployment with `net` on the edge: a quantized net runs on
+/// (and is charged as) the quantized edge device.
+fn hardware_for(net: &TwoHeadNet) -> SystemModel {
+    let hardware = SystemModel::typical();
+    if net.is_quantized() {
+        hardware.with_quantized_edge()
+    } else {
+        hardware
+    }
 }
 
 /// Quantizes fresh clones of the trained two-head net, evaluates them and
@@ -111,7 +122,10 @@ fn run_once(
     let thresholds = f32_art
         .thresholds_for_skipping_rates(&SR_GRID)
         .expect("f32 artifacts validated");
-    let hardware = SystemModel::typical();
+    let (hardware, q_hardware) = (
+        hardware_for(&prepared.models.appealnet),
+        hardware_for(&qnet),
+    );
     let mut violations = 0usize;
     for (&sr, &delta) in SR_GRID.iter().zip(&thresholds) {
         let f = f32_art.at_threshold(delta).expect("validated");
@@ -127,7 +141,7 @@ fn run_once(
             prepared.big_flops,
             prepared.input_bytes,
         );
-        let q_cost = hardware.expected_cost_quantized(
+        let q_cost = q_hardware.expected_cost(
             q.skipping_rate,
             prepared.little_flops,
             prepared.big_flops,

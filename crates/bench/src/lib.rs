@@ -8,31 +8,49 @@
 //! * **Binaries** (`src/bin/*.rs`) — run the full experiment pipelines
 //!   (dataset generation, training, threshold tuning) and print the same
 //!   rows/series the paper reports. `cargo run --release -p appeal-bench
-//!   --bin paper_suite` regenerates everything in one pass and writes text
-//!   reports into the repository's `reports/` directory.
-//! * **Criterion benches** (`benches/*.rs`) — micro-benchmarks of the hot
-//!   paths (inference latency, score computation, sweeps, threshold tuning,
-//!   joint-loss evaluation) at smoke scale so `cargo bench --workspace`
-//!   completes quickly.
+//!   --bin paper_suite` regenerates every figure and table in one pass and
+//!   writes text reports into the repository's `reports/` directory;
+//!   `paper_suite -- <fig4|fig5|table1|table2|energy|ablation-beta|
+//!   ablation-joint>` regenerates one. `loadgen`, `fleet_sim`, `fault_sim`
+//!   and `quant_sweep` are the self-checking system experiments.
+//! * **Criterion benches** (`benches/*.rs`) — micro-benchmarks of the
+//!   kernels and of the experiment hot paths (score computation, sweeps,
+//!   threshold tuning, joint-loss evaluation) at smoke scale so `cargo bench
+//!   --workspace` completes quickly. Engine and serving latency are measured
+//!   by the repository benchmark (`benchmark/`), not here.
 //!
 //! The experiment fidelity of the binaries can be overridden with the
-//! `APPEALNET_FIDELITY` environment variable (`smoke` or `paper`).
+//! `APPEALNET_FIDELITY` environment variable (`smoke` or `paper`; anything
+//! else is refused).
 
 use appeal_dataset::Fidelity;
 use appealnet_core::experiments::ExperimentContext;
 use std::fs;
 use std::path::PathBuf;
 
-/// Reads the experiment fidelity from `APPEALNET_FIDELITY` (default: `paper`).
-pub fn fidelity_from_env() -> Fidelity {
-    match std::env::var("APPEALNET_FIDELITY")
-        .unwrap_or_default()
-        .to_lowercase()
-        .as_str()
-    {
-        "smoke" => Fidelity::Smoke,
-        _ => Fidelity::Paper,
+/// Parses an `APPEALNET_FIDELITY` value; unset (or empty) selects `paper`.
+///
+/// Anything else is an error naming the accepted values: a typo must not
+/// silently start the hours-long paper run.
+pub fn parse_fidelity(value: Option<&str>) -> Result<Fidelity, String> {
+    match value.unwrap_or_default().to_lowercase().as_str() {
+        "smoke" => Ok(Fidelity::Smoke),
+        "paper" | "" => Ok(Fidelity::Paper),
+        other => Err(format!(
+            "APPEALNET_FIDELITY={other:?} is not a fidelity: accepted values are `smoke` and \
+             `paper` (unset selects `paper`)"
+        )),
     }
+}
+
+/// Reads the experiment fidelity from `APPEALNET_FIDELITY` (default:
+/// `paper`); exits with status 2 on an unrecognised value.
+pub fn fidelity_from_env() -> Fidelity {
+    let value = std::env::var_os("APPEALNET_FIDELITY").map(|v| v.to_string_lossy().into_owned());
+    parse_fidelity(value.as_deref()).unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2);
+    })
 }
 
 /// The experiment context used by all harness binaries.
@@ -71,11 +89,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fidelity_env_parsing_defaults_to_paper() {
-        // The env var is not set in the test environment.
-        if std::env::var("APPEALNET_FIDELITY").is_err() {
-            assert_eq!(fidelity_from_env(), Fidelity::Paper);
-        }
+    fn fidelity_parsing_accepts_smoke_paper_and_unset_only() {
+        assert_eq!(parse_fidelity(None), Ok(Fidelity::Paper));
+        assert_eq!(parse_fidelity(Some("")), Ok(Fidelity::Paper));
+        assert_eq!(parse_fidelity(Some("paper")), Ok(Fidelity::Paper));
+        assert_eq!(parse_fidelity(Some("smoke")), Ok(Fidelity::Smoke));
+        assert_eq!(parse_fidelity(Some("SMOKE")), Ok(Fidelity::Smoke));
+        let err = parse_fidelity(Some("smok")).unwrap_err();
+        assert!(err.contains("smok") && err.contains("`smoke`") && err.contains("`paper`"));
     }
 
     #[test]

@@ -1,22 +1,16 @@
-//! Precomputed evaluation artifacts and the legacy collaborative-system
-//! wrapper around the serving [`Engine`].
+//! Precomputed evaluation artifacts.
 //!
 //! For experiments it is wasteful to re-run both networks for every candidate
 //! threshold δ, so [`EvaluationArtifacts`] stores per-sample routing scores
 //! and correctness flags once; every threshold or skipping-rate query is then
-//! a cheap scan. [`CollaborativeSystem`] is the original runtime entry point
-//! (Eq. 1 with a fixed threshold); it is now a thin wrapper over
-//! [`crate::serve::Engine`] with a [`crate::serve::ThresholdPolicy`] and is
-//! kept for the fixed-threshold deployments the examples use — new code
-//! should build an engine directly via [`crate::serve::EngineBuilder`].
+//! a cheap scan. The runtime counterpart — routing live inputs per Eq. 1 — is
+//! [`crate::serve::Engine`].
 
 use crate::error::{CoreError, CoreResult};
 use crate::metrics::{routed_metrics, RoutedMetrics};
 use crate::parallel::{self, ChunkPolicy};
 use crate::scores::{confidence_scores, ScoreKind};
-use crate::serve::{Engine, ThresholdPolicy};
 use crate::two_head::TwoHeadNet;
-use appeal_hw::{InferenceCost, SystemModel};
 use appeal_models::ClassifierParts;
 use appeal_tensor::loss::SoftmaxCrossEntropy;
 use appeal_tensor::Tensor;
@@ -345,11 +339,7 @@ impl EvaluationArtifacts {
 /// Runs a classifier over a dataset in batches and returns the stacked
 /// logits, sharding the pass across worker threads when the workload is
 /// large enough for the runtime [`ChunkPolicy`].
-pub(crate) fn classifier_logits(
-    model: &mut ClassifierParts,
-    images: &Tensor,
-    batch_size: usize,
-) -> Tensor {
+fn classifier_logits(model: &mut ClassifierParts, images: &Tensor, batch_size: usize) -> Tensor {
     parallel::classifier_logits(model, images, batch_size, &ChunkPolicy::runtime())
 }
 
@@ -376,136 +366,6 @@ pub struct RoutingDivergence {
     /// tolerance of δ. Zero whenever the score sets genuinely differ by at
     /// most the tolerance per sample.
     pub unexplained: usize,
-}
-
-/// The decision made for one input at runtime.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RoutingOutcome {
-    /// Predicted class label.
-    pub label: usize,
-    /// Predictor score `q(1|x)` for this input.
-    pub score: f32,
-    /// Whether the input was offloaded to the cloud.
-    pub offloaded: bool,
-    /// Cost charged for this input.
-    pub cost: InferenceCost,
-}
-
-/// A deployable edge/cloud collaborative system with a fixed threshold δ:
-/// the paper's Eq. 1, verbatim.
-///
-/// This is a thin wrapper over the serving [`Engine`] with a
-/// [`ThresholdPolicy`] — batches shard across per-worker scorer replicas
-/// exactly as the engine's [`ChunkPolicy`] dictates, and results are
-/// bit-identical across thread counts. Prefer
-/// [`crate::serve::EngineBuilder`] for new code: it additionally offers
-/// budgeted and calibrated policies, confidence-baseline scorers, single
-/// request micro-batching and live [`crate::serve::EngineStats`].
-pub struct CollaborativeSystem {
-    engine: Engine,
-    threshold: f64,
-}
-
-impl std::fmt::Debug for CollaborativeSystem {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "CollaborativeSystem(threshold={}, engine={:?})",
-            self.threshold, self.engine
-        )
-    }
-}
-
-impl CollaborativeSystem {
-    /// Assembles a collaborative system.
-    ///
-    /// Errors with [`CoreError::InvalidThreshold`] if `threshold` is outside
-    /// `[0, 1]`.
-    pub fn new(
-        little: TwoHeadNet,
-        big: ClassifierParts,
-        threshold: f64,
-        hardware: SystemModel,
-    ) -> CoreResult<Self> {
-        Self::with_policy(little, big, threshold, hardware, ChunkPolicy::runtime())
-    }
-
-    /// Assembles a collaborative system with an explicit batch-routing policy
-    /// (use [`ChunkPolicy::sequential`] to force single-threaded routing).
-    ///
-    /// Errors with [`CoreError::InvalidThreshold`] if `threshold` is outside
-    /// `[0, 1]`.
-    pub fn with_policy(
-        little: TwoHeadNet,
-        big: ClassifierParts,
-        threshold: f64,
-        hardware: SystemModel,
-        policy: ChunkPolicy,
-    ) -> CoreResult<Self> {
-        let engine = Engine::builder()
-            .appealnet(little)
-            .big(big)
-            .policy(ThresholdPolicy::new(threshold)?)
-            .hardware(hardware)
-            .chunk_policy(policy)
-            .build()?;
-        Ok(Self { engine, threshold })
-    }
-
-    /// The routing threshold δ.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
-    /// Updates the routing threshold δ.
-    ///
-    /// Errors with [`CoreError::InvalidThreshold`] if `threshold` is outside
-    /// `[0, 1]`.
-    pub fn set_threshold(&mut self, threshold: f64) -> CoreResult<()> {
-        self.engine
-            .set_policy(Box::new(ThresholdPolicy::new(threshold)?));
-        self.threshold = threshold;
-        Ok(())
-    }
-
-    /// Classifies a batch of images, routing each input per Eq. 1.
-    ///
-    /// Delegates to [`Engine::classify_batch`]: batches at least as large as
-    /// the chunk policy's shard floor are processed in two parallel stages
-    /// (little network across per-worker replicas, then one sharded big pass
-    /// over the offloaded subset) with results identical to the sequential
-    /// path and in input order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `images` does not match the little network's input shape
-    /// (the engine path reports this as [`CoreError::ShapeMismatch`]).
-    pub fn classify(&mut self, images: &Tensor) -> Vec<RoutingOutcome> {
-        self.engine
-            .classify_batch(images)
-            .expect("batch matches the little network's input shape")
-            .into_iter()
-            .map(|r| RoutingOutcome {
-                label: r.label,
-                score: r.score,
-                offloaded: r.route.is_cloud(),
-                cost: r.cost,
-            })
-            .collect()
-    }
-
-    /// Aggregate cost of a set of routing outcomes.
-    pub fn total_cost(outcomes: &[RoutingOutcome]) -> InferenceCost {
-        outcomes
-            .iter()
-            .fold(InferenceCost::zero(), |acc, o| acc.add(&o.cost))
-    }
-
-    /// Consumes the wrapper, releasing the underlying serving engine (e.g.
-    /// to swap in a different routing policy).
-    pub fn into_engine(self) -> Engine {
-        self.engine
-    }
 }
 
 #[cfg(test)]
@@ -763,85 +623,12 @@ mod tests {
     }
 
     #[test]
-    fn collaborative_system_routes_and_costs() {
-        let (net, big) = tiny_models(4);
-        let mut system = CollaborativeSystem::new(net, big, 0.5, SystemModel::typical()).unwrap();
-        let mut rng = SeededRng::new(6);
-        let images = Tensor::randn(&[6, 3, 12, 12], &mut rng);
-        let outcomes = system.classify(&images);
-        assert_eq!(outcomes.len(), 6);
-        for o in &outcomes {
-            assert!(o.label < 4);
-            assert_eq!(o.offloaded, (o.score as f64) < 0.5);
-        }
-        let total = CollaborativeSystem::total_cost(&outcomes);
-        assert!(total.flops > 0);
-        // Threshold 0 keeps everything on the edge and must be cheaper.
-        system.set_threshold(0.0).unwrap();
-        let cheap = CollaborativeSystem::total_cost(&system.classify(&images));
-        assert!(cheap.energy_mj <= total.energy_mj + 1e-9);
-        assert_eq!(system.threshold(), 0.0);
-    }
-
-    #[test]
-    fn rejects_bad_threshold() {
-        let (net, big) = tiny_models(2);
-        assert_eq!(
-            CollaborativeSystem::new(net, big, 1.5, SystemModel::typical()).unwrap_err(),
-            CoreError::InvalidThreshold(1.5)
-        );
-    }
-
-    #[test]
-    fn set_threshold_rejects_bad_values_and_keeps_old_threshold() {
-        let (net, big) = tiny_models(2);
-        let mut system = CollaborativeSystem::new(net, big, 0.4, SystemModel::typical()).unwrap();
-        assert!(system.set_threshold(f64::NAN).is_err());
-        assert_eq!(system.threshold(), 0.4);
-    }
-
-    #[test]
     fn batch_thresholds_match_single_rate_queries() {
         let a = synthetic_artifacts();
         let rates = [0.0, 0.25, 0.5, 0.75, 1.0];
         let batch = a.thresholds_for_skipping_rates(&rates).unwrap();
         for (t, &sr) in batch.iter().zip(rates.iter()) {
             assert_eq!(*t, a.threshold_for_skipping_rate(sr).unwrap());
-        }
-    }
-
-    #[test]
-    fn parallel_routing_matches_sequential_routing() {
-        let (net, big) = tiny_models(4);
-        let policy = crate::parallel::ChunkPolicy {
-            min_shard: 8,
-            max_shards: 4,
-        };
-        let mut parallel_system =
-            CollaborativeSystem::with_policy(net, big, 0.5, SystemModel::typical(), policy)
-                .unwrap();
-        let (net2, big2) = tiny_models(4);
-        let mut sequential_system = CollaborativeSystem::with_policy(
-            net2,
-            big2,
-            0.5,
-            SystemModel::typical(),
-            crate::parallel::ChunkPolicy::sequential(),
-        )
-        .unwrap();
-        let mut rng = SeededRng::new(9);
-        let images = Tensor::randn(&[48, 3, 12, 12], &mut rng);
-        let par = parallel_system.classify(&images);
-        let seq = sequential_system.classify(&images);
-        assert_eq!(par.len(), seq.len());
-        for (p, s) in par.iter().zip(seq.iter()) {
-            assert_eq!(p.label, s.label);
-            assert_eq!(p.offloaded, s.offloaded);
-            assert_eq!(
-                p.score.to_bits(),
-                s.score.to_bits(),
-                "scores must be bit-identical"
-            );
         }
     }
 }

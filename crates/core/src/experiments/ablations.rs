@@ -4,11 +4,11 @@
 //! * joint training of the predictor vs. a post-hoc predictor trained on a
 //!   frozen little network (the key architectural claim of the paper).
 
+use crate::artifacts::EvaluationArtifacts;
 use crate::experiments::fig4::auroc;
 use crate::experiments::{ExperimentContext, PreparedExperiment};
 use crate::loss::CloudMode;
 use crate::scores::ScoreKind;
-use crate::system::EvaluationArtifacts;
 use appeal_dataset::DatasetPreset;
 use appeal_models::ModelFamily;
 use appeal_tensor::layers::{Dense, Sequential, Sigmoid};

@@ -66,14 +66,6 @@ impl EnergyReport {
         }
         out
     }
-
-    /// The largest relative saving across all targets (the "up to" number).
-    pub fn max_saving(&self) -> Option<f64> {
-        self.entries
-            .iter()
-            .filter_map(EnergyEntry::relative_saving)
-            .fold(None, |acc, s| Some(acc.map_or(s, |a: f64| a.max(s))))
-    }
 }
 
 /// Computes the energy report for a prepared (white-box) experiment under a
@@ -163,6 +155,5 @@ mod tests {
             }
         }
         assert!(report.render_text().contains("mJ"));
-        let _ = report.max_saving();
     }
 }

@@ -7,9 +7,9 @@
 //! quantitative (and testable) this module also reports the area under the
 //! ROC curve (AUROC) of "score predicts little-network correctness".
 
+use crate::artifacts::EvaluationArtifacts;
 use crate::experiments::PreparedExperiment;
 use crate::scores::ScoreKind;
-use crate::system::EvaluationArtifacts;
 use serde::{Deserialize, Serialize};
 
 /// Histogram of one score, split by little-network correctness.

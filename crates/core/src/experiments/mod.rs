@@ -14,10 +14,10 @@ pub mod fig5;
 pub mod table1;
 pub mod table2;
 
+use crate::artifacts::EvaluationArtifacts;
 use crate::loss::{AppealLoss, CloudMode};
 use crate::parallel::{self, ChunkPolicy};
 use crate::scores::ScoreKind;
-use crate::system::EvaluationArtifacts;
 use crate::training::{
     big_model_losses_with_policy, evaluate_classifier_with_policy, train_appealnet,
     train_classifier, TrainerConfig,

@@ -46,8 +46,8 @@
 //! * [`training`] — Algorithm 1 (joint training) and plain classifier training.
 //! * [`scores`] — AppealNet's `q` score and the confidence baselines
 //!   (MSP, score margin, entropy).
-//! * [`system`] — precomputed routing artifacts and the legacy
-//!   fixed-threshold wrapper over the engine.
+//! * [`artifacts`] — per-sample routing scores and correctness flags computed
+//!   once, so every threshold or skipping-rate query is a cheap scan.
 //! * [`metrics`] — SR / AR / overall accuracy / AccI / overall cost (Eq. 11–15).
 //! * [`tuning`] — threshold selection for target skipping rates or accuracy.
 //! * [`sweep`] — skipping-rate sweeps across routing methods.
@@ -94,6 +94,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod artifacts;
 pub mod error;
 pub mod experiments;
 pub mod loss;
@@ -103,11 +104,11 @@ pub mod scores;
 pub mod serve;
 pub mod server;
 pub mod sweep;
-pub mod system;
 pub mod training;
 pub mod tuning;
 pub mod two_head;
 
+pub use artifacts::{EvaluationArtifacts, RoutingDivergence};
 pub use error::{CoreError, CoreResult};
 pub use loss::{AppealLoss, CloudMode};
 pub use metrics::RoutedMetrics;
@@ -118,12 +119,12 @@ pub use serve::{
     InferenceResponse, Route, RoutingPolicy, Scorer, ThresholdPolicy,
 };
 pub use server::{MicroBatcher, Server, ServerConfig, ServerHandle, ServerStats, ShedConfig};
-pub use system::{CollaborativeSystem, EvaluationArtifacts, RoutingDivergence};
 pub use training::{TrainerConfig, TrainingReport};
 pub use two_head::{TwoHeadNet, TwoHeadOutput};
 
 /// Convenience re-exports.
 pub mod prelude {
+    pub use crate::artifacts::{EvaluationArtifacts, RoutingDivergence};
     pub use crate::error::{CoreError, CoreResult};
     pub use crate::experiments::{CloudModeExt, ExperimentContext, PreparedExperiment};
     pub use crate::loss::{AppealLoss, CloudMode};
@@ -140,7 +141,6 @@ pub mod prelude {
         Ticket,
     };
     pub use crate::sweep::{MethodSeries, SweepResult};
-    pub use crate::system::{CollaborativeSystem, EvaluationArtifacts, RoutingDivergence};
     pub use crate::training::{TrainerConfig, TrainingReport};
     pub use crate::tuning::ThresholdChoice;
     pub use crate::two_head::{TwoHeadNet, TwoHeadOutput};

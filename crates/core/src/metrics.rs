@@ -206,8 +206,8 @@ mod tests {
     /// edge, so a score exactly equal to δ is *not* offloaded).
     mod hand_computed_fixture {
         use super::super::*;
+        use crate::artifacts::EvaluationArtifacts;
         use crate::scores::ScoreKind;
-        use crate::system::EvaluationArtifacts;
 
         /// scores [0.9, 0.6, 0.4, 0.1], little correct on samples {0, 3},
         /// big correct on samples {0, 1, 2}; little costs 100, big 1000.

@@ -55,8 +55,8 @@ impl ChunkPolicy {
     }
 
     /// Default policy for runtime paths that do not know the fidelity
-    /// (deployed [`crate::system::CollaborativeSystem`] batches, training-time
-    /// evaluation helpers): shard anything with at least 32 samples per worker.
+    /// (deployed [`crate::serve::Engine`] batches, training-time evaluation
+    /// helpers): shard anything with at least 32 samples per worker.
     pub fn runtime() -> Self {
         Self {
             min_shard: 32,

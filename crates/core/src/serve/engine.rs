@@ -266,6 +266,8 @@ impl EngineBuilder {
     }
 
     /// Sets the hardware cost model (default: [`SystemModel::typical`]).
+    /// Describe the f32 deployment: a quantized scorer is priced on
+    /// [`SystemModel::with_quantized_edge`] of it by [`Self::build`].
     pub fn hardware(mut self, hardware: SystemModel) -> Self {
         self.hardware = hardware;
         self
@@ -308,31 +310,22 @@ impl EngineBuilder {
         let input_shape = scorer.input_shape();
         let scorer_quantized = scorer.is_quantized();
         let input_bytes = (input_shape.iter().product::<usize>() * 4) as u64;
-        // A quantized edge scorer is charged the int8 tier's energy/latency
-        // discount; FLOP counts are identical, so Eq. 5/15 comparisons stay
-        // in the paper's unit either way.
-        let (edge_cost, offload_cost) = if scorer_quantized {
-            (
-                self.hardware.edge_only_cost_quantized(scorer.flops()),
-                self.hardware.offload_cost_quantized(
-                    scorer.flops(),
-                    big.total_flops(),
-                    input_bytes,
-                ),
-            )
+        // A quantized edge scorer runs on the int8 tier's faster, thriftier
+        // edge device; FLOP counts are identical, so Eq. 5/15 comparisons
+        // stay in the paper's unit either way.
+        let hardware = if scorer_quantized {
+            self.hardware.with_quantized_edge()
         } else {
-            (
-                self.hardware.edge_only_cost(scorer.flops()),
-                self.hardware
-                    .offload_cost(scorer.flops(), big.total_flops(), input_bytes),
-            )
+            self.hardware
         };
+        let edge_cost = hardware.edge_only_cost(scorer.flops());
+        let offload_cost = hardware.offload_cost(scorer.flops(), big.total_flops(), input_bytes);
         Ok(Engine {
             scorer,
             workers: Vec::new(),
             big,
             policy,
-            hardware: self.hardware,
+            hardware,
             chunk: self.chunk,
             max_batch: self.max_batch,
             input_shape,

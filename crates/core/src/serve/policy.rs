@@ -12,9 +12,9 @@
 //! that depend on history (a draining budget) remain deterministic even when
 //! score computation is sharded across worker threads.
 
+use crate::artifacts::EvaluationArtifacts;
 use crate::error::{CoreError, CoreResult};
 use crate::scores::ScoreKind;
-use crate::system::EvaluationArtifacts;
 use crate::tuning;
 use appeal_hw::{CostBudget, CostMeter, InferenceCost};
 use serde::{Deserialize, Serialize};

@@ -1,9 +1,9 @@
 //! Skipping-rate sweeps across routing methods (the shape of the paper's Fig. 5).
 
+use crate::artifacts::EvaluationArtifacts;
 use crate::error::{CoreError, CoreResult};
 use crate::metrics::RoutedMetrics;
 use crate::scores::ScoreKind;
-use crate::system::EvaluationArtifacts;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 

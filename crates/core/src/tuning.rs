@@ -9,9 +9,9 @@
 //! on empty artifacts, [`CoreError::InvalidScore`] on NaN scores) and report
 //! an unreachable target as `Ok(None)` rather than an error.
 
+use crate::artifacts::EvaluationArtifacts;
 use crate::error::{CoreError, CoreResult};
 use crate::metrics::RoutedMetrics;
-use crate::system::EvaluationArtifacts;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 

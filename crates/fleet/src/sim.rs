@@ -474,11 +474,16 @@ impl FleetSim {
         let input_bytes = (input_shape.iter().product::<usize>() * 4) as u64;
         let little_flops = little.flops();
         let big_flops = big.total_flops();
-        let system = SystemModel::new(
+        let mut system = SystemModel::new(
             config.edge_device.clone(),
             config.cloud.device.clone(),
             config.link.spec.clone(),
         );
+        if little.is_quantized() {
+            // Priced and scheduled on the int8 tier's edge device, exactly
+            // as `Engine::build` prices the same net.
+            system = system.with_quantized_edge();
+        }
         let ctx = RoutingContext {
             edge_cost: system.edge_only_cost(little_flops),
             offload_cost: system.offload_cost(little_flops, big_flops, input_bytes),
@@ -498,7 +503,7 @@ impl FleetSim {
                 base.fork(),
                 Box::new(policy),
                 adaptive,
-                &config.edge_device,
+                &system.edge,
                 uplink,
             );
             if let Some(breaker) = config.recovery.and_then(|r| r.breaker) {

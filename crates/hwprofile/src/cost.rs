@@ -94,6 +94,19 @@ impl SystemModel {
         )
     }
 
+    /// The same deployment with the little network on the quantized (Q8_0)
+    /// tier: the edge device does [`QUANT_EDGE_SPEEDUP`]× the work per second
+    /// and per joule, and every cost function below then prices the tier —
+    /// the edge share of an offload included, the link and cloud terms
+    /// untouched. Apply it once, where the tier is known (callers read it
+    /// off the little network's `is_quantized()`).
+    pub fn with_quantized_edge(mut self) -> Self {
+        self.edge.name.push_str("+q8_0");
+        self.edge.peak_gflops *= QUANT_EDGE_SPEEDUP;
+        self.edge.energy_per_flop_pj /= QUANT_EDGE_SPEEDUP;
+        self
+    }
+
     /// Cost `c1` of Eq. 5: the input is handled entirely on the edge by the
     /// little network (which includes the predictor head).
     pub fn edge_only_cost(&self, little_flops: u64) -> InferenceCost {
@@ -123,57 +136,6 @@ impl SystemModel {
             energy_mj: edge.energy_mj + uplink_energy + self.cloud.energy_mj(big_flops),
             latency_ms: edge.latency_ms + uplink_latency + self.cloud.latency_ms(big_flops),
         }
-    }
-
-    /// Cost `c1` when the little network runs on the quantized (Q8_0) tier:
-    /// same FLOPs, edge energy and latency divided by [`QUANT_EDGE_SPEEDUP`].
-    pub fn edge_only_cost_quantized(&self, little_flops: u64) -> InferenceCost {
-        let f32_cost = self.edge_only_cost(little_flops);
-        InferenceCost {
-            flops: f32_cost.flops,
-            energy_mj: f32_cost.energy_mj / QUANT_EDGE_SPEEDUP,
-            latency_ms: f32_cost.latency_ms / QUANT_EDGE_SPEEDUP,
-        }
-    }
-
-    /// Cost `c0` when the edge pass runs on the quantized tier. Only the
-    /// edge portion is discounted: the link and the cloud's big network are
-    /// untouched by edge quantization.
-    pub fn offload_cost_quantized(
-        &self,
-        little_flops: u64,
-        big_flops: u64,
-        input_bytes: u64,
-    ) -> InferenceCost {
-        let f32_offload = self.offload_cost(little_flops, big_flops, input_bytes);
-        let edge_f32 = self.edge_only_cost(little_flops);
-        let edge_q = self.edge_only_cost_quantized(little_flops);
-        InferenceCost {
-            flops: f32_offload.flops,
-            energy_mj: f32_offload.energy_mj - edge_f32.energy_mj + edge_q.energy_mj,
-            latency_ms: f32_offload.latency_ms - edge_f32.latency_ms + edge_q.latency_ms,
-        }
-    }
-
-    /// Expected per-input cost (Eq. 15) with the little network on the
-    /// quantized tier at skipping rate `sr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sr` is outside `[0, 1]`.
-    pub fn expected_cost_quantized(
-        &self,
-        sr: f64,
-        little_flops: u64,
-        big_flops: u64,
-        input_bytes: u64,
-    ) -> InferenceCost {
-        assert!((0.0..=1.0).contains(&sr), "skipping rate must be in [0, 1]");
-        let on_edge = self.edge_only_cost_quantized(little_flops).scale(sr);
-        let offloaded = self
-            .offload_cost_quantized(little_flops, big_flops, input_bytes)
-            .scale(1.0 - sr);
-        on_edge.add(&offloaded)
     }
 
     /// Cost of a cloud-only deployment (every input is offloaded, no little network).
@@ -293,11 +255,20 @@ mod tests {
         let _ = system().expected_cost(1.5, 1, 1, 1);
     }
 
+    /// `(little_flops, big_flops, input_bytes)` as `Engine::build` and
+    /// `FleetSim::new` issue them for the MobileNet-like little net (predictor
+    /// head included) and the big net at `[3, 12, 12]`, 4 and 10 classes.
+    const ISSUED_SHAPES: [(u64, u64, u64); 2] =
+        [(131_505, 3_180_060, 1728), (131_799, 3_180_546, 1728)];
+
+    fn quantized() -> SystemModel {
+        system().with_quantized_edge()
+    }
+
     #[test]
     fn quantized_edge_is_cheaper_but_same_flops() {
-        let s = system();
-        let f = s.edge_only_cost(100_000);
-        let q = s.edge_only_cost_quantized(100_000);
+        let f = system().edge_only_cost(100_000);
+        let q = quantized().edge_only_cost(100_000);
         assert_eq!(q.flops, f.flops, "quantization must not change FLOPs");
         assert!((q.energy_mj * QUANT_EDGE_SPEEDUP - f.energy_mj).abs() < 1e-9);
         assert!((q.latency_ms * QUANT_EDGE_SPEEDUP - f.latency_ms).abs() < 1e-9);
@@ -305,25 +276,31 @@ mod tests {
 
     #[test]
     fn quantized_offload_discounts_only_the_edge_share() {
-        let s = system();
+        let (s, sq) = (system(), quantized());
         let f = s.offload_cost(100_000, 3_000_000, 1728);
-        let q = s.offload_cost_quantized(100_000, 3_000_000, 1728);
+        let q = sq.offload_cost(100_000, 3_000_000, 1728);
         assert_eq!(q.flops, f.flops);
         // The saving equals exactly the edge share's discount; link + cloud
         // terms cancel.
         let edge_saving =
-            s.edge_only_cost(100_000).energy_mj - s.edge_only_cost_quantized(100_000).energy_mj;
+            s.edge_only_cost(100_000).energy_mj - sq.edge_only_cost(100_000).energy_mj;
         assert!((f.energy_mj - q.energy_mj - edge_saving).abs() < 1e-9);
         assert!(q.energy_mj < f.energy_mj);
         assert!(q.latency_ms < f.latency_ms);
+        // With no edge pass at all the two tiers charge the same bits.
+        assert_eq!(
+            sq.cloud_only_cost(3_000_000, 1728),
+            s.cloud_only_cost(3_000_000, 1728)
+        );
+        assert_eq!((&sq.cloud, &sq.link), (&s.cloud, &s.link));
     }
 
     #[test]
     fn quantized_expected_cost_dominates_f32_at_every_sr() {
-        let s = system();
+        let (s, sq) = (system(), quantized());
         for sr in [0.0, 0.25, 0.5, 0.75, 1.0] {
             let f = s.expected_cost(sr, 100_000, 3_000_000, 1728);
-            let q = s.expected_cost_quantized(sr, 100_000, 3_000_000, 1728);
+            let q = sq.expected_cost(sr, 100_000, 3_000_000, 1728);
             assert_eq!(q.flops, f.flops);
             assert!(q.energy_mj < f.energy_mj);
             assert!(q.latency_ms < f.latency_ms);
@@ -331,13 +308,77 @@ mod tests {
         // Every input pays exactly one edge pass (offloaded inputs run the
         // little network too, per Eq. 5), so the per-input saving is the
         // same at every skipping rate.
-        let gain_low = s.expected_cost(0.2, 100_000, 3_000_000, 1728).energy_mj
-            - s.expected_cost_quantized(0.2, 100_000, 3_000_000, 1728)
-                .energy_mj;
-        let gain_high = s.expected_cost(0.9, 100_000, 3_000_000, 1728).energy_mj
-            - s.expected_cost_quantized(0.9, 100_000, 3_000_000, 1728)
-                .energy_mj;
-        assert!((gain_high - gain_low).abs() < 1e-9);
+        let gain = |sr: f64| {
+            s.expected_cost(sr, 100_000, 3_000_000, 1728).energy_mj
+                - sq.expected_cost(sr, 100_000, 3_000_000, 1728).energy_mj
+        };
+        assert!((gain(0.9) - gain(0.2)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn quantized_tier_stays_within_an_ulp_of_the_subtracted_discount() {
+        // The retired `*_quantized` functions divided the f32 edge cost by
+        // the speedup and patched it into the f32 offload total; scaling the
+        // device instead may round differently, but never visibly.
+        let (s, sq) = (system(), quantized());
+        let close = |got: f64, want: f64| (got - want).abs() <= 1e-12 * want.abs();
+        for (little, big, bytes) in ISSUED_SHAPES {
+            let edge = s.edge_only_cost(little);
+            let offload = s.offload_cost(little, big, bytes);
+            let (q_edge, q_offload) = (
+                sq.edge_only_cost(little),
+                sq.offload_cost(little, big, bytes),
+            );
+            let (want_e, want_l) = (
+                edge.energy_mj / QUANT_EDGE_SPEEDUP,
+                edge.latency_ms / QUANT_EDGE_SPEEDUP,
+            );
+            assert!(close(q_edge.energy_mj, want_e) && close(q_edge.latency_ms, want_l));
+            assert!(close(
+                q_offload.energy_mj,
+                offload.energy_mj - edge.energy_mj + want_e
+            ));
+            assert!(close(
+                q_offload.latency_ms,
+                offload.latency_ms - edge.latency_ms + want_l
+            ));
+        }
+    }
+
+    #[test]
+    fn quant_f32_tier_is_bit_identical() {
+        // Energy and latency bits of the f32 tier, captured before the
+        // quantized twins were folded into `with_quantized_edge`: selecting
+        // the tier through the device must not move a single f32 cost.
+        let golden: [[u64; 4]; 2] = [
+            [
+                0x3f7028ca23a520b6,
+                0x3f7aeea63b688bdb,
+                0x3fc7da2c714d1f44,
+                0x40249265d7feb7b4,
+            ],
+            [
+                0x3f703209bd6e0a1f,
+                0x3f7afe103bb76634,
+                0x3fc7da970b860148,
+                0x40249267c6e03a17,
+            ],
+        ];
+        let s = system();
+        for ((little, big, bytes), want) in ISSUED_SHAPES.into_iter().zip(golden) {
+            let (edge, offload) = (s.edge_only_cost(little), s.offload_cost(little, big, bytes));
+            let got = [
+                edge.energy_mj,
+                edge.latency_ms,
+                offload.energy_mj,
+                offload.latency_ms,
+            ];
+            assert_eq!(
+                got.map(f64::to_bits),
+                want,
+                "shape ({little}, {big}, {bytes})"
+            );
+        }
     }
 
     #[test]

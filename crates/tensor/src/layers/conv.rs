@@ -30,23 +30,9 @@
 use crate::init::Init;
 use crate::kernels::{self, GemmInit, PackedA};
 use crate::layer::{Layer, Param};
-use crate::quant::{q8_block_scale, QuantLayerReport, QuantMatrix};
+use crate::quant::{QuantLayerReport, QuantMatrix, QuantWeights};
 use crate::rng::SeededRng;
 use crate::tensor::Tensor;
-
-/// Quantized-tier state for a [`Conv2d`]: the Q8_0 weight matrix (one
-/// reduction row of length `in_c*k*k` per output channel — exactly the f32
-/// weight layout) plus activation-calibration state. [`DepthwiseConv2d`]
-/// deliberately has no quantized tier: its per-channel `k*k` reductions are
-/// too short for int8 blocking to pay off, and its f32 path already runs on
-/// the small-problem GEMM.
-#[derive(Debug, Clone)]
-struct QuantConv {
-    weight: QuantMatrix,
-    act_scale: Option<f32>,
-    observed_absmax: f32,
-    observing: bool,
-}
 
 fn conv_output_hw(
     h: usize,
@@ -85,7 +71,12 @@ pub struct Conv2d {
     stride: usize,
     padding: usize,
     cached_input: Option<Tensor>,
-    quant: Option<QuantConv>,
+    /// Q8_0 tier: one reduction row of length `in_c*k*k` per output channel
+    /// (exactly the f32 weight layout). [`DepthwiseConv2d`] deliberately has
+    /// none: its per-channel `k*k` reductions are too short for int8
+    /// blocking to pay off, and its f32 path already runs on the
+    /// small-problem GEMM.
+    quant: Option<QuantWeights>,
     /// GEMM panels of `weight`, built by the first f32 eval forward. Only
     /// ever `Some` while `weight` is unchanged since they were packed.
     packed_weight: Option<PackedA>,
@@ -186,9 +177,7 @@ impl Layer for Conv2d {
         let pointwise = self.is_pointwise();
         if !train {
             if let Some(q) = self.quant.as_mut() {
-                if q.observing {
-                    q.observed_absmax = x.iter().fold(q.observed_absmax, |m, &v| m.max(v.abs()));
-                }
+                q.observe(x);
                 // Quantized eval path: the GEMM runs transposed —
                 // `cols^T [s, ckk] x W` with one activation scale per
                 // spatial position (each output pixel's receptive field),
@@ -415,12 +404,7 @@ impl Layer for Conv2d {
         let report = qm.report_against_rows(self.name(), w);
         // Eval forwards run the quantized GEMM from here on.
         self.packed_weight = None;
-        self.quant = Some(QuantConv {
-            weight: qm,
-            act_scale: None,
-            observed_absmax: 0.0,
-            observing: false,
-        });
+        self.quant = Some(QuantWeights::new(qm));
         vec![report]
     }
 
@@ -430,20 +414,13 @@ impl Layer for Conv2d {
 
     fn begin_calibration(&mut self) {
         if let Some(q) = self.quant.as_mut() {
-            q.observing = true;
-            q.observed_absmax = 0.0;
-            q.act_scale = None;
+            q.begin_calibration();
         }
     }
 
     fn end_calibration(&mut self) {
         if let Some(q) = self.quant.as_mut() {
-            if q.observing && q.observed_absmax > 0.0 {
-                // Padding contributes only zeros to the im2col rows, so the
-                // input absmax is the receptive-field absmax.
-                q.act_scale = Some(q8_block_scale(q.observed_absmax));
-            }
-            q.observing = false;
+            q.end_calibration();
         }
     }
 }
@@ -645,6 +622,7 @@ impl Layer for DepthwiseConv2d {
 mod tests {
     use super::*;
     use crate::gradcheck::check_layer_gradients;
+    use crate::quant::q8_block_scale;
 
     #[test]
     fn output_hw_formula() {

@@ -3,23 +3,9 @@
 use crate::init::Init;
 use crate::kernels::{quant_gemm_into, with_thread_scratch};
 use crate::layer::{Layer, Param};
-use crate::quant::{q8_block_scale, QuantLayerReport, QuantMatrix};
+use crate::quant::{QuantLayerReport, QuantMatrix, QuantWeights};
 use crate::rng::SeededRng;
 use crate::tensor::Tensor;
-
-/// Quantized-tier state for a [`Dense`] layer: the Q8_0 weight matrix plus
-/// activation-scale calibration state. Present only after
-/// [`Layer::quantize_weights`]; eval forwards then run the int8 GEMM while
-/// training keeps using the f32 weights.
-#[derive(Debug, Clone)]
-struct QuantDense {
-    weight: QuantMatrix,
-    /// Static power-of-two activation scale frozen by calibration; `None`
-    /// selects dynamic per-row absmax quantization.
-    act_scale: Option<f32>,
-    observed_absmax: f32,
-    observing: bool,
-}
 
 /// A fully-connected layer: `y = x W + b` with `W: [in, out]`, `b: [out]`.
 ///
@@ -41,7 +27,7 @@ pub struct Dense {
     in_features: usize,
     out_features: usize,
     cached_input: Option<Tensor>,
-    quant: Option<QuantDense>,
+    quant: Option<QuantWeights>,
 }
 
 impl Dense {
@@ -105,12 +91,7 @@ impl Layer for Dense {
         } else {
             self.cached_input = None;
             if let Some(q) = self.quant.as_mut() {
-                if q.observing {
-                    q.observed_absmax = input
-                        .data()
-                        .iter()
-                        .fold(q.observed_absmax, |acc, &x| acc.max(x.abs()));
-                }
+                q.observe(input.data());
                 let m = input.shape()[0];
                 let mut out = Tensor::zeros(&[m, self.out_features]);
                 with_thread_scratch(|s| {
@@ -178,12 +159,7 @@ impl Layer for Dense {
         }
         let qm = QuantMatrix::from_rows(&gathered, n, k);
         let report = qm.report_against_rows(self.name(), &gathered);
-        self.quant = Some(QuantDense {
-            weight: qm,
-            act_scale: None,
-            observed_absmax: 0.0,
-            observing: false,
-        });
+        self.quant = Some(QuantWeights::new(qm));
         vec![report]
     }
 
@@ -193,18 +169,13 @@ impl Layer for Dense {
 
     fn begin_calibration(&mut self) {
         if let Some(q) = self.quant.as_mut() {
-            q.observing = true;
-            q.observed_absmax = 0.0;
-            q.act_scale = None;
+            q.begin_calibration();
         }
     }
 
     fn end_calibration(&mut self) {
         if let Some(q) = self.quant.as_mut() {
-            if q.observing && q.observed_absmax > 0.0 {
-                q.act_scale = Some(q8_block_scale(q.observed_absmax));
-            }
-            q.observing = false;
+            q.end_calibration();
         }
     }
 }
@@ -213,6 +184,7 @@ impl Layer for Dense {
 mod tests {
     use super::*;
     use crate::gradcheck::check_layer_gradients;
+    use crate::quant::q8_block_scale;
 
     #[test]
     fn forward_shape_and_bias() {

@@ -412,6 +412,60 @@ impl QuantMatrix {
     }
 }
 
+/// Quantized-tier state of a GEMM-backed layer (`Dense`, `Conv2d`): the
+/// Q8_0 weight matrix plus activation-scale calibration state. Present only
+/// after [`crate::Layer::quantize_weights`]; eval forwards then run the int8
+/// GEMM while training keeps using the f32 weights.
+#[derive(Debug, Clone)]
+pub(crate) struct QuantWeights {
+    pub(crate) weight: QuantMatrix,
+    /// Static power-of-two activation scale frozen by calibration; `None`
+    /// selects dynamic per-row absmax quantization.
+    pub(crate) act_scale: Option<f32>,
+    observed_absmax: f32,
+    observing: bool,
+}
+
+impl QuantWeights {
+    pub(crate) fn new(weight: QuantMatrix) -> Self {
+        Self {
+            weight,
+            act_scale: None,
+            observed_absmax: 0.0,
+            observing: false,
+        }
+    }
+
+    /// Folds an eval forward's input into the running absmax while a
+    /// calibration pass is open; a no-op otherwise.
+    pub(crate) fn observe(&mut self, input: &[f32]) {
+        if self.observing {
+            self.observed_absmax = input
+                .iter()
+                .fold(self.observed_absmax, |m, &v| m.max(v.abs()));
+        }
+    }
+
+    /// Opens a calibration pass, dropping any previously frozen scale.
+    pub(crate) fn begin_calibration(&mut self) {
+        self.observing = true;
+        self.observed_absmax = 0.0;
+        self.act_scale = None;
+    }
+
+    /// Closes the calibration pass and freezes the static activation scale
+    /// (dynamic quantization stays in force if nothing non-zero was seen).
+    /// For a convolution the *input* absmax is the right statistic: padding
+    /// contributes only zeros to the im2col rows, so it equals the
+    /// receptive-field absmax.
+    pub(crate) fn end_calibration(&mut self) {
+        if self.observing && self.observed_absmax > 0.0 {
+            self.act_scale = Some(q8_block_scale(self.observed_absmax));
+        }
+        self.observing = false;
+    }
+}
+
 /// Per-layer result of a [`crate::Layer::quantize_weights`] call.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantLayerReport {

@@ -1,13 +1,13 @@
 //! Integration tests of the black-box (oracle cloud) pipeline and of the
-//! runtime collaborative-system deployment path.
+//! runtime deployment path (a serving engine with a fixed threshold).
 
 use appeal_dataset::{DatasetPreset, Fidelity};
-use appeal_hw::SystemModel;
+use appeal_hw::{InferenceCost, SystemModel};
 use appeal_models::ModelFamily;
 use appealnet_core::experiments::{table2, ExperimentContext, PreparedExperiment};
 use appealnet_core::loss::CloudMode;
 use appealnet_core::scores::ScoreKind;
-use appealnet_core::system::CollaborativeSystem;
+use appealnet_core::serve::{Engine, InferenceResponse, ThresholdPolicy};
 
 #[test]
 fn blackbox_pipeline_and_table2_row() {
@@ -52,27 +52,40 @@ fn deployed_system_routes_consistently_with_threshold() {
         &ctx,
     );
     let models = prepared.models;
-    let mut system =
-        CollaborativeSystem::new(models.appealnet, models.big, 0.5, SystemModel::typical())
-            .expect("0.5 is a valid threshold");
+    let mut engine = Engine::builder()
+        .appealnet(models.appealnet)
+        .big(models.big)
+        .policy(ThresholdPolicy::new(0.5).expect("0.5 is a valid threshold"))
+        .hardware(SystemModel::typical())
+        .build()
+        .expect("scorer and big model are set");
+    let total_cost = |responses: &[InferenceResponse]| {
+        responses
+            .iter()
+            .fold(InferenceCost::zero(), |acc, r| acc.add(&r.cost))
+    };
 
-    let outcomes = system.classify(pair.test.images());
+    let outcomes = engine
+        .classify_batch(pair.test.images())
+        .expect("test images match the input shape");
     assert_eq!(outcomes.len(), pair.test.len());
     for o in &outcomes {
         assert!(o.label < preset.num_classes());
-        assert_eq!(o.offloaded, (o.score as f64) < 0.5);
+        assert_eq!(o.route.is_cloud(), (o.score as f64) < 0.5);
     }
 
     // Raising the threshold can only increase (or keep) the number of
     // offloaded inputs, and with it the total energy.
-    let low = CollaborativeSystem::total_cost(&outcomes);
-    system
-        .set_threshold(0.95)
-        .expect("0.95 is a valid threshold");
-    let outcomes_high = system.classify(pair.test.images());
-    let high = CollaborativeSystem::total_cost(&outcomes_high);
-    let offloaded_low = outcomes.iter().filter(|o| o.offloaded).count();
-    let offloaded_high = outcomes_high.iter().filter(|o| o.offloaded).count();
+    let low = total_cost(&outcomes);
+    engine.set_policy(Box::new(
+        ThresholdPolicy::new(0.95).expect("0.95 is a valid threshold"),
+    ));
+    let outcomes_high = engine
+        .classify_batch(pair.test.images())
+        .expect("test images match the input shape");
+    let high = total_cost(&outcomes_high);
+    let offloaded_low = outcomes.iter().filter(|o| o.route.is_cloud()).count();
+    let offloaded_high = outcomes_high.iter().filter(|o| o.route.is_cloud()).count();
     assert!(offloaded_high >= offloaded_low);
     assert!(high.energy_mj + 1e-9 >= low.energy_mj);
 }

@@ -14,7 +14,6 @@ use appealnet_core::experiments::{ExperimentContext, PreparedExperiment};
 use appealnet_core::loss::CloudMode;
 use appealnet_core::parallel::ChunkPolicy;
 use appealnet_core::serve::{Engine, InferenceRequest, InferenceResponse, ThresholdPolicy};
-use appealnet_core::system::{CollaborativeSystem, RoutingOutcome};
 use appealnet_core::two_head::TwoHeadNet;
 
 #[test]
@@ -78,7 +77,7 @@ fn sharded_evaluation_is_bit_identical_to_sequential() {
 }
 
 // ---------------------------------------------------------------------------
-// Engine / CollaborativeSystem equivalence
+// Engine equivalence across chunk policies, batch sizes and micro-batching
 // ---------------------------------------------------------------------------
 
 /// Builds an identically seeded (two-head, big) model pair.
@@ -89,15 +88,11 @@ fn seeded_models() -> (TwoHeadNet, ClassifierParts) {
     (TwoHeadNet::from_parts(little, &mut rng), big)
 }
 
-fn assert_equivalent(outcomes: &[RoutingOutcome], responses: &[InferenceResponse], tag: &str) {
+fn assert_equivalent(outcomes: &[InferenceResponse], responses: &[InferenceResponse], tag: &str) {
     assert_eq!(outcomes.len(), responses.len(), "{tag}: length mismatch");
     for (i, (o, r)) in outcomes.iter().zip(responses.iter()).enumerate() {
         assert_eq!(o.label, r.label, "{tag}: label diverges at sample {i}");
-        assert_eq!(
-            o.offloaded,
-            r.route.is_cloud(),
-            "{tag}: decision diverges at sample {i}"
-        );
+        assert_eq!(o.route, r.route, "{tag}: decision diverges at sample {i}");
         assert_eq!(
             o.score.to_bits(),
             r.score.to_bits(),
@@ -107,11 +102,23 @@ fn assert_equivalent(outcomes: &[RoutingOutcome], responses: &[InferenceResponse
     }
 }
 
+/// An identically seeded fixed-threshold (Eq. 1) engine on `chunk`.
+fn threshold_engine(chunk: ChunkPolicy) -> Engine {
+    let (net, big) = seeded_models();
+    Engine::builder()
+        .appealnet(net)
+        .big(big)
+        .policy(ThresholdPolicy::new(0.5).unwrap())
+        .hardware(SystemModel::typical())
+        .chunk_policy(chunk)
+        .build()
+        .unwrap()
+}
+
 #[test]
-fn engine_with_threshold_policy_matches_collaborative_system() {
-    // The legacy fixed-threshold wrapper and a directly built engine must
-    // produce byte-identical labels, routing decisions, scores and costs
-    // across batch sizes and chunk policies (i.e. thread counts).
+fn engine_routing_is_bit_identical_across_chunk_policies_and_batch_sizes() {
+    // Every chunk policy (i.e. thread count) must produce byte-identical
+    // labels, routing decisions, scores and costs at every batch size.
     let chunk_policies = [
         ChunkPolicy::sequential(),
         ChunkPolicy {
@@ -128,28 +135,14 @@ fn engine_with_threshold_policy_matches_collaborative_system() {
         .iter()
         .map(|&n| Tensor::randn(&[n, 3, 12, 12], &mut rng))
         .collect();
-    // Reference: the legacy wrapper on the sequential path.
-    let (net, big) = seeded_models();
-    let mut reference = CollaborativeSystem::with_policy(
-        net,
-        big,
-        0.5,
-        SystemModel::typical(),
-        ChunkPolicy::sequential(),
-    )
-    .unwrap();
-    let reference_outcomes: Vec<Vec<RoutingOutcome>> =
-        batches.iter().map(|b| reference.classify(b)).collect();
+    // Reference: the engine on the sequential path.
+    let mut reference = threshold_engine(ChunkPolicy::sequential());
+    let reference_outcomes: Vec<Vec<InferenceResponse>> = batches
+        .iter()
+        .map(|b| reference.classify_batch(b).unwrap())
+        .collect();
     for chunk in chunk_policies {
-        let (net, big) = seeded_models();
-        let mut engine = Engine::builder()
-            .appealnet(net)
-            .big(big)
-            .policy(ThresholdPolicy::new(0.5).unwrap())
-            .hardware(SystemModel::typical())
-            .chunk_policy(chunk)
-            .build()
-            .unwrap();
+        let mut engine = threshold_engine(chunk);
         for (batch, expected) in batches.iter().zip(reference_outcomes.iter()) {
             let responses = engine.classify_batch(batch).unwrap();
             assert_equivalent(

@@ -1,19 +1,22 @@
-//! Pins the pre-gossip (PR 8) fleet behavior byte-for-byte.
+//! Golden snapshot of fleet-simulator renders: one table row = a name, a
+//! `FleetConfig`, a trace and the little net's weight tier; the rendered
+//! metrics of every row are compared byte-for-byte against
+//! `tests/snapshots/pr8_fleet_baseline.txt`.
 //!
-//! The cooperative health plane must be a *strict* extension: with
-//! `GossipConfig::disabled()` (and no cooperative policy) the simulator must
-//! consume the same RNG draws, schedule the same events, and render the same
-//! metric bytes as the PR 8 code that predates gossip entirely. This test
-//! replays four representative scenarios — full blackout with breaker,
-//! transient blackout (half-open probe traffic), the chaos mix, and a plain
-//! adaptive PR 7 run — against a committed snapshot captured from the PR 8
-//! tree.
+//! The first four rows predate the gossip plane and the quantized tier and
+//! must never move: with `GossipConfig::disabled()` (and no cooperative
+//! policy) the simulator consumes the same RNG draws, schedules the same
+//! events and renders the same bytes as the code that had neither — full
+//! blackout with breaker, transient blackout (half-open probe traffic), the
+//! chaos mix, and a plain adaptive run. The later rows pin the gossip +
+//! cooperative policy under the chaos plan and a fleet whose quantized little
+//! net is priced and scheduled on the quantized edge device.
 //!
 //! Regenerate the snapshot (only when a deliberate behavior change is being
 //! made) with:
 //!
 //! ```text
-//! APPEALNET_BLESS=1 cargo test --release --test pr8_baseline
+//! APPEALNET_BLESS=1 cargo test --release --test golden_fleet
 //! ```
 //!
 //! The snapshot is captured under the default `bit-identical-to-seed`
@@ -28,14 +31,14 @@ use appealnet_core::parallel::ChunkPolicy;
 use appealnet_core::two_head::TwoHeadNet;
 use appealnet_fleet::trace::{TraceShape, TraceSpec};
 use appealnet_fleet::{
-    AdaptiveConfig, BreakerConfig, CloudConfig, FleetConfig, FleetSim, GossipConfig,
-    RecoveryConfig, RetryConfig,
+    AdaptiveConfig, BreakerConfig, CloudConfig, CooperativeConfig, FleetConfig, FleetSim,
+    GossipConfig, RecoveryConfig, RetryConfig,
 };
 
 const MS: u64 = 1_000_000;
 const SNAPSHOT: &str = "tests/snapshots/pr8_fleet_baseline.txt";
 
-fn recovery(with_breaker: bool) -> RecoveryConfig {
+fn recovery() -> RecoveryConfig {
     RecoveryConfig {
         appeal_deadline_ms: 40.0,
         retry: RetryConfig {
@@ -43,11 +46,7 @@ fn recovery(with_breaker: bool) -> RecoveryConfig {
             base_backoff_ms: 5.0,
             max_backoff_ms: 40.0,
         },
-        breaker: if with_breaker {
-            Some(BreakerConfig::default_for_appeals())
-        } else {
-            None
-        },
+        breaker: Some(BreakerConfig::default_for_appeals()),
     }
 }
 
@@ -87,13 +86,26 @@ fn trace(requests: usize) -> TraceSpec {
     }
 }
 
-fn run(config: FleetConfig, trace: &TraceSpec) -> String {
+/// One golden scenario. `quantized_edge` puts the little net on the Q8_0
+/// weight tier before the fleet forks it onto the nodes.
+struct Row {
+    name: &'static str,
+    config: FleetConfig,
+    trace: TraceSpec,
+    quantized_edge: bool,
+}
+
+fn run(row: Row) -> String {
     let mut rng = SeededRng::new(2021);
     let little = ModelSpec::little(ModelFamily::MobileNetLike, [3, 12, 12], 4).build(&mut rng);
     let big = ModelSpec::big([3, 12, 12], 4).build(&mut rng);
-    FleetSim::new(TwoHeadNet::from_parts(little, &mut rng), big, config)
+    let mut little = TwoHeadNet::from_parts(little, &mut rng);
+    if row.quantized_edge {
+        little.quantize_weights();
+    }
+    FleetSim::new(little, big, row.config)
         .expect("valid config")
-        .run(trace)
+        .run(&row.trace)
         .render()
 }
 
@@ -108,10 +120,8 @@ fn blackout(from: u64, until: u64) -> FaultPlan {
     .unwrap()
 }
 
-fn scenarios() -> Vec<(&'static str, String)> {
-    let full = config(0.9, blackout(10 * MS, u64::MAX), Some(recovery(true)));
-    let transient = config(0.9, blackout(10 * MS, 70 * MS), Some(recovery(true)));
-    let chaos_plan = FaultPlan::new(
+fn chaos_plan() -> FaultPlan {
+    FaultPlan::new(
         2021,
         vec![
             FaultEvent::LinkBrownout {
@@ -136,8 +146,18 @@ fn scenarios() -> Vec<(&'static str, String)> {
             },
         ],
     )
-    .unwrap();
-    let chaos = config(0.9, chaos_plan, Some(recovery(true)));
+    .unwrap()
+}
+
+/// The table. Append rows; never reorder or rename the existing ones.
+fn rows() -> Vec<Row> {
+    let row = |name, config, quantized_edge| Row {
+        name,
+        config,
+        trace: trace(96),
+        quantized_edge,
+    };
+    let breaker_on = |faults| config(0.9, faults, Some(recovery()));
     let mut adaptive = config(1.0, FaultPlan::none(), None);
     adaptive.link = StochasticLink::lte();
     adaptive.adaptive = Some(AdaptiveConfig {
@@ -146,26 +166,38 @@ fn scenarios() -> Vec<(&'static str, String)> {
         target_ms: 89.25,
         floor_ms: 102.0,
     });
-    let spec = trace(96);
+    let mut cooperative = breaker_on(chaos_plan());
+    cooperative.gossip = GossipConfig::default_for_fleet();
+    cooperative.cooperative = Some(CooperativeConfig::default_for_fleet());
     vec![
-        ("full-blackout breaker-on", run(full, &spec)),
-        ("transient-blackout breaker-on", run(transient, &spec)),
-        ("chaos-mix breaker-on", run(chaos, &spec)),
-        ("pr7 adaptive lte no-recovery", run(adaptive, &spec)),
+        row(
+            "full-blackout breaker-on",
+            breaker_on(blackout(10 * MS, u64::MAX)),
+            false,
+        ),
+        row(
+            "transient-blackout breaker-on",
+            breaker_on(blackout(10 * MS, 70 * MS)),
+            false,
+        ),
+        row("chaos-mix breaker-on", breaker_on(chaos_plan()), false),
+        row("pr7 adaptive lte no-recovery", adaptive, false),
+        row("chaos-mix gossip cooperative", cooperative, false),
+        row(
+            "chaos-mix breaker-on quantized-edge",
+            breaker_on(chaos_plan()),
+            true,
+        ),
     ]
 }
 
-fn rendered() -> String {
-    let mut out = String::new();
-    for (name, body) in scenarios() {
-        out.push_str(&format!("=== {name} ===\n{body}"));
-    }
-    out
-}
-
 #[test]
-fn gossip_disabled_replays_the_pr8_baseline_byte_for_byte() {
-    let got = rendered();
+fn fleet_renders_match_the_golden_snapshot() {
+    let mut got = String::new();
+    for row in rows() {
+        let name = row.name;
+        got.push_str(&format!("=== {name} ===\n{}", run(row)));
+    }
     if std::env::var("APPEALNET_BLESS").is_ok() {
         std::fs::create_dir_all("tests/snapshots").unwrap();
         std::fs::write(SNAPSHOT, &got).unwrap();
@@ -175,6 +207,6 @@ fn gossip_disabled_replays_the_pr8_baseline_byte_for_byte() {
         .expect("snapshot missing: run with APPEALNET_BLESS=1 to regenerate");
     assert_eq!(
         got, want,
-        "disabled gossip must replay the PR 8 fleet byte-for-byte"
+        "fleet renders moved: an f32 fleet without gossip must replay byte-for-byte"
     );
 }

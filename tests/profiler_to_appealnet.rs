@@ -8,7 +8,7 @@ use appeal_models::{ModelFamily, ModelSpec};
 use appeal_tensor::SeededRng;
 use appealnet_core::experiments::ExperimentContext;
 use appealnet_core::loss::{AppealLoss, CloudMode};
-use appealnet_core::system::CollaborativeSystem;
+use appealnet_core::serve::{Engine, ThresholdPolicy};
 use appealnet_core::training::{train_appealnet, train_classifier};
 use appealnet_core::two_head::TwoHeadNet;
 
@@ -50,9 +50,18 @@ fn fig3_workflow_profiler_to_deployed_system() {
     // 4. Deploy it next to a big cloud model and route a batch.
     let big = ModelSpec::big(input_shape, preset.num_classes()).build(&mut rng);
     let hardware = SystemModel::new(device, DeviceSpec::cloud_gpu(), LinkSpec::lte());
-    let mut system =
-        CollaborativeSystem::new(net, big, 0.5, hardware).expect("0.5 is a valid threshold");
-    let outcomes = system.classify(pair.test.images());
+    let mut engine = Engine::builder()
+        .appealnet(net)
+        .big(big)
+        .policy(ThresholdPolicy::new(0.5).expect("0.5 is a valid threshold"))
+        .hardware(hardware)
+        .build()
+        .expect("scorer and big model are set");
+    let outcomes = engine
+        .classify_batch(pair.test.images())
+        .expect("test images match the input shape");
     assert_eq!(outcomes.len(), pair.test.len());
-    assert!(outcomes.iter().any(|o| !o.offloaded) || outcomes.iter().any(|o| o.offloaded));
+    assert!(
+        outcomes.iter().any(|o| !o.route.is_cloud()) || outcomes.iter().any(|o| o.route.is_cloud())
+    );
 }

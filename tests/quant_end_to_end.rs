@@ -1,6 +1,6 @@
 //! End-to-end guards for the quantized (Q8_0) little-net tier.
 //!
-//! Three layers of the stack are pinned here. First, serving: an engine built
+//! Four things are pinned here. First, serving: an engine built
 //! on a quantized two-head net must route every request exactly like its f32
 //! twin except where the routing score sits within the observed quantization
 //! tolerance of δ — a flip away from the threshold band is a bug, not noise.
@@ -8,9 +8,13 @@
 //! across batch sizes, chunk policies and the pinned worker-thread count,
 //! exactly like the f32 path (`tests/determinism.rs`). Third, the fleet:
 //! `degraded_agreement` accounting must keep reconciling when the edge tier
-//! that answers degraded requests is quantized.
+//! that answers degraded requests is quantized. Fourth, pricing: a fleet
+//! and an engine built from the same quantized net charge the same costs,
+//! and the fleet schedules the net on the quantized edge device.
 
-use appeal_hw::{DeviceSpec, FaultEvent, FaultPlan, StochasticLink};
+use appeal_hw::{
+    DeviceSpec, FaultEvent, FaultPlan, StochasticLink, SystemModel, QUANT_EDGE_SPEEDUP,
+};
 use appeal_models::{ModelFamily, ModelSpec};
 use appeal_tensor::{SeededRng, Tensor};
 use appealnet_core::parallel::ChunkPolicy;
@@ -294,4 +298,58 @@ fn fleet_degraded_agreement_reconciles_with_a_quantized_edge_tier() {
     assert!(healthy.check().is_empty(), "{:?}", healthy.check());
     assert_eq!(healthy.degraded_local, 0);
     assert!(healthy.degraded_agreement.is_none());
+}
+
+/// `FleetSim::new` and `Engine::build` read the tier off the same
+/// `is_quantized()` and must reach the same price list; the node's clock
+/// runs on that device too, so a quantized edge pass is `QUANT_EDGE_SPEEDUP`
+/// times shorter than the f32 pass of the same net.
+#[test]
+fn fleet_prices_and_schedules_a_quantized_little_net_on_the_quantized_edge() {
+    pin_threads();
+    let config = fleet_config(FaultPlan::none(), None);
+    let hardware = SystemModel::new(
+        config.edge_device.clone(),
+        config.cloud.device.clone(),
+        config.link.spec.clone(),
+    );
+    let (net, big) = trained_pair(2021);
+    let mut qnet = net.clone();
+    qnet.quantize_weights();
+    let engine = Engine::builder()
+        .appealnet(qnet.clone())
+        .big(big.clone())
+        .hardware(hardware)
+        .build()
+        .unwrap();
+    let mut q_fleet = FleetSim::new(qnet, big.clone(), config.clone()).expect("valid config");
+    let ctx = *q_fleet.routing_context();
+    assert_eq!(
+        (ctx.edge_cost, ctx.offload_cost),
+        (engine.edge_cost(), engine.offload_cost()),
+        "a fleet and an engine must price the same quantized net identically"
+    );
+
+    let trace = TraceSpec {
+        shape: TraceShape::Uniform,
+        requests: 64,
+        mean_gap_nanos: 2 * MS,
+        clients: 16,
+        seed: 2021,
+    };
+    let service_nanos = |m: &FleetMetrics| {
+        assert!(m.check().is_empty(), "{:?}", m.check());
+        m.nodes[0].busy_ms * 1e6 / m.nodes[0].requests as f64
+    };
+    let q_service = service_nanos(&q_fleet.run(&trace));
+    let f32_service = service_nanos(
+        &FleetSim::new(net, big, config)
+            .expect("valid config")
+            .run(&trace),
+    );
+    // Each service time is rounded to a whole nanosecond.
+    assert!(
+        (f32_service - QUANT_EDGE_SPEEDUP * q_service).abs() <= 0.5 * (1.0 + QUANT_EDGE_SPEEDUP),
+        "f32 {f32_service} ns vs quantized {q_service} ns per request"
+    );
 }
