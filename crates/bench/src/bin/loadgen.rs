@@ -166,6 +166,14 @@ fn check_invariants(o: &TraceOutcome, violations: &mut Vec<String>) {
             o.stats.engine.requests, o.stats.answered
         ),
     );
+    let flushes = o.stats.size_flushes + o.stats.deadline_flushes + o.stats.drain_flushes;
+    check(
+        flushes == o.stats.engine.batches,
+        format!(
+            "{flushes} flushes ledgered by trigger but the engine ran {} batches",
+            o.stats.engine.batches
+        ),
+    );
     let ledger: u64 = o.stats.clients.iter().map(|c| c.answered).sum();
     check(
         ledger == o.stats.answered,
@@ -207,7 +215,7 @@ fn render(o: &TraceOutcome) -> String {
         100.0 * o.stats.rejection_rate(),
     ));
     s.push_str(&format!(
-        "flushes: {} size, {} deadline, {} drain | fairness index {:.3} over {} clients\n",
+        "flushes: {} size, {} deadline, {} idle/drain | fairness index {:.3} over {} clients\n",
         o.stats.size_flushes,
         o.stats.deadline_flushes,
         o.stats.drain_flushes,
@@ -233,7 +241,8 @@ fn main() {
     // The bursty trace runs at δ = 1.0 (everything appeals to the cloud)
     // behind an energy budget of ~16 offloads per 32-request window, so
     // bursts overrun the budget and exercise the shedding path. The diurnal
-    // trace runs at δ = 0.5 (edge-heavy) and exercises deadline coalescing.
+    // trace runs at δ = 0.5 (edge-heavy) and exercises the flush-when-idle
+    // path: at its troughs nearly every request leaves alone.
     let traces = [
         (
             "bursty",
@@ -277,8 +286,8 @@ fn main() {
     ];
 
     let mut text = format!(
-        "Serving load generation: deadline micro-batching under synthetic traces\n\
-         fidelity {fidelity:?} | {requests} requests/trace | deadline {deadline:?} | max_batch 8\n\n"
+        "Serving load generation: work-conserving micro-batching under synthetic traces\n\
+         fidelity {fidelity:?} | {requests} requests/trace | deadline cap {deadline:?} | max_batch 8\n\n"
     );
     let mut violations = Vec::new();
     for (name, delta, spec, config) in traces {

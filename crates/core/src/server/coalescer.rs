@@ -13,6 +13,15 @@
 //! nanoseconds, while tests and simulations feed it a virtual clock — which
 //! makes every coalescing, deadline and shedding decision exactly
 //! reproducible under a fixed trace.
+//!
+//! The coalescer is *mechanism*: it flushes when told the time
+//! ([`poll`](MicroBatcher::poll)), when a batch fills
+//! ([`offer`](MicroBatcher::offer)), or when told to
+//! ([`drain`](MicroBatcher::drain)). *When* to tell it is the driver's
+//! policy. A virtual-time replay polls at the deadline, so a partial batch
+//! waits it out; the threaded server drains as soon as its inbound queue is
+//! empty, so there the deadline only bounds a batch that keeps gathering
+//! under a backlog (see the [server module docs](crate::server)).
 
 use crate::error::{CoreError, CoreResult};
 use crate::serve::{Engine, EngineStats, InferenceRequest, InferenceResponse};
@@ -28,7 +37,8 @@ pub enum FlushTrigger {
     Size,
     /// The oldest queued request hit the latency deadline.
     Deadline,
-    /// The batcher was drained (shutdown or explicit drain).
+    /// Nothing else was waiting: the threaded server's batcher went idle,
+    /// or the batcher was drained explicitly or at shutdown.
     Drain,
 }
 
@@ -158,7 +168,9 @@ pub struct ServerStats {
     pub size_flushes: u64,
     /// Micro-batches flushed because the oldest request hit the deadline.
     pub deadline_flushes: u64,
-    /// Micro-batches flushed by an explicit drain / shutdown.
+    /// Micro-batches flushed because nothing else was waiting: an idle
+    /// batcher (the threaded server's common case at low load), an explicit
+    /// drain, or shutdown.
     pub drain_flushes: u64,
     /// Per-client counters, ascending by client id.
     pub clients: Vec<ClientStats>,
@@ -211,8 +223,10 @@ impl ServerStats {
 ///
 /// All methods take an explicit `now_nanos` monotonic timestamp; see the
 /// module docs for why. Drive it with [`offer`](MicroBatcher::offer) per
-/// request and [`poll`](MicroBatcher::poll) whenever time passes (the
-/// threaded server polls on its queue-wait timeouts).
+/// request, [`poll`](MicroBatcher::poll) whenever time passes, and
+/// [`drain`](MicroBatcher::drain) when no more company is coming (the
+/// threaded server drains whenever its inbound queue is empty and polls
+/// otherwise).
 pub struct MicroBatcher {
     engine: Engine,
     deadline_nanos: u64,
@@ -331,7 +345,8 @@ impl MicroBatcher {
         }
     }
 
-    /// Flushes whatever is queued regardless of deadline (shutdown path).
+    /// Flushes whatever is queued regardless of deadline: the caller knows
+    /// nothing else is waiting (idle server, end of a replay, shutdown).
     pub fn drain(&mut self, now_nanos: u64) -> CoreResult<Vec<ClientResponse>> {
         if self.pending_meta.is_empty() {
             return Ok(Vec::new());

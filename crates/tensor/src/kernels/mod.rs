@@ -492,6 +492,9 @@ mod tests {
     /// two small problems, one for each kernel.
     #[test]
     fn pre_packed_a_is_bit_identical_to_raw_a() {
+        // Under `fast-kernels` a concurrent test's `force_fused` flip between
+        // the raw and the packed call would compare two numeric tiers.
+        let _lock = simd::isa_override_test_lock();
         let mut rng = SeededRng::new(0x9AC4);
         let mut packs = PackScratch::new();
         for &(m, k, n) in &[

@@ -2,8 +2,10 @@
 //!
 //! Where `examples/serving.rs` drives the [`Engine`] directly from one
 //! thread, this example stands up the full front-end: a [`Server`] owning
-//! the engine behind a bounded admission queue, a deadline-based
-//! micro-batch coalescer, and cost-budget overload shedding. Four client
+//! the engine behind a bounded admission queue, a work-conserving
+//! micro-batch coalescer (it flushes whenever nothing else is queued, so
+//! requests batch only while a flush is in flight), and cost-budget
+//! overload shedding. Four client
 //! threads submit bursts concurrently; each gets a [`Ticket`] that resolves
 //! to its answer (or a typed `Shed`/`Overloaded` error), and the shutdown
 //! stats show what the coalescer and the shedder did.
@@ -98,7 +100,7 @@ fn main() -> Result<(), CoreError> {
         stats.rejected,
     );
     println!(
-        "flushes: {} size-triggered, {} deadline-triggered, {} drain | fairness index {:.3}",
+        "flushes: {} full, {} past the deadline, {} with nothing else queued | fairness index {:.3}",
         stats.size_flushes,
         stats.deadline_flushes,
         stats.drain_flushes,

@@ -1,32 +1,130 @@
 //! Serving front-end guarantees: deadline-coalesced micro-batching must be
 //! byte-identical to direct `Engine` batching at equal batch composition,
-//! overload shedding must be deterministic under a fixed trace, and the
-//! bounded admission queue must reject with typed backpressure.
+//! overload shedding must be deterministic under a fixed trace, the bounded
+//! admission queue must reject with typed backpressure, and the threaded
+//! batcher flushes a partial batch as soon as nothing else is waiting —
+//! gathering company only while a flush is in flight.
+//!
+//! The threaded tests never lean on timing: where a request has to stay
+//! outstanding, a [`GatePolicy`] parks the batcher inside the flush until
+//! the test has arranged what queues behind it.
 
 use appeal_hw::CostBudget;
 use appeal_models::{ModelFamily, ModelSpec};
 use appeal_tensor::{SeededRng, Tensor};
+use appealnet_core::serve::RoutingContext;
 use appealnet_core::server::trace::{TraceShape, TraceSpec};
-use appealnet_core::server::{Admission, MicroBatcher, Server, ServerConfig, ShedConfig};
-use appealnet_core::{
-    CoreError, Engine, InferenceRequest, InferenceResponse, ThresholdPolicy, TwoHeadNet,
+use appealnet_core::server::{
+    Admission, MicroBatcher, Server, ServerConfig, ServerHandle, ServerStats, ShedConfig, Ticket,
 };
+use appealnet_core::{
+    CoreError, Engine, InferenceRequest, InferenceResponse, Route, RoutingPolicy, ThresholdPolicy,
+    TwoHeadNet,
+};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 const MS: u64 = 1_000_000;
 
-/// Identically-seeded engines: same weights, same policy, chosen max_batch.
-fn engine(max_batch: usize, delta: f64) -> Engine {
+/// Identically-seeded engines: same weights, chosen policy and max_batch.
+fn engine_with(max_batch: usize, policy: impl RoutingPolicy + 'static) -> Engine {
     let mut rng = SeededRng::new(5);
     let little = ModelSpec::little(ModelFamily::MobileNetLike, [3, 12, 12], 4).build(&mut rng);
     let big = ModelSpec::big([3, 12, 12], 4).build(&mut rng);
     Engine::builder()
         .appealnet(TwoHeadNet::from_parts(little, &mut rng))
         .big(big)
-        .policy(ThresholdPolicy::new(delta).unwrap())
+        .policy(policy)
         .max_batch(max_batch)
         .build()
         .unwrap()
+}
+
+fn engine(max_batch: usize, delta: f64) -> Engine {
+    engine_with(max_batch, ThresholdPolicy::new(delta).unwrap())
+}
+
+/// The test's side of a [`GatePolicy`]: hands out passes and observes the
+/// batcher parking.
+#[derive(Default)]
+struct Gate {
+    state: Mutex<GateState>,
+    changed: Condvar,
+}
+
+#[derive(Default)]
+struct GateState {
+    /// Routing decisions still allowed through.
+    passes: u64,
+    /// How many times a decision found no pass and parked.
+    parked: u64,
+}
+
+impl Gate {
+    /// Blocks until the batcher has parked for the `n`-th time, i.e. it is
+    /// inside an engine flush and will stay there until passes arrive.
+    fn wait_parked(&self, n: u64) {
+        let mut st = self.state.lock().unwrap();
+        while st.parked < n {
+            let (guard, timeout) = self
+                .changed
+                .wait_timeout(st, Duration::from_secs(30))
+                .unwrap();
+            assert!(!timeout.timed_out(), "the batcher never reached the gate");
+            st = guard;
+        }
+    }
+
+    /// Lets `n` more routing decisions (one per request) through.
+    fn pass(&self, n: u64) {
+        self.state.lock().unwrap().passes += n;
+        self.changed.notify_all();
+    }
+
+    /// Opens the gate for good.
+    fn open(&self) {
+        self.pass(u64::MAX / 2);
+    }
+}
+
+/// Eq. 1 routing behind a [`Gate`]: each decision takes one pass and parks
+/// the calling thread — the batcher, mid-flush — while there is none. An
+/// idle batcher flushes at once, so this is how a test keeps a request
+/// outstanding, or queues others behind a flush in flight, without a clock.
+struct GatePolicy {
+    inner: ThresholdPolicy,
+    gate: Arc<Gate>,
+}
+
+impl RoutingPolicy for GatePolicy {
+    fn name(&self) -> &'static str {
+        "gate"
+    }
+
+    fn decide(&mut self, score: f32, ctx: &RoutingContext) -> Route {
+        let mut st = self.gate.state.lock().unwrap();
+        if st.passes == 0 {
+            st.parked += 1;
+            self.gate.changed.notify_all();
+            while st.passes == 0 {
+                st = self.gate.changed.wait(st).unwrap();
+            }
+        }
+        st.passes -= 1;
+        drop(st);
+        self.inner.decide(score, ctx)
+    }
+}
+
+/// A threaded server (δ = 0.5) whose batcher parks at a closed [`Gate`].
+fn gated_server(max_batch: usize, config: ServerConfig) -> (Server, Arc<Gate>) {
+    let gate = Arc::new(Gate::default());
+    let policy = GatePolicy {
+        inner: ThresholdPolicy::new(0.5).unwrap(),
+        gate: Arc::clone(&gate),
+    };
+    let server = Server::start(engine_with(max_batch, policy), config).unwrap();
+    (server, gate)
 }
 
 fn images(n: usize) -> Vec<Tensor> {
@@ -34,6 +132,58 @@ fn images(n: usize) -> Vec<Tensor> {
     (0..n)
         .map(|_| Tensor::randn(&[3, 12, 12], &mut rng))
         .collect()
+}
+
+/// What a max_batch-1 engine answers for each input, one request at a time.
+fn single_request_reference(inputs: &[Tensor]) -> Vec<InferenceResponse> {
+    let mut reference = engine(1, 0.5);
+    inputs
+        .iter()
+        .enumerate()
+        .map(|(i, image)| {
+            reference
+                .submit(InferenceRequest::new(i as u64, image.clone()))
+                .unwrap()
+                .expect("max_batch 1 answers immediately")
+                .remove(0)
+        })
+        .collect()
+}
+
+/// Submits `inputs[ids]` on behalf of client 7, ids as request ids.
+fn submit_all(
+    handle: &ServerHandle,
+    inputs: &[Tensor],
+    ids: std::ops::Range<usize>,
+) -> Vec<Ticket> {
+    ids.map(|i| {
+        handle
+            .submit(7, InferenceRequest::new(i as u64, inputs[i].clone()))
+            .unwrap()
+    })
+    .collect()
+}
+
+/// Every engine batch is ledgered under exactly one flush trigger.
+fn assert_triggers_sum_to_batches(stats: &ServerStats) {
+    assert_eq!(
+        stats.size_flushes + stats.deadline_flushes + stats.drain_flushes,
+        stats.engine.batches,
+        "flush triggers must sum to the engine's batches"
+    );
+}
+
+fn assert_flush_ledger(stats: &ServerStats, size: u64, deadline: u64, drain: u64) {
+    assert_eq!(
+        (
+            stats.size_flushes,
+            stats.deadline_flushes,
+            stats.drain_flushes
+        ),
+        (size, deadline, drain),
+        "(size, deadline, drain) flushes"
+    );
+    assert_triggers_sum_to_batches(stats);
 }
 
 fn assert_bit_identical(a: &InferenceResponse, b: &InferenceResponse) {
@@ -226,32 +376,28 @@ fn overload_shedding_is_deterministic_under_a_fixed_trace() {
 /// capacity in-flight requests are outstanding.
 #[test]
 fn full_admission_queue_rejects_with_typed_overload() {
-    let server = Server::start(
-        engine(64, 0.5),
+    let (server, gate) = gated_server(
+        64,
         ServerConfig {
             queue_capacity: 3,
-            // Nothing can flush before the deadline, so the first three
-            // admissions stay outstanding deterministically.
-            deadline: Duration::from_secs(600),
             ..ServerConfig::default()
         },
-    )
-    .unwrap();
+    );
     let handle = server.handle();
     let inputs = images(4);
-    let tickets: Vec<_> = (0..3)
-        .map(|i| {
-            handle
-                .submit(7, InferenceRequest::new(i as u64, inputs[i].clone()))
-                .unwrap()
-        })
-        .collect();
+    // The first request's flush parks at the gate, so its slot and the two
+    // queued behind it stay taken for as long as the test likes.
+    let mut tickets = submit_all(&handle, &inputs, 0..1);
+    gate.wait_parked(1);
+    tickets.extend(submit_all(&handle, &inputs, 1..3));
+    assert_eq!(handle.in_flight(), 3);
     assert_eq!(
         handle
             .submit(7, InferenceRequest::new(3, inputs[3].clone()))
             .unwrap_err(),
         CoreError::Overloaded { capacity: 3 }
     );
+    gate.open();
     // Shutdown drains the admitted three; their tickets resolve.
     let (engine_back, stats) = server.shutdown().unwrap();
     for (i, ticket) in tickets.into_iter().enumerate() {
@@ -259,9 +405,184 @@ fn full_admission_queue_rejects_with_typed_overload() {
     }
     assert_eq!(stats.rejected, 1);
     assert_eq!(stats.answered, 3);
-    assert_eq!(stats.drain_flushes, 1);
+    assert_flush_ledger(&stats, 0, 0, 2);
     assert!(stats.rejection_rate() > 0.0);
     assert_eq!(engine_back.pending(), 0, "no state left behind");
+}
+
+/// A ticket whose answer is held past the per-request deadline resolves
+/// with the typed timeout; the request itself still runs to completion.
+#[test]
+fn per_request_deadline_is_a_typed_timeout() {
+    let (server, gate) = gated_server(
+        64,
+        ServerConfig {
+            queue_capacity: 8,
+            request_deadline: Some(Duration::from_millis(1)),
+            ..ServerConfig::default()
+        },
+    );
+    let handle = server.handle();
+    let ticket = submit_all(&handle, &images(1), 0..1).remove(0);
+    // The flush is parked at the gate: the answer cannot arrive before the
+    // 1 ms request deadline does.
+    gate.wait_parked(1);
+    assert_eq!(
+        ticket.wait().unwrap_err(),
+        CoreError::DeadlineExceeded {
+            deadline: Duration::from_millis(1)
+        }
+    );
+    gate.open();
+    // The abandoned request still settles.
+    let (_, stats) = server.shutdown().unwrap();
+    assert_eq!(stats.answered, 1);
+    assert_eq!(stats.deadline_expired, 1);
+    assert_eq!(stats.failed, 0);
+    assert_flush_ledger(&stats, 0, 0, 1);
+}
+
+/// Dropping the server (no explicit shutdown) while requests sit queued
+/// behind a flush in flight must still answer them, not strand the tickets.
+#[test]
+fn drop_drains_admitted_requests() {
+    let (server, gate) = gated_server(
+        64,
+        ServerConfig {
+            queue_capacity: 4096,
+            ..ServerConfig::default()
+        },
+    );
+    let handle = server.handle();
+    let inputs = images(3);
+    let mut tickets = submit_all(&handle, &inputs, 0..1);
+    gate.wait_parked(1);
+    tickets.extend(submit_all(&handle, &inputs, 1..3));
+    // Drop on another thread (it joins the parked batcher), and only open
+    // the gate once the stop flag is observably set: two requests are then
+    // certainly still queued when the server is told to go away.
+    let dropper = std::thread::spawn(move || drop(server));
+    let mut admitted_before_the_flag = Vec::new();
+    loop {
+        match handle.submit(7, InferenceRequest::new(99, inputs[0].clone())) {
+            Ok(ticket) => admitted_before_the_flag.push(ticket),
+            Err(err) => {
+                assert_eq!(err, CoreError::ServerStopped);
+                break;
+            }
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    gate.open();
+    dropper.join().unwrap();
+    for (i, ticket) in tickets.into_iter().enumerate() {
+        assert_eq!(ticket.wait().unwrap().response.id, i as u64);
+    }
+    for ticket in admitted_before_the_flag {
+        assert_eq!(ticket.wait().unwrap().response.id, 99);
+    }
+    assert_eq!(handle.in_flight(), 0);
+}
+
+/// A lone request does not wait for company: with nothing else queued the
+/// batcher flushes it at once, however long the coalescing deadline, and
+/// ledgers the batch under the drain trigger.
+#[test]
+fn lone_request_is_flushed_without_waiting_for_the_deadline() {
+    let server = Server::start(
+        engine(64, 0.5),
+        ServerConfig {
+            deadline: Duration::from_secs(600),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let inputs = images(1);
+    let ticket = submit_all(&server.handle(), &inputs, 0..1).remove(0);
+    let served = ticket.wait_deadline(Duration::from_secs(30)).unwrap();
+    assert_bit_identical(&served.response, &single_request_reference(&inputs)[0]);
+    let (_, stats) = server.shutdown().unwrap();
+    assert_eq!(stats.answered, 1);
+    assert_eq!(stats.deadline_expired, 0);
+    assert_flush_ledger(&stats, 0, 0, 1);
+}
+
+/// Requests coalesce only while a flush is in flight: whatever queued
+/// behind it leaves together on the next iteration — in full size-triggered
+/// batches plus one remainder, so a saturated server still fills batches.
+#[test]
+fn requests_queued_behind_a_flush_leave_together() {
+    const MAX_BATCH: usize = 4;
+    // (queued behind the first flush, expected size flushes, drain flushes)
+    for (k, size, drain) in [(3, 0, 2), (4, 1, 1), (10, 2, 2)] {
+        let (server, gate) = gated_server(
+            MAX_BATCH,
+            ServerConfig {
+                deadline: Duration::from_secs(600),
+                ..ServerConfig::default()
+            },
+        );
+        let handle = server.handle();
+        let inputs = images(1 + k);
+        let expected = single_request_reference(&inputs);
+        let mut tickets = submit_all(&handle, &inputs, 0..1);
+        gate.wait_parked(1);
+        tickets.extend(submit_all(&handle, &inputs, 1..1 + k));
+        gate.open();
+        for (ticket, want) in tickets.into_iter().zip(&expected) {
+            let served = ticket.wait_deadline(Duration::from_secs(30)).unwrap();
+            assert_bit_identical(&served.response, want);
+        }
+        let (_, stats) = server.shutdown().unwrap();
+        // Batch sizes follow from the ledger: [1], then ⌊k/4⌋ full batches,
+        // then the remainder if any.
+        assert_eq!(stats.answered, 1 + k as u64, "k = {k}");
+        assert_flush_ledger(&stats, size, 0, drain);
+    }
+}
+
+/// The coalescing deadline is an upper bound, not a floor: a partial batch
+/// with more work queued behind it keeps gathering until the deadline, and
+/// is flushed by it once past.
+#[test]
+fn deadline_bounds_a_partial_batch_only_while_more_work_is_queued() {
+    // (deadline, expected (size, deadline, drain) flushes)
+    for (deadline, (size, by_deadline, drain)) in [
+        (Duration::from_secs(600), (2, 0, 1)),
+        (Duration::ZERO, (1, 1, 2)),
+    ] {
+        let (server, gate) = gated_server(
+            2,
+            ServerConfig {
+                deadline,
+                ..ServerConfig::default()
+            },
+        );
+        let handle = server.handle();
+        let inputs = images(5);
+        let expected = single_request_reference(&inputs);
+        // [0] flushes alone and parks; 1, 2, 3 queue behind it.
+        let mut tickets = submit_all(&handle, &inputs, 0..1);
+        gate.wait_parked(1);
+        tickets.extend(submit_all(&handle, &inputs, 1..4));
+        // [1, 2] fills the batch and parks; 4 queues behind it, so when 3 is
+        // offered next the batcher is not idle.
+        gate.pass(1);
+        gate.wait_parked(2);
+        tickets.extend(submit_all(&handle, &inputs, 4..5));
+        gate.pass(2);
+        // 600 s: 3 keeps gathering and leaves with 4 as a full batch [3, 4].
+        // 0 s: 3 is already past its deadline and leaves alone, then [4].
+        gate.wait_parked(3);
+        gate.open();
+        for (ticket, want) in tickets.into_iter().zip(&expected) {
+            let served = ticket.wait_deadline(Duration::from_secs(30)).unwrap();
+            assert_bit_identical(&served.response, want);
+        }
+        let (_, stats) = server.shutdown().unwrap();
+        assert_eq!(stats.answered, 5, "deadline {deadline:?}");
+        assert_flush_ledger(&stats, size, by_deadline, drain);
+    }
 }
 
 /// The engine is per-sample pure, so whatever micro-batch composition the
@@ -269,19 +590,8 @@ fn full_admission_queue_rejects_with_typed_overload() {
 /// bit-identical to a single-request reference evaluation.
 #[test]
 fn threaded_server_answers_match_single_request_reference() {
-    let mut reference = engine(1, 0.5);
     let inputs = images(10);
-    let expected: Vec<InferenceResponse> = inputs
-        .iter()
-        .enumerate()
-        .map(|(i, image)| {
-            reference
-                .submit(InferenceRequest::new(i as u64, image.clone()))
-                .unwrap()
-                .expect("max_batch 1 answers immediately")
-                .remove(0)
-        })
-        .collect();
+    let expected = single_request_reference(&inputs);
 
     let server = Server::start(
         engine(4, 0.5),
@@ -312,6 +622,7 @@ fn threaded_server_answers_match_single_request_reference() {
     let (_, stats) = server.shutdown().unwrap();
     assert_eq!(stats.answered, 10);
     assert_eq!(stats.shed + stats.rejected, 0);
+    assert_triggers_sum_to_batches(&stats);
     assert_eq!(stats.clients.len(), 3);
     let ledger_total: u64 = stats.clients.iter().map(|c| c.answered).sum();
     assert_eq!(ledger_total, 10, "every answer is attributed to a client");
