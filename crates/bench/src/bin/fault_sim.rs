@@ -25,133 +25,36 @@
 //!   produced a cloud answer) than the independent fleet.
 //!
 //! Every configuration is simulated twice and the rendered metrics compared
-//! byte-for-byte; any mismatch, accounting violation ([`FleetMetrics::check`])
+//! byte-for-byte; any mismatch, accounting violation (`FleetMetrics::check`)
 //! or missing breaker win makes the binary exit non-zero, so it doubles as a
 //! CI chaos smoke test.
 
-use appeal_bench::{fidelity_from_env, write_report};
-use appeal_dataset::Fidelity;
-use appeal_hw::{DeviceSpec, FaultEvent, FaultPlan, StochasticLink};
-use appeal_models::{ModelFamily, ModelSpec};
-use appeal_tensor::SeededRng;
-use appealnet_core::{ChunkPolicy, TwoHeadNet};
-use appealnet_fleet::trace::{TraceShape, TraceSpec};
-use appealnet_fleet::{
-    BreakerConfig, CloudConfig, CooperativeConfig, FleetConfig, FleetMetrics, FleetSim,
-    GossipConfig, RecoveryConfig, RetryConfig,
+use appeal_bench::fidelity_from_env;
+use appeal_bench::fixtures::{
+    blackout, chaos_plan, cooperative, entry, finish, section, simulate, tight_recovery,
+    uniform_trace as trace, wifi_fleet, NODES, SEED,
 };
+use appeal_dataset::Fidelity;
+use appeal_hw::{FaultEvent, FaultPlan, StochasticLink};
+use appealnet_fleet::{FleetConfig, FleetMetrics};
 
-const INPUT: [usize; 3] = [3, 12, 12];
-const CLASSES: usize = 4;
-const SEED: u64 = 2021;
-const MEAN_GAP_NANOS: u64 = 2_000_000; // 2 ms between arrivals on average
-const NODES: usize = 4;
 const MS: u64 = 1_000_000;
 
-/// Builds a fresh fleet for one run (tiny untrained models; the experiment
-/// measures recovery behaviour, not accuracy).
-fn build(config: FleetConfig) -> FleetSim {
-    let mut rng = SeededRng::new(SEED);
-    let little = ModelSpec::little(ModelFamily::MobileNetLike, INPUT, CLASSES).build(&mut rng);
-    let big = ModelSpec::big(INPUT, CLASSES).build(&mut rng);
-    FleetSim::new(TwoHeadNet::from_parts(little, &mut rng), big, config).expect("valid config")
-}
-
-/// The recovery policy under test. A tight 40 ms per-attempt deadline keeps
-/// failure detection inside even the short outage windows; the breaker (when
-/// on) is the stock appeal-path preset.
-fn recovery(with_breaker: bool) -> RecoveryConfig {
-    RecoveryConfig {
-        appeal_deadline_ms: 40.0,
-        retry: RetryConfig {
-            max_attempts: 3,
-            base_backoff_ms: 5.0,
-            max_backoff_ms: 40.0,
-        },
-        breaker: if with_breaker {
-            Some(BreakerConfig::default_for_appeals())
-        } else {
-            None
-        },
-    }
-}
-
+/// The fleet under test: the stock wifi fleet at δ = 0.9 with the tight
+/// 40 ms / 3-attempt recovery ladder (failure detection stays inside even
+/// the short outage windows), with or without the stock breaker.
 fn config(faults: FaultPlan, with_breaker: bool) -> FleetConfig {
-    FleetConfig {
-        nodes: NODES,
-        delta: 0.9,
-        edge_device: DeviceSpec::mobile_soc(),
-        cloud: CloudConfig {
-            device: DeviceSpec::cloud_gpu(),
-            max_batch: 8,
-            deadline_ms: 2.0,
-            batch_overhead_ms: 1.0,
-            shed_backlog_ms: None,
-        },
-        link: StochasticLink::wifi(),
-        node_links: None,
-        degrade: None,
-        adaptive: None,
-        recovery: Some(recovery(with_breaker)),
-        gossip: GossipConfig::disabled(),
-        cooperative: None,
-        faults,
-        slo_ms: 100.0,
-        chunk: ChunkPolicy::sequential(),
-        seed: SEED,
+    let mut recovery = tight_recovery();
+    if !with_breaker {
+        recovery.breaker = None;
     }
+    wifi_fleet(0.9, faults, Some(recovery))
 }
 
 /// The cooperative variant of [`config`]: same recovery ladder plus the
 /// gossip plane and the fleet-stress degradation policy.
 fn cooperative_config(faults: FaultPlan) -> FleetConfig {
-    let mut cfg = config(faults, true);
-    cfg.gossip = GossipConfig::default_for_fleet();
-    cfg.cooperative = Some(CooperativeConfig::default_for_fleet());
-    cfg
-}
-
-fn trace(requests: usize) -> TraceSpec {
-    TraceSpec {
-        shape: TraceShape::Uniform,
-        requests,
-        mean_gap_nanos: MEAN_GAP_NANOS,
-        clients: 64,
-        seed: SEED,
-    }
-}
-
-/// Runs one configuration twice and byte-compares the rendered metrics; any
-/// drift or accounting violation lands in `violations`.
-fn simulate(
-    name: &str,
-    config: &FleetConfig,
-    trace: &TraceSpec,
-    violations: &mut Vec<String>,
-) -> (FleetMetrics, String) {
-    let metrics = build(config.clone()).run(trace);
-    let rendered = metrics.render();
-    let second = build(config.clone()).run(trace).render();
-    if rendered != second {
-        violations.push(format!(
-            "[{name}] two same-seed runs rendered different bytes"
-        ));
-    }
-    for v in metrics.check() {
-        violations.push(format!("[{name}] {v}"));
-    }
-    (metrics, rendered)
-}
-
-fn section(text: &mut String, title: &str) {
-    text.push_str(&format!("--- {title} ---\n"));
-}
-
-fn entry(text: &mut String, name: &str, rendered: &str) {
-    text.push_str(&format!("[{name}]\n"));
-    for line in rendered.lines() {
-        text.push_str(&format!("  {line}\n"));
-    }
+    cooperative(config(faults, true))
 }
 
 fn main() {
@@ -181,14 +84,7 @@ fn main() {
         ("full", u64::MAX),
     ] {
         for breaker_on in [false, true] {
-            let plan = FaultPlan::new(
-                SEED,
-                vec![FaultEvent::CloudBlackout {
-                    from_nanos: 10 * MS,
-                    until_nanos,
-                }],
-            )
-            .expect("valid plan");
+            let plan = blackout(10 * MS, until_nanos);
             let name = format!(
                 "outage={dur_name} breaker={}",
                 if breaker_on { "on" } else { "off" }
@@ -231,17 +127,9 @@ fn main() {
         &mut text,
         "B: recovery after a transient outage (60 ms, breaker on)",
     );
-    let plan = FaultPlan::new(
-        SEED,
-        vec![FaultEvent::CloudBlackout {
-            from_nanos: 10 * MS,
-            until_nanos: 70 * MS,
-        }],
-    )
-    .expect("valid plan");
     let (m, rendered) = simulate(
         "transient outage",
-        &config(plan, true),
+        &config(blackout(10 * MS, 70 * MS), true),
         &trace(requests),
         &mut violations,
     );
@@ -262,35 +150,9 @@ fn main() {
         &mut text,
         "C: chaos mix (brownout + drops + corruption + crash)",
     );
-    let plan = FaultPlan::new(
-        SEED,
-        vec![
-            FaultEvent::LinkBrownout {
-                from_nanos: 20 * MS,
-                until_nanos: 120 * MS,
-                severity: 3.0,
-            },
-            FaultEvent::ResponseDrop {
-                from_nanos: 0,
-                until_nanos: u64::MAX,
-                probability: 0.25,
-            },
-            FaultEvent::ResponseCorrupt {
-                from_nanos: 0,
-                until_nanos: u64::MAX,
-                probability: 0.2,
-            },
-            FaultEvent::NodeCrash {
-                node: 0,
-                at_nanos: 20 * MS,
-                down_nanos: 50 * MS,
-            },
-        ],
-    )
-    .expect("valid plan");
     let (m, rendered) = simulate(
         "chaos",
-        &config(plan, true),
+        &config(chaos_plan(), true),
         &trace(requests),
         &mut violations,
     );
@@ -312,16 +174,7 @@ fn main() {
         &mut text,
         "D: cooperative vs independent degradation (gossip + fleet stress)",
     );
-    let blackout_full = || {
-        FaultPlan::new(
-            SEED,
-            vec![FaultEvent::CloudBlackout {
-                from_nanos: 10 * MS,
-                until_nanos: u64::MAX,
-            }],
-        )
-        .expect("valid plan")
-    };
+    let blackout_full = || blackout(10 * MS, u64::MAX);
     let brownout = || {
         FaultPlan::new(
             SEED,
@@ -403,18 +256,20 @@ fn main() {
     // Mixed per-node links: half the fleet on wifi, half on lte, cooperative
     // policy on. Exercises link heterogeneity end to end; the ledger checks
     // in simulate() are the assertion.
-    let mut mixed = cooperative_config(blackout_full());
-    mixed.node_links = Some(
-        (0..NODES)
-            .map(|i| {
-                if i % 2 == 0 {
-                    StochasticLink::wifi()
-                } else {
-                    StochasticLink::lte()
-                }
-            })
-            .collect(),
-    );
+    let mixed = FleetConfig {
+        node_links: Some(
+            (0..NODES)
+                .map(|i| {
+                    if i % 2 == 0 {
+                        StochasticLink::wifi()
+                    } else {
+                        StochasticLink::lte()
+                    }
+                })
+                .collect(),
+        ),
+        ..cooperative_config(blackout_full())
+    };
     let (_, rendered) = simulate(
         "blackout mixed-links cooperative",
         &mixed,
@@ -424,17 +279,10 @@ fn main() {
     entry(&mut text, "blackout mixed-links cooperative", &rendered);
     text.push('\n');
 
-    if violations.is_empty() {
-        text.push_str("invariants: all accounting, determinism and recovery checks passed\n");
-    } else {
-        text.push_str("invariants: VIOLATED\n");
-        for v in &violations {
-            text.push_str(&format!("  {v}\n"));
-        }
-    }
-    write_report("fault_sim", &text);
-    if !violations.is_empty() {
-        eprintln!("fault_sim detected {} violation(s)", violations.len());
-        std::process::exit(1);
-    }
+    finish(
+        "fault_sim",
+        text,
+        "accounting, determinism and recovery",
+        &violations,
+    );
 }

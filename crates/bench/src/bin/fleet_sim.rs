@@ -20,107 +20,17 @@
 //!
 //! Every configuration is simulated twice and the rendered metrics compared
 //! byte-for-byte; any mismatch, accounting-invariant violation
-//! ([`FleetMetrics::check`]) or missing adaptive win makes the binary exit
+//! (`FleetMetrics::check`) or missing adaptive win makes the binary exit
 //! non-zero, so it doubles as a CI smoke test of the simulator.
 
-use appeal_bench::{fidelity_from_env, write_report};
-use appeal_dataset::Fidelity;
-use appeal_hw::{DeviceSpec, FaultPlan, StochasticLink};
-use appeal_models::{ModelFamily, ModelSpec};
-use appeal_tensor::SeededRng;
-use appealnet_core::{ChunkPolicy, TwoHeadNet};
-use appealnet_fleet::trace::{TraceShape, TraceSpec};
-use appealnet_fleet::{
-    AdaptiveConfig, CloudConfig, Degradation, FleetConfig, FleetMetrics, FleetSim, GossipConfig,
+use appeal_bench::fidelity_from_env;
+use appeal_bench::fixtures::{
+    entry, finish, fleet, section, simulate, uniform_trace, MEAN_GAP_NANOS, SEED,
 };
-
-const INPUT: [usize; 3] = [3, 12, 12];
-const CLASSES: usize = 4;
-const SEED: u64 = 2021;
-const MEAN_GAP_NANOS: u64 = 2_000_000; // 2 ms between arrivals on average
-
-/// Builds a fresh fleet for one run. Tiny untrained models: the simulator
-/// measures routing/queueing/link behaviour, not accuracy, and fresh builds
-/// per run keep every simulation independent and reproducible.
-fn build(config: FleetConfig) -> FleetSim {
-    let mut rng = SeededRng::new(SEED);
-    let little = ModelSpec::little(ModelFamily::MobileNetLike, INPUT, CLASSES).build(&mut rng);
-    let big = ModelSpec::big(INPUT, CLASSES).build(&mut rng);
-    FleetSim::new(TwoHeadNet::from_parts(little, &mut rng), big, config).expect("valid config")
-}
-
-fn cloud() -> CloudConfig {
-    CloudConfig {
-        device: DeviceSpec::cloud_gpu(),
-        max_batch: 8,
-        deadline_ms: 2.0,
-        batch_overhead_ms: 1.0,
-        shed_backlog_ms: None,
-    }
-}
-
-fn base_config(nodes: usize, delta: f64, link: StochasticLink) -> FleetConfig {
-    FleetConfig {
-        nodes,
-        delta,
-        edge_device: DeviceSpec::mobile_soc(),
-        cloud: cloud(),
-        link,
-        node_links: None,
-        degrade: None,
-        adaptive: None,
-        recovery: None,
-        gossip: GossipConfig::disabled(),
-        cooperative: None,
-        faults: FaultPlan::none(),
-        slo_ms: 100.0,
-        chunk: ChunkPolicy::sequential(),
-        seed: SEED,
-    }
-}
-
-fn uniform_trace(requests: usize) -> TraceSpec {
-    TraceSpec {
-        shape: TraceShape::Uniform,
-        requests,
-        mean_gap_nanos: MEAN_GAP_NANOS,
-        clients: 64,
-        seed: SEED,
-    }
-}
-
-/// Runs one configuration twice and byte-compares the rendered metrics; any
-/// drift or accounting violation lands in `violations`.
-fn simulate(
-    name: &str,
-    config: &FleetConfig,
-    trace: &TraceSpec,
-    violations: &mut Vec<String>,
-) -> (FleetMetrics, String) {
-    let metrics = build(config.clone()).run(trace);
-    let rendered = metrics.render();
-    let second = build(config.clone()).run(trace).render();
-    if rendered != second {
-        violations.push(format!(
-            "[{name}] two same-seed runs rendered different bytes"
-        ));
-    }
-    for v in metrics.check() {
-        violations.push(format!("[{name}] {v}"));
-    }
-    (metrics, rendered)
-}
-
-fn section(text: &mut String, title: &str) {
-    text.push_str(&format!("--- {title} ---\n"));
-}
-
-fn entry(text: &mut String, name: &str, rendered: &str) {
-    text.push_str(&format!("[{name}]\n"));
-    for line in rendered.lines() {
-        text.push_str(&format!("  {line}\n"));
-    }
-}
+use appeal_dataset::Fidelity;
+use appeal_hw::StochasticLink;
+use appealnet_fleet::trace::{TraceShape, TraceSpec};
+use appealnet_fleet::{AdaptiveConfig, Degradation, FleetConfig};
 
 fn main() {
     let fidelity = fidelity_from_env();
@@ -147,7 +57,7 @@ fn main() {
     ] {
         for delta in [0.7, 0.85, 0.95] {
             let name = format!("{link_name} delta={delta:.2}");
-            let config = base_config(8, delta, link.clone());
+            let config = FleetConfig::baseline(8, delta, link.clone(), SEED);
             let (_, rendered) = simulate(&name, &config, &trace8, &mut violations);
             entry(&mut text, &name, &rendered);
         }
@@ -163,7 +73,7 @@ fn main() {
     ] {
         for nodes in [4usize, 16] {
             let name = format!("{link_name} nodes={nodes}");
-            let config = base_config(nodes, 0.9, link.clone());
+            let config = FleetConfig::baseline(nodes, 0.9, link.clone(), SEED);
             let trace = uniform_trace(nodes * per_node);
             let (_, rendered) = simulate(&name, &config, &trace, &mut violations);
             entry(&mut text, &name, &rendered);
@@ -177,14 +87,13 @@ fn main() {
         &mut text,
         "C: SLO under bursty spikes (lte, 8 nodes, delta=0.9)",
     );
-    let mut spike_config = base_config(8, 0.9, StochasticLink::lte());
-    spike_config.slo_ms = 75.0;
+    let spike_config = FleetConfig {
+        slo_ms: 75.0,
+        ..FleetConfig::baseline(8, 0.9, StochasticLink::lte(), SEED)
+    };
     let spike_trace = TraceSpec {
         shape: TraceShape::Bursty { burst: 8 },
-        requests: 8 * per_node,
-        mean_gap_nanos: MEAN_GAP_NANOS,
-        clients: 64,
-        seed: SEED,
+        ..uniform_trace(8 * per_node)
     };
     let (_, rendered) = simulate("bursty lte", &spike_config, &spike_trace, &mut violations);
     entry(&mut text, "bursty lte", &rendered);
@@ -209,27 +118,28 @@ fn main() {
         after_nanos: requests as u64 * degrade_gap_nanos / 3,
         severity: 4.0,
     };
-    let mut static_config = base_config(4, 1.0, StochasticLink::lte());
-    static_config.degrade = Some(degrade);
+    let static_config = FleetConfig {
+        degrade: Some(degrade),
+        ..FleetConfig::baseline(4, 1.0, StochasticLink::lte(), SEED)
+    };
     // Scale the controller off the *estimated* appeal cost (Eq. 5 c0) so the
     // experiment tracks the link preset instead of hard-coding milliseconds.
-    let est_ms = build(static_config.clone())
+    let est_ms = fleet(static_config.clone())
         .routing_context()
         .offload_cost
         .latency_ms;
-    let mut adaptive_config = static_config.clone();
-    adaptive_config.adaptive = Some(AdaptiveConfig {
-        window: 8,
-        budget_ms: est_ms * 10.0, // admits the whole window when healthy
-        target_ms: est_ms * 1.75, // nominal round-trips sit under this
-        floor_ms: est_ms * 2.0,   // a tightened window admits ~2 appeals
-    });
+    let adaptive_config = FleetConfig {
+        adaptive: Some(AdaptiveConfig {
+            window: 8,
+            budget_ms: est_ms * 10.0, // admits the whole window when healthy
+            target_ms: est_ms * 1.75, // nominal round-trips sit under this
+            floor_ms: est_ms * 2.0,   // a tightened window admits ~2 appeals
+        }),
+        ..static_config.clone()
+    };
     let trace4 = TraceSpec {
-        shape: TraceShape::Uniform,
-        requests,
         mean_gap_nanos: degrade_gap_nanos,
-        clients: 64,
-        seed: SEED,
+        ..uniform_trace(requests)
     };
     let (static_m, rendered) = simulate("static", &static_config, &trace4, &mut violations);
     entry(&mut text, "static", &rendered);
@@ -255,17 +165,5 @@ fn main() {
     }
     text.push('\n');
 
-    if violations.is_empty() {
-        text.push_str("invariants: all accounting and determinism checks passed\n");
-    } else {
-        text.push_str("invariants: VIOLATED\n");
-        for v in &violations {
-            text.push_str(&format!("  {v}\n"));
-        }
-    }
-    write_report("fleet_sim", &text);
-    if !violations.is_empty() {
-        eprintln!("fleet_sim detected {} violation(s)", violations.len());
-        std::process::exit(1);
-    }
+    finish("fleet_sim", text, "accounting and determinism", &violations);
 }

@@ -1,9 +1,8 @@
 //! # appeal-bench
 //!
-//! Benchmark and experiment harnesses that regenerate every table and figure
-//! of the AppealNet paper's evaluation section.
-//!
-//! Two kinds of targets live in this crate:
+//! Experiment harnesses that regenerate every table and figure of the
+//! AppealNet paper's evaluation section, plus the fixtures they share with
+//! the integration tests.
 //!
 //! * **Binaries** (`src/bin/*.rs`) — run the full experiment pipelines
 //!   (dataset generation, training, threshold tuning) and print the same
@@ -11,22 +10,27 @@
 //!   --bin paper_suite` regenerates every figure and table in one pass and
 //!   writes text reports into the repository's `reports/` directory;
 //!   `paper_suite -- <fig4|fig5|table1|table2|energy|ablation-beta|
-//!   ablation-joint>` regenerates one. `loadgen`, `fleet_sim`, `fault_sim`
-//!   and `quant_sweep` are the self-checking system experiments.
-//! * **Criterion benches** (`benches/*.rs`) — micro-benchmarks of the
-//!   kernels and of the experiment hot paths (score computation, sweeps,
-//!   threshold tuning, joint-loss evaluation) at smoke scale so `cargo bench
-//!   --workspace` completes quickly. Engine and serving latency are measured
-//!   by the repository benchmark (`benchmark/`), not here.
+//!   ablation-joint>` regenerates one. `fleet_sim`, `fault_sim` and
+//!   `quant_sweep` are the self-checking system experiments: their reports
+//!   are committed, byte-reproducible at paper fidelity, and regenerated and
+//!   diffed by CI.
+//! * **[`fixtures`]** — the one set of untrained model pairs, stock fleets,
+//!   traces and report helpers behind those binaries and the root package's
+//!   `tests/*.rs`.
+//!
+//! Nothing here measures time: kernel, engine, serving and training
+//! performance are measured by the repository benchmark (`benchmark/`).
 //!
 //! The experiment fidelity of the binaries can be overridden with the
 //! `APPEALNET_FIDELITY` environment variable (`smoke` or `paper`; anything
 //! else is refused).
 
+pub mod fixtures;
+
 use appeal_dataset::Fidelity;
 use appealnet_core::experiments::ExperimentContext;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Parses an `APPEALNET_FIDELITY` value; unset (or empty) selects `paper`.
 ///
@@ -68,14 +72,24 @@ pub fn report_dir() -> PathBuf {
     dir
 }
 
-/// Writes a report to `reports/<name>.txt` and echoes it to stdout.
+/// Writes `text` to `<dir>/<name>.txt`; the error names the path.
+fn write_report_to(dir: &Path, name: &str, text: &str) -> Result<PathBuf, String> {
+    let path = dir.join(format!("{name}.txt"));
+    fs::write(&path, text).map_err(|err| format!("failed to write {}: {err}", path.display()))?;
+    Ok(path)
+}
+
+/// Writes a report to `reports/<name>.txt` and echoes it to stdout. Exits
+/// with status 1 if the file cannot be written: CI diffs `reports/` after
+/// regenerating it, and a run that wrote nothing must not pass that diff.
 pub fn write_report(name: &str, text: &str) {
     println!("{text}");
-    let path = report_dir().join(format!("{name}.txt"));
-    if let Err(err) = fs::write(&path, text) {
-        eprintln!("warning: failed to write {}: {err}", path.display());
-    } else {
-        eprintln!("[report written to {}]", path.display());
+    match write_report_to(&report_dir(), name, text) {
+        Ok(path) => eprintln!("[report written to {}]", path.display()),
+        Err(message) => {
+            eprintln!("{message}");
+            std::process::exit(1);
+        }
     }
 }
 
@@ -109,5 +123,15 @@ mod tests {
     fn report_dir_is_creatable() {
         let dir = report_dir();
         assert!(dir.exists());
+    }
+
+    #[test]
+    fn unwritable_report_is_an_error_naming_the_path() {
+        // A regular file cannot be a report's parent directory.
+        let not_a_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("Cargo.toml");
+        let err = write_report_to(&not_a_dir, "never_written", "text").unwrap_err();
+        let path = not_a_dir.join("never_written.txt");
+        assert!(err.contains(&path.display().to_string()), "{err}");
+        assert!(!path.exists());
     }
 }

@@ -73,8 +73,10 @@ impl ChunkPolicy {
     }
 
     /// Divides this policy's worker budget among `branches` concurrent
-    /// pipelines so their combined thread count stays at the original
-    /// budget (the vendored rayon shim has no shared pool to cap it).
+    /// pipelines so their combined shard count stays at the original
+    /// budget: the vendored rayon shim's persistent pool caps the threads
+    /// either way, but every shard past a runnable lane still pays for a
+    /// model replica.
     pub fn split_across(&self, branches: usize) -> Self {
         Self {
             min_shard: self.min_shard,
@@ -180,8 +182,9 @@ where
             let eval = &eval;
             s.spawn(move |_| {
                 // Keep per-sample kernels serial inside shard workers: the
-                // batch is already parallel at this level, and the vendored
-                // rayon shim has no pool to cap nested thread spawns.
+                // batch is already parallel at this level, so splitting each
+                // per-sample GEMM again would only queue more tasks on the
+                // same capped worker pool.
                 let _serial = appeal_tensor::kernels::enter_worker_region();
                 let mut replica = model.replica();
                 *slot = Some(eval(&mut replica, shard));

@@ -113,20 +113,6 @@ use std::time::{Duration, Instant};
 /// one tick, never forever.
 const WATCHDOG_TICK: Duration = Duration::from_millis(50);
 
-/// A scripted fault injected into the batcher thread — the serving-layer
-/// analogue of `appeal_hw::FaultPlan`. Chaos tests use it to prove the
-/// panic fence turns a dead batcher into typed [`CoreError::BatcherPanicked`]
-/// answers instead of hung clients.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServerFault {
-    /// Panic the batcher immediately before it offers the `(after + 1)`-th
-    /// request (so `after: 0` kills it on the first request it ever sees).
-    PanicOnOffer {
-        /// How many requests are offered normally before the panic.
-        after: u64,
-    },
-}
-
 /// Configuration of the threaded serving front-end.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerConfig {
@@ -146,21 +132,17 @@ pub struct ServerConfig {
     /// budget. The request itself keeps running (and its admission slot is
     /// released when the batcher settles it); only the caller stops waiting.
     pub request_deadline: Option<Duration>,
-    /// Scripted batcher fault for chaos tests; `None` in production.
-    pub fault: Option<ServerFault>,
 }
 
 impl Default for ServerConfig {
     /// 256 in-flight requests, partial batches gather for at most 2 ms
-    /// under a backlog, no shedding, no per-request deadline, no injected
-    /// faults.
+    /// under a backlog, no shedding, no per-request deadline.
     fn default() -> Self {
         Self {
             queue_capacity: 256,
             deadline: Duration::from_millis(2),
             shed: None,
             request_deadline: None,
-            fault: None,
         }
     }
 }
@@ -433,10 +415,9 @@ impl Server {
             input_shape,
         });
         let thread_shared = Arc::clone(&shared);
-        let fault = config.fault;
         let handle = std::thread::Builder::new()
             .name("appealnet-batcher".into())
-            .spawn(move || batcher_loop(thread_shared, batcher, fault))
+            .spawn(move || batcher_loop(thread_shared, batcher))
             .expect("failed to spawn the batcher thread");
         Ok(Self {
             shared,
@@ -502,7 +483,7 @@ impl Drop for Server {
 
 /// Sends one flush's responses to their waiting tickets, in order.
 fn dispatch(
-    shared: &Shared,
+    fence: &mut PanicFence,
     waiters: &mut Vec<Sender<CoreResult<ServedResponse>>>,
     responses: Vec<ClientResponse>,
 ) {
@@ -514,7 +495,7 @@ fn dispatch(
     for (tx, cr) in waiters.drain(..).zip(responses) {
         // Free the admission slot before delivering: a client that sees its
         // answer must also see the slot released.
-        shared.settle(1);
+        fence.settle(1);
         // A client that dropped its ticket just forfeits the answer.
         let _ = tx.send(Ok(ServedResponse {
             response: cr.response,
@@ -525,13 +506,13 @@ fn dispatch(
 
 /// Fails every waiting ticket with `err` (corrupt-queue recovery path).
 fn fail_all(
-    shared: &Shared,
+    fence: &mut PanicFence,
     waiters: &mut Vec<Sender<CoreResult<ServedResponse>>>,
     err: &CoreError,
 ) {
     for tx in waiters.drain(..) {
-        shared.settle(1);
-        shared.failed.fetch_add(1, Ordering::AcqRel);
+        fence.settle(1);
+        fence.shared.failed.fetch_add(1, Ordering::AcqRel);
         let _ = tx.send(Err(err.clone()));
     }
 }
@@ -546,6 +527,19 @@ fn fail_all(
 struct PanicFence {
     shared: Arc<Shared>,
     armed: bool,
+    /// Requests the loop took off the shared queue and has not settled yet.
+    /// They die with it, so the fence releases their admission slots: a dead
+    /// server holds nothing in flight, and a queue that was full when the
+    /// batcher died still answers `BatcherPanicked`, not `Overloaded`.
+    owed: usize,
+}
+
+impl PanicFence {
+    /// Settles `n` requests the loop had taken off the shared queue.
+    fn settle(&mut self, n: usize) {
+        self.owed -= n;
+        self.shared.settle(n);
+    }
 }
 
 impl Drop for PanicFence {
@@ -553,6 +547,9 @@ impl Drop for PanicFence {
         if !self.armed {
             return;
         }
+        // Before the flag: a ticket that reads the verdict must also see its
+        // slot released.
+        self.shared.settle(self.owed);
         self.shared.panicked.store(true, Ordering::Release);
         let stranded: Vec<Envelope> = {
             let mut st = self.shared.lock_state();
@@ -570,11 +567,7 @@ impl Drop for PanicFence {
 
 /// The batcher thread: take everything that queued, offer it in arrival
 /// order, flush — at once when nothing else is waiting — and answer tickets.
-fn batcher_loop(
-    shared: Arc<Shared>,
-    mut batcher: MicroBatcher,
-    fault: Option<ServerFault>,
-) -> (Engine, ServerStats) {
+fn batcher_loop(shared: Arc<Shared>, mut batcher: MicroBatcher) -> (Engine, ServerStats) {
     // Senders for requests currently coalescing, parallel to the batcher's
     // pending queue. Declared BEFORE the fence so an unwind drops the fence
     // first (reverse declaration order): the `panicked` flag is set before
@@ -583,8 +576,8 @@ fn batcher_loop(
     let mut fence = PanicFence {
         shared: Arc::clone(&shared),
         armed: true,
+        owed: 0,
     };
-    let mut offered: u64 = 0;
     // Swapped with the shared queue on every wake-up, so taking the inbound
     // envelopes allocates nothing once both deques have grown.
     let mut inbound: VecDeque<Envelope> = VecDeque::new();
@@ -607,33 +600,28 @@ fn batcher_loop(
             std::mem::swap(&mut st.queue, &mut inbound);
             st.shutdown
         };
+        fence.owed += inbound.len();
 
         // Phase 2: offer the taken envelopes in arrival order. Whatever
         // arrived while the previous flush was computing is here together,
         // which is the only coalescing the loop does; full batches leave on
         // the size trigger inside `offer`.
         for env in inbound.drain(..) {
-            if let Some(ServerFault::PanicOnOffer { after }) = fault {
-                if offered >= after {
-                    panic!("injected batcher fault: PanicOnOffer after {after} requests");
-                }
-            }
-            offered += 1;
             match batcher.offer(env.arrival_nanos, env.client, env.request) {
                 Ok(Admission::Queued) => waiters.push(env.tx),
                 Ok(Admission::Flushed(responses)) => {
                     waiters.push(env.tx);
-                    dispatch(&shared, &mut waiters, responses);
+                    dispatch(&mut fence, &mut waiters, responses);
                 }
                 Ok(Admission::Shed) => {
-                    shared.settle(1);
+                    fence.settle(1);
                     let _ = env.tx.send(Err(CoreError::Shed));
                 }
                 Err(err) => {
                     // The batcher dropped its pending queue (corrupt-queue
                     // recovery): fail those tickets and this request's too.
-                    fail_all(&shared, &mut waiters, &err);
-                    shared.settle(1);
+                    fail_all(&mut fence, &mut waiters, &err);
+                    fence.settle(1);
                     shared.failed.fetch_add(1, Ordering::AcqRel);
                     let _ = env.tx.send(Err(err));
                 }
@@ -657,8 +645,8 @@ fn batcher_loop(
         };
         match flushed {
             Ok(responses) if responses.is_empty() => {}
-            Ok(responses) => dispatch(&shared, &mut waiters, responses),
-            Err(err) => fail_all(&shared, &mut waiters, &err),
+            Ok(responses) => dispatch(&mut fence, &mut waiters, responses),
+            Err(err) => fail_all(&mut fence, &mut waiters, &err),
         }
 
         // Phase 4: shutdown once everything admitted has been flushed.
@@ -758,38 +746,5 @@ mod tests {
             CoreError::ServerStopped
         );
         assert_eq!(handle.in_flight(), 0);
-    }
-
-    #[test]
-    fn panicked_batcher_fails_tickets_with_a_typed_error() {
-        let server = Server::start(
-            engine(64),
-            ServerConfig {
-                queue_capacity: 8,
-                deadline: Duration::from_secs(600),
-                fault: Some(ServerFault::PanicOnOffer { after: 0 }),
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap();
-        let handle = server.handle();
-        let mut rng = SeededRng::new(36);
-        let image = Tensor::randn(&[3, 12, 12], &mut rng);
-        let ticket = handle.submit(0, InferenceRequest::new(0, image)).unwrap();
-        // The fence must resolve the ticket with the typed verdict well
-        // within this bound — a hang here is the regression being guarded.
-        assert_eq!(
-            ticket.wait_deadline(Duration::from_secs(30)).unwrap_err(),
-            CoreError::BatcherPanicked
-        );
-        // Later submissions see the dead batcher, not a silent queue.
-        let image = Tensor::randn(&[3, 12, 12], &mut rng);
-        assert_eq!(
-            handle
-                .submit(0, InferenceRequest::new(1, image))
-                .unwrap_err(),
-            CoreError::BatcherPanicked
-        );
-        assert_eq!(server.shutdown().unwrap_err(), CoreError::BatcherPanicked);
     }
 }

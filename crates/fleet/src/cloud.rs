@@ -37,6 +37,21 @@ pub struct CloudConfig {
     pub shed_backlog_ms: Option<f64>,
 }
 
+impl CloudConfig {
+    /// The stock cloud tier every experiment and golden row starts from:
+    /// [`DeviceSpec::cloud_gpu`] flushing batches of 8 after at most 2 ms,
+    /// 1 ms of per-batch overhead, no ingress shedding.
+    pub fn baseline() -> Self {
+        Self {
+            device: DeviceSpec::cloud_gpu(),
+            max_batch: 8,
+            deadline_ms: 2.0,
+            batch_overhead_ms: 1.0,
+            shed_backlog_ms: None,
+        }
+    }
+}
+
 /// One appeal waiting in the cloud's batching queue.
 #[derive(Debug, Clone, Copy)]
 pub struct PendingAppeal {
@@ -319,11 +334,9 @@ mod tests {
             big,
             ChunkPolicy::sequential(),
             CloudConfig {
-                device: DeviceSpec::cloud_gpu(),
                 max_batch,
                 deadline_ms,
-                batch_overhead_ms: 1.0,
-                shed_backlog_ms: None,
+                ..CloudConfig::baseline()
             },
         )
         .unwrap()
@@ -409,11 +422,8 @@ mod tests {
             big,
             ChunkPolicy::sequential(),
             CloudConfig {
-                device: DeviceSpec::cloud_gpu(),
                 max_batch: 0,
-                deadline_ms: 5.0,
-                batch_overhead_ms: 1.0,
-                shed_backlog_ms: None,
+                ..CloudConfig::baseline()
             },
         );
         assert!(matches!(bad, Err(FleetError::InvalidConfig { .. })));
@@ -423,11 +433,8 @@ mod tests {
             big,
             ChunkPolicy::sequential(),
             CloudConfig {
-                device: DeviceSpec::cloud_gpu(),
-                max_batch: 8,
-                deadline_ms: 5.0,
-                batch_overhead_ms: 1.0,
                 shed_backlog_ms: Some(0.0),
+                ..CloudConfig::baseline()
             },
         );
         assert!(matches!(bad_shed, Err(FleetError::InvalidConfig { .. })));

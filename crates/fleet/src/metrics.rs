@@ -193,8 +193,8 @@ pub struct FleetMetrics {
     pub post_degrade: Option<PhaseMetrics>,
 }
 
-/// Percentile over a sorted slice, mirroring the loadgen convention
-/// (nearest-rank by rounding).
+/// Percentile over a sorted slice: nearest rank by rounding
+/// `(len - 1) * p`.
 pub fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
     if sorted_ms.is_empty() {
         return 0.0;
@@ -560,7 +560,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn percentile_matches_loadgen_convention() {
+    fn percentile_is_nearest_rank_by_rounding() {
         let sorted = [1.0, 2.0, 3.0, 4.0, 5.0];
         assert_eq!(percentile(&sorted, 0.0), 1.0);
         assert_eq!(percentile(&sorted, 0.5), 3.0);

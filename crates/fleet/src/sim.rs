@@ -104,6 +104,34 @@ pub struct FleetConfig {
     pub seed: u64,
 }
 
+impl FleetConfig {
+    /// The stock fleet: `nodes` [`DeviceSpec::mobile_soc`] edges routing at
+    /// `delta` over `link` into [`CloudConfig::baseline`], a 100 ms SLO,
+    /// sequential cloud passes, and every optional mechanism off (no
+    /// per-node links, degradation, adaptive budget, recovery, gossip,
+    /// cooperative policy or faults). Scenarios switch mechanisms on with
+    /// struct-update syntax, so a config literal shows only what it changes.
+    pub fn baseline(nodes: usize, delta: f64, link: StochasticLink, seed: u64) -> Self {
+        Self {
+            nodes,
+            delta,
+            edge_device: DeviceSpec::mobile_soc(),
+            cloud: CloudConfig::baseline(),
+            link,
+            node_links: None,
+            degrade: None,
+            adaptive: None,
+            recovery: None,
+            faults: FaultPlan::none(),
+            gossip: GossipConfig::disabled(),
+            cooperative: None,
+            slo_ms: 100.0,
+            chunk: ChunkPolicy::sequential(),
+            seed,
+        }
+    }
+}
+
 /// How one request was ultimately answered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum OutcomeRoute {
@@ -1173,37 +1201,20 @@ mod tests {
     use appeal_models::{ModelFamily, ModelSpec};
     use appealnet_core::server::trace::TraceShape;
 
-    fn build(config: FleetConfig) -> FleetSim {
+    fn models() -> (TwoHeadNet, ClassifierParts) {
         let mut rng = SeededRng::new(2021);
         let little = ModelSpec::little(ModelFamily::MobileNetLike, [3, 12, 12], 4).build(&mut rng);
         let big = ModelSpec::big([3, 12, 12], 4).build(&mut rng);
-        FleetSim::new(TwoHeadNet::from_parts(little, &mut rng), big, config).unwrap()
+        (TwoHeadNet::from_parts(little, &mut rng), big)
+    }
+
+    fn build(config: FleetConfig) -> FleetSim {
+        let (net, big) = models();
+        FleetSim::new(net, big, config).unwrap()
     }
 
     fn config(nodes: usize, delta: f64) -> FleetConfig {
-        FleetConfig {
-            nodes,
-            delta,
-            edge_device: DeviceSpec::mobile_soc(),
-            cloud: CloudConfig {
-                device: DeviceSpec::cloud_gpu(),
-                max_batch: 8,
-                deadline_ms: 2.0,
-                batch_overhead_ms: 1.0,
-                shed_backlog_ms: None,
-            },
-            link: StochasticLink::wifi(),
-            node_links: None,
-            degrade: None,
-            adaptive: None,
-            recovery: None,
-            gossip: GossipConfig::disabled(),
-            cooperative: None,
-            faults: FaultPlan::none(),
-            slo_ms: 100.0,
-            chunk: ChunkPolicy::sequential(),
-            seed: 7,
-        }
+        FleetConfig::baseline(nodes, delta, StochasticLink::wifi(), 7)
     }
 
     fn trace(requests: usize) -> TraceSpec {
@@ -1259,10 +1270,7 @@ mod tests {
     #[test]
     fn rejects_empty_fleet_and_bad_slo() {
         let mut c = config(0, 0.5);
-        let mut rng = SeededRng::new(2021);
-        let little = ModelSpec::little(ModelFamily::MobileNetLike, [3, 12, 12], 4).build(&mut rng);
-        let big = ModelSpec::big([3, 12, 12], 4).build(&mut rng);
-        let net = TwoHeadNet::from_parts(little, &mut rng);
+        let (net, big) = models();
         assert!(matches!(
             FleetSim::new(net.clone(), big.clone(), c.clone()),
             Err(FleetError::NoNodes)
@@ -1286,10 +1294,7 @@ mod tests {
             }],
         )
         .unwrap();
-        let mut rng = SeededRng::new(2021);
-        let little = ModelSpec::little(ModelFamily::MobileNetLike, [3, 12, 12], 4).build(&mut rng);
-        let big = ModelSpec::big([3, 12, 12], 4).build(&mut rng);
-        let net = TwoHeadNet::from_parts(little, &mut rng);
+        let (net, big) = models();
         assert!(matches!(
             FleetSim::new(net.clone(), big.clone(), c.clone()),
             Err(FleetError::InvalidConfig { .. })

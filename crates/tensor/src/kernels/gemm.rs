@@ -52,9 +52,7 @@
 //! packing — and on the plain `i-k-j` loop otherwise: with one to three rows
 //! (a depthwise convolution, a dense layer at batch 1) most of the tile
 //! would be padding, and at `k = 1` or `2` (an outer product) packing costs
-//! more than the multiply. `kernel_microbench`'s `small_problem_threshold`
-//! group times both kernels on both sides of that rule; the choice never
-//! shows in the output bits.
+//! more than the multiply. The choice never shows in the output bits.
 //!
 //! # Edge tiles
 //!
@@ -149,7 +147,7 @@ pub fn gemm_into(
     out: &mut [f32],
     packs: &mut PackScratch,
 ) {
-    gemm_dispatch(None, m, k, n, a, None, b, init, out, packs);
+    gemm_dispatch(m, k, n, a, None, b, init, out, packs);
 }
 
 /// [`gemm_into`] for a constant left operand whose panels were packed once
@@ -178,43 +176,11 @@ pub fn gemm_packed_into(
         (m, k),
         "gemm: packed A was built for a different shape"
     );
-    gemm_dispatch(None, m, k, n, a, Some(packed), b, init, out, packs);
-}
-
-/// One of the two kernels a small problem can run on.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GemmPath {
-    /// The plain `i-k-j` loop.
-    Ikj,
-    /// The packed, register-tiled kernel.
-    Blocked,
-}
-
-/// Measurement hook for `kernel_microbench`: [`gemm_into`] (or, with
-/// `packed`, [`gemm_packed_into`]) on the given kernel whatever the problem's
-/// shape, so both can be timed on both sides of the rule that picks one.
-/// Not a tuning knob — nothing but that bench calls it.
-#[doc(hidden)]
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_into_on(
-    path: GemmPath,
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    packed: Option<&PackedA>,
-    b: &[f32],
-    init: GemmInit<'_>,
-    out: &mut [f32],
-    packs: &mut PackScratch,
-) {
-    gemm_dispatch(Some(path), m, k, n, a, packed, b, init, out, packs);
+    gemm_dispatch(m, k, n, a, Some(packed), b, init, out, packs);
 }
 
 #[allow(clippy::too_many_arguments)]
 fn gemm_dispatch(
-    path: Option<GemmPath>,
     m: usize,
     k: usize,
     n: usize,
@@ -240,12 +206,7 @@ fn gemm_dispatch(
     }
     let macs = m * k * n;
     let small = macs <= SMALL_PROBLEM_MACS;
-    let path = path.unwrap_or(if small && (m < MR || k < MR) {
-        GemmPath::Ikj
-    } else {
-        GemmPath::Blocked
-    });
-    if path == GemmPath::Ikj {
+    if small && (m < MR || k < MR) {
         gemm_ikj(m, k, n, a, b, init, out);
         return;
     }

@@ -84,8 +84,6 @@ pub use gemm::{
     gemm_bias_cols, gemm_into, gemm_packed_into, transpose_into, GemmInit, PackedA, KC, MC, MR, NC,
     NR,
 };
-#[doc(hidden)]
-pub use gemm::{gemm_into_on, GemmPath};
 pub use im2col::{col2im, im2col};
 pub use quant_gemm::quant_gemm_into;
 pub use scratch::{
@@ -97,7 +95,7 @@ pub use simd::{
 };
 
 /// The numeric guarantee a build of this kernel layer provides — one of the
-/// two contracts specified in `docs/DETERMINISM.md`.
+/// three contracts specified in `docs/DETERMINISM.md`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NumericContract {
     /// Default build: every kernel result is bit-identical to the seed

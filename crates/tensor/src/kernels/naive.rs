@@ -12,9 +12,10 @@
 //!    references over many seeded shapes, and additionally re-run them on
 //!    |absolute| inputs to derive the `Σ|terms|` magnitude scales the
 //!    tolerance bound needs.
-//! 2. **Benchmark baselines.** `crates/bench/benches/kernel_microbench.rs`
-//!    measures the optimized kernels against these loops so the speedup
-//!    claim stays verifiable on any machine.
+//! 2. **Benchmark baselines.** The repository benchmark's
+//!    `kernels.gemm.vs_naive` metric (`benchmark/src/probes.rs`) times the
+//!    blocked GEMM against [`matmul_naive`] so the speedup claim stays
+//!    verifiable on any machine.
 //!
 //! Nothing on a hot path calls into this module.
 

@@ -9,13 +9,13 @@
 //! ledger. This pins the coalescer's virtual-time behaviour independently of
 //! how the threaded server chooses to drive it.
 
+use appeal_bench::fixtures::{model_pair, CLASSES};
 use appeal_hw::CostBudget;
-use appeal_models::{ModelFamily, ModelSpec};
 use appeal_tensor::{SeededRng, Tensor};
 use appealnet_core::server::{
     Admission, ClientResponse, ClientStats, FlushTrigger, MicroBatcher, ShedConfig,
 };
-use appealnet_core::{Engine, InferenceRequest, InferenceResponse, ThresholdPolicy, TwoHeadNet};
+use appealnet_core::{Engine, InferenceRequest, InferenceResponse, ThresholdPolicy};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -24,11 +24,9 @@ const CLIENTS: usize = 3;
 const POOL: usize = 24;
 
 fn engine(max_batch: usize, delta: f64) -> Engine {
-    let mut rng = SeededRng::new(5);
-    let little = ModelSpec::little(ModelFamily::MobileNetLike, [3, 12, 12], 4).build(&mut rng);
-    let big = ModelSpec::big([3, 12, 12], 4).build(&mut rng);
+    let (net, big) = model_pair(5, CLASSES);
     Engine::builder()
-        .appealnet(TwoHeadNet::from_parts(little, &mut rng))
+        .appealnet(net)
         .big(big)
         .policy(ThresholdPolicy::new(delta).unwrap())
         .max_batch(max_batch)

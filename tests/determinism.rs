@@ -6,6 +6,7 @@
 //! evaluation is bit-identical to a sequential one on the same model, so no
 //! nondeterministic reduction order can creep into results.
 
+use appeal_bench::fixtures::model_pair;
 use appeal_dataset::{DatasetPreset, Fidelity};
 use appeal_hw::SystemModel;
 use appeal_models::{ClassifierParts, ModelFamily, ModelSpec};
@@ -82,10 +83,7 @@ fn sharded_evaluation_is_bit_identical_to_sequential() {
 
 /// Builds an identically seeded (two-head, big) model pair.
 fn seeded_models() -> (TwoHeadNet, ClassifierParts) {
-    let mut rng = SeededRng::new(4242);
-    let little = ModelSpec::little(ModelFamily::MobileNetLike, [3, 12, 12], 6).build(&mut rng);
-    let big = ModelSpec::big([3, 12, 12], 6).build(&mut rng);
-    (TwoHeadNet::from_parts(little, &mut rng), big)
+    model_pair(4242, 6)
 }
 
 fn assert_equivalent(outcomes: &[InferenceResponse], responses: &[InferenceResponse], tag: &str) {

@@ -18,7 +18,7 @@
 //!    seed-identical numbers.
 #![cfg(feature = "fast-kernels")]
 
-use appeal_models::{ModelFamily, ModelSpec};
+use appeal_bench::fixtures::model_pair;
 use appeal_tensor::kernels::tolerance::assert_bits_eq;
 use appeal_tensor::kernels::{
     self, enter_worker_region, gemm_into, GemmInit, NumericContract, PackScratch,
@@ -107,10 +107,7 @@ fn banded_fused_gemm_is_bit_identical_to_serial() {
 /// Builds an identically seeded (two-head, big) model pair — the
 /// `tests/determinism.rs` fixture at this file's scale.
 fn seeded_models() -> (TwoHeadNet, appeal_models::ClassifierParts) {
-    let mut rng = SeededRng::new(0x5EED);
-    let little = ModelSpec::little(ModelFamily::MobileNetLike, [3, 12, 12], 6).build(&mut rng);
-    let big = ModelSpec::big([3, 12, 12], 6).build(&mut rng);
-    (TwoHeadNet::from_parts(little, &mut rng), big)
+    model_pair(0x5EED, 6)
 }
 
 /// "Deterministic per build" must mean *repeatable*: two identically seeded

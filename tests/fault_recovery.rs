@@ -8,44 +8,17 @@
 //! seed. Every run must keep `FleetMetrics::check` empty — the ledgers are
 //! the contract.
 
-use appeal_hw::{DeviceSpec, FaultEvent, FaultPlan, StochasticLink};
+use appeal_bench::fixtures::{blackout, cooperative, fleet, tight_recovery, wifi_fleet};
+use appeal_hw::{FaultEvent, FaultPlan, StochasticLink};
 use appeal_models::{ModelFamily, ModelSpec};
 use appeal_tensor::SeededRng;
-use appealnet_core::parallel::ChunkPolicy;
 use appealnet_core::two_head::TwoHeadNet;
 use appealnet_fleet::trace::{TraceShape, TraceSpec};
 use appealnet_fleet::{
-    BreakerConfig, CloudConfig, CooperativeConfig, FleetConfig, FleetMetrics, FleetSim,
-    GossipConfig, RecoveryConfig, RetryConfig,
+    BreakerConfig, FleetConfig, FleetMetrics, FleetSim, GossipConfig, RecoveryConfig, RetryConfig,
 };
 
 const MS: u64 = 1_000_000;
-
-fn config(delta: f64, faults: FaultPlan, recovery: Option<RecoveryConfig>) -> FleetConfig {
-    FleetConfig {
-        nodes: 4,
-        delta,
-        edge_device: DeviceSpec::mobile_soc(),
-        cloud: CloudConfig {
-            device: DeviceSpec::cloud_gpu(),
-            max_batch: 8,
-            deadline_ms: 2.0,
-            batch_overhead_ms: 1.0,
-            shed_backlog_ms: None,
-        },
-        link: StochasticLink::wifi(),
-        node_links: None,
-        degrade: None,
-        adaptive: None,
-        recovery,
-        gossip: GossipConfig::disabled(),
-        cooperative: None,
-        faults,
-        slo_ms: 100.0,
-        chunk: ChunkPolicy::sequential(),
-        seed: 2021,
-    }
-}
 
 fn trace(requests: usize, mean_gap_nanos: u64) -> TraceSpec {
     TraceSpec {
@@ -58,12 +31,7 @@ fn trace(requests: usize, mean_gap_nanos: u64) -> TraceSpec {
 }
 
 fn run(config: FleetConfig, trace: &TraceSpec) -> FleetMetrics {
-    let mut rng = SeededRng::new(2021);
-    let little = ModelSpec::little(ModelFamily::MobileNetLike, [3, 12, 12], 4).build(&mut rng);
-    let big = ModelSpec::big([3, 12, 12], 4).build(&mut rng);
-    FleetSim::new(TwoHeadNet::from_parts(little, &mut rng), big, config)
-        .expect("valid config")
-        .run(trace)
+    fleet(config).run(trace)
 }
 
 fn checked(metrics: &FleetMetrics) {
@@ -75,7 +43,7 @@ fn checked(metrics: &FleetMetrics) {
 /// the uplink ledger reconciles exactly against them.
 #[test]
 fn full_uplink_queue_falls_back_to_the_edge() {
-    let mut c = config(
+    let mut c = wifi_fleet(
         1.0,
         FaultPlan::none(),
         Some(RecoveryConfig::default_for_appeals()),
@@ -107,14 +75,7 @@ fn full_uplink_queue_falls_back_to_the_edge() {
 /// to the little net's answer.
 #[test]
 fn retry_budget_exhaustion_degrades_to_the_little_net() {
-    let plan = FaultPlan::new(
-        2021,
-        vec![FaultEvent::CloudBlackout {
-            from_nanos: 0,
-            until_nanos: u64::MAX,
-        }],
-    )
-    .unwrap();
+    let plan = blackout(0, u64::MAX);
     let recovery = RecoveryConfig {
         appeal_deadline_ms: 20.0,
         retry: RetryConfig {
@@ -124,7 +85,7 @@ fn retry_budget_exhaustion_degrades_to_the_little_net() {
         },
         breaker: None,
     };
-    let m = run(config(0.9, plan, Some(recovery)), &trace(192, 2 * MS));
+    let m = run(wifi_fleet(0.9, plan, Some(recovery)), &trace(192, 2 * MS));
     checked(&m);
     assert_eq!(m.cloud_answered, 0, "a blacked-out cloud answers nothing");
     assert_eq!(m.completed, 192, "no request may strand");
@@ -148,14 +109,7 @@ fn retry_budget_exhaustion_degrades_to_the_little_net() {
 /// successes against the recovered cloud close it again.
 #[test]
 fn breaker_cycles_open_half_open_closed_under_a_transient_outage() {
-    let plan = FaultPlan::new(
-        2021,
-        vec![FaultEvent::CloudBlackout {
-            from_nanos: 10 * MS,
-            until_nanos: 80 * MS,
-        }],
-    )
-    .unwrap();
+    let plan = blackout(10 * MS, 80 * MS);
     let recovery = RecoveryConfig {
         appeal_deadline_ms: 20.0,
         retry: RetryConfig {
@@ -171,7 +125,7 @@ fn breaker_cycles_open_half_open_closed_under_a_transient_outage() {
             probes: 2,
         }),
     };
-    let m = run(config(0.9, plan, Some(recovery)), &trace(384, 2 * MS));
+    let m = run(wifi_fleet(0.9, plan, Some(recovery)), &trace(384, 2 * MS));
     checked(&m);
     assert!(m.breaker_opened > 0, "the outage must trip the breaker");
     assert!(
@@ -193,7 +147,7 @@ fn breaker_cycles_open_half_open_closed_under_a_transient_outage() {
 /// degrades.
 #[test]
 fn dead_link_surfaces_typed_link_down_failures() {
-    let mut c = config(
+    let mut c = wifi_fleet(
         0.9,
         FaultPlan::none(),
         Some(RecoveryConfig::default_for_appeals()),
@@ -245,8 +199,8 @@ fn faulted_runs_replay_byte_identically() {
     };
     let spec = trace(192, 2 * MS);
     let recovery = Some(RecoveryConfig::default_for_appeals());
-    let first = run(config(0.9, plan(), recovery), &spec);
-    let second = run(config(0.9, plan(), recovery), &spec);
+    let first = run(wifi_fleet(0.9, plan(), recovery), &spec);
+    let second = run(wifi_fleet(0.9, plan(), recovery), &spec);
     checked(&first);
     assert!(first.faults_scripted && first.recovery_enabled);
     assert!(
@@ -261,35 +215,11 @@ fn faulted_runs_replay_byte_identically() {
 }
 
 fn full_blackout() -> FaultPlan {
-    FaultPlan::new(
-        2021,
-        vec![FaultEvent::CloudBlackout {
-            from_nanos: 10 * MS,
-            until_nanos: u64::MAX,
-        }],
-    )
-    .unwrap()
-}
-
-/// A recovery ladder tight enough to detect failures inside the short test
-/// traces (the stock 250 ms appeal deadline outlives them entirely).
-fn tight_recovery() -> RecoveryConfig {
-    RecoveryConfig {
-        appeal_deadline_ms: 40.0,
-        retry: RetryConfig {
-            max_attempts: 3,
-            base_backoff_ms: 5.0,
-            max_backoff_ms: 40.0,
-        },
-        breaker: Some(BreakerConfig::default_for_appeals()),
-    }
+    blackout(10 * MS, u64::MAX)
 }
 
 fn cooperative_config(faults: FaultPlan) -> FleetConfig {
-    let mut c = config(0.9, faults, Some(tight_recovery()));
-    c.gossip = GossipConfig::default_for_fleet();
-    c.cooperative = Some(CooperativeConfig::default_for_fleet());
-    c
+    cooperative(wifi_fleet(0.9, faults, Some(tight_recovery())))
 }
 
 /// The cooperative policy must actually fire under a full blackout — gossip
@@ -324,7 +254,10 @@ fn cooperative_policy_fires_and_ledgers_reconcile_under_blackout() {
 #[test]
 fn cooperative_fleet_beats_independent_under_full_blackout() {
     let spec = trace(96, 2 * MS);
-    let indep = run(config(0.9, full_blackout(), Some(tight_recovery())), &spec);
+    let indep = run(
+        wifi_fleet(0.9, full_blackout(), Some(tight_recovery())),
+        &spec,
+    );
     let coop = run(cooperative_config(full_blackout()), &spec);
     checked(&indep);
     checked(&coop);
@@ -362,7 +295,7 @@ fn cooperative_runs_replay_byte_identically() {
 /// flow and ledgers reconcile, while every cooperative counter stays zero.
 #[test]
 fn gossip_without_policy_observes_but_never_acts() {
-    let mut c = config(0.9, full_blackout(), Some(tight_recovery()));
+    let mut c = wifi_fleet(0.9, full_blackout(), Some(tight_recovery()));
     c.gossip = GossipConfig::default_for_fleet();
     let m = run(c, &trace(96, 2 * MS));
     checked(&m);
@@ -396,15 +329,8 @@ fn retry_admitted_at_the_open_timer_boundary_ledgers_one_probe() {
             probes: 1,
         }),
     };
-    let plan = FaultPlan::new(
-        2021,
-        vec![FaultEvent::CloudBlackout {
-            from_nanos: 10 * MS,
-            until_nanos: 150 * MS,
-        }],
-    )
-    .unwrap();
-    let m = run(config(0.9, plan, Some(recovery)), &trace(192, 2 * MS));
+    let plan = blackout(10 * MS, 150 * MS);
+    let m = run(wifi_fleet(0.9, plan, Some(recovery)), &trace(192, 2 * MS));
     checked(&m);
     assert!(
         m.breaker_half_opened > 0,

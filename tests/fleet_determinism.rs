@@ -8,39 +8,16 @@
 //! experiment's headline result: under a degraded link the controller
 //! offloads less than a static fleet.
 
-use appeal_hw::{DeviceSpec, FaultPlan, StochasticLink};
-use appeal_models::{ModelFamily, ModelSpec};
-use appeal_tensor::SeededRng;
+use appeal_bench::fixtures::fleet;
+use appeal_hw::StochasticLink;
 use appealnet_core::parallel::ChunkPolicy;
-use appealnet_core::two_head::TwoHeadNet;
 use appealnet_fleet::trace::{TraceShape, TraceSpec};
-use appealnet_fleet::{
-    AdaptiveConfig, CloudConfig, Degradation, FleetConfig, FleetMetrics, FleetSim, GossipConfig,
-};
+use appealnet_fleet::{AdaptiveConfig, Degradation, FleetConfig, FleetMetrics};
 
 fn config(seed: u64, chunk: ChunkPolicy) -> FleetConfig {
     FleetConfig {
-        nodes: 4,
-        delta: 0.9,
-        edge_device: DeviceSpec::mobile_soc(),
-        cloud: CloudConfig {
-            device: DeviceSpec::cloud_gpu(),
-            max_batch: 8,
-            deadline_ms: 2.0,
-            batch_overhead_ms: 1.0,
-            shed_backlog_ms: None,
-        },
-        link: StochasticLink::lte(),
-        node_links: None,
-        degrade: None,
-        adaptive: None,
-        recovery: None,
-        gossip: GossipConfig::disabled(),
-        cooperative: None,
-        faults: FaultPlan::none(),
-        slo_ms: 100.0,
         chunk,
-        seed,
+        ..FleetConfig::baseline(4, 0.9, StochasticLink::lte(), seed)
     }
 }
 
@@ -55,12 +32,7 @@ fn trace(requests: usize, mean_gap_nanos: u64) -> TraceSpec {
 }
 
 fn run(config: FleetConfig, trace: &TraceSpec) -> FleetMetrics {
-    let mut rng = SeededRng::new(2021);
-    let little = ModelSpec::little(ModelFamily::MobileNetLike, [3, 12, 12], 4).build(&mut rng);
-    let big = ModelSpec::big([3, 12, 12], 4).build(&mut rng);
-    FleetSim::new(TwoHeadNet::from_parts(little, &mut rng), big, config)
-        .expect("valid config")
-        .run(trace)
+    fleet(config).run(trace)
 }
 
 #[test]

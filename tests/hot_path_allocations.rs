@@ -19,11 +19,10 @@
 //! the very top — before the first rayon call caches the thread count — so
 //! the row-band parallel path actually engages even on a single-core host.
 
-use appeal_models::{ModelFamily, ModelSpec};
+use appeal_bench::fixtures::model_pair;
 use appeal_tensor::kernels;
 use appeal_tensor::{Layer, SeededRng, Tensor};
 use appealnet_core::serve::{Engine, InferenceRequest, ThresholdPolicy};
-use appealnet_core::two_head::TwoHeadNet;
 
 #[test]
 fn steady_state_submit_reuses_scratch_without_allocating() {
@@ -31,10 +30,8 @@ fn steady_state_submit_reuses_scratch_without_allocating() {
     // thread count (and sizes its persistent pool) on first use.
     std::env::set_var("RAYON_NUM_THREADS", "4");
 
+    let (net, big) = model_pair(31_337, 6);
     let mut rng = SeededRng::new(31_337);
-    let little = ModelSpec::little(ModelFamily::MobileNetLike, [3, 12, 12], 6).build(&mut rng);
-    let big = ModelSpec::big([3, 12, 12], 6).build(&mut rng);
-    let net = TwoHeadNet::from_parts(little, &mut rng);
     let big_replica = big.clone();
     // max_batch 1: every submit answers immediately, the worst case for
     // per-request overhead. δ = 1.0 forces every request through both the

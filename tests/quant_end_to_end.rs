@@ -12,17 +12,13 @@
 //! and an engine built from the same quantized net charge the same costs,
 //! and the fleet schedules the net on the quantized edge device.
 
-use appeal_hw::{
-    DeviceSpec, FaultEvent, FaultPlan, StochasticLink, SystemModel, QUANT_EDGE_SPEEDUP,
-};
-use appeal_models::{ModelFamily, ModelSpec};
+use appeal_bench::fixtures::{blackout, model_pair, wifi_fleet, CLASSES, SEED};
+use appeal_hw::{FaultPlan, SystemModel, QUANT_EDGE_SPEEDUP};
 use appeal_tensor::{SeededRng, Tensor};
 use appealnet_core::parallel::ChunkPolicy;
 use appealnet_core::{Engine, InferenceResponse, Route, ThresholdPolicy, TwoHeadNet};
 use appealnet_fleet::trace::{TraceShape, TraceSpec};
-use appealnet_fleet::{
-    CloudConfig, FleetConfig, FleetMetrics, FleetSim, GossipConfig, RecoveryConfig, RetryConfig,
-};
+use appealnet_fleet::{FleetConfig, FleetMetrics, FleetSim, RecoveryConfig, RetryConfig};
 
 const MS: u64 = 1_000_000;
 const DELTA: f64 = 0.5;
@@ -32,15 +28,6 @@ const DELTA: f64 = 0.5;
 fn pin_threads() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| std::env::set_var("RAYON_NUM_THREADS", "4"));
-}
-
-/// One jointly seeded little/big pair; the caller decides whether to
-/// quantize the little net before handing it to an engine or a fleet.
-fn trained_pair(seed: u64) -> (TwoHeadNet, appeal_models::ClassifierParts) {
-    let mut rng = SeededRng::new(seed);
-    let little = ModelSpec::little(ModelFamily::MobileNetLike, [3, 12, 12], 4).build(&mut rng);
-    let big = ModelSpec::big([3, 12, 12], 4).build(&mut rng);
-    (TwoHeadNet::from_parts(little, &mut rng), big)
 }
 
 fn engine_from(net: TwoHeadNet, big: appeal_models::ClassifierParts, chunk: ChunkPolicy) -> Engine {
@@ -81,7 +68,7 @@ fn assert_bit_identical(a: &[InferenceResponse], b: &[InferenceResponse], what: 
 #[test]
 fn quantized_engine_routes_diverge_only_inside_the_tolerance_band() {
     pin_threads();
-    let (net, big) = trained_pair(5);
+    let (net, big) = model_pair(5, CLASSES);
     let mut qnet = net.clone();
     let reports = qnet.quantize_weights();
     assert!(reports.iter().all(|r| r.within_bound()), "{reports:?}");
@@ -160,7 +147,7 @@ fn quantized_engine_routes_diverge_only_inside_the_tolerance_band() {
 #[test]
 fn quantized_evaluate_is_bitwise_stable_across_batching_and_sharding() {
     pin_threads();
-    let (net, big) = trained_pair(5);
+    let (net, big) = model_pair(5, CLASSES);
     let mut qnet = net.clone();
     qnet.quantize_weights();
     let images = batch(48, 17);
@@ -205,34 +192,8 @@ fn quantized_evaluate_is_bitwise_stable_across_batching_and_sharding() {
     assert_bit_identical(&serial_responses, &banded_responses, "serial vs banded");
 }
 
-fn fleet_config(faults: FaultPlan, recovery: Option<RecoveryConfig>) -> FleetConfig {
-    FleetConfig {
-        nodes: 4,
-        delta: 0.9,
-        edge_device: DeviceSpec::mobile_soc(),
-        cloud: CloudConfig {
-            device: DeviceSpec::cloud_gpu(),
-            max_batch: 8,
-            deadline_ms: 2.0,
-            batch_overhead_ms: 1.0,
-            shed_backlog_ms: None,
-        },
-        link: StochasticLink::wifi(),
-        node_links: None,
-        degrade: None,
-        adaptive: None,
-        recovery,
-        gossip: GossipConfig::disabled(),
-        cooperative: None,
-        faults,
-        slo_ms: 100.0,
-        chunk: ChunkPolicy::sequential(),
-        seed: 2021,
-    }
-}
-
 fn run_quantized_fleet(config: FleetConfig, trace: &TraceSpec) -> FleetMetrics {
-    let (mut little, big) = trained_pair(2021);
+    let (mut little, big) = model_pair(SEED, CLASSES);
     let reports = little.quantize_weights();
     assert!(reports.iter().all(|r| r.within_bound()), "{reports:?}");
     FleetSim::new(little, big, config)
@@ -255,14 +216,7 @@ fn fleet_degraded_agreement_reconciles_with_a_quantized_edge_tier() {
         clients: 16,
         seed: 2021,
     };
-    let blackout = FaultPlan::new(
-        2021,
-        vec![FaultEvent::CloudBlackout {
-            from_nanos: 0,
-            until_nanos: u64::MAX,
-        }],
-    )
-    .unwrap();
+    let outage = blackout(0, u64::MAX);
     let recovery = RecoveryConfig {
         appeal_deadline_ms: 20.0,
         retry: RetryConfig {
@@ -273,7 +227,7 @@ fn fleet_degraded_agreement_reconciles_with_a_quantized_edge_tier() {
         breaker: None,
     };
 
-    let m = run_quantized_fleet(fleet_config(blackout.clone(), Some(recovery)), &trace);
+    let m = run_quantized_fleet(wifi_fleet(0.9, outage.clone(), Some(recovery)), &trace);
     assert!(m.check().is_empty(), "{:?}", m.check());
     assert_eq!(m.completed, 192, "no request may strand");
     assert!(m.degraded_local > 0, "the blackout must force degradation");
@@ -285,7 +239,7 @@ fn fleet_degraded_agreement_reconciles_with_a_quantized_edge_tier() {
         "degraded_agreement must be a fraction, got {agreement}"
     );
 
-    let again = run_quantized_fleet(fleet_config(blackout, Some(recovery)), &trace);
+    let again = run_quantized_fleet(wifi_fleet(0.9, outage, Some(recovery)), &trace);
     assert_eq!(
         m.render(),
         again.render(),
@@ -294,7 +248,7 @@ fn fleet_degraded_agreement_reconciles_with_a_quantized_edge_tier() {
 
     // Healthy control: with no faults nothing degrades, so the ledger must
     // be absent — `degraded_agreement.is_some()` iff `degraded_local > 0`.
-    let healthy = run_quantized_fleet(fleet_config(FaultPlan::none(), Some(recovery)), &trace);
+    let healthy = run_quantized_fleet(wifi_fleet(0.9, FaultPlan::none(), Some(recovery)), &trace);
     assert!(healthy.check().is_empty(), "{:?}", healthy.check());
     assert_eq!(healthy.degraded_local, 0);
     assert!(healthy.degraded_agreement.is_none());
@@ -307,13 +261,13 @@ fn fleet_degraded_agreement_reconciles_with_a_quantized_edge_tier() {
 #[test]
 fn fleet_prices_and_schedules_a_quantized_little_net_on_the_quantized_edge() {
     pin_threads();
-    let config = fleet_config(FaultPlan::none(), None);
+    let config = wifi_fleet(0.9, FaultPlan::none(), None);
     let hardware = SystemModel::new(
         config.edge_device.clone(),
         config.cloud.device.clone(),
         config.link.spec.clone(),
     );
-    let (net, big) = trained_pair(2021);
+    let (net, big) = model_pair(SEED, CLASSES);
     let mut qnet = net.clone();
     qnet.quantize_weights();
     let engine = Engine::builder()

@@ -9,8 +9,8 @@
 //! outstanding, a [`GatePolicy`] parks the batcher inside the flush until
 //! the test has arranged what queues behind it.
 
+use appeal_bench::fixtures::{model_pair, CLASSES};
 use appeal_hw::CostBudget;
-use appeal_models::{ModelFamily, ModelSpec};
 use appeal_tensor::{SeededRng, Tensor};
 use appealnet_core::serve::RoutingContext;
 use appealnet_core::server::trace::{TraceShape, TraceSpec};
@@ -19,7 +19,6 @@ use appealnet_core::server::{
 };
 use appealnet_core::{
     CoreError, Engine, InferenceRequest, InferenceResponse, Route, RoutingPolicy, ThresholdPolicy,
-    TwoHeadNet,
 };
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -28,11 +27,9 @@ const MS: u64 = 1_000_000;
 
 /// Identically-seeded engines: same weights, chosen policy and max_batch.
 fn engine_with(max_batch: usize, policy: impl RoutingPolicy + 'static) -> Engine {
-    let mut rng = SeededRng::new(5);
-    let little = ModelSpec::little(ModelFamily::MobileNetLike, [3, 12, 12], 4).build(&mut rng);
-    let big = ModelSpec::big([3, 12, 12], 4).build(&mut rng);
+    let (net, big) = model_pair(5, CLASSES);
     Engine::builder()
-        .appealnet(TwoHeadNet::from_parts(little, &mut rng))
+        .appealnet(net)
         .big(big)
         .policy(policy)
         .max_batch(max_batch)
@@ -58,6 +55,8 @@ struct GateState {
     passes: u64,
     /// How many times a decision found no pass and parked.
     parked: u64,
+    /// Set by [`Gate::poison`]: the next decision panics.
+    poisoned: bool,
 }
 
 impl Gate {
@@ -85,6 +84,13 @@ impl Gate {
     fn open(&self) {
         self.pass(u64::MAX / 2);
     }
+
+    /// Makes the next routing decision — the parked one, if any — panic,
+    /// killing the batcher from inside its flush.
+    fn poison(&self) {
+        self.state.lock().unwrap().poisoned = true;
+        self.changed.notify_all();
+    }
 }
 
 /// Eq. 1 routing behind a [`Gate`]: each decision takes one pass and parks
@@ -106,9 +112,14 @@ impl RoutingPolicy for GatePolicy {
         if st.passes == 0 {
             st.parked += 1;
             self.gate.changed.notify_all();
-            while st.passes == 0 {
+            while st.passes == 0 && !st.poisoned {
                 st = self.gate.changed.wait(st).unwrap();
             }
+        }
+        if st.poisoned {
+            // Released first: the test keeps using the gate's mutex.
+            drop(st);
+            panic!("poisoned gate: killing the batcher mid-flush");
         }
         st.passes -= 1;
         drop(st);
@@ -626,4 +637,189 @@ fn threaded_server_answers_match_single_request_reference() {
     assert_eq!(stats.clients.len(), 3);
     let ledger_total: u64 = stats.clients.iter().map(|c| c.answered).sum();
     assert_eq!(ledger_total, 10, "every answer is attributed to a client");
+}
+
+/// A batcher that dies unwinding owes nobody a hang: the panic fence turns
+/// every outstanding ticket into the typed verdict wherever its request was
+/// at the time — coalescing (sender in the loop's `waiters`), being offered
+/// or still in the loop's inbound deque (senders that disconnect *before*
+/// the fence flags the panic, the window `Ticket`s spin out), or in the
+/// shared queue (drained by the fence itself).
+#[test]
+fn panicked_batcher_fails_tickets_with_a_typed_error() {
+    let (server, gate) = gated_server(
+        2,
+        ServerConfig {
+            deadline: Duration::from_secs(600),
+            ..ServerConfig::default()
+        },
+    );
+    let handle = server.handle();
+    let inputs = images(8);
+    // [0] flushes alone and parks; 1..=4 queue behind it.
+    let mut tickets = submit_all(&handle, &inputs, 0..1);
+    gate.wait_parked(1);
+    tickets.extend(submit_all(&handle, &inputs, 1..5));
+    // [0] is answered. The batcher takes 1..=4 together: 1 coalesces, 2 fills
+    // the batch and its size-triggered flush parks with 3 and 4 not yet
+    // offered.
+    gate.pass(1);
+    gate.wait_parked(2);
+    // 5 and 6 land in the shared queue behind the parked flush.
+    tickets.extend(submit_all(&handle, &inputs, 5..7));
+    gate.poison();
+
+    let mut tickets = tickets.into_iter();
+    let answered = tickets.next().unwrap();
+    assert_eq!(answered.wait().unwrap().response.id, 0);
+    // The fence must resolve every other ticket well within this bound — a
+    // hang here is the regression being guarded.
+    for ticket in tickets {
+        assert_eq!(
+            ticket.wait_deadline(Duration::from_secs(30)).unwrap_err(),
+            CoreError::BatcherPanicked
+        );
+    }
+    // Later submissions see the dead batcher, not a silent queue.
+    assert_eq!(
+        handle
+            .submit(7, InferenceRequest::new(7, inputs[7].clone()))
+            .unwrap_err(),
+        CoreError::BatcherPanicked
+    );
+    assert_eq!(handle.in_flight(), 0, "a dead server holds no slots");
+    assert_eq!(server.shutdown().unwrap_err(), CoreError::BatcherPanicked);
+}
+
+/// The threaded shed arm: behind a max_batch-1, δ = 1.0 engine every admitted
+/// request flushes (and charges the meter) at once, so a budget of 1.5
+/// offloads per 4-request window admits exactly the requests
+/// `coalescer::tests::shed_policy_windows_are_deterministic` pins in virtual
+/// time, and the rest resolve with the typed shed verdict.
+#[test]
+fn threaded_server_sheds_with_a_typed_answer_and_frees_the_slot() {
+    let offload = engine(1, 1.0).offload_cost();
+    let server = Server::start(
+        engine(1, 1.0),
+        ServerConfig {
+            shed: Some(ShedConfig {
+                budget: CostBudget::energy_mj(offload.energy_mj * 1.5),
+                window: 4,
+            }),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let handle = server.handle();
+    let inputs = images(12);
+    let mut answered = Vec::new();
+    for i in 0..12 {
+        let ticket = submit_all(&handle, &inputs, i..i + 1).remove(0);
+        match ticket.wait_deadline(Duration::from_secs(30)) {
+            Ok(served) => answered.push(served.response.id),
+            Err(err) => assert_eq!(err, CoreError::Shed, "request {i}"),
+        }
+    }
+    assert_eq!(answered, [0, 3, 7, 11], "everything else must be shed");
+    assert_eq!(handle.in_flight(), 0, "a shed request holds no slot");
+    let (_, stats) = server.shutdown().unwrap();
+    assert_eq!((stats.answered, stats.shed), (4, 8));
+    assert_eq!(stats.offered, stats.answered + stats.shed);
+    assert_eq!(stats.failed + stats.rejected, 0);
+}
+
+/// Replays `spec` through a real [`Server`], pacing submissions by the
+/// trace's arrival times, and checks every accounting identity between what
+/// the clients saw and what the server ledgered. Nothing here depends on how
+/// long anything took. Returns the final stats.
+fn replay_and_reconcile(spec: &TraceSpec, delta: f64, shed: Option<ShedConfig>) -> ServerStats {
+    let server = Server::start(
+        engine(8, delta),
+        ServerConfig {
+            deadline: Duration::from_millis(1),
+            shed,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let handle = server.handle();
+    let events = spec.events();
+    let offered = events.len() as u64;
+    let inputs = images(events.len());
+    let mut tickets = Vec::new();
+    let mut rejected = 0u64;
+    let start = std::time::Instant::now();
+    for (i, event) in events.iter().enumerate() {
+        if let Some(gap) = Duration::from_nanos(event.at_nanos).checked_sub(start.elapsed()) {
+            std::thread::sleep(gap);
+        }
+        match handle.submit(
+            event.client,
+            InferenceRequest::new(i as u64, inputs[i].clone()),
+        ) {
+            Ok(ticket) => tickets.push(ticket),
+            Err(CoreError::Overloaded { .. }) => rejected += 1,
+            Err(err) => panic!("unexpected submit error: {err}"),
+        }
+    }
+    let (mut answered, mut shed_seen) = (0u64, 0u64);
+    for ticket in tickets {
+        match ticket.wait_deadline(Duration::from_secs(30)) {
+            Ok(_) => answered += 1,
+            Err(CoreError::Shed) => shed_seen += 1,
+            Err(err) => panic!("unexpected serving error: {err}"),
+        }
+    }
+    let (engine_back, stats) = server.shutdown().unwrap();
+    assert_eq!(engine_back.pending(), 0, "no state left behind");
+    assert_eq!(
+        (answered, shed_seen, rejected),
+        (stats.answered, stats.shed, stats.rejected),
+        "clients and server must agree on (answered, shed, rejected)"
+    );
+    assert_eq!(offered, stats.answered + stats.shed + stats.rejected);
+    assert!(stats.answered > 0, "no request was answered");
+    assert_eq!(stats.engine.requests, stats.answered);
+    assert_triggers_sum_to_batches(&stats);
+    let ledger: u64 = stats.clients.iter().map(|c| c.answered).sum();
+    assert_eq!(ledger, stats.answered, "per-client ledger");
+    stats
+}
+
+/// A bursty trace at δ = 1.0 behind an energy budget of 16 offloads per
+/// 32-request window overruns the budget, so the threaded server sheds part
+/// of every burst; a diurnal trace at δ = 0.5 exercises the flush-when-idle
+/// path through its troughs. Both must reconcile.
+#[test]
+fn bursty_and_diurnal_replays_reconcile_with_the_server_ledgers() {
+    let trace = |shape| TraceSpec {
+        shape,
+        requests: 96,
+        mean_gap_nanos: MS / 2,
+        clients: 4,
+        seed: 2021,
+    };
+    let offload = engine(8, 1.0).offload_cost();
+    let bursty = replay_and_reconcile(
+        &trace(TraceShape::Bursty { burst: 8 }),
+        1.0,
+        Some(ShedConfig {
+            budget: CostBudget::energy_mj(offload.energy_mj * 16.0),
+            window: 32,
+        }),
+    );
+    assert!(
+        0 < bursty.shed && bursty.shed < 96,
+        "the bursts must overrun the budget without starving it: {} shed",
+        bursty.shed
+    );
+    let diurnal = replay_and_reconcile(
+        &trace(TraceShape::Diurnal {
+            periods: 2.0,
+            amplitude: 0.9,
+        }),
+        0.5,
+        None,
+    );
+    assert_eq!(diurnal.shed, 0, "no shed policy configured");
 }
