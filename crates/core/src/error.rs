@@ -79,6 +79,8 @@ pub enum CoreError {
     Shed,
     /// The serving front-end has shut down and no longer answers requests.
     ServerStopped,
+    /// The server's admission queue must hold at least one request.
+    InvalidQueueCapacity,
     /// A shed policy's accounting window must cover at least one request.
     InvalidShedWindow,
     /// The caller's per-request deadline elapsed before the answer arrived.
@@ -161,6 +163,7 @@ impl fmt::Display for CoreError {
                 )
             }
             CoreError::ServerStopped => write!(f, "the serving front-end has shut down"),
+            CoreError::InvalidQueueCapacity => write!(f, "queue_capacity must be positive"),
             CoreError::InvalidShedWindow => {
                 write!(f, "shed policy window must cover at least one request")
             }
@@ -225,6 +228,9 @@ mod tests {
             .contains("64"));
         assert!(CoreError::Shed.to_string().contains("budget"));
         assert!(CoreError::ServerStopped.to_string().contains("shut down"));
+        assert!(CoreError::InvalidQueueCapacity
+            .to_string()
+            .contains("queue_capacity"));
         assert!(CoreError::InvalidShedWindow.to_string().contains("window"));
         assert!(CoreError::DeadlineExceeded {
             deadline: Duration::from_millis(7)

@@ -181,11 +181,6 @@ where
         for (shard, slot) in shards.into_iter().zip(slots.iter_mut()) {
             let eval = &eval;
             s.spawn(move |_| {
-                // Keep per-sample kernels serial inside shard workers: the
-                // batch is already parallel at this level, so splitting each
-                // per-sample GEMM again would only queue more tasks on the
-                // same capped worker pool.
-                let _serial = appeal_tensor::kernels::enter_worker_region();
                 let mut replica = model.replica();
                 *slot = Some(eval(&mut replica, shard));
             });

@@ -490,7 +490,14 @@ impl Engine {
         let images = Tensor::from_vec(std::mem::take(&mut self.pending_data), &[n, c, h, w])
             .expect("pending_data length was checked against the batch shape");
         let ids = std::mem::take(&mut self.pending_ids);
-        self.run_batch(&images, &ids)
+        let result = self.run_batch(&images, &ids);
+        // Hand both buffers back, emptied, so the next micro-batch fills the
+        // capacity this one grew instead of regrowing it from zero.
+        self.pending_data = images.into_vec();
+        self.pending_data.clear();
+        self.pending_ids = ids;
+        self.pending_ids.clear();
+        result
     }
 
     /// Classifies a whole `[n, c, h, w]` batch, assigning consecutive
@@ -595,9 +602,6 @@ impl Engine {
             for ((worker, shard), slot) in self.workers.iter_mut().zip(shards).zip(slots.iter_mut())
             {
                 s.spawn(move |_| {
-                    // Batch-level parallelism owns the cores here; keep the
-                    // per-sample kernels on their serial paths.
-                    let _serial = appeal_tensor::kernels::enter_worker_region();
                     let idx: Vec<usize> = shard.collect();
                     let pass = worker.evaluate(&images.select_rows(&idx));
                     *slot = (pass.labels, pass.scores);
@@ -827,6 +831,40 @@ mod tests {
         assert_eq!(
             answered[0].iter().map(|r| r.id).collect::<Vec<_>>(),
             [0, 1, 2]
+        );
+    }
+
+    #[test]
+    fn flush_hands_its_batch_buffers_back_for_the_next_micro_batch() {
+        let mut queued = engine(8);
+        let mut whole = engine(8);
+        let mut rng = SeededRng::new(24);
+        let mut capacities = Vec::new();
+        for round in 0..4u64 {
+            let images = Tensor::randn(&[8, 3, 12, 12], &mut rng);
+            let mut answered = None;
+            for i in 0..8 {
+                let request = InferenceRequest::new(round * 8 + i as u64, images.select_rows(&[i]));
+                answered = queued.submit(request).unwrap();
+            }
+            let answered = answered.expect("the eighth submit flushes");
+            assert_eq!(queued.pending(), 0);
+            assert!(queued.pending_data.is_empty());
+            capacities.push((
+                queued.pending_data.capacity(),
+                queued.pending_ids.capacity(),
+            ));
+            let reference = whole.classify_batch(&images).unwrap();
+            assert_eq!(answered, reference, "round {round}");
+            for (a, r) in answered.iter().zip(&reference) {
+                assert_eq!(a.score.to_bits(), r.score.to_bits());
+            }
+        }
+        let (data_cap, ids_cap) = capacities[0];
+        assert!(data_cap >= 8 * 3 * 12 * 12 && ids_cap >= 8);
+        assert!(
+            capacities.iter().all(|&c| c == (data_cap, ids_cap)),
+            "warm flushes must reuse the batch buffers: {capacities:?}"
         );
     }
 

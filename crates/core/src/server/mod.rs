@@ -390,12 +390,12 @@ pub struct Server {
 impl Server {
     /// Spawns the batcher thread around `engine`.
     ///
-    /// Errors with [`CoreError::InvalidMaxBatch`] for a zero
+    /// Errors with [`CoreError::InvalidQueueCapacity`] for a zero
     /// `queue_capacity` and [`CoreError::InvalidShedWindow`] for a
     /// zero-length shed window.
     pub fn start(engine: Engine, config: ServerConfig) -> CoreResult<Self> {
         if config.queue_capacity == 0 {
-            return Err(CoreError::InvalidMaxBatch);
+            return Err(CoreError::InvalidQueueCapacity);
         }
         let input_shape = engine.input_shape();
         let batcher = MicroBatcher::new(engine, config.deadline, config.shed)?;
@@ -715,6 +715,26 @@ mod tests {
         assert_eq!(stats.clients.len(), 2);
         assert!((stats.fairness_index() - 1.0).abs() < 1e-12);
         assert_eq!(returned_engine.pending(), 0);
+    }
+
+    #[test]
+    fn zero_queue_capacity_and_zero_max_batch_are_distinct_typed_errors() {
+        let config = ServerConfig {
+            queue_capacity: 0,
+            ..ServerConfig::default()
+        };
+        assert_eq!(
+            Server::start(engine(4), config).err(),
+            Some(CoreError::InvalidQueueCapacity)
+        );
+        let mut rng = SeededRng::new(3);
+        let big = ModelSpec::big([3, 12, 12], 4).build(&mut rng);
+        let zero_batch = Engine::builder()
+            .confidence(big.clone(), crate::scores::ScoreKind::Msp)
+            .big(big)
+            .max_batch(0)
+            .build();
+        assert_eq!(zero_batch.err(), Some(CoreError::InvalidMaxBatch));
     }
 
     #[test]

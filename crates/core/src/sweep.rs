@@ -4,7 +4,6 @@ use crate::artifacts::EvaluationArtifacts;
 use crate::error::{CoreError, CoreResult};
 use crate::metrics::RoutedMetrics;
 use crate::scores::ScoreKind;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// The accuracy-vs-skipping-rate curve of one routing method.
@@ -65,14 +64,13 @@ pub fn paper_sr_grid() -> Vec<f64> {
 
 /// Evaluates each method's artifacts at every requested skipping rate.
 ///
-/// Methods are swept on separate worker threads, and each method sorts its
-/// scores once for the whole grid instead of once per rate. The output is
-/// identical to (and ordered like) a sequential sweep.
+/// Each method sorts its scores once for the whole grid instead of once per
+/// rate; series come back in `methods` order.
 ///
 /// Errors with [`CoreError::EmptyMethods`] if `methods` is empty, and
 /// propagates [`CoreError::EmptyArtifacts`] / [`CoreError::InvalidScore`] /
-/// [`CoreError::InvalidRate`] from any method's artifacts before the
-/// parallel sweep starts.
+/// [`CoreError::InvalidRate`] from any method's artifacts before the sweep
+/// starts.
 pub fn sweep_methods(
     methods: &[(ScoreKind, &EvaluationArtifacts)],
     skipping_rates: &[f64],
@@ -80,7 +78,7 @@ pub fn sweep_methods(
     if methods.is_empty() {
         return Err(CoreError::EmptyMethods);
     }
-    // Validate everything up front so the sharded sweep below is infallible.
+    // Validate everything up front so the sweep below is infallible.
     for (_, artifacts) in methods {
         artifacts.validate()?;
     }
@@ -88,7 +86,7 @@ pub fn sweep_methods(
         return Err(CoreError::InvalidRate(bad));
     }
     let series: Vec<MethodSeries> = methods
-        .par_iter()
+        .iter()
         .map(|(score, artifacts)| MethodSeries {
             score: *score,
             points: artifacts

@@ -12,19 +12,15 @@
 use crate::artifacts::EvaluationArtifacts;
 use crate::error::{CoreError, CoreResult};
 use crate::metrics::RoutedMetrics;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-/// Evaluates the metrics of every candidate threshold, in parallel for large
-/// evaluation sets. The scan over all candidates is the O(n²) hot path of
-/// Table I / Table II tuning; results come back in candidate order, so the
-/// downstream arg-min selection is deterministic. The caller has already
+/// Evaluates the metrics of every candidate threshold, in candidate order —
+/// the O(n²) scan behind Table I / Table II tuning. The caller has already
 /// validated the artifacts, so the per-candidate scans are infallible.
 fn candidate_metrics(artifacts: &EvaluationArtifacts) -> CoreResult<Vec<(f64, RoutedMetrics)>> {
     Ok(artifacts
         .candidate_thresholds()?
-        .into_par_iter()
-        .with_min_len(64)
+        .into_iter()
         .map(|t| (t, artifacts.metrics_at(t)))
         .collect())
 }

@@ -32,7 +32,7 @@ pub fn check_layer_gradients(
     tol: f32,
     rng: &mut SeededRng,
 ) {
-    // Keep inputs away from kinks (ReLU at 0, max-pool ties) so the numeric
+    // Keep inputs away from kinks (ReLU at 0) so the numeric
     // derivative is well defined.
     let mut input = Tensor::randn(input_shape, rng);
     input.map_inplace(|x| {

@@ -23,20 +23,19 @@
 //! ascending order and the microkernel reloads/stores the output tile at slab
 //! boundaries rather than reassociating partial sums. Since Rust never
 //! contracts `a * b + c` into a fused multiply-add on its own, the blocked
-//! kernel, the plain `i-k-j` loop and the rayon row-parallel path are all
-//! **bit-identical** to the naive `i-k-j` triple loop (see
-//! [`super::naive::matmul_naive`]) on the default build — which is what
-//! keeps serving results byte-stable across kernel choices and thread
-//! counts.
+//! kernel and the plain `i-k-j` loop are both **bit-identical** to the naive
+//! `i-k-j` triple loop (see [`super::naive::matmul_naive`]) on the default
+//! build — which is what keeps serving results byte-stable across kernel
+//! choices. Every kernel here runs on the calling thread: a GEMM is a
+//! function of its arguments and [`super::simd::active_isa`], nothing else.
 //!
 //! Under the opt-in `fast-kernels` feature the *full* `MR x NR` (and
 //! paired `2*MR x NR`) tiles dispatch onto fused-multiply-add microkernels
 //! when the host supports FMA ([`super::simd::fused_for_isa`], resolved
-//! once per `gemm_into` call and shared by all row bands of the parallel
-//! path, so one GEMM never mixes tiers mid-stream). The
+//! once per `gemm_into` call, so one GEMM never mixes tiers mid-stream). The
 //! accumulation order is unchanged — only the per-step rounding count drops
-//! from two to one — so results remain bit-identical across thread counts
-//! and runs of one build, and tolerance-bounded against the seed (the
+//! from two to one — so results remain bit-identical across runs of one
+//! build, and tolerance-bounded against the seed (the
 //! `deterministic-per-build` contract; see `docs/DETERMINISM.md`). Edge
 //! tiles, the `i-k-j` path and every problem of at most
 //! `SMALL_PROBLEM_MACS` multiply-accumulates keep separate mul+add in both
@@ -73,8 +72,8 @@
 //! [`PackedA`] and passed to [`gemm_packed_into`]; the blocked kernel then
 //! reads its `MR`-row strips straight from those panels instead of re-running
 //! the A packer per call. Raw and pre-packed operands share every line of
-//! the blocked and row-parallel drivers — only where a macro-block's strips
-//! come from differs — so the results are bit-identical by construction.
+//! the blocked driver — only where a macro-block's strips come from
+//! differs — so the results are bit-identical by construction.
 
 use super::scratch::{self, PackScratch};
 use super::simd::{self, Isa};
@@ -108,9 +107,6 @@ pub const NC: usize = 256;
 /// "Which kernel a problem runs on" in the module docs).
 const SMALL_PROBLEM_MACS: usize = 32 * 1024;
 
-/// Minimum multiply-accumulates before the row-parallel path is worthwhile.
-const PAR_MIN_MACS: usize = 1 << 21;
-
 /// How an output element starts before the `A x B` products are accumulated.
 #[derive(Clone, Copy)]
 pub enum GemmInit<'a> {
@@ -127,11 +123,9 @@ pub enum GemmInit<'a> {
 
 /// `out[m x n] <- init ⊕ a[m x k] x b[k x n]`, all row-major slices.
 ///
-/// Dispatches between the `i-k-j` loop, the serial blocked kernel and the
-/// rayon row-parallel blocked kernel (see the module docs); all three produce
-/// bit-identical results (see the module docs). `packs` supplies the packing
-/// panels for the serial blocked path; the parallel path packs into
-/// per-band buffers instead (see `gemm_parallel`).
+/// Dispatches between the `i-k-j` loop and the blocked kernel (see the
+/// module docs); both produce bit-identical results. `packs` supplies the
+/// blocked kernel's packing panels.
 ///
 /// # Panics
 ///
@@ -151,7 +145,7 @@ pub fn gemm_into(
 }
 
 /// [`gemm_into`] for a constant left operand whose panels were packed once
-/// with [`PackedA::pack`]: the blocked paths read `packed` instead of
+/// with [`PackedA::pack`]: the blocked kernel reads `packed` instead of
 /// re-packing `a` on every call; the `i-k-j` path still walks the row-major
 /// `a`. Bit-identical to [`gemm_into`] on the same inputs.
 ///
@@ -204,43 +198,28 @@ fn gemm_dispatch(
         init_only(m, n, init, out);
         return;
     }
-    let macs = m * k * n;
-    let small = macs <= SMALL_PROBLEM_MACS;
+    let small = m * k * n <= SMALL_PROBLEM_MACS;
     if small && (m < MR || k < MR) {
         gemm_ikj(m, k, n, a, b, init, out);
         return;
     }
     let a = match packed {
-        Some(p) => AOperand::Packed {
-            panels: &p.panels,
-            strips: m.div_ceil(MR),
-            strip0: 0,
-        },
+        Some(p) => AOperand::Packed(&p.panels),
         None => AOperand::Raw(a),
     };
     // Resolve the SIMD backend and numeric tier once per call, so every
-    // tile of this GEMM — across all row bands of the parallel path — uses
-    // the same kernel even if an override flips mid-call.
+    // tile of this GEMM uses the same kernel even if an override flips
+    // mid-call.
     let isa = simd::active_isa();
     let fused = !small && simd::fused_for_isa(isa);
-    let threads = rayon::current_num_threads();
-    // Stay serial inside an outer parallel region (sharded batch workers):
-    // the batch is already parallel at that level, so splitting each
-    // per-sample GEMM again would only add queueing overhead on the shared
-    // worker pool.
-    if threads > 1 && macs >= PAR_MIN_MACS && m >= 2 * MR && !scratch::in_worker_region() {
-        gemm_parallel(isa, fused, m, k, n, a, b, init, out, threads, packs);
-    } else {
-        gemm_blocked(isa, fused, m, k, n, a, b, init, out, packs);
-    }
+    gemm_blocked(isa, fused, m, k, n, a, b, init, out, packs);
 }
 
 /// The `MR`-row strip panels of a constant `m x k` left operand, packed
 /// once for [`gemm_packed_into`]. Layout: one slab per `KC` slice of the
 /// inner dimension, each holding every `MR`-row strip of the matrix as
 /// `[strip][p][MR]` (rows past `m` zero) — exactly what `pack_a` writes for
-/// a macro-block, so any `MC`-aligned block of any row band is a contiguous
-/// sub-slice.
+/// a macro-block, so any `MC`-aligned block is a contiguous sub-slice.
 #[derive(Debug, Clone)]
 pub struct PackedA {
     m: usize,
@@ -277,32 +256,8 @@ impl PackedA {
 enum AOperand<'a> {
     /// Row-major values (leading dimension `k`), packed per macro-block.
     Raw(&'a [f32]),
-    /// [`PackedA`] panels of a matrix with `strips` strips in total, viewed
-    /// from strip `strip0` down (a row band of the parallel path).
-    Packed {
-        panels: &'a [f32],
-        strips: usize,
-        strip0: usize,
-    },
-}
-
-impl AOperand<'_> {
-    /// The operand restricted to `rows` rows from `row0` (a multiple of
-    /// [`MR`], as row bands are).
-    fn band(self, row0: usize, rows: usize, k: usize) -> Self {
-        match self {
-            AOperand::Raw(a) => AOperand::Raw(&a[row0 * k..(row0 + rows) * k]),
-            AOperand::Packed {
-                panels,
-                strips,
-                strip0,
-            } => AOperand::Packed {
-                panels,
-                strips,
-                strip0: strip0 + row0 / MR,
-            },
-        }
-    }
+    /// The [`PackedA`] panels of the whole matrix.
+    Packed(&'a [f32]),
 }
 
 /// Degenerate `k == 0` case: the "product" contributes nothing, only the
@@ -348,78 +303,7 @@ fn gemm_ikj(
     }
 }
 
-/// Splits the rows of the output across worker threads; each worker runs the
-/// serial blocked kernel on its contiguous row band. Bands never overlap, so
-/// no synchronization is needed and each element's accumulation order is
-/// unchanged.
-///
-/// The first band runs on the calling thread with the caller's (reused)
-/// packing scratch; each spawned band checks the [`PackScratch`] slot keyed
-/// by its band index out of the shared band pool
-/// ([`super::scratch::with_band_packs`]) and returns it afterwards. Band
-/// `b` always reuses arena `b`, so a steady state of multi-band GEMMs
-/// performs **zero** packing allocations — deterministically, regardless of
-/// which persistent pool worker picks up which band (pinned by
-/// `tests/hot_path_allocations.rs`).
-#[allow(clippy::too_many_arguments)]
-fn gemm_parallel(
-    isa: Isa,
-    fused: bool,
-    m: usize,
-    k: usize,
-    n: usize,
-    a: AOperand<'_>,
-    b: &[f32],
-    init: GemmInit<'_>,
-    out: &mut [f32],
-    threads: usize,
-    packs: &mut PackScratch,
-) {
-    // Band size: a multiple of MR so microkernel tiling stays aligned.
-    let bands = threads.min(m.div_ceil(MR));
-    let rows_per = m.div_ceil(bands).next_multiple_of(MR);
-    let mut row0 = 0usize;
-    let mut jobs: Vec<(usize, usize, &mut [f32])> = Vec::with_capacity(bands);
-    let mut rest = out;
-    while row0 < m {
-        let rows = rows_per.min(m - row0);
-        let (band, tail) = rest.split_at_mut(rows * n);
-        jobs.push((row0, rows, band));
-        rest = tail;
-        row0 += rows;
-    }
-    let band_slice = |band_row0: usize, rows: usize| {
-        let band_init = match init {
-            GemmInit::RowBias(bias) => GemmInit::RowBias(&bias[band_row0..band_row0 + rows]),
-            other => other,
-        };
-        (a.band(band_row0, rows, k), band_init)
-    };
-    let mut jobs = jobs.into_iter();
-    let first = jobs.next();
-    rayon::scope(|s| {
-        for (band, (band_row0, rows, band_out)) in jobs.enumerate() {
-            s.spawn(move |_| {
-                let (band_a, band_init) = band_slice(band_row0, rows);
-                scratch::with_band_packs(band, |packs| {
-                    gemm_blocked(
-                        isa, fused, rows, k, n, band_a, b, band_init, band_out, packs,
-                    );
-                });
-            });
-        }
-        // The scope body runs on the calling thread: do the first band here
-        // with the caller's scratch while the spawned bands proceed.
-        if let Some((band_row0, rows, band_out)) = first {
-            let (band_a, band_init) = band_slice(band_row0, rows);
-            gemm_blocked(
-                isa, fused, rows, k, n, band_a, b, band_init, band_out, packs,
-            );
-        }
-    });
-}
-
-/// Serial blocked kernel: `NC`-column macro-blocks, `KC`-deep packed slabs,
+/// The blocked kernel: `NC`-column macro-blocks, `KC`-deep packed slabs,
 /// `MC`-row packed A panels, `MR x NR` register microkernel.
 #[allow(clippy::too_many_arguments)]
 fn gemm_blocked(
@@ -437,6 +321,7 @@ fn gemm_blocked(
     // The backend and numeric tier come resolved from `gemm_dispatch`; the
     // microkernel dispatches branch-predictably per tile.
     let pair = simd::has_paired_microkernel(isa);
+    let strips = m.div_ceil(MR);
     let a_panel_len = MC.div_ceil(MR) * MR * KC;
     let b_panel_len = NC.div_ceil(NR) * NR * KC;
     let mut jc = 0;
@@ -459,12 +344,8 @@ fn gemm_blocked(
                         pack_a(a, k, ic, mcb, pc, kcb, a_pack);
                         a_pack
                     }
-                    AOperand::Packed {
-                        panels,
-                        strips,
-                        strip0,
-                    } => {
-                        let block0 = pc * strips * MR + (strip0 + ic / MR) * kcb * MR;
+                    AOperand::Packed(panels) => {
+                        let block0 = pc * strips * MR + (ic / MR) * kcb * MR;
                         &panels[block0..block0 + i_tiles * kcb * MR]
                     }
                 };

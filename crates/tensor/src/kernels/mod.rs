@@ -7,9 +7,9 @@
 //!
 //! * [`gemm_into`] / [`gemm_bias_cols`] — a cache-blocked, register-tiled
 //!   matrix multiply (GotoBLAS-style `MC`/`KC`/`NC` macro-blocking with an
-//!   `MR x NR` microkernel and packed operand panels), with a rayon
-//!   row-parallel path for large problems that degrades to the serial kernel
-//!   on one core.
+//!   `MR x NR` microkernel and packed operand panels). Like every kernel
+//!   here it runs on the calling thread; parallelism lives one level up,
+//!   across batch shards.
 //! * [`simd`] — the explicit-SIMD backend underneath: a portable `f32x8`
 //!   abstraction with SSE2/AVX2 implementations, an AVX-512 widened
 //!   microkernel, and cached runtime CPU-feature dispatch ([`active_isa`]
@@ -22,14 +22,13 @@
 //! * [`KernelScratch`] / [`GrowBuf`] — high-water-mark scratch buffers so
 //!   steady-state inference performs **zero** heap allocations for im2col
 //!   matrices and GEMM packing panels (observable via [`scratch_stats`]).
-//!   Arenas live per *thread* (see [`with_thread_scratch`]) plus a shared
-//!   checkout pool for GEMM row bands, so the persistent rayon worker pool
-//!   retains every high-water buffer across calls.
+//!   Arenas live per *thread* (see [`with_thread_scratch`]), so the
+//!   persistent batch-shard workers retain every high-water buffer across
+//!   calls.
 //!
 //! * [`quant_gemm_into`] — the int8 GEMM behind the quantized (Q8_0)
 //!   little-net tier: pre-quantized weights, on-the-fly activation
-//!   quantization, widening integer SIMD, the same band-parallel shape as
-//!   the f32 driver.
+//!   quantization, widening integer SIMD.
 //!
 //! # Determinism
 //!
@@ -58,9 +57,9 @@
 //!   Results then match the seed within the per-accumulation-step error
 //!   bounds of the [`tolerance`] harness instead of bit-for-bit, but remain
 //!   bit-identical **across runs and thread counts on any one build**:
-//!   accumulation order is still never reassociated, row bands and batch
-//!   shards split work without changing per-element operation sequences,
-//!   and the fused AVX2/AVX-512 kernels are bit-identical to each other.
+//!   accumulation order is still never reassociated, batch shards split
+//!   work without changing per-element operation sequences, and the fused
+//!   AVX2/AVX-512 kernels are bit-identical to each other.
 //!   Scalar- or SSE2-forced dispatch (including `APPEALNET_FORCE_SCALAR`)
 //!   never fuses and so still reproduces the seed exactly.
 //! * **Quantized path —
@@ -87,8 +86,8 @@ pub use gemm::{
 pub use im2col::{col2im, im2col};
 pub use quant_gemm::quant_gemm_into;
 pub use scratch::{
-    enter_worker_region, in_worker_region, stats as scratch_stats, with_thread_scratch, GrowBuf,
-    KernelScratch, PackScratch, QuantScratch, ScratchStats, WorkerRegionGuard,
+    stats as scratch_stats, with_thread_scratch, GrowBuf, KernelScratch, PackScratch, QuantScratch,
+    ScratchStats,
 };
 pub use simd::{
     active_isa, fma_supported, force_fused, force_isa, fused_active, supported_isas, Isa,
@@ -228,8 +227,8 @@ mod tests {
         }
     }
 
-    /// Shapes big enough to take the packed/blocked (and, with threads, the
-    /// row-parallel) paths rather than the small-problem fallback.
+    /// Shapes big enough to take the packed/blocked path rather than the
+    /// small-problem fallback.
     #[test]
     fn large_gemm_paths_match_naive_bitwise() {
         let mut rng = SeededRng::new(0x6E_45);
@@ -483,11 +482,10 @@ mod tests {
         }
     }
 
-    /// A pre-packed left operand goes through the same blocked and
-    /// row-parallel drivers as a raw one: bit-equal outputs in every
-    /// [`GemmInit`] mode and both build tiers, over multi-slab `k`, a second
-    /// `MC` block, edge strips, a shape above the row-parallel threshold and
-    /// two small problems, one for each kernel.
+    /// A pre-packed left operand goes through the same blocked driver as a
+    /// raw one: bit-equal outputs in every [`GemmInit`] mode and both build
+    /// tiers, over multi-slab `k`, a second `MC` block, edge strips, a
+    /// multi-megaflop shape and two small problems, one for each kernel.
     #[test]
     fn pre_packed_a_is_bit_identical_to_raw_a() {
         // Under `fast-kernels` a concurrent test's `force_fused` flip between

@@ -20,28 +20,21 @@
 //! summed in ascending order with separate `mul` + `add` on every backend.
 //! The SIMD paths only vectorize the *integer* part, which is
 //! order-insensitive — so the scalar, SSE2 and AVX2 kernels are
-//! **bit-identical on every ISA, in both build tiers, and across band
-//! counts** (`fast-kernels` compiles no fused variant of this path). What is
+//! **bit-identical on every ISA and in both build tiers** (`fast-kernels`
+//! compiles no fused variant of this path). What is
 //! *not* exact is quantization itself; that error is governed by the
 //! `quantized-tolerance` contract ([`super::NumericContract`], bounds in
 //! [`super::tolerance`]).
 //!
-//! # Parallelism and scratch
+//! # Scratch
 //!
-//! Mirrors the f32 driver: large problems split into contiguous row bands
-//! over the persistent worker pool, the first band running on the caller's
-//! [`QuantScratch`] and each spawned band checking its band-keyed arena out
-//! of the shared pool (`with_band_quant`). Rows are independent — each is
-//! quantized and reduced identically in either path — so banding never
-//! changes a single bit.
+//! Like the f32 driver, the kernel runs on the calling thread: each
+//! activation row is quantized into the caller's [`QuantScratch`] arena and
+//! reduced against every weight row before the next one overwrites it.
 
 use super::scratch::{self, QuantScratch};
-use super::simd::{self, Isa};
+use super::simd;
 use crate::quant::{quantize_row_into, QuantMatrix, QK8_0};
-
-/// Minimum multiply-accumulates before the row-parallel path is worthwhile
-/// (same crossover as the f32 driver's `PAR_MIN_MACS`).
-const PAR_MIN_MACS: usize = 1 << 21;
 
 /// `out[m x n] <- A[m x k] · W + bias`, with `W` the quantized `B` operand.
 ///
@@ -83,6 +76,9 @@ pub fn quant_gemm_into(
 /// [`quant_gemm_into`] borrowing only the i8 activation arena, for callers
 /// (the conv layers) that need the sibling [`QuantScratch`] buffers for the
 /// result at the same time. Shape checks live in the public wrapper.
+///
+/// Quantizes each activation row into the arena, then reduces it against
+/// every weight row.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn quant_gemm_into_qa(
     m: usize,
@@ -100,32 +96,8 @@ pub(crate) fn quant_gemm_into_qa(
     if m == 0 || n == 0 {
         return;
     }
-    // Resolve the backend once per call, shared by all row bands.
+    // Resolve the backend once per call.
     let isa = simd::active_isa();
-    let macs = m * k.max(1) * n;
-    let threads = rayon::current_num_threads();
-    if threads > 1 && macs >= PAR_MIN_MACS && m >= 2 && !scratch::in_worker_region() {
-        quant_gemm_parallel(isa, m, k, n, a, w, bias, act_scale, out, threads, qa);
-    } else {
-        quant_gemm_band(isa, m, k, n, a, w, bias, act_scale, out, qa);
-    }
-}
-
-/// Serial kernel over one contiguous row band: quantize each activation row
-/// into the band's arena, then reduce it against every weight row.
-#[allow(clippy::too_many_arguments)]
-fn quant_gemm_band(
-    isa: Isa,
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    w: &QuantMatrix,
-    bias: Option<&[f32]>,
-    act_scale: Option<f32>,
-    out: &mut [f32],
-    qa: &mut scratch::GrowBufI8,
-) {
     let padded = w.blocks_per_row() * QK8_0;
     let qa = qa.take(padded);
     // The arena is dirty by contract; the padding tail beyond `k` is never
@@ -144,55 +116,6 @@ fn quant_gemm_band(
             };
         }
     }
-}
-
-/// Row-banded parallel driver, mirroring the f32 `gemm_parallel`: contiguous
-/// non-overlapping bands, first band on the calling thread with the caller's
-/// arena, spawned bands on band-keyed pool arenas.
-#[allow(clippy::too_many_arguments)]
-fn quant_gemm_parallel(
-    isa: Isa,
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    w: &QuantMatrix,
-    bias: Option<&[f32]>,
-    act_scale: Option<f32>,
-    out: &mut [f32],
-    threads: usize,
-    qa: &mut scratch::GrowBufI8,
-) {
-    let bands = threads.min(m);
-    let rows_per = m.div_ceil(bands);
-    let mut row0 = 0usize;
-    let mut jobs: Vec<(usize, usize, &mut [f32])> = Vec::with_capacity(bands);
-    let mut rest = out;
-    while row0 < m {
-        let rows = rows_per.min(m - row0);
-        let (band, tail) = rest.split_at_mut(rows * n);
-        jobs.push((row0, rows, band));
-        rest = tail;
-        row0 += rows;
-    }
-    let mut jobs = jobs.into_iter();
-    let first = jobs.next();
-    rayon::scope(|s| {
-        for (band, (band_row0, rows, band_out)) in jobs.enumerate() {
-            s.spawn(move |_| {
-                let band_a = &a[band_row0 * k..(band_row0 + rows) * k];
-                scratch::with_band_quant(band, |q| {
-                    quant_gemm_band(
-                        isa, rows, k, n, band_a, w, bias, act_scale, band_out, &mut q.qa,
-                    );
-                });
-            });
-        }
-        if let Some((band_row0, rows, band_out)) = first {
-            let band_a = &a[band_row0 * k..(band_row0 + rows) * k];
-            quant_gemm_band(isa, rows, k, n, band_a, w, bias, act_scale, band_out, qa);
-        }
-    });
 }
 
 #[cfg(test)]
@@ -381,23 +304,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn banded_matches_serial_bitwise() {
-        // Large enough to cross PAR_MIN_MACS when threads are available; the
-        // worker-region guard forces the serial path for the reference.
-        let (m, k, n) = (128, 256, 80);
-        let (a, b, bias) = random_problem(m, k, n, 2024);
-        let w = QuantMatrix::from_b(&b, k, n);
-        let banded = run_quant(m, k, n, &a, &w, Some(&bias));
-        let serial = {
-            let _region = scratch::enter_worker_region();
-            run_quant(m, k, n, &a, &w, Some(&bias))
-        };
-        for (i, (x, y)) in banded.iter().zip(&serial).enumerate() {
-            assert_eq!(x.to_bits(), y.to_bits(), "banded != serial at {i}");
         }
     }
 }

@@ -7,18 +7,11 @@
 //! once and is reused (dirty) afterwards. Callers are responsible for fully
 //! overwriting the slice they request — every kernel in this module does.
 //!
-//! Arenas live in two places, both keyed to the **persistent** rayon worker
-//! pool so high-water buffers survive across calls:
-//!
-//! * [`with_thread_scratch`] — a per-thread stack of arenas. Long-lived
-//!   threads (the serving engine's caller, the training loop, every pool
-//!   worker) retain their arenas for the life of the process; the stack
-//!   makes the call reentrant, so a thread that picks up queued kernel work
-//!   while waiting on its own parallel region simply uses a second arena.
-//! * `with_band_packs` — a shared checkout pool of GEMM packing panels
-//!   used by spawned row bands. Checkout is keyed to the *band*, not the
-//!   thread, so a steady state of multi-band GEMMs reuses the same panels
-//!   no matter which worker picks up which band.
+//! Arenas live per thread ([`with_thread_scratch`]): kernels run on the
+//! thread that calls them, and long-lived threads — the serving engine's
+//! caller, the training loop, every persistent batch-shard worker — retain
+//! their arenas for the life of the process, so high-water buffers survive
+//! across calls.
 //!
 //! # Ownership rules
 //!
@@ -30,26 +23,12 @@
 //!    *worker's* arena instead.
 //! 2. **A borrowed slice never outlives its closure.** [`GrowBuf::take`]
 //!    hands out `&mut [f32]` tied to the arena borrow inside
-//!    [`with_thread_scratch`] / `with_band_packs`; nothing can stash it.
+//!    [`with_thread_scratch`]; nothing can stash it.
 //! 3. **Buffers are dirty by contract.** `take` returns whatever the
 //!    previous user wrote; every kernel fully overwrites the region it
 //!    reads. (This is why there is no `clear` — zeroing would put a
 //!    memset on the hot path for no semantic gain.)
-//! 4. **Thread arenas are a stack, not a slot.** A thread that executes
-//!    queued kernel work while waiting on its own parallel region
-//!    (help-while-wait) pops a *second* arena rather than aliasing the
-//!    first; nesting depth is bounded by the nesting of parallel regions.
-//! 5. **Band slots are keyed by band index.** Spawned GEMM row band `b`
-//!    always checks out slot `b`, so reuse is deterministic regardless of
-//!    which worker runs which band. A concurrent multi-band GEMM (rare:
-//!    the worker-region gate keeps per-sample GEMMs serial inside batch
-//!    shards) can find its slot checked out; the loser pays a transient
-//!    arena and the last one back wins the slot.
-//! 6. **Worker regions silence nested parallelism.** [`enter_worker_region`]
-//!    marks batch-shard workers so `gemm_into` stays serial under them —
-//!    the batch is already parallel at the sharding level.
-//!
-//! 7. **Packed weights are not scratch.** A layer's pre-packed weight panels
+//! 4. **Packed weights are not scratch.** A layer's pre-packed weight panels
 //!    ([`super::gemm::PackedA`]) are derived state owned by the layer, not
 //!    an arena: they are cloned with it, and rebuilt only after the layer's
 //!    parameters were handed out mutably.
@@ -64,7 +43,6 @@
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Times any scratch buffer had to allocate or grow its backing storage.
 static SCRATCH_ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -270,112 +248,25 @@ impl KernelScratch {
 thread_local! {
     /// A stack of arenas per thread: `with_thread_scratch` pops one (or
     /// creates the first), runs, and pushes it back. The stack depth is the
-    /// maximum nesting ever seen on the thread (1 in almost every case; 2
-    /// when a thread helps execute queued kernel work while waiting on its
-    /// own parallel region).
+    /// maximum nesting ever seen on the thread (1 unless a caller nests).
     static THREAD_SCRATCH: RefCell<Vec<KernelScratch>> = const { RefCell::new(Vec::new()) };
-    static IN_WORKER_REGION: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// Per-band slots of GEMM packing panels for spawned row bands (see
-/// [`with_band_packs`]). `None` marks a slot currently checked out.
-static BAND_PACKS: Mutex<Vec<Option<PackScratch>>> = Mutex::new(Vec::new());
-
-/// Per-band slots of quantized-GEMM arenas for spawned row bands — the
-/// quantized twin of [`BAND_PACKS`], with identical checkout semantics.
-static BAND_QUANT: Mutex<Vec<Option<QuantScratch>>> = Mutex::new(Vec::new());
-
-/// Marks the current thread as a parallel worker for the guard's lifetime;
-/// kernels consult this to keep their own row-parallel paths serial — the
-/// batch is already parallel at the sharding level, so splitting each
-/// per-sample GEMM again would only add queueing overhead on the shared
-/// worker pool. Drop restores the previous state.
-///
-/// Batch-sharding code (`appealnet_core::parallel`, the serving engine's
-/// edge pass) holds one of these inside each worker closure.
-#[must_use = "the region ends when the guard drops"]
-pub struct WorkerRegionGuard {
-    previous: bool,
-}
-
-/// Enters a parallel worker region on this thread (see [`WorkerRegionGuard`]).
-pub fn enter_worker_region() -> WorkerRegionGuard {
-    let previous = IN_WORKER_REGION.with(|f| f.replace(true));
-    WorkerRegionGuard { previous }
-}
-
-/// `true` while the current thread is inside a parallel worker region.
-pub fn in_worker_region() -> bool {
-    IN_WORKER_REGION.with(|f| f.get())
-}
-
-impl Drop for WorkerRegionGuard {
-    fn drop(&mut self) {
-        IN_WORKER_REGION.with(|f| f.set(self.previous));
-    }
 }
 
 /// Runs `f` with a [`KernelScratch`] arena retained by the current thread.
 ///
 /// Used by scratch-less entry points ([`crate::Tensor::matmul`] and
 /// friends) and by the conv layers, so repeated calls on one thread reuse
-/// buffers. The vendored rayon shim's workers are **persistent**, so work
-/// dispatched onto the pool (sharded batch evaluation, spawned GEMM bands)
-/// reuses each worker's arenas across calls too.
+/// buffers. Batch-shard workers are **persistent** pool threads, so sharded
+/// evaluation reuses each worker's arenas across calls too.
 ///
-/// Reentrant: a nested call (a thread executing queued kernel work while it
-/// waits on its own parallel region) gets a second arena from the thread's
-/// stack rather than panicking on a `RefCell` double borrow.
+/// Reentrant: a nested call gets a second arena from the thread's stack
+/// rather than panicking on a `RefCell` double borrow.
 pub fn with_thread_scratch<R>(f: impl FnOnce(&mut KernelScratch) -> R) -> R {
     let mut arena = THREAD_SCRATCH
         .with(|s| s.borrow_mut().pop())
         .unwrap_or_default();
     let out = f(&mut arena);
     THREAD_SCRATCH.with(|s| s.borrow_mut().push(arena));
-    out
-}
-
-/// Runs `f` with the [`PackScratch`] dedicated to spawned row band `band`.
-///
-/// Spawned GEMM row bands use this instead of thread-local scratch, and the
-/// slot is keyed by **band index**, not by thread or checkout order: band
-/// `b` always reuses arena `b`, so once a GEMM shape has run once, repeat
-/// runs perform zero packing allocations *deterministically* — regardless
-/// of which persistent pool worker picks up which band or how their
-/// execution overlaps. (Only concurrent multi-band GEMMs — which the
-/// worker-region gate already makes rare — can contend for a slot; the
-/// loser falls back to a transient arena and the last one back wins the
-/// slot.) The brief mutex holds are once per band, amortized over the whole
-/// band's work.
-pub(crate) fn with_band_packs<R>(band: usize, f: impl FnOnce(&mut PackScratch) -> R) -> R {
-    let mut packs = {
-        let mut slots = BAND_PACKS.lock().expect("band scratch pool poisoned");
-        if slots.len() <= band {
-            slots.resize_with(band + 1, || None);
-        }
-        slots[band].take()
-    }
-    .unwrap_or_default();
-    let out = f(&mut packs);
-    BAND_PACKS.lock().expect("band scratch pool poisoned")[band] = Some(packs);
-    out
-}
-
-/// Runs `f` with the [`QuantScratch`] dedicated to spawned row band `band` of
-/// a quantized GEMM. Same band-keyed checkout discipline as
-/// [`with_band_packs`]: band `b` always reuses slot `b`, so repeat runs of a
-/// warmed-up shape perform zero scratch allocations deterministically.
-pub(crate) fn with_band_quant<R>(band: usize, f: impl FnOnce(&mut QuantScratch) -> R) -> R {
-    let mut quant = {
-        let mut slots = BAND_QUANT.lock().expect("band quant pool poisoned");
-        if slots.len() <= band {
-            slots.resize_with(band + 1, || None);
-        }
-        slots[band].take()
-    }
-    .unwrap_or_default();
-    let out = f(&mut quant);
-    BAND_QUANT.lock().expect("band quant pool poisoned")[band] = Some(quant);
     out
 }
 
@@ -415,54 +306,11 @@ mod tests {
     }
 
     #[test]
-    fn band_quant_slots_reuse_like_band_packs() {
-        // The process-wide counters move whenever any parallel test runs a
-        // GEMM, so assert on what this test owns: band 93's slot, which no
-        // quantized GEMM in the suite reaches.
-        let capacities = |q: &QuantScratch| (q.qa.capacity(), q.out_t.capacity());
-        let warmed = with_band_quant(93, |q| {
-            let _ = q.qa.take(64);
-            let _ = q.out_t.take(64);
-            capacities(q)
-        });
-        assert_eq!(warmed, (64, 64));
-        let (checked_out, after_takes) = with_band_quant(93, |q| {
-            let checked_out = capacities(q);
-            let _ = q.qa.take(64);
-            let _ = q.out_t.take(32);
-            (checked_out, capacities(q))
-        });
-        assert_eq!(
-            checked_out, warmed,
-            "a band re-checkout must get its slot's high-water buffers back"
-        );
-        assert_eq!(
-            after_takes, warmed,
-            "takes within the high-water mark reuse, they do not grow"
-        );
-    }
-
-    #[test]
     fn clone_is_fresh_and_empty() {
         let mut buf = GrowBuf::new();
         let _ = buf.take(128);
         let clone = buf.clone();
         assert_eq!(clone.capacity(), 0);
-    }
-
-    #[test]
-    fn worker_region_guard_nests_and_restores() {
-        assert!(!in_worker_region());
-        {
-            let _outer = enter_worker_region();
-            assert!(in_worker_region());
-            {
-                let _inner = enter_worker_region();
-                assert!(in_worker_region());
-            }
-            assert!(in_worker_region(), "inner drop restores outer region");
-        }
-        assert!(!in_worker_region());
     }
 
     #[test]
@@ -479,37 +327,12 @@ mod tests {
     #[test]
     fn thread_scratch_supports_nested_use() {
         // A nested call gets a second arena rather than panicking on a
-        // RefCell double borrow (this happens when a thread helps execute
-        // queued kernel work while waiting on its own parallel region).
+        // RefCell double borrow.
         with_thread_scratch(|outer| {
             let _ = outer.cols.take(16);
             with_thread_scratch(|inner| {
                 let _ = inner.cols.take(16);
             });
         });
-    }
-
-    #[test]
-    fn band_packs_slots_reuse_high_water_buffers_per_band() {
-        // Band indices no other test (or GEMM) touches, and assertions on
-        // the slots themselves rather than the process-wide counters, so
-        // concurrent tests cannot perturb the outcome.
-        for band in [91, 92] {
-            with_band_packs(band, |p| {
-                let _ = p.a.take(64);
-            });
-        }
-        for (band, len) in [(91, 64), (92, 32)] {
-            let (checked_out, after_take) = with_band_packs(band, |p| {
-                let checked_out = p.a.capacity();
-                let _ = p.a.take(len);
-                (checked_out, p.a.capacity())
-            });
-            assert_eq!(
-                (checked_out, after_take),
-                (64, 64),
-                "a band re-checkout must reuse its slot's high-water buffer"
-            );
-        }
     }
 }

@@ -745,12 +745,11 @@ fn scalar_micro_step(tile: &mut [[f32; NR]; MR], ap: &[f32], bp: &[f32]) {
 /// `acc[r][c] += a_tile[p*MR+r] * b_tile[p*NR+c]` for every `p` ascending.
 ///
 /// `fused` selects the FMA tier (one rounding per step); callers resolve it
-/// **once per `gemm_into` call** via [`fused_for_isa`] — shared by all row
-/// bands of the parallel path — so every tile of one GEMM
-/// uses the same tier. It may only be true when [`fused_for_isa`]`(isa)` is
-/// — i.e. on an AVX2-or-wider backend of a `fast-kernels` build on an FMA
-/// host. All unfused backends are bit-identical; the fused ones are
-/// bit-identical to each other.
+/// **once per `gemm_into` call** via [`fused_for_isa`], so every tile of
+/// one GEMM uses the same tier. It may only be true when
+/// [`fused_for_isa`]`(isa)` is — i.e. on an AVX2-or-wider backend of a
+/// `fast-kernels` build on an FMA host. All unfused backends are
+/// bit-identical; the fused ones are bit-identical to each other.
 ///
 /// # Panics
 ///

@@ -60,8 +60,8 @@ impl Param {
 pub trait Layer: Send + Sync {
     /// Runs the layer on a batch.
     ///
-    /// `train` toggles training-time behaviour (dropout masks, batch-norm
-    /// batch statistics vs. running statistics).
+    /// `train` toggles training-time behaviour (activation caches for
+    /// backward, batch-norm batch statistics vs. running statistics).
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
 
     /// Backpropagates `grad_output` (gradient w.r.t. the last forward output)

@@ -16,7 +16,7 @@
 //! Both layers draw their im2col and GEMM-packing buffers from the current
 //! thread's [`kernels::with_thread_scratch`] arena, so steady-state
 //! inference reuses warmed high-water buffers instead of allocating — on the
-//! calling thread and on the persistent rayon pool workers alike (model
+//! calling thread and on the persistent batch-shard workers alike (model
 //! replicas carry no scratch of their own). The input is only cached for
 //! backward when `train == true`.
 //!

@@ -3,16 +3,12 @@
 //! Every layer implements [`crate::Layer`] with an explicit backward pass and
 //! per-sample FLOP accounting. The set covers what the AppealNet model zoo
 //! needs: dense layers, standard / depthwise convolutions, batch
-//! normalization, ReLU/sigmoid activations, max / average / global-average
-//! pooling, dropout, residual blocks, channel shuffle and a [`Sequential`]
-//! container.
+//! normalization, ReLU/sigmoid activations, global-average pooling,
+//! residual blocks, channel shuffle and a [`Sequential`] container.
 
 mod activations;
 mod conv;
 mod dense;
-mod dropout;
-mod extra_activations;
-mod flatten;
 mod norm;
 mod pool;
 mod residual;
@@ -22,11 +18,8 @@ mod shuffle;
 pub use activations::{Relu, Sigmoid};
 pub use conv::{Conv2d, DepthwiseConv2d};
 pub use dense::Dense;
-pub use dropout::Dropout;
-pub use extra_activations::{LeakyRelu, Tanh};
-pub use flatten::Flatten;
 pub use norm::BatchNorm2d;
-pub use pool::{AvgPool2d, GlobalAvgPool2d, MaxPool2d};
+pub use pool::GlobalAvgPool2d;
 pub use residual::Residual;
 pub use sequential::Sequential;
 pub use shuffle::ChannelShuffle;

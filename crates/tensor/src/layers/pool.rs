@@ -1,233 +1,7 @@
-//! Pooling layers (max, average, global average), NCHW layout.
+//! Global average pooling, NCHW layout.
 
 use crate::layer::Layer;
 use crate::tensor::Tensor;
-
-fn pool_output_hw(h: usize, w: usize, kernel: usize, stride: usize) -> (usize, usize) {
-    ((h - kernel) / stride + 1, (w - kernel) / stride + 1)
-}
-
-/// 2-D max pooling.
-#[derive(Debug, Clone)]
-pub struct MaxPool2d {
-    kernel: usize,
-    stride: usize,
-    /// Flat input index chosen for each output element, cached for backward.
-    argmax: Option<Vec<usize>>,
-    input_shape: Option<Vec<usize>>,
-}
-
-impl MaxPool2d {
-    /// Creates a max-pooling layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kernel` or `stride` is zero.
-    pub fn new(kernel: usize, stride: usize) -> Self {
-        assert!(
-            kernel > 0 && stride > 0,
-            "kernel and stride must be positive"
-        );
-        Self {
-            kernel,
-            stride,
-            argmax: None,
-            input_shape: None,
-        }
-    }
-}
-
-impl Layer for MaxPool2d {
-    fn clear_cache(&mut self) {
-        self.argmax = None;
-        self.input_shape = None;
-    }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        assert_eq!(input.rank(), 4, "MaxPool2d expects NCHW input");
-        let (n, c, h, w) = (
-            input.shape()[0],
-            input.shape()[1],
-            input.shape()[2],
-            input.shape()[3],
-        );
-        let (oh, ow) = pool_output_hw(h, w, self.kernel, self.stride);
-        let mut out = Tensor::zeros(&[n, c, oh, ow]);
-        // The winner-index table exists only for backward; eval passes skip
-        // the allocation.
-        let mut argmax = train.then(|| vec![0usize; n * c * oh * ow]);
-        let x = input.data();
-        let odata = out.data_mut();
-        for b in 0..n {
-            for ch in 0..c {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0;
-                        for ky in 0..self.kernel {
-                            for kx in 0..self.kernel {
-                                let iy = oy * self.stride + ky;
-                                let ix = ox * self.stride + kx;
-                                let xi = ((b * c + ch) * h + iy) * w + ix;
-                                if x[xi] > best {
-                                    best = x[xi];
-                                    best_idx = xi;
-                                }
-                            }
-                        }
-                        let oi = ((b * c + ch) * oh + oy) * ow + ox;
-                        odata[oi] = best;
-                        if let Some(table) = argmax.as_mut() {
-                            table[oi] = best_idx;
-                        }
-                    }
-                }
-            }
-        }
-        self.argmax = argmax;
-        self.input_shape = train.then(|| input.shape().to_vec());
-        out
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let argmax = self.argmax.as_ref().expect("backward before forward");
-        let shape = self.input_shape.as_ref().expect("backward before forward");
-        let mut grad_input = Tensor::zeros(shape);
-        let gi = grad_input.data_mut();
-        for (oi, &xi) in argmax.iter().enumerate() {
-            gi[xi] += grad_output.data()[oi];
-        }
-        grad_input
-    }
-
-    fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
-        let (oh, ow) = pool_output_hw(input_shape[1], input_shape[2], self.kernel, self.stride);
-        vec![input_shape[0], oh, ow]
-    }
-
-    fn flops(&self, input_shape: &[usize]) -> u64 {
-        input_shape.iter().product::<usize>() as u64
-    }
-
-    fn name(&self) -> &'static str {
-        "MaxPool2d"
-    }
-}
-
-/// 2-D average pooling.
-#[derive(Debug, Clone)]
-pub struct AvgPool2d {
-    kernel: usize,
-    stride: usize,
-    input_shape: Option<Vec<usize>>,
-}
-
-impl AvgPool2d {
-    /// Creates an average-pooling layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kernel` or `stride` is zero.
-    pub fn new(kernel: usize, stride: usize) -> Self {
-        assert!(
-            kernel > 0 && stride > 0,
-            "kernel and stride must be positive"
-        );
-        Self {
-            kernel,
-            stride,
-            input_shape: None,
-        }
-    }
-}
-
-impl Layer for AvgPool2d {
-    fn clear_cache(&mut self) {
-        self.input_shape = None;
-    }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        assert_eq!(input.rank(), 4, "AvgPool2d expects NCHW input");
-        let (n, c, h, w) = (
-            input.shape()[0],
-            input.shape()[1],
-            input.shape()[2],
-            input.shape()[3],
-        );
-        let (oh, ow) = pool_output_hw(h, w, self.kernel, self.stride);
-        let norm = 1.0 / (self.kernel * self.kernel) as f32;
-        let mut out = Tensor::zeros(&[n, c, oh, ow]);
-        let x = input.data();
-        let odata = out.data_mut();
-        for b in 0..n {
-            for ch in 0..c {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut acc = 0.0;
-                        for ky in 0..self.kernel {
-                            for kx in 0..self.kernel {
-                                let iy = oy * self.stride + ky;
-                                let ix = ox * self.stride + kx;
-                                acc += x[((b * c + ch) * h + iy) * w + ix];
-                            }
-                        }
-                        odata[((b * c + ch) * oh + oy) * ow + ox] = acc * norm;
-                    }
-                }
-            }
-        }
-        self.input_shape = train.then(|| input.shape().to_vec());
-        out
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let shape = self.input_shape.as_ref().expect("backward before forward");
-        let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
-        let (oh, ow) = pool_output_hw(h, w, self.kernel, self.stride);
-        let norm = 1.0 / (self.kernel * self.kernel) as f32;
-        let mut grad_input = Tensor::zeros(shape);
-        let gi = grad_input.data_mut();
-        let go = grad_output.data();
-        for b in 0..n {
-            for ch in 0..c {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let g = go[((b * c + ch) * oh + oy) * ow + ox] * norm;
-                        for ky in 0..self.kernel {
-                            for kx in 0..self.kernel {
-                                let iy = oy * self.stride + ky;
-                                let ix = ox * self.stride + kx;
-                                gi[((b * c + ch) * h + iy) * w + ix] += g;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        grad_input
-    }
-
-    fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
-        let (oh, ow) = pool_output_hw(input_shape[1], input_shape[2], self.kernel, self.stride);
-        vec![input_shape[0], oh, ow]
-    }
-
-    fn flops(&self, input_shape: &[usize]) -> u64 {
-        input_shape.iter().product::<usize>() as u64
-    }
-
-    fn name(&self) -> &'static str {
-        "AvgPool2d"
-    }
-}
 
 /// Global average pooling: `[n, c, h, w] -> [n, c]`.
 ///
@@ -317,39 +91,6 @@ mod tests {
     use crate::rng::SeededRng;
 
     #[test]
-    fn maxpool_picks_maximum() {
-        let mut pool = MaxPool2d::new(2, 2);
-        let x = Tensor::from_vec(
-            vec![
-                1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0, 13.0, 14.0, 15.0,
-                16.0,
-            ],
-            &[1, 1, 4, 4],
-        )
-        .unwrap();
-        let y = pool.forward(&x, true);
-        assert_eq!(y.shape(), &[1, 1, 2, 2]);
-        assert_eq!(y.data(), &[6.0, 8.0, 14.0, 16.0]);
-    }
-
-    #[test]
-    fn maxpool_backward_routes_to_argmax() {
-        let mut pool = MaxPool2d::new(2, 2);
-        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 2, 2]).unwrap();
-        pool.forward(&x, true);
-        let g = pool.backward(&Tensor::ones(&[1, 1, 1, 1]));
-        assert_eq!(g.data(), &[0.0, 0.0, 0.0, 1.0]);
-    }
-
-    #[test]
-    fn avgpool_averages() {
-        let mut pool = AvgPool2d::new(2, 2);
-        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 2, 2]).unwrap();
-        let y = pool.forward(&x, true);
-        assert_eq!(y.data(), &[2.5]);
-    }
-
-    #[test]
     fn global_avg_pool_shape_and_values() {
         let mut pool = GlobalAvgPool2d::new();
         let x =
@@ -357,28 +98,6 @@ mod tests {
         let y = pool.forward(&x, true);
         assert_eq!(y.shape(), &[1, 2]);
         assert_eq!(y.data(), &[4.0, 2.0]);
-    }
-
-    #[test]
-    fn maxpool_gradcheck() {
-        let mut rng = SeededRng::new(10);
-        check_layer_gradients(
-            Box::new(MaxPool2d::new(2, 2)),
-            &[2, 2, 4, 4],
-            2e-2,
-            &mut rng,
-        );
-    }
-
-    #[test]
-    fn avgpool_gradcheck() {
-        let mut rng = SeededRng::new(11);
-        check_layer_gradients(
-            Box::new(AvgPool2d::new(2, 2)),
-            &[2, 2, 4, 4],
-            2e-2,
-            &mut rng,
-        );
     }
 
     #[test]

@@ -11,22 +11,22 @@
 //!   of operations needed by the layers (elementwise math, matrix multiply,
 //!   reductions).
 //! * [`kernels`] — the compute-kernel layer underneath: a cache-blocked,
-//!   register-tiled GEMM (with a rayon row-parallel path), explicit SIMD
-//!   with runtime ISA dispatch, im2col/col2im convolution lowering and
-//!   reusable scratch arenas. By default every kernel is bit-identical to
-//!   the naive reference loops it replaced; the opt-in `fast-kernels`
-//!   feature adds an FMA tier under the `deterministic-per-build` contract
-//!   (see [`kernels::numeric_contract`] and `docs/DETERMINISM.md`).
+//!   register-tiled GEMM, explicit SIMD with runtime ISA dispatch,
+//!   im2col/col2im convolution lowering and reusable scratch arenas. By
+//!   default every kernel is bit-identical to the naive reference loops it
+//!   replaced; the opt-in `fast-kernels` feature adds an FMA tier under the
+//!   `deterministic-per-build` contract (see [`kernels::numeric_contract`]
+//!   and `docs/DETERMINISM.md`).
 //! * [`Layer`] — the layer abstraction with explicit `forward` / `backward`
 //!   passes and per-layer FLOP accounting.
 //! * [`layers`] — dense, convolution (standard / depthwise / grouped),
-//!   batch-norm, activations, pooling, dropout, residual blocks and the
+//!   batch-norm, activations, global pooling, residual blocks and the
 //!   [`layers::Sequential`] container.
 //! * [`loss`] — per-sample softmax cross-entropy and binary cross-entropy,
 //!   including the per-sample weighting required by AppealNet's joint loss
 //!   (Eq. 9 / Eq. 10 of the paper).
-//! * [`optim`] — SGD, SGD with momentum, and Adam, with gradient clipping
-//!   and learning-rate schedules.
+//! * [`optim`] — SGD and SGD with momentum, with gradient clipping and
+//!   learning-rate schedules.
 //!
 //! # Example
 //!
@@ -76,11 +76,11 @@ pub use tensor::Tensor;
 pub mod prelude {
     pub use crate::layer::{Layer, Param};
     pub use crate::layers::{
-        AvgPool2d, BatchNorm2d, ChannelShuffle, Conv2d, Dense, DepthwiseConv2d, Dropout, Flatten,
-        GlobalAvgPool2d, MaxPool2d, Relu, Residual, Sequential, Sigmoid,
+        BatchNorm2d, ChannelShuffle, Conv2d, Dense, DepthwiseConv2d, GlobalAvgPool2d, Relu,
+        Residual, Sequential, Sigmoid,
     };
     pub use crate::loss::{BinaryCrossEntropy, SoftmaxCrossEntropy};
-    pub use crate::optim::{Adam, GradClip, LrSchedule, Optimizer, Sgd};
+    pub use crate::optim::{GradClip, LrSchedule, Optimizer, Sgd};
     pub use crate::rng::SeededRng;
     pub use crate::tensor::Tensor;
     pub use crate::TensorError;

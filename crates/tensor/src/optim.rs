@@ -160,92 +160,6 @@ impl Optimizer for Sgd {
     }
 }
 
-/// Adam optimizer.
-#[derive(Debug)]
-pub struct Adam {
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    weight_decay: f32,
-    t: u64,
-    m: Vec<Tensor>,
-    v: Vec<Tensor>,
-}
-
-impl Adam {
-    /// Adam with default betas (0.9, 0.999).
-    pub fn new(lr: f32) -> Self {
-        Self::with_config(lr, 0.9, 0.999, 1e-8, 0.0)
-    }
-
-    /// Adam with explicit hyper-parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr <= 0` or the betas are outside `[0, 1)`.
-    pub fn with_config(lr: f32, beta1: f32, beta2: f32, eps: f32, weight_decay: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&beta1) && (0.0..1.0).contains(&beta2));
-        Self {
-            lr,
-            beta1,
-            beta2,
-            eps,
-            weight_decay,
-            t: 0,
-            m: Vec::new(),
-            v: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Adam {
-    fn step(&mut self, params: &mut [&mut Param]) {
-        if self.m.len() != params.len() {
-            self.m = params
-                .iter()
-                .map(|p| Tensor::zeros(p.value.shape()))
-                .collect();
-            self.v = params
-                .iter()
-                .map(|p| Tensor::zeros(p.value.shape()))
-                .collect();
-            self.t = 0;
-        }
-        self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        for (i, p) in params.iter_mut().enumerate() {
-            let mut grad = p.grad.clone();
-            if self.weight_decay > 0.0 {
-                grad.add_scaled_inplace(&p.value, self.weight_decay);
-            }
-            let m = &mut self.m[i];
-            let v = &mut self.v[i];
-            for j in 0..grad.len() {
-                let g = grad.data()[j];
-                let mj = self.beta1 * m.data()[j] + (1.0 - self.beta1) * g;
-                let vj = self.beta2 * v.data()[j] + (1.0 - self.beta2) * g * g;
-                m.data_mut()[j] = mj;
-                v.data_mut()[j] = vj;
-                let m_hat = mj / bc1;
-                let v_hat = vj / bc2;
-                p.value.data_mut()[j] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
-            }
-            p.zero_grad();
-        }
-    }
-
-    fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
-    fn lr(&self) -> f32 {
-        self.lr
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,13 +190,6 @@ mod tests {
     fn sgd_momentum_converges_on_quadratic() {
         let mut opt = Sgd::with_momentum(0.05, 0.9, 0.0);
         let x = run_optimizer(&mut opt, 200);
-        assert!((x - 3.0).abs() < 1e-2, "x = {x}");
-    }
-
-    #[test]
-    fn adam_converges_on_quadratic() {
-        let mut opt = Adam::new(0.3);
-        let x = run_optimizer(&mut opt, 300);
         assert!((x - 3.0).abs() < 1e-2, "x = {x}");
     }
 
@@ -345,7 +252,7 @@ mod tests {
 
     #[test]
     fn set_lr_roundtrip() {
-        let mut opt = Adam::new(0.01);
+        let mut opt = Sgd::new(0.01);
         opt.set_lr(0.5);
         assert_eq!(opt.lr(), 0.5);
     }

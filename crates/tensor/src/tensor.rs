@@ -459,10 +459,10 @@ impl Tensor {
     /// Matrix multiplication of two rank-2 tensors: `[m, k] x [k, n] -> [m, n]`.
     ///
     /// Runs on the cache-blocked kernel in [`crate::kernels`] (register-tiled
-    /// microkernel, packed panels, rayon row-parallel for large problems).
+    /// microkernel, packed panels), on the calling thread.
     /// Results are bit-identical to the original naive `i-k-j` loop: every
     /// output element accumulates its products in ascending inner-dimension
-    /// order regardless of blocking or thread count.
+    /// order regardless of blocking.
     ///
     /// # Panics
     ///

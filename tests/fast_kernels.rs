@@ -6,23 +6,15 @@
 //! identity, AVX2/AVX-512 fused agreement) live in `appeal_tensor`'s unit
 //! suites; this file pins the *system-level* half of the contract:
 //!
-//! 1. The row-banded parallel GEMM is bit-identical to the serial blocked
-//!    kernel under the fused tier — band splitting never changes a single
-//!    element's operation sequence, so results do not depend on
-//!    `RAYON_NUM_THREADS` (pinned to 4 here, the same convention as
-//!    `tests/hot_path_allocations.rs`).
-//! 2. Two identically seeded serving runs produce bit-identical scores —
+//! 1. Two identically seeded serving runs produce bit-identical scores —
 //!    "deterministic per build" means repeatable, not merely close.
-//! 3. The engine's debug surfaces report the relaxed contract, so serving
+//! 2. The engine's debug surfaces report the relaxed contract, so serving
 //!    logs from a `fast-kernels` binary are never mistaken for
 //!    seed-identical numbers.
 #![cfg(feature = "fast-kernels")]
 
 use appeal_bench::fixtures::model_pair;
-use appeal_tensor::kernels::tolerance::assert_bits_eq;
-use appeal_tensor::kernels::{
-    self, enter_worker_region, gemm_into, GemmInit, NumericContract, PackScratch,
-};
+use appeal_tensor::kernels::{self, NumericContract};
 use appeal_tensor::{SeededRng, Tensor};
 use appealnet_core::serve::{Engine, ThresholdPolicy};
 use appealnet_core::two_head::TwoHeadNet;
@@ -34,10 +26,6 @@ fn pin_threads() {
     ONCE.call_once(|| std::env::set_var("RAYON_NUM_THREADS", "4"));
 }
 
-fn random_vec(rng: &mut SeededRng, len: usize) -> Vec<f32> {
-    (0..len).map(|_| rng.uniform(-2.0, 2.0)).collect()
-}
-
 #[test]
 fn build_reports_deterministic_per_build_contract() {
     pin_threads();
@@ -46,62 +34,6 @@ fn build_reports_deterministic_per_build_contract() {
         NumericContract::DeterministicPerBuild,
         "a fast-kernels build must not claim seed bit-identity"
     );
-}
-
-/// The cross-thread-count half of the contract: a GEMM large enough for the
-/// row-banded parallel path must be bit-identical to the serial blocked
-/// kernel with the fused tier engaged. Bands are contiguous row ranges and
-/// each element's fma sequence is untouched by the split, so any
-/// `RAYON_NUM_THREADS` value computes the same bytes.
-#[test]
-fn banded_fused_gemm_is_bit_identical_to_serial() {
-    pin_threads();
-    let (m, k, n) = (160usize, 200usize, 160usize); // >= 2^21 MACs: banded path
-    let mut rng = SeededRng::new(0xFA_B4);
-    let a = random_vec(&mut rng, m * k);
-    let b = random_vec(&mut rng, k * n);
-
-    let mut packs = PackScratch::new();
-    let mut banded = vec![f32::NAN; m * n];
-    gemm_into(m, k, n, &a, &b, GemmInit::Zero, &mut banded, &mut packs);
-
-    // The worker-region guard forces the serial blocked kernel — the same
-    // code path a 1-thread run takes.
-    let mut serial = vec![f32::NAN; m * n];
-    {
-        let _guard = enter_worker_region();
-        gemm_into(m, k, n, &a, &b, GemmInit::Zero, &mut serial, &mut packs);
-    }
-    assert_bits_eq(&banded, &serial, "banded vs serial fused GEMM");
-
-    // Same property under GemmInit::Accumulate (the gradient path).
-    let seed = random_vec(&mut rng, m * n);
-    let mut banded_acc = seed.clone();
-    gemm_into(
-        m,
-        k,
-        n,
-        &a,
-        &b,
-        GemmInit::Accumulate,
-        &mut banded_acc,
-        &mut packs,
-    );
-    let mut serial_acc = seed;
-    {
-        let _guard = enter_worker_region();
-        gemm_into(
-            m,
-            k,
-            n,
-            &a,
-            &b,
-            GemmInit::Accumulate,
-            &mut serial_acc,
-            &mut packs,
-        );
-    }
-    assert_bits_eq(&banded_acc, &serial_acc, "banded vs serial accumulate");
 }
 
 /// Builds an identically seeded (two-head, big) model pair — the

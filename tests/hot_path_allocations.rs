@@ -1,23 +1,19 @@
 //! Allocation guard for the serving hot path.
 //!
 //! The kernel layer (`appeal_tensor::kernels`) draws im2col matrices and
-//! GEMM packing panels from high-water scratch arenas — retained per thread
-//! and, for spawned GEMM row bands, in a shared checkout pool — and counts
-//! every buffer growth / reuse in process-wide atomics. This test pins down
-//! the PR-level guarantees: once the engine has warmed up, steady-state
-//! `Engine::submit` traffic performs **zero** scratch allocations — every
-//! im2col and packing buffer is a reuse — eval-mode forward passes do not
-//! clone their inputs into training caches, and (new with the persistent
-//! rayon worker pool) steady-state **multi-band** GEMMs perform zero packing
-//! allocations no matter which pool worker picks up which band. Convolution
-//! weights are packed into GEMM panels by the warm-up and never again in
-//! steady state — until `params_mut()` hands the weights out, which must
-//! drop the panels.
+//! GEMM packing panels from high-water scratch arenas retained per thread,
+//! and counts every buffer growth / reuse in process-wide atomics. This test
+//! pins down the PR-level guarantees: once the engine has warmed up,
+//! steady-state `Engine::submit` traffic performs **zero** scratch
+//! allocations — every im2col and packing buffer is a reuse — eval-mode
+//! forward passes do not clone their inputs into training caches, and
+//! steady-state large `matmul`s grow nothing in the caller's thread arena.
+//! Convolution weights are packed into GEMM panels by the warm-up and never
+//! again in steady state — until `params_mut()` hands the weights out, which
+//! must drop the panels.
 //!
 //! Kept as the only test in this file so no concurrently running test can
-//! perturb the process-wide counters. `RAYON_NUM_THREADS` is pinned to 4 at
-//! the very top — before the first rayon call caches the thread count — so
-//! the row-band parallel path actually engages even on a single-core host.
+//! perturb the process-wide counters.
 
 use appeal_bench::fixtures::model_pair;
 use appeal_tensor::kernels;
@@ -26,10 +22,6 @@ use appealnet_core::serve::{Engine, InferenceRequest, ThresholdPolicy};
 
 #[test]
 fn steady_state_submit_reuses_scratch_without_allocating() {
-    // Must precede every rayon touch in this process: the shim caches its
-    // thread count (and sizes its persistent pool) on first use.
-    std::env::set_var("RAYON_NUM_THREADS", "4");
-
     let (net, big) = model_pair(31_337, 6);
     let mut rng = SeededRng::new(31_337);
     let big_replica = big.clone();
@@ -87,7 +79,7 @@ fn steady_state_submit_reuses_scratch_without_allocating() {
     assert_eq!(engine.stats().requests, 3 + steady_requests);
 
     params_mut_invalidates_packed_weights(big_replica, &mut rng);
-    multi_band_gemm_reuses_pooled_band_scratch(&mut rng);
+    large_matmul_reuses_the_callers_thread_arena(&mut rng);
 }
 
 /// The packed panels are only valid for the weights they were built from:
@@ -125,23 +117,15 @@ fn params_mut_invalidates_packed_weights(
     );
 }
 
-/// Steady-state multi-band GEMMs perform zero packing allocations: spawned
-/// bands check their panels out of the shared band pool, whose size
-/// converges to the maximum number of concurrent bands — so reuse holds
-/// regardless of which persistent pool worker runs which band.
-fn multi_band_gemm_reuses_pooled_band_scratch(rng: &mut SeededRng) {
-    assert!(
-        rayon::current_num_threads() > 1,
-        "RAYON_NUM_THREADS=4 must be set before the first rayon call"
-    );
-    // 256^3 = 16.7M MACs — far above the row-parallel threshold, so the
-    // GEMM splits into 4 row bands: one on the calling thread, three on
-    // persistent pool workers drawing from the band scratch pool.
+/// Steady-state large GEMMs through the scratch-less `Tensor::matmul` entry
+/// point grow nothing in the caller's thread arena and repeat bit-for-bit.
+fn large_matmul_reuses_the_callers_thread_arena(rng: &mut SeededRng) {
+    // 256^3 = 16.7M MACs: several `MC`/`KC`/`NC` macro-blocks of the blocked
+    // kernel, far above anything the nets issue.
     let a = Tensor::randn(&[256, 256], rng);
     let b = Tensor::randn(&[256, 256], rng);
 
-    // Warm-up: grows the caller's packing panels and the band pool to their
-    // high-water marks.
+    // Warm-up: grows the caller's packing panels to their high-water marks.
     let warm = a.matmul(&b);
 
     let before = kernels::scratch_stats();
@@ -154,21 +138,15 @@ fn multi_band_gemm_reuses_pooled_band_scratch(rng: &mut SeededRng) {
 
     assert_eq!(
         after.allocs, before.allocs,
-        "steady-state multi-band GEMMs must not grow any packing buffer \
+        "steady-state large GEMMs must not grow any packing buffer \
          (allocs {} -> {})",
         before.allocs, after.allocs
     );
     assert!(
         after.reuses - before.reuses >= steady_rounds,
-        "multi-band GEMMs must reuse pooled band scratch"
+        "large GEMMs must reuse the caller's thread arena"
     );
-    // Sanity: the banded result matches the warm-up run bit-for-bit
-    // (determinism across repeated parallel executions).
     for (x, y) in warm.data().iter().zip(last.data().iter()) {
-        assert_eq!(
-            x.to_bits(),
-            y.to_bits(),
-            "banded GEMM must be deterministic"
-        );
+        assert_eq!(x.to_bits(), y.to_bits(), "GEMM must be deterministic");
     }
 }
