@@ -111,10 +111,14 @@ fn scaled(base: usize, width: f32) -> usize {
 /// Builds the backbone + head for a model specification.
 ///
 /// The conv/dense layers these backbones are assembled from run on the
-/// GEMM-lowered kernel layer (`appeal_tensor::kernels`): pointwise (1x1)
-/// convolutions — the bulk of the MobileNet/ShuffleNet-style blocks — map
-/// straight onto the blocked GEMM with no im2col, and every layer carries
-/// its own scratch arena so repeated inference allocates nothing.
+/// kernel layer (`appeal_tensor::kernels`): pointwise (1x1) convolutions —
+/// the bulk of the MobileNet/ShuffleNet-style blocks — map straight onto the
+/// blocked GEMM with the input as its right operand, the other standard
+/// convolutions feed it through a per-layer window table with no im2col
+/// matrix in between, and depthwise convolutions are direct stencils. Layers
+/// own no scratch: buffers come from the calling thread's arena
+/// (`kernels::with_thread_scratch`), so repeated inference allocates nothing
+/// and a cloned model warms up whichever thread runs it.
 ///
 /// # Panics
 ///

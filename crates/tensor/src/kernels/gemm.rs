@@ -49,9 +49,11 @@
 //! on it too if it has at least `MR` rows and `MR` steps of depth — a full
 //! register strip to fill and enough work per packed element to pay for the
 //! packing — and on the plain `i-k-j` loop otherwise: with one to three rows
-//! (a depthwise convolution, a dense layer at batch 1) most of the tile
-//! would be padding, and at `k = 1` or `2` (an outer product) packing costs
-//! more than the multiply. The choice never shows in the output bits.
+//! (a dense layer at batch 1) most of the tile would be padding, and at
+//! `k = 1` or `2` (an outer product) packing costs more than the multiply.
+//! The choice never shows in the output bits. (Depthwise convolutions, the
+//! textbook `m = 1` case, issue no GEMM: they are a direct stencil — see
+//! `kernels/window.rs`.)
 //!
 //! # Edge tiles
 //!
@@ -74,9 +76,23 @@
 //! the A packer per call. Raw and pre-packed operands share every line of
 //! the blocked driver — only where a macro-block's strips come from
 //! differs — so the results are bit-identical by construction.
+//!
+//! # B operands
+//!
+//! The right operand has two sources the same way (`BOperand`): a row-major
+//! matrix, whose `NR`-column strips `pack_b` copies per slab, or a
+//! convolution's window table over the zero-padded input
+//! (`kernels/window.rs`), which writes the same strips straight from the image
+//! — the im2col matrix the table stands for is never materialised. The
+//! panels are byte-equal to `pack_b(im2col(x))`, and everything downstream
+//! of the panels — the slab loop, `run_tile`, the microkernels — is shared,
+//! so again every output bit is the same by construction. A windowed problem
+//! that the rule above sends to the `i-k-j` loop unrolls its matrix from the
+//! table first.
 
 use super::scratch::{self, PackScratch};
 use super::simd::{self, Isa};
+use super::window::ConvWindow;
 
 /// Rows of the register microkernel tile. With [`NR`]` = 16` the `MR x NR`
 /// accumulator block is 8 `ymm` registers (16 on the paired AVX-512 path's
@@ -141,7 +157,7 @@ pub fn gemm_into(
     out: &mut [f32],
     packs: &mut PackScratch,
 ) {
-    gemm_dispatch(m, k, n, a, None, b, init, out, packs);
+    gemm_dispatch(m, k, n, a, None, BOperand::Raw(b), init, out, packs);
 }
 
 /// [`gemm_into`] for a constant left operand whose panels were packed once
@@ -170,23 +186,41 @@ pub fn gemm_packed_into(
         (m, k),
         "gemm: packed A was built for a different shape"
     );
-    gemm_dispatch(m, k, n, a, Some(packed), b, init, out, packs);
+    gemm_dispatch(m, k, n, a, Some(packed), BOperand::Raw(b), init, out, packs);
 }
 
+/// The one entry every GEMM goes through: validates the operands and picks
+/// the kernel (see "Which kernel a problem runs on"). The public wrappers
+/// above cover matrix right operands; the convolution layers call this
+/// directly with a [`BOperand::Window`] and whichever left operand they hold.
 #[allow(clippy::too_many_arguments)]
-fn gemm_dispatch(
+pub(crate) fn gemm_dispatch(
     m: usize,
     k: usize,
     n: usize,
     a: &[f32],
     packed: Option<&PackedA>,
-    b: &[f32],
+    b: BOperand<'_>,
     init: GemmInit<'_>,
     out: &mut [f32],
     packs: &mut PackScratch,
 ) {
     assert_eq!(a.len(), m * k, "gemm: A must be m*k");
-    assert_eq!(b.len(), k * n, "gemm: B must be k*n");
+    match b {
+        BOperand::Raw(b) => assert_eq!(b.len(), k * n, "gemm: B must be k*n"),
+        BOperand::Window(window, xpad) => {
+            assert_eq!(
+                (window.taps(), window.positions()),
+                (k, n),
+                "gemm: window must stand for a k*n matrix"
+            );
+            assert_eq!(
+                xpad.len(),
+                window.padded_len(),
+                "gemm: padded image does not match its window"
+            );
+        }
+    }
     assert_eq!(out.len(), m * n, "gemm: out must be m*n");
     if let GemmInit::RowBias(bias) = init {
         assert_eq!(bias.len(), m, "gemm: row bias must have m entries");
@@ -200,6 +234,15 @@ fn gemm_dispatch(
     }
     let small = m * k * n <= SMALL_PROBLEM_MACS;
     if small && (m < MR || k < MR) {
+        let b = match b {
+            BOperand::Raw(b) => b,
+            BOperand::Window(window, xpad) => {
+                // The B panel buffer is free on this path.
+                let cols = packs.b.take(k * n);
+                window.unroll(xpad, cols);
+                cols
+            }
+        };
         gemm_ikj(m, k, n, a, b, init, out);
         return;
     }
@@ -260,6 +303,16 @@ enum AOperand<'a> {
     Packed(&'a [f32]),
 }
 
+/// Where the blocked kernel gets a slab's `NR`-column strips from.
+#[derive(Clone, Copy)]
+pub(crate) enum BOperand<'a> {
+    /// Row-major values (leading dimension `n`), packed per slab.
+    Raw(&'a [f32]),
+    /// The im2col matrix a window table stands for, read from the padded
+    /// image ([`ConvWindow::pad`]) the table indexes.
+    Window(&'a ConvWindow, &'a [f32]),
+}
+
 /// Degenerate `k == 0` case: the "product" contributes nothing, only the
 /// initialization is applied.
 fn init_only(_m: usize, n: usize, init: GemmInit<'_>, out: &mut [f32]) {
@@ -313,7 +366,7 @@ fn gemm_blocked(
     k: usize,
     n: usize,
     a: AOperand<'_>,
-    b: &[f32],
+    b: BOperand<'_>,
     init: GemmInit<'_>,
     out: &mut [f32],
     packs: &mut PackScratch,
@@ -333,7 +386,12 @@ fn gemm_blocked(
             let kcb = KC.min(k - pc);
             let first_slab = pc == 0;
             let b_pack = packs.b.take(b_panel_len);
-            pack_b(b, n, pc, kcb, jc, ncb, b_pack);
+            match b {
+                BOperand::Raw(b) => pack_b(b, n, pc, kcb, jc, ncb, b_pack),
+                BOperand::Window(window, xpad) => {
+                    window.fill_panels(xpad, pc, kcb, jc, ncb, b_pack)
+                }
+            }
             let mut ic = 0;
             while ic < m {
                 let mcb = MC.min(m - ic);
@@ -481,7 +539,15 @@ fn pack_a(a: &[f32], lda: usize, ic: usize, mcb: usize, pc: usize, kcb: usize, p
 /// Packs `b[pc..pc+kcb, jc..jc+ncb]` into `NR`-column strips: strip `jt`
 /// holds `kcb` groups of `NR` consecutive-column values (columns past `n` are
 /// zero).
-fn pack_b(b: &[f32], ldb: usize, pc: usize, kcb: usize, jc: usize, ncb: usize, pack: &mut [f32]) {
+pub(super) fn pack_b(
+    b: &[f32],
+    ldb: usize,
+    pc: usize,
+    kcb: usize,
+    jc: usize,
+    ncb: usize,
+    pack: &mut [f32],
+) {
     let j_tiles = ncb.div_ceil(NR);
     for jt in 0..j_tiles {
         let strip = &mut pack[jt * kcb * NR..(jt + 1) * kcb * NR];

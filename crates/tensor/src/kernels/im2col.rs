@@ -156,6 +156,23 @@ pub fn col2im(
     }
 }
 
+/// `(c, h, w, k, stride, padding)` geometries shared by the lowering suites
+/// here and in `kernels::window`.
+#[cfg(test)]
+pub(super) const TEST_GEOMETRIES: [(usize, usize, usize, usize, usize, usize); 8] = [
+    (1, 4, 4, 3, 1, 1),
+    (2, 5, 7, 3, 2, 1),
+    (3, 8, 8, 1, 1, 0),
+    (2, 6, 6, 2, 2, 0),
+    (1, 7, 5, 3, 1, 2),
+    (4, 9, 9, 5, 3, 2),
+    // Kernel spans the entire padded width (w + 2p == k): some taps have an
+    // empty valid column range — regression for a usize underflow in the
+    // stride-1 fast path.
+    (1, 3, 3, 7, 1, 2),
+    (2, 4, 4, 6, 1, 1),
+];
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,19 +216,7 @@ mod tests {
     #[test]
     fn im2col_matches_reference_across_shapes() {
         let mut rng = SeededRng::new(0xC0_15);
-        for &(c, h, w, k, stride, padding) in &[
-            (1usize, 4usize, 4usize, 3usize, 1usize, 1usize),
-            (2, 5, 7, 3, 2, 1),
-            (3, 8, 8, 1, 1, 0),
-            (2, 6, 6, 2, 2, 0),
-            (1, 7, 5, 3, 1, 2),
-            (4, 9, 9, 5, 3, 2),
-            // Kernel spans the entire padded width (w + 2p == k): some taps
-            // have an empty valid column range — regression for a usize
-            // underflow in the stride-1 fast path.
-            (1, 3, 3, 7, 1, 2),
-            (2, 4, 4, 6, 1, 1),
-        ] {
+        for &(c, h, w, k, stride, padding) in &TEST_GEOMETRIES {
             let (oh, ow) = super::super::naive::conv_out(h, w, k, stride, padding);
             let x: Vec<f32> = (0..c * h * w).map(|_| rng.uniform(-2.0, 2.0)).collect();
             let mut cols = vec![f32::NAN; c * k * k * oh * ow];

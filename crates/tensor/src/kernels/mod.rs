@@ -17,11 +17,17 @@
 //! * [`elementwise`] — vectorized order-safe elementwise kernels (ReLU
 //!   forward/backward, bias broadcast, axpy/scale, residual add) used by the
 //!   hot layers and `Tensor` operations.
-//! * [`im2col`](fn@im2col) / [`col2im`] — convolution-to-GEMM lowering whose
-//!   column order matches the naive loop's `ic -> ky -> kx` tap order.
+//! * `window` (crate-internal) — per-layer window tables over a zero-padded
+//!   input: the blocked GEMM fills its B panels through one, so a
+//!   convolution forward never materialises an im2col matrix, and the
+//!   depthwise convolution is a direct stencil over one.
+//! * [`im2col`](fn@im2col) / [`col2im`] — the materialised
+//!   convolution-to-GEMM lowering (convolution backward, the Q8 forward),
+//!   whose row order is the naive loop's `ic -> ky -> kx` tap order — the
+//!   order the window tables reproduce.
 //! * [`KernelScratch`] / [`GrowBuf`] — high-water-mark scratch buffers so
-//!   steady-state inference performs **zero** heap allocations for im2col
-//!   matrices and GEMM packing panels (observable via [`scratch_stats`]).
+//!   steady-state inference performs **zero** heap allocations for padded
+//!   images and GEMM packing panels (observable via [`scratch_stats`]).
 //!   Arenas live per *thread* (see [`with_thread_scratch`]), so the
 //!   persistent batch-shard workers retain every high-water buffer across
 //!   calls.
@@ -78,6 +84,7 @@ pub mod quant_gemm;
 pub mod scratch;
 pub mod simd;
 pub mod tolerance;
+pub(crate) mod window;
 
 pub use gemm::{
     gemm_bias_cols, gemm_into, gemm_packed_into, transpose_into, GemmInit, PackedA, KC, MC, MR, NC,

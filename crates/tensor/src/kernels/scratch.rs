@@ -1,7 +1,8 @@
 //! Reusable scratch buffers for the compute kernels.
 //!
 //! Every GEMM call needs packing panels and every lowered convolution needs
-//! an im2col buffer. Allocating those per call would put a heap allocation on
+//! a zero-padded copy of its input (or, on the backward and Q8 paths, an
+//! im2col buffer). Allocating those per call would put a heap allocation on
 //! the serving engine's per-request hot path, so kernels draw them from a
 //! [`KernelScratch`] arena instead: each buffer grows to its high-water mark
 //! once and is reused (dirty) afterwards. Callers are responsible for fully
@@ -28,15 +29,19 @@
 //!    previous user wrote; every kernel fully overwrites the region it
 //!    reads. (This is why there is no `clear` — zeroing would put a
 //!    memset on the hot path for no semantic gain.)
-//! 4. **Packed weights are not scratch.** A layer's pre-packed weight panels
-//!    ([`super::gemm::PackedA`]) are derived state owned by the layer, not
-//!    an arena: they are cloned with it, and rebuilt only after the layer's
-//!    parameters were handed out mutably.
+//! 4. **Packed weights and window tables are not scratch.** A layer's
+//!    pre-packed weight panels ([`super::gemm::PackedA`]) and its
+//!    convolution window table (`kernels/window.rs`) are derived state owned
+//!    by the layer, not an arena: they are cloned with it, the panels
+//!    rebuilt only after the layer's parameters were handed out mutably, the
+//!    table only when the input shape changes. What the table *indexes* —
+//!    the padded image — is scratch ([`KernelScratch::xpad`]).
 //!
-//! Growth and reuse events — and floats packed into weight panels — are
-//! counted in process-wide atomics (see [`stats`]) so tests can assert that
-//! a steady-state serving loop performs zero scratch allocations and packs
-//! no weights (`tests/hot_path_allocations.rs`). The
+//! Growth and reuse events — and floats packed into weight panels, and
+//! window tables built — are counted in process-wide atomics (see [`stats`])
+//! so tests can assert that a steady-state serving loop performs zero
+//! scratch allocations, packs no weights and builds no table
+//! (`tests/hot_path_allocations.rs`). The
 //! `fast-kernels` feature does not change any of this: the fused
 //! microkernels consume the same packed panels with the same shapes, so
 //! scratch behavior is tier-independent.
@@ -50,6 +55,8 @@ static SCRATCH_ALLOCS: AtomicU64 = AtomicU64::new(0);
 static SCRATCH_REUSES: AtomicU64 = AtomicU64::new(0);
 /// Floats written into packed weight panels ([`super::gemm::PackedA`]).
 static WEIGHT_FLOATS_PACKED: AtomicU64 = AtomicU64::new(0);
+/// Convolution window tables built (`kernels/window.rs`).
+static WINDOW_TABLES_BUILT: AtomicU64 = AtomicU64::new(0);
 
 /// A point-in-time snapshot of the process-wide scratch counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,6 +70,11 @@ pub struct ScratchStats {
     /// first eval forward and again only after their parameters were handed
     /// out mutably, so a steady-state serving loop must not increase this.
     pub weight_floats_packed: u64,
+    /// Cumulative convolution window tables built since process start. A
+    /// conv layer builds one on its first forward and again only when its
+    /// input shape changes, so a steady-state serving loop must not increase
+    /// this either.
+    pub window_tables_built: u64,
 }
 
 /// Reads the process-wide scratch counters.
@@ -74,12 +86,18 @@ pub fn stats() -> ScratchStats {
         allocs: SCRATCH_ALLOCS.load(Ordering::Relaxed),
         reuses: SCRATCH_REUSES.load(Ordering::Relaxed),
         weight_floats_packed: WEIGHT_FLOATS_PACKED.load(Ordering::Relaxed),
+        window_tables_built: WINDOW_TABLES_BUILT.load(Ordering::Relaxed),
     }
 }
 
 /// Records `floats` values packed into a weight panel.
 pub(crate) fn count_weight_floats_packed(floats: usize) {
     WEIGHT_FLOATS_PACKED.fetch_add(floats as u64, Ordering::Relaxed);
+}
+
+/// Records one convolution window table built.
+pub(crate) fn count_window_table_built() {
+    WINDOW_TABLES_BUILT.fetch_add(1, Ordering::Relaxed);
 }
 
 /// A grow-only `f32` buffer with high-water-mark reuse.
@@ -215,15 +233,22 @@ impl PackScratch {
 
 /// The full scratch arena a kernel-lowered pass draws from between calls.
 ///
-/// Conv layers use `cols` for the im2col matrix, `cols_t` for its transpose
-/// (weight-gradient GEMMs), `grad_cols` for the column-space input gradient
-/// and `weight_t` for the transposed weight, plus the GEMM `packs`. Arenas
+/// Conv layers use `xpad` for the zero-padded input their window table
+/// indexes (and `grad_pad` for its gradient twin in the depthwise backward);
+/// the backward and Q8 paths, which still materialise the lowering, use
+/// `cols` for the im2col matrix, `cols_t` for its transpose (weight-gradient
+/// GEMMs), `grad_cols` for the column-space input gradient and `weight_t`
+/// for the transposed weight; all of them the GEMM `packs`. Arenas
 /// are retained per thread (see [`with_thread_scratch`]) — layers and model
 /// replicas carry no scratch of their own, so replicating a model onto a
 /// persistent pool worker automatically shares that worker's warmed-up
 /// buffers.
 #[derive(Debug, Default, Clone)]
 pub struct KernelScratch {
+    /// Zero-padded input image, `[c, h + 2p, w + 2p]`.
+    pub xpad: GrowBuf,
+    /// Zero-padded input-gradient image, `[c, h + 2p, w + 2p]`.
+    pub grad_pad: GrowBuf,
     /// im2col matrix, `[c*k*k, oh*ow]`.
     pub cols: GrowBuf,
     /// Transposed im2col matrix, `[oh*ow, c*k*k]`.

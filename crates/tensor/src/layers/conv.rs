@@ -1,20 +1,31 @@
 //! 2-D convolution layers (standard and depthwise), NCHW layout.
 //!
-//! Both layers are lowered onto the blocked GEMM in [`crate::kernels`]:
-//! forward is `weight x im2col(x)` with the bias seeding the accumulators,
-//! the weight gradient is `grad_out x im2col(x)^T`, and the input gradient is
-//! `weight^T x grad_out` scattered back through `col2im`. The im2col column
-//! order matches the original 7-deep loop's `ic -> ky -> kx` tap order, so
-//! forward outputs and weight/bias gradients follow the build's numeric
-//! contract against the naive kernels — bit-identical on the default build,
-//! tolerance-bounded under `fast-kernels` (pinned by the equivalence tests
-//! below against [`crate::kernels::naive`] through
-//! [`crate::kernels::tolerance`]); the input gradient is numerically
-//! equivalent (GEMM sums output channels before scattering) and covered by
-//! gradcheck.
+//! Both layers read their input through a **window table**
+//! (`kernels/window.rs`), built on the first forward and rebuilt only when
+//! the input shape changes: `im2col(x)[p][s] == xpad[tapoff[p] + off[s]]`
+//! over a zero-padded copy of the sample, so neither forward materialises
+//! the im2col matrix.
 //!
-//! Both layers draw their im2col and GEMM-packing buffers from the current
-//! thread's [`kernels::with_thread_scratch`] arena, so steady-state
+//! [`Conv2d`] is lowered onto the blocked GEMM in [`crate::kernels`]: forward
+//! is `weight x im2col(x)` with the bias seeding the accumulators — the
+//! kernel fills its B panels straight from the padded image through the
+//! table (a pointwise convolution's matrix is the input itself) — the weight
+//! gradient is `grad_out x im2col(x)^T`, and the input gradient is
+//! `weight^T x grad_out` scattered back through `col2im`; the backward and
+//! the Q8 forward still materialise the matrix. [`DepthwiseConv2d`] issues
+//! no GEMM: forward and backward are direct stencils over the table. Either
+//! way taps are visited in the original 7-deep loop's `ic -> ky -> kx`
+//! order, so forward outputs and weight/bias gradients follow the build's
+//! numeric contract against the naive kernels — bit-identical on the default
+//! build, tolerance-bounded under `fast-kernels` (pinned by the equivalence
+//! tests below against [`crate::kernels::naive`] through
+//! [`crate::kernels::tolerance`]; the stencil never fuses, so depthwise is
+//! bit-identical on both tiers); the input gradient is numerically
+//! equivalent (summed in a different order than the naive loop) and covered
+//! by gradcheck.
+//!
+//! Both layers draw the padded image and the GEMM-packing buffers from the
+//! current thread's [`kernels::with_thread_scratch`] arena, so steady-state
 //! inference reuses warmed high-water buffers instead of allocating — on the
 //! calling thread and on the persistent batch-shard workers alike (model
 //! replicas carry no scratch of their own). The input is only cached for
@@ -28,6 +39,8 @@
 //! `quantize_weights()`.
 
 use crate::init::Init;
+use crate::kernels::gemm::{gemm_dispatch, BOperand};
+use crate::kernels::window::ConvWindow;
 use crate::kernels::{self, GemmInit, PackedA};
 use crate::layer::{Layer, Param};
 use crate::quant::{QuantLayerReport, QuantMatrix, QuantWeights};
@@ -44,6 +57,22 @@ fn conv_output_hw(
     let oh = (h + 2 * padding - kernel) / stride + 1;
     let ow = (w + 2 * padding - kernel) / stride + 1;
     (oh, ow)
+}
+
+/// The layer's window table for a `[c, h, w]` input, rebuilt when the shape
+/// it was built for is not this one.
+fn window_for(
+    slot: &mut Option<ConvWindow>,
+    (c, h, w): (usize, usize, usize),
+    kernel: usize,
+    stride: usize,
+    padding: usize,
+) -> &ConvWindow {
+    match slot {
+        Some(window) if window.input_shape() == (c, h, w) => {}
+        _ => *slot = Some(ConvWindow::new(c, h, w, kernel, stride, padding)),
+    }
+    slot.as_ref().expect("window table was just ensured")
 }
 
 /// Standard 2-D convolution over NCHW tensors.
@@ -74,12 +103,15 @@ pub struct Conv2d {
     /// Q8_0 tier: one reduction row of length `in_c*k*k` per output channel
     /// (exactly the f32 weight layout). [`DepthwiseConv2d`] deliberately has
     /// none: its per-channel `k*k` reductions are too short for int8
-    /// blocking to pay off, and its f32 path already runs on the
-    /// small-problem GEMM.
+    /// blocking to pay off, and its f32 path is a direct stencil that issues
+    /// no GEMM at all.
     quant: Option<QuantWeights>,
     /// GEMM panels of `weight`, built by the first f32 eval forward. Only
     /// ever `Some` while `weight` is unchanged since they were packed.
     packed_weight: Option<PackedA>,
+    /// Window table of the last input shape seen by an f32 forward (never
+    /// built for a pointwise convolution, which reads its input directly).
+    window: Option<ConvWindow>,
 }
 
 impl Conv2d {
@@ -119,6 +151,7 @@ impl Conv2d {
             cached_input: None,
             quant: None,
             packed_weight: None,
+            window: None,
         }
     }
 
@@ -238,32 +271,27 @@ impl Layer for Conv2d {
                     .get_or_insert_with(|| PackedA::pack(oc, ckk, wgt)),
             )
         };
+        let window = (!pointwise)
+            .then(|| window_for(&mut self.window, (c, h, w), k, self.stride, self.padding));
         kernels::with_thread_scratch(|scratch| {
             for b in 0..n {
                 let xb = &x[b * c * h * w..(b + 1) * c * h * w];
                 let ob = &mut odata[b * oc * s..(b + 1) * oc * s];
-                let cols: &[f32] = if pointwise {
-                    xb
-                } else {
-                    let cols = scratch.cols.take(ckk * s);
-                    kernels::im2col(xb, c, h, w, k, self.stride, self.padding, oh, ow, cols);
-                    cols
+                let cols = match window {
+                    Some(window) => BOperand::Window(window, window.pad(xb, &mut scratch.xpad)),
+                    None => BOperand::Raw(xb),
                 };
-                let init = GemmInit::RowBias(bias);
-                match packed {
-                    Some(packed) => kernels::gemm_packed_into(
-                        oc,
-                        ckk,
-                        s,
-                        wgt,
-                        packed,
-                        cols,
-                        init,
-                        ob,
-                        &mut scratch.packs,
-                    ),
-                    None => kernels::gemm_into(oc, ckk, s, wgt, cols, init, ob, &mut scratch.packs),
-                }
+                gemm_dispatch(
+                    oc,
+                    ckk,
+                    s,
+                    wgt,
+                    packed,
+                    cols,
+                    GemmInit::RowBias(bias),
+                    ob,
+                    &mut scratch.packs,
+                );
             }
         });
         out
@@ -439,6 +467,8 @@ pub struct DepthwiseConv2d {
     stride: usize,
     padding: usize,
     cached_input: Option<Tensor>,
+    /// Window table of the last input shape seen.
+    window: Option<ConvWindow>,
 }
 
 impl DepthwiseConv2d {
@@ -468,6 +498,7 @@ impl DepthwiseConv2d {
             stride,
             padding,
             cached_input: None,
+            window: None,
         }
     }
 }
@@ -495,34 +526,25 @@ impl Layer for DepthwiseConv2d {
             input.shape()[2],
             input.shape()[3],
         );
-        let k = self.kernel;
-        let (oh, ow) = conv_output_hw(h, w, k, self.stride, self.padding);
-        let (s, kk) = (oh * ow, k * k);
+        let (oh, ow) = conv_output_hw(h, w, self.kernel, self.stride, self.padding);
         let mut out = Tensor::zeros(&[n, c, oh, ow]);
-        let x = input.data();
         let wgt = self.weight.value.data();
         let bias = self.bias.value.data();
-        let odata = out.data_mut();
-        // Each channel is an independent [1, k*k] x [k*k, s] GEMM, which the
-        // kernel layer runs on its small-problem path (plain row-accumulate).
+        let window = window_for(
+            &mut self.window,
+            (c, h, w),
+            self.kernel,
+            self.stride,
+            self.padding,
+        );
         kernels::with_thread_scratch(|scratch| {
-            for b in 0..n {
-                for ch in 0..c {
-                    let xc = &x[(b * c + ch) * h * w..(b * c + ch + 1) * h * w];
-                    let ochan = &mut odata[(b * c + ch) * s..(b * c + ch + 1) * s];
-                    let cols = scratch.cols.take(kk * s);
-                    kernels::im2col(xc, 1, h, w, k, self.stride, self.padding, oh, ow, cols);
-                    kernels::gemm_into(
-                        1,
-                        kk,
-                        s,
-                        &wgt[ch * kk..(ch + 1) * kk],
-                        cols,
-                        GemmInit::RowBias(&bias[ch..ch + 1]),
-                        ochan,
-                        &mut scratch.packs,
-                    );
-                }
+            for (xb, ob) in input
+                .data()
+                .chunks_exact(c * h * w)
+                .zip(out.data_mut().chunks_exact_mut(c * oh * ow))
+            {
+                let xpad = window.pad(xb, &mut scratch.xpad);
+                window.depthwise_forward(xpad, wgt, bias, ob);
             }
         });
         out
@@ -539,58 +561,33 @@ impl Layer for DepthwiseConv2d {
             input.shape()[2],
             input.shape()[3],
         );
-        let k = self.kernel;
-        let (oh, ow) = conv_output_hw(h, w, k, self.stride, self.padding);
-        let (s, kk) = (oh * ow, k * k);
+        let (oh, ow) = conv_output_hw(h, w, self.kernel, self.stride, self.padding);
+        assert_eq!(
+            grad_output.shape(),
+            &[n, c, oh, ow],
+            "DepthwiseConv2d backward shape mismatch"
+        );
         let mut grad_input = Tensor::zeros(input.shape());
-        let x = input.data();
         let wgt = self.weight.value.data();
-        let go = grad_output.data();
         let gw = self.weight.grad.data_mut();
         let gb = self.bias.grad.data_mut();
-        let gi = grad_input.data_mut();
+        let window = window_for(
+            &mut self.window,
+            (c, h, w),
+            self.kernel,
+            self.stride,
+            self.padding,
+        );
         kernels::with_thread_scratch(|scratch| {
-            for b in 0..n {
-                for ch in 0..c {
-                    let xc = &x[(b * c + ch) * h * w..(b * c + ch + 1) * h * w];
-                    let goc = &go[(b * c + ch) * s..(b * c + ch + 1) * s];
-                    let gic = &mut gi[(b * c + ch) * h * w..(b * c + ch + 1) * h * w];
-                    // Bias gradient: spatial sum, batch-major like the naive loop.
-                    let mut acc = gb[ch];
-                    for &g in goc {
-                        acc += g;
-                    }
-                    gb[ch] = acc;
-                    // Weight gradient: gw[ch] += grad_out [1, s] x im2col(x)^T.
-                    let cols = scratch.cols.take(kk * s);
-                    kernels::im2col(xc, 1, h, w, k, self.stride, self.padding, oh, ow, cols);
-                    let cols_t = scratch.cols_t.take(s * kk);
-                    kernels::transpose_into(cols, kk, s, cols_t);
-                    kernels::gemm_into(
-                        1,
-                        s,
-                        kk,
-                        goc,
-                        cols_t,
-                        GemmInit::Accumulate,
-                        &mut gw[ch * kk..(ch + 1) * kk],
-                        &mut scratch.packs,
-                    );
-                    // Input gradient: outer product w[ch]^T [kk, 1] x grad_out
-                    // [1, s], scattered back through col2im.
-                    let gcols = scratch.grad_cols.take(kk * s);
-                    kernels::gemm_into(
-                        kk,
-                        1,
-                        s,
-                        &wgt[ch * kk..(ch + 1) * kk],
-                        goc,
-                        GemmInit::Zero,
-                        gcols,
-                        &mut scratch.packs,
-                    );
-                    kernels::col2im(gcols, 1, h, w, k, self.stride, self.padding, oh, ow, gic);
-                }
+            // Batch-major, like the naive loop.
+            for ((xb, gob), gib) in input
+                .data()
+                .chunks_exact(c * h * w)
+                .zip(grad_output.data().chunks_exact(c * oh * ow))
+                .zip(grad_input.data_mut().chunks_exact_mut(c * h * w))
+            {
+                let xpad = window.pad(xb, &mut scratch.xpad);
+                window.depthwise_backward(xpad, wgt, gob, gw, gb, gib, &mut scratch.grad_pad);
             }
         });
         grad_input
@@ -852,6 +849,26 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "backward shape mismatch")]
+    fn conv_backward_rejects_a_misshaped_gradient() {
+        let mut rng = SeededRng::new(9);
+        let mut conv = Conv2d::new(2, 3, 3, 1, 1, &mut rng);
+        let _ = conv.forward(&Tensor::randn(&[1, 2, 5, 5], &mut rng), true);
+        let _ = conv.backward(&Tensor::ones(&[1, 3, 5, 4]));
+    }
+
+    #[test]
+    #[should_panic(expected = "backward shape mismatch")]
+    fn depthwise_backward_rejects_a_misshaped_gradient() {
+        // Same element count as the true [1, 2, 3, 3] gradient, so nothing
+        // downstream of the assert would have caught it.
+        let mut rng = SeededRng::new(10);
+        let mut dw = DepthwiseConv2d::new(2, 3, 2, 1, &mut rng);
+        let _ = dw.forward(&Tensor::randn(&[1, 2, 5, 5], &mut rng), true);
+        let _ = dw.backward(&Tensor::ones(&[1, 3, 3, 2]));
+    }
+
+    #[test]
     #[should_panic(expected = "backward called before forward")]
     fn eval_forward_does_not_cache_input() {
         // Inference must not pay for the training-only input cache; backward
@@ -880,8 +897,8 @@ mod equivalence {
     //! both contracts.
 
     use super::*;
-    use crate::kernels::naive;
     use crate::kernels::tolerance::{self, assert_bits_eq};
+    use crate::kernels::{naive, simd, PackScratch};
 
     fn abs_vec(xs: &[f32]) -> Vec<f32> {
         xs.iter().map(|&x| x.abs()).collect()
@@ -1167,9 +1184,182 @@ mod equivalence {
         // Dropping the input cache in eval mode must not change outputs.
         let mut rng = SeededRng::new(0x7E57);
         let mut conv = Conv2d::new(3, 4, 3, 1, 1, &mut rng);
+        let mut dw = DepthwiseConv2d::new(3, 3, 2, 1, &mut rng);
         let x = Tensor::randn(&[2, 3, 6, 6], &mut rng);
-        let train = conv.forward(&x, true);
-        let eval = conv.forward(&x, false);
-        assert_bits_eq(train.data(), eval.data(), "train vs eval forward");
+        let layers: [&mut dyn Layer; 2] = [&mut conv, &mut dw];
+        for layer in layers {
+            let train = layer.forward(&x, true);
+            let eval = layer.forward(&x, false);
+            let tag = format!("{} train vs eval forward", layer.name());
+            assert_bits_eq(train.data(), eval.data(), &tag);
+        }
+    }
+
+    /// `±0.0`, `±inf` and `NaN` on the image border and one step inside it —
+    /// where a padding tap's `w * 0.0` meets them — plus one channel of
+    /// nothing but `-0.0`, whose outputs are exact zeros of either sign.
+    fn plant_specials(x: &mut Tensor) {
+        let (c, h, w) = (x.shape()[1], x.shape()[2], x.shape()[3]);
+        for sample in x.data_mut().chunks_exact_mut(c * h * w) {
+            sample[0] = -0.0;
+            sample[w - 1] = f32::INFINITY;
+            sample[(h - 1) * w] = f32::NEG_INFINITY;
+            sample[w + 1] = f32::NAN;
+            sample[(h - 2) * w + w - 2] = f32::INFINITY;
+            sample[h * w - 1] = -0.0;
+            sample[(c - 1) * h * w..].fill(-0.0);
+        }
+    }
+
+    /// Bit equality, except that any NaN matches any NaN (payloads are not
+    /// part of the contract).
+    fn assert_bits_eq_modulo_nan(got: &[f32], want: &[f32], tag: &str) {
+        assert_eq!(got.len(), want.len(), "{tag}: length mismatch");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "{tag}: mismatch at {i}: {g} vs {w}"
+            );
+        }
+    }
+
+    /// Both forwards against the lowering they replaced — `im2col` then
+    /// `gemm_into`, per sample (per channel for depthwise), built here from
+    /// the public kernels — on inputs full of specials, for every geometry,
+    /// on every ISA. The window path promises the same bits as that
+    /// lowering, signed zeros included, on either build tier.
+    #[test]
+    fn window_forwards_match_the_im2col_lowering_on_special_values() {
+        let _lock = simd::isa_override_test_lock();
+        let mut rng = SeededRng::new(0x51_EC);
+        let mut packs = PackScratch::new();
+        for &(k, stride, padding) in &GEOMETRIES {
+            // (2, 8, 8): the blocked kernel; (1, 1, 7): one output channel,
+            // the `i-k-j` kernel on a matrix unrolled from the table.
+            for &(n, c, oc, hw) in &[(2usize, 3usize, 8usize, 8usize), (1, 2, 1, 7)] {
+                let (oh, ow) = conv_output_hw(hw, hw, k, stride, padding);
+                let (s, kk) = (oh * ow, k * k);
+                let mut x = Tensor::randn(&[n, c, hw, hw], &mut rng);
+                plant_specials(&mut x);
+                let mut conv = Conv2d::new(c, oc, k, stride, padding, &mut rng);
+                conv.bias.value = Tensor::randn(&[oc], &mut rng);
+                let mut dw = DepthwiseConv2d::new(c, k, stride, padding, &mut rng);
+                dw.bias.value = Tensor::randn(&[c], &mut rng);
+                dw.bias.value.data_mut()[c - 1] = -0.0;
+                for isa in simd::supported_isas() {
+                    let prev = simd::force_isa(Some(isa));
+                    let tag = format!("k={k} s={stride} p={padding} n={n} c={c} on {isa}");
+
+                    let mut cols = vec![0.0f32; c * kk * s];
+                    let mut want = vec![0.0f32; n * oc * s];
+                    for (xb, ob) in x
+                        .data()
+                        .chunks_exact(c * hw * hw)
+                        .zip(want.chunks_exact_mut(oc * s))
+                    {
+                        kernels::im2col(xb, c, hw, hw, k, stride, padding, oh, ow, &mut cols);
+                        kernels::gemm_into(
+                            oc,
+                            c * kk,
+                            s,
+                            conv.weight.value.data(),
+                            &cols,
+                            GemmInit::RowBias(conv.bias.value.data()),
+                            ob,
+                            &mut packs,
+                        );
+                    }
+                    for train in [false, true] {
+                        let got = conv.forward(&x, train);
+                        assert_bits_eq_modulo_nan(got.data(), &want, &format!("conv {tag}"));
+                    }
+
+                    let mut want = vec![0.0f32; n * c * s];
+                    for (i, (xc, oc)) in x
+                        .data()
+                        .chunks_exact(hw * hw)
+                        .zip(want.chunks_exact_mut(s))
+                        .enumerate()
+                    {
+                        let ch = i % c;
+                        let cols = &mut cols[..kk * s];
+                        kernels::im2col(xc, 1, hw, hw, k, stride, padding, oh, ow, cols);
+                        kernels::gemm_into(
+                            1,
+                            kk,
+                            s,
+                            &dw.weight.value.data()[ch * kk..(ch + 1) * kk],
+                            cols,
+                            GemmInit::RowBias(&dw.bias.value.data()[ch..ch + 1]),
+                            oc,
+                            &mut packs,
+                        );
+                    }
+                    let got = dw.forward(&x, false);
+                    assert_bits_eq_modulo_nan(got.data(), &want, &format!("dw {tag}"));
+                    simd::force_isa(prev);
+                }
+            }
+        }
+    }
+
+    /// The window table follows the input shape: one layer instance fed two
+    /// shapes alternately (one of them non-square), then a `clone_box()`
+    /// replica that inherits the table built for the other shape, all match
+    /// naive. Every GEMM here is a small problem, so bit equality holds on
+    /// both build tiers.
+    #[test]
+    fn window_table_follows_alternating_input_shapes_and_replicas() {
+        let mut rng = SeededRng::new(0xA17E);
+        let (c, oc, k, stride, padding) = (3usize, 5usize, 3usize, 2usize, 1usize);
+        let mut conv = Conv2d::new(c, oc, k, stride, padding, &mut rng);
+        conv.bias.value = Tensor::randn(&[oc], &mut rng);
+        let mut dw = DepthwiseConv2d::new(c, k, stride, padding, &mut rng);
+        dw.bias.value = Tensor::randn(&[c], &mut rng);
+        let inputs = [
+            Tensor::randn(&[2, c, 5, 7], &mut rng),
+            Tensor::randn(&[1, c, 8, 8], &mut rng),
+        ];
+        let (conv_w, conv_b) = (conv.weight.value.clone(), conv.bias.value.clone());
+        let (dw_w, dw_b) = (dw.weight.value.clone(), dw.bias.value.clone());
+        let check = |conv: &mut dyn Layer, dw: &mut dyn Layer, x: &Tensor, tag: &str| {
+            let (n, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
+            let want = naive::conv2d_forward_naive(
+                x.data(),
+                n,
+                c,
+                h,
+                w,
+                conv_w.data(),
+                conv_b.data(),
+                oc,
+                k,
+                stride,
+                padding,
+            );
+            assert_bits_eq(conv.forward(x, false).data(), &want, &format!("conv {tag}"));
+            let want = naive::depthwise_forward_naive(
+                x.data(),
+                n,
+                c,
+                h,
+                w,
+                dw_w.data(),
+                dw_b.data(),
+                k,
+                stride,
+                padding,
+            );
+            assert_bits_eq(dw.forward(x, false).data(), &want, &format!("dw {tag}"));
+        };
+        for round in 0..4 {
+            let x = &inputs[round % 2];
+            check(&mut conv, &mut dw, x, &format!("round {round}"));
+        }
+        // The originals last saw the 8x8 shape; the replicas start on 5x7.
+        let (mut conv2, mut dw2) = (conv.clone_box(), dw.clone_box());
+        for (round, x) in inputs.iter().enumerate() {
+            check(&mut *conv2, &mut *dw2, x, &format!("replica round {round}"));
+        }
     }
 }

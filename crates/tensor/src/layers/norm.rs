@@ -84,16 +84,19 @@ impl Layer for BatchNorm2d {
             // backward after an eval forward panics (like every other layer)
             // instead of silently using a previous batch's statistics.
             self.cache = None;
-            let o = out.data_mut();
-            for b in 0..n {
-                for ch in 0..c {
-                    let base = (b * c + ch) * h * w;
-                    let mean = self.running_mean[ch];
-                    let std_inv = 1.0 / (self.running_var[ch] + self.eps).sqrt();
-                    for i in 0..h * w {
-                        let normed = (x[base + i] - mean) * std_inv;
-                        o[base + i] = gamma[ch] * normed + beta[ch];
-                    }
+            // Whole channels walked as slices, the four per-channel scalars
+            // hoisted: no index arithmetic or bounds check per element.
+            let plane = (h * w).max(1);
+            let channels = x
+                .chunks_exact(plane)
+                .zip(out.data_mut().chunks_exact_mut(plane));
+            for (i, (xc, oc)) in channels.enumerate() {
+                let ch = i % c;
+                let mean = self.running_mean[ch];
+                let std_inv = 1.0 / (self.running_var[ch] + self.eps).sqrt();
+                let (g, b) = (gamma[ch], beta[ch]);
+                for (o, &v) in oc.iter_mut().zip(xc) {
+                    *o = g * ((v - mean) * std_inv) + b;
                 }
             }
             return out;
@@ -223,6 +226,8 @@ impl Layer for BatchNorm2d {
 mod tests {
     use super::*;
     use crate::gradcheck::check_layer_gradients;
+    use crate::kernels::simd;
+    use crate::kernels::tolerance::assert_bits_eq;
     use crate::rng::SeededRng;
 
     #[test]
@@ -261,6 +266,44 @@ mod tests {
         let y = bn.forward(&x, false);
         // Output in eval mode should be roughly standardized too.
         assert!((y.mean()).abs() < 0.3);
+    }
+
+    #[test]
+    fn eval_forward_is_bit_identical_to_the_indexed_formula_on_every_isa() {
+        // The eval loop walks channel slices with hoisted scalars; the bits
+        // must be those of the per-element indexed expression it replaced,
+        // `gamma[ch] * ((x - mean[ch]) * std_inv[ch]) + beta[ch]`, whatever
+        // the kernels dispatch to.
+        let _lock = simd::isa_override_test_lock();
+        let mut rng = SeededRng::new(0xB17);
+        let (n, c, h, w) = (3usize, 5usize, 6usize, 7usize);
+        let mut bn = BatchNorm2d::new(c);
+        bn.gamma.value = Tensor::randn(&[c], &mut rng);
+        bn.beta.value = Tensor::randn(&[c], &mut rng);
+        bn.running_mean = (0..c).map(|_| rng.uniform(-1.0, 1.0)).collect();
+        bn.running_var = (0..c).map(|_| rng.uniform(0.1, 3.0)).collect();
+        let mut x = Tensor::randn(&[n, c, h, w], &mut rng);
+        x.data_mut()[..4].copy_from_slice(&[-0.0, f32::INFINITY, f32::NAN, 1e-40]);
+        let (gamma, beta) = (bn.gamma.value.data(), bn.beta.value.data());
+        let mut expect = vec![0.0f32; x.len()];
+        for b in 0..n {
+            for ch in 0..c {
+                let base = (b * c + ch) * h * w;
+                let std_inv = 1.0 / (bn.running_var[ch] + bn.eps).sqrt();
+                for i in 0..h * w {
+                    let normed = (x.data()[base + i] - bn.running_mean[ch]) * std_inv;
+                    expect[base + i] = gamma[ch] * normed + beta[ch];
+                }
+            }
+        }
+        for isa in simd::supported_isas() {
+            let prev = simd::force_isa(Some(isa));
+            let y = bn.forward(&x, false);
+            simd::force_isa(prev);
+            assert_bits_eq(y.data(), &expect, &format!("bn eval on {isa}"));
+        }
+        // A zero-area map is a no-op, as before.
+        assert!(bn.forward(&Tensor::zeros(&[2, c, 0, 4]), false).is_empty());
     }
 
     #[test]

@@ -58,25 +58,21 @@ impl Layer for Residual {
 
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         let main = self.body.forward(input, train);
-        let skip = match &mut self.shortcut {
-            Some(s) => s.forward(input, train),
-            None => input.clone(),
-        };
+        let projected = self.shortcut.as_mut().map(|s| s.forward(input, train));
+        // The identity shortcut adds the borrowed input itself.
+        let skip = projected.as_ref().unwrap_or(input);
         assert_eq!(
             main.shape(),
             skip.shape(),
             "residual body and shortcut must produce equal shapes"
         );
-        main.add(&skip)
+        main.add(skip)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         let grad_main = self.body.backward(grad_output);
-        let grad_skip = match &mut self.shortcut {
-            Some(s) => s.backward(grad_output),
-            None => grad_output.clone(),
-        };
-        grad_main.add(&grad_skip)
+        let projected = self.shortcut.as_mut().map(|s| s.backward(grad_output));
+        grad_main.add(projected.as_ref().unwrap_or(grad_output))
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {

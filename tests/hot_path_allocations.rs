@@ -1,16 +1,17 @@
 //! Allocation guard for the serving hot path.
 //!
-//! The kernel layer (`appeal_tensor::kernels`) draws im2col matrices and
+//! The kernel layer (`appeal_tensor::kernels`) draws padded images and
 //! GEMM packing panels from high-water scratch arenas retained per thread,
 //! and counts every buffer growth / reuse in process-wide atomics. This test
 //! pins down the PR-level guarantees: once the engine has warmed up,
 //! steady-state `Engine::submit` traffic performs **zero** scratch
-//! allocations — every im2col and packing buffer is a reuse — eval-mode
+//! allocations — every padded-image and packing buffer is a reuse — eval-mode
 //! forward passes do not clone their inputs into training caches, and
 //! steady-state large `matmul`s grow nothing in the caller's thread arena.
 //! Convolution weights are packed into GEMM panels by the warm-up and never
 //! again in steady state — until `params_mut()` hands the weights out, which
-//! must drop the panels.
+//! must drop the panels. Convolution window tables are built by the warm-up
+//! too, and again only when a layer meets a new input shape.
 //!
 //! Kept as the only test in this file so no concurrently running test can
 //! perturb the process-wide counters.
@@ -76,10 +77,50 @@ fn steady_state_submit_reuses_scratch_without_allocating() {
         after.weight_floats_packed, before.weight_floats_packed,
         "steady-state submits must not re-pack any weights"
     );
+    assert!(
+        before.window_tables_built > 0,
+        "the warm-up builds the convolution window tables"
+    );
+    assert_eq!(
+        after.window_tables_built, before.window_tables_built,
+        "steady-state submits must not rebuild any window table"
+    );
     assert_eq!(engine.stats().requests, 3 + steady_requests);
 
+    input_shape_change_rebuilds_window_tables(big_replica.clone(), &mut rng);
     params_mut_invalidates_packed_weights(big_replica, &mut rng);
     large_matmul_reuses_the_callers_thread_arena(&mut rng);
+}
+
+/// A window table is only valid for the input shape it was built for: the
+/// same shape again builds nothing, a new shape rebuilds every table on its
+/// first forward and none on its second — and the output stays that of a
+/// replica that never saw the other shape.
+fn input_shape_change_rebuilds_window_tables(
+    mut big: appeal_models::ClassifierParts,
+    rng: &mut SeededRng,
+) {
+    let mut fresh = big.clone();
+    let small = Tensor::randn(&[1, 3, 12, 12], rng);
+    let large = Tensor::randn(&[1, 3, 16, 16], rng);
+    let _ = big.forward(&small, false);
+    let built = kernels::scratch_stats().window_tables_built;
+    let _ = big.forward(&small, false);
+    assert_eq!(
+        kernels::scratch_stats().window_tables_built,
+        built,
+        "an unchanged input shape must not rebuild window tables"
+    );
+    let first = big.forward(&large, false);
+    let rebuilt = kernels::scratch_stats().window_tables_built;
+    assert!(
+        rebuilt > built,
+        "a new input shape must rebuild the window tables"
+    );
+    let again = big.forward(&large, false);
+    assert_eq!(kernels::scratch_stats().window_tables_built, rebuilt);
+    assert_eq!(first.data(), again.data());
+    assert_eq!(first.data(), fresh.forward(&large, false).data());
 }
 
 /// The packed panels are only valid for the weights they were built from:
