@@ -544,8 +544,15 @@ impl Engine {
         let big_preds: Vec<usize> = if offload_idx.is_empty() {
             Vec::new()
         } else {
-            let big_batch = images.select_rows(&offload_idx);
-            parallel::classifier_logits(&mut self.big, &big_batch, offload_idx.len(), &self.chunk)
+            // When every row appeals, the subset is the batch itself.
+            let subset;
+            let big_batch = if offload_idx.len() == n {
+                images
+            } else {
+                subset = images.select_rows(&offload_idx);
+                &subset
+            };
+            parallel::classifier_logits(&mut self.big, big_batch, offload_idx.len(), &self.chunk)
                 .argmax_rows()
         };
         let mut big_iter = big_preds.into_iter();
@@ -693,11 +700,15 @@ mod tests {
     }
 
     fn engine(max_batch: usize) -> Engine {
+        engine_at(max_batch, 0.5)
+    }
+
+    fn engine_at(max_batch: usize, delta: f64) -> Engine {
         let (net, big) = tiny_models(4);
         Engine::builder()
             .appealnet(net)
             .big(big)
-            .policy(ThresholdPolicy::new(0.5).unwrap())
+            .policy(ThresholdPolicy::new(delta).unwrap())
             .max_batch(max_batch)
             .build()
             .unwrap()
@@ -894,28 +905,38 @@ mod tests {
 
     #[test]
     fn classify_batch_matches_submit_path_bit_identically() {
-        let mut batch_engine = engine(64);
-        let mut submit_engine = engine(5);
-        let mut rng = SeededRng::new(10);
-        let images = Tensor::randn(&[13, 3, 12, 12], &mut rng);
-        let batch = batch_engine.classify_batch(&images).unwrap();
-        let mut single = Vec::new();
-        for i in 0..13 {
-            let row = images.select_rows(&[i]);
-            if let Some(answers) = submit_engine
-                .submit(InferenceRequest::new(i as u64, row))
-                .unwrap()
-            {
-                single.extend(answers);
+        // These untrained scores lie in 0.81..0.96: δ = 0.5 keeps every row on
+        // the edge, 0.9 offloads a subset (copied out of the batch) and 1.0
+        // every row (the big network reads the batch itself).
+        for (delta, offload_range) in [(0.5, 0..=0), (0.9, 1..=12), (1.0, 13..=13)] {
+            let mut batch_engine = engine_at(64, delta);
+            let mut submit_engine = engine_at(5, delta);
+            let mut rng = SeededRng::new(10);
+            let images = Tensor::randn(&[13, 3, 12, 12], &mut rng);
+            let batch = batch_engine.classify_batch(&images).unwrap();
+            let mut single = Vec::new();
+            for i in 0..13 {
+                let row = images.select_rows(&[i]);
+                if let Some(answers) = submit_engine
+                    .submit(InferenceRequest::new(i as u64, row))
+                    .unwrap()
+                {
+                    single.extend(answers);
+                }
             }
-        }
-        single.extend(submit_engine.flush().unwrap());
-        assert_eq!(batch.len(), single.len());
-        for (a, b) in batch.iter().zip(single.iter()) {
-            assert_eq!(a.label, b.label);
-            assert_eq!(a.route, b.route);
-            assert_eq!(a.score.to_bits(), b.score.to_bits());
-            assert_eq!(a.cost, b.cost);
+            single.extend(submit_engine.flush().unwrap());
+            assert_eq!(batch.len(), single.len());
+            let offloaded = batch.iter().filter(|r| r.route.is_cloud()).count();
+            assert!(
+                offload_range.contains(&offloaded),
+                "δ = {delta}: {offloaded}"
+            );
+            for (a, b) in batch.iter().zip(single.iter()) {
+                assert_eq!(a.label, b.label);
+                assert_eq!(a.route, b.route);
+                assert_eq!(a.score.to_bits(), b.score.to_bits());
+                assert_eq!(a.cost, b.cost);
+            }
         }
     }
 

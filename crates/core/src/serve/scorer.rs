@@ -73,12 +73,6 @@ impl QScorer {
     pub fn network(&self) -> &TwoHeadNet {
         &self.net
     }
-
-    /// Mutable access to the wrapped network (e.g. to quantize its weights
-    /// or calibrate activation scales before serving).
-    pub fn network_mut(&mut self) -> &mut TwoHeadNet {
-        &mut self.net
-    }
 }
 
 impl Scorer for QScorer {

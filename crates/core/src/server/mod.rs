@@ -365,17 +365,6 @@ impl Ticket {
             Err(mpsc::RecvTimeoutError::Disconnected) => Err(self.shared.stopped_error()),
         }
     }
-
-    /// Non-blocking variant of [`wait`](Ticket::wait): `None` while the
-    /// answer is still pending. Never reports a deadline; polling callers
-    /// own their own clocks.
-    pub fn try_wait(&self) -> Option<CoreResult<ServedResponse>> {
-        match self.rx.try_recv() {
-            Ok(result) => Some(result),
-            Err(mpsc::TryRecvError::Empty) => None,
-            Err(mpsc::TryRecvError::Disconnected) => Some(Err(self.shared.stopped_error())),
-        }
-    }
 }
 
 /// The threaded serving front-end. See the [module docs](self) for the

@@ -111,11 +111,13 @@ fn scaled(base: usize, width: f32) -> usize {
 /// Builds the backbone + head for a model specification.
 ///
 /// The conv/dense layers these backbones are assembled from run on the
-/// kernel layer (`appeal_tensor::kernels`): pointwise (1x1) convolutions —
-/// the bulk of the MobileNet/ShuffleNet-style blocks — map straight onto the
-/// blocked GEMM with the input as its right operand, the other standard
-/// convolutions feed it through a per-layer window table with no im2col
-/// matrix in between, and depthwise convolutions are direct stencils. Layers
+/// kernel layer (`appeal_tensor::kernels`): every standard convolution —
+/// the pointwise (1x1) ones that are the bulk of the MobileNet/ShuffleNet-
+/// style blocks included — runs one kernel with output channels on the
+/// vector lanes, its weights packed once per layer and its input read
+/// through a per-layer window table with no im2col matrix in between;
+/// depthwise convolutions are direct stencils over the same kind of table;
+/// dense layers are blocked GEMMs. Layers
 /// own no scratch: buffers come from the calling thread's arena
 /// (`kernels::with_thread_scratch`), so repeated inference allocates nothing
 /// and a cloned model warms up whichever thread runs it.

@@ -51,9 +51,9 @@
 //! packing — and on the plain `i-k-j` loop otherwise: with one to three rows
 //! (a dense layer at batch 1) most of the tile would be padding, and at
 //! `k = 1` or `2` (an outer product) packing costs more than the multiply.
-//! The choice never shows in the output bits. (Depthwise convolutions, the
-//! textbook `m = 1` case, issue no GEMM: they are a direct stencil — see
-//! `kernels/window.rs`.)
+//! The choice never shows in the output bits. (No convolution forward is a
+//! GEMM customer: the standard one runs the output-channel-lane kernel, the
+//! depthwise one a direct stencil — see `kernels/window.rs`.)
 //!
 //! # Edge tiles
 //!
@@ -65,34 +65,10 @@
 //! Lanes are independent output elements, so whatever the padded lanes
 //! compute — including `NaN` from `inf * 0` — never reaches the output, and
 //! per valid element the operation sequence is the identical ascending-`p`
-//! mul-then-add. The convolution shapes the nets issue (`n = 9`, `n = 36`)
-//! are mostly edge tiles; this is what keeps them on the SIMD backend.
-//!
-//! # Pre-packed left operands
-//!
-//! A constant left operand (a layer's weights) can be packed once into a
-//! [`PackedA`] and passed to [`gemm_packed_into`]; the blocked kernel then
-//! reads its `MR`-row strips straight from those panels instead of re-running
-//! the A packer per call. Raw and pre-packed operands share every line of
-//! the blocked driver — only where a macro-block's strips come from
-//! differs — so the results are bit-identical by construction.
-//!
-//! # B operands
-//!
-//! The right operand has two sources the same way (`BOperand`): a row-major
-//! matrix, whose `NR`-column strips `pack_b` copies per slab, or a
-//! convolution's window table over the zero-padded input
-//! (`kernels/window.rs`), which writes the same strips straight from the image
-//! — the im2col matrix the table stands for is never materialised. The
-//! panels are byte-equal to `pack_b(im2col(x))`, and everything downstream
-//! of the panels — the slab loop, `run_tile`, the microkernels — is shared,
-//! so again every output bit is the same by construction. A windowed problem
-//! that the rule above sends to the `i-k-j` loop unrolls its matrix from the
-//! table first.
+//! mul-then-add.
 
-use super::scratch::{self, PackScratch};
+use super::scratch::PackScratch;
 use super::simd::{self, Isa};
-use super::window::ConvWindow;
 
 /// Rows of the register microkernel tile. With [`NR`]` = 16` the `MR x NR`
 /// accumulator block is 8 `ymm` registers (16 on the paired AVX-512 path's
@@ -118,10 +94,11 @@ pub const KC: usize = 128;
 /// reuses it without refetching from L3/memory.
 pub const NC: usize = 256;
 
-/// Problems of at most this many multiply-accumulates never fuse, and skip
-/// packing for the plain `i-k-j` loop unless they fill a register strip (see
-/// "Which kernel a problem runs on" in the module docs).
-const SMALL_PROBLEM_MACS: usize = 32 * 1024;
+/// Problems of at most this many multiply-accumulates never fuse — a GEMM
+/// here, one sample of a convolution layer in `kernels/window.rs` — and a
+/// GEMM that small skips packing for the plain `i-k-j` loop unless it fills a
+/// register strip (see "Which kernel a problem runs on" in the module docs).
+pub(crate) const SMALL_PROBLEM_MACS: usize = 32 * 1024;
 
 /// How an output element starts before the `A x B` products are accumulated.
 #[derive(Clone, Copy)]
@@ -157,70 +134,8 @@ pub fn gemm_into(
     out: &mut [f32],
     packs: &mut PackScratch,
 ) {
-    gemm_dispatch(m, k, n, a, None, BOperand::Raw(b), init, out, packs);
-}
-
-/// [`gemm_into`] for a constant left operand whose panels were packed once
-/// with [`PackedA::pack`]: the blocked kernel reads `packed` instead of
-/// re-packing `a` on every call; the `i-k-j` path still walks the row-major
-/// `a`. Bit-identical to [`gemm_into`] on the same inputs.
-///
-/// # Panics
-///
-/// Panics if a slice length does not match its `m`/`k`/`n` dimensions, or if
-/// `packed` was not built from an `m x k` operand.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_packed_into(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    packed: &PackedA,
-    b: &[f32],
-    init: GemmInit<'_>,
-    out: &mut [f32],
-    packs: &mut PackScratch,
-) {
-    assert_eq!(
-        (packed.m, packed.k),
-        (m, k),
-        "gemm: packed A was built for a different shape"
-    );
-    gemm_dispatch(m, k, n, a, Some(packed), BOperand::Raw(b), init, out, packs);
-}
-
-/// The one entry every GEMM goes through: validates the operands and picks
-/// the kernel (see "Which kernel a problem runs on"). The public wrappers
-/// above cover matrix right operands; the convolution layers call this
-/// directly with a [`BOperand::Window`] and whichever left operand they hold.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_dispatch(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    packed: Option<&PackedA>,
-    b: BOperand<'_>,
-    init: GemmInit<'_>,
-    out: &mut [f32],
-    packs: &mut PackScratch,
-) {
     assert_eq!(a.len(), m * k, "gemm: A must be m*k");
-    match b {
-        BOperand::Raw(b) => assert_eq!(b.len(), k * n, "gemm: B must be k*n"),
-        BOperand::Window(window, xpad) => {
-            assert_eq!(
-                (window.taps(), window.positions()),
-                (k, n),
-                "gemm: window must stand for a k*n matrix"
-            );
-            assert_eq!(
-                xpad.len(),
-                window.padded_len(),
-                "gemm: padded image does not match its window"
-            );
-        }
-    }
+    assert_eq!(b.len(), k * n, "gemm: B must be k*n");
     assert_eq!(out.len(), m * n, "gemm: out must be m*n");
     if let GemmInit::RowBias(bias) = init {
         assert_eq!(bias.len(), m, "gemm: row bias must have m entries");
@@ -234,83 +149,15 @@ pub(crate) fn gemm_dispatch(
     }
     let small = m * k * n <= SMALL_PROBLEM_MACS;
     if small && (m < MR || k < MR) {
-        let b = match b {
-            BOperand::Raw(b) => b,
-            BOperand::Window(window, xpad) => {
-                // The B panel buffer is free on this path.
-                let cols = packs.b.take(k * n);
-                window.unroll(xpad, cols);
-                cols
-            }
-        };
         gemm_ikj(m, k, n, a, b, init, out);
         return;
     }
-    let a = match packed {
-        Some(p) => AOperand::Packed(&p.panels),
-        None => AOperand::Raw(a),
-    };
     // Resolve the SIMD backend and numeric tier once per call, so every
     // tile of this GEMM uses the same kernel even if an override flips
     // mid-call.
     let isa = simd::active_isa();
     let fused = !small && simd::fused_for_isa(isa);
     gemm_blocked(isa, fused, m, k, n, a, b, init, out, packs);
-}
-
-/// The `MR`-row strip panels of a constant `m x k` left operand, packed
-/// once for [`gemm_packed_into`]. Layout: one slab per `KC` slice of the
-/// inner dimension, each holding every `MR`-row strip of the matrix as
-/// `[strip][p][MR]` (rows past `m` zero) — exactly what `pack_a` writes for
-/// a macro-block, so any `MC`-aligned block is a contiguous sub-slice.
-#[derive(Debug, Clone)]
-pub struct PackedA {
-    m: usize,
-    k: usize,
-    panels: Vec<f32>,
-}
-
-impl PackedA {
-    /// Packs the row-major `m x k` matrix `a`. Counted in
-    /// [`scratch::ScratchStats::weight_floats_packed`] so tests can pin that
-    /// steady-state inference never re-packs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.len() != m * k`.
-    pub fn pack(m: usize, k: usize, a: &[f32]) -> Self {
-        assert_eq!(a.len(), m * k, "PackedA: A must be m*k");
-        let strips = m.div_ceil(MR);
-        let mut panels = vec![0.0f32; strips * MR * k];
-        let mut pc = 0;
-        while pc < k {
-            let kcb = KC.min(k - pc);
-            let slab = &mut panels[pc * strips * MR..(pc + kcb) * strips * MR];
-            pack_a(a, k, 0, m, pc, kcb, slab);
-            pc += kcb;
-        }
-        scratch::count_weight_floats_packed(panels.len());
-        Self { m, k, panels }
-    }
-}
-
-/// Where the blocked kernel gets a macro-block's `MR`-row strips from.
-#[derive(Clone, Copy)]
-enum AOperand<'a> {
-    /// Row-major values (leading dimension `k`), packed per macro-block.
-    Raw(&'a [f32]),
-    /// The [`PackedA`] panels of the whole matrix.
-    Packed(&'a [f32]),
-}
-
-/// Where the blocked kernel gets a slab's `NR`-column strips from.
-#[derive(Clone, Copy)]
-pub(crate) enum BOperand<'a> {
-    /// Row-major values (leading dimension `n`), packed per slab.
-    Raw(&'a [f32]),
-    /// The im2col matrix a window table stands for, read from the padded
-    /// image ([`ConvWindow::pad`]) the table indexes.
-    Window(&'a ConvWindow, &'a [f32]),
 }
 
 /// Degenerate `k == 0` case: the "product" contributes nothing, only the
@@ -365,16 +212,15 @@ fn gemm_blocked(
     m: usize,
     k: usize,
     n: usize,
-    a: AOperand<'_>,
-    b: BOperand<'_>,
+    a: &[f32],
+    b: &[f32],
     init: GemmInit<'_>,
     out: &mut [f32],
     packs: &mut PackScratch,
 ) {
-    // The backend and numeric tier come resolved from `gemm_dispatch`; the
+    // The backend and numeric tier come resolved from `gemm_into`; the
     // microkernel dispatches branch-predictably per tile.
     let pair = simd::has_paired_microkernel(isa);
-    let strips = m.div_ceil(MR);
     let a_panel_len = MC.div_ceil(MR) * MR * KC;
     let b_panel_len = NC.div_ceil(NR) * NR * KC;
     let mut jc = 0;
@@ -386,27 +232,13 @@ fn gemm_blocked(
             let kcb = KC.min(k - pc);
             let first_slab = pc == 0;
             let b_pack = packs.b.take(b_panel_len);
-            match b {
-                BOperand::Raw(b) => pack_b(b, n, pc, kcb, jc, ncb, b_pack),
-                BOperand::Window(window, xpad) => {
-                    window.fill_panels(xpad, pc, kcb, jc, ncb, b_pack)
-                }
-            }
+            pack_b(b, n, pc, kcb, jc, ncb, b_pack);
             let mut ic = 0;
             while ic < m {
                 let mcb = MC.min(m - ic);
                 let i_tiles = mcb.div_ceil(MR);
-                let a_pack: &[f32] = match a {
-                    AOperand::Raw(a) => {
-                        let a_pack = packs.a.take(a_panel_len);
-                        pack_a(a, k, ic, mcb, pc, kcb, a_pack);
-                        a_pack
-                    }
-                    AOperand::Packed(panels) => {
-                        let block0 = pc * strips * MR + (ic / MR) * kcb * MR;
-                        &panels[block0..block0 + i_tiles * kcb * MR]
-                    }
-                };
+                let a_pack = packs.a.take(a_panel_len);
+                pack_a(a, k, ic, mcb, pc, kcb, a_pack);
                 for jt in 0..j_tiles {
                     let j0 = jc + jt * NR;
                     let ncols = NR.min(n - j0);
@@ -539,15 +371,7 @@ fn pack_a(a: &[f32], lda: usize, ic: usize, mcb: usize, pc: usize, kcb: usize, p
 /// Packs `b[pc..pc+kcb, jc..jc+ncb]` into `NR`-column strips: strip `jt`
 /// holds `kcb` groups of `NR` consecutive-column values (columns past `n` are
 /// zero).
-pub(super) fn pack_b(
-    b: &[f32],
-    ldb: usize,
-    pc: usize,
-    kcb: usize,
-    jc: usize,
-    ncb: usize,
-    pack: &mut [f32],
-) {
+fn pack_b(b: &[f32], ldb: usize, pc: usize, kcb: usize, jc: usize, ncb: usize, pack: &mut [f32]) {
     let j_tiles = ncb.div_ceil(NR);
     for jt in 0..j_tiles {
         let strip = &mut pack[jt * kcb * NR..(jt + 1) * kcb * NR];

@@ -18,9 +18,10 @@
 //!   forward/backward, bias broadcast, axpy/scale, residual add) used by the
 //!   hot layers and `Tensor` operations.
 //! * `window` (crate-internal) — per-layer window tables over a zero-padded
-//!   input: the blocked GEMM fills its B panels through one, so a
-//!   convolution forward never materialises an im2col matrix, and the
-//!   depthwise convolution is a direct stencil over one.
+//!   input, so no convolution forward materialises an im2col matrix: the
+//!   standard convolution keeps its weights as output-channel-lane panels
+//!   and broadcasts activations through the table ([`simd`] holds the tile
+//!   kernel), the depthwise convolution is a direct stencil over it.
 //! * [`im2col`](fn@im2col) / [`col2im`] — the materialised
 //!   convolution-to-GEMM lowering (convolution backward, the Q8 forward),
 //!   whose row order is the naive loop's `ic -> ky -> kx` tap order — the
@@ -57,8 +58,9 @@
 //!   equivalent and covered by gradient checks rather than bit-equality.
 //! * **`fast-kernels` build —
 //!   [`DeterministicPerBuild`](NumericContract::DeterministicPerBuild).**
-//!   The AVX2/AVX-512 GEMM microkernels and [`elementwise::axpy`] contract
-//!   `a * b + c` into a single `fmadd` rounding ([`simd`] has the tier
+//!   The AVX2/AVX-512 GEMM microkernels, the convolution tile kernel and
+//!   [`elementwise::axpy`] contract `a * b + c` into a single `fmadd`
+//!   rounding ([`simd`] has the tier
 //!   rules; [`fma_supported`] / [`fused_active`] report them at runtime).
 //!   Results then match the seed within the per-accumulation-step error
 //!   bounds of the [`tolerance`] harness instead of bit-for-bit, but remain
@@ -86,10 +88,7 @@ pub mod simd;
 pub mod tolerance;
 pub(crate) mod window;
 
-pub use gemm::{
-    gemm_bias_cols, gemm_into, gemm_packed_into, transpose_into, GemmInit, PackedA, KC, MC, MR, NC,
-    NR,
-};
+pub use gemm::{gemm_bias_cols, gemm_into, transpose_into, GemmInit, KC, MC, MR, NC, NR};
 pub use im2col::{col2im, im2col};
 pub use quant_gemm::quant_gemm_into;
 pub use scratch::{
@@ -487,71 +486,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// A pre-packed left operand goes through the same blocked driver as a
-    /// raw one: bit-equal outputs in every [`GemmInit`] mode and both build
-    /// tiers, over multi-slab `k`, a second `MC` block, edge strips, a
-    /// multi-megaflop shape and two small problems, one for each kernel.
-    #[test]
-    fn pre_packed_a_is_bit_identical_to_raw_a() {
-        // Under `fast-kernels` a concurrent test's `force_fused` flip between
-        // the raw and the packed call would compare two numeric tiers.
-        let _lock = simd::isa_override_test_lock();
-        let mut rng = SeededRng::new(0x9AC4);
-        let mut packs = PackScratch::new();
-        for &(m, k, n) in &[
-            (40usize, 360usize, 9usize),
-            (24, 216, 36),
-            (70, 300, 17),
-            (13, 129, 33),
-            (96, 160, 160),
-            (8, 27, 16),
-            (2, 27, 16),
-        ] {
-            let a = random_vec(&mut rng, m * k);
-            let b = random_vec(&mut rng, k * n);
-            let bias = random_vec(&mut rng, m);
-            let seed_out = random_vec(&mut rng, m * n);
-            let packed = PackedA::pack(m, k, &a);
-            for (mode, init) in [
-                GemmInit::Zero,
-                GemmInit::Accumulate,
-                GemmInit::RowBias(&bias),
-            ]
-            .into_iter()
-            .enumerate()
-            {
-                let mut raw = seed_out.clone();
-                gemm_into(m, k, n, &a, &b, init, &mut raw, &mut packs);
-                let mut pre = seed_out.clone();
-                gemm_packed_into(m, k, n, &a, &packed, &b, init, &mut pre, &mut packs);
-                assert_bits_eq(
-                    &pre,
-                    &raw,
-                    &format!("packed vs raw {m}x{k}x{n} mode={mode}"),
-                );
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "packed A was built for a different shape")]
-    fn pre_packed_a_rejects_a_mismatched_shape() {
-        let a = vec![0.0f32; 8 * 6];
-        let packed = PackedA::pack(8, 6, &a);
-        let (b, mut out) = (vec![0.0f32; 8 * 3], vec![0.0f32; 6 * 3]);
-        gemm_packed_into(
-            6,
-            8,
-            3,
-            &a,
-            &packed,
-            &b,
-            GemmInit::Zero,
-            &mut out,
-            &mut PackScratch::new(),
-        );
     }
 
     /// `Accumulate` keeps the existing output and adds products in `p` order

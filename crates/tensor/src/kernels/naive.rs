@@ -17,7 +17,8 @@
 //!    blocked GEMM against [`matmul_naive`] so the speedup claim stays
 //!    verifiable on any machine.
 //!
-//! Nothing on a hot path calls into this module.
+//! Nothing on a hot path runs a kernel from this module; [`conv_out`], the
+//! output-size formula, is the one item the layers share with it.
 
 /// The seed `Tensor::matmul` loop, including its `a == 0.0` sparsity branch.
 ///
@@ -45,7 +46,13 @@ pub fn matmul_naive(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Vec<f
     out
 }
 
-/// Output spatial size of a convolution (same formula as the layers use).
+/// Output spatial size of a convolution — the one formula the layers, the
+/// window tables and these references share.
+///
+/// # Panics
+///
+/// Panics if the kernel does not fit the padded input (the subtraction below
+/// would wrap) or `stride` is zero.
 pub fn conv_out(
     h: usize,
     w: usize,
@@ -53,10 +60,12 @@ pub fn conv_out(
     stride: usize,
     padding: usize,
 ) -> (usize, usize) {
-    (
-        (h + 2 * padding - kernel) / stride + 1,
-        (w + 2 * padding - kernel) / stride + 1,
-    )
+    let (hp, wp) = (h + 2 * padding, w + 2 * padding);
+    assert!(
+        kernel <= hp && kernel <= wp,
+        "conv: a {kernel}x{kernel} kernel does not fit a {h}x{w} input with padding {padding}"
+    );
+    ((hp - kernel) / stride + 1, (wp - kernel) / stride + 1)
 }
 
 /// The seed `Conv2d::forward` 7-deep loop over an NCHW batch.

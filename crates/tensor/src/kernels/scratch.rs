@@ -1,7 +1,7 @@
 //! Reusable scratch buffers for the compute kernels.
 //!
-//! Every GEMM call needs packing panels and every lowered convolution needs
-//! a zero-padded copy of its input (or, on the backward and Q8 paths, an
+//! Every GEMM call needs packing panels and every convolution needs a
+//! zero-padded copy of its input (or, on the backward and Q8 paths, an
 //! im2col buffer). Allocating those per call would put a heap allocation on
 //! the serving engine's per-request hot path, so kernels draw them from a
 //! [`KernelScratch`] arena instead: each buffer grows to its high-water mark
@@ -29,22 +29,23 @@
 //!    previous user wrote; every kernel fully overwrites the region it
 //!    reads. (This is why there is no `clear` — zeroing would put a
 //!    memset on the hot path for no semantic gain.)
-//! 4. **Packed weights and window tables are not scratch.** A layer's
-//!    pre-packed weight panels ([`super::gemm::PackedA`]) and its
-//!    convolution window table (`kernels/window.rs`) are derived state owned
-//!    by the layer, not an arena: they are cloned with it, the panels
-//!    rebuilt only after the layer's parameters were handed out mutably, the
-//!    table only when the input shape changes. What the table *indexes* —
-//!    the padded image — is scratch ([`KernelScratch::xpad`]).
+//! 4. **Packed weights and window tables are not scratch.** A convolution's
+//!    output-channel-lane weight panels and its window table (both in
+//!    `kernels/window.rs`) are derived state owned by the layer, not an
+//!    arena: they are cloned with it, the panels rebuilt only after the
+//!    layer's parameters were handed out mutably (a train forward packs for
+//!    its own call and keeps nothing), the table only when the input shape
+//!    changes. What the table *indexes* — the padded image — is scratch
+//!    ([`KernelScratch::xpad`]).
 //!
 //! Growth and reuse events — and floats packed into weight panels, and
 //! window tables built — are counted in process-wide atomics (see [`stats`])
 //! so tests can assert that a steady-state serving loop performs zero
 //! scratch allocations, packs no weights and builds no table
 //! (`tests/hot_path_allocations.rs`). The
-//! `fast-kernels` feature does not change any of this: the fused
-//! microkernels consume the same packed panels with the same shapes, so
-//! scratch behavior is tier-independent.
+//! `fast-kernels` feature does not change any of this: the fused kernels
+//! consume the same packed panels with the same shapes, so scratch behavior
+//! is tier-independent.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,7 +54,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static SCRATCH_ALLOCS: AtomicU64 = AtomicU64::new(0);
 /// Times a scratch buffer was handed out without touching the allocator.
 static SCRATCH_REUSES: AtomicU64 = AtomicU64::new(0);
-/// Floats written into packed weight panels ([`super::gemm::PackedA`]).
+/// Floats written into packed weight panels (`kernels/window.rs`).
 static WEIGHT_FLOATS_PACKED: AtomicU64 = AtomicU64::new(0);
 /// Convolution window tables built (`kernels/window.rs`).
 static WINDOW_TABLES_BUILT: AtomicU64 = AtomicU64::new(0);
@@ -65,10 +66,11 @@ pub struct ScratchStats {
     pub allocs: u64,
     /// Cumulative allocation-free buffer reuses since process start.
     pub reuses: u64,
-    /// Cumulative floats packed into layer-held weight panels
-    /// ([`super::gemm::PackedA`]) since process start. Layers pack on their
-    /// first eval forward and again only after their parameters were handed
-    /// out mutably, so a steady-state serving loop must not increase this.
+    /// Cumulative floats written into convolution weight panels
+    /// (`kernels/window.rs`; padding lanes included) since process start.
+    /// Layers pack on their first eval forward and again only after their
+    /// parameters were handed out mutably, so a steady-state serving loop
+    /// must not increase this; a train forward packs once per call.
     pub weight_floats_packed: u64,
     /// Cumulative convolution window tables built since process start. A
     /// conv layer builds one on its first forward and again only when its
@@ -237,8 +239,8 @@ impl PackScratch {
 /// indexes (and `grad_pad` for its gradient twin in the depthwise backward);
 /// the backward and Q8 paths, which still materialise the lowering, use
 /// `cols` for the im2col matrix, `cols_t` for its transpose (weight-gradient
-/// GEMMs), `grad_cols` for the column-space input gradient and `weight_t`
-/// for the transposed weight; all of them the GEMM `packs`. Arenas
+/// GEMMs), `grad_cols` for the column-space input gradient, `weight_t` for
+/// the transposed weight and the GEMM `packs`. Arenas
 /// are retained per thread (see [`with_thread_scratch`]) — layers and model
 /// replicas carry no scratch of their own, so replicating a model onto a
 /// persistent pool worker automatically shares that worker's warmed-up

@@ -1,5 +1,5 @@
-//! Explicit-SIMD backend: runtime ISA detection and the vectorized GEMM
-//! microkernels.
+//! Explicit-SIMD backend: runtime ISA detection, the vectorized GEMM
+//! microkernels and the convolution tile kernel.
 //!
 //! The autovectorized microkernel from the blocked-GEMM layer is at the mercy
 //! of the compiler's loop vectorizer (and of whatever `-C target-cpu` the
@@ -8,7 +8,10 @@
 //! implementations, an AVX-512 widened microkernel, and a cached runtime
 //! CPU-feature dispatch ([`active_isa`]) that picks the widest instruction
 //! set the host actually supports — independent of how the binary was
-//! compiled.
+//! compiled. The standard convolution's forward (`conv_forward`) is here
+//! too: one inner loop (`conv_tile`) over sixteen output channels per vector
+//! row, instantiated per backend with as many output positions per tile as
+//! its register file holds.
 //!
 //! # Determinism contract
 //!
@@ -24,8 +27,9 @@
 //!   the scalar kernels on every ISA — pinned by the equivalence suites,
 //!   which re-run the kernels under every [`supported_isas`] entry.
 //! * **`fast-kernels` build — deterministic-per-build.** The AVX2 and
-//!   AVX-512 GEMM microkernels (and the elementwise `axpy`) additionally
-//!   compile **fused multiply-add** variants, dispatched when the host's
+//!   AVX-512 GEMM microkernels and convolution tiles (and the elementwise
+//!   `axpy`) additionally compile **fused multiply-add** variants,
+//!   dispatched when the host's
 //!   `fma` CPUID bit is set ([`fma_supported`]). Fusing removes the
 //!   intermediate product rounding, so fused results are no longer
 //!   bit-identical to the seed — they are instead pinned to a
@@ -298,9 +302,97 @@ pub(crate) trait F32x8: Copy {
     fn and(self, other: Self) -> Self;
 }
 
+/// Lanes of one output-channel block of the convolution kernel, and the
+/// width of a weight-panel row (`kernels/window.rs`). A property of the panel
+/// layout, not of the backend: every ISA reads the same panels.
+pub(crate) const OC_LANES: usize = 16;
+
+/// Output positions per convolution tile — what each backend's register file
+/// holds as `OC_LANES`-wide accumulators next to one weight row: twelve of
+/// 32 `zmm`, six pairs of 16 `ymm`, two quads of 16 `xmm`.
+#[cfg(target_arch = "x86_64")]
+const CONV_ROWS_AVX512: usize = 12;
+#[cfg(target_arch = "x86_64")]
+const CONV_ROWS_AVX2: usize = 6;
+#[cfg(target_arch = "x86_64")]
+const CONV_ROWS_SSE2: usize = 2;
+/// The scalar tile's rows, those of the scalar GEMM microkernel.
+const CONV_ROWS_SCALAR: usize = MR;
+
+/// [`OC_LANES`] `f32` lanes — one accumulator row of the convolution tile —
+/// with the one arithmetic step its inner loop takes.
+///
+/// # Safety
+///
+/// As for [`F32x8`]: `load`/`store` dereference raw pointers ([`OC_LANES`]
+/// lanes' worth), and an implementation may only execute on hosts with its
+/// CPU feature.
+#[cfg(target_arch = "x86_64")]
+pub(crate) trait Lanes16: Copy {
+    /// Loads [`OC_LANES`] consecutive lanes from `ptr` (unaligned).
+    ///
+    /// # Safety
+    ///
+    /// `ptr..ptr+OC_LANES` must be readable; the impl's CPU feature must be
+    /// active.
+    unsafe fn load(ptr: *const f32) -> Self;
+    /// Stores [`OC_LANES`] consecutive lanes to `ptr` (unaligned).
+    ///
+    /// # Safety
+    ///
+    /// `ptr..ptr+OC_LANES` must be writable; the impl's CPU feature must be
+    /// active.
+    unsafe fn store(self, ptr: *mut f32);
+    /// Lanewise `self + w * x`: two IEEE roundings per lane on the unfused
+    /// implementations, one (`fmadd`) on the `fast-kernels` ones.
+    fn mul_acc(self, w: Self, x: f32) -> Self;
+}
+
+/// The convolution tile's one inner loop, for every vector backend: `R`
+/// output positions by [`OC_LANES`] output channels,
+/// `acc[r][lane] = seed[lane]; for p ascending: acc[r][lane] += w[p][lane] *
+/// x[taps[p] + offs[r]]` — the weight row one vector load, the activation a
+/// scalar broadcast addressed through the window table. Lanes and rows are
+/// independent output elements, so per element this is the scalar
+/// reference's operation sequence.
+///
+/// # Safety
+///
+/// Caller must guarantee `V`'s CPU feature is active, `w.len() >=
+/// taps.len() * OC_LANES`, and `taps[p] + offs[r] < x.len()` for every `p`
+/// and `r`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn conv_tile<V: Lanes16, const R: usize>(
+    w: &[f32],
+    seed: &[f32; OC_LANES],
+    taps: &[u32],
+    offs: &[usize; R],
+    x: &[f32],
+    acc: &mut [[f32; OC_LANES]; R],
+) {
+    debug_assert!(w.len() >= taps.len() * OC_LANES);
+    let mut c = [V::load(seed.as_ptr()); R];
+    let mut wp = w.as_ptr();
+    for &tap in taps {
+        let wv = V::load(wp);
+        let xt = x.as_ptr().add(tap as usize);
+        for (cr, &o) in c.iter_mut().zip(offs) {
+            *cr = cr.mul_acc(wv, *xt.add(o));
+        }
+        wp = wp.add(OC_LANES);
+    }
+    for (cr, row) in c.iter().zip(acc.iter_mut()) {
+        cr.store(row.as_mut_ptr());
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{F32x8, MR, NR};
+    use super::{
+        conv_tile, F32x8, Lanes16, CONV_ROWS_AVX2, CONV_ROWS_AVX512, CONV_ROWS_SSE2, MR, NR,
+        OC_LANES,
+    };
     use crate::quant::{BlockQ8_0, QK8_0};
     use std::arch::x86_64::*;
 
@@ -590,6 +682,129 @@ mod x86 {
         }
     }
 
+    /// Two 8-lane vectors as one output-channel block: the SSE2 and AVX2
+    /// backends of the convolution kernel.
+    #[derive(Clone, Copy)]
+    pub(crate) struct Pair<V>(V, V);
+
+    impl<V: F32x8> Lanes16 for Pair<V> {
+        #[inline(always)]
+        unsafe fn load(ptr: *const f32) -> Self {
+            Pair(V::load(ptr), V::load(ptr.add(8)))
+        }
+
+        #[inline(always)]
+        unsafe fn store(self, ptr: *mut f32) {
+            self.0.store(ptr);
+            self.1.store(ptr.add(8));
+        }
+
+        #[inline(always)]
+        fn mul_acc(self, w: Self, x: f32) -> Self {
+            let xv = V::splat(x);
+            Pair(self.0.add(w.0.mul(xv)), self.1.add(w.1.mul(xv)))
+        }
+    }
+
+    /// One AVX-512 `__m512`.
+    #[derive(Clone, Copy)]
+    pub(crate) struct Avx512V(__m512);
+
+    impl Lanes16 for Avx512V {
+        #[inline(always)]
+        unsafe fn load(ptr: *const f32) -> Self {
+            Avx512V(_mm512_loadu_ps(ptr))
+        }
+
+        #[inline(always)]
+        unsafe fn store(self, ptr: *mut f32) {
+            _mm512_storeu_ps(ptr, self.0);
+        }
+
+        #[inline(always)]
+        fn mul_acc(self, w: Self, x: f32) -> Self {
+            unsafe { Avx512V(_mm512_add_ps(self.0, _mm512_mul_ps(w.0, _mm512_set1_ps(x)))) }
+        }
+    }
+
+    /// SSE2 instantiation of the convolution tile ([`conv_tile`]).
+    ///
+    /// # Safety
+    ///
+    /// Host must support SSE2 (always true on `x86_64`); table and panel
+    /// invariants as in [`conv_tile`].
+    #[target_feature(enable = "sse2")]
+    pub(crate) unsafe fn conv_tile_sse2(
+        w: &[f32],
+        seed: &[f32; OC_LANES],
+        taps: &[u32],
+        offs: &[usize; CONV_ROWS_SSE2],
+        x: &[f32],
+        acc: &mut [[f32; OC_LANES]; CONV_ROWS_SSE2],
+    ) {
+        conv_tile::<Pair<Sse2V>, CONV_ROWS_SSE2>(w, seed, taps, offs, x, acc);
+    }
+
+    /// AVX2 instantiation of the convolution tile ([`conv_tile`]).
+    ///
+    /// # Safety
+    ///
+    /// Host must support AVX2; table and panel invariants as in
+    /// [`conv_tile`].
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn conv_tile_avx2(
+        w: &[f32],
+        seed: &[f32; OC_LANES],
+        taps: &[u32],
+        offs: &[usize; CONV_ROWS_AVX2],
+        x: &[f32],
+        acc: &mut [[f32; OC_LANES]; CONV_ROWS_AVX2],
+    ) {
+        conv_tile::<Pair<Avx2V>, CONV_ROWS_AVX2>(w, seed, taps, offs, x, acc);
+    }
+
+    /// AVX-512 instantiation of the convolution tile ([`conv_tile`]): one
+    /// `zmm` accumulator per output position, the activation folded into the
+    /// multiply as an embedded broadcast.
+    ///
+    /// # Safety
+    ///
+    /// Host must support AVX-512F; table and panel invariants as in
+    /// [`conv_tile`].
+    #[target_feature(enable = "avx512f")]
+    pub(crate) unsafe fn conv_tile_avx512(
+        w: &[f32],
+        seed: &[f32; OC_LANES],
+        taps: &[u32],
+        offs: &[usize; CONV_ROWS_AVX512],
+        x: &[f32],
+        acc: &mut [[f32; OC_LANES]; CONV_ROWS_AVX512],
+    ) {
+        conv_tile::<Avx512V, CONV_ROWS_AVX512>(w, seed, taps, offs, x, acc);
+    }
+
+    /// `dst[i][j] = src[j][i]`: a 4x4 transposition in four `xmm` registers
+    /// (`unpcklps`/`unpckhps`, then `movlhps`/`movhlps`).
+    ///
+    /// # Safety
+    ///
+    /// Host must support SSE2 (always true on `x86_64`).
+    #[target_feature(enable = "sse2")]
+    pub(crate) unsafe fn transpose4_sse2(src: [&[f32; 4]; 4], dst: [&mut [f32; 4]; 4]) {
+        let [r0, r1, r2, r3] = src.map(|row| _mm_loadu_ps(row.as_ptr()));
+        let (t0, t1) = (_mm_unpacklo_ps(r0, r1), _mm_unpackhi_ps(r0, r1));
+        let (t2, t3) = (_mm_unpacklo_ps(r2, r3), _mm_unpackhi_ps(r2, r3));
+        let cols = [
+            _mm_movelh_ps(t0, t2),
+            _mm_movehl_ps(t2, t0),
+            _mm_movelh_ps(t1, t3),
+            _mm_movehl_ps(t3, t1),
+        ];
+        for (col, out) in cols.into_iter().zip(dst) {
+            _mm_storeu_ps(out.as_mut_ptr(), col);
+        }
+    }
+
     /// The fused (FMA) kernel tier, compiled only under `fast-kernels`.
     ///
     /// Each kernel is the exact loop structure of its unfused sibling with
@@ -602,7 +817,7 @@ mod x86 {
     /// accumulation bound.
     #[cfg(feature = "fast-kernels")]
     pub(crate) mod fused {
-        use super::{MR, NR};
+        use super::{conv_tile, Lanes16, CONV_ROWS_AVX2, CONV_ROWS_AVX512, MR, NR, OC_LANES};
         use std::arch::x86_64::*;
 
         /// FMA contraction of [`super::microkernel_4x16_avx2`].
@@ -681,6 +896,92 @@ mod x86 {
             for (r, row) in acc.iter_mut().enumerate() {
                 _mm512_storeu_ps(row.as_mut_ptr(), c[r]);
             }
+        }
+
+        /// Two `__m256` halves whose step is one `fmadd`.
+        #[derive(Clone, Copy)]
+        pub(crate) struct Avx2FmaV(__m256, __m256);
+
+        impl Lanes16 for Avx2FmaV {
+            #[inline(always)]
+            unsafe fn load(ptr: *const f32) -> Self {
+                Avx2FmaV(_mm256_loadu_ps(ptr), _mm256_loadu_ps(ptr.add(8)))
+            }
+
+            #[inline(always)]
+            unsafe fn store(self, ptr: *mut f32) {
+                _mm256_storeu_ps(ptr, self.0);
+                _mm256_storeu_ps(ptr.add(8), self.1);
+            }
+
+            #[inline(always)]
+            fn mul_acc(self, w: Self, x: f32) -> Self {
+                unsafe {
+                    let xv = _mm256_set1_ps(x);
+                    Avx2FmaV(
+                        _mm256_fmadd_ps(w.0, xv, self.0),
+                        _mm256_fmadd_ps(w.1, xv, self.1),
+                    )
+                }
+            }
+        }
+
+        /// One `__m512` whose step is one `fmadd`.
+        #[derive(Clone, Copy)]
+        pub(crate) struct Avx512FmaV(__m512);
+
+        impl Lanes16 for Avx512FmaV {
+            #[inline(always)]
+            unsafe fn load(ptr: *const f32) -> Self {
+                Avx512FmaV(_mm512_loadu_ps(ptr))
+            }
+
+            #[inline(always)]
+            unsafe fn store(self, ptr: *mut f32) {
+                _mm512_storeu_ps(ptr, self.0);
+            }
+
+            #[inline(always)]
+            fn mul_acc(self, w: Self, x: f32) -> Self {
+                unsafe { Avx512FmaV(_mm512_fmadd_ps(w.0, _mm512_set1_ps(x), self.0)) }
+            }
+        }
+
+        /// FMA contraction of [`super::conv_tile_avx2`].
+        ///
+        /// # Safety
+        ///
+        /// Host must support AVX2 **and** FMA; table and panel invariants as
+        /// in [`conv_tile`].
+        #[target_feature(enable = "avx2,fma")]
+        pub(crate) unsafe fn conv_tile_avx2_fma(
+            w: &[f32],
+            seed: &[f32; OC_LANES],
+            taps: &[u32],
+            offs: &[usize; CONV_ROWS_AVX2],
+            x: &[f32],
+            acc: &mut [[f32; OC_LANES]; CONV_ROWS_AVX2],
+        ) {
+            conv_tile::<Avx2FmaV, CONV_ROWS_AVX2>(w, seed, taps, offs, x, acc);
+        }
+
+        /// FMA contraction of [`super::conv_tile_avx512`]; per element the
+        /// `fmadd` sequence of [`conv_tile_avx2_fma`].
+        ///
+        /// # Safety
+        ///
+        /// Host must support AVX-512F; table and panel invariants as in
+        /// [`conv_tile`].
+        #[target_feature(enable = "avx512f")]
+        pub(crate) unsafe fn conv_tile_avx512_fma(
+            w: &[f32],
+            seed: &[f32; OC_LANES],
+            taps: &[u32],
+            offs: &[usize; CONV_ROWS_AVX512],
+            x: &[f32],
+            acc: &mut [[f32; OC_LANES]; CONV_ROWS_AVX512],
+        ) {
+            conv_tile::<Avx512FmaV, CONV_ROWS_AVX512>(w, seed, taps, offs, x, acc);
         }
     }
 }
@@ -822,6 +1123,204 @@ pub(crate) fn microkernel_8x16(
     }
     #[cfg(not(target_arch = "x86_64"))]
     unreachable!("paired microkernel is x86_64-only");
+}
+
+// ---------------------------------------------------------------------------
+// The convolution kernel: output channels on the lanes, activations broadcast
+// through the window table.
+// ---------------------------------------------------------------------------
+
+/// One convolution tile on some backend: `acc[r][lane] = seed[lane] +
+/// Σ_p w[p * OC_LANES + lane] * x[taps[p] + offs[r]]`, `p` ascending.
+type ConvTileFn<const R: usize> = unsafe fn(
+    w: &[f32],
+    seed: &[f32; OC_LANES],
+    taps: &[u32],
+    offs: &[usize; R],
+    x: &[f32],
+    acc: &mut [[f32; OC_LANES]; R],
+);
+
+/// The scalar (autovectorized) convolution tile — the `Isa::Scalar` backend
+/// and the reference every vector backend must match bit for bit. Plain
+/// indexing: a table entry outside the image panics instead of reading.
+fn conv_tile_scalar(
+    w: &[f32],
+    seed: &[f32; OC_LANES],
+    taps: &[u32],
+    offs: &[usize; CONV_ROWS_SCALAR],
+    x: &[f32],
+    acc: &mut [[f32; OC_LANES]; CONV_ROWS_SCALAR],
+) {
+    let mut tile = [*seed; CONV_ROWS_SCALAR];
+    for (wv, &tap) in w.chunks_exact(OC_LANES).zip(taps) {
+        let xt = &x[tap as usize..];
+        for (row, &o) in tile.iter_mut().zip(offs) {
+            let xv = xt[o];
+            for (a, &wl) in row.iter_mut().zip(wv) {
+                *a += wl * xv;
+            }
+        }
+    }
+    *acc = tile;
+}
+
+/// One sample's convolution as the kernel sees it: `out[oc][s] = bias[oc] +
+/// Σ_p weight[oc][p] * xpad[taps[p] + offs[s]]` for `bias.len()` channels and
+/// `offs.len()` output positions.
+pub(crate) struct ConvOperands<'a> {
+    /// The weights as `[oc block][p][OC_LANES]` rows, lanes past the last
+    /// channel zero (`kernels/window.rs` packs them).
+    pub(crate) panels: &'a [f32],
+    /// One accumulator seed per output channel.
+    pub(crate) bias: &'a [f32],
+    /// Window table: the offset of tap `p` from a receptive field's origin.
+    pub(crate) taps: &'a [u32],
+    /// Window table: the origin of output position `s` in the padded image.
+    pub(crate) offs: &'a [u32],
+    /// The zero-padded image both tables index.
+    pub(crate) xpad: &'a [f32],
+    /// `[oc, s]` row-major.
+    pub(crate) out: &'a mut [f32],
+}
+
+/// One sample's convolution forward with output channels on the vector
+/// lanes, taps accumulated in ascending order from the bias.
+///
+/// Each block of [`OC_LANES`] channels is computed a tile of positions at a
+/// time — as many as the backend for `isa` keeps in registers — with padded
+/// lanes and padded positions computed and never stored. `fused` selects the
+/// FMA tier for every element of the call, under the rule of
+/// [`microkernel_4x16`]: only where [`fused_for_isa`]`(isa)` holds. All
+/// unfused backends are bit-identical; the fused ones are bit-identical to
+/// each other.
+///
+/// # Panics
+///
+/// Panics if `panels` or `out` does not match `bias.len()`, `taps.len()` and
+/// `offs.len()`, or if the table addresses an element outside `xpad`.
+pub(crate) fn conv_forward(isa: Isa, fused: bool, ops: ConvOperands<'_>) {
+    debug_assert!(!fused || fused_for_isa(isa), "fused tier without FMA");
+    match (isa, fused) {
+        #[cfg(all(target_arch = "x86_64", feature = "fast-kernels"))]
+        // SAFETY: `fused` is only set when `fused_for_isa` confirmed the
+        // host's FMA bit on an AVX-512 backend.
+        (Isa::Avx512, true) => unsafe { conv_drive(x86::fused::conv_tile_avx512_fma, ops) },
+        #[cfg(all(target_arch = "x86_64", feature = "fast-kernels"))]
+        // SAFETY: as above, on an AVX2 backend.
+        (_, true) => unsafe { conv_drive(x86::fused::conv_tile_avx2_fma, ops) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `isa` comes from `active_isa`, which only reports CPU
+        // features the host has.
+        (Isa::Avx512, _) => unsafe { conv_drive(x86::conv_tile_avx512, ops) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above.
+        (Isa::Avx2, _) => unsafe { conv_drive(x86::conv_tile_avx2, ops) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above (SSE2 is the `x86_64` baseline).
+        (Isa::Sse2, _) => unsafe { conv_drive(x86::conv_tile_sse2, ops) },
+        // SAFETY: the scalar tile is safe code and needs no CPU feature.
+        _ => unsafe { conv_drive(conv_tile_scalar, ops) },
+    }
+}
+
+/// [`conv_forward`] on one backend: walks the channel blocks and, inside
+/// each, the position tiles of `R` rows, and transposes every tile's valid
+/// corner into the NCHW output ([`store_tile`]).
+///
+/// # Safety
+///
+/// `tile` must be runnable on this host (its CPU feature available). Its
+/// other preconditions are established here: the panel length once per call,
+/// the table against the padded image once per tile.
+unsafe fn conv_drive<const R: usize>(tile: ConvTileFn<R>, ops: ConvOperands<'_>) {
+    let ConvOperands {
+        panels,
+        bias,
+        taps,
+        offs,
+        xpad,
+        out,
+    } = ops;
+    let (oc, s) = (bias.len(), offs.len());
+    let block_len = taps.len() * OC_LANES;
+    assert_eq!(
+        panels.len(),
+        oc.div_ceil(OC_LANES) * block_len,
+        "conv: weight panels must be [oc blocks][taps][OC_LANES]"
+    );
+    assert_eq!(out.len(), oc * s, "conv: out must be oc*s");
+    if s == 0 {
+        return;
+    }
+    let max_tap = taps.iter().max().map_or(0, |&t| t as usize);
+    let mut acc = [[0.0f32; OC_LANES]; R];
+    for (block, (ochans, bchans)) in out
+        .chunks_mut(OC_LANES * s)
+        .zip(bias.chunks(OC_LANES))
+        .enumerate()
+    {
+        let w = &panels[block * block_len..(block + 1) * block_len];
+        let mut seed = [0.0f32; OC_LANES];
+        seed[..bchans.len()].copy_from_slice(bchans);
+        for (t, group) in offs.chunks(R).enumerate() {
+            // Rows past the last position re-read the tile's first window.
+            let mut rows = [group[0] as usize; R];
+            for (row, &o) in rows.iter_mut().zip(group) {
+                *row = o as usize;
+            }
+            let max_off = rows.iter().fold(0, |m, &o| m.max(o));
+            assert!(
+                taps.is_empty() || max_tap + max_off < xpad.len(),
+                "conv: window table reaches outside the padded image"
+            );
+            // SAFETY: `w` holds `taps.len()` rows of `OC_LANES` weights
+            // (sliced above) and every `taps[p] + rows[r]` is at most
+            // `max_tap + max_off`, inside `xpad` by the assert; the caller
+            // vouches for the CPU feature.
+            unsafe { tile(w, &seed, taps, &rows, xpad, &mut acc) };
+            store_tile(&acc, group.len(), ochans, s, t * R);
+        }
+    }
+}
+
+/// Copies the valid corner of a `[position][channel]` accumulator tile —
+/// `rows` positions from `s0`, as many channels as `ochans` holds rows of `s`
+/// — into the `[channel][position]` output: four by four through register
+/// shuffles where both extents allow, element by element at the edges.
+fn store_tile<const R: usize>(
+    acc: &[[f32; OC_LANES]; R],
+    rows: usize,
+    ochans: &mut [f32],
+    s: usize,
+    s0: usize,
+) {
+    for (q, quad) in ochans.chunks_mut(4 * s).enumerate() {
+        let l0 = 4 * q;
+        for r0 in (0..rows).step_by(4) {
+            #[cfg(target_arch = "x86_64")]
+            if quad.len() == 4 * s && r0 + 4 <= rows {
+                let src: [&[f32; 4]; 4] = std::array::from_fn(|j| {
+                    acc[r0 + j][l0..l0 + 4].try_into().expect("four lanes")
+                });
+                let mut chans = quad.chunks_exact_mut(s);
+                let dst: [&mut [f32; 4]; 4] = std::array::from_fn(|_| {
+                    let chan = chans.next().expect("four channels");
+                    (&mut chan[s0 + r0..s0 + r0 + 4])
+                        .try_into()
+                        .expect("four positions")
+                });
+                // SAFETY: SSE2 is the `x86_64` baseline.
+                unsafe { x86::transpose4_sse2(src, dst) };
+                continue;
+            }
+            for (i, chan) in quad.chunks_exact_mut(s).enumerate() {
+                for r in r0..rows.min(r0 + 4) {
+                    chan[s0 + r] = acc[r][l0 + i];
+                }
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

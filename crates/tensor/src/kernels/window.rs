@@ -12,28 +12,38 @@
 //! `p = (ic, ky, kx)` from that origin. Padding taps land on the zero border,
 //! so no reader branches on the image edge. A [`ConvWindow`] holds the two
 //! tables (after Dukhan, *The Indirect Convolution Algorithm*,
-//! arXiv:1907.02129); it is derived layer state like
-//! [`PackedA`](super::gemm::PackedA) — built once per input shape, cloned
-//! with the layer — and has two readers:
+//! arXiv:1907.02129); it is derived layer state — built once per input shape,
+//! cloned with the layer — and has two readers:
 //!
-//! * the blocked GEMM fills its `NR`-column B panels straight from `xpad`
-//!   ([`ConvWindow::fill_panels`]), byte-equal to packing the im2col matrix,
-//!   so a standard convolution never writes that `k*k`-times larger matrix
-//!   out;
+//! * the standard convolution puts **output channels on the vector lanes**
+//!   ([`ConvWindow::conv_forward`]): the layer's weights are packed once as
+//!   `[16-channel block][tap][16]` rows ([`OcPanels`]), and per block and tile
+//!   of output positions every tap is one vector load of weights times one
+//!   activation broadcast from `xpad` through the table. The indirection
+//!   serves the broadcast operand, so nothing is gathered, copied into
+//!   panels or padded to a column count, and a layer with 9 or 36 output
+//!   positions wastes no lanes on them;
 //! * the depthwise convolution runs as a direct stencil over the same table
 //!   ([`ConvWindow::depthwise_forward`] / [`ConvWindow::depthwise_backward`]),
-//!   accumulating taps in ascending order, multiply then add — the operation
-//!   sequence of a `1 x k*k` row-accumulate GEMM over the im2col matrix.
+//!   with output positions on the lanes (its channels are `hp * wp` apart in
+//!   NCHW).
 //!
-//! Nothing here depends on [`super::simd::active_isa`] or the build tier: the
-//! loops are plain Rust, which never contracts `a * b + c`, so the stencil
-//! reproduces the seed on the default and the `fast-kernels` build alike.
-//! A border tap contributes `w * 0.0` — not nothing — just as im2col's
+//! Both accumulate taps in ascending order from the bias, multiply then add —
+//! the operation sequence of a row-accumulate GEMM over the im2col matrix. A
+//! border tap contributes `w * 0.0` — not nothing — just as im2col's
 //! explicit zero entries do (see docs/DETERMINISM.md, "Padding taps").
+//!
+//! The stencil is plain Rust, which never contracts `a * b + c`, so it
+//! depends on neither [`super::simd::active_isa`] nor the build tier. The
+//! standard convolution dispatches on both: its backends are bit-identical
+//! to each other and to the scalar reference on the default build, and under
+//! `fast-kernels` a layer above `SMALL_PROBLEM_MACS` fuses every element
+//! (see [`ConvWindow::conv_forward`]).
 
-use super::gemm::NR;
+use super::gemm::{NR, SMALL_PROBLEM_MACS};
 use super::naive;
 use super::scratch::{self, GrowBuf};
+use super::simd::{self, ConvOperands, OC_LANES};
 
 /// The window table of one convolution geometry on one `[c, h, w]` input.
 #[derive(Debug, Clone)]
@@ -63,8 +73,9 @@ impl ConvWindow {
     ///
     /// # Panics
     ///
-    /// Panics if the kernel does not fit the padded image or the padded image
-    /// has more than `u32::MAX` elements.
+    /// Panics if the kernel does not fit the padded image
+    /// ([`naive::conv_out`]) or the padded image has more than `u32::MAX`
+    /// elements.
     pub(crate) fn new(
         c: usize,
         h: usize,
@@ -73,16 +84,16 @@ impl ConvWindow {
         stride: usize,
         padding: usize,
     ) -> Self {
-        let (hp, wp) = (h + 2 * padding, w + 2 * padding);
         assert!(
-            k > 0 && stride > 0 && k <= hp && k <= wp,
-            "ConvWindow: kernel must fit the padded image"
+            k > 0 && stride > 0,
+            "ConvWindow: kernel and stride must be positive"
         );
+        let (oh, ow) = naive::conv_out(h, w, k, stride, padding);
+        let (hp, wp) = (h + 2 * padding, w + 2 * padding);
         assert!(
             u32::try_from(c * hp * wp).is_ok(),
             "ConvWindow: padded image too large"
         );
-        let (oh, ow) = naive::conv_out(h, w, k, stride, padding);
         let s = oh * ow;
         let mut off = vec![0u32; s.div_ceil(NR) * NR];
         for (pos, o) in off[..s].iter_mut().enumerate() {
@@ -119,11 +130,6 @@ impl ConvWindow {
     /// Rows of the im2col matrix this table stands for, `c * k * k`.
     pub(crate) fn taps(&self) -> usize {
         self.tapoff.len()
-    }
-
-    /// Columns of the im2col matrix this table stands for, `oh * ow`.
-    pub(crate) fn positions(&self) -> usize {
-        self.s
     }
 
     /// Elements of the padded image, `c * (h + 2p) * (w + 2p)`.
@@ -184,45 +190,50 @@ impl ConvWindow {
             .expect("off is padded to a multiple of NR")
     }
 
-    /// Writes rows `pc..pc + kcb`, columns `jc..jc + ncb` of the im2col
-    /// matrix into `NR`-column strips (`[jt][p][NR]`, columns past the matrix
-    /// edge zero) — the bytes `pack_b` writes from the materialised matrix.
-    /// `jc` must be a multiple of `NR`.
-    pub(crate) fn fill_panels(
+    /// Standard-convolution forward of one sample: `out[oc][s] = bias[oc] +
+    /// Σ_p weight[oc][p] * xpad[tapoff[p] + off[s]]`, taps ascending, on the
+    /// dispatched backend of the output-channel-lane kernel
+    /// ([`simd::conv_forward`]). The backend and the numeric tier are
+    /// resolved here, once per call: under `fast-kernels` every element of a
+    /// layer above [`SMALL_PROBLEM_MACS`] fuses, and none of a smaller one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `panels` was packed for a different tap count, or `xpad`,
+    /// `bias` or `out` does not match the table and the panels.
+    pub(crate) fn conv_forward(
         &self,
         xpad: &[f32],
-        pc: usize,
-        kcb: usize,
-        jc: usize,
-        ncb: usize,
-        pack: &mut [f32],
+        panels: &OcPanels,
+        bias: &[f32],
+        out: &mut [f32],
     ) {
-        let taps = &self.tapoff[pc..pc + kcb];
-        for (jt, strip) in pack[..ncb.div_ceil(NR) * kcb * NR]
-            .chunks_exact_mut(kcb * NR)
-            .enumerate()
-        {
-            let off = self.off_group(jc + jt * NR);
-            let cols = NR.min(ncb - jt * NR);
-            for (dst, &tap) in strip.chunks_exact_mut(NR).zip(taps) {
-                let src = &xpad[tap as usize..];
-                for (d, &o) in dst.iter_mut().zip(off) {
-                    *d = src[o as usize];
-                }
-                dst[cols..].fill(0.0);
-            }
-        }
-    }
-
-    /// Materialises the whole im2col matrix (`[c*k*k, oh*ow]`, row-major)
-    /// from `xpad`, for the `i-k-j` small-problem kernel.
-    pub(crate) fn unroll(&self, xpad: &[f32], cols: &mut [f32]) {
-        for (row, &tap) in cols.chunks_exact_mut(self.s).zip(&self.tapoff) {
-            let src = &xpad[tap as usize..];
-            for (d, &o) in row.iter_mut().zip(&self.off) {
-                *d = src[o as usize];
-            }
-        }
+        assert_eq!(
+            panels.taps,
+            self.taps(),
+            "conv: weight panels were packed for a different tap count"
+        );
+        assert_eq!(bias.len(), panels.oc, "conv: bias must have oc entries");
+        assert_eq!(
+            xpad.len(),
+            self.padded_len(),
+            "conv: padded image does not match its window"
+        );
+        let isa = simd::active_isa();
+        let fused =
+            panels.oc * self.taps() * self.s > SMALL_PROBLEM_MACS && simd::fused_for_isa(isa);
+        simd::conv_forward(
+            isa,
+            fused,
+            ConvOperands {
+                panels: &panels.panels,
+                bias,
+                taps: &self.tapoff,
+                offs: &self.off[..self.s],
+                xpad,
+                out,
+            },
+        );
     }
 
     /// Depthwise forward of one sample: `out[ch][s] = bias[ch] + Σ_tap
@@ -321,62 +332,194 @@ impl ConvWindow {
     }
 }
 
+/// A convolution's weights with output channels on the vector lanes: one
+/// block per [`OC_LANES`] channels, each `[tap p = (ic, ky, kx)][OC_LANES]`
+/// (lanes past the last channel zero), so the kernel reads one tap of sixteen
+/// filters as one aligned-width vector load. The layout is the same on every
+/// ISA. Derived layer state, like the window table.
+#[derive(Debug, Clone)]
+pub(crate) struct OcPanels {
+    oc: usize,
+    taps: usize,
+    panels: Vec<f32>,
+}
+
+impl OcPanels {
+    /// Packs the row-major `[oc, taps]` weight matrix. Counted in
+    /// [`scratch::ScratchStats::weight_floats_packed`] so tests can pin that
+    /// steady-state inference never re-packs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weight.len() != oc * taps`.
+    pub(crate) fn pack(oc: usize, taps: usize, weight: &[f32]) -> Self {
+        assert_eq!(weight.len(), oc * taps, "OcPanels: weight must be oc*taps");
+        let mut panels = vec![0.0f32; oc.div_ceil(OC_LANES) * taps * OC_LANES];
+        for o in 0..oc {
+            let block = &mut panels[o / OC_LANES * taps * OC_LANES..];
+            for (p, &v) in weight[o * taps..(o + 1) * taps].iter().enumerate() {
+                block[p * OC_LANES + o % OC_LANES] = v;
+            }
+        }
+        scratch::count_weight_floats_packed(panels.len());
+        Self { oc, taps, panels }
+    }
+}
+
 #[cfg(test)]
 mod tests {
-    use super::super::gemm::{pack_b, KC, NC};
-    use super::super::im2col::{im2col, TEST_GEOMETRIES};
-    use super::super::tolerance::assert_bits_eq;
-    use super::naive::conv_out;
+    use super::super::im2col::TEST_GEOMETRIES;
+    use super::super::tolerance::{self, assert_bits_eq};
     use super::*;
     use crate::rng::SeededRng;
 
-    /// The tentpole's by-construction argument, pinned: for every slab and
-    /// macro-block the blocked driver would ask for, the window writes the
-    /// bytes `pack_b` writes from the materialised im2col matrix — over
-    /// non-square images, stride 3, kernels spanning the whole padded width
-    /// (taps that only ever see padding), `k > KC` (several slabs) and
-    /// `oh * ow > NC` (several macro-blocks, a ragged last strip).
+    fn abs_vec(xs: &[f32]) -> Vec<f32> {
+        xs.iter().map(|&x| x.abs()).collect()
+    }
+
+    /// One sample through the table and the panels, on whatever backend is
+    /// active, from a NaN-dirtied arena buffer.
+    fn conv_via_window(
+        geometry: (usize, usize, usize, usize, usize, usize),
+        oc: usize,
+        x: &[f32],
+        weight: &[f32],
+        bias: &[f32],
+    ) -> Vec<f32> {
+        let (c, h, w, k, stride, padding) = geometry;
+        let window = ConvWindow::new(c, h, w, k, stride, padding);
+        let panels = OcPanels::pack(oc, window.taps(), weight);
+        let mut buf = GrowBuf::new();
+        buf.take(window.padded_len()).fill(f32::NAN);
+        let xpad = window.pad(x, &mut buf);
+        let mut out = vec![f32::NAN; oc * window.s];
+        window.conv_forward(xpad, &panels, bias, &mut out);
+        out
+    }
+
+    /// The output-channel-lane kernel against the naive 7-deep loop, on every
+    /// backend: partial and multiple lane blocks (`oc` 1, 12, 16, 17, 40),
+    /// position counts that are a multiple of no backend's rows per tile
+    /// (`3x3`, `5x7`, and whatever the shared geometries give), one tap
+    /// (pointwise, one channel) and more than `KC` of them, non-square
+    /// images, stride 3, kernels spanning the whole padded width. Unfused
+    /// backends reproduce naive bit for bit; under `fast-kernels` a fused
+    /// layer stays inside the accumulation bound, the fused backends agree
+    /// with each other bit for bit, and some fused output differs from naive
+    /// (or the tier is silently inert).
     #[test]
-    fn window_panels_are_byte_equal_to_packed_im2col() {
-        let mut rng = SeededRng::new(0x71_AB);
-        let multi_slab = (16, 6, 6, 3, 1, 1);
-        let multi_block = (2, 18, 18, 3, 1, 1);
-        assert!(multi_slab.0 * 9 > KC && 18 * 18 > NC);
-        for &(c, h, w, k, stride, padding) in
-            TEST_GEOMETRIES.iter().chain(&[multi_slab, multi_block])
-        {
-            let tag = format!("c={c} h={h} w={w} k={k} s={stride} p={padding}");
-            let (oh, ow) = conv_out(h, w, k, stride, padding);
-            let (rows, s) = (c * k * k, oh * ow);
-            let mut x: Vec<f32> = (0..c * h * w).map(|_| rng.uniform(-2.0, 2.0)).collect();
-            x[0] = -0.0;
-            x[w - 1] = f32::INFINITY;
-            let mut cols = vec![f32::NAN; rows * s];
-            im2col(&x, c, h, w, k, stride, padding, oh, ow, &mut cols);
-
-            let window = ConvWindow::new(c, h, w, k, stride, padding);
-            assert_eq!((window.taps(), window.positions()), (rows, s), "{tag}");
-            let mut buf = GrowBuf::new();
-            // A dirty buffer: the border must be re-zeroed, not assumed.
-            buf.take(window.padded_len()).fill(f32::NAN);
-            let xpad = window.pad(&x, &mut buf);
-
-            let mut unrolled = vec![f32::NAN; rows * s];
-            window.unroll(xpad, &mut unrolled);
-            assert_bits_eq(&unrolled, &cols, &format!("{tag} unroll"));
-
-            for jc in (0..s).step_by(NC) {
-                let ncb = NC.min(s - jc);
-                for pc in (0..rows).step_by(KC) {
-                    let kcb = KC.min(rows - pc);
-                    let len = ncb.div_ceil(NR) * kcb * NR;
-                    let (mut want, mut got) = (vec![f32::NAN; len], vec![f32::NAN; len]);
-                    pack_b(&cols, s, pc, kcb, jc, ncb, &mut want);
-                    window.fill_panels(xpad, pc, kcb, jc, ncb, &mut got);
-                    assert_bits_eq(&got, &want, &format!("{tag} panels jc={jc} pc={pc}"));
+    fn oc_lane_kernel_matches_naive_on_every_isa() {
+        let _lock = simd::isa_override_test_lock();
+        let mut rng = SeededRng::new(0x0C_1A);
+        let (mut fused_runs, mut fused_diverged) = (0usize, 0usize);
+        let extra = [
+            (1, 3, 3, 1, 1, 0),  // one tap, 3x3 positions
+            (2, 5, 7, 1, 1, 0),  // pointwise, 5x7 positions
+            (16, 3, 3, 3, 1, 1), // 144 taps, 3x3 positions
+            (40, 3, 3, 3, 1, 1), // the big net's last stage: 360 taps
+            (12, 12, 12, 3, 2, 1),
+        ];
+        for &(c, h, w, k, stride, padding) in TEST_GEOMETRIES.iter().chain(&extra) {
+            for oc in [1usize, 12, 16, 17, 40] {
+                let geometry = (c, h, w, k, stride, padding);
+                let taps = c * k * k;
+                let x: Vec<f32> = (0..c * h * w).map(|_| rng.uniform(-2.0, 2.0)).collect();
+                let weight: Vec<f32> = (0..oc * taps).map(|_| rng.uniform(-1.0, 1.0)).collect();
+                let bias: Vec<f32> = (0..oc).map(|_| rng.uniform(-1.0, 1.0)).collect();
+                let want = naive::conv2d_forward_naive(
+                    &x, 1, c, h, w, &weight, &bias, oc, k, stride, padding,
+                );
+                let mut fused_out: Option<Vec<f32>> = None;
+                for isa in simd::supported_isas() {
+                    let prev = simd::force_isa(Some(isa));
+                    let fused =
+                        oc * taps * (want.len() / oc) > SMALL_PROBLEM_MACS && simd::fused_active();
+                    let got = conv_via_window(geometry, oc, &x, &weight, &bias);
+                    simd::force_isa(prev);
+                    let tag =
+                        format!("c={c} h={h} w={w} k={k} s={stride} p={padding} oc={oc} {isa}");
+                    if !fused {
+                        assert_bits_eq(&got, &want, &tag);
+                        continue;
+                    }
+                    tolerance::assert_matches_reference(
+                        &got,
+                        &want,
+                        || {
+                            naive::conv2d_forward_naive(
+                                &abs_vec(&x),
+                                1,
+                                c,
+                                h,
+                                w,
+                                &abs_vec(&weight),
+                                &abs_vec(&bias),
+                                oc,
+                                k,
+                                stride,
+                                padding,
+                            )
+                            .iter()
+                            .map(|&v| f64::from(v))
+                            .collect()
+                        },
+                        taps + 1,
+                        &tag,
+                    );
+                    fused_runs += 1;
+                    fused_diverged += usize::from(got != want);
+                    let first = fused_out.get_or_insert_with(|| got.clone());
+                    assert_bits_eq(&got, first, &format!("{tag} vs the other fused backend"));
                 }
             }
         }
+        assert!(
+            fused_runs == 0 || fused_diverged > 0,
+            "the fused tier never diverged from naive: FMA is not reaching the kernel"
+        );
+    }
+
+    /// Padded lanes and padded positions are computed and never stored:
+    /// `±inf` and `NaN` in one channel's weights and one position's window
+    /// reach exactly the outputs whose own taps see them.
+    #[test]
+    fn oc_lane_padding_never_leaks_into_stored_output() {
+        let _lock = simd::isa_override_test_lock();
+        let (c, h, w, k, oc) = (2usize, 3usize, 3usize, 1usize, 17usize);
+        let mut rng = SeededRng::new(0x1EA5);
+        let mut x: Vec<f32> = (0..c * h * w).map(|_| rng.uniform(-2.0, 2.0)).collect();
+        let mut weight: Vec<f32> = (0..oc * c).map(|_| rng.uniform(-1.0, 1.0)).collect();
+        let bias: Vec<f32> = (0..oc).map(|_| rng.uniform(-1.0, 1.0)).collect();
+        // A tile's padded rows re-read its first position — 0, 6 or 8 of
+        // these nine, depending on the backend's rows per tile; channel 16 is
+        // alone in the second lane block.
+        x[0] = f32::INFINITY;
+        x[6] = f32::NEG_INFINITY;
+        x[8] = f32::NAN;
+        weight[16 * c] = f32::NAN;
+        let want = naive::conv2d_forward_naive(&x, 1, c, h, w, &weight, &bias, oc, k, 1, 0);
+        for isa in simd::supported_isas() {
+            let prev = simd::force_isa(Some(isa));
+            let got = conv_via_window((c, h, w, k, 1, 0), oc, &x, &weight, &bias);
+            simd::force_isa(prev);
+            for (i, (g, wv)) in got.iter().zip(&want).enumerate() {
+                let special = i / (h * w) == 16 || [0, 6, 8].contains(&(i % (h * w)));
+                assert!(
+                    g.to_bits() == wv.to_bits() || (special && g.is_nan() && wv.is_nan()),
+                    "element {i} on {isa}: {g} vs {wv}"
+                );
+                assert!(special || g.is_finite(), "padding leaked into {i} on {isa}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "packed for a different tap count")]
+    fn oc_lane_kernel_rejects_panels_of_another_geometry() {
+        let window = ConvWindow::new(2, 4, 4, 3, 1, 1);
+        let panels = OcPanels::pack(3, 2, &[0.0; 6]);
+        let xpad = vec![0.0f32; window.padded_len()];
+        window.conv_forward(&xpad, &panels, &[0.0; 3], &mut [0.0; 3 * 16]);
     }
 
     #[test]

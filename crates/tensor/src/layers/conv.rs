@@ -6,11 +6,14 @@
 //! over a zero-padded copy of the sample, so neither forward materialises
 //! the im2col matrix.
 //!
-//! [`Conv2d`] is lowered onto the blocked GEMM in [`crate::kernels`]: forward
-//! is `weight x im2col(x)` with the bias seeding the accumulators — the
-//! kernel fills its B panels straight from the padded image through the
-//! table (a pointwise convolution's matrix is the input itself) — the weight
-//! gradient is `grad_out x im2col(x)^T`, and the input gradient is
+//! [`Conv2d`]'s forward — eval and train, pointwise included — is one
+//! kernel with **output channels on the vector lanes**: the weights are
+//! packed once as `[16-channel block][tap][16]` panels, and per block and
+//! tile of output positions `acc[r][oc] = bias[oc]; for taps ascending:
+//! acc[r][oc] += w[tap][oc] * xpad[tapoff[tap] + off[s0 + r]]` — the weight
+//! row one vector load, the activation a scalar broadcast through the table.
+//! Its backward is lowered onto the blocked GEMM in [`crate::kernels`]: the
+//! weight gradient is `grad_out x im2col(x)^T`, and the input gradient is
 //! `weight^T x grad_out` scattered back through `col2im`; the backward and
 //! the Q8 forward still materialise the matrix. [`DepthwiseConv2d`] issues
 //! no GEMM: forward and backward are direct stencils over the table. Either
@@ -24,40 +27,28 @@
 //! equivalent (summed in a different order than the naive loop) and covered
 //! by gradcheck.
 //!
-//! Both layers draw the padded image and the GEMM-packing buffers from the
-//! current thread's [`kernels::with_thread_scratch`] arena, so steady-state
-//! inference reuses warmed high-water buffers instead of allocating — on the
-//! calling thread and on the persistent batch-shard workers alike (model
-//! replicas carry no scratch of their own). The input is only cached for
-//! backward when `train == true`.
+//! Both layers draw the padded image (and the backward its GEMM-packing
+//! buffers) from the current thread's [`kernels::with_thread_scratch`] arena,
+//! so steady-state inference reuses warmed high-water buffers instead of
+//! allocating — on the calling thread and on the persistent batch-shard
+//! workers alike (model replicas carry no scratch of their own). The input
+//! is only cached for backward when `train == true`.
 //!
-//! [`Conv2d`] additionally keeps its weights' GEMM panels
-//! ([`kernels::PackedA`]) once an eval forward has built them, so inference
-//! packs the constant left operand once instead of once per sample. The
-//! panels are derived from the weights and dropped wherever those can change
-//! or stop being used: `params_mut()`, `forward(train = true)` and
-//! `quantize_weights()`.
+//! [`Conv2d`] keeps its weight panels once an eval forward has built them,
+//! so inference packs the constant operand once instead of once per call.
+//! The panels are derived from the weights and dropped wherever those can
+//! change or stop being used: `params_mut()`, `forward(train = true)` (which
+//! packs for that one call, once for the whole batch) and
+//! `quantize_weights()`. Their layout does not depend on the ISA.
 
 use crate::init::Init;
-use crate::kernels::gemm::{gemm_dispatch, BOperand};
-use crate::kernels::window::ConvWindow;
-use crate::kernels::{self, GemmInit, PackedA};
+use crate::kernels::naive::conv_out;
+use crate::kernels::window::{ConvWindow, OcPanels};
+use crate::kernels::{self, GemmInit};
 use crate::layer::{Layer, Param};
 use crate::quant::{QuantLayerReport, QuantMatrix, QuantWeights};
 use crate::rng::SeededRng;
 use crate::tensor::Tensor;
-
-fn conv_output_hw(
-    h: usize,
-    w: usize,
-    kernel: usize,
-    stride: usize,
-    padding: usize,
-) -> (usize, usize) {
-    let oh = (h + 2 * padding - kernel) / stride + 1;
-    let ow = (w + 2 * padding - kernel) / stride + 1;
-    (oh, ow)
-}
 
 /// The layer's window table for a `[c, h, w]` input, rebuilt when the shape
 /// it was built for is not this one.
@@ -106,11 +97,11 @@ pub struct Conv2d {
     /// blocking to pay off, and its f32 path is a direct stencil that issues
     /// no GEMM at all.
     quant: Option<QuantWeights>,
-    /// GEMM panels of `weight`, built by the first f32 eval forward. Only
-    /// ever `Some` while `weight` is unchanged since they were packed.
-    packed_weight: Option<PackedA>,
-    /// Window table of the last input shape seen by an f32 forward (never
-    /// built for a pointwise convolution, which reads its input directly).
+    /// `weight` as output-channel-lane panels, built by the first f32 eval
+    /// forward. Only ever `Some` while `weight` is unchanged since they were
+    /// packed.
+    oc_panels: Option<OcPanels>,
+    /// Window table of the last input shape seen by an f32 forward.
     window: Option<ConvWindow>,
 }
 
@@ -150,7 +141,7 @@ impl Conv2d {
             padding,
             cached_input: None,
             quant: None,
-            packed_weight: None,
+            oc_panels: None,
             window: None,
         }
     }
@@ -199,7 +190,7 @@ impl Layer for Conv2d {
             input.shape()[3],
         );
         let k = self.kernel;
-        let (oh, ow) = conv_output_hw(h, w, k, self.stride, self.padding);
+        let (oh, ow) = conv_out(h, w, k, self.stride, self.padding);
         let (s, ckk) = (oh * ow, c * k * k);
         let mut out = Tensor::zeros(&[n, self.out_channels, oh, ow]);
         let oc = self.out_channels;
@@ -260,38 +251,25 @@ impl Layer for Conv2d {
                 return out;
             }
         }
-        let packed = if train {
-            // Training is about to change the weights.
-            self.packed_weight = None;
-            None
+        let packed_for_this_call;
+        let panels = if train {
+            // Training is about to change the weights: pack for this call
+            // only, once for the whole batch.
+            self.oc_panels = None;
+            packed_for_this_call = OcPanels::pack(oc, ckk, wgt);
+            &packed_for_this_call
         } else {
-            Some(
-                &*self
-                    .packed_weight
-                    .get_or_insert_with(|| PackedA::pack(oc, ckk, wgt)),
-            )
+            &*self
+                .oc_panels
+                .get_or_insert_with(|| OcPanels::pack(oc, ckk, wgt))
         };
-        let window = (!pointwise)
-            .then(|| window_for(&mut self.window, (c, h, w), k, self.stride, self.padding));
+        let window = window_for(&mut self.window, (c, h, w), k, self.stride, self.padding);
         kernels::with_thread_scratch(|scratch| {
             for b in 0..n {
                 let xb = &x[b * c * h * w..(b + 1) * c * h * w];
                 let ob = &mut odata[b * oc * s..(b + 1) * oc * s];
-                let cols = match window {
-                    Some(window) => BOperand::Window(window, window.pad(xb, &mut scratch.xpad)),
-                    None => BOperand::Raw(xb),
-                };
-                gemm_dispatch(
-                    oc,
-                    ckk,
-                    s,
-                    wgt,
-                    packed,
-                    cols,
-                    GemmInit::RowBias(bias),
-                    ob,
-                    &mut scratch.packs,
-                );
+                let xpad = window.pad(xb, &mut scratch.xpad);
+                window.conv_forward(xpad, panels, bias, ob);
             }
         });
         out
@@ -310,7 +288,7 @@ impl Layer for Conv2d {
         );
         let k = self.kernel;
         let oc = self.out_channels;
-        let (oh, ow) = conv_output_hw(h, w, k, self.stride, self.padding);
+        let (oh, ow) = conv_out(h, w, k, self.stride, self.padding);
         assert_eq!(
             grad_output.shape(),
             &[n, oc, oh, ow],
@@ -400,19 +378,19 @@ impl Layer for Conv2d {
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
         // The caller may write the weights through the returned borrow.
-        self.packed_weight = None;
+        self.oc_panels = None;
         vec![&mut self.weight, &mut self.bias]
     }
 
     fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
         let (h, w) = (input_shape[1], input_shape[2]);
-        let (oh, ow) = conv_output_hw(h, w, self.kernel, self.stride, self.padding);
+        let (oh, ow) = conv_out(h, w, self.kernel, self.stride, self.padding);
         vec![self.out_channels, oh, ow]
     }
 
     fn flops(&self, input_shape: &[usize]) -> u64 {
         let (h, w) = (input_shape[1], input_shape[2]);
-        let (oh, ow) = conv_output_hw(h, w, self.kernel, self.stride, self.padding);
+        let (oh, ow) = conv_out(h, w, self.kernel, self.stride, self.padding);
         // 2 FLOPs per MAC, over out_c * oh * ow output positions each summing
         // in_c * k * k products, plus the bias add.
         let macs = self.out_channels * oh * ow * self.in_channels * self.kernel * self.kernel;
@@ -431,7 +409,7 @@ impl Layer for Conv2d {
         let qm = QuantMatrix::from_rows(w, self.out_channels, ckk);
         let report = qm.report_against_rows(self.name(), w);
         // Eval forwards run the quantized GEMM from here on.
-        self.packed_weight = None;
+        self.oc_panels = None;
         self.quant = Some(QuantWeights::new(qm));
         vec![report]
     }
@@ -526,7 +504,7 @@ impl Layer for DepthwiseConv2d {
             input.shape()[2],
             input.shape()[3],
         );
-        let (oh, ow) = conv_output_hw(h, w, self.kernel, self.stride, self.padding);
+        let (oh, ow) = conv_out(h, w, self.kernel, self.stride, self.padding);
         let mut out = Tensor::zeros(&[n, c, oh, ow]);
         let wgt = self.weight.value.data();
         let bias = self.bias.value.data();
@@ -561,7 +539,7 @@ impl Layer for DepthwiseConv2d {
             input.shape()[2],
             input.shape()[3],
         );
-        let (oh, ow) = conv_output_hw(h, w, self.kernel, self.stride, self.padding);
+        let (oh, ow) = conv_out(h, w, self.kernel, self.stride, self.padding);
         assert_eq!(
             grad_output.shape(),
             &[n, c, oh, ow],
@@ -599,13 +577,13 @@ impl Layer for DepthwiseConv2d {
 
     fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
         let (h, w) = (input_shape[1], input_shape[2]);
-        let (oh, ow) = conv_output_hw(h, w, self.kernel, self.stride, self.padding);
+        let (oh, ow) = conv_out(h, w, self.kernel, self.stride, self.padding);
         vec![self.channels, oh, ow]
     }
 
     fn flops(&self, input_shape: &[usize]) -> u64 {
         let (h, w) = (input_shape[1], input_shape[2]);
-        let (oh, ow) = conv_output_hw(h, w, self.kernel, self.stride, self.padding);
+        let (oh, ow) = conv_out(h, w, self.kernel, self.stride, self.padding);
         let macs = self.channels * oh * ow * self.kernel * self.kernel;
         (2 * macs + self.channels * oh * ow) as u64
     }
@@ -623,9 +601,54 @@ mod tests {
 
     #[test]
     fn output_hw_formula() {
-        assert_eq!(conv_output_hw(8, 8, 3, 1, 1), (8, 8));
-        assert_eq!(conv_output_hw(8, 8, 3, 2, 1), (4, 4));
-        assert_eq!(conv_output_hw(7, 7, 3, 1, 0), (5, 5));
+        assert_eq!(conv_out(8, 8, 3, 1, 1), (8, 8));
+        assert_eq!(conv_out(8, 8, 3, 2, 1), (4, 4));
+        assert_eq!(conv_out(7, 7, 3, 1, 0), (5, 5));
+    }
+
+    // A 5x5 kernel on an unpadded 3x3 input, where `h + 2p - k` would wrap:
+    // every entry point that derives an output size refuses it.
+
+    #[test]
+    #[should_panic(expected = "5x5 kernel does not fit a 3x3 input with padding 0")]
+    fn conv_output_shape_rejects_a_kernel_larger_than_the_input() {
+        let conv = Conv2d::new(1, 1, 5, 1, 0, &mut SeededRng::new(0));
+        let _ = conv.output_shape(&[1, 3, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "5x5 kernel does not fit a 3x3 input with padding 0")]
+    fn conv_flops_rejects_a_kernel_larger_than_the_input() {
+        let conv = Conv2d::new(1, 1, 5, 1, 0, &mut SeededRng::new(0));
+        let _ = conv.flops(&[1, 3, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "5x5 kernel does not fit a 3x3 input with padding 0")]
+    fn conv_forward_rejects_a_kernel_larger_than_the_input() {
+        let mut conv = Conv2d::new(1, 1, 5, 1, 0, &mut SeededRng::new(0));
+        let _ = conv.forward(&Tensor::zeros(&[1, 1, 3, 3]), false);
+    }
+
+    #[test]
+    #[should_panic(expected = "5x5 kernel does not fit a 3x3 input with padding 0")]
+    fn depthwise_output_shape_rejects_a_kernel_larger_than_the_input() {
+        let dw = DepthwiseConv2d::new(1, 5, 1, 0, &mut SeededRng::new(0));
+        let _ = dw.output_shape(&[1, 3, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "5x5 kernel does not fit a 3x3 input with padding 0")]
+    fn depthwise_flops_rejects_a_kernel_larger_than_the_input() {
+        let dw = DepthwiseConv2d::new(1, 5, 1, 0, &mut SeededRng::new(0));
+        let _ = dw.flops(&[1, 3, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "5x5 kernel does not fit a 3x3 input with padding 0")]
+    fn depthwise_forward_rejects_a_kernel_larger_than_the_input() {
+        let mut dw = DepthwiseConv2d::new(1, 5, 1, 0, &mut SeededRng::new(0));
+        let _ = dw.forward(&Tensor::zeros(&[1, 1, 3, 3]), false);
     }
 
     #[test]
@@ -801,34 +824,32 @@ mod tests {
 
     #[test]
     fn packed_weight_follows_the_weights_it_was_built_from() {
-        // An 8x72x64 GEMM per sample: it runs on the blocked kernel, so the
-        // eval forward really reads the packed panels.
         let mut rng = SeededRng::new(0x9AC5);
         let mut conv = Conv2d::new(8, 8, 3, 1, 1, &mut rng);
         let x = Tensor::randn(&[2, 8, 8, 8], &mut rng);
-        assert!(conv.packed_weight.is_none());
+        assert!(conv.oc_panels.is_none());
         let trained = conv.forward(&x, true);
-        assert!(conv.packed_weight.is_none(), "train forwards never pack");
+        assert!(conv.oc_panels.is_none(), "train forwards keep no panels");
         let eval = conv.forward(&x, false);
-        assert!(conv.packed_weight.is_some(), "first eval forward packs");
+        assert!(conv.oc_panels.is_some(), "first eval forward packs");
         assert_eq!(trained.data(), eval.data());
         // A replica carries the panels; a weight edit through `params_mut`
         // drops them and the next eval forward sees the new weights.
-        assert!(conv.clone().packed_weight.is_some());
+        assert!(conv.clone().oc_panels.is_some());
         for v in conv.params_mut()[0].value.data_mut() {
             *v = -*v;
         }
-        assert!(conv.packed_weight.is_none(), "params_mut invalidates");
+        assert!(conv.oc_panels.is_none(), "params_mut invalidates");
         let flipped = conv.forward(&x, false);
         let expect = conv.forward(&x, true);
-        assert!(conv.packed_weight.is_none(), "forward(train) invalidates");
+        assert!(conv.oc_panels.is_none(), "forward(train) invalidates");
         assert_eq!(flipped.data(), expect.data());
         assert_ne!(flipped.data(), eval.data());
         let _ = conv.forward(&x, false);
         conv.quantize_weights();
-        assert!(conv.packed_weight.is_none(), "quantizing invalidates");
+        assert!(conv.oc_panels.is_none(), "quantizing invalidates");
         let _ = conv.forward(&x, false);
-        assert!(conv.packed_weight.is_none(), "quantized eval never packs");
+        assert!(conv.oc_panels.is_none(), "quantized eval never packs");
     }
 
     #[test]
@@ -1181,12 +1202,15 @@ mod equivalence {
 
     #[test]
     fn forward_is_identical_across_train_and_eval() {
-        // Dropping the input cache in eval mode must not change outputs.
+        // Dropping the input cache in eval mode — and, for `Conv2d`, packing
+        // the weights for one call instead of keeping the panels — must not
+        // change outputs.
         let mut rng = SeededRng::new(0x7E57);
         let mut conv = Conv2d::new(3, 4, 3, 1, 1, &mut rng);
+        let mut pointwise = Conv2d::new(3, 17, 1, 1, 0, &mut rng);
         let mut dw = DepthwiseConv2d::new(3, 3, 2, 1, &mut rng);
         let x = Tensor::randn(&[2, 3, 6, 6], &mut rng);
-        let layers: [&mut dyn Layer; 2] = [&mut conv, &mut dw];
+        let layers: [&mut dyn Layer; 3] = [&mut conv, &mut pointwise, &mut dw];
         for layer in layers {
             let train = layer.forward(&x, true);
             let eval = layer.forward(&x, false);
@@ -1226,18 +1250,26 @@ mod equivalence {
     /// Both forwards against the lowering they replaced — `im2col` then
     /// `gemm_into`, per sample (per channel for depthwise), built here from
     /// the public kernels — on inputs full of specials, for every geometry,
-    /// on every ISA. The window path promises the same bits as that
-    /// lowering, signed zeros included, on either build tier.
+    /// on every ISA. The window paths promise the same bits as that
+    /// lowering, signed zeros included. The FMA tier is held off for the
+    /// duration: the GEMM fuses its full tiles only, the convolution kernel
+    /// a whole layer or none of it, so fused they agree within the
+    /// accumulation bound, not bit for bit.
     #[test]
     fn window_forwards_match_the_im2col_lowering_on_special_values() {
         let _lock = simd::isa_override_test_lock();
+        let prev_fused = simd::force_fused(Some(false));
         let mut rng = SeededRng::new(0x51_EC);
         let mut packs = PackScratch::new();
         for &(k, stride, padding) in &GEOMETRIES {
-            // (2, 8, 8): the blocked kernel; (1, 1, 7): one output channel,
-            // the `i-k-j` kernel on a matrix unrolled from the table.
-            for &(n, c, oc, hw) in &[(2usize, 3usize, 8usize, 8usize), (1, 2, 1, 7)] {
-                let (oh, ow) = conv_output_hw(hw, hw, k, stride, padding);
+            // Half a lane block; one lane (against the `i-k-j` GEMM); a full
+            // block and one lane of the next.
+            for &(n, c, oc, hw) in &[
+                (2usize, 3usize, 8usize, 8usize),
+                (1, 2, 1, 7),
+                (1, 2, 17, 7),
+            ] {
+                let (oh, ow) = conv_out(hw, hw, k, stride, padding);
                 let (s, kk) = (oh * ow, k * k);
                 let mut x = Tensor::randn(&[n, c, hw, hw], &mut rng);
                 plant_specials(&mut x);
@@ -1301,15 +1333,19 @@ mod equivalence {
                 }
             }
         }
+        simd::force_fused(prev_fused);
     }
 
-    /// The window table follows the input shape: one layer instance fed two
-    /// shapes alternately (one of them non-square), then a `clone_box()`
-    /// replica that inherits the table built for the other shape, all match
-    /// naive. Every GEMM here is a small problem, so bit equality holds on
-    /// both build tiers.
+    /// The window table follows the input shape and the weight panels follow
+    /// nothing but the weights: one layer instance fed two shapes alternately
+    /// (one of them non-square), then a `clone_box()` replica that inherits
+    /// the table built for the other shape, then the same instance under
+    /// every backend in turn — the panels packed before the flip serve them
+    /// all — match naive. Every layer here is a small problem, so bit
+    /// equality holds on both build tiers.
     #[test]
     fn window_table_follows_alternating_input_shapes_and_replicas() {
+        let _lock = simd::isa_override_test_lock();
         let mut rng = SeededRng::new(0xA17E);
         let (c, oc, k, stride, padding) = (3usize, 5usize, 3usize, 2usize, 1usize);
         let mut conv = Conv2d::new(c, oc, k, stride, padding, &mut rng);
@@ -1360,6 +1396,12 @@ mod equivalence {
         let (mut conv2, mut dw2) = (conv.clone_box(), dw.clone_box());
         for (round, x) in inputs.iter().enumerate() {
             check(&mut *conv2, &mut *dw2, x, &format!("replica round {round}"));
+        }
+        for isa in simd::supported_isas() {
+            let prev = simd::force_isa(Some(isa));
+            check(&mut conv, &mut dw, &inputs[0], &format!("forced {isa}"));
+            simd::force_isa(prev);
+            assert!(conv.oc_panels.is_some(), "an ISA flip keeps the panels");
         }
     }
 }

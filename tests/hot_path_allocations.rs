@@ -8,16 +8,19 @@
 //! allocations — every padded-image and packing buffer is a reuse — eval-mode
 //! forward passes do not clone their inputs into training caches, and
 //! steady-state large `matmul`s grow nothing in the caller's thread arena.
-//! Convolution weights are packed into GEMM panels by the warm-up and never
-//! again in steady state — until `params_mut()` hands the weights out, which
-//! must drop the panels. Convolution window tables are built by the warm-up
-//! too, and again only when a layer meets a new input shape.
+//! Convolution weights are packed into output-channel-lane panels by the
+//! warm-up and never again in steady state — until `params_mut()` hands the
+//! weights out, which must drop the panels; a train forward packs them for
+//! that call, once however many samples it carries. Convolution window
+//! tables are built by the warm-up too, and again only when a layer meets a
+//! new input shape.
 //!
 //! Kept as the only test in this file so no concurrently running test can
 //! perturb the process-wide counters.
 
 use appeal_bench::fixtures::model_pair;
 use appeal_tensor::kernels;
+use appeal_tensor::prelude::Conv2d;
 use appeal_tensor::{Layer, SeededRng, Tensor};
 use appealnet_core::serve::{Engine, InferenceRequest, ThresholdPolicy};
 
@@ -89,6 +92,7 @@ fn steady_state_submit_reuses_scratch_without_allocating() {
 
     input_shape_change_rebuilds_window_tables(big_replica.clone(), &mut rng);
     params_mut_invalidates_packed_weights(big_replica, &mut rng);
+    train_forward_packs_once_per_call(&mut rng);
     large_matmul_reuses_the_callers_thread_arena(&mut rng);
 }
 
@@ -156,6 +160,31 @@ fn params_mut_invalidates_packed_weights(
         halved.data(),
         "the eval forward after a weight edit must see the new weights"
     );
+}
+
+/// A train forward keeps no panels, so it packs the weights for that call —
+/// `oc * k` floats (16 channels fill their lane block exactly), once for the
+/// whole batch, not once per sample; the eval forward after it packs again
+/// and the one after that does not.
+fn train_forward_packs_once_per_call(rng: &mut SeededRng) {
+    let (c, oc, k) = (8usize, 16usize, 3usize);
+    let mut conv = Conv2d::new(c, oc, k, 1, 1, rng);
+    let batch = Tensor::randn(&[3, c, 6, 6], rng);
+    let packed = || kernels::scratch_stats().weight_floats_packed;
+    let panel_floats = (oc * c * k * k) as u64;
+
+    let before = packed();
+    let trained = conv.forward(&batch, true);
+    assert_eq!(
+        packed() - before,
+        panel_floats,
+        "a train forward over three samples must pack the weights once"
+    );
+    let evaluated = conv.forward(&batch, false);
+    assert_eq!(packed() - before, 2 * panel_floats);
+    let _ = conv.forward(&batch, false);
+    assert_eq!(packed() - before, 2 * panel_floats);
+    assert_eq!(trained.data(), evaluated.data());
 }
 
 /// Steady-state large GEMMs through the scratch-less `Tensor::matmul` entry
