@@ -57,12 +57,10 @@ pub struct InferenceResponse {
 ///
 /// The `Debug` representation additionally reports the kernel ISA the
 /// process dispatched to (`appeal_tensor::kernels::active_isa`) and the
-/// build's numeric contract (`appeal_tensor::kernels::numeric_contract`,
-/// with a `+fma` marker when the fused tier is actually dispatched), so
-/// logged throughput numbers are always attributable to a compute backend
-/// *and* a numeric tier — a `fast-kernels` build is faster but only
-/// deterministic per build, and operators reading serving logs need to know
-/// which guarantee the numbers came from.
+/// numeric contract the edge scorer's outputs follow
+/// (`appeal_tensor::kernels::numeric_contract`, or `quantized_contract` for a
+/// Q8_0 edge tier), so logged throughput numbers are always attributable to a
+/// compute backend *and* a numeric guarantee.
 #[derive(Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EngineStats {
     /// Requests answered.
@@ -100,24 +98,15 @@ impl std::fmt::Debug for EngineStats {
     }
 }
 
-/// The numeric contract for debug output, with a `+fma` suffix when the
-/// fused kernel tier is live on this host (contract alone says what the
-/// build *promises*; the suffix says what the dispatched kernels *do*).
-///
-/// A quantized edge scorer reports the "quantized-tolerance" contract
-/// instead of the build tier's f32 contract: its GEMMs run the int8 path,
-/// which is bit-identical on every ISA and both build tiers, so scores
-/// differ from an f32 edge pass only by bounded quantization error.
-fn numeric_contract_label(quantized: bool) -> String {
-    let contract = if quantized {
-        appeal_tensor::kernels::quantized_contract()
+/// The numeric contract for debug output. A quantized edge scorer reports
+/// the "quantized-tolerance" contract instead of the f32 one: its GEMMs run
+/// the int8 path, which is bit-identical on every ISA, so scores differ from
+/// an f32 edge pass only by bounded quantization error.
+fn numeric_contract_label(quantized: bool) -> &'static str {
+    if quantized {
+        appeal_tensor::kernels::quantized_contract().name()
     } else {
-        appeal_tensor::kernels::numeric_contract()
-    };
-    if appeal_tensor::kernels::fused_active() {
-        format!("{contract}+fma")
-    } else {
-        contract.name().to_string()
+        appeal_tensor::kernels::numeric_contract().name()
     }
 }
 
@@ -364,12 +353,19 @@ impl Default for EngineBuilder {
 /// # Hot-path allocations
 ///
 /// Every forward pass the engine issues runs in eval mode, so the layers
-/// under `appeal_tensor` skip their training-only activation caches, and the
-/// GEMM-lowered conv/dense kernels draw im2col and packing buffers from
-/// per-layer scratch arenas that persist inside the engine's scorer and big
-/// model between requests. After warm-up, steady-state `submit` traffic
-/// performs zero scratch allocations — pinned by the allocation-counter
-/// guard in `tests/hot_path_allocations.rs` against
+/// under `appeal_tensor` skip their training-only activation caches. Scratch
+/// is per *thread*, not per layer or model: each kernel draws what it needs
+/// from the calling thread's arena
+/// (`appeal_tensor::kernels::with_thread_scratch`) — a convolution its
+/// zero-padded image (no im2col matrix; only the Q8 forward still
+/// materialises one), a dense layer its GEMM packing panels — and the
+/// submitting thread and every persistent batch-shard worker keep their
+/// arenas' high-water buffers between requests. What a convolution does own
+/// is derived state, not scratch: its window table and its packed weight
+/// panels, built on the first eval forward and kept. After warm-up,
+/// steady-state `submit` traffic performs zero scratch allocations, packs no
+/// weights and builds no table — pinned by the counter guard in
+/// `tests/hot_path_allocations.rs` against
 /// `appeal_tensor::kernels::scratch_stats`.
 pub struct Engine {
     scorer: Box<dyn Scorer>,
@@ -731,11 +727,7 @@ mod tests {
             debug.contains("numeric_contract") && debug.contains(contract),
             "EngineStats debug output must name the numeric contract: {debug}"
         );
-        if appeal_tensor::kernels::fused_active() {
-            assert!(debug.contains("+fma"), "fused tier must be marked: {debug}");
-        } else {
-            assert!(!debug.contains("+fma"), "no fused marker expected: {debug}");
-        }
+        assert!(!debug.contains("+fma"), "no fused marker expected: {debug}");
         let engine_debug = format!("{engine:?}");
         assert!(engine_debug.contains("kernel_isa"), "{engine_debug}");
         assert!(

@@ -51,7 +51,7 @@ pub trait Scorer: Send {
 
     /// `true` when the edge model runs on the quantized (Q8_0) weight tier,
     /// in which case its outputs follow the "quantized-tolerance" numeric
-    /// contract instead of the build tier's f32 contract.
+    /// contract instead of the f32 kernels' bit-identical one.
     fn is_quantized(&self) -> bool {
         false
     }

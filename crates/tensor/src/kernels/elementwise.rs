@@ -13,13 +13,9 @@
 //! reference's operation sequence (a single IEEE add/mul, or a bitwise
 //! select), so all backends are **bit-identical** — pinned by the
 //! equivalence tests below across every [`super::simd::supported_isas`]
-//! entry. The one exception is opt-in: under the `fast-kernels` feature,
-//! [`axpy`] — the only elementwise kernel with a contractible `a * x + y`
-//! chain — fuses into one `fmadd` per element on AVX2/AVX-512 FMA hosts and
-//! then matches the seed within a one-ulp-per-element bound instead of
-//! bit-for-bit (see `docs/DETERMINISM.md`); `scale`, `add` and the
-//! ReLU/bias kernels perform a single rounding per element, so they are
-//! identical in both tiers.
+//! entry. [`axpy`], the only kernel here with an `a * x + y` chain, keeps the
+//! multiply and the add as two roundings on every backend (see "Kernels never
+//! fuse" in `docs/DETERMINISM.md`).
 //!
 //! ReLU is defined as the branchless select `x > 0.0 ? x : 0.0` (compare +
 //! bitwise AND): identical to the previous `x.max(0.0)` for every input
@@ -254,43 +250,6 @@ isa_instantiations!(sse2, Sse2V, "sse2");
 #[cfg(target_arch = "x86_64")]
 isa_instantiations!(avx2, Avx2V, "avx2");
 
-/// The fused (FMA) tier of the one elementwise kernel with a contractible
-/// `mul` + `add` chain: `axpy`. Compiled only under `fast-kernels` and
-/// dispatched when [`super::simd::fused_for_isa`] holds for the active ISA,
-/// mirroring the GEMM microkernel tier so one build setting governs every
-/// kernel. `scale` (one `mul` per element), `add` (one `add`) and the
-/// ReLU/bias kernels have nothing to fuse and are shared by both tiers
-/// unchanged.
-#[cfg(all(target_arch = "x86_64", feature = "fast-kernels"))]
-mod avx2_fma {
-    use std::arch::x86_64::*;
-
-    /// `y[i] = fma(alpha, x[i], y[i])` for **every** element — the vector
-    /// body and the scalar tail both fuse, so the fast tier's axpy is one
-    /// rounding per element uniformly.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified the `avx2` and `fma` CPU features;
-    /// `x.len() == y.len()`.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-        let n = x.len();
-        let av = _mm256_set1_ps(alpha);
-        let mut i = 0;
-        while i + 8 <= n {
-            let xv = _mm256_loadu_ps(x.as_ptr().add(i));
-            let yv = _mm256_loadu_ps(y.as_ptr().add(i));
-            _mm256_storeu_ps(y.as_mut_ptr().add(i), _mm256_fmadd_ps(av, xv, yv));
-            i += 8;
-        }
-        for j in i..n {
-            // Compiles to a scalar vfmadd under the enabled feature.
-            y[j] = alpha.mul_add(x[j], y[j]);
-        }
-    }
-}
-
 mod scalar {
     //! Scalar reference loops — the semantics every vector backend must
     //! reproduce bit-for-bit.
@@ -404,27 +363,14 @@ pub fn add(a: &[f32], b: &[f32], dst: &mut [f32]) {
     dispatch!(add(a, b, dst));
 }
 
-/// `y[i] += alpha * x[i]` (one multiply, one add per element — the
-/// gradient-accumulation / SGD-update primitive).
-///
-/// Under the `fast-kernels` feature on an FMA-capable host with an
-/// AVX2-or-wider active ISA, the multiply and add contract into a single
-/// `fmadd` per element (see [`super::simd::fused_active`] and
-/// `docs/DETERMINISM.md`); all other configurations keep the two separate
-/// roundings of the seed.
+/// `y[i] += alpha * x[i]` (one multiply, one add per element, each rounded —
+/// the gradient-accumulation / SGD-update primitive).
 ///
 /// # Panics
 ///
 /// Panics if the slice lengths differ.
 pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     assert_eq!(x.len(), y.len(), "axpy length mismatch");
-    #[cfg(all(target_arch = "x86_64", feature = "fast-kernels"))]
-    if super::simd::fused_for_isa(active_isa()) {
-        // SAFETY: `fused_for_isa` only holds when the host's AVX2 and FMA
-        // bits were detected; lengths are asserted above.
-        unsafe { avx2_fma::axpy(alpha, x, y) };
-        return;
-    }
     dispatch!(axpy(alpha, x, y));
 }
 
@@ -457,19 +403,10 @@ pub fn bias_add_rows(data: &mut [f32], bias: &[f32]) {
 
 #[cfg(test)]
 mod tests {
-    use super::super::simd::{force_isa, fused_active, isa_override_test_lock, supported_isas};
-    use super::super::tolerance::{self, assert_bits_eq};
+    use super::super::simd::{force_isa, isa_override_test_lock, supported_isas};
+    use super::super::tolerance::assert_bits_eq;
     use super::*;
     use crate::rng::SeededRng;
-
-    /// Per-element magnitude scales of `y += alpha * x` for the one-step
-    /// accumulation bound (`|alpha·x| + |y₀|`).
-    fn axpy_scales(alpha: f32, x: &[f32], y0: &[f32]) -> Vec<f64> {
-        x.iter()
-            .zip(y0.iter())
-            .map(|(&xv, &yv)| (f64::from(alpha) * f64::from(xv)).abs() + f64::from(yv).abs())
-            .collect()
-    }
 
     fn random_vec(rng: &mut SeededRng, len: usize) -> Vec<f32> {
         (0..len)
@@ -521,7 +458,6 @@ mod tests {
             isa_modes.push(None); // the dispatched default
             for mode in isa_modes {
                 let prev = force_isa(mode);
-                let fused = fused_active();
                 let tag = format!("n={n} isa={mode:?}");
                 let mut out = vec![f32::NAN; n];
                 relu_fwd(&src, &mut out);
@@ -539,19 +475,7 @@ mod tests {
                 assert_bits_eq(&sum, &add_ref, &format!("{tag} add"));
                 let mut y = src.clone();
                 axpy(alpha, &other, &mut y);
-                if fused {
-                    // Fused tier: one fma per element, within the one-step
-                    // accumulation bound of the two-rounding reference.
-                    tolerance::check_accumulation(
-                        &y,
-                        &axpy_ref,
-                        &axpy_scales(alpha, &other, &src),
-                        1,
-                    )
-                    .unwrap_or_else(|e| panic!("{tag} axpy (fused): {e}"));
-                } else {
-                    assert_bits_eq(&y, &axpy_ref, &format!("{tag} axpy"));
-                }
+                assert_bits_eq(&y, &axpy_ref, &format!("{tag} axpy"));
                 let mut sc = vec![f32::NAN; n];
                 scale(&src, alpha, &mut sc);
                 assert_bits_eq(&sc, &scale_ref, &format!("{tag} scale"));
@@ -579,52 +503,6 @@ mod tests {
                 force_isa(prev);
             }
         }
-    }
-
-    /// `fast-kernels` on an FMA host: the fused axpy must diverge from the
-    /// mul-then-add reference somewhere across the sweep (or the tier is
-    /// inert), while staying inside the one-step bound — and the unfused
-    /// tier (forced off) must remain bit-identical to the seed.
-    #[test]
-    #[cfg(feature = "fast-kernels")]
-    fn fused_axpy_diverges_within_one_step_bound() {
-        use super::super::simd::{self, force_fused};
-        let _lock = isa_override_test_lock();
-        if !simd::fused_for_isa(crate::kernels::active_isa()) {
-            eprintln!("skipping fused-axpy test: no FMA-capable backend on this host");
-            return;
-        }
-        let mut rng = SeededRng::new(0xFA_AE);
-        let mut diverging = 0usize;
-        for &n in &[33usize, 64, 1027] {
-            let x = random_vec(&mut rng, n);
-            let y0 = random_vec(&mut rng, n);
-            let alpha = rng.uniform(-2.0, 2.0);
-            let mut reference = y0.clone();
-            scalar::axpy(alpha, &x, &mut reference);
-
-            let prev = force_fused(Some(false));
-            let mut unfused = y0.clone();
-            axpy(alpha, &x, &mut unfused);
-            force_fused(Some(true));
-            let mut fused = y0.clone();
-            axpy(alpha, &x, &mut fused);
-            force_fused(prev);
-
-            assert_bits_eq(&unfused, &reference, &format!("n={n} axpy forced-off"));
-            tolerance::check_accumulation(&fused, &reference, &axpy_scales(alpha, &x, &y0), 1)
-                .unwrap_or_else(|e| panic!("n={n} fused axpy: {e}"));
-            diverging += fused
-                .iter()
-                .zip(reference.iter())
-                .filter(|(a, b)| a.to_bits() != b.to_bits())
-                .count();
-        }
-        assert!(
-            diverging > 0,
-            "fused axpy never diverged from mul-then-add — FMA contraction \
-             is not reaching the dispatched kernel"
-        );
     }
 
     #[test]

@@ -24,24 +24,10 @@
 //! boundaries rather than reassociating partial sums. Since Rust never
 //! contracts `a * b + c` into a fused multiply-add on its own, the blocked
 //! kernel and the plain `i-k-j` loop are both **bit-identical** to the naive
-//! `i-k-j` triple loop (see [`super::naive::matmul_naive`]) on the default
-//! build — which is what keeps serving results byte-stable across kernel
-//! choices. Every kernel here runs on the calling thread: a GEMM is a
-//! function of its arguments and [`super::simd::active_isa`], nothing else.
-//!
-//! Under the opt-in `fast-kernels` feature the *full* `MR x NR` (and
-//! paired `2*MR x NR`) tiles dispatch onto fused-multiply-add microkernels
-//! when the host supports FMA ([`super::simd::fused_for_isa`], resolved
-//! once per `gemm_into` call, so one GEMM never mixes tiers mid-stream). The
-//! accumulation order is unchanged — only the per-step rounding count drops
-//! from two to one — so results remain bit-identical across runs of one
-//! build, and tolerance-bounded against the seed (the
-//! `deterministic-per-build` contract; see `docs/DETERMINISM.md`). Edge
-//! tiles, the `i-k-j` path and every problem of at most
-//! `SMALL_PROBLEM_MACS` multiply-accumulates keep separate mul+add in both
-//! tiers: edge tiles cover O(edge) of the work, and a small problem
-//! reproduces the seed exactly even on a `fast-kernels` build — whichever
-//! kernel it runs on.
+//! `i-k-j` triple loop (see [`super::naive::matmul_naive`]) — which is what
+//! keeps serving results byte-stable across kernel choices. Every kernel
+//! here runs on the calling thread: a GEMM is a function of its arguments,
+//! and [`super::simd::active_isa`] changes only how fast it is computed.
 //!
 //! # Which kernel a problem runs on
 //!
@@ -59,9 +45,9 @@
 //!
 //! A tile at the bottom or right edge covers only `mrows x ncols` valid
 //! elements, but both packers zero-pad their strips to `MR` rows / `NR`
-//! columns, so it runs the **same** dispatched microkernel as a full tile
-//! (always the unfused one): the valid corner of a full accumulator block is
-//! seeded, the whole block is computed, and only the valid corner is stored.
+//! columns, so it runs the **same** dispatched microkernel as a full tile:
+//! the valid corner of a full accumulator block is seeded, the whole block is
+//! computed, and only the valid corner is stored.
 //! Lanes are independent output elements, so whatever the padded lanes
 //! compute — including `NaN` from `inf * 0` — never reaches the output, and
 //! per valid element the operation sequence is the identical ascending-`p`
@@ -94,11 +80,10 @@ pub const KC: usize = 128;
 /// reuses it without refetching from L3/memory.
 pub const NC: usize = 256;
 
-/// Problems of at most this many multiply-accumulates never fuse — a GEMM
-/// here, one sample of a convolution layer in `kernels/window.rs` — and a
-/// GEMM that small skips packing for the plain `i-k-j` loop unless it fills a
-/// register strip (see "Which kernel a problem runs on" in the module docs).
-pub(crate) const SMALL_PROBLEM_MACS: usize = 32 * 1024;
+/// A GEMM of at most this many multiply-accumulates skips packing for the
+/// plain `i-k-j` loop unless it fills a register strip (see "Which kernel a
+/// problem runs on" in the module docs).
+const SMALL_PROBLEM_MACS: usize = 32 * 1024;
 
 /// How an output element starts before the `A x B` products are accumulated.
 #[derive(Clone, Copy)]
@@ -152,12 +137,9 @@ pub fn gemm_into(
         gemm_ikj(m, k, n, a, b, init, out);
         return;
     }
-    // Resolve the SIMD backend and numeric tier once per call, so every
-    // tile of this GEMM uses the same kernel even if an override flips
-    // mid-call.
-    let isa = simd::active_isa();
-    let fused = !small && simd::fused_for_isa(isa);
-    gemm_blocked(isa, fused, m, k, n, a, b, init, out, packs);
+    // Resolve the SIMD backend once per call: `pair` and the tile kernels
+    // must agree on it even if an override flips mid-call.
+    gemm_blocked(simd::active_isa(), m, k, n, a, b, init, out, packs);
 }
 
 /// Degenerate `k == 0` case: the "product" contributes nothing, only the
@@ -208,7 +190,6 @@ fn gemm_ikj(
 #[allow(clippy::too_many_arguments)]
 fn gemm_blocked(
     isa: Isa,
-    fused: bool,
     m: usize,
     k: usize,
     n: usize,
@@ -218,8 +199,8 @@ fn gemm_blocked(
     out: &mut [f32],
     packs: &mut PackScratch,
 ) {
-    // The backend and numeric tier come resolved from `gemm_into`; the
-    // microkernel dispatches branch-predictably per tile.
+    // The backend comes resolved from `gemm_into`; the microkernel
+    // dispatches branch-predictably per tile.
     let pair = simd::has_paired_microkernel(isa);
     let a_panel_len = MC.div_ceil(MR) * MR * KC;
     let b_panel_len = NC.div_ceil(NR) * NR * KC;
@@ -263,13 +244,12 @@ fn gemm_blocked(
                                 n,
                                 out,
                                 |acc: &mut [[f32; NR]; 2 * MR]| {
-                                    simd::microkernel_8x16(fused, kcb, a_tile, a_hi, b_tile, acc)
+                                    simd::microkernel_8x16(kcb, a_tile, a_hi, b_tile, acc)
                                 },
                             );
                             it += 2;
                             continue;
                         }
-                        // Edge tiles never fuse (see the module docs).
                         run_tile(
                             mrows,
                             ncols,
@@ -280,7 +260,7 @@ fn gemm_blocked(
                             n,
                             out,
                             |acc: &mut [[f32; NR]; MR]| {
-                                simd::microkernel_4x16(isa, fused && full, kcb, a_tile, b_tile, acc)
+                                simd::microkernel_4x16(isa, kcb, a_tile, b_tile, acc)
                             },
                         );
                         it += 1;

@@ -39,44 +39,30 @@
 //!
 //! # Determinism
 //!
-//! The crate ships **three numeric contracts**, reported at runtime by
-//! [`numeric_contract`] (build-selected) and [`quantized_contract`] (the
-//! full specification lives in `docs/DETERMINISM.md`):
+//! The crate ships **two numeric contracts**, reported at runtime by
+//! [`numeric_contract`] and [`quantized_contract`] (the full specification
+//! lives in `docs/DETERMINISM.md`):
 //!
-//! * **Default build —
+//! * **f32 kernels —
 //!   [`BitIdenticalToSeed`](NumericContract::BitIdenticalToSeed).** Every
 //!   optimized kernel accumulates each output element's products in the
 //!   same order as the seed implementation it replaced (ascending inner
 //!   dimension; convolution bias seeded first), and multiplication and
-//!   addition stay separate roundings. Forward passes are therefore
-//!   bit-identical to the original naive loops — across blocking choices,
-//!   problem sizes, thread counts and ISA backends — which the equivalence
-//!   suites in this module and `layers::conv` pin down against the retained
-//!   [`naive`] references. The one documented exception is the convolution
-//!   *input* gradient, where GEMM lowering sums over output channels before
-//!   scattering (the naive loop interleaved them); it is numerically
-//!   equivalent and covered by gradient checks rather than bit-equality.
-//! * **`fast-kernels` build —
-//!   [`DeterministicPerBuild`](NumericContract::DeterministicPerBuild).**
-//!   The AVX2/AVX-512 GEMM microkernels, the convolution tile kernel and
-//!   [`elementwise::axpy`] contract `a * b + c` into a single `fmadd`
-//!   rounding ([`simd`] has the tier
-//!   rules; [`fma_supported`] / [`fused_active`] report them at runtime).
-//!   Results then match the seed within the per-accumulation-step error
-//!   bounds of the [`tolerance`] harness instead of bit-for-bit, but remain
-//!   bit-identical **across runs and thread counts on any one build**:
-//!   accumulation order is still never reassociated, batch shards split
-//!   work without changing per-element operation sequences, and the fused
-//!   AVX2/AVX-512 kernels are bit-identical to each other.
-//!   Scalar- or SSE2-forced dispatch (including `APPEALNET_FORCE_SCALAR`)
-//!   never fuses and so still reproduces the seed exactly.
+//!   addition stay separate roundings — no kernel fuses them, whatever the
+//!   host offers. Forward passes are therefore bit-identical to the
+//!   original naive loops — across blocking choices, problem sizes, thread
+//!   counts and ISA backends — which the equivalence suites in this module
+//!   and `layers::conv` pin down against the retained [`naive`] references.
+//!   The one documented exception is the convolution *input* gradient,
+//!   where GEMM lowering sums over output channels before scattering (the
+//!   naive loop interleaved them); it is numerically equivalent and covered
+//!   by gradient checks rather than bit-equality.
 //! * **Quantized path —
 //!   [`QuantizedTolerance`](NumericContract::QuantizedTolerance).** The
-//!   Q8_0 kernels are bit-identical everywhere — on every ISA, thread
-//!   count and **both** build tiers (no fused variant exists for integer
-//!   arithmetic) — but differ from the f32 network by the quantization
-//!   error itself, bounded per value by [`tolerance::quantization_bound`]
-//!   plus the cross-block accumulation bound.
+//!   Q8_0 kernels are bit-identical everywhere — on every ISA and thread
+//!   count — but differ from the f32 network by the quantization error
+//!   itself, bounded per value by [`tolerance::quantization_bound`] plus the
+//!   cross-block accumulation bound.
 
 pub mod elementwise;
 pub mod gemm;
@@ -95,27 +81,18 @@ pub use scratch::{
     stats as scratch_stats, with_thread_scratch, GrowBuf, KernelScratch, PackScratch, QuantScratch,
     ScratchStats,
 };
-pub use simd::{
-    active_isa, fma_supported, force_fused, force_isa, fused_active, supported_isas, Isa,
-};
+pub use simd::{active_isa, force_isa, supported_isas, Isa};
 
-/// The numeric guarantee a build of this kernel layer provides — one of the
-/// three contracts specified in `docs/DETERMINISM.md`.
+/// A numeric guarantee of this kernel layer — one of the two contracts
+/// specified in `docs/DETERMINISM.md`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NumericContract {
-    /// Default build: every kernel result is bit-identical to the seed
-    /// (naive reference) implementation on every ISA, thread count and
-    /// blocking choice.
+    /// The f32 kernels: every result is bit-identical to the seed (naive
+    /// reference) implementation on every ISA, thread count and blocking
+    /// choice.
     BitIdenticalToSeed,
-    /// `fast-kernels` build: results are bit-identical across runs and
-    /// thread counts of *this* build (and across the fused backends), and
-    /// tolerance-bounded against the seed references — FMA contraction
-    /// removes one rounding per accumulation step where the host supports
-    /// it.
-    DeterministicPerBuild,
     /// The quantized (Q8_0) inference path: results are bit-identical
-    /// across runs, thread counts, ISAs **and both build tiers** (the
-    /// integer kernels have no fused variant), but differ from the f32
+    /// across runs, thread counts and ISAs, but differ from the f32
     /// reference by the quantization error itself, bounded per value by
     /// half a block-scale step ([`tolerance::quantization_bound`]) plus
     /// the cross-block accumulation bound.
@@ -124,12 +101,10 @@ pub enum NumericContract {
 
 impl NumericContract {
     /// Short stable name, for reports and debug output
-    /// (`"bit-identical-to-seed"` / `"deterministic-per-build"` /
-    /// `"quantized-tolerance"`).
+    /// (`"bit-identical-to-seed"` / `"quantized-tolerance"`).
     pub fn name(self) -> &'static str {
         match self {
             NumericContract::BitIdenticalToSeed => "bit-identical-to-seed",
-            NumericContract::DeterministicPerBuild => "deterministic-per-build",
             NumericContract::QuantizedTolerance => "quantized-tolerance",
         }
     }
@@ -141,24 +116,15 @@ impl std::fmt::Display for NumericContract {
     }
 }
 
-/// The numeric contract this build was compiled under: a compile-time
-/// property of the `fast-kernels` feature, independent of what the host CPU
-/// ends up dispatching (a `fast-kernels` build on a non-FMA host computes
-/// seed-identical results but still only *promises* per-build determinism —
-/// use [`fused_active`] to ask what the dispatched kernels actually do).
+/// The contract governing the f32 kernels: bit-identical-to-seed, on every
+/// build and host.
 pub fn numeric_contract() -> NumericContract {
-    if cfg!(feature = "fast-kernels") {
-        NumericContract::DeterministicPerBuild
-    } else {
-        NumericContract::BitIdenticalToSeed
-    }
+    NumericContract::BitIdenticalToSeed
 }
 
-/// The contract governing the quantized (Q8_0) inference path. Unlike
-/// [`numeric_contract`] it is independent of the build tier: the int8
-/// kernels never fuse, so a quantized little net computes bit-identical
-/// results on every build, ISA and thread count — it simply is not the f32
-/// network, and its divergence from f32 is what the
+/// The contract governing the quantized (Q8_0) inference path: a quantized
+/// little net computes bit-identical results on every ISA and thread count —
+/// it simply is not the f32 network, and its divergence from f32 is what the
 /// [`QuantizedTolerance`](NumericContract::QuantizedTolerance) bound
 /// describes (see `docs/DETERMINISM.md`).
 pub fn quantized_contract() -> NumericContract {
@@ -173,31 +139,6 @@ mod tests {
 
     fn random_vec(rng: &mut SeededRng, len: usize) -> Vec<f32> {
         (0..len).map(|_| rng.uniform(-2.0, 2.0)).collect()
-    }
-
-    /// Contract-following check of a GEMM result against its reference:
-    /// bit equality on the default build, the k-step accumulation bound
-    /// under `fast-kernels` (see [`tolerance::assert_matches_reference`];
-    /// the scales are computed lazily, only in the tolerance branch).
-    #[allow(clippy::too_many_arguments)]
-    fn assert_gemm_matches(
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        b: &[f32],
-        seed: Option<&[f32]>,
-        got: &[f32],
-        want: &[f32],
-        tag: &str,
-    ) {
-        tolerance::assert_matches_reference(
-            got,
-            want,
-            || tolerance::gemm_abs_scales(m, k, n, a, b, seed),
-            k + 1,
-            tag,
-        );
     }
 
     /// Property suite: the blocked GEMM is bit-identical to the seed `i-k-j`
@@ -217,17 +158,7 @@ mod tests {
                     let expect = naive::matmul_naive(m, k, n, &a, &b);
                     let mut out = vec![f32::NAN; m * n];
                     gemm_into(m, k, n, &a, &b, GemmInit::Zero, &mut out, &mut packs);
-                    assert_gemm_matches(
-                        m,
-                        k,
-                        n,
-                        &a,
-                        &b,
-                        None,
-                        &out,
-                        &expect,
-                        &format!("gemm {m}x{k}x{n}"),
-                    );
+                    assert_bits_eq(&out, &expect, &format!("gemm {m}x{k}x{n}"));
                 }
             }
         }
@@ -245,17 +176,7 @@ mod tests {
             let expect = naive::matmul_naive(m, k, n, &a, &b);
             let mut out = vec![f32::NAN; m * n];
             gemm_into(m, k, n, &a, &b, GemmInit::Zero, &mut out, &mut packs);
-            assert_gemm_matches(
-                m,
-                k,
-                n,
-                &a,
-                &b,
-                None,
-                &out,
-                &expect,
-                &format!("large gemm {m}x{k}x{n}"),
-            );
+            assert_bits_eq(&out, &expect, &format!("large gemm {m}x{k}x{n}"));
         }
     }
 
@@ -277,17 +198,7 @@ mod tests {
             let expect = naive::matmul_naive(m, k, n, &a, &b);
             let mut out = vec![f32::NAN; m * n];
             gemm_into(m, k, n, &a, &b, GemmInit::Zero, &mut out, &mut packs);
-            assert_gemm_matches(
-                m,
-                k,
-                n,
-                &a,
-                &b,
-                None,
-                &out,
-                &expect,
-                &format!("sparse gemm {m}x{k}x{n}"),
-            );
+            assert_bits_eq(&out, &expect, &format!("sparse gemm {m}x{k}x{n}"));
         }
     }
 
@@ -311,18 +222,10 @@ mod tests {
                     let expect = naive::matmul_naive(m, k, n, &a, &b);
                     for &mode in &isa_modes {
                         let prev = force_isa(mode);
-                        let fused = fused_active();
                         let mut out = vec![f32::NAN; m * n];
                         gemm_into(m, k, n, &a, &b, GemmInit::Zero, &mut out, &mut packs);
                         force_isa(prev);
-                        let tag = format!("gemm {m}x{k}x{n} isa={mode:?}");
-                        if fused {
-                            assert_gemm_matches(m, k, n, &a, &b, None, &out, &expect, &tag);
-                        } else {
-                            // Unfused backends reproduce the seed exactly,
-                            // on both builds.
-                            assert_bits_eq(&out, &expect, &tag);
-                        }
+                        assert_bits_eq(&out, &expect, &format!("gemm {m}x{k}x{n} isa={mode:?}"));
                     }
                 }
             }
@@ -330,8 +233,7 @@ mod tests {
     }
 
     /// Runs every shape under every supported ISA and every [`GemmInit`]
-    /// mode against the naive `i-k-j` accumulation: bit equality on unfused
-    /// dispatch, the build's contract where the fused tier is active.
+    /// mode against the naive `i-k-j` accumulation, bit for bit.
     fn check_shapes_across_isas_and_inits(shapes: &[(usize, usize, usize)], rng_seed: u64) {
         let _lock = simd::isa_override_test_lock();
         let mut rng = SeededRng::new(rng_seed);
@@ -341,13 +243,8 @@ mod tests {
             let b = random_vec(&mut rng, k * n);
             let bias = random_vec(&mut rng, m);
             let seed_out = random_vec(&mut rng, m * n);
-            let mut bias_rows = vec![0.0f32; m * n];
-            for i in 0..m {
-                bias_rows[i * n..(i + 1) * n].fill(bias[i]);
-            }
             for isa in supported_isas() {
                 let prev = force_isa(Some(isa));
-                let fused_for_this = fused_active();
                 for mode in 0..3 {
                     let (init, mut out) = match mode {
                         0 => (GemmInit::Zero, vec![f32::NAN; m * n]),
@@ -374,17 +271,7 @@ mod tests {
                         }
                     }
                     gemm_into(m, k, n, &a, &b, init, &mut out, &mut packs);
-                    let tag = format!("{m}x{k}x{n} mode={mode} {isa}");
-                    if fused_for_this {
-                        let seed_abs = match mode {
-                            0 => None,
-                            1 => Some(seed_out.as_slice()),
-                            _ => Some(bias_rows.as_slice()),
-                        };
-                        assert_gemm_matches(m, k, n, &a, &b, seed_abs, &out, &expect, &tag);
-                    } else {
-                        assert_bits_eq(&out, &expect, &tag);
-                    }
+                    assert_bits_eq(&out, &expect, &format!("{m}x{k}x{n} mode={mode} {isa}"));
                 }
                 force_isa(prev);
             }
@@ -472,16 +359,7 @@ mod tests {
                         );
                     } else {
                         assert!(got.is_finite(), "padding leaked into {tag}");
-                        tolerance::assert_matches_reference(
-                            &[got],
-                            &[want],
-                            || {
-                                tolerance::gemm_abs_scales(m, k, n, &a, &b, None)[i * n + j..][..1]
-                                    .to_vec()
-                            },
-                            k + 1,
-                            &tag,
-                        );
+                        assert_bits_eq(&[got], &[want], &tag);
                     }
                 }
             }
@@ -510,17 +388,7 @@ mod tests {
             }
             let mut out = seed_out.clone();
             gemm_into(m, k, n, &a, &b, GemmInit::Accumulate, &mut out, &mut packs);
-            assert_gemm_matches(
-                m,
-                k,
-                n,
-                &a,
-                &b,
-                Some(&seed_out),
-                &out,
-                &expect,
-                &format!("accumulate {m}x{k}x{n}"),
-            );
+            assert_bits_eq(&out, &expect, &format!("accumulate {m}x{k}x{n}"));
         }
     }
 
@@ -557,21 +425,7 @@ mod tests {
                 &mut out,
                 &mut packs,
             );
-            let mut bias_rows = vec![0.0f32; m * n];
-            for i in 0..m {
-                bias_rows[i * n..(i + 1) * n].fill(bias[i]);
-            }
-            assert_gemm_matches(
-                m,
-                k,
-                n,
-                &a,
-                &b,
-                Some(&bias_rows),
-                &out,
-                &expect,
-                &format!("row bias {m}x{k}x{n}"),
-            );
+            assert_bits_eq(&out, &expect, &format!("row bias {m}x{k}x{n}"));
         }
     }
 
@@ -593,21 +447,7 @@ mod tests {
             }
             let mut out = vec![f32::NAN; m * n];
             gemm_bias_cols(m, k, n, &a, &b, &bias, &mut out, &mut packs);
-            let mut bias_rows = vec![0.0f32; m * n];
-            for row in bias_rows.chunks_exact_mut(n) {
-                row.copy_from_slice(&bias);
-            }
-            assert_gemm_matches(
-                m,
-                k,
-                n,
-                &a,
-                &b,
-                Some(&bias_rows),
-                &out,
-                &expect,
-                &format!("fused bias {m}x{k}x{n}"),
-            );
+            assert_bits_eq(&out, &expect, &format!("fused bias {m}x{k}x{n}"));
         }
     }
 
@@ -631,120 +471,83 @@ mod tests {
         assert_eq!(out, vec![1.0, 1.0, 1.0, 2.0, 2.0, 2.0]);
     }
 
-    /// `fast-kernels` on an FMA host: the fused tier must genuinely diverge
-    /// from the seed somewhere (otherwise the feature is silently inert),
-    /// stay within the tolerance contract while doing so, agree bit-for-bit
-    /// between the fused AVX2 and AVX-512 kernels (identical per-element
-    /// fma sequences), and collapse back to seed bit-identity when forced
-    /// off.
+    /// "A concurrently flipped override can change speed, never results": a
+    /// second thread cycles [`force_isa`] over every backend while this one
+    /// runs a blocked-shape GEMM, a convolution layer and an axpy, each
+    /// compared bit for bit with its naive reference. Every round waits for
+    /// a flip it has not seen, so the rounds cover every backend even where
+    /// the two threads share a core.
     #[test]
-    #[cfg(feature = "fast-kernels")]
-    fn fused_tier_diverges_within_bound_and_collapses_when_forced_off() {
+    fn concurrent_isa_flips_never_change_results() {
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
         let _lock = simd::isa_override_test_lock();
-        if !fma_supported() || active_isa() < Isa::Avx2 {
-            eprintln!("skipping fused-tier test: no FMA-capable backend on this host");
-            return;
-        }
-        let mut rng = SeededRng::new(0xF_A57);
-        let mut packs = PackScratch::new();
-        let mut diverging_elements = 0usize;
-        for &(m, k, n) in &[(64usize, 64usize, 64usize), (96, 160, 96), (130, 200, 70)] {
-            let a = random_vec(&mut rng, m * k);
-            let b = random_vec(&mut rng, k * n);
-            let expect = naive::matmul_naive(m, k, n, &a, &b);
-            let tag = format!("fused gemm {m}x{k}x{n}");
+        let mut rng = SeededRng::new(0xF1_1B);
 
-            // Forced-off tier: exactly the seed, bit for bit.
-            let prev = force_fused(Some(false));
-            let mut unfused = vec![f32::NAN; m * n];
-            gemm_into(m, k, n, &a, &b, GemmInit::Zero, &mut unfused, &mut packs);
-            force_fused(Some(true));
-            let mut fused = vec![f32::NAN; m * n];
-            gemm_into(m, k, n, &a, &b, GemmInit::Zero, &mut fused, &mut packs);
-            force_fused(prev);
-            assert_bits_eq(&unfused, &expect, &format!("{tag} forced-off"));
-
-            // Fused tier: inside the accumulation bound of the seed.
-            let scales = tolerance::gemm_abs_scales(m, k, n, &a, &b, None);
-            tolerance::check_accumulation(&fused, &expect, &scales, k)
-                .unwrap_or_else(|e| panic!("{tag}: {e}"));
-            diverging_elements += fused
-                .iter()
-                .zip(expect.iter())
-                .filter(|(x, y)| x.to_bits() != y.to_bits())
-                .count();
-
-            // The fused AVX2 and AVX-512 kernels run the identical
-            // per-element fma sequence: bit-identical to each other even
-            // though both differ from the seed.
-            if supported_isas().contains(&Isa::Avx512) {
-                let prev = force_isa(Some(Isa::Avx2));
-                let mut avx2_out = vec![f32::NAN; m * n];
-                gemm_into(m, k, n, &a, &b, GemmInit::Zero, &mut avx2_out, &mut packs);
-                force_isa(Some(Isa::Avx512));
-                let mut avx512_out = vec![f32::NAN; m * n];
-                gemm_into(m, k, n, &a, &b, GemmInit::Zero, &mut avx512_out, &mut packs);
-                force_isa(prev);
-                assert_bits_eq(&avx2_out, &avx512_out, &format!("{tag} avx2-vs-avx512"));
-            }
-        }
-        assert!(
-            diverging_elements > 0,
-            "the fused tier never diverged from the seed — FMA contraction \
-             is not reaching the dispatched kernels"
-        );
-    }
-
-    /// The paths documented as unfused-by-design must reproduce the seed
-    /// bit-for-bit even with the fused tier forced ON: the small-problem
-    /// `i-k-j` fallback (under `SMALL_PROBLEM_MACS` — "parity is expected
-    /// there") and the blocked kernel's edge tiles (shapes where every
-    /// tile is partial, e.g. `m < MR`). Guards the docs' claim against a
-    /// regression that makes either path consult the fused flag.
-    #[test]
-    #[cfg(feature = "fast-kernels")]
-    fn small_problem_and_edge_tile_paths_stay_seed_identical_when_fused() {
-        let _lock = simd::isa_override_test_lock();
-        if !fma_supported() || active_isa() < Isa::Avx2 {
-            eprintln!("skipping unfused-path test: no FMA-capable backend on this host");
-            return;
-        }
-        let mut rng = SeededRng::new(0x5E_ED);
-        let mut packs = PackScratch::new();
-        let prev = force_fused(Some(true));
-        // Small problems: 32^3 = 32K MACs sits at the i-k-j threshold, the
-        // odd shapes stay well under it.
-        for &(m, k, n) in &[(32usize, 32usize, 32usize), (5, 17, 9), (1, 300, 64)] {
-            let a = random_vec(&mut rng, m * k);
-            let b = random_vec(&mut rng, k * n);
-            let expect = naive::matmul_naive(m, k, n, &a, &b);
-            let mut out = vec![f32::NAN; m * n];
-            gemm_into(m, k, n, &a, &b, GemmInit::Zero, &mut out, &mut packs);
-            assert_bits_eq(&out, &expect, &format!("fused-on small {m}x{k}x{n}"));
-        }
-        // Edge tiles: m = 3 < MR makes every microkernel tile a partial
-        // (never-fused) one while the MAC count (3*300*40 = 36K) takes the
-        // blocked route.
-        let (m, k, n) = (3usize, 300usize, 40usize);
+        let (m, k, n) = (24usize, 216usize, 36usize);
         let a = random_vec(&mut rng, m * k);
         let b = random_vec(&mut rng, k * n);
-        let expect = naive::matmul_naive(m, k, n, &a, &b);
-        let mut out = vec![f32::NAN; m * n];
-        gemm_into(m, k, n, &a, &b, GemmInit::Zero, &mut out, &mut packs);
-        assert_bits_eq(&out, &expect, "fused-on all-edge-tile blocked gemm");
-        force_fused(prev);
+        let gemm_want = naive::matmul_naive(m, k, n, &a, &b);
+
+        let (c, hw, kernel, oc) = (12usize, 6usize, 3usize, 24usize);
+        let x = random_vec(&mut rng, c * hw * hw);
+        let weight = random_vec(&mut rng, oc * c * kernel * kernel);
+        let bias = random_vec(&mut rng, oc);
+        let conv_want =
+            naive::conv2d_forward_naive(&x, 1, c, hw, hw, &weight, &bias, oc, kernel, 1, 1);
+        let win = window::ConvWindow::new(c, hw, hw, kernel, 1, 1);
+        let panels = window::OcPanels::pack(oc, win.taps(), &weight);
+
+        let alpha = rng.uniform(-2.0, 2.0);
+        let ax = random_vec(&mut rng, 67);
+        let y0 = random_vec(&mut rng, 67);
+        let axpy_want: Vec<f32> = y0.iter().zip(&ax).map(|(&y, &x)| y + alpha * x).collect();
+
+        let prev = force_isa(None);
+        let (stop, flips) = (AtomicBool::new(false), AtomicUsize::new(0));
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for isa in supported_isas().into_iter().cycle() {
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    force_isa(Some(isa));
+                    flips.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+            // Stops the flipper on every exit, a failed assertion included —
+            // the scope would otherwise wait for it forever.
+            struct Stop<'a>(&'a AtomicBool);
+            impl Drop for Stop<'_> {
+                fn drop(&mut self) {
+                    self.0.store(true, Ordering::Relaxed);
+                }
+            }
+            let _stop = Stop(&stop);
+            let mut packs = PackScratch::new();
+            let mut pad = GrowBuf::new();
+            for round in 0..300 {
+                let seen = flips.load(Ordering::Relaxed);
+                while flips.load(Ordering::Relaxed) == seen {
+                    std::thread::yield_now();
+                }
+                let mut out = vec![f32::NAN; m * n];
+                gemm_into(m, k, n, &a, &b, GemmInit::Zero, &mut out, &mut packs);
+                assert_bits_eq(&out, &gemm_want, &format!("round {round} gemm"));
+                let mut out = vec![f32::NAN; conv_want.len()];
+                win.conv_forward(win.pad(&x, &mut pad), &panels, &bias, &mut out);
+                assert_bits_eq(&out, &conv_want, &format!("round {round} conv"));
+                let mut y = y0.clone();
+                elementwise::axpy(alpha, &ax, &mut y);
+                assert_bits_eq(&y, &axpy_want, &format!("round {round} axpy"));
+            }
+        });
+        force_isa(prev);
     }
 
-    /// The contract report is a build property: it must say
-    /// deterministic-per-build exactly when the feature is compiled in.
+    /// There is one build, so one f32 contract to report.
     #[test]
     fn numeric_contract_reflects_build() {
-        let expected = if cfg!(feature = "fast-kernels") {
-            NumericContract::DeterministicPerBuild
-        } else {
-            NumericContract::BitIdenticalToSeed
-        };
-        assert_eq!(numeric_contract(), expected);
+        assert_eq!(numeric_contract(), NumericContract::BitIdenticalToSeed);
         assert!(
             !numeric_contract().name().is_empty()
                 && numeric_contract().to_string() == numeric_contract().name()

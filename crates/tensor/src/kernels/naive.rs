@@ -4,14 +4,10 @@
 //! GEMM and the im2col-lowered convolutions replaced. They are kept (and
 //! exported) for two reasons:
 //!
-//! 1. **Equivalence testing.** The optimized kernels promise results that
-//!    follow the build's numeric contract — bit-identical on the default
-//!    build, tolerance-bounded under `fast-kernels` (see
-//!    [`super::numeric_contract`] and [`super::tolerance`]); the property
-//!    suites in `kernels::tests` and `layers::conv` compare against these
-//!    references over many seeded shapes, and additionally re-run them on
-//!    |absolute| inputs to derive the `Σ|terms|` magnitude scales the
-//!    tolerance bound needs.
+//! 1. **Equivalence testing.** The optimized kernels promise bit-identical
+//!    results (see [`super::numeric_contract`]); the property suites in
+//!    `kernels::tests` and `layers::conv` compare against these references
+//!    over many seeded shapes.
 //! 2. **Benchmark baselines.** The repository benchmark's
 //!    `kernels.gemm.vs_naive` metric (`benchmark/src/probes.rs`) times the
 //!    blocked GEMM against [`matmul_naive`] so the speedup claim stays

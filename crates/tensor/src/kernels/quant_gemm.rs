@@ -20,8 +20,7 @@
 //! summed in ascending order with separate `mul` + `add` on every backend.
 //! The SIMD paths only vectorize the *integer* part, which is
 //! order-insensitive — so the scalar, SSE2 and AVX2 kernels are
-//! **bit-identical on every ISA and in both build tiers** (`fast-kernels`
-//! compiles no fused variant of this path). What is
+//! **bit-identical on every ISA**. What is
 //! *not* exact is quantization itself; that error is governed by the
 //! `quantized-tolerance` contract ([`super::NumericContract`], bounds in
 //! [`super::tolerance`]).
@@ -89,7 +88,7 @@ pub(crate) fn quant_gemm_into_qa(
     bias: Option<&[f32]>,
     act_scale: Option<f32>,
     out: &mut [f32],
-    qa: &mut scratch::GrowBufI8,
+    qa: &mut scratch::GrowBuf<i8>,
 ) {
     debug_assert!(a.len() == m * k && out.len() == m * n);
     debug_assert!(w.cols() == k && w.rows() == n);

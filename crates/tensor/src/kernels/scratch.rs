@@ -23,7 +23,7 @@
 //!    copies (or aliases) high-water storage — the replica warms up the
 //!    *worker's* arena instead.
 //! 2. **A borrowed slice never outlives its closure.** [`GrowBuf::take`]
-//!    hands out `&mut [f32]` tied to the arena borrow inside
+//!    hands out a `&mut` slice tied to the arena borrow inside
 //!    [`with_thread_scratch`]; nothing can stash it.
 //! 3. **Buffers are dirty by contract.** `take` returns whatever the
 //!    previous user wrote; every kernel fully overwrites the region it
@@ -42,10 +42,7 @@
 //! window tables built — are counted in process-wide atomics (see [`stats`])
 //! so tests can assert that a steady-state serving loop performs zero
 //! scratch allocations, packs no weights and builds no table
-//! (`tests/hot_path_allocations.rs`). The
-//! `fast-kernels` feature does not change any of this: the fused kernels
-//! consume the same packed panels with the same shapes, so scratch behavior
-//! is tier-independent.
+//! (`tests/hot_path_allocations.rs`).
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -102,33 +99,23 @@ pub(crate) fn count_window_table_built() {
     WINDOW_TABLES_BUILT.fetch_add(1, Ordering::Relaxed);
 }
 
-/// A grow-only `f32` buffer with high-water-mark reuse.
+/// A grow-only buffer with high-water-mark reuse: `f32` by default, `i8` for
+/// the activation rows the quantized GEMM quantizes on the fly (see
+/// [`crate::kernels::quant_gemm`]). Every element type bumps the same
+/// process-wide counters.
 ///
 /// [`GrowBuf::take`] returns a slice of the requested length, growing the
 /// backing storage only when the request exceeds everything seen before.
 /// The returned slice is *dirty* (it holds whatever the previous user wrote);
 /// callers must overwrite every element they read.
-#[derive(Default)]
-pub struct GrowBuf {
-    buf: Vec<f32>,
+pub struct GrowBuf<T = f32> {
+    buf: Vec<T>,
 }
 
-impl GrowBuf {
+impl<T> GrowBuf<T> {
     /// Creates an empty buffer.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns a dirty `&mut [f32]` of exactly `len` elements, growing the
-    /// backing storage if needed and bumping the process-wide counters.
-    pub fn take(&mut self, len: usize) -> &mut [f32] {
-        if self.buf.len() < len {
-            SCRATCH_ALLOCS.fetch_add(1, Ordering::Relaxed);
-            self.buf.resize(len, 0.0);
-        } else {
-            SCRATCH_REUSES.fetch_add(1, Ordering::Relaxed);
-        }
-        &mut self.buf[..len]
+        Self { buf: Vec::new() }
     }
 
     /// Current capacity (high-water mark) in elements.
@@ -137,7 +124,27 @@ impl GrowBuf {
     }
 }
 
-impl std::fmt::Debug for GrowBuf {
+impl<T: Copy + Default> GrowBuf<T> {
+    /// Returns a dirty `&mut [T]` of exactly `len` elements, growing the
+    /// backing storage if needed and bumping the process-wide counters.
+    pub fn take(&mut self, len: usize) -> &mut [T] {
+        if self.buf.len() < len {
+            SCRATCH_ALLOCS.fetch_add(1, Ordering::Relaxed);
+            self.buf.resize(len, T::default());
+        } else {
+            SCRATCH_REUSES.fetch_add(1, Ordering::Relaxed);
+        }
+        &mut self.buf[..len]
+    }
+}
+
+impl<T> Default for GrowBuf<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T> std::fmt::Debug for GrowBuf<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "GrowBuf(capacity={})", self.buf.len())
     }
@@ -146,53 +153,7 @@ impl std::fmt::Debug for GrowBuf {
 /// Cloning a scratch buffer yields a fresh empty one: scratch contents are
 /// transient per call, so replicating a layer onto a worker thread must not
 /// copy (or share) its high-water buffers.
-impl Clone for GrowBuf {
-    fn clone(&self) -> Self {
-        Self::new()
-    }
-}
-
-/// A grow-only `i8` buffer with high-water-mark reuse — the int8 twin of
-/// [`GrowBuf`], sharing the same process-wide counters and the same dirty
-/// contract. Used for on-the-fly activation quantization in the quantized
-/// GEMM (see [`crate::kernels::quant_gemm`]).
-#[derive(Default)]
-pub struct GrowBufI8 {
-    buf: Vec<i8>,
-}
-
-impl GrowBufI8 {
-    /// Creates an empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns a dirty `&mut [i8]` of exactly `len` elements, growing the
-    /// backing storage if needed and bumping the process-wide counters.
-    pub fn take(&mut self, len: usize) -> &mut [i8] {
-        if self.buf.len() < len {
-            SCRATCH_ALLOCS.fetch_add(1, Ordering::Relaxed);
-            self.buf.resize(len, 0);
-        } else {
-            SCRATCH_REUSES.fetch_add(1, Ordering::Relaxed);
-        }
-        &mut self.buf[..len]
-    }
-
-    /// Current capacity (high-water mark) in elements.
-    pub fn capacity(&self) -> usize {
-        self.buf.len()
-    }
-}
-
-impl std::fmt::Debug for GrowBufI8 {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "GrowBufI8(capacity={})", self.buf.len())
-    }
-}
-
-/// Same rule as [`GrowBuf`]: cloning yields a fresh empty buffer.
-impl Clone for GrowBufI8 {
+impl<T> Clone for GrowBuf<T> {
     fn clone(&self) -> Self {
         Self::new()
     }
@@ -205,7 +166,7 @@ impl Clone for GrowBufI8 {
 #[derive(Debug, Default, Clone)]
 pub struct QuantScratch {
     /// Quantized activation row, `[blocks_per_row * QK8_0]`, zero-padded.
-    pub qa: GrowBufI8,
+    pub qa: GrowBuf<i8>,
     /// Transposed output staging, `[m, n]`.
     pub out_t: GrowBuf,
 }
@@ -303,38 +264,28 @@ mod tests {
 
     #[test]
     fn grow_buf_reuses_after_high_water() {
-        let before = stats();
-        let mut buf = GrowBuf::new();
-        let s = buf.take(64);
-        assert_eq!(s.len(), 64);
-        let _ = buf.take(16);
-        let _ = buf.take(64);
-        let after = stats();
-        // Other tests bump the same process-wide counters in parallel, so
-        // they bound from below; "only the first take allocates" is the
-        // buffer's own capacity never moving past the first request.
-        assert!(after.allocs > before.allocs);
-        assert!(after.reuses >= before.reuses + 2);
-        assert_eq!(buf.capacity(), 64);
-    }
-
-    #[test]
-    fn grow_buf_i8_shares_counters_and_reuses() {
-        let before = stats();
-        let mut buf = GrowBufI8::new();
-        let s = buf.take(96);
-        assert_eq!(s.len(), 96);
-        let _ = buf.take(32);
-        let after = stats();
-        assert!(after.allocs > before.allocs);
-        assert!(after.reuses > before.reuses);
-        assert_eq!(buf.capacity(), 96);
-        assert_eq!(buf.clone().capacity(), 0, "clone must be fresh");
+        fn check<T: Copy + Default>() {
+            let before = stats();
+            let mut buf = GrowBuf::<T>::new();
+            assert_eq!(buf.take(64).len(), 64);
+            let _ = buf.take(16);
+            let _ = buf.take(64);
+            let after = stats();
+            // Other tests bump the same process-wide counters in parallel,
+            // so they bound from below; "only the first take allocates" is
+            // the buffer's own capacity never moving past the first request.
+            assert!(after.allocs > before.allocs);
+            assert!(after.reuses >= before.reuses + 2);
+            assert_eq!(buf.capacity(), 64);
+            assert_eq!(buf.clone().capacity(), 0, "clone must be fresh");
+        }
+        check::<f32>();
+        check::<i8>();
     }
 
     #[test]
     fn clone_is_fresh_and_empty() {
-        let mut buf = GrowBuf::new();
+        let mut buf: GrowBuf = GrowBuf::new();
         let _ = buf.take(128);
         let clone = buf.clone();
         assert_eq!(clone.capacity(), 0);

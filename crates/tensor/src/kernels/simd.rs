@@ -15,31 +15,16 @@
 //!
 //! # Determinism contract
 //!
-//! The kernel layer ships two numeric tiers (see `docs/DETERMINISM.md` and
-//! [`super::numeric_contract`]):
-//!
-//! * **Default build — bit-identical-to-seed.** Every vector path performs,
-//!   per output element, **exactly the same sequence of IEEE-754
-//!   operations** as the scalar reference: lanes are independent output
-//!   elements, products are accumulated in ascending inner-dimension order,
-//!   and multiplication and addition stay separate instructions (`mulps` +
-//!   `addps`, never `fmadd`). SIMD results are therefore bit-identical to
-//!   the scalar kernels on every ISA — pinned by the equivalence suites,
-//!   which re-run the kernels under every [`supported_isas`] entry.
-//! * **`fast-kernels` build — deterministic-per-build.** The AVX2 and
-//!   AVX-512 GEMM microkernels and convolution tiles (and the elementwise
-//!   `axpy`) additionally compile **fused multiply-add** variants,
-//!   dispatched when the host's
-//!   `fma` CPUID bit is set ([`fma_supported`]). Fusing removes the
-//!   intermediate product rounding, so fused results are no longer
-//!   bit-identical to the seed — they are instead pinned to a
-//!   per-accumulation-step error bound by the tolerance suites
-//!   (`super::tolerance`), and remain **bit-identical across runs, thread
-//!   counts, and the fused backends themselves** on any one build
-//!   (accumulation order never changes, and the AVX2 and AVX-512 fused
-//!   kernels perform the identical per-element fma sequence). The scalar
-//!   and SSE2 backends never fuse, so a `fast-kernels` build forced to
-//!   either of them still reproduces the seed bit-for-bit.
+//! The f32 kernel layer has one numeric contract, bit-identical-to-seed (see
+//! `docs/DETERMINISM.md` and [`super::numeric_contract`]): every vector path
+//! performs, per output element, **exactly the same sequence of IEEE-754
+//! operations** as the scalar reference. Lanes are independent output
+//! elements, products are accumulated in ascending inner-dimension order, and
+//! multiplication and addition stay separate instructions (`mulps` + `addps`,
+//! never a fused multiply-add — whether the host has one must not change the
+//! bytes). SIMD results are therefore bit-identical to the scalar kernels on
+//! every ISA — pinned by the equivalence suites, which re-run the kernels
+//! under every [`supported_isas`] entry.
 //!
 //! # Forcing a backend
 //!
@@ -47,15 +32,9 @@
 //!   [`Isa::Scalar`] for the whole process — the CI fallback job uses this.
 //! * [`force_isa`] installs a process-wide override at runtime (clamped to
 //!   what the host supports); tests and benches use it to compare backends
-//!   inside one process. On the default build all backends are
-//!   bit-identical, so flipping the override concurrently with other work
-//!   can only change speed, never results. Under `fast-kernels` the
-//!   override additionally selects between the fused and unfused tiers
-//!   (scalar/SSE2 vs AVX2/AVX-512), so tests that flip it while comparing
-//!   results serialize on the same lock they already used.
-//! * [`force_fused`] (meaningful only under `fast-kernels`) pins the fused
-//!   tier on or off at runtime, so one process can measure and compare the
-//!   FMA and mul-then-add kernels on identical inputs.
+//!   inside one process. All backends are bit-identical, so flipping the
+//!   override concurrently with other work can only change speed, never
+//!   results.
 #![allow(unsafe_code)] // The one module allowed to use std::arch intrinsics.
 
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -157,11 +136,8 @@ pub fn active_isa() -> Isa {
 /// The request is clamped to the detected host maximum — forcing AVX2 on a
 /// host without it silently degrades to the widest supported backend, so the
 /// kernels can never execute instructions the CPU lacks. Intended for tests
-/// and benches. On the default build every backend is bit-identical, so a
-/// concurrently flipped override can change performance but never results;
-/// under `fast-kernels` the backend also selects the numeric tier (fused on
-/// AVX2/AVX-512, unfused below), so result-comparing tests serialize on the
-/// ISA test lock.
+/// and benches. Every backend is bit-identical, so a concurrently flipped
+/// override can change performance but never results.
 pub fn force_isa(isa: Option<Isa>) -> Option<Isa> {
     let encoded = match isa {
         None => 0,
@@ -189,73 +165,6 @@ pub fn supported_isas() -> Vec<Isa> {
 /// 512-bit vector ports, which the `MR x NR` tile alone cannot).
 pub(crate) fn has_paired_microkernel(isa: Isa) -> bool {
     cfg!(target_arch = "x86_64") && isa == Isa::Avx512
-}
-
-// ---------------------------------------------------------------------------
-// The opt-in fused (FMA) tier.
-// ---------------------------------------------------------------------------
-
-/// Whether the host CPU advertises the FMA3 extension (cached; independent
-/// of the ISA *width* detection above — AVX2 does not imply FMA).
-fn fma_detected() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        static FMA: OnceLock<bool> = OnceLock::new();
-        *FMA.get_or_init(|| std::arch::is_x86_feature_detected!("fma"))
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    false
-}
-
-/// `FUSED_OVERRIDE` encoding: 0 = default (fused wherever available),
-/// 1 = forced off, 2 = forced on (still clamped to availability).
-static FUSED_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// `true` when this build carries the fused (FMA) kernel tier **and** the
-/// host CPU can run it: requires the `fast-kernels` cargo feature and the
-/// `fma` CPUID bit. When false, every kernel path is the unfused
-/// bit-identical-to-seed tier regardless of [`force_fused`].
-pub fn fma_supported() -> bool {
-    cfg!(feature = "fast-kernels") && fma_detected()
-}
-
-/// Installs (or clears, with `None`) a process-wide override of the fused
-/// tier and returns the previous override.
-///
-/// Only meaningful under `fast-kernels`: the default build has no fused
-/// kernels compiled in, so the override is recorded but can never enable
-/// anything ([`fused_for_isa`] clamps to [`fma_supported`]). Intended for
-/// tests and benches that compare the FMA and mul-then-add kernels on
-/// identical inputs in one process. Unlike [`force_isa`] on the default
-/// build, flipping this concurrently with kernel work *does* change
-/// results under `fast-kernels`; callers serialize on the ISA test lock.
-pub fn force_fused(mode: Option<bool>) -> Option<bool> {
-    let encoded = match mode {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    };
-    match FUSED_OVERRIDE.swap(encoded, Ordering::Relaxed) {
-        0 => None,
-        1 => Some(false),
-        _ => Some(true),
-    }
-}
-
-/// Whether kernels dispatched on `isa` use the fused (FMA) microkernels:
-/// requires the `fast-kernels` build, a host with FMA, an AVX2-or-wider
-/// backend (the scalar and SSE2 tiers never fuse), and no
-/// [`force_fused`]`(Some(false))` override.
-pub fn fused_for_isa(isa: Isa) -> bool {
-    fma_supported() && isa >= Isa::Avx2 && FUSED_OVERRIDE.load(Ordering::Relaxed) != 1
-}
-
-/// Whether the *currently dispatched* kernels use the fused (FMA) tier —
-/// i.e. [`fused_for_isa`] of [`active_isa`]. Surfaced so runtime debug
-/// output (`EngineStats`) can attribute numbers to a numeric tier, not just
-/// an ISA width.
-pub fn fused_active() -> bool {
-    fused_for_isa(active_isa())
 }
 
 // ---------------------------------------------------------------------------
@@ -343,8 +252,8 @@ pub(crate) trait Lanes16: Copy {
     /// `ptr..ptr+OC_LANES` must be writable; the impl's CPU feature must be
     /// active.
     unsafe fn store(self, ptr: *mut f32);
-    /// Lanewise `self + w * x`: two IEEE roundings per lane on the unfused
-    /// implementations, one (`fmadd`) on the `fast-kernels` ones.
+    /// Lanewise `self + w * x`, the product rounded before the sum (two IEEE
+    /// roundings per lane).
     fn mul_acc(self, w: Self, x: f32) -> Self;
 }
 
@@ -804,186 +713,6 @@ mod x86 {
             _mm_storeu_ps(out.as_mut_ptr(), col);
         }
     }
-
-    /// The fused (FMA) kernel tier, compiled only under `fast-kernels`.
-    ///
-    /// Each kernel is the exact loop structure of its unfused sibling with
-    /// the `mul` + `add` pair contracted into one `fmadd` — same ascending
-    /// `p` accumulation order, same lane-to-element mapping, one rounding
-    /// per step instead of two. The AVX2 and AVX-512 variants therefore
-    /// perform the *identical* per-element operation sequence and are
-    /// bit-identical to each other (pinned by the cross-ISA suites), while
-    /// both differ from the seed within the `super::super::tolerance`
-    /// accumulation bound.
-    #[cfg(feature = "fast-kernels")]
-    pub(crate) mod fused {
-        use super::{conv_tile, Lanes16, CONV_ROWS_AVX2, CONV_ROWS_AVX512, MR, NR, OC_LANES};
-        use std::arch::x86_64::*;
-
-        /// FMA contraction of [`super::microkernel_4x16_avx2`].
-        ///
-        /// # Safety
-        ///
-        /// Host must support AVX2 **and** FMA; packed-panel layout
-        /// invariants as in the unfused kernel.
-        #[target_feature(enable = "avx2,fma")]
-        pub(crate) unsafe fn microkernel_4x16_avx2_fma(
-            kc: usize,
-            a_tile: &[f32],
-            b_tile: &[f32],
-            acc: &mut [[f32; NR]; MR],
-        ) {
-            debug_assert!(a_tile.len() >= kc * MR && b_tile.len() >= kc * NR);
-            let mut c: [[__m256; 2]; MR] = [[_mm256_setzero_ps(); 2]; MR];
-            for (r, row) in acc.iter().enumerate() {
-                c[r][0] = _mm256_loadu_ps(row.as_ptr());
-                c[r][1] = _mm256_loadu_ps(row.as_ptr().add(8));
-            }
-            let a = a_tile.as_ptr();
-            let b = b_tile.as_ptr();
-            for p in 0..kc {
-                let b0 = _mm256_loadu_ps(b.add(p * NR));
-                let b1 = _mm256_loadu_ps(b.add(p * NR + 8));
-                for (r, cr) in c.iter_mut().enumerate() {
-                    let av = _mm256_set1_ps(*a.add(p * MR + r));
-                    cr[0] = _mm256_fmadd_ps(av, b0, cr[0]);
-                    cr[1] = _mm256_fmadd_ps(av, b1, cr[1]);
-                }
-            }
-            for (r, row) in acc.iter_mut().enumerate() {
-                _mm256_storeu_ps(row.as_mut_ptr(), c[r][0]);
-                _mm256_storeu_ps(row.as_mut_ptr().add(8), c[r][1]);
-            }
-        }
-
-        /// FMA contraction of [`super::microkernel_8x16_avx512`].
-        ///
-        /// # Safety
-        ///
-        /// Host must support AVX-512F (whose zmm `fmadd` this uses; dispatch
-        /// additionally gates on the `fma` CPUID bit for tier uniformity);
-        /// `a_lo`/`a_hi` must each hold `kc * MR` packed values and
-        /// `b_tile` must hold `kc * NR`.
-        #[target_feature(enable = "avx512f")]
-        #[allow(clippy::needless_range_loop)] // indices mirror the zmm register layout
-        pub(crate) unsafe fn microkernel_8x16_avx512_fma(
-            kc: usize,
-            a_lo: &[f32],
-            a_hi: &[f32],
-            b_tile: &[f32],
-            acc: &mut [[f32; NR]; 2 * MR],
-        ) {
-            debug_assert!(a_lo.len() >= kc * MR && a_hi.len() >= kc * MR);
-            debug_assert!(b_tile.len() >= kc * NR);
-            let mut c: [__m512; 2 * MR] = [_mm512_setzero_ps(); 2 * MR];
-            for (r, row) in acc.iter().enumerate() {
-                c[r] = _mm512_loadu_ps(row.as_ptr());
-            }
-            let alo = a_lo.as_ptr();
-            let ahi = a_hi.as_ptr();
-            let b = b_tile.as_ptr();
-            for p in 0..kc {
-                let bv = _mm512_loadu_ps(b.add(p * NR));
-                for r in 0..MR {
-                    let av = _mm512_set1_ps(*alo.add(p * MR + r));
-                    c[r] = _mm512_fmadd_ps(av, bv, c[r]);
-                }
-                for r in 0..MR {
-                    let av = _mm512_set1_ps(*ahi.add(p * MR + r));
-                    c[MR + r] = _mm512_fmadd_ps(av, bv, c[MR + r]);
-                }
-            }
-            for (r, row) in acc.iter_mut().enumerate() {
-                _mm512_storeu_ps(row.as_mut_ptr(), c[r]);
-            }
-        }
-
-        /// Two `__m256` halves whose step is one `fmadd`.
-        #[derive(Clone, Copy)]
-        pub(crate) struct Avx2FmaV(__m256, __m256);
-
-        impl Lanes16 for Avx2FmaV {
-            #[inline(always)]
-            unsafe fn load(ptr: *const f32) -> Self {
-                Avx2FmaV(_mm256_loadu_ps(ptr), _mm256_loadu_ps(ptr.add(8)))
-            }
-
-            #[inline(always)]
-            unsafe fn store(self, ptr: *mut f32) {
-                _mm256_storeu_ps(ptr, self.0);
-                _mm256_storeu_ps(ptr.add(8), self.1);
-            }
-
-            #[inline(always)]
-            fn mul_acc(self, w: Self, x: f32) -> Self {
-                unsafe {
-                    let xv = _mm256_set1_ps(x);
-                    Avx2FmaV(
-                        _mm256_fmadd_ps(w.0, xv, self.0),
-                        _mm256_fmadd_ps(w.1, xv, self.1),
-                    )
-                }
-            }
-        }
-
-        /// One `__m512` whose step is one `fmadd`.
-        #[derive(Clone, Copy)]
-        pub(crate) struct Avx512FmaV(__m512);
-
-        impl Lanes16 for Avx512FmaV {
-            #[inline(always)]
-            unsafe fn load(ptr: *const f32) -> Self {
-                Avx512FmaV(_mm512_loadu_ps(ptr))
-            }
-
-            #[inline(always)]
-            unsafe fn store(self, ptr: *mut f32) {
-                _mm512_storeu_ps(ptr, self.0);
-            }
-
-            #[inline(always)]
-            fn mul_acc(self, w: Self, x: f32) -> Self {
-                unsafe { Avx512FmaV(_mm512_fmadd_ps(w.0, _mm512_set1_ps(x), self.0)) }
-            }
-        }
-
-        /// FMA contraction of [`super::conv_tile_avx2`].
-        ///
-        /// # Safety
-        ///
-        /// Host must support AVX2 **and** FMA; table and panel invariants as
-        /// in [`conv_tile`].
-        #[target_feature(enable = "avx2,fma")]
-        pub(crate) unsafe fn conv_tile_avx2_fma(
-            w: &[f32],
-            seed: &[f32; OC_LANES],
-            taps: &[u32],
-            offs: &[usize; CONV_ROWS_AVX2],
-            x: &[f32],
-            acc: &mut [[f32; OC_LANES]; CONV_ROWS_AVX2],
-        ) {
-            conv_tile::<Avx2FmaV, CONV_ROWS_AVX2>(w, seed, taps, offs, x, acc);
-        }
-
-        /// FMA contraction of [`super::conv_tile_avx512`]; per element the
-        /// `fmadd` sequence of [`conv_tile_avx2_fma`].
-        ///
-        /// # Safety
-        ///
-        /// Host must support AVX-512F; table and panel invariants as in
-        /// [`conv_tile`].
-        #[target_feature(enable = "avx512f")]
-        pub(crate) unsafe fn conv_tile_avx512_fma(
-            w: &[f32],
-            seed: &[f32; OC_LANES],
-            taps: &[u32],
-            offs: &[usize; CONV_ROWS_AVX512],
-            x: &[f32],
-            acc: &mut [[f32; OC_LANES]; CONV_ROWS_AVX512],
-        ) {
-            conv_tile::<Avx512FmaV, CONV_ROWS_AVX512>(w, seed, taps, offs, x, acc);
-        }
-    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -1044,37 +773,19 @@ fn scalar_micro_step(tile: &mut [[f32; NR]; MR], ap: &[f32], bp: &[f32]) {
 
 /// Runs the `MR x NR` microkernel inner loop on the backend for `isa`:
 /// `acc[r][c] += a_tile[p*MR+r] * b_tile[p*NR+c]` for every `p` ascending.
-///
-/// `fused` selects the FMA tier (one rounding per step); callers resolve it
-/// **once per `gemm_into` call** via [`fused_for_isa`], so every tile of
-/// one GEMM uses the same tier. It may only be true when
-/// [`fused_for_isa`]`(isa)` is — i.e. on an AVX2-or-wider backend of a
-/// `fast-kernels` build on an FMA host. All unfused backends are
-/// bit-identical; the fused ones are bit-identical to each other.
+/// All backends are bit-identical.
 ///
 /// # Panics
 ///
 /// Debug-asserts that the packed panels hold at least `kc` steps.
-#[cfg_attr(
-    not(all(target_arch = "x86_64", feature = "fast-kernels")),
-    allow(unused_variables)
-)]
 pub(crate) fn microkernel_4x16(
     isa: Isa,
-    fused: bool,
     kc: usize,
     a_tile: &[f32],
     b_tile: &[f32],
     acc: &mut [[f32; NR]; MR],
 ) {
     debug_assert!(a_tile.len() >= kc * MR && b_tile.len() >= kc * NR);
-    debug_assert!(!fused || fused_for_isa(isa), "fused tier without FMA");
-    #[cfg(all(target_arch = "x86_64", feature = "fast-kernels"))]
-    if fused {
-        // SAFETY: `fused` is only set when `fused_for_isa` confirmed the
-        // host's FMA and AVX2 bits; panel sizes are asserted above.
-        return unsafe { x86::fused::microkernel_4x16_avx2_fma(kc, a_tile, b_tile, acc) };
-    }
     match isa {
         Isa::Scalar => microkernel_4x16_scalar(kc, a_tile, b_tile, acc),
         #[cfg(target_arch = "x86_64")]
@@ -1091,16 +802,12 @@ pub(crate) fn microkernel_4x16(
 }
 
 /// Runs the widened `2*MR x NR` paired-strip microkernel. Only callable on
-/// ISAs for which [`has_paired_microkernel`] is true (AVX-512). `fused`
-/// follows the same once-per-blocked-call resolution rule as
-/// [`microkernel_4x16`].
+/// ISAs for which [`has_paired_microkernel`] is true (AVX-512).
 ///
 /// # Panics
 ///
 /// Panics (via `unreachable!`) if no paired backend exists on this target.
-#[allow(unused_variables)]
 pub(crate) fn microkernel_8x16(
-    fused: bool,
     kc: usize,
     a_lo: &[f32],
     a_hi: &[f32],
@@ -1109,12 +816,6 @@ pub(crate) fn microkernel_8x16(
 ) {
     debug_assert!(a_lo.len() >= kc * MR && a_hi.len() >= kc * MR);
     debug_assert!(b_tile.len() >= kc * NR);
-    #[cfg(all(target_arch = "x86_64", feature = "fast-kernels"))]
-    if fused {
-        // SAFETY: the blocked driver only takes the paired path on AVX-512
-        // hosts and only sets `fused` per `fused_for_isa`; sizes asserted.
-        return unsafe { x86::fused::microkernel_8x16_avx512_fma(kc, a_lo, a_hi, b_tile, acc) };
-    }
     #[cfg(target_arch = "x86_64")]
     // SAFETY: the blocked driver only takes this path when `active_isa`
     // reported AVX-512; panel sizes are asserted above.
@@ -1189,36 +890,25 @@ pub(crate) struct ConvOperands<'a> {
 ///
 /// Each block of [`OC_LANES`] channels is computed a tile of positions at a
 /// time — as many as the backend for `isa` keeps in registers — with padded
-/// lanes and padded positions computed and never stored. `fused` selects the
-/// FMA tier for every element of the call, under the rule of
-/// [`microkernel_4x16`]: only where [`fused_for_isa`]`(isa)` holds. All
-/// unfused backends are bit-identical; the fused ones are bit-identical to
-/// each other.
+/// lanes and padded positions computed and never stored. All backends are
+/// bit-identical.
 ///
 /// # Panics
 ///
 /// Panics if `panels` or `out` does not match `bias.len()`, `taps.len()` and
 /// `offs.len()`, or if the table addresses an element outside `xpad`.
-pub(crate) fn conv_forward(isa: Isa, fused: bool, ops: ConvOperands<'_>) {
-    debug_assert!(!fused || fused_for_isa(isa), "fused tier without FMA");
-    match (isa, fused) {
-        #[cfg(all(target_arch = "x86_64", feature = "fast-kernels"))]
-        // SAFETY: `fused` is only set when `fused_for_isa` confirmed the
-        // host's FMA bit on an AVX-512 backend.
-        (Isa::Avx512, true) => unsafe { conv_drive(x86::fused::conv_tile_avx512_fma, ops) },
-        #[cfg(all(target_arch = "x86_64", feature = "fast-kernels"))]
-        // SAFETY: as above, on an AVX2 backend.
-        (_, true) => unsafe { conv_drive(x86::fused::conv_tile_avx2_fma, ops) },
+pub(crate) fn conv_forward(isa: Isa, ops: ConvOperands<'_>) {
+    match isa {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `isa` comes from `active_isa`, which only reports CPU
         // features the host has.
-        (Isa::Avx512, _) => unsafe { conv_drive(x86::conv_tile_avx512, ops) },
+        Isa::Avx512 => unsafe { conv_drive(x86::conv_tile_avx512, ops) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above.
-        (Isa::Avx2, _) => unsafe { conv_drive(x86::conv_tile_avx2, ops) },
+        Isa::Avx2 => unsafe { conv_drive(x86::conv_tile_avx2, ops) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above (SSE2 is the `x86_64` baseline).
-        (Isa::Sse2, _) => unsafe { conv_drive(x86::conv_tile_sse2, ops) },
+        Isa::Sse2 => unsafe { conv_drive(x86::conv_tile_sse2, ops) },
         // SAFETY: the scalar tile is safe code and needs no CPU feature.
         _ => unsafe { conv_drive(conv_tile_scalar, ops) },
     }
@@ -1330,10 +1020,8 @@ fn store_tile<const R: usize>(
 /// The scalar Q8_0 row dot — the reference every SIMD path must match
 /// bit-for-bit: per block, an exact int8×int8→i32 dot product (bounded by
 /// `32 * 127² < 2^24`, so the i32→f32 conversion is exact), combined as
-/// `acc += scale * dot` in ascending block order. The combine deliberately
-/// stays a separate `mul` + `add` in every backend and both build tiers —
-/// the quantized path has a *single* numeric contract
-/// (`quantized-tolerance`), not a fused variant.
+/// `acc += scale * dot` in ascending block order. The combine stays a
+/// separate `mul` + `add` in every backend, like the f32 kernels'.
 fn quant_row_dot_scalar(qa: &[i8], blocks: &[crate::quant::BlockQ8_0]) -> f32 {
     use crate::quant::QK8_0;
     let mut acc = 0.0f32;
@@ -1377,13 +1065,12 @@ pub(crate) fn quant_row_dot(isa: Isa, qa: &[i8], blocks: &[crate::quant::BlockQ8
     }
 }
 
-/// Serializes tests that install [`force_isa`] or [`force_fused`]
-/// overrides. The overrides are process-global; without this, concurrently
-/// running tests could observe each other's overrides (on the default build
-/// every backend is bit-identical, so results could never be corrupted —
-/// but a test could end up comparing a backend against itself, weakening
-/// what it proves; under `fast-kernels` the overrides select the numeric
-/// tier, so an unserialized flip could corrupt a concurrent comparison).
+/// Serializes tests that assert on [`active_isa`] or on what [`force_isa`]
+/// returns, or that sweep the backends and mean each pass to run on the one
+/// it named. The override is process-global: every backend is bit-identical,
+/// so a concurrent flip can never corrupt a result — a test that only
+/// compares kernel outputs needs no lock — but a test that reads the
+/// override back would see another test's value.
 /// Recovers from poisoning: a panicked ISA test must not cascade.
 #[cfg(test)]
 pub(crate) fn isa_override_test_lock() -> std::sync::MutexGuard<'static, ()> {
@@ -1414,32 +1101,6 @@ mod tests {
         // The override is always clamped to a supported ISA, so the active
         // ISA is supported whether or not one is installed.
         assert!(isas.contains(&active_isa()));
-    }
-
-    #[test]
-    fn force_fused_round_trips_and_clamps_to_availability() {
-        let _lock = isa_override_test_lock();
-        let prev = force_fused(Some(true));
-        // Forcing the tier on can never enable it beyond what the build and
-        // host provide.
-        assert_eq!(fused_active(), fma_supported() && active_isa() >= Isa::Avx2);
-        let back = force_fused(Some(false));
-        assert_eq!(back, Some(true));
-        assert!(!fused_active(), "forced-off tier must never fuse");
-        let back = force_fused(prev);
-        assert_eq!(back, Some(false));
-    }
-
-    #[test]
-    fn fused_tier_requires_avx2_or_wider() {
-        let _lock = isa_override_test_lock();
-        assert!(!fused_for_isa(Isa::Scalar));
-        assert!(!fused_for_isa(Isa::Sse2));
-        // Without the feature the tier is off for every ISA.
-        if !cfg!(feature = "fast-kernels") {
-            assert!(!fused_for_isa(Isa::Avx2) && !fused_for_isa(Isa::Avx512));
-            assert!(!fma_supported() && !fused_active());
-        }
     }
 
     #[test]

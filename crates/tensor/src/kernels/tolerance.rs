@@ -1,44 +1,37 @@
-//! The tolerance harness behind the `fast-kernels` numeric contract.
+//! The comparison harness behind the numeric contracts.
 //!
-//! The default build's equivalence suites assert **bit** equality against
-//! the retained [`super::naive`] references. A `fast-kernels` build fuses
-//! `a * b + c` into one rounding per accumulation step, so its results are
-//! only *close* to the seed — and "close" needs a principled definition or
-//! the suites degenerate into rubber stamps. This module provides it:
+//! The f32 equivalence suites assert **bit** equality against the retained
+//! [`super::naive`] references ([`assert_bits_eq`]). The quantized (Q8_0)
+//! path is only *close* to the f32 network — and "close" needs a principled
+//! definition or its suites degenerate into rubber stamps. This module
+//! provides it:
 //!
 //! * [`ulp_distance`] — order-exact distance between two floats in units in
-//!   the last place, for asserting that two paths differ (or not) at the
-//!   resolution where FMA contraction shows up.
+//!   the last place, for asserting that two paths differ (or not) at
+//!   last-ulp resolution.
 //! * [`accumulation_bound`] — the worst-case absolute divergence between
 //!   any two rounding schedules of the same `steps`-step `f32` dot-product
 //!   accumulation, derived from the standard `γ_k = k·ε/(1 − k·ε)` forward
-//!   error model: both the fused and the unfused kernel err at most
-//!   `γ_k · Σ|aₚ·bₚ|` from the exact value, so they sit within twice that
-//!   of each other. The bound scales with the data (`Σ|aₚ·bₚ|`, computed in
-//!   `f64`), not with a hand-tuned epsilon.
-//! * [`gemm_abs_scales`] — the per-output-element `Σ|aₚ·bₚ| (+ |seed|)`
-//!   magnitudes for a GEMM, feeding the bound above.
+//!   error model: each schedule errs at most `γ_k · Σ|aₚ·bₚ|` from the exact
+//!   value, so two sit within twice that of each other. The bound scales
+//!   with the data (`Σ|aₚ·bₚ|`, computed in `f64`), not with a hand-tuned
+//!   epsilon. The quantized GEMM's `f64`-reference suite leans on it.
 //! * [`quantization_bound`] / [`check_quantized`] — the per-value half-step
 //!   bound behind the **quantized-tolerance** contract: Q8_0 block scales
 //!   are powers of two, so rounding to the int8 grid is the only error
 //!   source and half a scale step is a tight bound, not an estimate.
-//! * [`check_within`] / [`check_accumulation`] — non-panicking checkers
-//!   (tests of the harness itself assert `Err` without `catch_unwind`).
-//! * [`assert_matches_reference`] — the suite-facing assertion: **bit**
-//!   equality on default builds, the accumulation bound under
-//!   `fast-kernels`. Equivalence suites call this one helper so the
-//!   guarantee they pin automatically follows the build's contract.
+//! * [`check_within`] — the non-panicking checker underneath (tests of the
+//!   harness itself assert `Err` without `catch_unwind`).
 //!
 //! The harness's own tests pin its *tightness*: seeded single-step cases
-//! where FMA and mul-then-add provably differ in the last ulp must be
-//! detected by [`ulp_distance`], sit within the one-step bound, and fail a
-//! zero bound — a harness that silently passes everything cannot survive
-//! them.
+//! where a fused and a mul-then-add step provably differ in the last ulp
+//! must be detected by [`ulp_distance`], sit within the one-step bound, and
+//! fail a zero bound — a harness that silently passes everything cannot
+//! survive them.
 
 /// Asserts two `f32` slices are identical **bit for bit**, reporting the
 /// first diverging element with `tag`. The single shared implementation of
-/// the bit-equality check every equivalence and determinism suite uses
-/// (and the default-build branch of [`assert_matches_reference`]).
+/// the bit-equality check every equivalence and determinism suite uses.
 ///
 /// # Panics
 ///
@@ -96,43 +89,6 @@ pub fn accumulation_bound(steps: usize, scale: f64) -> f64 {
     2.0 * gamma * scale + f64::from(f32::MIN_POSITIVE)
 }
 
-/// Per-output-element accumulation magnitudes `Σₚ |a[i,p] · b[p,j]|`
-/// (plus `|seed[i,j]|` when given) of the row-major `m·k × k·n` GEMM, in
-/// `f64` — the `scale` inputs for [`accumulation_bound`].
-///
-/// # Panics
-///
-/// Panics if a slice length does not match its dimensions.
-pub fn gemm_abs_scales(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    seed: Option<&[f32]>,
-) -> Vec<f64> {
-    assert_eq!(a.len(), m * k, "abs scales: A must be m*k");
-    assert_eq!(b.len(), k * n, "abs scales: B must be k*n");
-    if let Some(s) = seed {
-        assert_eq!(s.len(), m * n, "abs scales: seed must be m*n");
-    }
-    let mut scales = match seed {
-        Some(s) => s.iter().map(|&v| f64::from(v).abs()).collect(),
-        None => vec![0.0f64; m * n],
-    };
-    for i in 0..m {
-        for p in 0..k {
-            let av = f64::from(a[i * k + p]).abs();
-            let b_row = &b[p * n..(p + 1) * n];
-            let out_row = &mut scales[i * n..(i + 1) * n];
-            for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
-                *o += av * f64::from(bv).abs();
-            }
-        }
-    }
-    scales
-}
-
 /// Checks `|got[i] − want[i]| ≤ bounds[i]` elementwise, reporting the first
 /// violation (index, values, bound) instead of panicking. NaN or infinite
 /// `got` values fail unless `want` is bit-identical.
@@ -182,55 +138,6 @@ pub fn quantization_bound(scale: f32) -> f64 {
 pub fn check_quantized(got: &[f32], want: &[f32], scales: &[f32]) -> Result<(), String> {
     let bounds: Vec<f64> = scales.iter().map(|&s| quantization_bound(s)).collect();
     check_within(got, want, &bounds)
-}
-
-/// [`check_within`] with per-element bounds built from
-/// [`accumulation_bound`]`(steps, scales[i])`.
-pub fn check_accumulation(
-    got: &[f32],
-    want: &[f32],
-    scales: &[f64],
-    steps: usize,
-) -> Result<(), String> {
-    let bounds: Vec<f64> = scales
-        .iter()
-        .map(|&s| accumulation_bound(steps, s))
-        .collect();
-    check_within(got, want, &bounds)
-}
-
-/// The assertion the kernel equivalence suites use against the naive
-/// references: on the default build this is **bit** equality (the
-/// [`BitIdenticalToSeed`](super::NumericContract::BitIdenticalToSeed)
-/// contract); under `fast-kernels` it is the `steps`-step accumulation
-/// bound over the scales (the
-/// [`DeterministicPerBuild`](super::NumericContract::DeterministicPerBuild)
-/// contract). `scales`/`steps` describe the reduction that produced each
-/// element — for a GEMM, [`gemm_abs_scales`] and `k` (+1 when a bias seeds
-/// the accumulator). `scales` is a closure because computing `Σ|terms|`
-/// typically re-runs a reference kernel on |absolute| inputs — work the
-/// default build's bit-equality branch would throw away; it is only
-/// invoked under `fast-kernels`.
-///
-/// # Panics
-///
-/// Panics with `tag` and the offending element when the build's contract is
-/// violated, or if the slice lengths differ.
-pub fn assert_matches_reference(
-    got: &[f32],
-    want: &[f32],
-    scales: impl FnOnce() -> Vec<f64>,
-    steps: usize,
-    tag: &str,
-) {
-    assert_eq!(got.len(), want.len(), "{tag}: length mismatch");
-    if cfg!(feature = "fast-kernels") {
-        if let Err(e) = check_accumulation(got, want, &scales(), steps) {
-            panic!("{tag}: fast-kernels contract violated: {e}");
-        }
-    } else {
-        assert_bits_eq(got, want, tag);
-    }
 }
 
 #[cfg(test)]
@@ -379,69 +286,5 @@ mod tests {
         // Zero scale admits only exact (or subnormal-slack) reconstruction.
         assert!(check_quantized(&[0.5], &[1.0], &[0.0]).is_err());
         assert!(check_quantized(&[1.0], &[1.0], &[0.0]).is_ok());
-    }
-
-    #[test]
-    fn check_accumulation_rejects_beyond_bound_values() {
-        // A perturbation far beyond k*eps*scale must fail; one inside the
-        // bound must pass. Guards against a harness whose bound is so loose
-        // it never fires.
-        let want = [1.0f32, -0.5, 2.0];
-        let scales = [1.0f64, 0.5, 2.0];
-        let mut got = want;
-        got[1] += 1e-3;
-        assert!(check_accumulation(&got, &want, &scales, 8).is_err());
-        let mut close = want;
-        close[1] = f32::from_bits(close[1].to_bits() + 1);
-        assert!(check_accumulation(&close, &want, &scales, 8).is_ok());
-        // NaN never passes a finite bound.
-        let bad = [1.0f32, f32::NAN, 2.0];
-        assert!(check_accumulation(&bad, &want, &scales, 8).is_err());
-    }
-
-    #[test]
-    fn gemm_abs_scales_match_hand_computation() {
-        // 2x2x2 hand case with a seed.
-        let a = [1.0f32, -2.0, 3.0, 4.0];
-        let b = [5.0f32, -6.0, 7.0, 8.0];
-        let seed = [0.5f32, -0.25, 0.0, 1.0];
-        let scales = gemm_abs_scales(2, 2, 2, &a, &b, Some(&seed));
-        // scale[0,0] = |1*5| + |-2*7| + |0.5| = 19.5
-        assert_eq!(scales[0], 19.5);
-        // scale[0,1] = |1*-6| + |-2*8| + |-0.25| = 22.25
-        assert_eq!(scales[1], 22.25);
-        // scale[1,0] = |3*5| + |4*7| + 0 = 43
-        assert_eq!(scales[2], 43.0);
-        // scale[1,1] = |3*-6| + |4*8| + 1 = 51
-        assert_eq!(scales[3], 51.0);
-    }
-
-    #[test]
-    fn assert_matches_reference_accepts_identical_slices_under_any_contract() {
-        let xs = [0.0f32, -1.5, 3.25];
-        assert_matches_reference(&xs, &xs, || vec![1.0f64; 3], 4, "identity");
-    }
-
-    /// The default build's bit-equality branch must never pay for (or
-    /// depend on) the scale computation.
-    #[test]
-    fn scales_closure_is_lazy_outside_the_fast_tier() {
-        let xs = [1.0f32, 2.0];
-        let mut called = false;
-        assert_matches_reference(
-            &xs,
-            &xs,
-            || {
-                called = true;
-                vec![1.0f64; 2]
-            },
-            1,
-            "lazy",
-        );
-        assert_eq!(
-            called,
-            cfg!(feature = "fast-kernels"),
-            "scales must be computed exactly when the tolerance branch runs"
-        );
     }
 }

@@ -33,14 +33,12 @@
 //! border tap contributes `w * 0.0` — not nothing — just as im2col's
 //! explicit zero entries do (see docs/DETERMINISM.md, "Padding taps").
 //!
-//! The stencil is plain Rust, which never contracts `a * b + c`, so it
-//! depends on neither [`super::simd::active_isa`] nor the build tier. The
-//! standard convolution dispatches on both: its backends are bit-identical
-//! to each other and to the scalar reference on the default build, and under
-//! `fast-kernels` a layer above `SMALL_PROBLEM_MACS` fuses every element
-//! (see [`ConvWindow::conv_forward`]).
+//! The stencil is plain Rust, which never contracts `a * b + c`, so it does
+//! not depend on [`super::simd::active_isa`]. The standard convolution
+//! dispatches on it: its backends are bit-identical to each other and to the
+//! scalar reference.
 
-use super::gemm::{NR, SMALL_PROBLEM_MACS};
+use super::gemm::NR;
 use super::naive;
 use super::scratch::{self, GrowBuf};
 use super::simd::{self, ConvOperands, OC_LANES};
@@ -193,9 +191,7 @@ impl ConvWindow {
     /// Standard-convolution forward of one sample: `out[oc][s] = bias[oc] +
     /// Σ_p weight[oc][p] * xpad[tapoff[p] + off[s]]`, taps ascending, on the
     /// dispatched backend of the output-channel-lane kernel
-    /// ([`simd::conv_forward`]). The backend and the numeric tier are
-    /// resolved here, once per call: under `fast-kernels` every element of a
-    /// layer above [`SMALL_PROBLEM_MACS`] fuses, and none of a smaller one.
+    /// ([`simd::conv_forward`]).
     ///
     /// # Panics
     ///
@@ -219,12 +215,8 @@ impl ConvWindow {
             self.padded_len(),
             "conv: padded image does not match its window"
         );
-        let isa = simd::active_isa();
-        let fused =
-            panels.oc * self.taps() * self.s > SMALL_PROBLEM_MACS && simd::fused_for_isa(isa);
         simd::conv_forward(
-            isa,
-            fused,
+            simd::active_isa(),
             ConvOperands {
                 panels: &panels.panels,
                 bias,
@@ -369,13 +361,9 @@ impl OcPanels {
 #[cfg(test)]
 mod tests {
     use super::super::im2col::TEST_GEOMETRIES;
-    use super::super::tolerance::{self, assert_bits_eq};
+    use super::super::tolerance::assert_bits_eq;
     use super::*;
     use crate::rng::SeededRng;
-
-    fn abs_vec(xs: &[f32]) -> Vec<f32> {
-        xs.iter().map(|&x| x.abs()).collect()
-    }
 
     /// One sample through the table and the panels, on whatever backend is
     /// active, from a NaN-dirtied arena buffer.
@@ -402,16 +390,12 @@ mod tests {
     /// position counts that are a multiple of no backend's rows per tile
     /// (`3x3`, `5x7`, and whatever the shared geometries give), one tap
     /// (pointwise, one channel) and more than `KC` of them, non-square
-    /// images, stride 3, kernels spanning the whole padded width. Unfused
-    /// backends reproduce naive bit for bit; under `fast-kernels` a fused
-    /// layer stays inside the accumulation bound, the fused backends agree
-    /// with each other bit for bit, and some fused output differs from naive
-    /// (or the tier is silently inert).
+    /// images, stride 3, kernels spanning the whole padded width. Every
+    /// backend reproduces naive bit for bit.
     #[test]
     fn oc_lane_kernel_matches_naive_on_every_isa() {
         let _lock = simd::isa_override_test_lock();
         let mut rng = SeededRng::new(0x0C_1A);
-        let (mut fused_runs, mut fused_diverged) = (0usize, 0usize);
         let extra = [
             (1, 3, 3, 1, 1, 0),  // one tap, 3x3 positions
             (2, 5, 7, 1, 1, 0),  // pointwise, 5x7 positions
@@ -429,54 +413,16 @@ mod tests {
                 let want = naive::conv2d_forward_naive(
                     &x, 1, c, h, w, &weight, &bias, oc, k, stride, padding,
                 );
-                let mut fused_out: Option<Vec<f32>> = None;
                 for isa in simd::supported_isas() {
                     let prev = simd::force_isa(Some(isa));
-                    let fused =
-                        oc * taps * (want.len() / oc) > SMALL_PROBLEM_MACS && simd::fused_active();
                     let got = conv_via_window(geometry, oc, &x, &weight, &bias);
                     simd::force_isa(prev);
                     let tag =
                         format!("c={c} h={h} w={w} k={k} s={stride} p={padding} oc={oc} {isa}");
-                    if !fused {
-                        assert_bits_eq(&got, &want, &tag);
-                        continue;
-                    }
-                    tolerance::assert_matches_reference(
-                        &got,
-                        &want,
-                        || {
-                            naive::conv2d_forward_naive(
-                                &abs_vec(&x),
-                                1,
-                                c,
-                                h,
-                                w,
-                                &abs_vec(&weight),
-                                &abs_vec(&bias),
-                                oc,
-                                k,
-                                stride,
-                                padding,
-                            )
-                            .iter()
-                            .map(|&v| f64::from(v))
-                            .collect()
-                        },
-                        taps + 1,
-                        &tag,
-                    );
-                    fused_runs += 1;
-                    fused_diverged += usize::from(got != want);
-                    let first = fused_out.get_or_insert_with(|| got.clone());
-                    assert_bits_eq(&got, first, &format!("{tag} vs the other fused backend"));
+                    assert_bits_eq(&got, &want, &tag);
                 }
             }
         }
-        assert!(
-            fused_runs == 0 || fused_diverged > 0,
-            "the fused tier never diverged from naive: FMA is not reaching the kernel"
-        );
     }
 
     /// Padded lanes and padded positions are computed and never stored:

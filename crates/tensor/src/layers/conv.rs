@@ -18,14 +18,11 @@
 //! the Q8 forward still materialise the matrix. [`DepthwiseConv2d`] issues
 //! no GEMM: forward and backward are direct stencils over the table. Either
 //! way taps are visited in the original 7-deep loop's `ic -> ky -> kx`
-//! order, so forward outputs and weight/bias gradients follow the build's
-//! numeric contract against the naive kernels — bit-identical on the default
-//! build, tolerance-bounded under `fast-kernels` (pinned by the equivalence
-//! tests below against [`crate::kernels::naive`] through
-//! [`crate::kernels::tolerance`]; the stencil never fuses, so depthwise is
-//! bit-identical on both tiers); the input gradient is numerically
-//! equivalent (summed in a different order than the naive loop) and covered
-//! by gradcheck.
+//! order, so forward outputs and weight/bias gradients are bit-identical to
+//! the naive kernels (pinned by the equivalence tests below against
+//! [`crate::kernels::naive`]); the input gradient is numerically equivalent
+//! (summed in a different order than the naive loop) and covered by
+//! gradcheck.
 //!
 //! Both layers draw the padded image (and the backward its GEMM-packing
 //! buffers) from the current thread's [`kernels::with_thread_scratch`] arena,
@@ -908,26 +905,11 @@ mod equivalence {
     //! reference kernels, over seeded random shapes / stride / padding
     //! combinations (the proptest-as-loops idiom used across this crate).
     //!
-    //! The forward and weight-gradient checks follow the build's numeric
-    //! contract (see [`crate::kernels::tolerance`]): bit equality on the
-    //! default build, the accumulation bound under `fast-kernels`. The
-    //! magnitude scales come from re-running the naive reference kernels on
-    //! the |absolute values| of the inputs — `Σ|terms|` per output element,
-    //! exactly the quantity the bound needs. Bias gradients are plain sum
-    //! loops with no multiply to fuse, so they stay bit-identical under
-    //! both contracts.
+    //! Forward outputs and weight/bias gradients are checked bit for bit.
 
     use super::*;
-    use crate::kernels::tolerance::{self, assert_bits_eq};
+    use crate::kernels::tolerance::assert_bits_eq;
     use crate::kernels::{naive, simd, PackScratch};
-
-    fn abs_vec(xs: &[f32]) -> Vec<f32> {
-        xs.iter().map(|&x| x.abs()).collect()
-    }
-
-    fn as_f64(xs: &[f32]) -> Vec<f64> {
-        xs.iter().map(|&x| f64::from(x)).collect()
-    }
 
     fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {
         a.iter()
@@ -953,9 +935,8 @@ mod equivalence {
     fn conv_forward_matches_naive_under_build_contract() {
         let mut rng = SeededRng::new(0xC0DE);
         for &(k, stride, padding) in &GEOMETRIES {
-            // The (1, 8, 8, 16) shape pushes the lowered GEMM past the
-            // small-problem threshold onto the blocked (and, under
-            // `fast-kernels`, fused) path.
+            // The (1, 8, 8, 16) shape gives the kernel several full tiles
+            // of positions per lane block.
             for &(n, c, oc, hw) in &[
                 (1usize, 1usize, 1usize, 6usize),
                 (2, 3, 5, 8),
@@ -980,28 +961,9 @@ mod equivalence {
                     stride,
                     padding,
                 );
-                // Σ|terms| per output element: the naive kernel on |x|, |w|
-                // (computed lazily — only the fast-kernels tolerance branch
-                // needs it).
-                tolerance::assert_matches_reference(
+                assert_bits_eq(
                     y.data(),
                     &expect,
-                    || {
-                        as_f64(&naive::conv2d_forward_naive(
-                            &abs_vec(x.data()),
-                            n,
-                            c,
-                            hw,
-                            hw,
-                            &abs_vec(conv.weight.value.data()),
-                            &abs_vec(conv.bias.value.data()),
-                            oc,
-                            k,
-                            stride,
-                            padding,
-                        ))
-                    },
-                    c * k * k + 1,
                     &format!("conv fwd k={k} s={stride} p={padding} n={n} c={c} oc={oc}"),
                 );
             }
@@ -1036,31 +998,7 @@ mod equivalence {
                 padding,
             );
             let tag = format!("conv bwd k={k} s={stride} p={padding}");
-            let (oh, ow) = (y.shape()[2], y.shape()[3]);
-            // Σ|terms| for the weight gradient: the naive backward on |x|,
-            // |w|, |go| (lazy; the |w| only feeds gi_abs, which we discard).
-            tolerance::assert_matches_reference(
-                conv.weight.grad.data(),
-                &gw_ref,
-                || {
-                    let (_, gw_abs, _) = naive::conv2d_backward_naive(
-                        &abs_vec(x.data()),
-                        n,
-                        c,
-                        hw,
-                        hw,
-                        &abs_vec(conv.weight.value.data()),
-                        &abs_vec(go.data()),
-                        oc,
-                        k,
-                        stride,
-                        padding,
-                    );
-                    as_f64(&gw_abs)
-                },
-                n * oh * ow + 1,
-                &format!("{tag} gw"),
-            );
+            assert_bits_eq(conv.weight.grad.data(), &gw_ref, &format!("{tag} gw"));
             assert_bits_eq(conv.bias.grad.data(), &gb_ref, &format!("{tag} gb"));
             assert!(
                 max_abs_diff(gi.data(), &gi_ref) < 1e-4,
@@ -1090,24 +1028,9 @@ mod equivalence {
                     stride,
                     padding,
                 );
-                tolerance::assert_matches_reference(
+                assert_bits_eq(
                     y.data(),
                     &expect,
-                    || {
-                        as_f64(&naive::depthwise_forward_naive(
-                            &abs_vec(x.data()),
-                            n,
-                            c,
-                            hw,
-                            hw,
-                            &abs_vec(dw.weight.value.data()),
-                            &abs_vec(dw.bias.value.data()),
-                            k,
-                            stride,
-                            padding,
-                        ))
-                    },
-                    k * k + 1,
                     &format!("dw fwd k={k} s={stride} p={padding} n={n} c={c}"),
                 );
             }
@@ -1137,28 +1060,7 @@ mod equivalence {
                 padding,
             );
             let tag = format!("dw bwd k={k} s={stride} p={padding}");
-            let (oh, ow) = (y.shape()[2], y.shape()[3]);
-            tolerance::assert_matches_reference(
-                dw.weight.grad.data(),
-                &gw_ref,
-                || {
-                    let (_, gw_abs, _) = naive::depthwise_backward_naive(
-                        &abs_vec(x.data()),
-                        n,
-                        c,
-                        hw,
-                        hw,
-                        &abs_vec(dw.weight.value.data()),
-                        &abs_vec(go.data()),
-                        k,
-                        stride,
-                        padding,
-                    );
-                    as_f64(&gw_abs)
-                },
-                n * oh * ow + 1,
-                &format!("{tag} gw"),
-            );
+            assert_bits_eq(dw.weight.grad.data(), &gw_ref, &format!("{tag} gw"));
             assert_bits_eq(dw.bias.grad.data(), &gb_ref, &format!("{tag} gb"));
             // col2im orders the scatter by tap rather than by output pixel,
             // so the input gradient is compared numerically.
@@ -1251,14 +1153,10 @@ mod equivalence {
     /// `gemm_into`, per sample (per channel for depthwise), built here from
     /// the public kernels — on inputs full of specials, for every geometry,
     /// on every ISA. The window paths promise the same bits as that
-    /// lowering, signed zeros included. The FMA tier is held off for the
-    /// duration: the GEMM fuses its full tiles only, the convolution kernel
-    /// a whole layer or none of it, so fused they agree within the
-    /// accumulation bound, not bit for bit.
+    /// lowering, signed zeros included.
     #[test]
     fn window_forwards_match_the_im2col_lowering_on_special_values() {
         let _lock = simd::isa_override_test_lock();
-        let prev_fused = simd::force_fused(Some(false));
         let mut rng = SeededRng::new(0x51_EC);
         let mut packs = PackScratch::new();
         for &(k, stride, padding) in &GEOMETRIES {
@@ -1333,7 +1231,6 @@ mod equivalence {
                 }
             }
         }
-        simd::force_fused(prev_fused);
     }
 
     /// The window table follows the input shape and the weight panels follow
@@ -1341,8 +1238,7 @@ mod equivalence {
     /// (one of them non-square), then a `clone_box()` replica that inherits
     /// the table built for the other shape, then the same instance under
     /// every backend in turn — the panels packed before the flip serve them
-    /// all — match naive. Every layer here is a small problem, so bit
-    /// equality holds on both build tiers.
+    /// all — match naive.
     #[test]
     fn window_table_follows_alternating_input_shapes_and_replicas() {
         let _lock = simd::isa_override_test_lock();

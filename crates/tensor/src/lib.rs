@@ -12,11 +12,9 @@
 //!   reductions).
 //! * [`kernels`] — the compute-kernel layer underneath: a cache-blocked,
 //!   register-tiled GEMM, explicit SIMD with runtime ISA dispatch,
-//!   im2col/col2im convolution lowering and reusable scratch arenas. By
-//!   default every kernel is bit-identical to the naive reference loops it
-//!   replaced; the opt-in `fast-kernels` feature adds an FMA tier under the
-//!   `deterministic-per-build` contract (see [`kernels::numeric_contract`]
-//!   and `docs/DETERMINISM.md`).
+//!   im2col/col2im convolution lowering and reusable scratch arenas. Every
+//!   f32 kernel is bit-identical to the naive reference loops it replaced
+//!   (see [`kernels::numeric_contract`] and `docs/DETERMINISM.md`).
 //! * [`Layer`] — the layer abstraction with explicit `forward` / `backward`
 //!   passes and per-layer FLOP accounting.
 //! * [`layers`] — dense, convolution (standard / depthwise / grouped),

@@ -18,11 +18,6 @@
 //! ```text
 //! APPEALNET_BLESS=1 cargo test --release --test golden_fleet
 //! ```
-//!
-//! The snapshot is captured under the default `bit-identical-to-seed`
-//! kernel contract; the `fast-kernels` FMA tier produces different (equally
-//! deterministic) floats, so this suite only runs on the default tier.
-#![cfg(not(feature = "fast-kernels"))]
 
 use appeal_bench::fixtures::{
     blackout, chaos_plan, cooperative, model_pair, tight_recovery, uniform_trace, wifi_fleet,

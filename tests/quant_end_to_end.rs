@@ -23,8 +23,8 @@ use appealnet_fleet::{FleetConfig, FleetMetrics, FleetSim, RecoveryConfig, Retry
 const MS: u64 = 1_000_000;
 const DELTA: f64 = 0.5;
 
-/// Bounds worker-thread nondeterminism the same way `tests/fast_kernels.rs`
-/// does: the first test to run fixes the pool size before rayon spawns it.
+/// Fixes the pool size before rayon spawns it (the first test to run wins),
+/// so the suite runs the same number of batch shards on every host.
 fn pin_threads() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| std::env::set_var("RAYON_NUM_THREADS", "4"));
