@@ -115,9 +115,10 @@ fn scaled(base: usize, width: f32) -> usize {
 /// the pointwise (1x1) ones that are the bulk of the MobileNet/ShuffleNet-
 /// style blocks included — runs one kernel with output channels on the
 /// vector lanes, its weights packed once per layer and its input read
-/// through a per-layer window table with no im2col matrix in between;
-/// depthwise convolutions are direct stencils over the same kind of table;
-/// dense layers are blocked GEMMs. Layers
+/// through a per-layer window table with no im2col matrix in between (in
+/// int8 once quantized, on the same tiles); depthwise convolutions are
+/// direct stencils over the same padded input; dense layers are blocked
+/// GEMMs; eval batch-norm, ReLU and residual adds work in place. Layers
 /// own no scratch: buffers come from the calling thread's arena
 /// (`kernels::with_thread_scratch`), so repeated inference allocates nothing
 /// and a cloned model warms up whichever thread runs it.
@@ -343,6 +344,43 @@ mod tests {
             let x = Tensor::randn(&[3, 3, 12, 12], &mut rng);
             let features = model.backbone.forward(&x, false);
             assert_eq!(features.shape(), &[3, model.feature_dim]);
+        }
+    }
+
+    /// `forward_owned` (the in-place eval BN/ReLU, the residual add into the
+    /// body's output) against a chain of borrowed top-level forwards, bit for
+    /// bit, on every zoo backbone — f32, then quantized.
+    #[test]
+    fn forward_owned_matches_borrowed_forwards_on_every_zoo_net() {
+        let mut rng = SeededRng::new(12);
+        let specs = ModelFamily::little_families()
+            .into_iter()
+            .map(|family| ModelSpec::little(family, [3, 12, 12], 10))
+            .chain([ModelSpec::big([3, 12, 12], 10)]);
+        for spec in specs {
+            let mut model = spec.build(&mut rng);
+            let x = Tensor::randn(&[3, 3, 12, 12], &mut rng);
+            // One train pass moves the batch-norm statistics off (0, 1).
+            let _ = model.forward(&x, true);
+            for quantized in [false, true] {
+                if quantized {
+                    model.quantize_weights();
+                }
+                let mut want = x.clone();
+                for layer in model.backbone.iter() {
+                    want = layer.clone_box().forward(&want, false);
+                }
+                let borrowed = model.backbone.forward(&x, false);
+                let owned = model.backbone.forward_owned(x.clone(), false);
+                for got in [borrowed, owned] {
+                    assert_eq!(got.shape(), want.shape());
+                    let mut pairs = got.data().iter().zip(want.data());
+                    assert!(
+                        pairs.all(|(g, w)| g.to_bits() == w.to_bits()),
+                        "{spec}: in-place forward differs (quantized: {quantized})"
+                    );
+                }
+            }
         }
     }
 

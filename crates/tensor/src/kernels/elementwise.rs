@@ -77,6 +77,24 @@ unsafe fn relu_fwd_v<V: F32x8>(src: &[f32], dst: &mut [f32]) {
 
 /// # Safety
 ///
+/// `V`'s CPU feature must be active.
+#[inline(always)]
+unsafe fn relu_inplace_v<V: F32x8>(data: &mut [f32]) {
+    let n = data.len();
+    let mut i = 0;
+    while i + 8 <= n {
+        let p = data.as_mut_ptr().add(i);
+        let x = V::load(p);
+        x.and(x.gt_zero_mask()).store(p);
+        i += 8;
+    }
+    for v in &mut data[i..] {
+        *v = relu_one(*v);
+    }
+}
+
+/// # Safety
+///
 /// `V`'s CPU feature must be active; all three slices have equal length.
 #[inline(always)]
 unsafe fn relu_fwd_mask_v<V: F32x8>(src: &[f32], dst: &mut [f32], mask: &mut [u32]) {
@@ -208,6 +226,12 @@ macro_rules! isa_instantiations {
 
             /// # Safety: caller must have verified the CPU feature.
             #[target_feature(enable = $feature)]
+            pub(super) unsafe fn relu_inplace(data: &mut [f32]) {
+                super::relu_inplace_v::<$vec>(data);
+            }
+
+            /// # Safety: caller must have verified the CPU feature.
+            #[target_feature(enable = $feature)]
             pub(super) unsafe fn relu_fwd_mask(src: &[f32], dst: &mut [f32], mask: &mut [u32]) {
                 super::relu_fwd_mask_v::<$vec>(src, dst, mask);
             }
@@ -257,6 +281,12 @@ mod scalar {
     pub(super) fn relu_fwd(src: &[f32], dst: &mut [f32]) {
         for (d, &x) in dst.iter_mut().zip(src.iter()) {
             *d = super::relu_one(x);
+        }
+    }
+
+    pub(super) fn relu_inplace(data: &mut [f32]) {
+        for v in data {
+            *v = super::relu_one(*v);
         }
     }
 
@@ -327,6 +357,12 @@ macro_rules! dispatch {
 pub fn relu_fwd(src: &[f32], dst: &mut [f32]) {
     assert_eq!(src.len(), dst.len(), "relu_fwd length mismatch");
     dispatch!(relu_fwd(src, dst));
+}
+
+/// [`relu_fwd`] over a buffer the caller owns: `data[i] = data[i] > 0.0 ?
+/// data[i] : 0.0`, the same select, so `-0.0` and NaN become `+0.0` here too.
+pub fn relu_inplace(data: &mut [f32]) {
+    dispatch!(relu_inplace(data));
 }
 
 /// ReLU forward that also records the backward mask: `mask[i]` is all-ones
@@ -462,6 +498,9 @@ mod tests {
                 let mut out = vec![f32::NAN; n];
                 relu_fwd(&src, &mut out);
                 assert_bits_eq(&out, &fwd_ref, &format!("{tag} relu_fwd"));
+                let mut owned = src.clone();
+                relu_inplace(&mut owned);
+                assert_bits_eq(&owned, &fwd_ref, &format!("{tag} relu_inplace"));
                 let mut mask = vec![7u32; n];
                 let mut out2 = vec![f32::NAN; n];
                 relu_fwd_mask(&src, &mut out2, &mut mask);
@@ -516,6 +555,9 @@ mod tests {
         assert_eq!(out[3], 0.0);
         assert_eq!(out[4], 2.5);
         assert_eq!(out[5], 0.0);
+        let mut owned = src;
+        relu_inplace(&mut owned);
+        assert_bits_eq(&owned, &out, "relu_inplace on special values");
     }
 
     #[test]

@@ -15,17 +15,19 @@
 //!   microkernel, and cached runtime CPU-feature dispatch ([`active_isa`]
 //!   reports the choice, [`force_isa`] / `APPEALNET_FORCE_SCALAR` pin it).
 //! * [`elementwise`] — vectorized order-safe elementwise kernels (ReLU
-//!   forward/backward, bias broadcast, axpy/scale, residual add) used by the
-//!   hot layers and `Tensor` operations.
+//!   forward/backward/in place, bias broadcast, axpy/scale, residual add)
+//!   used by the hot layers and `Tensor` operations.
 //! * `window` (crate-internal) — per-layer window tables over a zero-padded
 //!   input, so no convolution forward materialises an im2col matrix: the
 //!   standard convolution keeps its weights as output-channel-lane panels
-//!   and broadcasts activations through the table ([`simd`] holds the tile
-//!   kernel), the depthwise convolution is a direct stencil over it.
+//!   and broadcasts activations through the table, in f32 and — its filters
+//!   as Q8 tap-pair panels, its input quantized once per layer — in int8
+//!   ([`simd`] holds both tile kernels); the depthwise convolution is a
+//!   direct stencil over the padded input's grid of window origins.
 //! * [`im2col`](fn@im2col) / [`col2im`] — the materialised
-//!   convolution-to-GEMM lowering (convolution backward, the Q8 forward),
-//!   whose row order is the naive loop's `ic -> ky -> kx` tap order — the
-//!   order the window tables reproduce.
+//!   convolution-to-GEMM lowering (convolution backward only), whose row
+//!   order is the naive loop's `ic -> ky -> kx` tap order — the order the
+//!   window tables reproduce.
 //! * [`KernelScratch`] / [`GrowBuf`] — high-water-mark scratch buffers so
 //!   steady-state inference performs **zero** heap allocations for padded
 //!   images and GEMM packing panels (observable via [`scratch_stats`]).
@@ -33,9 +35,10 @@
 //!   persistent batch-shard workers retain every high-water buffer across
 //!   calls.
 //!
-//! * [`quant_gemm_into`] — the int8 GEMM behind the quantized (Q8_0)
-//!   little-net tier: pre-quantized weights, on-the-fly activation
-//!   quantization, widening integer SIMD.
+//! * [`quant_gemm_into`] — the int8 GEMM behind the dense layers of the
+//!   quantized (Q8_0) little-net tier: pre-quantized weights, on-the-fly
+//!   activation quantization, widening integer SIMD. Quantized convolutions
+//!   compute the same bytes on the window-table tile kernel instead.
 //!
 //! # Determinism
 //!

@@ -30,8 +30,13 @@
 //! Like the f32 driver, the kernel runs on the calling thread: each
 //! activation row is quantized into the caller's [`QuantScratch`] arena and
 //! reduced against every weight row before the next one overwrites it.
+//!
+//! Dense layers run this kernel. A quantized convolution computes the same
+//! bytes — `im2col`, transposed, through here, transposed back — without
+//! materialising any of it (`kernels/window.rs`, the Q8 tile in
+//! [`super::simd`]).
 
-use super::scratch::{self, QuantScratch};
+use super::scratch::QuantScratch;
 use super::simd;
 use crate::quant::{quantize_row_into, QuantMatrix, QK8_0};
 
@@ -69,36 +74,10 @@ pub fn quant_gemm_into(
     if m == 0 || n == 0 {
         return;
     }
-    quant_gemm_into_qa(m, k, n, a, w, bias, act_scale, out, &mut quant.qa);
-}
-
-/// [`quant_gemm_into`] borrowing only the i8 activation arena, for callers
-/// (the conv layers) that need the sibling [`QuantScratch`] buffers for the
-/// result at the same time. Shape checks live in the public wrapper.
-///
-/// Quantizes each activation row into the arena, then reduces it against
-/// every weight row.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn quant_gemm_into_qa(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    w: &QuantMatrix,
-    bias: Option<&[f32]>,
-    act_scale: Option<f32>,
-    out: &mut [f32],
-    qa: &mut scratch::GrowBuf<i8>,
-) {
-    debug_assert!(a.len() == m * k && out.len() == m * n);
-    debug_assert!(w.cols() == k && w.rows() == n);
-    if m == 0 || n == 0 {
-        return;
-    }
     // Resolve the backend once per call.
     let isa = simd::active_isa();
     let padded = w.blocks_per_row() * QK8_0;
-    let qa = qa.take(padded);
+    let qa = quant.qa.take(padded);
     // The arena is dirty by contract; the padding tail beyond `k` is never
     // rewritten by the row loop, so zero it once here.
     qa[k..].fill(0);

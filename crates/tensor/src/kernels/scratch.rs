@@ -1,8 +1,8 @@
 //! Reusable scratch buffers for the compute kernels.
 //!
 //! Every GEMM call needs packing panels and every convolution needs a
-//! zero-padded copy of its input (or, on the backward and Q8 paths, an
-//! im2col buffer). Allocating those per call would put a heap allocation on
+//! zero-padded copy of its input (or, on the backward path, an im2col
+//! buffer). Allocating those per call would put a heap allocation on
 //! the serving engine's per-request hot path, so kernels draw them from a
 //! [`KernelScratch`] arena instead: each buffer grows to its high-water mark
 //! once and is reused (dirty) afterwards. Callers are responsible for fully
@@ -30,13 +30,14 @@
 //!    reads. (This is why there is no `clear` — zeroing would put a
 //!    memset on the hot path for no semantic gain.)
 //! 4. **Packed weights and window tables are not scratch.** A convolution's
-//!    output-channel-lane weight panels and its window table (both in
-//!    `kernels/window.rs`) are derived state owned by the layer, not an
-//!    arena: they are cloned with it, the panels rebuilt only after the
-//!    layer's parameters were handed out mutably (a train forward packs for
-//!    its own call and keeps nothing), the table only when the input shape
-//!    changes. What the table *indexes* — the padded image — is scratch
-//!    ([`KernelScratch::xpad`]).
+//!    output-channel-lane weight panels (f32, or Q8 once quantized) and its
+//!    window table (all in `kernels/window.rs`) are derived state owned by
+//!    the layer, not an arena: they are cloned with it, the f32 panels
+//!    rebuilt only after the layer's parameters were handed out mutably (a
+//!    train forward packs for its own call and keeps nothing), the Q8 panels
+//!    only by `quantize_weights()`, the table only when the input shape
+//!    changes. What the table *indexes* — the padded image, and its int8
+//!    twin — is scratch ([`KernelScratch::xpad`], [`QuantScratch::qa`]).
 //!
 //! Growth and reuse events — and floats packed into weight panels, and
 //! window tables built — are counted in process-wide atomics (see [`stats`])
@@ -51,7 +52,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static SCRATCH_ALLOCS: AtomicU64 = AtomicU64::new(0);
 /// Times a scratch buffer was handed out without touching the allocator.
 static SCRATCH_REUSES: AtomicU64 = AtomicU64::new(0);
-/// Floats written into packed weight panels (`kernels/window.rs`).
+/// Lanes written into packed weight panels (`kernels/window.rs`).
 static WEIGHT_FLOATS_PACKED: AtomicU64 = AtomicU64::new(0);
 /// Convolution window tables built (`kernels/window.rs`).
 static WINDOW_TABLES_BUILT: AtomicU64 = AtomicU64::new(0);
@@ -63,11 +64,13 @@ pub struct ScratchStats {
     pub allocs: u64,
     /// Cumulative allocation-free buffer reuses since process start.
     pub reuses: u64,
-    /// Cumulative floats written into convolution weight panels
-    /// (`kernels/window.rs`; padding lanes included) since process start.
-    /// Layers pack on their first eval forward and again only after their
-    /// parameters were handed out mutably, so a steady-state serving loop
-    /// must not increase this; a train forward packs once per call.
+    /// Cumulative lanes written into convolution weight panels
+    /// (`kernels/window.rs`: `f32` lanes of the f32 panels, `i16` lanes of
+    /// the Q8 ones; padding lanes included) since process start. Layers pack
+    /// on their first eval forward and again only after their parameters
+    /// were handed out mutably — the Q8 panels in `quantize_weights()` and
+    /// nowhere else — so a steady-state serving loop must not increase this;
+    /// a train forward packs once per call.
     pub weight_floats_packed: u64,
     /// Cumulative convolution window tables built since process start. A
     /// conv layer builds one on its first forward and again only when its
@@ -100,9 +103,9 @@ pub(crate) fn count_window_table_built() {
 }
 
 /// A grow-only buffer with high-water-mark reuse: `f32` by default, `i8` for
-/// the activation rows the quantized GEMM quantizes on the fly (see
-/// [`crate::kernels::quant_gemm`]). Every element type bumps the same
-/// process-wide counters.
+/// the activations the quantized kernels quantize on the fly (see
+/// [`crate::kernels::quant_gemm`]), `i32` for the Q8 convolution's tile rows
+/// of tap-pair words. Every element type bumps the same process-wide counters.
 ///
 /// [`GrowBuf::take`] returns a slice of the requested length, growing the
 /// backing storage only when the request exceeds everything seen before.
@@ -159,16 +162,22 @@ impl<T> Clone for GrowBuf<T> {
     }
 }
 
-/// Arenas used by the quantized GEMM path (see
-/// [`crate::kernels::quant_gemm`]): the int8 row buffer the activations are
-/// quantized into, and an `f32` staging buffer for transposed outputs (the
-/// conv layers run the quantized GEMM activation-major and transpose back).
+/// Arenas used by the quantized kernels: the int8 buffer activations are
+/// quantized into — one GEMM row ([`crate::kernels::quant_gemm`]), or for a
+/// Q8 convolution the whole padded image (static scale) or one receptive
+/// field (dynamic scales) — and the convolution's staging rows.
 #[derive(Debug, Default, Clone)]
 pub struct QuantScratch {
-    /// Quantized activation row, `[blocks_per_row * QK8_0]`, zero-padded.
+    /// Quantized activations: a GEMM row `[blocks_per_row * QK8_0]`,
+    /// zero-padded; a padded image `[c, h + 2p, w + 2p]`; or a receptive
+    /// field `[c*k*k]`.
     pub qa: GrowBuf<i8>,
-    /// Transposed output staging, `[m, n]`.
-    pub out_t: GrowBuf,
+    /// One receptive field gathered through the window table, `[c*k*k]`, on
+    /// its way to a dynamic per-row scale.
+    pub(crate) row: GrowBuf,
+    /// A convolution tile's quantized rows as the tap-pair words its kernel
+    /// broadcasts, `[rows per tile][c*k*k / 2, rounded up]`.
+    pub(crate) qrows: GrowBuf<i32>,
 }
 
 impl QuantScratch {
@@ -198,10 +207,11 @@ impl PackScratch {
 ///
 /// Conv layers use `xpad` for the zero-padded input their window table
 /// indexes (and `grad_pad` for its gradient twin in the depthwise backward);
-/// the backward and Q8 paths, which still materialise the lowering, use
-/// `cols` for the im2col matrix, `cols_t` for its transpose (weight-gradient
-/// GEMMs), `grad_cols` for the column-space input gradient, `weight_t` for
-/// the transposed weight and the GEMM `packs`. Arenas
+/// the depthwise forward accumulates over `grid`, the Q8 forward quantizes
+/// into `quant`. No forward materialises the lowering any more: `cols` (the
+/// im2col matrix), `cols_t` (its transpose, for the weight-gradient GEMM),
+/// `grad_cols` (the column-space input gradient), `weight_t` (the transposed
+/// weight) and the GEMM `packs` serve `Conv2d::backward` alone. Arenas
 /// are retained per thread (see [`with_thread_scratch`]) — layers and model
 /// replicas carry no scratch of their own, so replicating a model onto a
 /// persistent pool worker automatically shares that worker's warmed-up
@@ -212,6 +222,9 @@ pub struct KernelScratch {
     pub xpad: GrowBuf,
     /// Zero-padded input-gradient image, `[c, h + 2p, w + 2p]`.
     pub grad_pad: GrowBuf,
+    /// One depthwise channel's accumulators over the stride-1 grid of window
+    /// origins, `[(oh - 1) * stride * (w + 2p) + (ow - 1) * stride + 1]`.
+    pub(crate) grid: GrowBuf,
     /// im2col matrix, `[c*k*k, oh*ow]`.
     pub cols: GrowBuf,
     /// Transposed im2col matrix, `[oh*ow, c*k*k]`.
@@ -222,7 +235,7 @@ pub struct KernelScratch {
     pub weight_t: GrowBuf,
     /// GEMM packing panels.
     pub packs: PackScratch,
-    /// Quantized-GEMM arenas (activation rows + transposed-output staging).
+    /// Quantized-kernel arenas (int8 activations, Q8 convolution rows).
     pub quant: QuantScratch,
 }
 

@@ -13,7 +13,7 @@
 //! so no reader branches on the image edge. A [`ConvWindow`] holds the two
 //! tables (after Dukhan, *The Indirect Convolution Algorithm*,
 //! arXiv:1907.02129); it is derived layer state — built once per input shape,
-//! cloned with the layer — and has two readers:
+//! cloned with the layer — and has three readers:
 //!
 //! * the standard convolution puts **output channels on the vector lanes**
 //!   ([`ConvWindow::conv_forward`]): the layer's weights are packed once as
@@ -23,25 +23,83 @@
 //!   serves the broadcast operand, so nothing is gathered, copied into
 //!   panels or padded to a column count, and a layer with 9 or 36 output
 //!   positions wastes no lanes on them;
-//! * the depthwise convolution runs as a direct stencil over the same table
-//!   ([`ConvWindow::depthwise_forward`] / [`ConvWindow::depthwise_backward`]),
-//!   with output positions on the lanes (its channels are `hp * wp` apart in
-//!   NCHW).
+//! * its Q8_0 tier ([`ConvWindow::q8_conv_forward`]) runs the same tiles on
+//!   int8: the Q8 filters are packed once as tap-pair panels with channels on
+//!   the lanes ([`Q8Panels`]), a tile's quantized activation rows are
+//!   gathered through the table — from the padded image quantized **once**
+//!   when the layer has a calibrated scale, from `xpad` and then through
+//!   [`quantize_row_into`] when every receptive field takes its own — and the
+//!   block dots are exact integers, combined in `f32` exactly as the
+//!   quantized GEMM combines them;
+//! * the depthwise convolution runs as a direct stencil
+//!   ([`ConvWindow::depthwise_forward`] / [`ConvWindow::depthwise_backward`])
+//!   with positions on the lanes (its channels are `hp * wp` apart in NCHW).
+//!   The forward takes only the table's extent and its tap offsets: it
+//!   accumulates over the *stride-1 grid of window origins* `0..=off[s - 1]`,
+//!   sixteen or thirty-two contiguous origins at a time, so every tap is a
+//!   contiguous load instead of a lookup per lane, and keeps the origins that
+//!   are outputs (`out[s] = grid[off[s]]`). The backward walks positions
+//!   through `off`.
 //!
-//! Both accumulate taps in ascending order from the bias, multiply then add —
-//! the operation sequence of a row-accumulate GEMM over the im2col matrix. A
-//! border tap contributes `w * 0.0` — not nothing — just as im2col's
-//! explicit zero entries do (see docs/DETERMINISM.md, "Padding taps").
+//! All of them accumulate taps in ascending order — the f32 ones from the
+//! bias, multiply then add: the operation sequence of a row-accumulate GEMM
+//! over the im2col matrix. A border tap contributes `w * 0.0` — not nothing —
+//! just as im2col's explicit zero entries do (see docs/DETERMINISM.md,
+//! "Padding taps"); quantized, it is an exact integer zero.
 //!
 //! The stencil is plain Rust, which never contracts `a * b + c`, so it does
 //! not depend on [`super::simd::active_isa`]. The standard convolution
-//! dispatches on it: its backends are bit-identical to each other and to the
-//! scalar reference.
+//! dispatches on it, f32 and Q8: its backends are bit-identical to each other
+//! and to the scalar reference.
 
-use super::gemm::NR;
 use super::naive;
-use super::scratch::{self, GrowBuf};
-use super::simd::{self, ConvOperands, OC_LANES};
+use super::scratch::{self, GrowBuf, QuantScratch};
+use super::simd::{self, ConvOperands, Q8ConvOperands, Q8Input, OC_LANES};
+use crate::quant::{quantize_row_into, QuantMatrix, QK8_0};
+
+/// Window origins the depthwise forward accumulates at a time: one `zmm`, two
+/// `ymm` or four `xmm` of accumulators next to a broadcast weight.
+const GRID_LANES: usize = 16;
+
+/// One depthwise channel as the grid accumulation sees it.
+struct Stencil<'a> {
+    /// The channel's padded plane.
+    plane: &'a [f32],
+    /// Tap offsets from a window origin, ascending `(ky, kx)`.
+    taps: &'a [u32],
+    weight: &'a [f32],
+    bias: f32,
+}
+
+impl Stencil<'_> {
+    /// `grid[o] = bias + Σ_tap weight[tap] * plane[taps[tap] + o]` for the `N`
+    /// origins `o` from `origin`, the accumulators a fixed-size array so they
+    /// stay in vector registers across the taps.
+    #[inline(always)]
+    fn run<const N: usize>(&self, origin: usize, grid: &mut [f32]) {
+        let mut acc = [self.bias; N];
+        for (&wv, &tap) in self.weight.iter().zip(self.taps) {
+            let src: &[f32; N] = self.plane[tap as usize + origin..][..N]
+                .try_into()
+                .expect("N origins");
+            for (a, &x) in acc.iter_mut().zip(src) {
+                *a += wv * x;
+            }
+        }
+        grid[origin..origin + N].copy_from_slice(&acc);
+    }
+
+    /// [`Stencil::run`] over a whole grid shorter than [`GRID_LANES`].
+    fn run_short(&self, grid: &mut [f32]) {
+        grid.fill(self.bias);
+        for (&wv, &tap) in self.weight.iter().zip(self.taps) {
+            let src = &self.plane[tap as usize..][..grid.len()];
+            for (a, &x) in grid.iter_mut().zip(src) {
+                *a += wv * x;
+            }
+        }
+    }
+}
 
 /// The window table of one convolution geometry on one `[c, h, w]` input.
 #[derive(Debug, Clone)]
@@ -50,15 +108,15 @@ pub(crate) struct ConvWindow {
     h: usize,
     w: usize,
     k: usize,
+    stride: usize,
     padding: usize,
     /// Padded channel extent, `h + 2p` by `w + 2p`.
     hp: usize,
     wp: usize,
-    /// Output positions, `oh * ow`.
+    /// Output positions, `oh * ow`, in rows of `ow`.
     s: usize,
-    /// `off[s]`, zero-extended to a multiple of `NR` so a reader takes whole
-    /// `[u32; NR]` groups (the extra lanes read a valid element and are
-    /// dropped or zeroed by the reader).
+    ow: usize,
+    /// `off[s]` for every output position, row-major.
     off: Vec<u32>,
     /// `tapoff[p]` for every `(ic, ky, kx)`, in im2col row order.
     tapoff: Vec<u32>,
@@ -93,10 +151,9 @@ impl ConvWindow {
             "ConvWindow: padded image too large"
         );
         let s = oh * ow;
-        let mut off = vec![0u32; s.div_ceil(NR) * NR];
-        for (pos, o) in off[..s].iter_mut().enumerate() {
-            *o = ((pos / ow * stride) * wp + pos % ow * stride) as u32;
-        }
+        let off = (0..s)
+            .map(|pos| ((pos / ow * stride) * wp + pos % ow * stride) as u32)
+            .collect();
         let mut tapoff = Vec::with_capacity(c * k * k);
         for ic in 0..c {
             for ky in 0..k {
@@ -111,10 +168,12 @@ impl ConvWindow {
             h,
             w,
             k,
+            stride,
             padding,
             hp,
             wp,
             s,
+            ow,
             off,
             tapoff,
         }
@@ -179,15 +238,6 @@ impl ConvWindow {
         }
     }
 
-    /// One `NR`-wide group of `off`, starting at output position `s0` (a
-    /// multiple of `NR`).
-    #[inline(always)]
-    fn off_group(&self, s0: usize) -> &[u32; NR] {
-        self.off[s0..s0 + NR]
-            .try_into()
-            .expect("off is padded to a multiple of NR")
-    }
-
     /// Standard-convolution forward of one sample: `out[oc][s] = bias[oc] +
     /// Σ_p weight[oc][p] * xpad[tapoff[p] + off[s]]`, taps ascending, on the
     /// dispatched backend of the output-channel-lane kernel
@@ -221,37 +271,135 @@ impl ConvWindow {
                 panels: &panels.panels,
                 bias,
                 taps: &self.tapoff,
-                offs: &self.off[..self.s],
+                offs: &self.off,
                 xpad,
                 out,
             },
         );
     }
 
+    /// Q8_0 standard-convolution forward of one sample: `out[oc][s] =
+    /// a_scale[s] * (Σ_b w_scale[oc][b] * dot_b) + bias[oc]` over the int8
+    /// receptive fields `q[s][p] = quantize(xpad[tapoff[p] + off[s]])`, on the
+    /// dispatched backend of the Q8 tile kernel ([`simd::q8_conv_forward`]).
+    ///
+    /// With a calibrated `act_scale` every element has the same scale, so the
+    /// padded image is quantized once and a tile's rows are int8 gathers
+    /// through the table; without one, each receptive field is gathered in
+    /// `f32` and takes its own scale from [`quantize_row_into`]. Either way
+    /// the bytes are those of `im2col`, a transpose and
+    /// [`super::quant_gemm_into`] on the same operands.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `panels` was packed for a different tap count, or `xpad`,
+    /// `bias` or `out` does not match the table and the panels.
+    pub(crate) fn q8_conv_forward(
+        &self,
+        xpad: &[f32],
+        act_scale: Option<f32>,
+        panels: &Q8Panels,
+        bias: &[f32],
+        out: &mut [f32],
+        scratch: &mut QuantScratch,
+    ) {
+        let taps = self.taps();
+        assert_eq!(
+            panels.taps, taps,
+            "q8 conv: weight panels were packed for a different tap count"
+        );
+        assert_eq!(bias.len(), panels.oc, "q8 conv: bias must have oc entries");
+        assert_eq!(
+            xpad.len(),
+            self.padded_len(),
+            "q8 conv: padded image does not match its window"
+        );
+        let QuantScratch { qa, row, qrows } = scratch;
+        let input = match act_scale {
+            Some(scale) => {
+                let qpad = qa.take(xpad.len());
+                let scale = quantize_row_into(xpad, qpad, Some(scale));
+                Q8Input::Static { qpad, scale }
+            }
+            None => Q8Input::Dynamic {
+                xpad,
+                field: row.take(taps),
+                q8: qa.take(taps),
+            },
+        };
+        simd::q8_conv_forward(
+            simd::active_isa(),
+            Q8ConvOperands {
+                panels: &panels.panels,
+                scales: &panels.scales,
+                bias,
+                taps: &self.tapoff,
+                offs: &self.off,
+                input,
+                qrows,
+                out,
+            },
+        );
+    }
+
     /// Depthwise forward of one sample: `out[ch][s] = bias[ch] + Σ_tap
-    /// weight[ch][tap] * xpad[..]`, taps ascending, multiply then add, `NR`
-    /// outputs at a time.
+    /// weight[ch][tap] * xpad[..]`, taps ascending, multiply then add.
+    ///
+    /// Per channel the sum is taken at every origin of the stride-1 grid
+    /// `0..=off[s - 1]` of the padded plane, a run of contiguous origins at a
+    /// time (`acc[i] += w[tap] * plane[tapoff + i]` is one contiguous load per
+    /// tap), into `grid`; the origins that are output positions are then
+    /// copied out. The others — between two strided windows, or wrapped over a
+    /// row end — are computed on whatever they cover and never stored. No
+    /// origin reads past its own window, so no run reads past the plane: the
+    /// last run of a grid that is no multiple of [`GRID_LANES`] starts early
+    /// and recomputes what it overlaps.
     pub(crate) fn depthwise_forward(
         &self,
         xpad: &[f32],
         weight: &[f32],
         bias: &[f32],
         out: &mut [f32],
+        grid: &mut GrowBuf,
     ) {
+        if self.s == 0 {
+            return;
+        }
         let kk = self.k * self.k;
-        for (ch, ochan) in out.chunks_exact_mut(self.s).enumerate() {
-            let taps = &self.tapoff[ch * kk..(ch + 1) * kk];
-            let wch = &weight[ch * kk..(ch + 1) * kk];
-            for (jt, group) in ochan.chunks_mut(NR).enumerate() {
-                let off = self.off_group(jt * NR);
-                let mut acc = [bias[ch]; NR];
-                for (&wv, &tap) in wch.iter().zip(taps) {
-                    let src = &xpad[tap as usize..];
-                    for (a, &o) in acc.iter_mut().zip(off) {
-                        *a += wv * src[o as usize];
-                    }
+        // Channel 0's taps are the offsets inside any one padded plane.
+        let taps = &self.tapoff[..kk];
+        let origins = self.off[self.s - 1] as usize + 1;
+        let grid = grid.take(origins);
+        let planes = xpad.chunks_exact(self.hp * self.wp);
+        for (ch, (plane, ochan)) in planes.zip(out.chunks_exact_mut(self.s)).enumerate() {
+            let stencil = Stencil {
+                plane,
+                taps,
+                weight: &weight[ch * kk..(ch + 1) * kk],
+                bias: bias[ch],
+            };
+            let mut origin = 0;
+            while origin + 2 * GRID_LANES <= origins {
+                stencil.run::<{ 2 * GRID_LANES }>(origin, grid);
+                origin += 2 * GRID_LANES;
+            }
+            if origin + GRID_LANES <= origins {
+                stencil.run::<GRID_LANES>(origin, grid);
+                origin += GRID_LANES;
+            }
+            if origin < origins {
+                match origins.checked_sub(GRID_LANES) {
+                    Some(last) => stencil.run::<GRID_LANES>(last, grid),
+                    None => stencil.run_short(grid),
                 }
-                group.copy_from_slice(&acc[..group.len()]);
+            }
+            let rows = ochan
+                .chunks_exact_mut(self.ow)
+                .zip(grid.chunks(self.stride * self.wp));
+            for (dst, src) in rows {
+                for (o, &v) in dst.iter_mut().zip(src.iter().step_by(self.stride)) {
+                    *o = v;
+                }
             }
         }
     }
@@ -295,7 +443,7 @@ impl ConvWindow {
         gpad: &mut [f32],
     ) {
         let kk = self.k * self.k;
-        let off = &self.off[..self.s];
+        let off = &self.off;
         for (ch, goc) in go.chunks_exact(self.s).enumerate() {
             let taps = &self.tapoff[ch * kk..(ch + 1) * kk];
             let wch = &weight[ch * kk..(ch + 1) * kk];
@@ -355,6 +503,58 @@ impl OcPanels {
         }
         scratch::count_weight_floats_packed(panels.len());
         Self { oc, taps, panels }
+    }
+}
+
+/// A convolution's Q8_0 weights with output channels on the vector lanes: one
+/// block per [`OC_LANES`] channels, each `[tap pair q][OC_LANES][2]` — taps
+/// `2q` and `2q + 1` of sixteen filters, widened to `i16` so one `pmaddwd`
+/// against a broadcast activation pair yields sixteen partial dots — next to
+/// the filters' block scales as `[Q8 block][OC_LANES]`. Lanes past the last
+/// channel, and the pair partner of an odd last tap, are zero. Q8 blocks are
+/// an even [`QK8_0`] taps, so no pair straddles two. The layout is the same on
+/// every ISA. Derived layer state, like [`OcPanels`]: built by
+/// `quantize_weights()`, cloned with the layer.
+#[derive(Debug, Clone)]
+pub(crate) struct Q8Panels {
+    oc: usize,
+    taps: usize,
+    panels: Vec<i16>,
+    scales: Vec<f32>,
+}
+
+impl Q8Panels {
+    /// Packs a quantized `[oc, taps]` weight matrix. Counted in
+    /// [`scratch::ScratchStats::weight_floats_packed`] (one per `i16` lane
+    /// written), so tests can pin that eval forwards never re-pack.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the matrix has no columns.
+    pub(crate) fn pack(weight: &QuantMatrix) -> Self {
+        let (oc, taps, q8_blocks) = (weight.rows(), weight.cols(), weight.blocks_per_row());
+        assert!(taps > 0, "Q8Panels: a convolution has at least one tap");
+        let pairs = taps.div_ceil(2);
+        let oc_blocks = oc.div_ceil(OC_LANES);
+        let mut panels = vec![0i16; oc_blocks * pairs * OC_LANES * 2];
+        let mut scales = vec![0.0f32; oc_blocks * q8_blocks * OC_LANES];
+        for o in 0..oc {
+            let (block, lane) = (o / OC_LANES, o % OC_LANES);
+            for (b, q8) in weight.row(o).iter().enumerate() {
+                scales[(block * q8_blocks + b) * OC_LANES + lane] = q8.scale;
+                let taps_here = q8.qs.iter().take(taps - b * QK8_0);
+                for (p, &q) in (b * QK8_0..).zip(taps_here) {
+                    panels[((block * pairs + p / 2) * OC_LANES + lane) * 2 + p % 2] = i16::from(q);
+                }
+            }
+        }
+        scratch::count_weight_floats_packed(panels.len());
+        Self {
+            oc,
+            taps,
+            panels,
+            scales,
+        }
     }
 }
 
@@ -466,6 +666,168 @@ mod tests {
         let panels = OcPanels::pack(3, 2, &[0.0; 6]);
         let xpad = vec![0.0f32; window.padded_len()];
         window.conv_forward(&xpad, &panels, &[0.0; 3], &mut [0.0; 3 * 16]);
+    }
+
+    /// The Q8 forward against the lowering it replaced, rebuilt here from the
+    /// public kernels — `im2col`, `transpose_into`, `quant_gemm_into`,
+    /// `transpose_into` — bit for bit, with dynamic per-row scales and with a
+    /// static one, on every backend, from a dirtied arena: partial, whole and
+    /// multiple Q8 blocks (8, 16, 27, 32, 33 and 70 taps), partial and
+    /// multiple lane blocks, strides 1-3, pointwise, inputs far beyond the
+    /// static scale's int8 grid (saturating) and one all-zero receptive field
+    /// (dynamic scale 0).
+    #[test]
+    fn q8_conv_matches_the_gemm_lowering_on_every_isa() {
+        use super::super::{im2col, quant_gemm_into, transpose_into};
+        let _lock = simd::isa_override_test_lock();
+        let mut rng = SeededRng::new(0x0C_08);
+        let geometries = [
+            (8, 6, 6, 1, 1, 0),   // 8 taps, pointwise
+            (4, 7, 5, 2, 2, 0),   // 16 taps, stride 2, non-square
+            (3, 12, 12, 3, 1, 1), // 27 taps: the little net's stem
+            (3, 9, 9, 3, 3, 1),   // 27 taps, stride 3
+            (2, 5, 5, 4, 1, 2),   // 32 taps: exactly one Q8 block
+            (33, 3, 3, 1, 1, 0),  // 33 taps: one block and one tap
+            (70, 4, 4, 1, 2, 0),  // 70 taps: three blocks, the last partial
+        ];
+        for (c, h, w, k, stride, padding) in geometries {
+            let (oh, ow) = naive::conv_out(h, w, k, stride, padding);
+            let (s, taps) = (oh * ow, c * k * k);
+            let window = ConvWindow::new(c, h, w, k, stride, padding);
+            let mut x: Vec<f32> = (0..c * h * w).map(|_| rng.uniform(-2.0, 2.0)).collect();
+            for channel in x.chunks_exact_mut(h * w) {
+                // The first receptive field is all zeros; two elements
+                // outside it dwarf the rest.
+                for row in channel.chunks_exact_mut(w).take(k - padding.min(k)) {
+                    row[..k - padding.min(k)].fill(0.0);
+                }
+                channel[h * w - 1] = 9.0e3;
+                channel[h * w - 2] = -4.0e4;
+            }
+            for oc in [1usize, 8, 16, 17, 24] {
+                let weight: Vec<f32> = (0..oc * taps).map(|_| rng.uniform(-1.0, 1.0)).collect();
+                let bias: Vec<f32> = (0..oc).map(|_| rng.uniform(-1.0, 1.0)).collect();
+                let qm = QuantMatrix::from_rows(&weight, oc, taps);
+                let panels = Q8Panels::pack(&qm);
+                for act_scale in [None, Some(crate::quant::q8_block_scale(2.0))] {
+                    let mut cols = vec![0.0f32; taps * s];
+                    let mut cols_t = vec![0.0f32; s * taps];
+                    let mut out_t = vec![0.0f32; s * oc];
+                    let mut want = vec![0.0f32; oc * s];
+                    im2col(&x, c, h, w, k, stride, padding, oh, ow, &mut cols);
+                    transpose_into(&cols, taps, s, &mut cols_t);
+                    quant_gemm_into(
+                        s,
+                        taps,
+                        oc,
+                        &cols_t,
+                        &qm,
+                        Some(&bias),
+                        act_scale,
+                        &mut out_t,
+                        &mut QuantScratch::new(),
+                    );
+                    transpose_into(&out_t, s, oc, &mut want);
+                    if act_scale.is_none() {
+                        assert_bits_eq(&want[..1], &bias[..1], "an all-zero field yields the bias");
+                    }
+                    for isa in simd::supported_isas() {
+                        let prev = simd::force_isa(Some(isa));
+                        let mut pad_buf = GrowBuf::new();
+                        pad_buf.take(window.padded_len()).fill(f32::NAN);
+                        let mut scratch = QuantScratch::new();
+                        scratch.qa.take(window.padded_len() + 64).fill(0x55);
+                        scratch.row.take(taps + 64).fill(f32::NAN);
+                        scratch.qrows.take(16 * (taps + 2)).fill(i32::MAX);
+                        let xpad = window.pad(&x, &mut pad_buf);
+                        let mut got = vec![f32::NAN; oc * s];
+                        window.q8_conv_forward(
+                            xpad,
+                            act_scale,
+                            &panels,
+                            &bias,
+                            &mut got,
+                            &mut scratch,
+                        );
+                        simd::force_isa(prev);
+                        let tag = format!(
+                            "c={c} h={h} w={w} k={k} s={stride} p={padding} oc={oc} \
+                             scale={act_scale:?} {isa}"
+                        );
+                        assert_bits_eq(&got, &want, &tag);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "packed for a different tap count")]
+    fn q8_conv_rejects_panels_of_another_geometry() {
+        let window = ConvWindow::new(2, 4, 4, 3, 1, 1);
+        let panels = Q8Panels::pack(&QuantMatrix::from_rows(&[0.0; 6], 3, 2));
+        let xpad = vec![0.0f32; window.padded_len()];
+        let mut scratch = QuantScratch::new();
+        window.q8_conv_forward(
+            &xpad,
+            None,
+            &panels,
+            &[0.0; 3],
+            &mut [0.0; 48],
+            &mut scratch,
+        );
+    }
+
+    /// Every element of the padded image that some output position's window
+    /// covers.
+    fn read_by_outputs(window: &ConvWindow) -> Vec<bool> {
+        let mut read = vec![false; window.padded_len()];
+        for &o in &window.off {
+            for &tap in &window.tapoff {
+                read[(tap + o) as usize] = true;
+            }
+        }
+        read
+    }
+
+    /// The depthwise forward over the grid of window origins against the
+    /// naive loop, bit for bit: the shared geometries plus no padding at
+    /// stride 3, a grid that is no multiple of the chunk, one far larger than
+    /// a chunk at each stride, and a one-origin plane — with `inf` and NaN
+    /// planted in every element of the padded image that only origins which
+    /// are no output read (between two strided windows, past the last one,
+    /// wrapped over a row end), none of which may reach an output.
+    #[test]
+    fn depthwise_grid_matches_naive_and_never_stores_a_junk_origin() {
+        let mut rng = SeededRng::new(0xD6_1D);
+        let extra = [
+            (2, 8, 8, 3, 3, 0),   // no padding: `pad` borrows the image
+            (3, 5, 6, 2, 1, 0),   // grid of 4 * 6 + 5 = 29 origins
+            (2, 40, 40, 3, 1, 1), // 1678 origins at stride 1
+            (2, 41, 37, 3, 2, 1), // and at stride 2, non-square
+            (1, 3, 3, 3, 1, 0),   // one origin, one output
+            (8, 12, 12, 3, 2, 1), // the little net's first depthwise layer
+        ];
+        for &(c, h, w, k, stride, padding) in TEST_GEOMETRIES.iter().chain(&extra) {
+            let window = ConvWindow::new(c, h, w, k, stride, padding);
+            let x: Vec<f32> = (0..c * h * w).map(|_| rng.uniform(-2.0, 2.0)).collect();
+            let weight: Vec<f32> = (0..c * k * k).map(|_| rng.uniform(-1.0, 1.0)).collect();
+            let bias: Vec<f32> = (0..c).map(|_| rng.uniform(-1.0, 1.0)).collect();
+            let want =
+                naive::depthwise_forward_naive(&x, 1, c, h, w, &weight, &bias, k, stride, padding);
+            let mut buf = GrowBuf::new();
+            let mut xpad = window.pad(&x, &mut buf).to_vec();
+            let read = read_by_outputs(&window);
+            for (i, v) in xpad.iter_mut().enumerate().filter(|(i, _)| !read[*i]) {
+                *v = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][i % 3];
+            }
+            let mut grid = GrowBuf::new();
+            grid.take(4 * window.padded_len()).fill(f32::NAN);
+            let mut got = vec![f32::NAN; want.len()];
+            window.depthwise_forward(&xpad, &weight, &bias, &mut got, &mut grid);
+            let tag = format!("c={c} h={h} w={w} k={k} s={stride} p={padding}");
+            assert_bits_eq(&got, &want, &tag);
+        }
     }
 
     #[test]

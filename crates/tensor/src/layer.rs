@@ -64,6 +64,15 @@ pub trait Layer: Send + Sync {
     /// backward, batch-norm batch statistics vs. running statistics).
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
 
+    /// [`Layer::forward`] on an input the caller gives up. The result is the
+    /// same, bit for bit; a layer whose output has its input's shape and
+    /// depends on it element by element (eval-mode `Relu` and `BatchNorm2d`)
+    /// overrides this to compute in the buffer it was handed instead of a
+    /// fresh one. Containers pass every intermediate activation this way.
+    fn forward_owned(&mut self, input: Tensor, train: bool) -> Tensor {
+        self.forward(&input, train)
+    }
+
     /// Backpropagates `grad_output` (gradient w.r.t. the last forward output)
     /// and returns the gradient w.r.t. the last forward input. Parameter
     /// gradients are accumulated into the layer's [`Param`]s.

@@ -32,17 +32,24 @@ impl Layer for Relu {
     }
 
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut out = vec![0.0f32; input.len()];
-        if train {
-            // The sign mask exists only for backward; eval passes skip it.
-            let mut mask = vec![0u32; input.len()];
-            elementwise::relu_fwd_mask(input.data(), &mut out, &mut mask);
-            self.mask = Some(mask);
-        } else {
-            self.mask = None;
-            elementwise::relu_fwd(input.data(), &mut out);
+        if !train {
+            return self.forward_owned(input.clone(), false);
         }
+        // The sign mask exists only for backward; eval passes skip it.
+        let mut out = vec![0.0f32; input.len()];
+        let mut mask = vec![0u32; input.len()];
+        elementwise::relu_fwd_mask(input.data(), &mut out, &mut mask);
+        self.mask = Some(mask);
         Tensor::from_vec(out, input.shape()).expect("shape preserved")
+    }
+
+    fn forward_owned(&mut self, mut input: Tensor, train: bool) -> Tensor {
+        if train {
+            return self.forward(&input, true);
+        }
+        self.mask = None;
+        elementwise::relu_inplace(input.data_mut());
+        input
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {

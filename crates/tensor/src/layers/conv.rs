@@ -12,17 +12,24 @@
 //! tile of output positions `acc[r][oc] = bias[oc]; for taps ascending:
 //! acc[r][oc] += w[tap][oc] * xpad[tapoff[tap] + off[s0 + r]]` — the weight
 //! row one vector load, the activation a scalar broadcast through the table.
-//! Its backward is lowered onto the blocked GEMM in [`crate::kernels`]: the
-//! weight gradient is `grad_out x im2col(x)^T`, and the input gradient is
-//! `weight^T x grad_out` scattered back through `col2im`; the backward and
-//! the Q8 forward still materialise the matrix. [`DepthwiseConv2d`] issues
-//! no GEMM: forward and backward are direct stencils over the table. Either
-//! way taps are visited in the original 7-deep loop's `ic -> ky -> kx`
-//! order, so forward outputs and weight/bias gradients are bit-identical to
-//! the naive kernels (pinned by the equivalence tests below against
-//! [`crate::kernels::naive`]); the input gradient is numerically equivalent
-//! (summed in a different order than the naive loop) and covered by
-//! gradcheck.
+//! After `quantize_weights()` its eval forward runs the same tiles on int8:
+//! the Q8_0 filters packed once as tap-pair panels, a tile's activation rows
+//! gathered through the table — from the padded image quantized once under a
+//! calibrated scale, or field by field under dynamic ones — and exact integer
+//! block dots combined in `f32` the way the quantized GEMM combines them, so
+//! the bytes are those of `im2col` + transpose + `quant_gemm_into` without
+//! any of the three. Its backward is lowered onto the blocked GEMM in
+//! [`crate::kernels`]: the weight gradient is `grad_out x im2col(x)^T`, and
+//! the input gradient is `weight^T x grad_out` scattered back through
+//! `col2im`; the backward is the one pass that still materialises the matrix.
+//! [`DepthwiseConv2d`] issues no GEMM: forward and backward are direct
+//! stencils, the forward over the stride-1 grid of window origins so that
+//! every tap is a contiguous load. Either way taps are visited in the
+//! original 7-deep loop's `ic -> ky -> kx` order, so forward outputs and
+//! weight/bias gradients are bit-identical to the naive kernels (pinned by
+//! the equivalence tests below against [`crate::kernels::naive`]); the input
+//! gradient is numerically equivalent (summed in a different order than the
+//! naive loop) and covered by gradcheck.
 //!
 //! Both layers draw the padded image (and the backward its GEMM-packing
 //! buffers) from the current thread's [`kernels::with_thread_scratch`] arena,
@@ -36,11 +43,12 @@
 //! The panels are derived from the weights and dropped wherever those can
 //! change or stop being used: `params_mut()`, `forward(train = true)` (which
 //! packs for that one call, once for the whole batch) and
-//! `quantize_weights()`. Their layout does not depend on the ISA.
+//! `quantize_weights()` — which packs the Q8 panels in their place, once, for
+//! as long as the layer stays quantized. Neither layout depends on the ISA.
 
 use crate::init::Init;
 use crate::kernels::naive::conv_out;
-use crate::kernels::window::{ConvWindow, OcPanels};
+use crate::kernels::window::{ConvWindow, OcPanels, Q8Panels};
 use crate::kernels::{self, GemmInit};
 use crate::layer::{Layer, Param};
 use crate::quant::{QuantLayerReport, QuantMatrix, QuantWeights};
@@ -88,17 +96,17 @@ pub struct Conv2d {
     stride: usize,
     padding: usize,
     cached_input: Option<Tensor>,
-    /// Q8_0 tier: one reduction row of length `in_c*k*k` per output channel
-    /// (exactly the f32 weight layout). [`DepthwiseConv2d`] deliberately has
-    /// none: its per-channel `k*k` reductions are too short for int8
-    /// blocking to pay off, and its f32 path is a direct stencil that issues
-    /// no GEMM at all.
-    quant: Option<QuantWeights>,
+    /// Q8_0 tier: the filters — one reduction row of length `in_c*k*k` per
+    /// output channel, exactly the f32 weight layout — quantized and packed
+    /// as output-channel-lane panels by `quantize_weights()`.
+    /// [`DepthwiseConv2d`] deliberately has none: its per-channel `k*k`
+    /// reductions are too short for int8 blocking to pay off.
+    quant: Option<QuantWeights<Q8Panels>>,
     /// `weight` as output-channel-lane panels, built by the first f32 eval
     /// forward. Only ever `Some` while `weight` is unchanged since they were
     /// packed.
     oc_panels: Option<OcPanels>,
-    /// Window table of the last input shape seen by an f32 forward.
+    /// Window table of the last input shape seen.
     window: Option<ConvWindow>,
 }
 
@@ -191,62 +199,24 @@ impl Layer for Conv2d {
         let (s, ckk) = (oh * ow, c * k * k);
         let mut out = Tensor::zeros(&[n, self.out_channels, oh, ow]);
         let oc = self.out_channels;
-        let x = input.data();
         let wgt = self.weight.value.data();
         let bias = self.bias.value.data();
-        let odata = out.data_mut();
-        let pointwise = self.is_pointwise();
-        if !train {
-            if let Some(q) = self.quant.as_mut() {
-                q.observe(x);
-                // Quantized eval path: the GEMM runs transposed —
-                // `cols^T [s, ckk] x W` with one activation scale per
-                // spatial position (each output pixel's receptive field),
-                // the weight rows being the Q8_0 output-channel filters.
-                // The [s, oc] result transposes back into the NCHW output.
-                let act_scale = q.act_scale;
-                let qw = &q.weight;
-                kernels::with_thread_scratch(|scratch| {
-                    for b in 0..n {
-                        let xb = &x[b * c * h * w..(b + 1) * c * h * w];
-                        let ob = &mut odata[b * oc * s..(b + 1) * oc * s];
-                        let cols: &[f32] = if pointwise {
-                            xb
-                        } else {
-                            let cols = scratch.cols.take(ckk * s);
-                            kernels::im2col(
-                                xb,
-                                c,
-                                h,
-                                w,
-                                k,
-                                self.stride,
-                                self.padding,
-                                oh,
-                                ow,
-                                cols,
-                            );
-                            cols
-                        };
-                        let cols_t = scratch.cols_t.take(s * ckk);
-                        kernels::transpose_into(cols, ckk, s, cols_t);
-                        let out_t = scratch.quant.out_t.take(s * oc);
-                        kernels::quant_gemm::quant_gemm_into_qa(
-                            s,
-                            ckk,
-                            oc,
-                            cols_t,
-                            qw,
-                            Some(bias),
-                            act_scale,
-                            out_t,
-                            &mut scratch.quant.qa,
-                        );
-                        kernels::transpose_into(out_t, s, oc, ob);
-                    }
-                });
-                return out;
-            }
+        let window = window_for(&mut self.window, (c, h, w), k, self.stride, self.padding);
+        // `max(1)`: an empty image or output is no sample, not a zero chunk.
+        let samples = input
+            .data()
+            .chunks_exact((c * h * w).max(1))
+            .zip(out.data_mut().chunks_exact_mut((oc * s).max(1)));
+        if let (false, Some(q)) = (train, self.quant.as_mut()) {
+            q.observe(input.data());
+            let (panels, act_scale) = (&q.weight, q.act_scale);
+            kernels::with_thread_scratch(|scratch| {
+                for (xb, ob) in samples {
+                    let xpad = window.pad(xb, &mut scratch.xpad);
+                    window.q8_conv_forward(xpad, act_scale, panels, bias, ob, &mut scratch.quant);
+                }
+            });
+            return out;
         }
         let packed_for_this_call;
         let panels = if train {
@@ -260,11 +230,8 @@ impl Layer for Conv2d {
                 .oc_panels
                 .get_or_insert_with(|| OcPanels::pack(oc, ckk, wgt))
         };
-        let window = window_for(&mut self.window, (c, h, w), k, self.stride, self.padding);
         kernels::with_thread_scratch(|scratch| {
-            for b in 0..n {
-                let xb = &x[b * c * h * w..(b + 1) * c * h * w];
-                let ob = &mut odata[b * oc * s..(b + 1) * oc * s];
+            for (xb, ob) in samples {
                 let xpad = window.pad(xb, &mut scratch.xpad);
                 window.conv_forward(xpad, panels, bias, ob);
             }
@@ -399,15 +366,15 @@ impl Layer for Conv2d {
     }
 
     fn quantize_weights(&mut self) -> Vec<QuantLayerReport> {
-        // The f32 weight [oc, c, k, k] is already row-major [oc, c*k*k] —
-        // exactly the reduction-row layout the quantized GEMM wants.
+        // The f32 weight [oc, c, k, k] is already row-major [oc, c*k*k]:
+        // one reduction row per filter.
         let w = self.weight.value.data();
         let ckk = self.in_channels * self.kernel * self.kernel;
         let qm = QuantMatrix::from_rows(w, self.out_channels, ckk);
         let report = qm.report_against_rows(self.name(), w);
-        // Eval forwards run the quantized GEMM from here on.
+        // Eval forwards run the Q8 kernel from here on.
         self.oc_panels = None;
-        self.quant = Some(QuantWeights::new(qm));
+        self.quant = Some(QuantWeights::new(Q8Panels::pack(&qm)));
         vec![report]
     }
 
@@ -519,7 +486,7 @@ impl Layer for DepthwiseConv2d {
                 .zip(out.data_mut().chunks_exact_mut(c * oh * ow))
             {
                 let xpad = window.pad(xb, &mut scratch.xpad);
-                window.depthwise_forward(xpad, wgt, bias, ob);
+                window.depthwise_forward(xpad, wgt, bias, ob, &mut scratch.grid);
             }
         });
         out
@@ -749,8 +716,8 @@ mod tests {
         assert!(reports[0].within_bound());
         let q_out = conv.forward(&x, false);
         assert_eq!(q_out.shape(), f32_out.shape());
-        // Plumbing is exact: the layer is im2col -> transpose -> quantized
-        // GEMM -> transpose, bit for bit.
+        // The layer computes the bytes of im2col -> transpose -> quantized
+        // GEMM -> transpose, with none of the four.
         let (s, ckk) = (64usize, 27usize);
         let qm = QuantMatrix::from_rows(conv.weight.value.data(), 8, ckk);
         let mut cols = vec![0.0f32; ckk * s];

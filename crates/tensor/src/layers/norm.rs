@@ -47,6 +47,15 @@ impl BatchNorm2d {
     pub fn channels(&self) -> usize {
         self.channels
     }
+
+    fn check_input(&self, input: &Tensor) {
+        assert_eq!(input.rank(), 4, "BatchNorm2d expects NCHW input");
+        assert_eq!(
+            input.shape()[1],
+            self.channels,
+            "BatchNorm2d channel mismatch"
+        );
+    }
 }
 
 impl Layer for BatchNorm2d {
@@ -59,12 +68,10 @@ impl Layer for BatchNorm2d {
     }
 
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        assert_eq!(input.rank(), 4, "BatchNorm2d expects NCHW input");
-        assert_eq!(
-            input.shape()[1],
-            self.channels,
-            "BatchNorm2d channel mismatch"
-        );
+        if !train {
+            return self.forward_owned(input.clone(), false);
+        }
+        self.check_input(input);
         let (n, c, h, w) = (
             input.shape()[0],
             input.shape()[1],
@@ -76,31 +83,6 @@ impl Layer for BatchNorm2d {
         let mut out = Tensor::zeros(input.shape());
         let gamma = self.gamma.value.data();
         let beta = self.beta.value.data();
-
-        if !train {
-            // Eval path: normalize against the running statistics in place,
-            // with no batch-statistic, x_hat or cache allocations — this is
-            // the serving hot path. Drop any stale training cache so a
-            // backward after an eval forward panics (like every other layer)
-            // instead of silently using a previous batch's statistics.
-            self.cache = None;
-            // Whole channels walked as slices, the four per-channel scalars
-            // hoisted: no index arithmetic or bounds check per element.
-            let plane = (h * w).max(1);
-            let channels = x
-                .chunks_exact(plane)
-                .zip(out.data_mut().chunks_exact_mut(plane));
-            for (i, (xc, oc)) in channels.enumerate() {
-                let ch = i % c;
-                let mean = self.running_mean[ch];
-                let std_inv = 1.0 / (self.running_var[ch] + self.eps).sqrt();
-                let (g, b) = (gamma[ch], beta[ch]);
-                for (o, &v) in oc.iter_mut().zip(xc) {
-                    *o = g * ((v - mean) * std_inv) + b;
-                }
-            }
-            return out;
-        }
 
         let mut mean = vec![0.0f32; c];
         let mut var = vec![0.0f32; c];
@@ -156,6 +138,36 @@ impl Layer for BatchNorm2d {
             input_shape: input.shape().to_vec(),
         });
         out
+    }
+
+    fn forward_owned(&mut self, mut input: Tensor, train: bool) -> Tensor {
+        if train {
+            return self.forward(&input, true);
+        }
+        self.check_input(&input);
+        let (c, plane) = (self.channels, input.shape()[2] * input.shape()[3]);
+        // Eval path: normalize against the running statistics in the buffer
+        // we were handed, with no batch-statistic, x_hat, cache or output
+        // allocations — this is the serving hot path. Drop any stale
+        // training cache so a backward after an eval forward panics (like
+        // every other layer) instead of silently using a previous batch's
+        // statistics.
+        self.cache = None;
+        let gamma = self.gamma.value.data();
+        let beta = self.beta.value.data();
+        // Whole channels walked as slices, the four per-channel scalars
+        // hoisted: no index arithmetic or bounds check per element.
+        let channels = input.data_mut().chunks_exact_mut(plane.max(1));
+        for (i, xc) in channels.enumerate() {
+            let ch = i % c;
+            let mean = self.running_mean[ch];
+            let std_inv = 1.0 / (self.running_var[ch] + self.eps).sqrt();
+            let (g, b) = (gamma[ch], beta[ch]);
+            for v in xc {
+                *v = g * ((*v - mean) * std_inv) + b;
+            }
+        }
+        input
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {

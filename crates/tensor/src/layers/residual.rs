@@ -57,7 +57,7 @@ impl Layer for Residual {
     }
 
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let main = self.body.forward(input, train);
+        let mut main = self.body.forward(input, train);
         let projected = self.shortcut.as_mut().map(|s| s.forward(input, train));
         // The identity shortcut adds the borrowed input itself.
         let skip = projected.as_ref().unwrap_or(input);
@@ -66,7 +66,10 @@ impl Layer for Residual {
             skip.shape(),
             "residual body and shortcut must produce equal shapes"
         );
-        main.add(skip)
+        // The skip is added into the body's output rather than into a third
+        // tensor: `main + 1.0 * skip`, and `1.0 * x` is `x` exactly.
+        main.add_scaled_inplace(skip, 1.0);
+        main
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {

@@ -107,16 +107,22 @@ impl Layer for Sequential {
 
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         // Feed the borrowed input straight to the first layer instead of
-        // cloning it up front; only an empty container clones.
-        let mut layers = self.layers.iter_mut();
-        let mut x = match layers.next() {
-            Some(first) => first.forward(input, train),
+        // cloning it up front; only an empty container clones. Every later
+        // layer owns its predecessor's output.
+        match self.layers.split_first_mut() {
+            Some((first, rest)) => {
+                let x = first.forward(input, train);
+                rest.iter_mut()
+                    .fold(x, |x, layer| layer.forward_owned(x, train))
+            }
             None => input.clone(),
-        };
-        for layer in layers {
-            x = layer.forward(&x, train);
         }
-        x
+    }
+
+    fn forward_owned(&mut self, input: Tensor, train: bool) -> Tensor {
+        self.layers
+            .iter_mut()
+            .fold(input, |x, layer| layer.forward_owned(x, train))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -258,6 +264,64 @@ mod tests {
         assert!(s.contains("Dense"));
         assert!(s.contains("Relu"));
         assert!(s.contains("TOTAL"));
+    }
+
+    /// `forward_owned` and `forward` against a chain of borrowed forwards
+    /// over replicas of the same layers — the pass as it ran before any layer
+    /// computed in place — bit for bit, on a stack with every layer that
+    /// overrides `forward_owned` or adds in place: `BatchNorm2d`, `Relu`
+    /// (fed `-0.0` and negatives), a `Residual` with and one without a
+    /// projection shortcut. Eval and train; after a train pass the caches
+    /// serve the same backward.
+    #[test]
+    fn forward_owned_matches_the_borrowed_chain_bit_for_bit() {
+        use crate::kernels::tolerance::assert_bits_eq;
+        use crate::layers::{BatchNorm2d, Conv2d, GlobalAvgPool2d, Residual};
+        let mut rng = SeededRng::new(0x0B0E);
+        let body = |rng: &mut SeededRng| {
+            Sequential::new(vec![
+                Box::new(Conv2d::new(4, 4, 3, 1, 1, rng)),
+                Box::new(BatchNorm2d::new(4)),
+                Box::new(Relu::new()),
+            ])
+        };
+        let shortcut = Sequential::new(vec![Box::new(Conv2d::new(4, 4, 1, 1, 0, &mut rng))]);
+        let net = Sequential::new(vec![
+            Box::new(Conv2d::new(3, 4, 3, 1, 1, &mut rng)),
+            Box::new(BatchNorm2d::new(4)),
+            Box::new(Relu::new()),
+            Box::new(Residual::with_shortcut(body(&mut rng), shortcut)),
+            Box::new(Residual::new(body(&mut rng))),
+            Box::new(Relu::new()),
+            Box::new(GlobalAvgPool2d::new()),
+            Box::new(Dense::new(4, 3, &mut rng)),
+        ]);
+        let mut x = Tensor::randn(&[3, 3, 6, 6], &mut rng);
+        x.data_mut()[..3].copy_from_slice(&[-0.0, 0.0, -1.5]);
+        for train in [false, true] {
+            let mut chain: Vec<Box<dyn Layer>> = net.iter().map(|l| l.clone_box()).collect();
+            let mut want = x.clone();
+            for layer in &mut chain {
+                want = layer.forward(&want, train);
+            }
+            let (mut borrowed, mut owned) = (net.clone(), net.clone());
+            let got = borrowed.forward(&x, train);
+            assert_bits_eq(got.data(), want.data(), &format!("forward, train={train}"));
+            let got = owned.forward_owned(x.clone(), train);
+            assert_bits_eq(
+                got.data(),
+                want.data(),
+                &format!("forward_owned, train={train}"),
+            );
+            if train {
+                let go = Tensor::randn(want.shape(), &mut rng);
+                let mut grad = go.clone();
+                for layer in chain.iter_mut().rev() {
+                    grad = layer.backward(&grad);
+                }
+                assert_bits_eq(owned.backward(&go).data(), grad.data(), "backward");
+            }
+        }
     }
 
     #[test]

@@ -118,6 +118,25 @@ pub fn q8_block_scale(absmax: f32) -> f32 {
     exp2i(e)
 }
 
+/// The quantizer's input domain, checked in debug builds on every path that
+/// turns `f32` into int8 — dynamic or static scale alike: a NaN would
+/// otherwise quantize silently to 0.
+fn debug_assert_quantizable(src: &[f32]) {
+    if cfg!(debug_assertions) {
+        for &x in src {
+            assert!(
+                x.is_finite() && x.abs() <= MAX_QUANT_INPUT,
+                "quantize requires finite inputs within MAX_QUANT_INPUT, got {x:e}"
+            );
+        }
+    }
+}
+
+/// `max |x|` over `src` (`0.0` when empty).
+fn absmax_of(src: &[f32]) -> f32 {
+    src.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
+}
+
 /// Quantizes up to [`QK8_0`] values into one block, zero-padding the tail.
 ///
 /// # Panics
@@ -126,15 +145,8 @@ pub fn q8_block_scale(absmax: f32) -> f32 {
 /// [`MAX_QUANT_INPUT`]; `src.len()` must be `<= QK8_0`.
 pub fn quantize_block(src: &[f32]) -> BlockQ8_0 {
     assert!(src.len() <= QK8_0, "block source longer than QK8_0");
-    let mut absmax = 0.0f32;
-    for &x in src {
-        debug_assert!(
-            x.is_finite() && x.abs() <= MAX_QUANT_INPUT,
-            "quantize requires finite inputs within MAX_QUANT_INPUT, got {x:e}"
-        );
-        absmax = absmax.max(x.abs());
-    }
-    let scale = q8_block_scale(absmax);
+    debug_assert_quantizable(src);
+    let scale = q8_block_scale(absmax_of(src));
     let mut qs = [0i8; QK8_0];
     if scale > 0.0 {
         // Exact: `scale` is a power of two in the normal range, so the
@@ -164,34 +176,54 @@ pub fn quantize_f32(src: &[f32]) -> Vec<BlockQ8_0> {
 /// trade-off; the scale itself must be a [`q8_block_scale`] output).
 ///
 /// `qs` may be longer than `src` (zero-padded GEMM rows); the tail is left
-/// untouched.
+/// untouched. Each element is a function of `(x, scale)` alone, so a row may
+/// as well be a whole image: the Q8 convolution quantizes its padded input in
+/// one call when the scale is static.
+///
+/// # Panics
+///
+/// Panics if `qs` is shorter than `src`, and (debug) on non-finite input or
+/// magnitudes beyond [`MAX_QUANT_INPUT`], whichever scale is in force.
 pub fn quantize_row_into(src: &[f32], qs: &mut [i8], static_scale: Option<f32>) -> f32 {
     assert!(qs.len() >= src.len(), "quantized row buffer too short");
+    debug_assert_quantizable(src);
     let scale = match static_scale {
         Some(s) => {
             debug_assert!(s >= 0.0 && s.is_finite());
             s
         }
-        None => {
-            let mut absmax = 0.0f32;
-            for &x in src {
-                debug_assert!(
-                    x.is_finite() && x.abs() <= MAX_QUANT_INPUT,
-                    "quantize requires finite inputs within MAX_QUANT_INPUT, got {x:e}"
-                );
-                absmax = absmax.max(x.abs());
-            }
-            q8_block_scale(absmax)
-        }
+        None => q8_block_scale(absmax_of(src)),
     };
     if scale <= 0.0 {
         qs[..src.len()].fill(0);
         return 0.0;
     }
     for (q, &x) in qs.iter_mut().zip(src) {
-        *q = (x / scale).round().clamp(-127.0, 127.0) as i8;
+        *q = round_to_i8(x / scale);
     }
     scale
+}
+
+/// `t.round().clamp(-127.0, 127.0) as i8` — round half away from zero,
+/// saturate, NaN to 0 — for every `f32` bit pattern, spelled without
+/// `f32::round` (a libm call per element on x86) or a float-to-int `as` cast
+/// (whose saturation LLVM scalarises), so that a loop over it vectorises on
+/// any backend: this is the activation quantizer's per-element cost.
+///
+/// Adding `1.5 * 2^23` to `a = min(|t|, 127)` lands in the binade whose ulp
+/// is 1: the sum is `a` rounded to an integer, ties to even, and that integer
+/// sits in the low mantissa bits. Both subtractions are exact, so the one tie
+/// the hardware rounds the wrong way (down to an even neighbour) shows as a
+/// difference of exactly one half.
+#[inline(always)]
+fn round_to_i8(t: f32) -> i8 {
+    const MAGIC: f32 = 12_582_912.0;
+    let t = if t.is_nan() { 0.0 } else { t };
+    let a = t.abs().min(127.0);
+    let m = a + MAGIC;
+    let tie_went_down = a - (m - MAGIC) == 0.5;
+    let n = (m.to_bits() - MAGIC.to_bits()) as i32 + i32::from(tie_went_down);
+    (if t < 0.0 { -n } else { n }) as i8
 }
 
 /// Dequantizes blocks into `out` (`out.len() <= blocks.len() * QK8_0`).
@@ -412,13 +444,16 @@ impl QuantMatrix {
     }
 }
 
-/// Quantized-tier state of a GEMM-backed layer (`Dense`, `Conv2d`): the
-/// Q8_0 weight matrix plus activation-scale calibration state. Present only
+/// Quantized-tier state of a layer with a Q8_0 path (`Dense`, `Conv2d`): the
+/// quantized weights plus activation-scale calibration state. Present only
 /// after [`crate::Layer::quantize_weights`]; eval forwards then run the int8
-/// GEMM while training keeps using the f32 weights.
+/// kernels while training keeps using the f32 weights.
 #[derive(Debug, Clone)]
-pub(crate) struct QuantWeights {
-    pub(crate) weight: QuantMatrix,
+pub(crate) struct QuantWeights<W = QuantMatrix> {
+    /// The quantized weights in the layout the layer's kernel reads:
+    /// [`QuantMatrix`] rows for `Dense`, output-channel-lane panels
+    /// (`kernels/window.rs`) for `Conv2d`.
+    pub(crate) weight: W,
     /// Static power-of-two activation scale frozen by calibration; `None`
     /// selects dynamic per-row absmax quantization.
     pub(crate) act_scale: Option<f32>,
@@ -426,8 +461,8 @@ pub(crate) struct QuantWeights {
     observing: bool,
 }
 
-impl QuantWeights {
-    pub(crate) fn new(weight: QuantMatrix) -> Self {
+impl<W> QuantWeights<W> {
+    pub(crate) fn new(weight: W) -> Self {
         Self {
             weight,
             act_scale: None,
@@ -440,9 +475,7 @@ impl QuantWeights {
     /// calibration pass is open; a no-op otherwise.
     pub(crate) fn observe(&mut self, input: &[f32]) {
         if self.observing {
-            self.observed_absmax = input
-                .iter()
-                .fold(self.observed_absmax, |m, &v| m.max(v.abs()));
+            self.observed_absmax = self.observed_absmax.max(absmax_of(input));
         }
     }
 
@@ -660,6 +693,69 @@ mod tests {
             // All elements map to the same byte.
             assert!(blocks[0].qs.iter().all(|&q| q == blocks[0].qs[0]));
         }
+    }
+
+    /// `round_to_i8` against the expression it stands for, on every tie and
+    /// near-tie the int8 grid has, the specials, and a stride through all
+    /// `f32` bit patterns (all 2^32 were compared once, in release: equal).
+    #[test]
+    fn round_to_i8_is_round_clamp_cast_bit_for_bit() {
+        let reference = |t: f32| t.round().clamp(-127.0, 127.0) as i8;
+        let mut cases = vec![
+            0.0f32,
+            -0.0,
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7FC0_0001),
+            f32::from_bits(0xFF80_00FF),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            f32::MIN,
+            f32::MIN_POSITIVE,
+            1.0e-45,
+            8_388_608.5,
+            12_582_912.0,
+        ];
+        for k in -130..=130 {
+            let tie = k as f32 + 0.5;
+            for bits in tie.to_bits() - 2..=tie.to_bits() + 2 {
+                cases.push(f32::from_bits(bits));
+            }
+            cases.push(k as f32);
+        }
+        cases.extend((0..=u32::MAX).step_by(40_507).map(f32::from_bits));
+        for t in cases {
+            assert_eq!(
+                round_to_i8(t),
+                reference(t),
+                "t = {t:e} ({:#x})",
+                t.to_bits()
+            );
+        }
+    }
+
+    // A NaN activation used to panic (debug) under a dynamic scale only and
+    // quantize silently to 0 under a static one.
+
+    #[test]
+    #[cfg_attr(
+        not(debug_assertions),
+        ignore = "the domain check is a debug assertion"
+    )]
+    #[should_panic(expected = "quantize requires finite inputs")]
+    fn quantize_row_rejects_nan_under_a_dynamic_scale() {
+        quantize_row_into(&[1.0, f32::NAN], &mut [0i8; 2], None);
+    }
+
+    #[test]
+    #[cfg_attr(
+        not(debug_assertions),
+        ignore = "the domain check is a debug assertion"
+    )]
+    #[should_panic(expected = "quantize requires finite inputs")]
+    fn quantize_row_rejects_nan_under_a_static_scale() {
+        quantize_row_into(&[1.0, f32::NAN], &mut [0i8; 2], Some(0.25));
     }
 
     #[test]

@@ -13,7 +13,11 @@
 //! weights out, which must drop the panels; a train forward packs them for
 //! that call, once however many samples it carries. Convolution window
 //! tables are built by the warm-up too, and again only when a layer meets a
-//! new input shape.
+//! new input shape. A quantized convolution's Q8 panels are packed by
+//! `quantize_weights()` and by nothing else. And what scratch reuse cannot
+//! see — the tensors between layers — is pinned as the exact number of heap
+//! allocations one steady-state `submit` makes, counted by this binary's own
+//! global allocator.
 //!
 //! Kept as the only test in this file so no concurrently running test can
 //! perturb the process-wide counters.
@@ -23,6 +27,49 @@ use appeal_tensor::kernels;
 use appeal_tensor::prelude::Conv2d;
 use appeal_tensor::{Layer, SeededRng, Tensor};
 use appealnet_core::serve::{Engine, InferenceRequest, ThresholdPolicy};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The system allocator, counting every block it hands out or moves.
+struct CountingAlloc;
+
+static HEAP_ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, whose
+// contract is the one the caller already upholds.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        HEAP_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        HEAP_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        HEAP_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Heap allocations of one steady-state `submit` at `max_batch` 1 and δ = 1:
+/// the edge pass through the two-head little network, the routing decision,
+/// an appeal through the big network and the response. Eval `BatchNorm2d` and
+/// `Relu` layers and the residual adds work in the buffer they are handed
+/// (`Layer::forward_owned`), so what is left is one tensor per convolution,
+/// pooling and dense layer, the engine's request and response plumbing, and
+/// nothing that grows with traffic. Before the elementwise layers went in
+/// place this was 135.
+const HEAP_ALLOCS_PER_SUBMIT: u64 = 73;
 
 #[test]
 fn steady_state_submit_reuses_scratch_without_allocating() {
@@ -48,15 +95,20 @@ fn steady_state_submit_reuses_scratch_without_allocating() {
         assert!(out.is_some(), "max_batch 1 answers every submit");
     }
 
-    // Steady state: more single-request traffic must not allocate scratch.
+    // Steady state: more single-request traffic must not allocate scratch,
+    // and every submit makes the same, pinned number of heap allocations.
     let before = kernels::scratch_stats();
     let steady_requests = 16u64;
     for id in 0..steady_requests {
-        let image = Tensor::randn(&[3, 12, 12], &mut rng);
-        let out = engine
-            .submit(InferenceRequest::new(100 + id, image))
-            .unwrap();
+        let request = InferenceRequest::new(100 + id, Tensor::randn(&[3, 12, 12], &mut rng));
+        let heap_before = HEAP_ALLOCS.load(Ordering::Relaxed);
+        let out = engine.submit(request).unwrap();
+        let heap_allocs = HEAP_ALLOCS.load(Ordering::Relaxed) - heap_before;
         assert!(out.is_some());
+        assert_eq!(
+            heap_allocs, HEAP_ALLOCS_PER_SUBMIT,
+            "steady-state submit {id} made {heap_allocs} heap allocations"
+        );
     }
     let after = kernels::scratch_stats();
 
@@ -93,6 +145,7 @@ fn steady_state_submit_reuses_scratch_without_allocating() {
     input_shape_change_rebuilds_window_tables(big_replica.clone(), &mut rng);
     params_mut_invalidates_packed_weights(big_replica, &mut rng);
     train_forward_packs_once_per_call(&mut rng);
+    q8_panels_follow_the_weights(&mut rng);
     large_matmul_reuses_the_callers_thread_arena(&mut rng);
 }
 
@@ -185,6 +238,62 @@ fn train_forward_packs_once_per_call(rng: &mut SeededRng) {
     let _ = conv.forward(&batch, false);
     assert_eq!(packed() - before, 2 * panel_floats);
     assert_eq!(trained.data(), evaluated.data());
+}
+
+/// A quantized convolution's Q8 panels are packed by `quantize_weights()` —
+/// `[oc blocks][tap pairs][16][2]` lanes, here 2 blocks of 14 pairs — and by
+/// nothing after it: not the eval forwards, dynamic or calibrated, not a
+/// replica (which carries them) and not a train forward (which packs the f32
+/// weights it runs on, and leaves the Q8 panels be). Quantizing again after a
+/// weight edit packs again, and the output follows the new weights.
+fn q8_panels_follow_the_weights(rng: &mut SeededRng) {
+    let (c, oc, k) = (3usize, 17usize, 3usize);
+    let mut conv = Conv2d::new(c, oc, k, 1, 1, rng);
+    let batch = Tensor::randn(&[2, c, 6, 6], rng);
+    let packed = || kernels::scratch_stats().weight_floats_packed;
+    let q8_lanes = (oc.div_ceil(16) * (c * k * k).div_ceil(2) * 16 * 2) as u64;
+
+    let before = packed();
+    conv.quantize_weights();
+    assert_eq!(
+        packed() - before,
+        q8_lanes,
+        "quantizing packs the Q8 panels"
+    );
+    let dynamic = conv.forward(&batch, false);
+    conv.begin_calibration();
+    let _ = conv.forward(&batch, false);
+    conv.end_calibration();
+    let calibrated = conv.forward(&batch, false);
+    let mut replica = conv.clone();
+    assert_eq!(replica.forward(&batch, false).data(), calibrated.data());
+    assert_eq!(
+        packed() - before,
+        q8_lanes,
+        "quantized eval forwards and replicas must pack nothing"
+    );
+    assert_ne!(dynamic.data(), calibrated.data());
+
+    let trained = conv.forward(&batch, true);
+    let f32_lanes = (oc.div_ceil(16) * 16 * c * k * k) as u64;
+    assert_eq!(packed() - before, q8_lanes + f32_lanes);
+    assert_eq!(conv.forward(&batch, false).data(), calibrated.data());
+    assert_eq!(packed() - before, q8_lanes + f32_lanes);
+    assert_ne!(trained.data(), calibrated.data());
+
+    for p in conv.params_mut() {
+        for v in p.value.data_mut() {
+            *v = -*v;
+        }
+    }
+    assert_eq!(
+        conv.forward(&batch, false).data(),
+        calibrated.data(),
+        "the Q8 tier serves the weights it was quantized from"
+    );
+    conv.quantize_weights();
+    assert_eq!(packed() - before, 2 * q8_lanes + f32_lanes);
+    assert_ne!(conv.forward(&batch, false).data(), calibrated.data());
 }
 
 /// Steady-state large GEMMs through the scratch-less `Tensor::matmul` entry
