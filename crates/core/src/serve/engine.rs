@@ -357,8 +357,8 @@ impl Default for EngineBuilder {
 /// is per *thread*, not per layer or model: each kernel draws what it needs
 /// from the calling thread's arena
 /// (`appeal_tensor::kernels::with_thread_scratch`) — a convolution its
-/// zero-padded image (no im2col matrix; only the Q8 forward still
-/// materialises one), a dense layer its GEMM packing panels — and the
+/// zero-padded image (no im2col matrix, f32 or Q8), a dense layer its GEMM
+/// packing panels — and the
 /// submitting thread and every persistent batch-shard worker keep their
 /// arenas' high-water buffers between requests. What a convolution does own
 /// is derived state, not scratch: its window table and its packed weight

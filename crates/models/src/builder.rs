@@ -117,11 +117,11 @@ fn scaled(base: usize, width: f32) -> usize {
 /// vector lanes, its weights packed once per layer and its input read
 /// through a per-layer window table with no im2col matrix in between (in
 /// int8 once quantized, on the same tiles); depthwise convolutions are
-/// direct stencils over the same padded input; dense layers are blocked
-/// GEMMs; eval batch-norm, ReLU and residual adds work in place. Layers
-/// own no scratch: buffers come from the calling thread's arena
-/// (`kernels::with_thread_scratch`), so repeated inference allocates nothing
-/// and a cloned model warms up whichever thread runs it.
+/// direct stencils over the same padded input; dense layers are GEMMs on
+/// the convolutions' tile kernel; eval batch-norm, ReLU and residual adds
+/// work in place. Layers own no scratch: buffers come from the calling
+/// thread's arena (`kernels::with_thread_scratch`), so repeated inference
+/// allocates nothing and a cloned model warms up whichever thread runs it.
 ///
 /// # Panics
 ///

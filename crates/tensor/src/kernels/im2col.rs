@@ -1,4 +1,4 @@
-//! im2col / col2im: lowering convolution onto GEMM.
+//! im2col: the materialised lowering of convolution onto GEMM.
 //!
 //! A `[c, h, w]` image is unrolled into a `[c*k*k, oh*ow]` column matrix
 //! whose row index runs in `(ic, ky, kx)` order — exactly the tap order of
@@ -7,7 +7,9 @@
 //! and stays bit-identical to it. Out-of-bounds (padding) taps become `0.0`
 //! entries, which add nothing.
 //!
-//! `col2im` is the adjoint scatter used by the input-gradient path.
+//! No layer runs it: every convolution reads its input through a window
+//! table (`kernels/window.rs`) that stands for this matrix without building
+//! it. It is kept as the reference those tables are pinned against.
 
 /// Unrolls one `[c, h, w]` image into `cols` (`[c*k*k, oh*ow]`, fully
 /// overwritten).
@@ -100,62 +102,6 @@ fn unroll_tap(
     }
 }
 
-/// Scatter-adds a `[c*k*k, oh*ow]` column-space gradient back onto the
-/// `[c, h, w]` input-gradient image (`gi += col2im(cols)`).
-///
-/// # Panics
-///
-/// Panics if the slice lengths do not match the given dimensions.
-#[allow(clippy::too_many_arguments)]
-pub fn col2im(
-    cols: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    k: usize,
-    stride: usize,
-    padding: usize,
-    oh: usize,
-    ow: usize,
-    gi: &mut [f32],
-) {
-    assert_eq!(gi.len(), c * h * w, "col2im: grad image must be c*h*w");
-    assert_eq!(
-        cols.len(),
-        c * k * k * oh * ow,
-        "col2im: cols must be c*k*k*oh*ow"
-    );
-    let s = oh * ow;
-    let mut row = 0usize;
-    for ic in 0..c {
-        let gc = &mut gi[ic * h * w..(ic + 1) * h * w];
-        for ky in 0..k {
-            for kx in 0..k {
-                let src = &cols[row * s..(row + 1) * s];
-                let ox_lo = padding.saturating_sub(kx).div_ceil(stride).min(ow);
-                let ox_hi = if w + padding > kx {
-                    ((w + padding - kx - 1) / stride + 1).min(ow)
-                } else {
-                    0
-                };
-                for oy in 0..oh {
-                    let iy = (oy * stride + ky) as isize - padding as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    let grow = &mut gc[iy as usize * w..(iy as usize + 1) * w];
-                    let srow = &src[oy * ow..(oy + 1) * ow];
-                    for (ox, &v) in srow[ox_lo..ox_hi].iter().enumerate() {
-                        let ix = (ox_lo + ox) * stride + kx - padding;
-                        grow[ix] += v;
-                    }
-                }
-                row += 1;
-            }
-        }
-    }
-}
-
 /// `(c, h, w, k, stride, padding)` geometries shared by the lowering suites
 /// here and in `kernels::window`.
 #[cfg(test)]
@@ -225,37 +171,6 @@ mod tests {
             assert_eq!(
                 cols, expect,
                 "im2col mismatch for c={c} h={h} w={w} k={k} s={stride} p={padding}"
-            );
-        }
-    }
-
-    #[test]
-    fn col2im_is_adjoint_of_im2col() {
-        // <im2col(x), y> == <x, col2im(y)> for random x, y — the defining
-        // property of the adjoint pair used by the backward pass.
-        let mut rng = SeededRng::new(0xAD_30);
-        for &(c, h, w, k, stride, padding) in &[
-            (2usize, 5usize, 5usize, 3usize, 1usize, 1usize),
-            (1, 6, 4, 2, 2, 0),
-            (3, 7, 7, 3, 2, 1),
-        ] {
-            let (oh, ow) = super::super::naive::conv_out(h, w, k, stride, padding);
-            let s = oh * ow;
-            let x: Vec<f32> = (0..c * h * w).map(|_| rng.uniform(-1.0, 1.0)).collect();
-            let y: Vec<f32> = (0..c * k * k * s).map(|_| rng.uniform(-1.0, 1.0)).collect();
-            let mut cols = vec![0.0f32; c * k * k * s];
-            im2col(&x, c, h, w, k, stride, padding, oh, ow, &mut cols);
-            let lhs: f64 = cols
-                .iter()
-                .zip(y.iter())
-                .map(|(&a, &b)| (a * b) as f64)
-                .sum();
-            let mut gi = vec![0.0f32; c * h * w];
-            col2im(&y, c, h, w, k, stride, padding, oh, ow, &mut gi);
-            let rhs: f64 = x.iter().zip(gi.iter()).map(|(&a, &b)| (a * b) as f64).sum();
-            assert!(
-                (lhs - rhs).abs() < 1e-3,
-                "adjoint mismatch: {lhs} vs {rhs} for c={c} h={h} w={w} k={k} s={stride} p={padding}"
             );
         }
     }

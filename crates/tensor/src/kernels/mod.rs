@@ -1,33 +1,38 @@
-//! The compute-kernel layer: blocked GEMM, explicit SIMD, im2col lowering
-//! and scratch reuse.
+//! The compute-kernel layer: one f32 tile kernel, explicit SIMD, window
+//! tables and scratch reuse.
 //!
 //! Everything expensive in this crate — dense layers, standard and depthwise
 //! convolutions, their backward passes — bottoms out in the handful of
 //! kernels defined here:
 //!
-//! * [`gemm_into`] / [`gemm_bias_cols`] — a cache-blocked, register-tiled
-//!   matrix multiply (GotoBLAS-style `MC`/`KC`/`NC` macro-blocking with an
-//!   `MR x NR` microkernel and packed operand panels). Like every kernel
-//!   here it runs on the calling thread; parallelism lives one level up,
-//!   across batch shards.
-//! * [`simd`] — the explicit-SIMD backend underneath: a portable `f32x8`
-//!   abstraction with SSE2/AVX2 implementations, an AVX-512 widened
-//!   microkernel, and cached runtime CPU-feature dispatch ([`active_isa`]
-//!   reports the choice, [`force_isa`] / `APPEALNET_FORCE_SCALAR` pin it).
+//! * [`simd`] — the explicit-SIMD backend: the one f32 tile kernel every
+//!   multiply-accumulate of the crate runs on (sixteen output lanes per
+//!   vector row, activations broadcast through a window table), its Q8 twin,
+//!   a portable `f32x8` abstraction with SSE2/AVX2 implementations for the
+//!   elementwise kernels, and cached runtime CPU-feature dispatch
+//!   ([`active_isa`] reports the choice, [`force_isa`] /
+//!   `APPEALNET_FORCE_SCALAR` pin it).
+//! * [`gemm_into`] / [`gemm_bias_cols`] — the matrix multiply: A's rows
+//!   packed as lane panels, B read through the table `taps[p] = p * n`,
+//!   `offs[j] = j`, on the tile kernel; a plain `i-k-j` loop for products
+//!   too thin to pack. Like every kernel here it runs on the calling thread;
+//!   parallelism lives one level up, across batch shards.
 //! * [`elementwise`] — vectorized order-safe elementwise kernels (ReLU
 //!   forward/backward/in place, bias broadcast, axpy/scale, residual add)
 //!   used by the hot layers and `Tensor` operations.
 //! * `window` (crate-internal) — per-layer window tables over a zero-padded
-//!   input, so no convolution forward materialises an im2col matrix: the
-//!   standard convolution keeps its weights as output-channel-lane panels
-//!   and broadcasts activations through the table, in f32 and — its filters
-//!   as Q8 tap-pair panels, its input quantized once per layer — in int8
-//!   ([`simd`] holds both tile kernels); the depthwise convolution is a
-//!   direct stencil over the padded input's grid of window origins.
-//! * [`im2col`](fn@im2col) / [`col2im`] — the materialised
-//!   convolution-to-GEMM lowering (convolution backward only), whose row
-//!   order is the naive loop's `ic -> ky -> kx` tap order — the order the
-//!   window tables reproduce.
+//!   input, so no convolution materialises an im2col matrix: the standard
+//!   convolution keeps its weights as output-channel-lane panels and
+//!   broadcasts activations through the table, in f32 and — its filters as
+//!   Q8 tap-pair panels, its input quantized once per layer — in int8; its
+//!   backward runs the same tile kernel with the table's roles swapped for
+//!   the weight gradient, and scatters the input gradient's columns
+//!   tap-major through the table; the depthwise convolution is a direct
+//!   stencil over the padded input's grid of window origins.
+//! * [`im2col`](fn@im2col) — the materialised convolution-to-GEMM lowering,
+//!   whose row order is the naive loop's `ic -> ky -> kx` tap order — the
+//!   order the window tables reproduce. No layer runs it; the lowering
+//!   suites build their references from it.
 //! * [`KernelScratch`] / [`GrowBuf`] — high-water-mark scratch buffers so
 //!   steady-state inference performs **zero** heap allocations for padded
 //!   images and GEMM packing panels (observable via [`scratch_stats`]).
@@ -53,13 +58,13 @@
 //!   dimension; convolution bias seeded first), and multiplication and
 //!   addition stay separate roundings — no kernel fuses them, whatever the
 //!   host offers. Forward passes are therefore bit-identical to the
-//!   original naive loops — across blocking choices, problem sizes, thread
+//!   original naive loops — across tile shapes, problem sizes, thread
 //!   counts and ISA backends — which the equivalence suites in this module
 //!   and `layers::conv` pin down against the retained [`naive`] references.
 //!   The one documented exception is the convolution *input* gradient,
-//!   where GEMM lowering sums over output channels before scattering (the
-//!   naive loop interleaved them); it is numerically equivalent and covered
-//!   by gradient checks rather than bit-equality.
+//!   which sums over output channels before scattering (the naive loop
+//!   interleaved them); it is pinned bit for bit against the GEMM lowering
+//!   whose order it keeps, and to a tolerance against the naive loop.
 //! * **Quantized path —
 //!   [`QuantizedTolerance`](NumericContract::QuantizedTolerance).** The
 //!   Q8_0 kernels are bit-identical everywhere — on every ISA and thread
@@ -77,8 +82,8 @@ pub mod simd;
 pub mod tolerance;
 pub(crate) mod window;
 
-pub use gemm::{gemm_bias_cols, gemm_into, transpose_into, GemmInit, KC, MC, MR, NC, NR};
-pub use im2col::{col2im, im2col};
+pub use gemm::{gemm_bias_cols, gemm_into, transpose_into, GemmInit};
+pub use im2col::im2col;
 pub use quant_gemm::quant_gemm_into;
 pub use scratch::{
     stats as scratch_stats, with_thread_scratch, GrowBuf, KernelScratch, PackScratch, QuantScratch,
@@ -91,8 +96,7 @@ pub use simd::{active_isa, force_isa, supported_isas, Isa};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NumericContract {
     /// The f32 kernels: every result is bit-identical to the seed (naive
-    /// reference) implementation on every ISA, thread count and blocking
-    /// choice.
+    /// reference) implementation on every ISA, thread count and tile shape.
     BitIdenticalToSeed,
     /// The quantized (Q8_0) inference path: results are bit-identical
     /// across runs, thread counts and ISAs, but differ from the f32
@@ -144,12 +148,12 @@ mod tests {
         (0..len).map(|_| rng.uniform(-2.0, 2.0)).collect()
     }
 
-    /// Property suite: the blocked GEMM is bit-identical to the seed `i-k-j`
-    /// loop across odd shapes, including ones that exercise every edge path
-    /// (partial microkernel tiles, multiple KC slabs, the small-problem
-    /// fallback).
+    /// Property suite: the GEMM is bit-identical to the seed `i-k-j` loop
+    /// across odd shapes, including ones that exercise every edge path
+    /// (partial lane blocks, partial tiles of columns, several lane blocks,
+    /// the small-problem fallback).
     #[test]
-    fn blocked_gemm_is_bit_identical_to_naive_across_shapes() {
+    fn gemm_is_bit_identical_to_naive_across_shapes() {
         let dims = [1usize, 3, 17, 64];
         let mut rng = SeededRng::new(0x6E_44);
         let mut packs = PackScratch::new();
@@ -164,22 +168,6 @@ mod tests {
                     assert_bits_eq(&out, &expect, &format!("gemm {m}x{k}x{n}"));
                 }
             }
-        }
-    }
-
-    /// Shapes big enough to take the packed/blocked path rather than the
-    /// small-problem fallback.
-    #[test]
-    fn large_gemm_paths_match_naive_bitwise() {
-        let mut rng = SeededRng::new(0x6E_45);
-        let mut packs = PackScratch::new();
-        for &(m, k, n) in &[(96usize, 160usize, 96usize), (130, 200, 70), (65, 300, 9)] {
-            let a = random_vec(&mut rng, m * k);
-            let b = random_vec(&mut rng, k * n);
-            let expect = naive::matmul_naive(m, k, n, &a, &b);
-            let mut out = vec![f32::NAN; m * n];
-            gemm_into(m, k, n, &a, &b, GemmInit::Zero, &mut out, &mut packs);
-            assert_bits_eq(&out, &expect, &format!("large gemm {m}x{k}x{n}"));
         }
     }
 
@@ -205,7 +193,7 @@ mod tests {
         }
     }
 
-    /// The SIMD microkernels are bit-identical to the naive loop on every
+    /// The tile kernel is bit-identical to the naive loop on every
     /// dispatchable ISA (scalar, SSE2, AVX2, AVX-512 where supported) and on
     /// the dispatched default, over remainder-heavy shapes that exercise
     /// partial tiles on every edge.
@@ -236,7 +224,10 @@ mod tests {
     }
 
     /// Runs every shape under every supported ISA and every [`GemmInit`]
-    /// mode against the naive `i-k-j` accumulation, bit for bit.
+    /// mode against the naive `i-k-j` accumulation, bit for bit: `Zero`
+    /// into a NaN-filled output, `Accumulate` extending an existing one in
+    /// `p` order (the gradient convention), `RowBias` seeding each row before
+    /// the products (the convolution-forward one).
     fn check_shapes_across_isas_and_inits(shapes: &[(usize, usize, usize)], rng_seed: u64) {
         let _lock = simd::isa_override_test_lock();
         let mut rng = SeededRng::new(rng_seed);
@@ -281,27 +272,50 @@ mod tests {
         }
     }
 
-    /// Shapes large enough for the blocked/packed path (multiple `KC` slabs,
-    /// paired AVX-512 strips, ragged microkernel edges) stay bit-identical
-    /// to the naive loop on every ISA, for every [`GemmInit`] mode.
+    /// Deep shapes (hundreds of steps per tile, several lane blocks, ragged
+    /// tiles on both edges) and small ones on either side of the `i-k-j`
+    /// rule stay bit-identical to the naive loop on every ISA, for every
+    /// [`GemmInit`] mode.
     #[test]
-    fn simd_blocked_paths_bit_identical_across_isas() {
+    fn gemm_deep_shapes_bit_identical_across_isas() {
         check_shapes_across_isas_and_inits(
-            &[(96, 160, 96), (130, 200, 70), (37, 300, 33)],
+            &[
+                (96, 160, 96),
+                (130, 200, 70),
+                (37, 300, 33),
+                (65, 300, 9),
+                (80, 140, 33),
+                (70, 150, 40),
+                (5, 9, 11),
+                (3, 17, 5),
+            ],
             0x51_4E,
         );
     }
 
-    /// The blocked kernel's edge tiles at the shapes that reach them: every
-    /// convolution GEMM the big and little nets issue above
-    /// `SMALL_PROBLEM_MACS` (`n = 9`: every tile is an edge tile; `n = 36`:
-    /// a 4-column tail; `m = 40, 12`: no paired strip for the last rows),
-    /// then `m % MR != 0` against `n` in `{1, 9, 15, 17, 36}` with `k > KC`
-    /// so partial tiles are reloaded and re-stored across slabs (and
-    /// `m > MC` once, for a second macro-block), then the little net's
-    /// pointwise convolutions, small problems that still fill a strip.
+    /// Every backend's rows per tile (12, 6, 2 and 4 columns of the output)
+    /// and a lane block (16 rows) both ragged, under all three [`GemmInit`]
+    /// modes: `m` one short of, equal to and one past a lane block, and past
+    /// two; `n` one short of, equal to and one past the AVX-512 tile.
     #[test]
-    fn blocked_edge_tiles_match_reference_on_every_isa() {
+    fn gemm_ragged_tiles_match_reference_under_every_init() {
+        let mut shapes = Vec::new();
+        for m in [15, 16, 17, 33] {
+            for n in [11, 12, 13] {
+                shapes.extend([(m, 5, n), (m, 40, n)]);
+            }
+        }
+        check_shapes_across_isas_and_inits(&shapes, 0x51_50);
+    }
+
+    /// The tile kernel's edge tiles at the shapes that reach them: every
+    /// convolution GEMM the big and little nets' im2col lowerings issued
+    /// (`n = 9`: a ragged last tile on every backend; `m = 40, 24, 12, 8`:
+    /// partial lane blocks), then `m % 16 != 0` against `n` in `{1,
+    /// 9, 15, 17, 36}` with hundreds of steps, then the little net's
+    /// pointwise convolutions, small problems that still pack.
+    #[test]
+    fn gemm_edge_tiles_match_reference_on_every_isa() {
         check_shapes_across_isas_and_inits(
             &[
                 (40, 360, 9),
@@ -331,10 +345,11 @@ mod tests {
     /// reach an output element whose own row of A and column of B are
     /// finite.
     #[test]
-    fn edge_tile_padding_never_leaks_into_stored_output() {
+    fn gemm_edge_padding_never_leaks_into_stored_output() {
         let _lock = simd::isa_override_test_lock();
-        // Rows 8 (a one-row bottom strip) and 2, columns 20 (the 5-column
-        // tail tile) and 3 carry the specials.
+        // Rows 8 (the last of a partial lane block) and 2, columns 20 (the
+        // last, in every backend's ragged last tile) and 3 carry the
+        // specials.
         let (m, k, n) = (9usize, 200usize, 21usize);
         let mut rng = SeededRng::new(0x1EA4);
         let mut a = random_vec(&mut rng, m * k);
@@ -366,69 +381,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    /// `Accumulate` keeps the existing output and adds products in `p` order
-    /// — the weight-gradient convention.
-    #[test]
-    fn accumulate_mode_extends_existing_output() {
-        let mut rng = SeededRng::new(0xAC_C0);
-        let mut packs = PackScratch::new();
-        for &(m, k, n) in &[(5usize, 9usize, 11usize), (70, 150, 40)] {
-            let a = random_vec(&mut rng, m * k);
-            let b = random_vec(&mut rng, k * n);
-            let seed_out = random_vec(&mut rng, m * n);
-            // Reference: start from seed_out, accumulate naive i-k-j order.
-            let mut expect = seed_out.clone();
-            for i in 0..m {
-                for p in 0..k {
-                    let av = a[i * k + p];
-                    for j in 0..n {
-                        expect[i * n + j] += av * b[p * n + j];
-                    }
-                }
-            }
-            let mut out = seed_out.clone();
-            gemm_into(m, k, n, &a, &b, GemmInit::Accumulate, &mut out, &mut packs);
-            assert_bits_eq(&out, &expect, &format!("accumulate {m}x{k}x{n}"));
-        }
-    }
-
-    /// `RowBias` seeds each row's accumulator before the products — the
-    /// convolution-forward convention.
-    #[test]
-    fn row_bias_mode_seeds_accumulators_first() {
-        let mut rng = SeededRng::new(0xB1_A5);
-        let mut packs = PackScratch::new();
-        for &(m, k, n) in &[(3usize, 17usize, 5usize), (80, 140, 33)] {
-            let a = random_vec(&mut rng, m * k);
-            let b = random_vec(&mut rng, k * n);
-            let bias = random_vec(&mut rng, m);
-            let mut expect = vec![0.0f32; m * n];
-            for i in 0..m {
-                for j in 0..n {
-                    expect[i * n + j] = bias[i];
-                }
-                for p in 0..k {
-                    let av = a[i * k + p];
-                    for j in 0..n {
-                        expect[i * n + j] += av * b[p * n + j];
-                    }
-                }
-            }
-            let mut out = vec![f32::NAN; m * n];
-            gemm_into(
-                m,
-                k,
-                n,
-                &a,
-                &b,
-                GemmInit::RowBias(&bias),
-                &mut out,
-                &mut packs,
-            );
-            assert_bits_eq(&out, &expect, &format!("row bias {m}x{k}x{n}"));
         }
     }
 
@@ -476,7 +428,7 @@ mod tests {
 
     /// "A concurrently flipped override can change speed, never results": a
     /// second thread cycles [`force_isa`] over every backend while this one
-    /// runs a blocked-shape GEMM, a convolution layer and an axpy, each
+    /// runs a tiled GEMM, a convolution layer and an axpy, each
     /// compared bit for bit with its naive reference. Every round waits for
     /// a flip it has not seen, so the rounds cover every backend even where
     /// the two threads share a core.

@@ -1,8 +1,8 @@
 //! Retained naive reference kernels.
 //!
-//! These are verbatim ports of the seed implementations that the blocked
-//! GEMM and the im2col-lowered convolutions replaced. They are kept (and
-//! exported) for two reasons:
+//! These are verbatim ports of the seed implementations that the tiled GEMM
+//! and the window-table convolutions replaced. They are kept (and exported)
+//! for two reasons:
 //!
 //! 1. **Equivalence testing.** The optimized kernels promise bit-identical
 //!    results (see [`super::numeric_contract`]); the property suites in
@@ -10,7 +10,7 @@
 //!    over many seeded shapes.
 //! 2. **Benchmark baselines.** The repository benchmark's
 //!    `kernels.gemm.vs_naive` metric (`benchmark/src/probes.rs`) times the
-//!    blocked GEMM against [`matmul_naive`] so the speedup claim stays
+//!    GEMM against [`matmul_naive`] so the speedup claim stays
 //!    verifiable on any machine.
 //!
 //! Nothing on a hot path runs a kernel from this module; [`conv_out`], the
@@ -20,7 +20,7 @@
 ///
 /// `i-k-j` order: for each output element, products are accumulated in
 /// ascending inner-dimension order. For finite inputs the sparsity skip is
-/// bit-equivalent to accumulating the zero product, which is why the blocked
+/// bit-equivalent to accumulating the zero product, which is why the tiled
 /// kernel can drop it.
 pub fn matmul_naive(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
     assert_eq!(a.len(), m * k, "matmul_naive: A must be m*k");

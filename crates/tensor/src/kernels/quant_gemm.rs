@@ -258,7 +258,7 @@ mod tests {
                 }
             }
         }
-        // Blocked shapes: multiple KC slabs / several blocks per row.
+        // Deeper shapes: several Q8 blocks per row, the last one partial.
         shapes.push((64, 160, 48));
         shapes.push((33, 257, 17));
         for (m, k, n) in shapes {

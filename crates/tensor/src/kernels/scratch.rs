@@ -1,12 +1,13 @@
 //! Reusable scratch buffers for the compute kernels.
 //!
 //! Every GEMM call needs packing panels and every convolution needs a
-//! zero-padded copy of its input (or, on the backward path, an im2col
-//! buffer). Allocating those per call would put a heap allocation on
-//! the serving engine's per-request hot path, so kernels draw them from a
-//! [`KernelScratch`] arena instead: each buffer grows to its high-water mark
-//! once and is reused (dirty) afterwards. Callers are responsible for fully
-//! overwriting the slice they request — every kernel in this module does.
+//! zero-padded copy of its input (and, on the backward path, its gradient's
+//! panels and columns). Allocating those per call would put a heap
+//! allocation on the serving engine's per-request hot path, so kernels draw
+//! them from a [`KernelScratch`] arena instead: each buffer grows to its
+//! high-water mark once and is reused (dirty) afterwards. Callers are
+//! responsible for fully overwriting the slice they request — every kernel
+//! in this module does.
 //!
 //! Arenas live per thread ([`with_thread_scratch`]): kernels run on the
 //! thread that calls them, and long-lived threads — the serving engine's
@@ -105,7 +106,8 @@ pub(crate) fn count_window_table_built() {
 /// A grow-only buffer with high-water-mark reuse: `f32` by default, `i8` for
 /// the activations the quantized kernels quantize on the fly (see
 /// [`crate::kernels::quant_gemm`]), `i32` for the Q8 convolution's tile rows
-/// of tap-pair words. Every element type bumps the same process-wide counters.
+/// of tap-pair words, `u32` for a GEMM's window table. Every element type
+/// bumps the same process-wide counters.
 ///
 /// [`GrowBuf::take`] returns a slice of the requested length, growing the
 /// backing storage only when the request exceeds everything seen before.
@@ -187,13 +189,15 @@ impl QuantScratch {
     }
 }
 
-/// Packing panels used inside the blocked GEMM (see [`crate::kernels::gemm`]).
+/// What the tile kernel needs beside its operands (see
+/// [`crate::kernels::gemm`]).
 #[derive(Debug, Default, Clone)]
 pub struct PackScratch {
-    /// Packed A panel: `MR`-row strips, `[tiles][kc][MR]`.
+    /// A GEMM's A operand (or a convolution's output gradient) as lane
+    /// panels, `[16-row block][k][16]`.
     pub a: GrowBuf,
-    /// Packed B panel: `NR`-column strips, `[tiles][kc][NR]`.
-    pub b: GrowBuf,
+    /// A GEMM's window table over B: `taps[p] = p * n`, then `offs[j] = j`.
+    pub(crate) table: GrowBuf<u32>,
 }
 
 impl PackScratch {
@@ -206,13 +210,12 @@ impl PackScratch {
 /// The full scratch arena a kernel-lowered pass draws from between calls.
 ///
 /// Conv layers use `xpad` for the zero-padded input their window table
-/// indexes (and `grad_pad` for its gradient twin in the depthwise backward);
+/// indexes (and `grad_pad` for its gradient twin in the backward passes);
 /// the depthwise forward accumulates over `grid`, the Q8 forward quantizes
-/// into `quant`. No forward materialises the lowering any more: `cols` (the
-/// im2col matrix), `cols_t` (its transpose, for the weight-gradient GEMM),
-/// `grad_cols` (the column-space input gradient), `weight_t` (the transposed
-/// weight) and the GEMM `packs` serve `Conv2d::backward` alone. Arenas
-/// are retained per thread (see [`with_thread_scratch`]) — layers and model
+/// into `quant`. `grad_cols` (the column-space input gradient) and
+/// `weight_t` (the filters' transpose as lane panels) serve
+/// `Conv2d::backward` alone; `packs` serves it and every GEMM. Arenas are
+/// retained per thread (see [`with_thread_scratch`]) — layers and model
 /// replicas carry no scratch of their own, so replicating a model onto a
 /// persistent pool worker automatically shares that worker's warmed-up
 /// buffers.
@@ -225,15 +228,12 @@ pub struct KernelScratch {
     /// One depthwise channel's accumulators over the stride-1 grid of window
     /// origins, `[(oh - 1) * stride * (w + 2p) + (ow - 1) * stride + 1]`.
     pub(crate) grid: GrowBuf,
-    /// im2col matrix, `[c*k*k, oh*ow]`.
-    pub cols: GrowBuf,
-    /// Transposed im2col matrix, `[oh*ow, c*k*k]`.
-    pub cols_t: GrowBuf,
     /// Column-space gradient, `[c*k*k, oh*ow]`.
     pub grad_cols: GrowBuf,
-    /// Transposed weight matrix, `[c*k*k, out_c]`.
+    /// The filters' transpose as lane panels, `[16-tap block][out_c][16]`,
+    /// packed once per `Conv2d::backward` call.
     pub weight_t: GrowBuf,
-    /// GEMM packing panels.
+    /// The tile kernel's panels and GEMM window table.
     pub packs: PackScratch,
     /// Quantized-kernel arenas (int8 activations, Q8 convolution rows).
     pub quant: QuantScratch,
@@ -307,11 +307,11 @@ mod tests {
     #[test]
     fn thread_scratch_is_reentrant_across_calls() {
         let cap = with_thread_scratch(|s| {
-            let _ = s.cols.take(32);
-            s.cols.capacity()
+            let _ = s.grad_cols.take(32);
+            s.grad_cols.capacity()
         });
         assert!(cap >= 32);
-        let cap2 = with_thread_scratch(|s| s.cols.capacity());
+        let cap2 = with_thread_scratch(|s| s.grad_cols.capacity());
         assert!(cap2 >= 32, "thread scratch persists between calls");
     }
 
@@ -320,9 +320,9 @@ mod tests {
         // A nested call gets a second arena rather than panicking on a
         // RefCell double borrow.
         with_thread_scratch(|outer| {
-            let _ = outer.cols.take(16);
+            let _ = outer.grad_cols.take(16);
             with_thread_scratch(|inner| {
-                let _ = inner.cols.take(16);
+                let _ = inner.grad_cols.take(16);
             });
         });
     }

@@ -1,19 +1,23 @@
-//! Explicit-SIMD backend: runtime ISA detection, the vectorized GEMM
-//! microkernels and the convolution tile kernel.
+//! Explicit-SIMD backend: runtime ISA detection and the one f32 tile kernel.
 //!
-//! The autovectorized microkernel from the blocked-GEMM layer is at the mercy
-//! of the compiler's loop vectorizer (and of whatever `-C target-cpu` the
-//! binary was built with). This module takes that out of the compiler's
-//! hands: a small portable `f32x8` abstraction (the `F32x8` trait) with SSE2 and AVX2
-//! implementations, an AVX-512 widened microkernel, and a cached runtime
+//! An autovectorized kernel is at the mercy of the compiler's loop vectorizer
+//! (and of whatever `-C target-cpu` the binary was built with). This module
+//! takes that out of the compiler's hands: a small portable `f32x8`
+//! abstraction (the `F32x8` trait) with SSE2 and AVX2 implementations, a
+//! 16-lane one with an AVX-512 implementation, and a cached runtime
 //! CPU-feature dispatch ([`active_isa`]) that picks the widest instruction
 //! set the host actually supports — independent of how the binary was
-//! compiled. The standard convolution's forward (`conv_forward`) is here
-//! too: one inner loop (`conv_tile`) over sixteen output channels per vector
-//! row, instantiated per backend with as many output positions per tile as
-//! its register file holds. Its Q8_0 twin (`q8_conv_forward`) runs the same
-//! tiles with exact integer block dots (`q8_tile`) and hands them to the same
-//! tile store.
+//! compiled.
+//!
+//! Every f32 multiply-accumulate of the crate runs on one inner loop
+//! (`conv_tile`): sixteen output lanes per vector row, as many rows per tile
+//! as the backend's register file holds, the weight row one vector load and
+//! the activation a scalar broadcast addressed through a window table
+//! (`conv_tiles`). A convolution forward, a GEMM (`kernels/gemm.rs`) and both
+//! halves of the convolution backward (`kernels/window.rs`) differ only in
+//! the panels, the table and the seed they hand it. The Q8_0 convolution
+//! (`q8_conv_forward`) runs the same tiles with exact integer block dots
+//! (`q8_tile`) and hands them to the same tile store.
 //!
 //! # Determinism contract
 //!
@@ -42,7 +46,7 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-use super::gemm::{MR, NR};
+use super::gemm::GemmInit;
 use super::scratch::GrowBuf;
 use crate::quant::{quantize_row_into, QK8_0};
 
@@ -56,7 +60,7 @@ pub enum Isa {
     Sse2,
     /// 256-bit AVX2 vectors.
     Avx2,
-    /// 512-bit AVX-512F vectors (widened `8 x 16` GEMM microkernel).
+    /// 512-bit AVX-512F vectors (a twelve-row tile of one `zmm` per row).
     Avx512,
 }
 
@@ -164,13 +168,6 @@ pub fn supported_isas() -> Vec<Isa> {
         .collect()
 }
 
-/// `true` when the active ISA has the widened `2*MR x NR` paired-strip GEMM
-/// microkernel (AVX-512: eight 16-lane accumulator chains saturate both
-/// 512-bit vector ports, which the `MR x NR` tile alone cannot).
-pub(crate) fn has_paired_microkernel(isa: Isa) -> bool {
-    cfg!(target_arch = "x86_64") && isa == Isa::Avx512
-}
-
 // ---------------------------------------------------------------------------
 // The portable 8-lane vector abstraction.
 // ---------------------------------------------------------------------------
@@ -229,8 +226,9 @@ const CONV_ROWS_AVX512: usize = 12;
 const CONV_ROWS_AVX2: usize = 6;
 #[cfg(target_arch = "x86_64")]
 const CONV_ROWS_SSE2: usize = 2;
-/// The scalar tile's rows, those of the scalar GEMM microkernel.
-const CONV_ROWS_SCALAR: usize = MR;
+/// The scalar tile's rows: few enough that the autovectorizer keeps the
+/// `4 x 16` accumulators in registers.
+const CONV_ROWS_SCALAR: usize = 4;
 
 /// [`OC_LANES`] `f32` lanes — one accumulator row of the convolution tile —
 /// with the one arithmetic step its inner loop takes.
@@ -261,11 +259,11 @@ pub(crate) trait Lanes16: Copy {
     fn mul_acc(self, w: Self, x: f32) -> Self;
 }
 
-/// The convolution tile's one inner loop, for every vector backend: `R`
-/// output positions by [`OC_LANES`] output channels,
-/// `acc[r][lane] = seed[lane]; for p ascending: acc[r][lane] += w[p][lane] *
-/// x[taps[p] + offs[r]]` — the weight row one vector load, the activation a
-/// scalar broadcast addressed through the window table. Lanes and rows are
+/// The tile's one inner loop, for every vector backend: `R` rows (output
+/// positions) by [`OC_LANES`] lanes (output channels), `acc[r][lane] =
+/// seeds[r][lane]; for p ascending: acc[r][lane] += w[p][lane] * x[taps[p] +
+/// offs[r]]` — the weight row one vector load, the activation a scalar
+/// broadcast addressed through the window table. Lanes and rows are
 /// independent output elements, so per element this is the scalar
 /// reference's operation sequence.
 ///
@@ -278,14 +276,17 @@ pub(crate) trait Lanes16: Copy {
 #[inline(always)]
 unsafe fn conv_tile<V: Lanes16, const R: usize>(
     w: &[f32],
-    seed: &[f32; OC_LANES],
     taps: &[u32],
     offs: &[usize; R],
     x: &[f32],
+    seeds: &[[f32; OC_LANES]; R],
     acc: &mut [[f32; OC_LANES]; R],
 ) {
     debug_assert!(w.len() >= taps.len() * OC_LANES);
-    let mut c = [V::load(seed.as_ptr()); R];
+    let mut c = [V::load(seeds[0].as_ptr()); R];
+    for (cr, row) in c.iter_mut().zip(seeds) {
+        *cr = V::load(row.as_ptr());
+    }
     let mut wp = w.as_ptr();
     for &tap in taps {
         let wv = V::load(wp);
@@ -398,7 +399,7 @@ unsafe fn q8_tile<V: DotLanes16, const R: usize>(
 mod x86 {
     use super::{
         conv_tile, q8_tile, DotLanes16, F32x8, Lanes16, CONV_ROWS_AVX2, CONV_ROWS_AVX512,
-        CONV_ROWS_SSE2, MR, NR, OC_LANES,
+        CONV_ROWS_SSE2, OC_LANES,
     };
     use crate::quant::{BlockQ8_0, QK8_0};
     use std::arch::x86_64::*;
@@ -569,126 +570,6 @@ mod x86 {
         }
     }
 
-    /// The generic `MR x NR` microkernel inner loop over a packed A strip and
-    /// B strip: `acc[r][c] += a[p][r] * b[p][c]` for every `p` in ascending
-    /// order, with the whole accumulator tile held in `MR * NR / 8` vector
-    /// registers. Lanes are independent output elements, so this is
-    /// bit-identical to the scalar loop.
-    ///
-    /// # Safety
-    ///
-    /// Caller must guarantee `V`'s CPU feature is active and the slice
-    /// layout invariants of the packed panels (`a_tile.len() >= kc * MR`,
-    /// `b_tile.len() >= kc * NR`).
-    #[inline(always)]
-    unsafe fn microkernel_4x16<V: F32x8>(
-        kc: usize,
-        a_tile: &[f32],
-        b_tile: &[f32],
-        acc: &mut [[f32; NR]; MR],
-    ) {
-        debug_assert!(a_tile.len() >= kc * MR && b_tile.len() >= kc * NR);
-        let mut c: [[V; 2]; MR] = [[V::splat(0.0); 2]; MR];
-        for (r, row) in acc.iter().enumerate() {
-            c[r][0] = V::load(row.as_ptr());
-            c[r][1] = V::load(row.as_ptr().add(8));
-        }
-        let a = a_tile.as_ptr();
-        let b = b_tile.as_ptr();
-        for p in 0..kc {
-            let b0 = V::load(b.add(p * NR));
-            let b1 = V::load(b.add(p * NR + 8));
-            for (r, cr) in c.iter_mut().enumerate() {
-                let av = V::splat(*a.add(p * MR + r));
-                cr[0] = cr[0].add(av.mul(b0));
-                cr[1] = cr[1].add(av.mul(b1));
-            }
-        }
-        for (r, row) in acc.iter_mut().enumerate() {
-            c[r][0].store(row.as_mut_ptr());
-            c[r][1].store(row.as_mut_ptr().add(8));
-        }
-    }
-
-    /// SSE2 instantiation of the `MR x NR` microkernel loop.
-    ///
-    /// # Safety
-    ///
-    /// Host must support SSE2 (always true on `x86_64`); packed-panel layout
-    /// invariants as in [`microkernel_4x16`].
-    #[target_feature(enable = "sse2")]
-    pub(crate) unsafe fn microkernel_4x16_sse2(
-        kc: usize,
-        a_tile: &[f32],
-        b_tile: &[f32],
-        acc: &mut [[f32; NR]; MR],
-    ) {
-        microkernel_4x16::<Sse2V>(kc, a_tile, b_tile, acc);
-    }
-
-    /// AVX2 instantiation of the `MR x NR` microkernel loop.
-    ///
-    /// # Safety
-    ///
-    /// Host must support AVX2; packed-panel layout invariants as in
-    /// [`microkernel_4x16`].
-    #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn microkernel_4x16_avx2(
-        kc: usize,
-        a_tile: &[f32],
-        b_tile: &[f32],
-        acc: &mut [[f32; NR]; MR],
-    ) {
-        microkernel_4x16::<Avx2V>(kc, a_tile, b_tile, acc);
-    }
-
-    /// AVX-512 paired-strip microkernel: two vertically adjacent `MR`-row A
-    /// strips against one `NR`-column B strip, i.e. a `2*MR x NR` tile with
-    /// one 16-lane `zmm` accumulator per row. Eight independent
-    /// multiply-then-add chains keep both 512-bit vector ports busy despite
-    /// the 4-cycle add latency the ordered accumulation imposes.
-    ///
-    /// Per element this is still `acc += a[p] * b[p]` in ascending `p` order
-    /// — bit-identical to the scalar kernel.
-    ///
-    /// # Safety
-    ///
-    /// Host must support AVX-512F; `a_lo`/`a_hi` must each hold `kc * MR`
-    /// packed values and `b_tile` must hold `kc * NR`.
-    #[target_feature(enable = "avx512f")]
-    #[allow(clippy::needless_range_loop)] // indices mirror the zmm register layout
-    pub(crate) unsafe fn microkernel_8x16_avx512(
-        kc: usize,
-        a_lo: &[f32],
-        a_hi: &[f32],
-        b_tile: &[f32],
-        acc: &mut [[f32; NR]; 2 * MR],
-    ) {
-        debug_assert!(a_lo.len() >= kc * MR && a_hi.len() >= kc * MR);
-        debug_assert!(b_tile.len() >= kc * NR);
-        let mut c: [__m512; 2 * MR] = [_mm512_setzero_ps(); 2 * MR];
-        for (r, row) in acc.iter().enumerate() {
-            c[r] = _mm512_loadu_ps(row.as_ptr());
-        }
-        let alo = a_lo.as_ptr();
-        let ahi = a_hi.as_ptr();
-        let b = b_tile.as_ptr();
-        for p in 0..kc {
-            let bv = _mm512_loadu_ps(b.add(p * NR));
-            for r in 0..MR {
-                let av = _mm512_set1_ps(*alo.add(p * MR + r));
-                c[r] = _mm512_add_ps(c[r], _mm512_mul_ps(av, bv));
-            }
-            for r in 0..MR {
-                let av = _mm512_set1_ps(*ahi.add(p * MR + r));
-                c[MR + r] = _mm512_add_ps(c[MR + r], _mm512_mul_ps(av, bv));
-            }
-        }
-        for (r, row) in acc.iter_mut().enumerate() {
-            _mm512_storeu_ps(row.as_mut_ptr(), c[r]);
-        }
-    }
-
     /// Two 8-lane vectors as one output-channel block: the SSE2 and AVX2
     /// backends of the convolution kernel.
     #[derive(Clone, Copy)]
@@ -743,13 +624,13 @@ mod x86 {
     #[target_feature(enable = "sse2")]
     pub(crate) unsafe fn conv_tile_sse2(
         w: &[f32],
-        seed: &[f32; OC_LANES],
         taps: &[u32],
         offs: &[usize; CONV_ROWS_SSE2],
         x: &[f32],
+        seeds: &[[f32; OC_LANES]; CONV_ROWS_SSE2],
         acc: &mut [[f32; OC_LANES]; CONV_ROWS_SSE2],
     ) {
-        conv_tile::<Pair<Sse2V>, CONV_ROWS_SSE2>(w, seed, taps, offs, x, acc);
+        conv_tile::<Pair<Sse2V>, CONV_ROWS_SSE2>(w, taps, offs, x, seeds, acc);
     }
 
     /// AVX2 instantiation of the convolution tile ([`conv_tile`]).
@@ -761,13 +642,13 @@ mod x86 {
     #[target_feature(enable = "avx2")]
     pub(crate) unsafe fn conv_tile_avx2(
         w: &[f32],
-        seed: &[f32; OC_LANES],
         taps: &[u32],
         offs: &[usize; CONV_ROWS_AVX2],
         x: &[f32],
+        seeds: &[[f32; OC_LANES]; CONV_ROWS_AVX2],
         acc: &mut [[f32; OC_LANES]; CONV_ROWS_AVX2],
     ) {
-        conv_tile::<Pair<Avx2V>, CONV_ROWS_AVX2>(w, seed, taps, offs, x, acc);
+        conv_tile::<Pair<Avx2V>, CONV_ROWS_AVX2>(w, taps, offs, x, seeds, acc);
     }
 
     /// AVX-512 instantiation of the convolution tile ([`conv_tile`]): one
@@ -781,13 +662,13 @@ mod x86 {
     #[target_feature(enable = "avx512f")]
     pub(crate) unsafe fn conv_tile_avx512(
         w: &[f32],
-        seed: &[f32; OC_LANES],
         taps: &[u32],
         offs: &[usize; CONV_ROWS_AVX512],
         x: &[f32],
+        seeds: &[[f32; OC_LANES]; CONV_ROWS_AVX512],
         acc: &mut [[f32; OC_LANES]; CONV_ROWS_AVX512],
     ) {
-        conv_tile::<Avx512V, CONV_ROWS_AVX512>(w, seed, taps, offs, x, acc);
+        conv_tile::<Avx512V, CONV_ROWS_AVX512>(w, taps, offs, x, seeds, acc);
     }
 
     /// Four SSE2 `__m128i` as one block of sixteen `i32` dots.
@@ -961,141 +842,33 @@ mod x86 {
 pub(crate) use x86::{Avx2V, Sse2V};
 
 // ---------------------------------------------------------------------------
-// Scalar microkernel (the reference) and the safe dispatchers the blocked
-// GEMM driver calls.
+// The tile kernel: output lanes on the vector lanes, activations broadcast
+// through a window table.
 // ---------------------------------------------------------------------------
 
-/// The scalar (autovectorized) `MR x NR` microkernel loop — the
-/// `Isa::Scalar` backend and the reference every SIMD backend must match
-/// bit-for-bit. Kept as its own compilation unit (`inline(never)`) so the
-/// loop vectorizer reliably promotes the whole accumulator tile into SIMD
-/// registers; one call per tile per slab is amortized over `kc * MR * NR`
-/// multiply-accumulates.
-#[inline(never)]
-fn microkernel_4x16_scalar(kc: usize, a_tile: &[f32], b_tile: &[f32], acc: &mut [[f32; NR]; MR]) {
-    let mut tile = *acc;
-    // Eight `p` steps per iteration to amortize loop overhead; the steps stay
-    // strictly sequential per accumulator, preserving accumulation order.
-    const U: usize = 8;
-    let quads = kc / U;
-    for (ap, bp) in a_tile[..quads * U * MR]
-        .chunks_exact(U * MR)
-        .zip(b_tile[..quads * U * NR].chunks_exact(U * NR))
-    {
-        for u in 0..U {
-            scalar_micro_step(
-                &mut tile,
-                &ap[u * MR..(u + 1) * MR],
-                &bp[u * NR..(u + 1) * NR],
-            );
-        }
-    }
-    for p in quads * U..kc {
-        scalar_micro_step(
-            &mut tile,
-            &a_tile[p * MR..(p + 1) * MR],
-            &b_tile[p * NR..(p + 1) * NR],
-        );
-    }
-    *acc = tile;
-}
-
-/// One `p` step of the scalar microkernel: `tile[r][c] += a[r] * b[c]`.
-#[inline(always)]
-fn scalar_micro_step(tile: &mut [[f32; NR]; MR], ap: &[f32], bp: &[f32]) {
-    let ap: &[f32; MR] = ap.try_into().expect("MR-sized A strip");
-    let bp: &[f32; NR] = bp.try_into().expect("NR-sized B strip");
-    for (r, acc_row) in tile.iter_mut().enumerate() {
-        let av = ap[r];
-        for c in 0..NR {
-            acc_row[c] += av * bp[c];
-        }
-    }
-}
-
-/// Runs the `MR x NR` microkernel inner loop on the backend for `isa`:
-/// `acc[r][c] += a_tile[p*MR+r] * b_tile[p*NR+c]` for every `p` ascending.
-/// All backends are bit-identical.
-///
-/// # Panics
-///
-/// Debug-asserts that the packed panels hold at least `kc` steps.
-pub(crate) fn microkernel_4x16(
-    isa: Isa,
-    kc: usize,
-    a_tile: &[f32],
-    b_tile: &[f32],
-    acc: &mut [[f32; NR]; MR],
-) {
-    debug_assert!(a_tile.len() >= kc * MR && b_tile.len() >= kc * NR);
-    match isa {
-        Isa::Scalar => microkernel_4x16_scalar(kc, a_tile, b_tile, acc),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `isa` comes from `active_isa`, which only reports CPU
-        // features the host has, and the panel sizes are asserted above.
-        Isa::Sse2 => unsafe { x86::microkernel_4x16_sse2(kc, a_tile, b_tile, acc) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above; AVX-512 hosts always have AVX2 (odd strips on
-        // the paired path land here).
-        Isa::Avx2 | Isa::Avx512 => unsafe { x86::microkernel_4x16_avx2(kc, a_tile, b_tile, acc) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => microkernel_4x16_scalar(kc, a_tile, b_tile, acc),
-    }
-}
-
-/// Runs the widened `2*MR x NR` paired-strip microkernel. Only callable on
-/// ISAs for which [`has_paired_microkernel`] is true (AVX-512).
-///
-/// # Panics
-///
-/// Panics (via `unreachable!`) if no paired backend exists on this target.
-pub(crate) fn microkernel_8x16(
-    kc: usize,
-    a_lo: &[f32],
-    a_hi: &[f32],
-    b_tile: &[f32],
-    acc: &mut [[f32; NR]; 2 * MR],
-) {
-    debug_assert!(a_lo.len() >= kc * MR && a_hi.len() >= kc * MR);
-    debug_assert!(b_tile.len() >= kc * NR);
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: the blocked driver only takes this path when `active_isa`
-    // reported AVX-512; panel sizes are asserted above.
-    unsafe {
-        x86::microkernel_8x16_avx512(kc, a_lo, a_hi, b_tile, acc)
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    unreachable!("paired microkernel is x86_64-only");
-}
-
-// ---------------------------------------------------------------------------
-// The convolution kernel: output channels on the lanes, activations broadcast
-// through the window table.
-// ---------------------------------------------------------------------------
-
-/// One convolution tile on some backend: `acc[r][lane] = seed[lane] +
-/// Σ_p w[p * OC_LANES + lane] * x[taps[p] + offs[r]]`, `p` ascending.
+/// One tile on some backend: `acc[r][lane] = seeds[r][lane] + Σ_p w[p *
+/// OC_LANES + lane] * x[taps[p] + offs[r]]`, `p` ascending.
 type ConvTileFn<const R: usize> = unsafe fn(
     w: &[f32],
-    seed: &[f32; OC_LANES],
     taps: &[u32],
     offs: &[usize; R],
     x: &[f32],
+    seeds: &[[f32; OC_LANES]; R],
     acc: &mut [[f32; OC_LANES]; R],
 );
 
-/// The scalar (autovectorized) convolution tile — the `Isa::Scalar` backend
-/// and the reference every vector backend must match bit for bit. Plain
-/// indexing: a table entry outside the image panics instead of reading.
+/// The scalar (autovectorized) tile — the `Isa::Scalar` backend and the
+/// reference every vector backend must match bit for bit. Plain indexing: a
+/// table entry outside the image panics instead of reading.
 fn conv_tile_scalar(
     w: &[f32],
-    seed: &[f32; OC_LANES],
     taps: &[u32],
     offs: &[usize; CONV_ROWS_SCALAR],
     x: &[f32],
+    seeds: &[[f32; OC_LANES]; CONV_ROWS_SCALAR],
     acc: &mut [[f32; OC_LANES]; CONV_ROWS_SCALAR],
 ) {
-    let mut tile = [*seed; CONV_ROWS_SCALAR];
+    let mut tile = *seeds;
     for (wv, &tap) in w.chunks_exact(OC_LANES).zip(taps) {
         let xt = &x[tap as usize..];
         for (row, &o) in tile.iter_mut().zip(offs) {
@@ -1108,38 +881,45 @@ fn conv_tile_scalar(
     *acc = tile;
 }
 
-/// One sample's convolution as the kernel sees it: `out[oc][s] = bias[oc] +
-/// Σ_p weight[oc][p] * xpad[taps[p] + offs[s]]` for `bias.len()` channels and
-/// `offs.len()` output positions.
+/// One product as the tile kernel sees it: `out[lane][s] = init[lane][s] +
+/// Σ_p w[lane][p] * x[taps[p] + offs[s]]` for `lanes` output rows and
+/// `offs.len()` output positions, `p` ascending. A convolution forward has
+/// its filters on the lanes and the padded image behind the window table; a
+/// GEMM ([`super::gemm_into`]) has A's rows on the lanes and B behind the
+/// table `taps[p] = p * n`, `offs[j] = j`; the convolution's weight gradient
+/// swaps the window table's roles (`kernels/window.rs`).
 pub(crate) struct ConvOperands<'a> {
-    /// The weights as `[oc block][p][OC_LANES]` rows, lanes past the last
-    /// channel zero (`kernels/window.rs` packs them).
+    /// `w` as `[lane block][p][OC_LANES]` rows, lanes past the last one zero
+    /// (`kernels/window.rs` packs them).
     pub(crate) panels: &'a [f32],
-    /// One accumulator seed per output channel.
-    pub(crate) bias: &'a [f32],
+    /// Output rows, one per lane.
+    pub(crate) lanes: usize,
+    /// Where each output element starts: `RowBias` holds one seed per lane.
+    pub(crate) init: GemmInit<'a>,
     /// Window table: the offset of tap `p` from a receptive field's origin.
     pub(crate) taps: &'a [u32],
-    /// Window table: the origin of output position `s` in the padded image.
+    /// Window table: the origin of output position `s` in `x`.
     pub(crate) offs: &'a [u32],
-    /// The zero-padded image both tables index.
-    pub(crate) xpad: &'a [f32],
-    /// `[oc, s]` row-major.
+    /// What both tables index.
+    pub(crate) x: &'a [f32],
+    /// `[lanes, offs.len()]` row-major.
     pub(crate) out: &'a mut [f32],
 }
 
-/// One sample's convolution forward with output channels on the vector
-/// lanes, taps accumulated in ascending order from the bias.
+/// One product with its output rows on the vector lanes, taps accumulated in
+/// ascending order from the [`GemmInit`] seed.
 ///
-/// Each block of [`OC_LANES`] channels is computed a tile of positions at a
+/// Each block of [`OC_LANES`] lanes is computed a tile of positions at a
 /// time — as many as the backend for `isa` keeps in registers — with padded
 /// lanes and padded positions computed and never stored. All backends are
 /// bit-identical.
 ///
 /// # Panics
 ///
-/// Panics if `panels` or `out` does not match `bias.len()`, `taps.len()` and
-/// `offs.len()`, or if the table addresses an element outside `xpad`.
-pub(crate) fn conv_forward(isa: Isa, ops: ConvOperands<'_>) {
+/// Panics if `panels`, `out` or a `RowBias` seed does not match `lanes`,
+/// `taps.len()` and `offs.len()`, or if the table addresses an element outside
+/// `x`.
+pub(crate) fn conv_tiles(isa: Isa, ops: ConvOperands<'_>) {
     match isa {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `isa` comes from `active_isa`, which only reports CPU
@@ -1156,45 +936,52 @@ pub(crate) fn conv_forward(isa: Isa, ops: ConvOperands<'_>) {
     }
 }
 
-/// [`conv_forward`] on one backend: walks the channel blocks and, inside
-/// each, the position tiles of `R` rows, and transposes every tile's valid
-/// corner into the NCHW output ([`store_tile`]).
+/// [`conv_tiles`] on one backend: walks the lane blocks and, inside each, the
+/// position tiles of `R` rows; seeds every tile from its [`GemmInit`] — zero
+/// or the block's row biases, set once per block, or the tile's valid corner
+/// of `out` itself ([`load_tile`]) — and transposes its valid corner back
+/// into the `[lane][position]` output ([`store_tile`]).
 ///
 /// # Safety
 ///
 /// `tile` must be runnable on this host (its CPU feature available). Its
 /// other preconditions are established here: the panel length once per call,
-/// the table against the padded image once per tile.
+/// the table against `x` once per tile.
 unsafe fn conv_drive<const R: usize>(tile: ConvTileFn<R>, ops: ConvOperands<'_>) {
     let ConvOperands {
         panels,
-        bias,
+        lanes,
+        init,
         taps,
         offs,
-        xpad,
+        x,
         out,
     } = ops;
-    let (oc, s) = (bias.len(), offs.len());
+    let s = offs.len();
     let block_len = taps.len() * OC_LANES;
     assert_eq!(
         panels.len(),
-        oc.div_ceil(OC_LANES) * block_len,
-        "conv: weight panels must be [oc blocks][taps][OC_LANES]"
+        lanes.div_ceil(OC_LANES) * block_len,
+        "conv: weight panels must be [lane blocks][taps][OC_LANES]"
     );
-    assert_eq!(out.len(), oc * s, "conv: out must be oc*s");
+    assert_eq!(out.len(), lanes * s, "conv: out must be lanes*s");
+    if let GemmInit::RowBias(bias) = init {
+        assert_eq!(bias.len(), lanes, "conv: one seed per lane");
+    }
     if s == 0 {
         return;
     }
     let max_tap = taps.iter().max().map_or(0, |&t| t as usize);
+    let mut seeds = [[0.0f32; OC_LANES]; R];
     let mut acc = [[0.0f32; OC_LANES]; R];
-    for (block, (ochans, bchans)) in out
-        .chunks_mut(OC_LANES * s)
-        .zip(bias.chunks(OC_LANES))
-        .enumerate()
-    {
+    for (block, ochans) in out.chunks_mut(OC_LANES * s).enumerate() {
         let w = &panels[block * block_len..(block + 1) * block_len];
-        let mut seed = [0.0f32; OC_LANES];
-        seed[..bchans.len()].copy_from_slice(bchans);
+        if let GemmInit::RowBias(bias) = init {
+            let bchans = &bias[block * OC_LANES..lanes.min((block + 1) * OC_LANES)];
+            let mut seed = [0.0f32; OC_LANES];
+            seed[..bchans.len()].copy_from_slice(bchans);
+            seeds = [seed; R];
+        }
         for (t, group) in offs.chunks(R).enumerate() {
             // Rows past the last position re-read the tile's first window.
             let mut rows = [group[0] as usize; R];
@@ -1203,15 +990,60 @@ unsafe fn conv_drive<const R: usize>(tile: ConvTileFn<R>, ops: ConvOperands<'_>)
             }
             let max_off = rows.iter().fold(0, |m, &o| m.max(o));
             assert!(
-                taps.is_empty() || max_tap + max_off < xpad.len(),
+                taps.is_empty() || max_tap + max_off < x.len(),
                 "conv: window table reaches outside the padded image"
             );
+            if let GemmInit::Accumulate = init {
+                load_tile(&mut seeds, group.len(), ochans, s, t * R);
+            }
             // SAFETY: `w` holds `taps.len()` rows of `OC_LANES` weights
             // (sliced above) and every `taps[p] + rows[r]` is at most
-            // `max_tap + max_off`, inside `xpad` by the assert; the caller
+            // `max_tap + max_off`, inside `x` by the assert; the caller
             // vouches for the CPU feature.
-            unsafe { tile(w, &seed, taps, &rows, xpad, &mut acc) };
+            unsafe { tile(w, taps, &rows, x, &seeds, &mut acc) };
             store_tile(&acc, group.len(), ochans, s, t * R);
+        }
+    }
+}
+
+/// The mirror of [`store_tile`]: reads the valid corner of a
+/// `[position][lane]` tile from the `[lane][position]` output. Lanes and rows
+/// outside it keep whatever the previous tile left there — computed, never
+/// stored.
+fn load_tile<const R: usize>(
+    acc: &mut [[f32; OC_LANES]; R],
+    rows: usize,
+    ochans: &[f32],
+    s: usize,
+    s0: usize,
+) {
+    for (q, quad) in ochans.chunks(4 * s).enumerate() {
+        let l0 = 4 * q;
+        for r0 in (0..rows).step_by(4) {
+            let r0 = r0.min(rows.saturating_sub(4));
+            #[cfg(target_arch = "x86_64")]
+            if quad.len() == 4 * s && r0 + 4 <= rows {
+                let mut chans = quad.chunks_exact(s);
+                let src: [&[f32; 4]; 4] = std::array::from_fn(|_| {
+                    let chan = chans.next().expect("four channels");
+                    chan[s0 + r0..s0 + r0 + 4]
+                        .try_into()
+                        .expect("four positions")
+                });
+                let mut tile_rows = acc[r0..r0 + 4].iter_mut();
+                let dst: [&mut [f32; 4]; 4] = std::array::from_fn(|_| {
+                    let row = tile_rows.next().expect("four rows");
+                    (&mut row[l0..l0 + 4]).try_into().expect("four lanes")
+                });
+                // SAFETY: SSE2 is the `x86_64` baseline.
+                unsafe { x86::transpose4_sse2(src, dst) };
+                continue;
+            }
+            for (i, chan) in quad.chunks_exact(s).enumerate() {
+                for r in r0..rows.min(r0 + 4) {
+                    acc[r][l0 + i] = chan[s0 + r];
+                }
+            }
         }
     }
 }
@@ -1369,7 +1201,7 @@ pub(crate) struct Q8ConvOperands<'a> {
 /// as rows once ([`Q8Input`]); every lane block then takes exact `i32` block
 /// dots against them, combines them in `f32` — `acc += scale_b * dot_b as
 /// f32` for blocks ascending (a multiply, then an add), then `a_scale * acc +
-/// bias` — and stores the tile like [`conv_forward`]. The integer part is all
+/// bias` — and stores the tile like [`conv_tiles`]. The integer part is all
 /// a backend computes, so all backends are bit-identical, to each other and
 /// to the row dots of [`quant_row_dot`]. AVX-512 hosts take the AVX2 tile, as
 /// there.
@@ -1543,8 +1375,7 @@ fn quant_row_dot_scalar(qa: &[i8], blocks: &[crate::quant::BlockQ8_0]) -> f32 {
 /// Dot product of a quantized activation row against one reduction row of a
 /// [`crate::quant::QuantMatrix`], dispatched on `isa` (resolved once per
 /// GEMM by the caller). AVX-512 hosts use the AVX2 path — with 32-element
-/// blocks the reduction is latency-bound, not width-bound, mirroring the f32
-/// kernel's 4x16 fallback for odd strips.
+/// blocks the reduction is latency-bound, not width-bound.
 ///
 /// # Panics
 ///

@@ -13,7 +13,7 @@
 //! so no reader branches on the image edge. A [`ConvWindow`] holds the two
 //! tables (after Dukhan, *The Indirect Convolution Algorithm*,
 //! arXiv:1907.02129); it is derived layer state — built once per input shape,
-//! cloned with the layer — and has three readers:
+//! cloned with the layer — and has four readers:
 //!
 //! * the standard convolution puts **output channels on the vector lanes**
 //!   ([`ConvWindow::conv_forward`]): the layer's weights are packed once as
@@ -39,11 +39,19 @@
 //!   sixteen or thirty-two contiguous origins at a time, so every tap is a
 //!   contiguous load instead of a lookup per lane, and keeps the origins that
 //!   are outputs (`out[s] = grid[off[s]]`). The backward walks positions
-//!   through `off`.
+//!   through `off`;
+//! * the standard convolution's backward runs on the forward's tile kernel
+//!   too. The weight gradient swaps the table's roles
+//!   ([`ConvWindow::weight_grad`]): the output gradient's channels on the
+//!   lanes, the reduction over `off`, the rows over `tapoff`. The input
+//!   gradient ([`ConvWindow::input_grad`]) is a GEMM on the filters'
+//!   transpose whose columns are scattered tap-major through the table, in
+//!   the order of the lowering's column-to-image scatter.
 //!
 //! All of them accumulate taps in ascending order — the f32 ones from the
-//! bias, multiply then add: the operation sequence of a row-accumulate GEMM
-//! over the im2col matrix. A border tap contributes `w * 0.0` — not nothing —
+//! bias (the gradients from their current value, or zero), multiply then
+//! add: the operation sequence of a row-accumulate GEMM over the im2col
+//! matrix. A border tap contributes `w * 0.0` — not nothing —
 //! just as im2col's explicit zero entries do (see docs/DETERMINISM.md,
 //! "Padding taps"); quantized, it is an exact integer zero.
 //!
@@ -52,6 +60,7 @@
 //! dispatches on it, f32 and Q8: its backends are bit-identical to each other
 //! and to the scalar reference.
 
+use super::gemm::{self, GemmInit};
 use super::naive;
 use super::scratch::{self, GrowBuf, QuantScratch};
 use super::simd::{self, ConvOperands, Q8ConvOperands, Q8Input, OC_LANES};
@@ -265,17 +274,105 @@ impl ConvWindow {
             self.padded_len(),
             "conv: padded image does not match its window"
         );
-        simd::conv_forward(
+        simd::conv_tiles(
             simd::active_isa(),
             ConvOperands {
                 panels: &panels.panels,
-                bias,
+                lanes: panels.oc,
+                init: GemmInit::RowBias(bias),
                 taps: &self.tapoff,
                 offs: &self.off,
-                xpad,
+                x: xpad,
                 out,
             },
         );
+    }
+
+    /// Standard-convolution weight gradient of one sample, in the
+    /// accumulation order of the GEMM lowering it replaced: `gw[oc][p] +=
+    /// Σ_s go[oc][s] * xpad[tapoff[p] + off[s]]`, `s` ascending. This is the
+    /// forward's tile kernel with the table's roles swapped: `go`'s channels
+    /// on the lanes (packed into `panels`), the reduction over `off`, the
+    /// rows over `tapoff`, every tile seeded from `gw` itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xpad`, `go` or `gw` does not match the table.
+    pub(crate) fn weight_grad(
+        &self,
+        xpad: &[f32],
+        go: &[f32],
+        gw: &mut [f32],
+        panels: &mut GrowBuf,
+    ) {
+        assert_eq!(
+            xpad.len(),
+            self.padded_len(),
+            "conv backward: padded image does not match its window"
+        );
+        let oc = go.len() / self.s;
+        simd::conv_tiles(
+            simd::active_isa(),
+            ConvOperands {
+                panels: lane_panels(oc, self.s, go, panels),
+                lanes: oc,
+                init: GemmInit::Accumulate,
+                taps: &self.off,
+                offs: &self.tapoff,
+                x: xpad,
+                out: gw,
+            },
+        );
+    }
+
+    /// Standard-convolution input gradient of one sample, in the
+    /// accumulation order of the GEMM lowering and column-to-image scatter it
+    /// replaced: the column gradients `cols[p][s] = Σ_oc weight[oc][p] *
+    /// go[oc][s]`, `oc` ascending from zero — a GEMM on the filters'
+    /// transpose, packed once per call as `wt` ([`transposed_lane_panels`])
+    /// — scattered tap-major through the table, `gpad[tapoff[p] + off[s]] +=
+    /// cols[p][s]` for `p`, then `s`, ascending, into a zeroed padded image
+    /// whose border collects (and drops) what falls on the padding. A
+    /// pointwise layer's columns are `gi` itself. `table` holds the GEMM's
+    /// window table. `gi` must arrive zeroed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `wt`, `go` or `gi` does not match the table.
+    pub(crate) fn input_grad(
+        &self,
+        wt: &[f32],
+        go: &[f32],
+        gi: &mut [f32],
+        table: &mut GrowBuf<u32>,
+        cols: &mut GrowBuf,
+        gpad: &mut GrowBuf,
+    ) {
+        let (taps, oc) = (self.taps(), go.len() / self.s);
+        if self.k == 1 && self.stride == 1 && self.padding == 0 {
+            gemm::gemm_panels(taps, oc, self.s, wt, go, GemmInit::Zero, gi, table);
+            return;
+        }
+        let cols = cols.take(taps * self.s);
+        gemm::gemm_panels(taps, oc, self.s, wt, go, GemmInit::Zero, cols, table);
+        if self.padding == 0 {
+            self.scatter(cols, gi);
+        } else {
+            let gpad = gpad.take(self.padded_len());
+            gpad.fill(0.0);
+            self.scatter(cols, gpad);
+            self.unpad(gpad, gi);
+        }
+    }
+
+    /// `gpad[tapoff[p] + off[s]] += cols[p][s]`, `p` then `s` ascending.
+    fn scatter(&self, cols: &[f32], gpad: &mut [f32]) {
+        for (row, &tap) in cols.chunks_exact(self.s).zip(&self.tapoff) {
+            let dst = &mut gpad[tap as usize..];
+            for (&v, &o) in row.iter().zip(&self.off) {
+                dst[o as usize] += v;
+            }
+        }
     }
 
     /// Q8_0 standard-convolution forward of one sample: `out[oc][s] =
@@ -493,17 +590,91 @@ impl OcPanels {
     ///
     /// Panics if `weight.len() != oc * taps`.
     pub(crate) fn pack(oc: usize, taps: usize, weight: &[f32]) -> Self {
-        assert_eq!(weight.len(), oc * taps, "OcPanels: weight must be oc*taps");
         let mut panels = vec![0.0f32; oc.div_ceil(OC_LANES) * taps * OC_LANES];
-        for o in 0..oc {
-            let block = &mut panels[o / OC_LANES * taps * OC_LANES..];
-            for (p, &v) in weight[o * taps..(o + 1) * taps].iter().enumerate() {
-                block[p * OC_LANES + o % OC_LANES] = v;
-            }
-        }
+        pack_lanes(oc, taps, weight, &mut panels);
         scratch::count_weight_floats_packed(panels.len());
         Self { oc, taps, panels }
     }
+}
+
+/// The row-major `[rows, depth]` matrix `src` as the tile kernel's
+/// `[16-row block][depth][16]` lane panels (the [`OcPanels`] layout), drawn
+/// from the scratch buffer `buf`: a GEMM's A operand, or a sample's output
+/// gradient for the weight gradient. Not counted as packed weights.
+///
+/// # Panics
+///
+/// Panics if `src.len() != rows * depth`.
+pub(crate) fn lane_panels<'a>(
+    rows: usize,
+    depth: usize,
+    src: &[f32],
+    buf: &'a mut GrowBuf,
+) -> &'a [f32] {
+    let panels = buf.take(rows.div_ceil(OC_LANES) * depth * OC_LANES);
+    pack_lanes(rows, depth, src, panels);
+    panels
+}
+
+/// `dst[block][p][lane] = src[16 * block + lane][p]`, lanes past the last row
+/// zero (`dst` may be dirty).
+fn pack_lanes(rows: usize, depth: usize, src: &[f32], dst: &mut [f32]) {
+    assert_eq!(
+        src.len(),
+        rows * depth,
+        "lane panels: src must be rows*depth"
+    );
+    if depth == 0 {
+        return;
+    }
+    for (panel, block) in dst
+        .chunks_exact_mut(depth * OC_LANES)
+        .zip(src.chunks(OC_LANES * depth))
+    {
+        if block.len() < OC_LANES * depth {
+            panel.fill(0.0);
+        }
+        for (lane, row) in block.chunks_exact(depth).enumerate() {
+            for (p, &v) in row.iter().enumerate() {
+                panel[p * OC_LANES + lane] = v;
+            }
+        }
+    }
+}
+
+/// The transpose of the row-major `[depth, rows]` matrix `src` as lane
+/// panels, like [`lane_panels`] on the transposed matrix: `dst[block][p]
+/// [lane] = src[p][16 * block + lane]`, so every panel row is one contiguous
+/// run of `src` and no transposed copy is made. A convolution's filters
+/// `[oc, taps]` become the `[taps, oc]` operand of its input gradient.
+///
+/// # Panics
+///
+/// Panics if `src.len() != depth * rows`.
+pub(crate) fn transposed_lane_panels<'a>(
+    depth: usize,
+    rows: usize,
+    src: &[f32],
+    buf: &'a mut GrowBuf,
+) -> &'a [f32] {
+    assert_eq!(
+        src.len(),
+        depth * rows,
+        "lane panels: src must be depth*rows"
+    );
+    let panels = buf.take(rows.div_ceil(OC_LANES) * depth * OC_LANES);
+    if depth == 0 {
+        return panels;
+    }
+    for (block, panel) in panels.chunks_exact_mut(depth * OC_LANES).enumerate() {
+        let r0 = block * OC_LANES;
+        let width = OC_LANES.min(rows - r0);
+        for (dst, src_row) in panel.chunks_exact_mut(OC_LANES).zip(src.chunks_exact(rows)) {
+            dst[..width].copy_from_slice(&src_row[r0..r0 + width]);
+            dst[width..].fill(0.0);
+        }
+    }
+    panels
 }
 
 /// A convolution's Q8_0 weights with output channels on the vector lanes: one
@@ -589,7 +760,7 @@ mod tests {
     /// backend: partial and multiple lane blocks (`oc` 1, 12, 16, 17, 40),
     /// position counts that are a multiple of no backend's rows per tile
     /// (`3x3`, `5x7`, and whatever the shared geometries give), one tap
-    /// (pointwise, one channel) and more than `KC` of them, non-square
+    /// (pointwise, one channel) and up to 360 of them, non-square
     /// images, stride 3, kernels spanning the whole padded width. Every
     /// backend reproduces naive bit for bit.
     #[test]

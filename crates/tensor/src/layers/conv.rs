@@ -18,21 +18,25 @@
 //! calibrated scale, or field by field under dynamic ones — and exact integer
 //! block dots combined in `f32` the way the quantized GEMM combines them, so
 //! the bytes are those of `im2col` + transpose + `quant_gemm_into` without
-//! any of the three. Its backward is lowered onto the blocked GEMM in
-//! [`crate::kernels`]: the weight gradient is `grad_out x im2col(x)^T`, and
-//! the input gradient is `weight^T x grad_out` scattered back through
-//! `col2im`; the backward is the one pass that still materialises the matrix.
+//! any of the three. Its backward runs on the forward's tile kernel too, and
+//! reads the input through the same table: the weight gradient `grad_out x
+//! im2col(x)^T` with the table's roles swapped (`grad_out`'s channels on the
+//! lanes, the reduction over positions, the rows over taps), the input
+//! gradient as `weight^T x grad_out` columns scattered tap-major through the
+//! table — in the order of the GEMM lowering and column-to-image scatter it
+//! replaced, with no im2col matrix and no transposes.
 //! [`DepthwiseConv2d`] issues no GEMM: forward and backward are direct
 //! stencils, the forward over the stride-1 grid of window origins so that
 //! every tap is a contiguous load. Either way taps are visited in the
 //! original 7-deep loop's `ic -> ky -> kx` order, so forward outputs and
 //! weight/bias gradients are bit-identical to the naive kernels (pinned by
 //! the equivalence tests below against [`crate::kernels::naive`]); the input
-//! gradient is numerically equivalent (summed in a different order than the
-//! naive loop) and covered by gradcheck.
+//! gradient is summed in a different order than the naive loop — pinned bit
+//! for bit against the lowering whose order it keeps, and against naive by
+//! tolerance and gradcheck.
 //!
-//! Both layers draw the padded image (and the backward its GEMM-packing
-//! buffers) from the current thread's [`kernels::with_thread_scratch`] arena,
+//! Both layers draw the padded image (and the backward its panels and
+//! columns) from the current thread's [`kernels::with_thread_scratch`] arena,
 //! so steady-state inference reuses warmed high-water buffers instead of
 //! allocating — on the calling thread and on the persistent batch-shard
 //! workers alike (model replicas carry no scratch of their own). The input
@@ -47,9 +51,9 @@
 //! as long as the layer stays quantized. Neither layout depends on the ISA.
 
 use crate::init::Init;
+use crate::kernels;
 use crate::kernels::naive::conv_out;
-use crate::kernels::window::{ConvWindow, OcPanels, Q8Panels};
-use crate::kernels::{self, GemmInit};
+use crate::kernels::window::{transposed_lane_panels, ConvWindow, OcPanels, Q8Panels};
 use crate::layer::{Layer, Param};
 use crate::quant::{QuantLayerReport, QuantMatrix, QuantWeights};
 use crate::rng::SeededRng;
@@ -156,12 +160,6 @@ impl Conv2d {
         self.out_channels
     }
 
-    /// `true` when the convolution is a pointwise (1x1, stride 1, no padding)
-    /// one, whose im2col matrix is the input itself.
-    fn is_pointwise(&self) -> bool {
-        self.kernel == 1 && self.stride == 1 && self.padding == 0
-    }
-
     fn check_input(&self, input: &Tensor) {
         assert_eq!(input.rank(), 4, "Conv2d expects NCHW input");
         assert_eq!(
@@ -259,7 +257,6 @@ impl Layer for Conv2d {
             "Conv2d backward shape mismatch"
         );
         let (s, ckk) = (oh * ow, c * k * k);
-        let pointwise = self.is_pointwise();
         let mut grad_input = Tensor::zeros(input.shape());
         let x = input.data();
         let wgt = self.weight.value.data();
@@ -267,10 +264,10 @@ impl Layer for Conv2d {
         let gw = self.weight.grad.data_mut();
         let gb = self.bias.grad.data_mut();
         let gi = grad_input.data_mut();
+        let window = window_for(&mut self.window, (c, h, w), k, self.stride, self.padding);
         kernels::with_thread_scratch(|scratch| {
-            // W^T, shared by every image's input-gradient GEMM.
-            let wt = scratch.weight_t.take(ckk * oc);
-            kernels::transpose_into(wgt, oc, ckk, wt);
+            // W^T as lane panels, shared by every sample's input gradient.
+            let wt = transposed_lane_panels(oc, ckk, wgt, &mut scratch.weight_t);
             for b in 0..n {
                 let xb = &x[b * c * h * w..(b + 1) * c * h * w];
                 let gob = &go[b * oc * s..(b + 1) * oc * s];
@@ -284,57 +281,16 @@ impl Layer for Conv2d {
                     }
                     *gbo = acc;
                 }
-                // Weight gradient: gw += grad_out [oc, s] x im2col(x)^T [s, ckk].
-                // The explicit transpose (rather than a B-transposed GEMM
-                // variant) is deliberate: with B transposed the reduction walks
-                // both operands along `p`, a strict-FP serial dot product the
-                // vectorizer cannot reassociate, so it runs scalar — slower than
-                // transpose + the vectorized kernel.
-                let cols_t = scratch.cols_t.take(s * ckk);
-                if pointwise {
-                    kernels::transpose_into(xb, ckk, s, cols_t);
-                } else {
-                    let cols = scratch.cols.take(ckk * s);
-                    kernels::im2col(xb, c, h, w, k, self.stride, self.padding, oh, ow, cols);
-                    kernels::transpose_into(cols, ckk, s, cols_t);
-                }
-                kernels::gemm_into(
-                    oc,
-                    s,
-                    ckk,
+                let xpad = window.pad(xb, &mut scratch.xpad);
+                window.weight_grad(xpad, gob, gw, &mut scratch.packs.a);
+                window.input_grad(
+                    wt,
                     gob,
-                    cols_t,
-                    GemmInit::Accumulate,
-                    gw,
-                    &mut scratch.packs,
+                    gib,
+                    &mut scratch.packs.table,
+                    &mut scratch.grad_cols,
+                    &mut scratch.grad_pad,
                 );
-                // Input gradient: cols_grad = W^T [ckk, oc] x grad_out [oc, s],
-                // scattered back through col2im (identity for pointwise convs).
-                if pointwise {
-                    kernels::gemm_into(
-                        ckk,
-                        oc,
-                        s,
-                        wt,
-                        gob,
-                        GemmInit::Zero,
-                        gib,
-                        &mut scratch.packs,
-                    );
-                } else {
-                    let gcols = scratch.grad_cols.take(ckk * s);
-                    kernels::gemm_into(
-                        ckk,
-                        oc,
-                        s,
-                        wt,
-                        gob,
-                        GemmInit::Zero,
-                        gcols,
-                        &mut scratch.packs,
-                    );
-                    kernels::col2im(gcols, c, h, w, k, self.stride, self.padding, oh, ow, gib);
-                }
             }
         });
         grad_input
@@ -665,7 +621,8 @@ mod tests {
 
     #[test]
     fn conv_gradcheck_pointwise() {
-        // The 1x1 fast path skips im2col/col2im entirely; check it too.
+        // A pointwise layer's input-gradient columns are the gradient itself,
+        // with no scatter; check it too.
         let mut rng = SeededRng::new(21);
         let conv = Conv2d::new(3, 2, 1, 1, 0, &mut rng);
         check_layer_gradients(Box::new(conv), &[2, 3, 4, 4], 2e-2, &mut rng);
@@ -868,15 +825,17 @@ mod tests {
 
 #[cfg(test)]
 mod equivalence {
-    //! Property suite: the GEMM-lowered layers against the retained naive
-    //! reference kernels, over seeded random shapes / stride / padding
-    //! combinations (the proptest-as-loops idiom used across this crate).
+    //! Property suite: the layers against the retained naive reference
+    //! kernels and against the im2col lowering, over seeded random shapes /
+    //! stride / padding combinations (the proptest-as-loops idiom used across
+    //! this crate).
     //!
-    //! Forward outputs and weight/bias gradients are checked bit for bit.
+    //! Forward outputs and weight/bias gradients are checked bit for bit
+    //! against naive, the input gradient bit for bit against the lowering.
 
     use super::*;
     use crate::kernels::tolerance::assert_bits_eq;
-    use crate::kernels::{naive, simd, PackScratch};
+    use crate::kernels::{naive, simd, GemmInit, PackScratch};
 
     fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {
         a.iter()
@@ -942,7 +901,8 @@ mod equivalence {
         // Weight and bias gradients accumulate in the same order as the naive
         // loop and must be bit-identical; the input gradient reassociates the
         // output-channel sum (GEMM before scatter) and is compared with a
-        // tight numeric tolerance instead.
+        // tight numeric tolerance here, bit for bit against the lowering in
+        // `conv_backward_matches_the_gemm_lowering_bit_for_bit`.
         let mut rng = SeededRng::new(0xBACC);
         for &(k, stride, padding) in &GEOMETRIES {
             let (n, c, oc, hw) = (2usize, 3usize, 4usize, 7usize);
@@ -1029,8 +989,8 @@ mod equivalence {
             let tag = format!("dw bwd k={k} s={stride} p={padding}");
             assert_bits_eq(dw.weight.grad.data(), &gw_ref, &format!("{tag} gw"));
             assert_bits_eq(dw.bias.grad.data(), &gb_ref, &format!("{tag} gb"));
-            // col2im orders the scatter by tap rather than by output pixel,
-            // so the input gradient is compared numerically.
+            // The scatter runs tap-major rather than by output pixel, so the
+            // input gradient is compared numerically.
             assert!(
                 max_abs_diff(gi.data(), &gi_ref) < 1e-5,
                 "{tag} gi deviates beyond reassociation noise"
@@ -1063,7 +1023,7 @@ mod equivalence {
             2,
         );
         assert_bits_eq(y.data(), &expect, "full-padded-width conv");
-        // Backward through the same geometry (col2im side).
+        // Backward through the same geometry (the scatter side).
         let go = Tensor::randn(y.shape(), &mut rng);
         let gi = conv.backward(&go);
         assert_eq!(gi.shape(), x.shape());
@@ -1113,6 +1073,108 @@ mod equivalence {
                 g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
                 "{tag}: mismatch at {i}: {g} vs {w}"
             );
+        }
+    }
+
+    /// Fills every buffer of this thread's scratch arena that a backward
+    /// draws from with NaN (the GEMM table with `u32::MAX`), so a read of
+    /// stale scratch shows in the gradients.
+    fn dirty_thread_scratch() {
+        kernels::with_thread_scratch(|scratch| {
+            for buf in [
+                &mut scratch.xpad,
+                &mut scratch.grad_pad,
+                &mut scratch.grad_cols,
+                &mut scratch.weight_t,
+                &mut scratch.packs.a,
+            ] {
+                buf.take(4096).fill(f32::NAN);
+            }
+            scratch.packs.table.take(4096).fill(u32::MAX);
+        });
+    }
+
+    /// `Conv2d::backward` against the GEMM lowering it replaced, rebuilt here
+    /// from `im2col`, `naive::matmul_naive` and a tap-major scatter loop —
+    /// the lowering's column-to-image order — bit for bit in all three
+    /// gradients: on every
+    /// backend; over two backward calls without `zero_grad`, so the second
+    /// seeds every weight-gradient tile, ragged ones included, from the
+    /// first; on inputs with specials planted on and next to the border;
+    /// from NaN-dirtied scratch arenas; for 1, 8 and 17 output channels over
+    /// a pointwise, a 1x1 stride-2 and a 3x3 stride-2 layer and a kernel
+    /// spanning the whole padded width. The weight gradient is accumulated
+    /// from its current value in `s` order, as the lowering's `Accumulate`
+    /// GEMM did.
+    #[test]
+    fn conv_backward_matches_the_gemm_lowering_bit_for_bit() {
+        let _lock = simd::isa_override_test_lock();
+        let mut rng = SeededRng::new(0xBA_C2);
+        let (n, c) = (2usize, 3usize);
+        for (k, stride, padding, hw) in [(1, 1, 0, 6), (1, 2, 0, 7), (3, 2, 1, 7), (7, 1, 2, 3)] {
+            let (oh, ow) = conv_out(hw, hw, k, stride, padding);
+            let (s, ckk, image) = (oh * ow, c * k * k, c * hw * hw);
+            for oc in [1usize, 8, 17] {
+                let mut x = Tensor::randn(&[n, c, hw, hw], &mut rng);
+                plant_specials(&mut x);
+                let mut conv = Conv2d::new(c, oc, k, stride, padding, &mut rng);
+                let y = conv.forward(&x, true);
+                let gos = [
+                    Tensor::randn(y.shape(), &mut rng),
+                    Tensor::randn(y.shape(), &mut rng),
+                ];
+
+                let mut wt = vec![0.0f32; ckk * oc];
+                kernels::transpose_into(conv.weight.value.data(), oc, ckk, &mut wt);
+                let (mut gw, mut gb) = (vec![0.0f32; oc * ckk], vec![0.0f32; oc]);
+                let mut cols = vec![0.0f32; ckk * s];
+                let mut want = Vec::new();
+                for go in &gos {
+                    let mut gi = vec![0.0f32; n * image];
+                    for (b, gob) in go.data().chunks_exact(oc * s).enumerate() {
+                        let xb = &x.data()[b * image..(b + 1) * image];
+                        kernels::im2col(xb, c, hw, hw, k, stride, padding, oh, ow, &mut cols);
+                        for (o, goc) in gob.chunks_exact(s).enumerate() {
+                            for (j, &g) in goc.iter().enumerate() {
+                                gb[o] += g;
+                                for (p, gwv) in gw[o * ckk..(o + 1) * ckk].iter_mut().enumerate() {
+                                    *gwv += g * cols[p * s + j];
+                                }
+                            }
+                        }
+                        let gcols = naive::matmul_naive(ckk, oc, s, &wt, gob);
+                        let gib = &mut gi[b * image..(b + 1) * image];
+                        for (p, row) in gcols.chunks_exact(s).enumerate() {
+                            let (ic, ky, kx) = (p / (k * k), p / k % k, p % k);
+                            for (j, &v) in row.iter().enumerate() {
+                                let iy = (j / ow * stride + ky) as isize - padding as isize;
+                                let ix = (j % ow * stride + kx) as isize - padding as isize;
+                                let inside = 0..hw as isize;
+                                if inside.contains(&iy) && inside.contains(&ix) {
+                                    gib[(ic * hw + iy as usize) * hw + ix as usize] += v;
+                                }
+                            }
+                        }
+                    }
+                    want.push((gi, gw.clone(), gb.clone()));
+                }
+
+                for isa in simd::supported_isas() {
+                    let prev = simd::force_isa(Some(isa));
+                    let mut layer = conv.clone();
+                    for (call, (go, (gi, gw, gb))) in gos.iter().zip(&want).enumerate() {
+                        dirty_thread_scratch();
+                        let got = layer.backward(go);
+                        let tag = format!("k={k} s={stride} p={padding} oc={oc} call {call} {isa}");
+                        assert_bits_eq_modulo_nan(got.data(), gi, &format!("{tag} gi"));
+                        let gw_got = layer.weight.grad.data();
+                        assert_bits_eq_modulo_nan(gw_got, gw, &format!("{tag} gw"));
+                        let gb_got = layer.bias.grad.data();
+                        assert_bits_eq_modulo_nan(gb_got, gb, &format!("{tag} gb"));
+                    }
+                    simd::force_isa(prev);
+                }
+            }
         }
     }
 

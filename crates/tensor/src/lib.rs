@@ -10,11 +10,12 @@
 //! * [`Tensor`] — a contiguous `f32` n-dimensional array with the small set
 //!   of operations needed by the layers (elementwise math, matrix multiply,
 //!   reductions).
-//! * [`kernels`] — the compute-kernel layer underneath: a cache-blocked,
-//!   register-tiled GEMM, explicit SIMD with runtime ISA dispatch,
-//!   im2col/col2im convolution lowering and reusable scratch arenas. Every
-//!   f32 kernel is bit-identical to the naive reference loops it replaced
-//!   (see [`kernels::numeric_contract`] and `docs/DETERMINISM.md`).
+//! * [`kernels`] — the compute-kernel layer underneath: one register-tiled
+//!   f32 kernel behind the GEMM and every convolution pass, explicit SIMD
+//!   with runtime ISA dispatch, per-layer window tables in place of an
+//!   im2col matrix, and reusable scratch arenas. Every f32 kernel is
+//!   bit-identical to the naive reference loops it replaced (see
+//!   [`kernels::numeric_contract`] and `docs/DETERMINISM.md`).
 //! * [`Layer`] — the layer abstraction with explicit `forward` / `backward`
 //!   passes and per-layer FLOP accounting.
 //! * [`layers`] — dense, convolution (standard / depthwise / grouped),

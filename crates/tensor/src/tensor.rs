@@ -458,8 +458,9 @@ impl Tensor {
 
     /// Matrix multiplication of two rank-2 tensors: `[m, k] x [k, n] -> [m, n]`.
     ///
-    /// Runs on the cache-blocked kernel in [`crate::kernels`] (register-tiled
-    /// microkernel, packed panels), on the calling thread.
+    /// Runs on [`crate::kernels::gemm_into`] (the register-tiled kernel every
+    /// convolution runs on, over packed panels of `self`), on the calling
+    /// thread.
     /// Results are bit-identical to the original naive `i-k-j` loop: every
     /// output element accumulates its products in ascending inner-dimension
     /// order regardless of blocking.

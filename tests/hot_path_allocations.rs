@@ -299,12 +299,13 @@ fn q8_panels_follow_the_weights(rng: &mut SeededRng) {
 /// Steady-state large GEMMs through the scratch-less `Tensor::matmul` entry
 /// point grow nothing in the caller's thread arena and repeat bit-for-bit.
 fn large_matmul_reuses_the_callers_thread_arena(rng: &mut SeededRng) {
-    // 256^3 = 16.7M MACs: several `MC`/`KC`/`NC` macro-blocks of the blocked
-    // kernel, far above anything the nets issue.
+    // 256^3 = 16.7M MACs: sixteen lane blocks of A, each run over every tile
+    // of B's 256 columns, far above anything the nets issue.
     let a = Tensor::randn(&[256, 256], rng);
     let b = Tensor::randn(&[256, 256], rng);
 
-    // Warm-up: grows the caller's packing panels to their high-water marks.
+    // Warm-up: grows the caller's panels and window table to their
+    // high-water marks.
     let warm = a.matmul(&b);
 
     let before = kernels::scratch_stats();
