@@ -7,8 +7,8 @@
 //!
 //! * [`simd`] — the explicit-SIMD backend: the one f32 tile kernel every
 //!   multiply-accumulate of the crate runs on (sixteen output lanes per
-//!   vector row, activations broadcast through a window table), its Q8 twin,
-//!   a portable `f32x8` abstraction with SSE2/AVX2 implementations for the
+//!   vector row, activations broadcast through a window table), its Q8 twin
+//!   every int8 product runs on, a portable `f32x8` abstraction with SSE2/AVX2 implementations for the
 //!   elementwise kernels, and cached runtime CPU-feature dispatch
 //!   ([`active_isa`] reports the choice, [`force_isa`] /
 //!   `APPEALNET_FORCE_SCALAR` pin it).
@@ -40,10 +40,11 @@
 //!   persistent batch-shard workers retain every high-water buffer across
 //!   calls.
 //!
-//! * [`quant_gemm_into`] — the int8 GEMM behind the dense layers of the
-//!   quantized (Q8_0) little-net tier: pre-quantized weights, on-the-fly
-//!   activation quantization, widening integer SIMD. Quantized convolutions
-//!   compute the same bytes on the window-table tile kernel instead.
+//! * [`quant_gemm_into`] — the int8 GEMM of the quantized (Q8_0) little-net
+//!   tier, on the Q8 tile kernel the quantized convolutions run on:
+//!   pre-quantized weights packed as Q8 panels (once by a quantized dense
+//!   layer, per call here), A's rows behind the table `taps[p] = p`,
+//!   `offs[i] = i * k`, quantized on the fly, exact integer block dots.
 //!
 //! # Determinism
 //!
@@ -67,10 +68,10 @@
 //!   whose order it keeps, and to a tolerance against the naive loop.
 //! * **Quantized path —
 //!   [`QuantizedTolerance`](NumericContract::QuantizedTolerance).** The
-//!   Q8_0 kernels are bit-identical everywhere — on every ISA and thread
-//!   count — but differ from the f32 network by the quantization error
-//!   itself, bounded per value by [`tolerance::quantization_bound`] plus the
-//!   cross-block accumulation bound.
+//!   Q8 tile is bit-identical everywhere — on every ISA and thread count, and
+//!   to the row loop [`naive::quant_matmul_naive`] — but the network differs
+//!   from the f32 one by the quantization error itself, bounded per weight
+//!   by [`crate::quant::q8_error_bound`].
 
 pub mod elementwise;
 pub mod gemm;
@@ -100,9 +101,8 @@ pub enum NumericContract {
     BitIdenticalToSeed,
     /// The quantized (Q8_0) inference path: results are bit-identical
     /// across runs, thread counts and ISAs, but differ from the f32
-    /// reference by the quantization error itself, bounded per value by
-    /// half a block-scale step ([`tolerance::quantization_bound`]) plus
-    /// the cross-block accumulation bound.
+    /// reference by the quantization error itself, bounded per weight by
+    /// half a block-scale step ([`crate::quant::q8_error_bound`]).
     QuantizedTolerance,
 }
 

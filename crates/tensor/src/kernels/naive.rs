@@ -1,13 +1,14 @@
 //! Retained naive reference kernels.
 //!
-//! These are verbatim ports of the seed implementations that the tiled GEMM
-//! and the window-table convolutions replaced. They are kept (and exported)
-//! for two reasons:
+//! These are verbatim ports of the seed implementations that the tiled GEMM,
+//! the window-table convolutions and the Q8 tile kernel replaced. They are
+//! kept (and exported) for two reasons:
 //!
 //! 1. **Equivalence testing.** The optimized kernels promise bit-identical
 //!    results (see [`super::numeric_contract`]); the property suites in
 //!    `kernels::tests` and `layers::conv` compare against these references
-//!    over many seeded shapes.
+//!    over many seeded shapes, and the quantized suites against
+//!    [`quant_matmul_naive`].
 //! 2. **Benchmark baselines.** The repository benchmark's
 //!    `kernels.gemm.vs_naive` metric (`benchmark/src/probes.rs`) times the
 //!    GEMM against [`matmul_naive`] so the speedup claim stays
@@ -15,6 +16,8 @@
 //!
 //! Nothing on a hot path runs a kernel from this module; [`conv_out`], the
 //! output-size formula, is the one item the layers share with it.
+
+use crate::quant::{quantize_row_into, QuantMatrix, QK8_0};
 
 /// The seed `Tensor::matmul` loop, including its `a == 0.0` sparsity branch.
 ///
@@ -37,6 +40,57 @@ pub fn matmul_naive(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Vec<f
             for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
                 *o += av * bv;
             }
+        }
+    }
+    out
+}
+
+/// The quantized GEMM's seed row loop: `out[m x n] = A[m x k] · W + bias`,
+/// `W` one reduction row of Q8_0 blocks per output feature. Each row of A is
+/// quantized with one row-wide scale ([`quantize_row_into`]: the row's
+/// absmax, or the static `act_scale`); per output feature the blocks give
+/// exact `i32` dots, combined as `acc += scale * dot as f32` for blocks
+/// ascending from `0.0`, and the element is `a_scale * acc` plus the bias
+/// (nothing added without one). The Q8 tile kernel reproduces it bit for
+/// bit.
+///
+/// # Panics
+///
+/// Panics if `a` is not `m * k` elements or `w` is not `n` rows of depth `k`.
+pub fn quant_matmul_naive(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    w: &QuantMatrix,
+    bias: Option<&[f32]>,
+    act_scale: Option<f32>,
+) -> Vec<f32> {
+    assert_eq!(a.len(), m * k, "quant_matmul_naive: A must be m*k");
+    assert_eq!(
+        (w.rows(), w.cols()),
+        (n, k),
+        "quant_matmul_naive: W must be n x k"
+    );
+    // Zero-padded to whole blocks; the tail is never rewritten.
+    let mut qa = vec![0i8; w.blocks_per_row() * QK8_0];
+    let mut out = vec![0.0f32; m * n];
+    for i in 0..m {
+        let a_scale = quantize_row_into(&a[i * k..(i + 1) * k], &mut qa, act_scale);
+        for j in 0..n {
+            let mut acc = 0.0f32;
+            for (block, qs) in w.row(j).iter().zip(qa.chunks_exact(QK8_0)) {
+                let mut dot = 0i32;
+                for (&x, &q) in qs.iter().zip(&block.qs) {
+                    dot += i32::from(x) * i32::from(q);
+                }
+                acc += block.scale * dot as f32;
+            }
+            let v = a_scale * acc;
+            out[i * n + j] = match bias {
+                Some(b) => v + b[j],
+                None => v,
+            };
         }
     }
     out

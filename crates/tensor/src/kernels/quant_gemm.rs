@@ -1,10 +1,19 @@
-//! The quantized (int8 × int8 → i32) GEMM driver.
+//! The quantized (int8 × int8 → i32) GEMM, on the tile kernel every quantized
+//! convolution runs on.
 //!
 //! Computes `out[m x n] = A[m x k] · Wᵀ` where `W` is a pre-quantized
 //! [`QuantMatrix`] (each of its `n` rows holds one output feature's
 //! reduction column as Q8_0 blocks) and the `f32` activations `A` are
 //! quantized **on the fly**, one row-wide power-of-two scale per activation
 //! row (per-row absmax by default, or a calibrated static scale).
+//!
+//! [`quant_gemm_into`] is to the Q8 tile what [`super::gemm_into`] is to the
+//! f32 one: `W`'s output features go on the vector lanes as Q8 panels (the
+//! layout of a quantized convolution's filters), and A's rows are read
+//! through the window table `taps[p] = p`, `offs[i] = i * k` — a row of A is
+//! to the GEMM what a receptive field is to a convolution. The tile writes
+//! `[n][m]`, which is transposed into the `[m][n]` output (for `m == 1` or
+//! `n == 1` the two are the same bytes and the tile writes `out` itself).
 //!
 //! # Numeric structure (why this path has one contract)
 //!
@@ -19,26 +28,24 @@
 //! exact), both scales are powers of two (exact multiplies), and blocks are
 //! summed in ascending order with separate `mul` + `add` on every backend.
 //! The SIMD paths only vectorize the *integer* part, which is
-//! order-insensitive — so the scalar, SSE2 and AVX2 kernels are
-//! **bit-identical on every ISA**. What is
-//! *not* exact is quantization itself; that error is governed by the
-//! `quantized-tolerance` contract ([`super::NumericContract`], bounds in
-//! [`super::tolerance`]).
+//! order-insensitive — so every backend is **bit-identical** to the scalar
+//! tile and to the row loop it replaced ([`super::naive::quant_matmul_naive`]).
+//! What is *not* exact is quantization itself; that error is governed by the
+//! `quantized-tolerance` contract ([`super::NumericContract`]).
 //!
 //! # Scratch
 //!
-//! Like the f32 driver, the kernel runs on the calling thread: each
-//! activation row is quantized into the caller's [`QuantScratch`] arena and
-//! reduced against every weight row before the next one overwrites it.
-//!
-//! Dense layers run this kernel. A quantized convolution computes the same
-//! bytes — `im2col`, transposed, through here, transposed back — without
-//! materialising any of it (`kernels/window.rs`, the Q8 tile in
-//! [`super::simd`]).
+//! Like the f32 GEMM, the kernel runs on the calling thread and draws
+//! everything it packs from the caller's [`QuantScratch`] arena: the Q8
+//! panels of `W` (every call), the window table, the quantized rows and the
+//! `[n][m]` product. A quantized `Dense` packs its panels once, in
+//! `quantize_weights()`, and calls `quant_gemm_panels`.
 
+use super::gemm::transpose_into;
 use super::scratch::QuantScratch;
-use super::simd;
-use crate::quant::{quantize_row_into, QuantMatrix, QK8_0};
+use super::simd::{self, Q8ConvOperands, Q8Input};
+use super::window::q8_lane_panels;
+use crate::quant::{quantize_row_into, QuantMatrix};
 
 /// `out[m x n] <- A[m x k] · W + bias`, with `W` the quantized `B` operand.
 ///
@@ -74,33 +81,112 @@ pub fn quant_gemm_into(
     if m == 0 || n == 0 {
         return;
     }
-    // Resolve the backend once per call.
-    let isa = simd::active_isa();
-    let padded = w.blocks_per_row() * QK8_0;
-    let qa = quant.qa.take(padded);
-    // The arena is dirty by contract; the padding tail beyond `k` is never
-    // rewritten by the row loop, so zero it once here.
-    qa[k..].fill(0);
-    for i in 0..m {
-        let row = &a[i * k..(i + 1) * k];
-        let a_scale = quantize_row_into(row, &mut qa[..k], act_scale);
-        let out_row = &mut out[i * n..(i + 1) * n];
-        for (j, o) in out_row.iter_mut().enumerate() {
-            let dot = simd::quant_row_dot(isa, qa, w.row(j));
-            let v = a_scale * dot;
-            *o = match bias {
-                Some(b) => v + b[j],
-                None => v,
-            };
+    // The arena's panel buffers, lent to this call's packing.
+    let mut panels = std::mem::take(&mut quant.panels);
+    let mut scales = std::mem::take(&mut quant.scales);
+    let (wp, ws) = q8_lane_panels(w, &mut panels, &mut scales);
+    quant_gemm_panels(m, k, n, a, wp, ws, bias, act_scale, out, quant);
+    (quant.panels, quant.scales) = (panels, scales);
+}
+
+/// [`quant_gemm_into`] with `W` already packed as Q8 panels and their block
+/// scales (`window::Q8Panels`' layout, `n` output features of depth `k`),
+/// for a caller that keeps them — a quantized `Dense`.
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with `m`/`k`/`n`, or if `A` has more
+/// than `u32::MAX` elements.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn quant_gemm_panels(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    panels: &[i16],
+    scales: &[f32],
+    bias: Option<&[f32]>,
+    act_scale: Option<f32>,
+    out: &mut [f32],
+    quant: &mut QuantScratch,
+) {
+    assert_eq!(a.len(), m * k, "quant_gemm: A must be m*k");
+    assert_eq!(out.len(), m * n, "quant_gemm: out must be m*n");
+    assert!(
+        u32::try_from(m * k).is_ok(),
+        "quant_gemm: A too large for a window table"
+    );
+    if k == 0 {
+        // No products: each element is the empty sum, `+0.0`, plus its bias.
+        match bias {
+            Some(b) => {
+                for (o, &bj) in out.iter_mut().zip(b.iter().cycle()) {
+                    *o = 0.0 + bj;
+                }
+            }
+            None => out.fill(0.0),
         }
+        return;
+    }
+    let QuantScratch {
+        qa,
+        row,
+        qrows,
+        table,
+        product,
+        ..
+    } = quant;
+    let (taps, offs) = table.take(k + m).split_at_mut(k);
+    for (p, tap) in taps.iter_mut().enumerate() {
+        *tap = p as u32;
+    }
+    for (i, off) in offs.iter_mut().enumerate() {
+        *off = (i * k) as u32;
+    }
+    let input = match act_scale {
+        Some(scale) => {
+            let qpad = qa.take(a.len());
+            let scale = quantize_row_into(a, qpad, Some(scale));
+            Q8Input::Static { qpad, scale }
+        }
+        None => Q8Input::Dynamic {
+            xpad: a,
+            field: row.take(k),
+            q8: qa.take(k),
+        },
+    };
+    let tile = |out: &mut [f32]| {
+        simd::q8_conv_forward(
+            simd::active_isa(),
+            Q8ConvOperands {
+                panels,
+                scales,
+                oc: n,
+                bias,
+                taps,
+                offs,
+                input,
+                qrows,
+                out,
+            },
+        );
+    };
+    if m == 1 || n == 1 {
+        tile(out);
+    } else {
+        let product = product.take(n * m);
+        tile(product);
+        transpose_into(product, n, m, out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::naive::quant_matmul_naive;
     use crate::kernels::simd::{force_isa, isa_override_test_lock, supported_isas};
-    use crate::kernels::tolerance;
+    use crate::kernels::tolerance::{self, assert_bits_eq};
+    use crate::quant::{q8_block_scale, QK8_0};
     use crate::rng::SeededRng;
 
     fn random_problem(m: usize, k: usize, n: usize, seed: u64) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
@@ -215,7 +301,7 @@ mod tests {
         let (a, b, _) = random_problem(1, 64, 5, 7);
         let w = QuantMatrix::from_b(&b, 64, 5);
         let absmax = a.iter().fold(0.0f32, |acc, x| acc.max(x.abs()));
-        let s = crate::quant::q8_block_scale(absmax);
+        let s = q8_block_scale(absmax);
         let dynamic = run_quant(1, 64, 5, &a, &w, None);
         let mut fixed = vec![0.0f32; 5];
         let mut q = QuantScratch::new();
@@ -237,15 +323,15 @@ mod tests {
         let w = QuantMatrix::from_rows(&ones, 1, k);
         let mut out = vec![0.0f32; 1];
         let mut q = QuantScratch::new();
-        let s = crate::quant::q8_block_scale(1.0);
+        let s = q8_block_scale(1.0);
         quant_gemm_into(1, k, 1, &a, &w, None, Some(s), &mut out, &mut q);
         // Weights quantize to exactly 127 * scale each; the clamped
         // activations are +127 and -127 and cancel.
         assert_eq!(out[0], 0.0);
     }
 
-    /// Satellite: cross-ISA bit-identity on the PR 4 shape grid plus blocked
-    /// shapes, every supported ISA plus the dispatched default.
+    /// Cross-ISA bit-identity with the row loop on a grid of odd shapes plus
+    /// blocked ones, every supported ISA plus the dispatched default.
     #[test]
     fn cross_isa_bit_identity_grid() {
         let _lock = isa_override_test_lock();
@@ -264,9 +350,7 @@ mod tests {
         for (m, k, n) in shapes {
             let (a, b, bias) = random_problem(m, k, n, (m * 1000 + k * 10 + n) as u64);
             let w = QuantMatrix::from_b(&b, k, n);
-            let prev = force_isa(Some(crate::kernels::Isa::Scalar));
-            let want = run_quant(m, k, n, &a, &w, Some(&bias));
-            force_isa(prev);
+            let want = quant_matmul_naive(m, k, n, &a, &w, Some(&bias), None);
             let mut modes: Vec<Option<crate::kernels::Isa>> =
                 supported_isas().into_iter().map(Some).collect();
             modes.push(None); // the dispatched default
@@ -274,14 +358,76 @@ mod tests {
                 let prev = force_isa(mode);
                 let got = run_quant(m, k, n, &a, &w, Some(&bias));
                 force_isa(prev);
-                for (idx, (x, y)) in got.iter().zip(&want).enumerate() {
-                    assert_eq!(
-                        x.to_bits(),
-                        y.to_bits(),
-                        "[{m}x{k}x{n}] {mode:?} diverges at {idx}: {x:e} vs {y:e}"
-                    );
+                assert_bits_eq(&got, &want, &format!("[{m}x{k}x{n}] {mode:?}"));
+            }
+        }
+    }
+
+    /// The tile against the row loop it replaced, bit for bit, on every
+    /// backend, from one arena dirtied up front and reused dirty: `m` across
+    /// every backend's rows per tile (and `m = 1`, which skips the
+    /// transpose), `n` across a lane block, `k` across Q8 blocks and an odd
+    /// last tap; dynamic and static scales, with a bias and without. On
+    /// subnormal operands `a_scale * acc` underflows, to `-0.0` wherever the
+    /// dot is negative: with no bias that sign must survive, which a `+0.0`
+    /// seed would flip.
+    #[test]
+    fn quant_gemm_matches_the_row_loop_on_every_isa() {
+        let _lock = isa_override_test_lock();
+        let mut rng = SeededRng::new(0x0E_08);
+        let mut q = QuantScratch::new();
+        q.qa.take(13 * 70 + 64).fill(0x55);
+        q.row.take(128).fill(f32::NAN);
+        q.qrows.take(16 * 64).fill(i32::MAX);
+        q.panels.take(2 * 35 * 32 + 64).fill(i16::MAX);
+        q.scales.take(2 * 3 * 16 + 64).fill(f32::NAN);
+        q.table.take(128).fill(u32::MAX);
+        q.product.take(13 * 17 + 64).fill(f32::NAN);
+        let subnormal = |rng: &mut SeededRng| {
+            let v = f32::from_bits((rng.next_u64() % (1 << 23)) as u32);
+            if rng.bernoulli(0.5) {
+                v
+            } else {
+                -v
+            }
+        };
+        let mut negative_zeros = 0;
+        for m in [1usize, 5, 6, 7, 13] {
+            for n in [1usize, 10, 16, 17] {
+                for k in [1usize, 27, 32, 33, 70] {
+                    let (a, b, bias) = random_problem(m, k, n, rng.next_u64());
+                    let tiny_a: Vec<f32> = (0..m * k).map(|_| subnormal(&mut rng)).collect();
+                    let tiny_b: Vec<f32> = (0..k * n).map(|_| subnormal(&mut rng)).collect();
+                    for (a, b) in [(&a, &b), (&tiny_a, &tiny_b)] {
+                        let w = QuantMatrix::from_b(b, k, n);
+                        let absmax = a.iter().fold(0.0f32, |acc, x| acc.max(x.abs()));
+                        for act_scale in [None, Some(q8_block_scale(absmax))] {
+                            for bias in [Some(&bias[..]), None] {
+                                let want = quant_matmul_naive(m, k, n, a, &w, bias, act_scale);
+                                negative_zeros +=
+                                    want.iter().filter(|v| v.to_bits() == 1 << 31).count();
+                                for isa in supported_isas() {
+                                    let prev = force_isa(Some(isa));
+                                    let mut got = vec![f32::NAN; m * n];
+                                    quant_gemm_into(
+                                        m, k, n, a, &w, bias, act_scale, &mut got, &mut q,
+                                    );
+                                    force_isa(prev);
+                                    let tag = format!(
+                                        "[{m}x{k}x{n}] scale={act_scale:?} bias={} {isa}",
+                                        bias.is_some()
+                                    );
+                                    assert_bits_eq(&got, &want, &tag);
+                                }
+                            }
+                        }
+                    }
                 }
             }
         }
+        assert!(
+            negative_zeros > 100,
+            "only {negative_zeros} results underflowed to -0.0"
+        );
     }
 }

@@ -31,14 +31,18 @@
 //!    reads. (This is why there is no `clear` — zeroing would put a
 //!    memset on the hot path for no semantic gain.)
 //! 4. **Packed weights and window tables are not scratch.** A convolution's
-//!    output-channel-lane weight panels (f32, or Q8 once quantized) and its
-//!    window table (all in `kernels/window.rs`) are derived state owned by
-//!    the layer, not an arena: they are cloned with it, the f32 panels
-//!    rebuilt only after the layer's parameters were handed out mutably (a
-//!    train forward packs for its own call and keeps nothing), the Q8 panels
-//!    only by `quantize_weights()`, the table only when the input shape
-//!    changes. What the table *indexes* — the padded image, and its int8
-//!    twin — is scratch ([`KernelScratch::xpad`], [`QuantScratch::qa`]).
+//!    output-channel-lane weight panels (f32, or Q8 once quantized), a
+//!    quantized dense layer's Q8 panels and a convolution's window table
+//!    (all in `kernels/window.rs`) are derived state owned by the layer, not
+//!    an arena: they are cloned with it, the f32 panels rebuilt only after
+//!    the layer's parameters were handed out mutably (a train forward packs
+//!    for its own call and keeps nothing), the Q8 panels only by
+//!    `quantize_weights()`, the table only when the input shape changes.
+//!    What the table *indexes* — the padded image, and its int8 twin — is
+//!    scratch ([`KernelScratch::xpad`], [`QuantScratch::qa`]), and so is
+//!    everything a bare GEMM packs per call: lane panels of its A, and the
+//!    Q8 panels [`crate::kernels::quant_gemm_into`] makes of its
+//!    `QuantMatrix`.
 //!
 //! Growth and reuse events — and floats packed into weight panels, and
 //! window tables built — are counted in process-wide atomics (see [`stats`])
@@ -65,13 +69,14 @@ pub struct ScratchStats {
     pub allocs: u64,
     /// Cumulative allocation-free buffer reuses since process start.
     pub reuses: u64,
-    /// Cumulative lanes written into convolution weight panels
-    /// (`kernels/window.rs`: `f32` lanes of the f32 panels, `i16` lanes of
-    /// the Q8 ones; padding lanes included) since process start. Layers pack
-    /// on their first eval forward and again only after their parameters
-    /// were handed out mutably — the Q8 panels in `quantize_weights()` and
-    /// nowhere else — so a steady-state serving loop must not increase this;
-    /// a train forward packs once per call.
+    /// Cumulative lanes written into layers' weight panels
+    /// (`kernels/window.rs`: `f32` lanes of a convolution's f32 panels,
+    /// `i16` lanes of the Q8 ones; padding lanes included) since process
+    /// start. Layers pack on their first eval forward and again only after
+    /// their parameters were handed out mutably — the Q8 panels in
+    /// `quantize_weights()` and nowhere else — so a steady-state serving loop
+    /// must not increase this; a train forward packs once per call. Panels a
+    /// bare GEMM packs into scratch are not counted.
     pub weight_floats_packed: u64,
     /// Cumulative convolution window tables built since process start. A
     /// conv layer builds one on its first forward and again only when its
@@ -105,9 +110,9 @@ pub(crate) fn count_window_table_built() {
 
 /// A grow-only buffer with high-water-mark reuse: `f32` by default, `i8` for
 /// the activations the quantized kernels quantize on the fly (see
-/// [`crate::kernels::quant_gemm`]), `i32` for the Q8 convolution's tile rows
-/// of tap-pair words, `u32` for a GEMM's window table. Every element type
-/// bumps the same process-wide counters.
+/// [`crate::kernels::quant_gemm`]), `i32` for the Q8 tile's rows of tap-pair
+/// words, `i16` for a quantized GEMM's weight panels, `u32` for a GEMM's
+/// window table. Every element type bumps the same process-wide counters.
 ///
 /// [`GrowBuf::take`] returns a slice of the requested length, growing the
 /// backing storage only when the request exceeds everything seen before.
@@ -164,22 +169,34 @@ impl<T> Clone for GrowBuf<T> {
     }
 }
 
-/// Arenas used by the quantized kernels: the int8 buffer activations are
-/// quantized into — one GEMM row ([`crate::kernels::quant_gemm`]), or for a
-/// Q8 convolution the whole padded image (static scale) or one receptive
-/// field (dynamic scales) — and the convolution's staging rows.
+/// Arenas used by the Q8 tile kernel — every quantized convolution and GEMM
+/// ([`crate::kernels::quant_gemm`]): the int8 buffer activations are
+/// quantized into — the whole padded image or GEMM operand (static scale) or
+/// one receptive field or GEMM row (dynamic scales) — and the tile's staging
+/// rows; for [`crate::kernels::quant_gemm_into`] also its weight panels,
+/// window table and transposed product.
 #[derive(Debug, Default, Clone)]
 pub struct QuantScratch {
-    /// Quantized activations: a GEMM row `[blocks_per_row * QK8_0]`,
-    /// zero-padded; a padded image `[c, h + 2p, w + 2p]`; or a receptive
-    /// field `[c*k*k]`.
+    /// Quantized activations: a padded image `[c, h + 2p, w + 2p]` or GEMM
+    /// operand `[m, k]`; or a receptive field `[c*k*k]` or GEMM row `[k]`.
     pub qa: GrowBuf<i8>,
-    /// One receptive field gathered through the window table, `[c*k*k]`, on
+    /// One receptive field (GEMM row) gathered through the window table, on
     /// its way to a dynamic per-row scale.
     pub(crate) row: GrowBuf,
-    /// A convolution tile's quantized rows as the tap-pair words its kernel
-    /// broadcasts, `[rows per tile][c*k*k / 2, rounded up]`.
+    /// A tile's quantized rows as the tap-pair words its kernel broadcasts,
+    /// `[rows per tile][taps / 2, rounded up]`.
     pub(crate) qrows: GrowBuf<i32>,
+    /// A quantized GEMM's weights as Q8 panels, `[n block][k / 2][16][2]`,
+    /// packed per call.
+    pub(crate) panels: GrowBuf<i16>,
+    /// Their block scales, `[n block][Q8 block][16]`.
+    pub(crate) scales: GrowBuf,
+    /// A quantized GEMM's window table: `taps[p] = p`, then `offs[i] = i *
+    /// k`.
+    pub(crate) table: GrowBuf<u32>,
+    /// A quantized GEMM's `[n, m]` product, on its way to the `[m, n]`
+    /// output.
+    pub(crate) product: GrowBuf,
 }
 
 impl QuantScratch {
@@ -211,8 +228,8 @@ impl PackScratch {
 ///
 /// Conv layers use `xpad` for the zero-padded input their window table
 /// indexes (and `grad_pad` for its gradient twin in the backward passes);
-/// the depthwise forward accumulates over `grid`, the Q8 forward quantizes
-/// into `quant`. `grad_cols` (the column-space input gradient) and
+/// the depthwise forward accumulates over `grid`, the Q8 forwards (conv and
+/// dense) quantize into `quant`. `grad_cols` (the column-space input gradient) and
 /// `weight_t` (the filters' transpose as lane panels) serve
 /// `Conv2d::backward` alone; `packs` serves it and every GEMM. Arenas are
 /// retained per thread (see [`with_thread_scratch`]) — layers and model
@@ -235,7 +252,8 @@ pub struct KernelScratch {
     pub weight_t: GrowBuf,
     /// The tile kernel's panels and GEMM window table.
     pub packs: PackScratch,
-    /// Quantized-kernel arenas (int8 activations, Q8 convolution rows).
+    /// Q8 tile arenas (int8 activations, tile rows, a quantized GEMM's
+    /// panels, table and product).
     pub quant: QuantScratch,
 }
 

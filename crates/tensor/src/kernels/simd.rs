@@ -15,9 +15,11 @@
 //! the activation a scalar broadcast addressed through a window table
 //! (`conv_tiles`). A convolution forward, a GEMM (`kernels/gemm.rs`) and both
 //! halves of the convolution backward (`kernels/window.rs`) differ only in
-//! the panels, the table and the seed they hand it. The Q8_0 convolution
-//! (`q8_conv_forward`) runs the same tiles with exact integer block dots
-//! (`q8_tile`) and hands them to the same tile store.
+//! the panels, the table and the seed they hand it. Every Q8_0 product — a
+//! quantized convolution's forward and every quantized GEMM
+//! (`kernels/quant_gemm.rs`) — runs the same tiles with exact integer block
+//! dots (`q8_tile`, driven by `q8_conv_forward`) and hands them to the same
+//! tile store.
 //!
 //! # Determinism contract
 //!
@@ -349,8 +351,8 @@ pub(crate) trait DotLanes16: Copy {
 /// load, the activation pair one word `x[r * row_pairs + q]` ([`pair_word`])
 /// broadcast to every lane — then `acc[r][lane] += scales[b][lane] *
 /// dot[r][lane] as f32`; last, `acc[r][lane] = a_scale[r] * acc[r][lane] +
-/// seed[lane]`. Per element that is [`quant_row_dot_scalar`]'s operation
-/// sequence and the quantized GEMM's epilogue.
+/// seed[lane]`. Per element that is the operation sequence of the quantized
+/// GEMM's row loop ([`super::naive::quant_matmul_naive`]).
 ///
 /// # Safety
 ///
@@ -401,88 +403,7 @@ mod x86 {
         conv_tile, q8_tile, DotLanes16, F32x8, Lanes16, CONV_ROWS_AVX2, CONV_ROWS_AVX512,
         CONV_ROWS_SSE2, OC_LANES,
     };
-    use crate::quant::{BlockQ8_0, QK8_0};
     use std::arch::x86_64::*;
-
-    /// SSE2 Q8_0 row dot: per block, widen the int8 lanes to int16 with a
-    /// sign-mask unpack (`pmovsxbw` is SSE4.1, which the SSE2 baseline lacks),
-    /// `pmaddwd` the halves into i32 lanes, horizontally sum, then combine in
-    /// f32 exactly like the scalar reference. All integer arithmetic is exact
-    /// (block dot `<= 32 * 127 * 127 < 2^24`), so lane order is irrelevant
-    /// and the result is bit-identical to [`super::quant_row_dot_scalar`].
-    ///
-    /// # Safety
-    ///
-    /// Host must support SSE2 (always true on `x86_64`);
-    /// `qa.len() >= blocks.len() * QK8_0`.
-    #[target_feature(enable = "sse2")]
-    pub(crate) unsafe fn quant_row_dot_sse2(qa: &[i8], blocks: &[BlockQ8_0]) -> f32 {
-        debug_assert!(qa.len() >= blocks.len() * QK8_0);
-        let zero = _mm_setzero_si128();
-        let mut acc = 0.0f32;
-        for (b, block) in blocks.iter().enumerate() {
-            let a_ptr = qa.as_ptr().add(b * QK8_0);
-            let w_ptr = block.qs.as_ptr();
-            let mut sum = _mm_setzero_si128();
-            for half in 0..2 {
-                let av = _mm_loadu_si128(a_ptr.add(half * 16) as *const __m128i);
-                let wv = _mm_loadu_si128(w_ptr.add(half * 16) as *const __m128i);
-                let a_sign = _mm_cmpgt_epi8(zero, av);
-                let w_sign = _mm_cmpgt_epi8(zero, wv);
-                let a_lo = _mm_unpacklo_epi8(av, a_sign);
-                let a_hi = _mm_unpackhi_epi8(av, a_sign);
-                let w_lo = _mm_unpacklo_epi8(wv, w_sign);
-                let w_hi = _mm_unpackhi_epi8(wv, w_sign);
-                sum = _mm_add_epi32(sum, _mm_madd_epi16(a_lo, w_lo));
-                sum = _mm_add_epi32(sum, _mm_madd_epi16(a_hi, w_hi));
-            }
-            acc += block.scale * hsum_epi32_sse2(sum) as f32;
-        }
-        acc
-    }
-
-    /// Horizontal sum of four i32 lanes (exact).
-    ///
-    /// # Safety
-    ///
-    /// Host must support SSE2.
-    #[inline(always)]
-    unsafe fn hsum_epi32_sse2(v: __m128i) -> i32 {
-        let hi64 = _mm_unpackhi_epi64(v, v);
-        let s2 = _mm_add_epi32(v, hi64);
-        let hi32 = _mm_shuffle_epi32::<0b01>(s2);
-        _mm_cvtsi128_si32(_mm_add_epi32(s2, hi32))
-    }
-
-    /// AVX2 Q8_0 row dot: `vpmovsxbw` widens 16 int8 lanes at a time,
-    /// `vpmaddwd` produces i32 pair sums, one horizontal reduction per block.
-    /// Bit-identical to the scalar reference for the same reason as the SSE2
-    /// path (exact integer arithmetic inside each block).
-    ///
-    /// # Safety
-    ///
-    /// Host must support AVX2; `qa.len() >= blocks.len() * QK8_0`.
-    #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn quant_row_dot_avx2(qa: &[i8], blocks: &[BlockQ8_0]) -> f32 {
-        debug_assert!(qa.len() >= blocks.len() * QK8_0);
-        let mut acc = 0.0f32;
-        for (b, block) in blocks.iter().enumerate() {
-            let a_ptr = qa.as_ptr().add(b * QK8_0);
-            let w_ptr = block.qs.as_ptr();
-            let mut sum = _mm256_setzero_si256();
-            for half in 0..2 {
-                let av =
-                    _mm256_cvtepi8_epi16(_mm_loadu_si128(a_ptr.add(half * 16) as *const __m128i));
-                let wv =
-                    _mm256_cvtepi8_epi16(_mm_loadu_si128(w_ptr.add(half * 16) as *const __m128i));
-                sum = _mm256_add_epi32(sum, _mm256_madd_epi16(av, wv));
-            }
-            let lo = _mm256_castsi256_si128(sum);
-            let hi = _mm256_extracti128_si256::<1>(sum);
-            acc += block.scale * hsum_epi32_sse2(_mm_add_epi32(lo, hi)) as f32;
-        }
-        acc
-    }
 
     /// Two SSE2 `__m128` halves acting as one 8-lane vector.
     #[derive(Clone, Copy)]
@@ -1118,8 +1039,9 @@ type Q8TileFn<const R: usize> = unsafe fn(
 
 /// The scalar Q8 convolution tile — the `Isa::Scalar` backend and the
 /// reference every vector backend must match bit for bit: per lane, the
-/// block dots, combine and epilogue of [`quant_row_dot_scalar`] and the
-/// quantized GEMM. Plain indexing: a short row panics instead of reading.
+/// block dots, combine and epilogue of the quantized GEMM's row loop
+/// ([`super::naive::quant_matmul_naive`]). Plain indexing: a short row panics
+/// instead of reading.
 fn q8_tile_scalar(
     w: &[i16],
     scales: &[f32],
@@ -1156,13 +1078,14 @@ fn q8_tile_scalar(
     *acc = tile;
 }
 
-/// Where a Q8 convolution's int8 activations come from.
+/// Where a Q8 product's int8 activations come from.
 pub(crate) enum Q8Input<'a> {
-    /// One calibrated scale for every element: the padded image, quantized
-    /// once by the caller. A tile's rows are int8 gathers through the table.
+    /// One calibrated scale for every element: the padded image (a GEMM's
+    /// A), quantized once by the caller. A tile's rows are int8 gathers
+    /// through the table.
     Static { qpad: &'a [i8], scale: f32 },
-    /// One scale per receptive field: each is gathered in `f32` from the
-    /// padded image into `field` and goes through
+    /// One scale per receptive field (GEMM row): each is gathered in `f32`
+    /// from the padded image into `field` and goes through
     /// [`crate::quant::quantize_row_into`] (into `q8`) for its own scale.
     /// Both buffers hold one field, `taps.len()` elements.
     Dynamic {
@@ -1175,15 +1098,21 @@ pub(crate) enum Q8Input<'a> {
 /// One sample's Q8_0 convolution as the kernel sees it: `out[oc][s] =
 /// a_scale[s] * (Σ_b scales[oc][b] * dot_b(oc, s)) + bias[oc]`, `dot_b` the
 /// exact int8 dot of Q8 block `b` of filter `oc` with the quantized receptive
-/// field `q[s][p] = quantize(xpad[taps[p] + offs[s]])`.
+/// field `q[s][p] = quantize(xpad[taps[p] + offs[s]])`. A quantized GEMM
+/// ([`super::quant_gemm_into`]) has its output features as the channels and
+/// A's rows behind the table `taps[p] = p`, `offs[i] = i * k`.
 pub(crate) struct Q8ConvOperands<'a> {
     /// The Q8 filters as `[oc block][tap pair][OC_LANES][2]`, widened to
     /// `i16`, lanes past the last channel and the odd last tap zero.
     pub(crate) panels: &'a [i16],
     /// Their block scales as `[oc block][Q8 block][OC_LANES]`.
     pub(crate) scales: &'a [f32],
-    /// One final addend per output channel.
-    pub(crate) bias: &'a [f32],
+    /// Output channels.
+    pub(crate) oc: usize,
+    /// One final addend per output channel. `None` adds `-0.0`, the exact
+    /// additive identity: an `a_scale * acc` that underflowed to `-0.0`
+    /// keeps its sign.
+    pub(crate) bias: Option<&'a [f32]>,
     /// Window table: the offset of tap `p` from a receptive field's origin.
     pub(crate) taps: &'a [u32],
     /// Window table: the origin of output position `s` in the padded image.
@@ -1203,12 +1132,12 @@ pub(crate) struct Q8ConvOperands<'a> {
 /// f32` for blocks ascending (a multiply, then an add), then `a_scale * acc +
 /// bias` — and stores the tile like [`conv_tiles`]. The integer part is all
 /// a backend computes, so all backends are bit-identical, to each other and
-/// to the row dots of [`quant_row_dot`]. AVX-512 hosts take the AVX2 tile, as
-/// there.
+/// to the row loop of [`super::naive::quant_matmul_naive`]. AVX-512 hosts
+/// take the AVX2 tile.
 ///
 /// # Panics
 ///
-/// Panics if `panels`, `scales` or `out` does not match `bias.len()`,
+/// Panics if `panels`, `scales`, `bias` or `out` does not match `oc`,
 /// `taps.len()` and `offs.len()`, or if the table addresses an element
 /// outside the padded image.
 pub(crate) fn q8_conv_forward(isa: Isa, ops: Q8ConvOperands<'_>) {
@@ -1279,6 +1208,7 @@ unsafe fn q8_conv_drive<const R: usize>(tile: Q8TileFn<R>, ops: Q8ConvOperands<'
     let Q8ConvOperands {
         panels,
         scales,
+        oc,
         bias,
         taps,
         offs,
@@ -1286,7 +1216,10 @@ unsafe fn q8_conv_drive<const R: usize>(tile: Q8TileFn<R>, ops: Q8ConvOperands<'
         qrows,
         out,
     } = ops;
-    let (oc, s) = (bias.len(), offs.len());
+    let s = offs.len();
+    if let Some(bias) = bias {
+        assert_eq!(bias.len(), oc, "q8 conv: bias must have oc entries");
+    }
     let row_pairs = taps.len().div_ceil(2);
     let block_len = row_pairs * 2 * OC_LANES;
     let q8_blocks = taps.len().div_ceil(QK8_0);
@@ -1330,15 +1263,14 @@ unsafe fn q8_conv_drive<const R: usize>(tile: Q8TileFn<R>, ops: Q8ConvOperands<'
                 }
             }
         }
-        for (block, (ochans, bchans)) in out
-            .chunks_mut(OC_LANES * s)
-            .zip(bias.chunks(OC_LANES))
-            .enumerate()
-        {
+        for (block, ochans) in out.chunks_mut(OC_LANES * s).enumerate() {
             let w = &panels[block * block_len..(block + 1) * block_len];
             let ws = &scales[block * q8_blocks * OC_LANES..(block + 1) * q8_blocks * OC_LANES];
-            let mut seed = [0.0f32; OC_LANES];
-            seed[..bchans.len()].copy_from_slice(bchans);
+            let mut seed = [-0.0f32; OC_LANES];
+            if let Some(bias) = bias {
+                let bchans = &bias[block * OC_LANES..oc.min((block + 1) * OC_LANES)];
+                seed[..bchans.len()].copy_from_slice(bchans);
+            }
             // SAFETY: `w` is `row_pairs` pair rows of `2 * OC_LANES`, `ws` one
             // row of `OC_LANES` scales per started `QK8_0` taps of them, and
             // each of the `R` rows of `qrows` holds `row_pairs` words; the
@@ -1346,57 +1278,6 @@ unsafe fn q8_conv_drive<const R: usize>(tile: Q8TileFn<R>, ops: Q8ConvOperands<'
             unsafe { tile(w, ws, qrows, row_pairs, &a_scale, &seed, &mut acc) };
             store_tile(&acc, group.len(), ochans, s, t * R);
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Q8_0 int8 row-dot kernels (the quantized GEMM's inner loop).
-// ---------------------------------------------------------------------------
-
-/// The scalar Q8_0 row dot — the reference every SIMD path must match
-/// bit-for-bit: per block, an exact int8×int8→i32 dot product (bounded by
-/// `32 * 127² < 2^24`, so the i32→f32 conversion is exact), combined as
-/// `acc += scale * dot` in ascending block order. The combine stays a
-/// separate `mul` + `add` in every backend, like the f32 kernels'.
-fn quant_row_dot_scalar(qa: &[i8], blocks: &[crate::quant::BlockQ8_0]) -> f32 {
-    use crate::quant::QK8_0;
-    let mut acc = 0.0f32;
-    for (b, block) in blocks.iter().enumerate() {
-        let a = &qa[b * QK8_0..(b + 1) * QK8_0];
-        let mut dot = 0i32;
-        for (x, w) in a.iter().zip(block.qs.iter()) {
-            dot += i32::from(*x) * i32::from(*w);
-        }
-        acc += block.scale * dot as f32;
-    }
-    acc
-}
-
-/// Dot product of a quantized activation row against one reduction row of a
-/// [`crate::quant::QuantMatrix`], dispatched on `isa` (resolved once per
-/// GEMM by the caller). AVX-512 hosts use the AVX2 path — with 32-element
-/// blocks the reduction is latency-bound, not width-bound.
-///
-/// # Panics
-///
-/// Panics if `qa` is shorter than `blocks.len() * QK8_0`.
-#[cfg_attr(not(target_arch = "x86_64"), allow(unreachable_patterns))]
-pub(crate) fn quant_row_dot(isa: Isa, qa: &[i8], blocks: &[crate::quant::BlockQ8_0]) -> f32 {
-    assert!(
-        qa.len() >= blocks.len() * crate::quant::QK8_0,
-        "quantized activation row shorter than the weight row"
-    );
-    match isa {
-        Isa::Scalar => quant_row_dot_scalar(qa, blocks),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `isa` comes from `active_isa` (host-clamped) and the row
-        // length is asserted above.
-        Isa::Sse2 => unsafe { x86::quant_row_dot_sse2(qa, blocks) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above; AVX-512 hosts always support AVX2.
-        Isa::Avx2 | Isa::Avx512 => unsafe { x86::quant_row_dot_avx2(qa, blocks) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => quant_row_dot_scalar(qa, blocks),
     }
 }
 
@@ -1436,31 +1317,6 @@ mod tests {
         // The override is always clamped to a supported ISA, so the active
         // ISA is supported whether or not one is installed.
         assert!(isas.contains(&active_isa()));
-    }
-
-    #[test]
-    fn quant_row_dot_is_bit_identical_on_every_isa() {
-        use crate::quant::{quantize_f32, QK8_0};
-        use crate::rng::SeededRng;
-        let mut rng = SeededRng::new(88);
-        for blocks_n in [1usize, 2, 5] {
-            let w: Vec<f32> = (0..blocks_n * QK8_0)
-                .map(|_| rng.uniform(-2.0, 2.0))
-                .collect();
-            let blocks = quantize_f32(&w);
-            let qa: Vec<i8> = (0..blocks_n * QK8_0)
-                .map(|_| (rng.below(255) as i32 - 127) as i8)
-                .collect();
-            let want = quant_row_dot_scalar(&qa, &blocks);
-            for isa in supported_isas() {
-                let got = quant_row_dot(isa, &qa, &blocks);
-                assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "quant dot diverges on {isa} ({got:e} vs {want:e})"
-                );
-            }
-        }
     }
 
     #[test]

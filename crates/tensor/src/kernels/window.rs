@@ -29,8 +29,10 @@
 //!   gathered through the table — from the padded image quantized **once**
 //!   when the layer has a calibrated scale, from `xpad` and then through
 //!   [`quantize_row_into`] when every receptive field takes its own — and the
-//!   block dots are exact integers, combined in `f32` exactly as the
-//!   quantized GEMM combines them;
+//!   block dots are exact integers, combined in `f32` block by block. The
+//!   quantized GEMM ([`super::quant_gemm_into`]) runs the same tiles with the
+//!   table `taps[p] = p`, `offs[i] = i * k`, on panels packed per call
+//!   ([`q8_lane_panels`]) or once by a quantized `Dense`;
 //! * the depthwise convolution runs as a direct stencil
 //!   ([`ConvWindow::depthwise_forward`] / [`ConvWindow::depthwise_backward`])
 //!   with positions on the lanes (its channels are `hp * wp` apart in NCHW).
@@ -411,7 +413,7 @@ impl ConvWindow {
             self.padded_len(),
             "q8 conv: padded image does not match its window"
         );
-        let QuantScratch { qa, row, qrows } = scratch;
+        let QuantScratch { qa, row, qrows, .. } = scratch;
         let input = match act_scale {
             Some(scale) => {
                 let qpad = qa.take(xpad.len());
@@ -429,7 +431,8 @@ impl ConvWindow {
             Q8ConvOperands {
                 panels: &panels.panels,
                 scales: &panels.scales,
-                bias,
+                oc: panels.oc,
+                bias: Some(bias),
                 taps: &self.tapoff,
                 offs: &self.off,
                 input,
@@ -685,46 +688,73 @@ pub(crate) fn transposed_lane_panels<'a>(
 /// channel, and the pair partner of an odd last tap, are zero. Q8 blocks are
 /// an even [`QK8_0`] taps, so no pair straddles two. The layout is the same on
 /// every ISA. Derived layer state, like [`OcPanels`]: built by
-/// `quantize_weights()`, cloned with the layer.
+/// `quantize_weights()` — a quantized `Conv2d`'s filters, a quantized
+/// `Dense`'s output features — and cloned with the layer.
 #[derive(Debug, Clone)]
 pub(crate) struct Q8Panels {
     oc: usize,
     taps: usize,
-    panels: Vec<i16>,
-    scales: Vec<f32>,
+    pub(crate) panels: Vec<i16>,
+    pub(crate) scales: Vec<f32>,
 }
 
 impl Q8Panels {
     /// Packs a quantized `[oc, taps]` weight matrix. Counted in
     /// [`scratch::ScratchStats::weight_floats_packed`] (one per `i16` lane
     /// written), so tests can pin that eval forwards never re-pack.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix has no columns.
     pub(crate) fn pack(weight: &QuantMatrix) -> Self {
-        let (oc, taps, q8_blocks) = (weight.rows(), weight.cols(), weight.blocks_per_row());
-        assert!(taps > 0, "Q8Panels: a convolution has at least one tap");
-        let pairs = taps.div_ceil(2);
-        let oc_blocks = oc.div_ceil(OC_LANES);
-        let mut panels = vec![0i16; oc_blocks * pairs * OC_LANES * 2];
-        let mut scales = vec![0.0f32; oc_blocks * q8_blocks * OC_LANES];
-        for o in 0..oc {
-            let (block, lane) = (o / OC_LANES, o % OC_LANES);
-            for (b, q8) in weight.row(o).iter().enumerate() {
-                scales[(block * q8_blocks + b) * OC_LANES + lane] = q8.scale;
-                let taps_here = q8.qs.iter().take(taps - b * QK8_0);
-                for (p, &q) in (b * QK8_0..).zip(taps_here) {
-                    panels[((block * pairs + p / 2) * OC_LANES + lane) * 2 + p % 2] = i16::from(q);
-                }
-            }
-        }
+        let (panels_len, scales_len) = q8_panel_lens(weight);
+        let mut panels = vec![0i16; panels_len];
+        let mut scales = vec![0.0f32; scales_len];
+        pack_q8(weight, &mut panels, &mut scales);
         scratch::count_weight_floats_packed(panels.len());
         Self {
-            oc,
-            taps,
+            oc: weight.rows(),
+            taps: weight.cols(),
             panels,
             scales,
+        }
+    }
+}
+
+/// The [`Q8Panels`] layout of `weight` — panels, then block scales — drawn
+/// from the scratch buffers `panels` and `scales`: the quantized GEMM's
+/// per-call packing. Not counted as packed weights.
+pub(crate) fn q8_lane_panels<'a>(
+    weight: &QuantMatrix,
+    panels: &'a mut GrowBuf<i16>,
+    scales: &'a mut GrowBuf,
+) -> (&'a [i16], &'a [f32]) {
+    let (panels_len, scales_len) = q8_panel_lens(weight);
+    let (panels, scales) = (panels.take(panels_len), scales.take(scales_len));
+    pack_q8(weight, panels, scales);
+    (panels, scales)
+}
+
+/// Lengths of `weight`'s [`Q8Panels`] panels and scales.
+fn q8_panel_lens(weight: &QuantMatrix) -> (usize, usize) {
+    let (oc_blocks, taps) = (weight.rows().div_ceil(OC_LANES), weight.cols());
+    (
+        oc_blocks * taps.div_ceil(2) * OC_LANES * 2,
+        oc_blocks * taps.div_ceil(QK8_0) * OC_LANES,
+    )
+}
+
+/// Fills the [`Q8Panels`] layout of `weight` into `panels` and `scales`
+/// ([`q8_panel_lens`] long, possibly dirty).
+fn pack_q8(weight: &QuantMatrix, panels: &mut [i16], scales: &mut [f32]) {
+    let (oc, taps) = (weight.rows(), weight.cols());
+    let (pairs, q8_blocks) = (taps.div_ceil(2), taps.div_ceil(QK8_0));
+    panels.fill(0);
+    scales.fill(0.0);
+    for o in 0..oc {
+        let (block, lane) = (o / OC_LANES, o % OC_LANES);
+        for (b, q8) in weight.row(o).iter().take(q8_blocks).enumerate() {
+            scales[(block * q8_blocks + b) * OC_LANES + lane] = q8.scale;
+            let taps_here = q8.qs.iter().take(taps - b * QK8_0);
+            for (p, &q) in (b * QK8_0..).zip(taps_here) {
+                panels[((block * pairs + p / 2) * OC_LANES + lane) * 2 + p % 2] = i16::from(q);
+            }
         }
     }
 }
@@ -839,17 +869,19 @@ mod tests {
         window.conv_forward(&xpad, &panels, &[0.0; 3], &mut [0.0; 3 * 16]);
     }
 
-    /// The Q8 forward against the lowering it replaced, rebuilt here from the
-    /// public kernels — `im2col`, `transpose_into`, `quant_gemm_into`,
-    /// `transpose_into` — bit for bit, with dynamic per-row scales and with a
-    /// static one, on every backend, from a dirtied arena: partial, whole and
+    /// The Q8 forward against the lowering it replaced, rebuilt here from
+    /// `im2col`, `transpose_into`, the quantized GEMM's row loop
+    /// ([`naive::quant_matmul_naive`]) and `transpose_into` — so a tile is
+    /// checked against an independent loop, not against another tile — bit
+    /// for bit, with dynamic per-row scales and with a static one, on every
+    /// backend, from a dirtied arena: partial, whole and
     /// multiple Q8 blocks (8, 16, 27, 32, 33 and 70 taps), partial and
     /// multiple lane blocks, strides 1-3, pointwise, inputs far beyond the
     /// static scale's int8 grid (saturating) and one all-zero receptive field
     /// (dynamic scale 0).
     #[test]
     fn q8_conv_matches_the_gemm_lowering_on_every_isa() {
-        use super::super::{im2col, quant_gemm_into, transpose_into};
+        use super::super::{im2col, transpose_into};
         let _lock = simd::isa_override_test_lock();
         let mut rng = SeededRng::new(0x0C_08);
         let geometries = [
@@ -883,11 +915,10 @@ mod tests {
                 for act_scale in [None, Some(crate::quant::q8_block_scale(2.0))] {
                     let mut cols = vec![0.0f32; taps * s];
                     let mut cols_t = vec![0.0f32; s * taps];
-                    let mut out_t = vec![0.0f32; s * oc];
                     let mut want = vec![0.0f32; oc * s];
                     im2col(&x, c, h, w, k, stride, padding, oh, ow, &mut cols);
                     transpose_into(&cols, taps, s, &mut cols_t);
-                    quant_gemm_into(
+                    let out_t = naive::quant_matmul_naive(
                         s,
                         taps,
                         oc,
@@ -895,8 +926,6 @@ mod tests {
                         &qm,
                         Some(&bias),
                         act_scale,
-                        &mut out_t,
-                        &mut QuantScratch::new(),
                     );
                     transpose_into(&out_t, s, oc, &mut want);
                     if act_scale.is_none() {

@@ -16,9 +16,9 @@
 //! the Q8_0 filters packed once as tap-pair panels, a tile's activation rows
 //! gathered through the table — from the padded image quantized once under a
 //! calibrated scale, or field by field under dynamic ones — and exact integer
-//! block dots combined in `f32` the way the quantized GEMM combines them, so
-//! the bytes are those of `im2col` + transpose + `quant_gemm_into` without
-//! any of the three. Its backward runs on the forward's tile kernel too, and
+//! block dots combined in `f32` block by block (the tile `quant_gemm_into`
+//! runs too), so the bytes are those of `im2col` + transpose + a quantized
+//! GEMM without any of the three. Its backward runs on the forward's tile kernel too, and
 //! reads the input through the same table: the weight gradient `grad_out x
 //! im2col(x)^T` with the table's roles swapped (`grad_out`'s channels on the
 //! lanes, the reduction over positions, the rows over taps), the input
@@ -105,7 +105,7 @@ pub struct Conv2d {
     /// as output-channel-lane panels by `quantize_weights()`.
     /// [`DepthwiseConv2d`] deliberately has none: its per-channel `k*k`
     /// reductions are too short for int8 blocking to pay off.
-    quant: Option<QuantWeights<Q8Panels>>,
+    quant: Option<QuantWeights>,
     /// `weight` as output-channel-lane panels, built by the first f32 eval
     /// forward. Only ever `Some` while `weight` is unchanged since they were
     /// packed.
@@ -673,30 +673,19 @@ mod tests {
         assert!(reports[0].within_bound());
         let q_out = conv.forward(&x, false);
         assert_eq!(q_out.shape(), f32_out.shape());
-        // The layer computes the bytes of im2col -> transpose -> quantized
-        // GEMM -> transpose, with none of the four.
+        // The layer computes the bytes of im2col -> transpose -> the
+        // quantized GEMM's row loop -> transpose, with none of the four.
         let (s, ckk) = (64usize, 27usize);
         let qm = QuantMatrix::from_rows(conv.weight.value.data(), 8, ckk);
         let mut cols = vec![0.0f32; ckk * s];
         let mut cols_t = vec![0.0f32; s * ckk];
-        let mut out_t = vec![0.0f32; s * 8];
         let mut expect = vec![0.0f32; 2 * 8 * s];
-        let mut scratch = kernels::QuantScratch::new();
+        let bias = Some(conv.bias.value.data());
         for b in 0..2 {
             let xb = &x.data()[b * 3 * 64..(b + 1) * 3 * 64];
             kernels::im2col(xb, 3, 8, 8, 3, 1, 1, 8, 8, &mut cols);
             kernels::transpose_into(&cols, ckk, s, &mut cols_t);
-            kernels::quant_gemm_into(
-                s,
-                ckk,
-                8,
-                &cols_t,
-                &qm,
-                Some(conv.bias.value.data()),
-                None,
-                &mut out_t,
-                &mut scratch,
-            );
+            let out_t = kernels::naive::quant_matmul_naive(s, ckk, 8, &cols_t, &qm, bias, None);
             kernels::transpose_into(&out_t, s, 8, &mut expect[b * 8 * s..(b + 1) * 8 * s]);
         }
         for (a, b) in q_out.data().iter().zip(&expect) {

@@ -1,7 +1,14 @@
 //! Fully-connected (dense) layer.
+//!
+//! After `quantize_weights()` its eval forward runs the Q8 tile kernel every
+//! quantized convolution runs on (`kernels/quant_gemm.rs`): the output
+//! features are packed once as Q8 panels, like a convolution's filters, and
+//! each input row is quantized with its own scale or the calibrated one.
 
 use crate::init::Init;
-use crate::kernels::{quant_gemm_into, with_thread_scratch};
+use crate::kernels::quant_gemm::quant_gemm_panels;
+use crate::kernels::window::Q8Panels;
+use crate::kernels::with_thread_scratch;
 use crate::layer::{Layer, Param};
 use crate::quant::{QuantLayerReport, QuantMatrix, QuantWeights};
 use crate::rng::SeededRng;
@@ -95,12 +102,13 @@ impl Layer for Dense {
                 let m = input.shape()[0];
                 let mut out = Tensor::zeros(&[m, self.out_features]);
                 with_thread_scratch(|s| {
-                    quant_gemm_into(
+                    quant_gemm_panels(
                         m,
                         self.in_features,
                         self.out_features,
                         input.data(),
-                        &q.weight,
+                        &q.weight.panels,
+                        &q.weight.scales,
                         Some(self.bias.value.data()),
                         q.act_scale,
                         out.data_mut(),
@@ -159,7 +167,7 @@ impl Layer for Dense {
         }
         let qm = QuantMatrix::from_rows(&gathered, n, k);
         let report = qm.report_against_rows(self.name(), &gathered);
-        self.quant = Some(QuantWeights::new(qm));
+        self.quant = Some(QuantWeights::new(Q8Panels::pack(&qm)));
         vec![report]
     }
 
@@ -184,6 +192,8 @@ impl Layer for Dense {
 mod tests {
     use super::*;
     use crate::gradcheck::check_layer_gradients;
+    use crate::kernels::naive::quant_matmul_naive;
+    use crate::kernels::tolerance::assert_bits_eq;
     use crate::quant::q8_block_scale;
 
     #[test]
@@ -229,7 +239,7 @@ mod tests {
     }
 
     #[test]
-    fn quantized_eval_forward_matches_kernel_and_tracks_f32() {
+    fn quantized_eval_forward_matches_the_row_loop_and_tracks_f32() {
         let mut rng = SeededRng::new(7);
         let mut layer = Dense::new(64, 16, &mut rng);
         let x = Tensor::randn(&[8, 64], &mut rng);
@@ -242,25 +252,12 @@ mod tests {
         assert!(reports[0].within_bound(), "weight round-trip broke bound");
         let q_out = layer.forward(&x, false);
         assert_eq!(q_out.shape(), f32_out.shape());
-        // Plumbing is exact: the layer's quantized forward is the raw kernel
+        // Plumbing is exact: the layer's quantized forward is the row loop
         // on QuantMatrix::from_b of its weights, bit for bit.
         let qm = QuantMatrix::from_b(layer.weight.value.data(), 64, 16);
-        let mut want = vec![0.0f32; 8 * 16];
-        let mut scratch = crate::kernels::QuantScratch::new();
-        quant_gemm_into(
-            8,
-            64,
-            16,
-            x.data(),
-            &qm,
-            Some(layer.bias.value.data()),
-            None,
-            &mut want,
-            &mut scratch,
-        );
-        for (a, b) in q_out.data().iter().zip(&want) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        let bias = Some(layer.bias.value.data());
+        let want = quant_matmul_naive(8, 64, 16, x.data(), &qm, bias, None);
+        assert_bits_eq(q_out.data(), &want, "dynamic scales");
         // And close to the f32 output on unit-scale data.
         for (a, b) in q_out.data().iter().zip(f32_out.data()) {
             assert!((a - b).abs() < 0.2, "quantized {a} too far from f32 {b}");
@@ -279,25 +276,12 @@ mod tests {
         let absmax = x.data().iter().fold(0.0f32, |m, &v| m.max(v.abs()));
         let s = q8_block_scale(absmax);
         assert_eq!(layer.quant.as_ref().unwrap().act_scale, Some(s));
-        // The calibrated forward is the kernel with that static scale.
+        // The calibrated forward is the row loop with that static scale.
         let calibrated = layer.forward(&x, false);
         let qm = QuantMatrix::from_b(layer.weight.value.data(), 32, 4);
-        let mut want = vec![0.0f32; 4 * 4];
-        let mut scratch = crate::kernels::QuantScratch::new();
-        quant_gemm_into(
-            4,
-            32,
-            4,
-            x.data(),
-            &qm,
-            Some(layer.bias.value.data()),
-            Some(s),
-            &mut want,
-            &mut scratch,
-        );
-        for (a, b) in calibrated.data().iter().zip(&want) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        let bias = Some(layer.bias.value.data());
+        let want = quant_matmul_naive(4, 32, 4, x.data(), &qm, bias, Some(s));
+        assert_bits_eq(calibrated.data(), &want, "static scale");
     }
 
     #[test]

@@ -15,17 +15,18 @@
 //!   is bitwise idempotent: re-quantizing a dequantized block reproduces the
 //!   identical scale and bytes. With an `absmax / 127` scale this fails in
 //!   f32 because `fl(fl(127 * d) / 127)` double-rounds.
-//! * In the int8 GEMM ([`crate::kernels::quant_gemm`]) the per-block integer
-//!   dot product (`<= 32 * 127 * 127 < 2^24`) converts to `f32` exactly and
-//!   the power-of-two scale multiplies it exactly, leaving the cross-block
-//!   f32 accumulation as the only rounding site — which is why the quantized
-//!   path has a *single* numeric contract across every ISA and both build
-//!   tiers (`quantized-tolerance`, see `docs/DETERMINISM.md`).
+//! * In the Q8 tile kernel — every quantized convolution and GEMM
+//!   ([`crate::kernels::quant_gemm`]) — the per-block integer dot product
+//!   (`<= 32 * 127 * 127 < 2^24`) converts to `f32` exactly and the
+//!   power-of-two scale multiplies it exactly, leaving the cross-block f32
+//!   accumulation as the only rounding site — which is why the quantized
+//!   path has a *single* numeric contract across every ISA
+//!   (`quantized-tolerance`, see `docs/DETERMINISM.md`).
 //!
 //! Scales are clamped to at least `2^-126` (the smallest normal `f32`) so
 //! the idempotence argument survives denormal inputs.
 
-use crate::tensor::Tensor;
+use crate::kernels::window::Q8Panels;
 
 /// Number of elements per quantization block.
 pub const QK8_0: usize = 32;
@@ -175,10 +176,10 @@ pub fn quantize_f32(src: &[f32]) -> Vec<BlockQ8_0> {
 /// the int8 grid are saturated to ±127 (the standard static-calibration
 /// trade-off; the scale itself must be a [`q8_block_scale`] output).
 ///
-/// `qs` may be longer than `src` (zero-padded GEMM rows); the tail is left
-/// untouched. Each element is a function of `(x, scale)` alone, so a row may
-/// as well be a whole image: the Q8 convolution quantizes its padded input in
-/// one call when the scale is static.
+/// `qs` may be longer than `src`; the tail is left untouched. Each element is
+/// a function of `(x, scale)` alone, so a row may as well be a whole image:
+/// when the scale is static the Q8 convolution quantizes its padded input,
+/// and the quantized GEMM its whole `A`, in one call.
 ///
 /// # Panics
 ///
@@ -245,71 +246,10 @@ pub fn dequantize(blocks: &[BlockQ8_0], out: &mut [f32]) {
 /// (values whose exact quotient underflows quantize to 0 with error below
 /// `scale * 2^-126`).
 ///
-/// A zero bound is *not* valid for generic data — the tolerance-harness
-/// teeth tests in [`crate::kernels::tolerance`] rely on that.
+/// [`QuantLayerReport::within_bound`] holds every quantized layer's weights
+/// to it, and the `roundtrip_bound_*` suites every block.
 pub fn q8_error_bound(scale: f32) -> f64 {
     f64::from(scale) * 0.5 + f64::from(f32::MIN_POSITIVE)
-}
-
-/// A quantized tensor: Q8_0 blocks plus the logical element count.
-///
-/// This is the storage type for quantized parameters; it deliberately keeps
-/// no shape information (the owning layer knows the shape, exactly as it
-/// does for its f32 [`crate::Param`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantTensor {
-    blocks: Vec<BlockQ8_0>,
-    len: usize,
-}
-
-impl QuantTensor {
-    /// Quantizes a slice.
-    pub fn quantize(src: &[f32]) -> Self {
-        Self {
-            blocks: quantize_f32(src),
-            len: src.len(),
-        }
-    }
-
-    /// Logical (unpadded) element count.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns `true` if the tensor holds no elements.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The underlying blocks.
-    pub fn blocks(&self) -> &[BlockQ8_0] {
-        &self.blocks
-    }
-
-    /// Dequantizes back to f32.
-    pub fn dequantize(&self) -> Vec<f32> {
-        let mut out = vec![0.0; self.len];
-        dequantize(&self.blocks, &mut out);
-        out
-    }
-
-    /// Storage footprint in bytes (1 byte per element + 4 per block scale).
-    pub fn bytes(&self) -> usize {
-        self.blocks.len() * (QK8_0 + std::mem::size_of::<f32>())
-    }
-
-    /// The maximum `|x - dequant(quant(x))|` over `src`, and the largest
-    /// per-block bound it must respect ([`q8_error_bound`] of the max scale).
-    pub fn max_roundtrip_error(&self, src: &[f32]) -> (f64, f64) {
-        assert_eq!(src.len(), self.len, "round-trip length mismatch");
-        let deq = self.dequantize();
-        let mut max_err = 0.0f64;
-        for (x, y) in src.iter().zip(&deq) {
-            max_err = max_err.max((f64::from(*x) - f64::from(*y)).abs());
-        }
-        let max_scale = self.blocks.iter().map(|b| b.scale).fold(0.0f32, f32::max);
-        (max_err, q8_error_bound(max_scale))
-    }
 }
 
 /// Quantized GEMM weights: the `B` operand of `out[m,n] = A[m,k] · B[k,n]`,
@@ -353,7 +293,7 @@ impl QuantMatrix {
         }
     }
 
-    /// Quantizes a row-major `[k, n]` matrix (a [`Tensor`]-layout GEMM `B`
+    /// Quantizes a row-major `[k, n]` matrix (a [`crate::Tensor`]-layout GEMM `B`
     /// operand, e.g. a dense weight `[in, out]`) by gathering its columns.
     pub fn from_b(b: &[f32], k: usize, n: usize) -> Self {
         assert_eq!(b.len(), k * n, "QuantMatrix shape mismatch");
@@ -366,12 +306,6 @@ impl QuantMatrix {
             gathered.extend_from_slice(&col);
         }
         Self::from_rows(&gathered, n, k)
-    }
-
-    /// Quantizes a 2-D tensor `[k, n]` as the GEMM `B` operand.
-    pub fn from_tensor_b(t: &Tensor) -> Self {
-        assert_eq!(t.rank(), 2, "QuantMatrix::from_tensor_b expects rank 2");
-        Self::from_b(t.data(), t.shape()[0], t.shape()[1])
     }
 
     /// Number of reduction rows (the GEMM `n` dimension).
@@ -446,14 +380,15 @@ impl QuantMatrix {
 
 /// Quantized-tier state of a layer with a Q8_0 path (`Dense`, `Conv2d`): the
 /// quantized weights plus activation-scale calibration state. Present only
-/// after [`crate::Layer::quantize_weights`]; eval forwards then run the int8
-/// kernels while training keeps using the f32 weights.
+/// after [`crate::Layer::quantize_weights`]; eval forwards then run the Q8
+/// tile kernel while training keeps using the f32 weights.
 #[derive(Debug, Clone)]
-pub(crate) struct QuantWeights<W = QuantMatrix> {
-    /// The quantized weights in the layout the layer's kernel reads:
-    /// [`QuantMatrix`] rows for `Dense`, output-channel-lane panels
-    /// (`kernels/window.rs`) for `Conv2d`.
-    pub(crate) weight: W,
+pub(crate) struct QuantWeights {
+    /// The quantized weights as output-channel-lane panels
+    /// (`kernels/window.rs`), the one layout the Q8 tile reads: a
+    /// convolution's filters or a dense layer's output features on the
+    /// lanes.
+    pub(crate) weight: Q8Panels,
     /// Static power-of-two activation scale frozen by calibration; `None`
     /// selects dynamic per-row absmax quantization.
     pub(crate) act_scale: Option<f32>,
@@ -461,8 +396,8 @@ pub(crate) struct QuantWeights<W = QuantMatrix> {
     observing: bool,
 }
 
-impl<W> QuantWeights<W> {
-    pub(crate) fn new(weight: W) -> Self {
+impl QuantWeights {
+    pub(crate) fn new(weight: Q8Panels) -> Self {
         Self {
             weight,
             act_scale: None,
@@ -813,21 +748,6 @@ mod tests {
             assert_block_bound(&src);
             assert_idempotent(&src);
         }
-    }
-
-    #[test]
-    fn quant_tensor_roundtrip_and_footprint() {
-        let mut rng = SeededRng::new(5);
-        let src: Vec<f32> = (0..1000).map(|_| rng.uniform(-0.5, 0.5)).collect();
-        let qt = QuantTensor::quantize(&src);
-        assert_eq!(qt.len(), 1000);
-        assert!(!qt.is_empty());
-        let (err, bound) = qt.max_roundtrip_error(&src);
-        assert!(err <= bound, "err {err:e} > bound {bound:e}");
-        assert!(err > 0.0, "random data should not round-trip exactly");
-        // 32 floats (128 B) become 36 B: ~3.6x smaller.
-        assert!(qt.bytes() * 3 < src.len() * 4);
-        assert_eq!(qt.dequantize().len(), 1000);
     }
 
     #[test]

@@ -13,18 +13,18 @@
 //! weights out, which must drop the panels; a train forward packs them for
 //! that call, once however many samples it carries. Convolution window
 //! tables are built by the warm-up too, and again only when a layer meets a
-//! new input shape. A quantized convolution's Q8 panels are packed by
-//! `quantize_weights()` and by nothing else. And what scratch reuse cannot
-//! see — the tensors between layers — is pinned as the exact number of heap
-//! allocations one steady-state `submit` makes, counted by this binary's own
-//! global allocator.
+//! new input shape. A quantized convolution's or dense layer's Q8 panels are
+//! packed by `quantize_weights()` and by nothing else. And what scratch reuse
+//! cannot see — the tensors between layers — is pinned as the exact number
+//! of heap allocations one steady-state `submit` makes, counted by this
+//! binary's own global allocator.
 //!
 //! Kept as the only test in this file so no concurrently running test can
 //! perturb the process-wide counters.
 
 use appeal_bench::fixtures::model_pair;
 use appeal_tensor::kernels;
-use appeal_tensor::prelude::Conv2d;
+use appeal_tensor::prelude::{Conv2d, Dense};
 use appeal_tensor::{Layer, SeededRng, Tensor};
 use appealnet_core::serve::{Engine, InferenceRequest, ThresholdPolicy};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -245,7 +245,9 @@ fn train_forward_packs_once_per_call(rng: &mut SeededRng) {
 /// nothing after it: not the eval forwards, dynamic or calibrated, not a
 /// replica (which carries them) and not a train forward (which packs the f32
 /// weights it runs on, and leaves the Q8 panels be). Quantizing again after a
-/// weight edit packs again, and the output follows the new weights.
+/// weight edit packs again, and the output follows the new weights. A
+/// quantized `Dense` packs its panels in `quantize_weights()` too, and its
+/// eval forwards and replicas pack nothing.
 fn q8_panels_follow_the_weights(rng: &mut SeededRng) {
     let (c, oc, k) = (3usize, 17usize, 3usize);
     let mut conv = Conv2d::new(c, oc, k, 1, 1, rng);
@@ -294,6 +296,32 @@ fn q8_panels_follow_the_weights(rng: &mut SeededRng) {
     conv.quantize_weights();
     assert_eq!(packed() - before, 2 * q8_lanes + f32_lanes);
     assert_ne!(conv.forward(&batch, false).data(), calibrated.data());
+
+    // A quantized dense layer runs the same tile on the same panels, its
+    // output features on the lanes: here 2 blocks of 20 pairs.
+    let (inputs, outputs) = (40usize, 17usize);
+    let mut dense = Dense::new(inputs, outputs, rng);
+    let x = Tensor::randn(&[3, inputs], rng);
+    let dense_lanes = (outputs.div_ceil(16) * inputs.div_ceil(2) * 16 * 2) as u64;
+    let before = packed();
+    dense.quantize_weights();
+    assert_eq!(
+        packed() - before,
+        dense_lanes,
+        "quantizing a dense layer packs its Q8 panels"
+    );
+    let _ = dense.forward(&x, false);
+    dense.begin_calibration();
+    let _ = dense.forward(&x, false);
+    dense.end_calibration();
+    let calibrated = dense.forward(&x, false);
+    let mut replica = dense.clone();
+    assert_eq!(replica.forward(&x, false).data(), calibrated.data());
+    assert_eq!(
+        packed() - before,
+        dense_lanes,
+        "quantized dense eval forwards and replicas must pack nothing"
+    );
 }
 
 /// Steady-state large GEMMs through the scratch-less `Tensor::matmul` entry
