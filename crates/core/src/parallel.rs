@@ -23,6 +23,7 @@ use appeal_dataset::Fidelity;
 use appeal_models::ClassifierParts;
 use appeal_tensor::Tensor;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::ops::Range;
 
 /// Decides how a batch evaluation workload is split across worker threads.
@@ -192,27 +193,52 @@ where
         .collect()
 }
 
+/// The mini-batches of `range` in `images`, `batch_size` samples each: the
+/// tensor itself when one batch is all of it, otherwise a copy of its rows.
+fn mini_batches<'a>(
+    images: &'a Tensor,
+    range: Range<usize>,
+    batch_size: usize,
+) -> impl Iterator<Item = Cow<'a, Tensor>> + 'a {
+    assert!(batch_size > 0, "batch_size must be positive");
+    let n = images.shape()[0];
+    range.clone().step_by(batch_size).map(move |start| {
+        let end = (start + batch_size).min(range.end);
+        if start == 0 && end == n {
+            Cow::Borrowed(images)
+        } else {
+            Cow::Owned(images.select_rows(&(start..end).collect::<Vec<_>>()))
+        }
+    })
+}
+
+/// Appends `out` to `rows`, or takes `out` itself while `rows` is empty.
+fn append(rows: &mut Vec<f32>, out: Vec<f32>) {
+    if rows.is_empty() {
+        *rows = out;
+    } else {
+        rows.extend_from_slice(&out);
+    }
+}
+
+/// `rows` as one `[n, rows.len() / n]` tensor.
+fn stack(rows: Vec<f32>, n: usize) -> Tensor {
+    let width = rows.len() / n.max(1);
+    Tensor::from_vec(rows, &[n, width]).expect("every sample has one row of equal width")
+}
+
 /// Sequential core of a classifier evaluation pass: runs `model` over the
-/// samples of `range` in `batch_size` mini-batches and returns one logits row
-/// per sample, in order.
+/// samples of `range` in `batch_size` mini-batches and returns their logits
+/// rows, in order, as one buffer.
 pub(crate) fn logits_rows(
     model: &mut ClassifierParts,
     images: &Tensor,
     range: Range<usize>,
     batch_size: usize,
-) -> Vec<Tensor> {
-    assert!(batch_size > 0, "batch_size must be positive");
-    let mut rows = Vec::with_capacity(range.len());
-    let mut start = range.start;
-    while start < range.end {
-        let end = (start + batch_size).min(range.end);
-        let idx: Vec<usize> = (start..end).collect();
-        let batch = images.select_rows(&idx);
-        let logits = model.forward(&batch, false);
-        for i in 0..(end - start) {
-            rows.push(logits.row(i));
-        }
-        start = end;
+) -> Vec<f32> {
+    let mut rows = Vec::new();
+    for batch in mini_batches(images, range, batch_size) {
+        append(&mut rows, model.forward(&batch, false).into_vec());
     }
     rows
 }
@@ -221,7 +247,8 @@ pub(crate) fn logits_rows(
 /// across worker threads per `policy`, and returns the stacked logits.
 ///
 /// Workloads the policy keeps on a single shard are evaluated in place on
-/// the calling thread — no model replica is cloned.
+/// the calling thread — no model replica is cloned — and a mini-batch that
+/// is the whole input is forwarded without a copy.
 pub fn classifier_logits(
     model: &mut ClassifierParts,
     images: &Tensor,
@@ -229,17 +256,15 @@ pub fn classifier_logits(
     policy: &ChunkPolicy,
 ) -> Tensor {
     let n = images.shape()[0];
-    let rows: Vec<Tensor> = if policy.shard_count(n) <= 1 {
+    let rows = if policy.shard_count(n) <= 1 {
         logits_rows(model, images, 0..n, batch_size)
     } else {
         shard_eval(&*model, n, policy, |m, range| {
             logits_rows(m, images, range, batch_size)
         })
-        .into_iter()
-        .flatten()
-        .collect()
+        .concat()
     };
-    Tensor::stack_rows(&rows)
+    stack(rows, n)
 }
 
 /// Per-sample correctness of a classifier over a labelled dataset, evaluated
@@ -259,27 +284,20 @@ pub fn classifier_correctness(
         .collect()
 }
 
-/// Sequential core of a two-head evaluation pass over `range`.
+/// Sequential core of a two-head evaluation pass over `range`: the logits
+/// rows as one buffer, and the scores.
 pub(crate) fn two_head_rows(
     net: &mut TwoHeadNet,
     images: &Tensor,
     range: Range<usize>,
     batch_size: usize,
-) -> (Vec<Tensor>, Vec<f32>) {
-    assert!(batch_size > 0, "batch_size must be positive");
-    let mut rows = Vec::with_capacity(range.len());
-    let mut q = Vec::with_capacity(range.len());
-    let mut start = range.start;
-    while start < range.end {
-        let end = (start + batch_size).min(range.end);
-        let idx: Vec<usize> = (start..end).collect();
-        let batch = images.select_rows(&idx);
+) -> (Vec<f32>, Vec<f32>) {
+    let mut rows = Vec::new();
+    let mut q = Vec::new();
+    for batch in mini_batches(images, range, batch_size) {
         let out = net.forward(&batch, false);
-        for i in 0..(end - start) {
-            rows.push(out.logits.row(i));
-        }
-        q.extend_from_slice(&out.q);
-        start = end;
+        append(&mut rows, out.logits.into_vec());
+        append(&mut q, out.q);
     }
     (rows, q)
 }
@@ -288,7 +306,8 @@ pub(crate) fn two_head_rows(
 /// samples across worker threads per `policy`.
 ///
 /// Workloads the policy keeps on a single shard are evaluated in place on
-/// the calling thread — no model replica is cloned.
+/// the calling thread — no model replica is cloned — and a mini-batch that
+/// is the whole input is forwarded without a copy.
 pub fn two_head_output(
     net: &mut TwoHeadNet,
     images: &Tensor,
@@ -296,24 +315,17 @@ pub fn two_head_output(
     policy: &ChunkPolicy,
 ) -> TwoHeadOutput {
     let n = images.shape()[0];
-    if policy.shard_count(n) <= 1 {
-        let (rows, q) = two_head_rows(net, images, 0..n, batch_size);
-        return TwoHeadOutput {
-            logits: Tensor::stack_rows(&rows),
-            q,
-        };
-    }
-    let shards = shard_eval(&*net, n, policy, |m, range| {
-        two_head_rows(m, images, range, batch_size)
-    });
-    let mut rows = Vec::with_capacity(n);
-    let mut q = Vec::with_capacity(n);
-    for (shard_rows, shard_q) in shards {
-        rows.extend(shard_rows);
-        q.extend(shard_q);
-    }
+    let (rows, q) = if policy.shard_count(n) <= 1 {
+        two_head_rows(net, images, 0..n, batch_size)
+    } else {
+        let shards = shard_eval(&*net, n, policy, |m, range| {
+            two_head_rows(m, images, range, batch_size)
+        });
+        let (rows, q): (Vec<_>, Vec<_>) = shards.into_iter().unzip();
+        (rows.concat(), q.concat())
+    };
     TwoHeadOutput {
-        logits: Tensor::stack_rows(&rows),
+        logits: stack(rows, n),
         q,
     }
 }

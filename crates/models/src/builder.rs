@@ -384,6 +384,55 @@ mod tests {
         }
     }
 
+    /// Eval forwards of sixteen samples and more run in lane groups
+    /// (`appeal_tensor::LANE_GROUP`): the samples on the vector lanes from the
+    /// stem to the pooling, a remainder of `n % 16` sample by sample. Against
+    /// the per-sample forward, bit for bit, on every zoo family —
+    /// ShuffleNet's channel shuffles and EfficientNet's shortcut-free
+    /// residual block included — and on the big net: whole groups, groups
+    /// with a remainder of one and of fifteen, eight groups; every backend,
+    /// each pass from a padding arena dirtied with NaN.
+    #[test]
+    fn lane_batch_forwards_match_per_sample_on_every_zoo_net() {
+        use appeal_tensor::kernels::{self, force_isa, supported_isas};
+        // The only test in this crate that overrides the ISA.
+        static ISA_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _lock = ISA_LOCK
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let dirty = || kernels::with_thread_scratch(|s| s.xpad.take(1 << 16).fill(f32::NAN));
+        let mut rng = SeededRng::new(13);
+        let specs = ModelFamily::little_families()
+            .into_iter()
+            .map(|family| ModelSpec::little(family, [3, 12, 12], 10))
+            .chain([ModelSpec::big([3, 12, 12], 10)]);
+        for spec in specs {
+            let mut model = spec.build(&mut rng);
+            // The whole backbone runs in lane groups, ended by its pooling.
+            assert_eq!(model.backbone.lane_form(), appeal_tensor::LaneForm::Ends);
+            // One train pass moves the batch-norm statistics off (0, 1).
+            let _ = model.forward(&Tensor::randn(&[4, 3, 12, 12], &mut rng), true);
+            for n in [16usize, 17, 31, 32, 33, 128] {
+                let x = Tensor::randn(&[n, 3, 12, 12], &mut rng);
+                for isa in supported_isas() {
+                    let prev = force_isa(Some(isa));
+                    let want: Vec<f32> = (0..n)
+                        .flat_map(|i| model.forward(&x.select_rows(&[i]), false).into_vec())
+                        .collect();
+                    dirty();
+                    let got = model.forward(&x, false);
+                    force_isa(prev);
+                    assert_eq!(got.shape(), &[n, 10]);
+                    let mut pairs = got.data().iter().zip(&want);
+                    assert!(
+                        pairs.all(|(g, w)| g.to_bits() == w.to_bits()),
+                        "{spec}: n={n} {isa}: the lane groups differ from the per-sample forward"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn flops_split_is_consistent() {
         let mut rng = SeededRng::new(5);

@@ -489,7 +489,7 @@ mod tests {
                 gemm_into(m, k, n, &a, &b, GemmInit::Zero, &mut out, &mut packs);
                 assert_bits_eq(&out, &gemm_want, &format!("round {round} gemm"));
                 let mut out = vec![f32::NAN; conv_want.len()];
-                win.conv_forward(win.pad(&x, &mut pad), &panels, &bias, &mut out);
+                win.conv_forward(win.pad(&x, 1, &mut pad), &panels, &bias, &mut out);
                 assert_bits_eq(&out, &conv_want, &format!("round {round} conv"));
                 let mut y = y0.clone();
                 elementwise::axpy(alpha, &ax, &mut y);

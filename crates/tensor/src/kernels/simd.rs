@@ -15,7 +15,13 @@
 //! the activation a scalar broadcast addressed through a window table
 //! (`conv_tiles`). A convolution forward, a GEMM (`kernels/gemm.rs`) and both
 //! halves of the convolution backward (`kernels/window.rs`) differ only in
-//! the panels, the table and the seed they hand it. Every Q8_0 product — a
+//! the panels, the table and the seed they hand it. A lane group's
+//! convolution — sixteen samples of an eval batch interleaved
+//! `[c][h][w][16]` (`crate::LANE_GROUP`) — runs the same loop with the
+//! operands' roles swapped (`lane_tiles`): the samples on the lanes, the
+//! activations the vector load through the table, the weight the broadcast
+//! read straight from the layer's `[oc][taps]` weights, the rows output
+//! channels. Every Q8_0 product — a
 //! quantized convolution's forward and every quantized GEMM
 //! (`kernels/quant_gemm.rs`) — runs the same tiles with exact integer block
 //! dots (`q8_tile`, driven by `q8_conv_forward`) and hands them to the same
@@ -30,9 +36,15 @@
 //! elements, products are accumulated in ascending inner-dimension order, and
 //! multiplication and addition stay separate instructions (`mulps` + `addps`,
 //! never a fused multiply-add — whether the host has one must not change the
-//! bytes). SIMD results are therefore bit-identical to the scalar kernels on
+//! bytes), the weight the first operand of every multiply in both tile
+//! roles. SIMD results are therefore bit-identical to the scalar kernels on
 //! every ISA — pinned by the equivalence suites, which re-run the kernels
-//! under every [`supported_isas`] entry.
+//! under every [`supported_isas`] entry. One thing no Rust code pins is
+//! which payload a product or sum of two NaNs carries: the compiler may swap
+//! the operands of `*` and `+`. The lane tile's multiply, whose weight is the
+//! broadcast, is therefore written in assembly (`F32x8::mul_first`), so
+//! that a NaN weight times a NaN activation carries the weight's payload on
+//! the explicit-SIMD backends, as in the per-sample tile.
 //!
 //! # Forcing a backend
 //!
@@ -207,6 +219,10 @@ pub(crate) trait F32x8: Copy {
     fn add(self, other: Self) -> Self;
     /// Lanewise `self * other` (single IEEE multiplication per lane).
     fn mul(self, other: Self) -> Self;
+    /// [`F32x8::mul`] with `self` pinned as the instruction's first source
+    /// operand, the one whose payload a product of two NaNs carries (the
+    /// compiler is free to swap the operands of `mul`).
+    fn mul_first(self, other: Self) -> Self;
     /// Lanewise `self > 0.0` as an all-ones/all-zeros bit mask
     /// (ordered, quiet: NaN lanes compare false).
     fn gt_zero_mask(self) -> Self;
@@ -256,47 +272,70 @@ pub(crate) trait Lanes16: Copy {
     /// `ptr..ptr+OC_LANES` must be writable; the impl's CPU feature must be
     /// active.
     unsafe fn store(self, ptr: *mut f32);
-    /// Lanewise `self + w * x`, the product rounded before the sum (two IEEE
-    /// roundings per lane).
-    fn mul_acc(self, w: Self, x: f32) -> Self;
+    /// Lanewise `self + w * x`, the weight the first source operand of the
+    /// multiply and the product rounded before the sum (two IEEE roundings
+    /// per lane). The weight is the vector `v` and `x` the broadcast `s`, or
+    /// — with `SAMPLE_LANES` — the weight is the broadcast `s` and `x` the
+    /// vector. Which operand comes first decides the payload of a product of
+    /// two NaNs, and the compiler may swap the operands of a multiply, so the
+    /// `SAMPLE_LANES` product is written in assembly ([`F32x8::mul_first`]):
+    /// the operand order the other role gets from code generation — the
+    /// weight vector in a register, the broadcast folded into the multiply
+    /// as its second operand.
+    fn mul_acc<const SAMPLE_LANES: bool>(self, v: Self, s: f32) -> Self;
 }
 
-/// The tile's one inner loop, for every vector backend: `R` rows (output
-/// positions) by [`OC_LANES`] lanes (output channels), `acc[r][lane] =
-/// seeds[r][lane]; for p ascending: acc[r][lane] += w[p][lane] * x[taps[p] +
-/// offs[r]]` — the weight row one vector load, the activation a scalar
-/// broadcast addressed through the window table. Lanes and rows are
-/// independent output elements, so per element this is the scalar
-/// reference's operation sequence.
+/// The tile's one inner loop, for every vector backend: `R` rows by
+/// [`OC_LANES`] lanes, `acc[r][lane] = seeds[r][lane]; for p ascending:
+/// acc[r][lane] += w * x`, one operand a vector row of `lanes`, the other a
+/// scalar of `bcast` broadcast to every lane. The window table addresses one
+/// of the two, and which one is the only difference between the tile's two
+/// instantiations:
+///
+/// * output channels on the lanes (`SAMPLE_LANES == false`, every product
+///   but a lane group's): the weight row `lanes[p * OC_LANES..]` is the
+///   vector, the activation `bcast[taps[p] + offs[r]]` the broadcast, and the
+///   rows are output positions;
+/// * samples on the lanes (`SAMPLE_LANES == true`, a lane group's
+///   convolution): the sixteen samples' activations `lanes[taps[p] *
+///   OC_LANES..]` are the vector, the weight `bcast[p + offs[r]]` the
+///   broadcast, and the rows are output channels.
+///
+/// Lanes and rows are independent output elements and the weight is the
+/// first operand of every multiply ([`Lanes16::mul_acc`]), so per element
+/// this is the scalar reference's operation sequence either way.
 ///
 /// # Safety
 ///
-/// Caller must guarantee `V`'s CPU feature is active, `w.len() >=
-/// taps.len() * OC_LANES`, and `taps[p] + offs[r] < x.len()` for every `p`
-/// and `r`.
+/// Caller must guarantee `V`'s CPU feature is active and, for every `p` and
+/// `r`, that the vector row `lanes[i * OC_LANES..(i + 1) * OC_LANES]` and the
+/// scalar `bcast[j + offs[r]]` are in bounds, `(i, j)` being `(taps[p], p)`
+/// with `SAMPLE_LANES` and `(p, taps[p])` without.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-unsafe fn conv_tile<V: Lanes16, const R: usize>(
-    w: &[f32],
+unsafe fn conv_tile<V: Lanes16, const R: usize, const SAMPLE_LANES: bool>(
+    lanes: &[f32],
     taps: &[u32],
     offs: &[usize; R],
-    x: &[f32],
+    bcast: &[f32],
     seeds: &[[f32; OC_LANES]; R],
     acc: &mut [[f32; OC_LANES]; R],
 ) {
-    debug_assert!(w.len() >= taps.len() * OC_LANES);
     let mut c = [V::load(seeds[0].as_ptr()); R];
     for (cr, row) in c.iter_mut().zip(seeds) {
         *cr = V::load(row.as_ptr());
     }
-    let mut wp = w.as_ptr();
-    for &tap in taps {
-        let wv = V::load(wp);
-        let xt = x.as_ptr().add(tap as usize);
+    for (p, &tap) in taps.iter().enumerate() {
+        let (vector, scalar) = if SAMPLE_LANES {
+            (tap as usize, p)
+        } else {
+            (p, tap as usize)
+        };
+        let v = V::load(lanes.as_ptr().add(vector * OC_LANES));
+        let st = bcast.as_ptr().add(scalar);
         for (cr, &o) in c.iter_mut().zip(offs) {
-            *cr = cr.mul_acc(wv, *xt.add(o));
+            *cr = cr.mul_acc::<SAMPLE_LANES>(v, *st.add(o));
         }
-        wp = wp.add(OC_LANES);
     }
     for (cr, row) in c.iter().zip(acc.iter_mut()) {
         cr.store(row.as_mut_ptr());
@@ -400,9 +439,9 @@ unsafe fn q8_tile<V: DotLanes16, const R: usize>(
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{
-        conv_tile, q8_tile, DotLanes16, F32x8, Lanes16, CONV_ROWS_AVX2, CONV_ROWS_AVX512,
-        CONV_ROWS_SSE2, OC_LANES,
+        conv_tile, q8_tile, DotLanes16, F32x8, Lanes16, CONV_ROWS_AVX2, CONV_ROWS_SSE2, OC_LANES,
     };
+    use std::arch::asm;
     use std::arch::x86_64::*;
 
     /// Two SSE2 `__m128` halves acting as one 8-lane vector.
@@ -434,6 +473,20 @@ mod x86 {
         #[inline(always)]
         fn mul(self, other: Self) -> Self {
             unsafe { Sse2V(_mm_mul_ps(self.0, other.0), _mm_mul_ps(self.1, other.1)) }
+        }
+
+        #[inline(always)]
+        fn mul_first(self, other: Self) -> Self {
+            let half = |mut a: __m128, b: __m128| {
+                // SAFETY: a register-only SSE2 multiply (the `x86_64`
+                // baseline); `a` is both the first source and the result.
+                unsafe {
+                    asm!("mulps {a}, {b}", a = inout(xmm_reg) a, b = in(xmm_reg) b,
+                         options(pure, nomem, nostack, preserves_flags));
+                }
+                a
+            };
+            Sse2V(half(self.0, other.0), half(self.1, other.1))
         }
 
         #[inline(always)]
@@ -481,6 +534,12 @@ mod x86 {
         }
 
         #[inline(always)]
+        fn mul_first(self, other: Self) -> Self {
+            // SAFETY: `Avx2V` only runs on AVX2 hosts (the trait's contract).
+            unsafe { Avx2V(vmulps_first_256(self.0, other.0)) }
+        }
+
+        #[inline(always)]
         fn gt_zero_mask(self) -> Self {
             unsafe { Avx2V(_mm256_cmp_ps::<_CMP_GT_OQ>(self.0, _mm256_setzero_ps())) }
         }
@@ -509,10 +568,42 @@ mod x86 {
         }
 
         #[inline(always)]
-        fn mul_acc(self, w: Self, x: f32) -> Self {
-            let xv = V::splat(x);
-            Pair(self.0.add(w.0.mul(xv)), self.1.add(w.1.mul(xv)))
+        fn mul_acc<const SAMPLE_LANES: bool>(self, v: Self, s: f32) -> Self {
+            let sv = V::splat(s);
+            if SAMPLE_LANES {
+                Pair(self.0.add(sv.mul_first(v.0)), self.1.add(sv.mul_first(v.1)))
+            } else {
+                Pair(self.0.add(v.0.mul(sv)), self.1.add(v.1.mul(sv)))
+            }
         }
+    }
+
+    /// `vmulps` on two `ymm` registers, `a` the first source operand.
+    ///
+    /// # Safety
+    ///
+    /// Host must support AVX.
+    #[target_feature(enable = "avx")]
+    #[inline]
+    unsafe fn vmulps_first_256(a: __m256, b: __m256) -> __m256 {
+        let product;
+        asm!("vmulps {p}, {a}, {b}", p = lateout(ymm_reg) product, a = in(ymm_reg) a,
+             b = in(ymm_reg) b, options(pure, nomem, nostack, preserves_flags));
+        product
+    }
+
+    /// `vmulps` on two `zmm` registers, `a` the first source operand.
+    ///
+    /// # Safety
+    ///
+    /// Host must support AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn vmulps_first_512(a: __m512, b: __m512) -> __m512 {
+        let product;
+        asm!("vmulps {p}, {a}, {b}", p = lateout(zmm_reg) product, a = in(zmm_reg) a,
+             b = in(zmm_reg) b, options(pure, nomem, nostack, preserves_flags));
+        product
     }
 
     /// One AVX-512 `__m512`.
@@ -531,8 +622,16 @@ mod x86 {
         }
 
         #[inline(always)]
-        fn mul_acc(self, w: Self, x: f32) -> Self {
-            unsafe { Avx512V(_mm512_add_ps(self.0, _mm512_mul_ps(w.0, _mm512_set1_ps(x)))) }
+        fn mul_acc<const SAMPLE_LANES: bool>(self, v: Self, s: f32) -> Self {
+            unsafe {
+                let sv = _mm512_set1_ps(s);
+                let product = if SAMPLE_LANES {
+                    vmulps_first_512(sv, v.0)
+                } else {
+                    _mm512_mul_ps(v.0, sv)
+                };
+                Avx512V(_mm512_add_ps(self.0, product))
+            }
         }
     }
 
@@ -543,15 +642,15 @@ mod x86 {
     /// Host must support SSE2 (always true on `x86_64`); table and panel
     /// invariants as in [`conv_tile`].
     #[target_feature(enable = "sse2")]
-    pub(crate) unsafe fn conv_tile_sse2(
-        w: &[f32],
+    pub(crate) unsafe fn conv_tile_sse2<const R: usize, const SAMPLE_LANES: bool>(
+        lanes: &[f32],
         taps: &[u32],
-        offs: &[usize; CONV_ROWS_SSE2],
-        x: &[f32],
-        seeds: &[[f32; OC_LANES]; CONV_ROWS_SSE2],
-        acc: &mut [[f32; OC_LANES]; CONV_ROWS_SSE2],
+        offs: &[usize; R],
+        bcast: &[f32],
+        seeds: &[[f32; OC_LANES]; R],
+        acc: &mut [[f32; OC_LANES]; R],
     ) {
-        conv_tile::<Pair<Sse2V>, CONV_ROWS_SSE2>(w, taps, offs, x, seeds, acc);
+        conv_tile::<Pair<Sse2V>, R, SAMPLE_LANES>(lanes, taps, offs, bcast, seeds, acc);
     }
 
     /// AVX2 instantiation of the convolution tile ([`conv_tile`]).
@@ -561,35 +660,34 @@ mod x86 {
     /// Host must support AVX2; table and panel invariants as in
     /// [`conv_tile`].
     #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn conv_tile_avx2(
-        w: &[f32],
+    pub(crate) unsafe fn conv_tile_avx2<const R: usize, const SAMPLE_LANES: bool>(
+        lanes: &[f32],
         taps: &[u32],
-        offs: &[usize; CONV_ROWS_AVX2],
-        x: &[f32],
-        seeds: &[[f32; OC_LANES]; CONV_ROWS_AVX2],
-        acc: &mut [[f32; OC_LANES]; CONV_ROWS_AVX2],
+        offs: &[usize; R],
+        bcast: &[f32],
+        seeds: &[[f32; OC_LANES]; R],
+        acc: &mut [[f32; OC_LANES]; R],
     ) {
-        conv_tile::<Pair<Avx2V>, CONV_ROWS_AVX2>(w, taps, offs, x, seeds, acc);
+        conv_tile::<Pair<Avx2V>, R, SAMPLE_LANES>(lanes, taps, offs, bcast, seeds, acc);
     }
 
     /// AVX-512 instantiation of the convolution tile ([`conv_tile`]): one
-    /// `zmm` accumulator per output position, the activation folded into the
-    /// multiply as an embedded broadcast.
+    /// `zmm` accumulator per row.
     ///
     /// # Safety
     ///
     /// Host must support AVX-512F; table and panel invariants as in
     /// [`conv_tile`].
     #[target_feature(enable = "avx512f")]
-    pub(crate) unsafe fn conv_tile_avx512(
-        w: &[f32],
+    pub(crate) unsafe fn conv_tile_avx512<const R: usize, const SAMPLE_LANES: bool>(
+        lanes: &[f32],
         taps: &[u32],
-        offs: &[usize; CONV_ROWS_AVX512],
-        x: &[f32],
-        seeds: &[[f32; OC_LANES]; CONV_ROWS_AVX512],
-        acc: &mut [[f32; OC_LANES]; CONV_ROWS_AVX512],
+        offs: &[usize; R],
+        bcast: &[f32],
+        seeds: &[[f32; OC_LANES]; R],
+        acc: &mut [[f32; OC_LANES]; R],
     ) {
-        conv_tile::<Avx512V, CONV_ROWS_AVX512>(w, taps, offs, x, seeds, acc);
+        conv_tile::<Avx512V, R, SAMPLE_LANES>(lanes, taps, offs, bcast, seeds, acc);
     }
 
     /// Four SSE2 `__m128i` as one block of sixteen `i32` dots.
@@ -767,35 +865,44 @@ pub(crate) use x86::{Avx2V, Sse2V};
 // through a window table.
 // ---------------------------------------------------------------------------
 
-/// One tile on some backend: `acc[r][lane] = seeds[r][lane] + Σ_p w[p *
-/// OC_LANES + lane] * x[taps[p] + offs[r]]`, `p` ascending.
+/// One tile on some backend ([`conv_tile`]): `acc[r][lane] = seeds[r][lane]
+/// + Σ_p w * x`, `p` ascending, one operand a vector row of `lanes` and the
+/// other a scalar of `bcast`.
 type ConvTileFn<const R: usize> = unsafe fn(
-    w: &[f32],
+    lanes: &[f32],
     taps: &[u32],
     offs: &[usize; R],
-    x: &[f32],
+    bcast: &[f32],
     seeds: &[[f32; OC_LANES]; R],
     acc: &mut [[f32; OC_LANES]; R],
 );
 
 /// The scalar (autovectorized) tile — the `Isa::Scalar` backend and the
-/// reference every vector backend must match bit for bit. Plain indexing: a
-/// table entry outside the image panics instead of reading.
-fn conv_tile_scalar(
-    w: &[f32],
+/// reference every vector backend must match bit for bit, in both roles
+/// ([`conv_tile`]). Plain indexing: a table entry outside the operands panics
+/// instead of reading.
+fn conv_tile_scalar<const R: usize, const SAMPLE_LANES: bool>(
+    lanes: &[f32],
     taps: &[u32],
-    offs: &[usize; CONV_ROWS_SCALAR],
-    x: &[f32],
-    seeds: &[[f32; OC_LANES]; CONV_ROWS_SCALAR],
-    acc: &mut [[f32; OC_LANES]; CONV_ROWS_SCALAR],
+    offs: &[usize; R],
+    bcast: &[f32],
+    seeds: &[[f32; OC_LANES]; R],
+    acc: &mut [[f32; OC_LANES]; R],
 ) {
     let mut tile = *seeds;
-    for (wv, &tap) in w.chunks_exact(OC_LANES).zip(taps) {
-        let xt = &x[tap as usize..];
+    for (p, &tap) in taps.iter().enumerate() {
+        let (vector, scalar) = if SAMPLE_LANES {
+            (tap as usize, p)
+        } else {
+            (p, tap as usize)
+        };
+        let v = &lanes[vector * OC_LANES..(vector + 1) * OC_LANES];
+        let st = &bcast[scalar..];
         for (row, &o) in tile.iter_mut().zip(offs) {
-            let xv = xt[o];
-            for (a, &wl) in row.iter_mut().zip(wv) {
-                *a += wl * xv;
+            let s = st[o];
+            for (a, &vl) in row.iter_mut().zip(v) {
+                let (w, x) = if SAMPLE_LANES { (s, vl) } else { (vl, s) };
+                *a += w * x;
             }
         }
     }
@@ -845,15 +952,15 @@ pub(crate) fn conv_tiles(isa: Isa, ops: ConvOperands<'_>) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `isa` comes from `active_isa`, which only reports CPU
         // features the host has.
-        Isa::Avx512 => unsafe { conv_drive(x86::conv_tile_avx512, ops) },
+        Isa::Avx512 => unsafe { conv_drive(x86::conv_tile_avx512::<CONV_ROWS_AVX512, false>, ops) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above.
-        Isa::Avx2 => unsafe { conv_drive(x86::conv_tile_avx2, ops) },
+        Isa::Avx2 => unsafe { conv_drive(x86::conv_tile_avx2::<CONV_ROWS_AVX2, false>, ops) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above (SSE2 is the `x86_64` baseline).
-        Isa::Sse2 => unsafe { conv_drive(x86::conv_tile_sse2, ops) },
+        Isa::Sse2 => unsafe { conv_drive(x86::conv_tile_sse2::<CONV_ROWS_SSE2, false>, ops) },
         // SAFETY: the scalar tile is safe code and needs no CPU feature.
-        _ => unsafe { conv_drive(conv_tile_scalar, ops) },
+        _ => unsafe { conv_drive(conv_tile_scalar::<CONV_ROWS_SCALAR, false>, ops) },
     }
 }
 
@@ -1006,6 +1113,192 @@ fn store_tile<const R: usize>(
                 for r in r0..rows.min(r0 + 4) {
                     chan[s0 + r] = acc[r][l0 + i];
                 }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The same tile with the samples of a lane group on the vector lanes.
+// ---------------------------------------------------------------------------
+
+/// A convolution over a lane group — [`OC_LANES`] samples, each element one
+/// vector of their values — as the tile kernel sees it: `out[oc][s][lane] =
+/// bias[oc] + Σ_p weight[oc][p] * x[(taps[p] + offs[s]) * OC_LANES + lane]`,
+/// `p` ascending. The window table is the one a single sample's convolution
+/// uses, its entries counting vectors instead of elements.
+pub(crate) struct LaneOperands<'a> {
+    /// `[oc][taps.len()]` row-major: the layer's weights as they are.
+    pub(crate) weight: &'a [f32],
+    /// One seed per output channel.
+    pub(crate) bias: &'a [f32],
+    /// Window table: the offset of tap `p` from a receptive field's origin.
+    pub(crate) taps: &'a [u32],
+    /// Window table: the origin of output position `s`.
+    pub(crate) offs: &'a [u32],
+    /// The padded lane image both tables index, `[..][OC_LANES]`.
+    pub(crate) x: &'a [f32],
+    /// `[oc][offs.len()][OC_LANES]`.
+    pub(crate) out: &'a mut [f32],
+}
+
+/// Output channels per tile of a lane-group convolution: each backend's
+/// convolution tile (`CONV_ROWS_*`) and a narrower one, so that a channel
+/// count splits into tiles with few rows to spare ([`lane_split`]).
+#[cfg(target_arch = "x86_64")]
+const LANE_ROWS_AVX512: (usize, usize) = (CONV_ROWS_AVX512, 8);
+#[cfg(target_arch = "x86_64")]
+const LANE_ROWS_AVX2: (usize, usize) = (CONV_ROWS_AVX2, 4);
+#[cfg(target_arch = "x86_64")]
+const LANE_ROWS_SSE2: (usize, usize) = (CONV_ROWS_SSE2, 1);
+const LANE_ROWS_SCALAR: (usize, usize) = (CONV_ROWS_SCALAR, 2);
+
+/// One lane-group convolution with the samples on the vector lanes
+/// ([`conv_tile`] with `SAMPLE_LANES`): per output position, tiles of output
+/// channels, each tap one vector load of the sixteen samples' activations and
+/// one broadcast weight per channel, read straight from the `[oc][taps]`
+/// weights. Channels past the last one re-read the tile's first and are never
+/// stored; every tile row is a contiguous store. All backends are
+/// bit-identical, to each other and — per sample — to [`conv_tiles`] on the
+/// same operands.
+///
+/// # Panics
+///
+/// Panics if `weight`, `bias` or `out` do not match each other, `taps.len()`
+/// and `offs.len()`, or if the table addresses a vector outside `x`.
+pub(crate) fn lane_tiles(isa: Isa, ops: LaneOperands<'_>) {
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `isa` comes from `active_isa`, which only reports CPU
+        // features the host has.
+        Isa::Avx512 => unsafe {
+            lane_drive(
+                x86::conv_tile_avx512::<{ LANE_ROWS_AVX512.0 }, true>,
+                x86::conv_tile_avx512::<{ LANE_ROWS_AVX512.1 }, true>,
+                ops,
+            )
+        },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above.
+        Isa::Avx2 => unsafe {
+            lane_drive(
+                x86::conv_tile_avx2::<{ LANE_ROWS_AVX2.0 }, true>,
+                x86::conv_tile_avx2::<{ LANE_ROWS_AVX2.1 }, true>,
+                ops,
+            )
+        },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above (SSE2 is the `x86_64` baseline).
+        Isa::Sse2 => unsafe {
+            lane_drive(
+                x86::conv_tile_sse2::<{ LANE_ROWS_SSE2.0 }, true>,
+                x86::conv_tile_sse2::<{ LANE_ROWS_SSE2.1 }, true>,
+                ops,
+            )
+        },
+        // SAFETY: the scalar tile is safe code and needs no CPU feature.
+        _ => unsafe {
+            lane_drive(
+                conv_tile_scalar::<{ LANE_ROWS_SCALAR.0 }, true>,
+                conv_tile_scalar::<{ LANE_ROWS_SCALAR.1 }, true>,
+                ops,
+            )
+        },
+    }
+}
+
+/// How many of `oc` channels a lane-group convolution runs in tiles of `r`
+/// rows, the rest going to tiles of `s` rows: the split that computes the
+/// fewest rows, and of those the one with the most wide tiles. On AVX-512
+/// (12 and 8 rows) the zoo's 8, 12, 16, 20, 24 and 40 channels waste no row
+/// and 14 wastes two; one width alone would waste 4-10.
+fn lane_split(oc: usize, r: usize, s: usize) -> usize {
+    (0..=oc.div_ceil(r))
+        .map(|wide| {
+            let narrow = oc.saturating_sub(wide * r).div_ceil(s);
+            (wide * r + narrow * s, std::cmp::Reverse(wide))
+        })
+        .min()
+        .map_or(0, |(_, std::cmp::Reverse(wide))| (wide * r).min(oc))
+}
+
+/// [`lane_tiles`] on one backend: splits the output channels between the
+/// backend's wide tile `full` and its narrow one `part` ([`lane_split`]).
+///
+/// # Safety
+///
+/// Both tiles must be runnable on this host (their CPU feature available).
+/// Their other preconditions are established here, once per call.
+unsafe fn lane_drive<const R: usize, const S: usize>(
+    full: ConvTileFn<R>,
+    part: ConvTileFn<S>,
+    ops: LaneOperands<'_>,
+) {
+    let oc = ops.bias.len();
+    let (depth, s) = (ops.taps.len(), ops.offs.len());
+    assert_eq!(
+        ops.weight.len(),
+        oc * depth,
+        "lane conv: weight must be oc*taps"
+    );
+    assert_eq!(
+        ops.out.len(),
+        oc * s * OC_LANES,
+        "lane conv: out must be oc*s*16"
+    );
+    let max_tap = ops.taps.iter().fold(0, |m, &t| m.max(t as usize));
+    let max_off = ops.offs.iter().fold(0, |m, &o| m.max(o as usize));
+    assert!(
+        depth == 0 || s == 0 || (max_tap + max_off + 1) * OC_LANES <= ops.x.len(),
+        "lane conv: window table reaches outside the padded image"
+    );
+    let wide = lane_split(oc, R, S);
+    let mut ops = ops;
+    // SAFETY: the asserts above are `lane_pass`'s preconditions; the caller
+    // vouches for the CPU feature.
+    unsafe {
+        lane_pass(full, 0..wide, &mut ops);
+        lane_pass(part, wide..oc, &mut ops);
+    }
+}
+
+/// Output channels `chans` of a lane-group convolution in tiles of `R`: per
+/// tile, every row seeded from its channel's bias, then the output positions
+/// one tile call each, the valid rows stored.
+///
+/// # Safety
+///
+/// `tile` must be runnable on this host; `ops.weight` must hold `taps.len()`
+/// weights per channel of `ops.bias`, and every `(taps[p] + offs[s] + 1) *
+/// OC_LANES` must be at most `ops.x.len()`.
+unsafe fn lane_pass<const R: usize>(
+    tile: ConvTileFn<R>,
+    chans: std::ops::Range<usize>,
+    ops: &mut LaneOperands<'_>,
+) {
+    let (weight, bias, taps, offs, x) = (ops.weight, ops.bias, ops.taps, ops.offs, ops.x);
+    let out = &mut *ops.out;
+    let (depth, s) = (taps.len(), offs.len());
+    let mut seeds = [[0.0f32; OC_LANES]; R];
+    let mut acc = [[0.0f32; OC_LANES]; R];
+    for c0 in chans.clone().step_by(R) {
+        let valid = R.min(chans.end - c0);
+        // Rows past the last channel re-read the tile's first.
+        let mut rows = [c0 * depth; R];
+        for (r, (row, seed)) in rows.iter_mut().zip(&mut seeds).take(valid).enumerate() {
+            *row = (c0 + r) * depth;
+            *seed = [bias[c0 + r]; OC_LANES];
+        }
+        for (pos, &o) in offs.iter().enumerate() {
+            let xs = &x[o as usize * OC_LANES..];
+            // SAFETY: every vector row the tile loads, `(taps[p] + o) *
+            // OC_LANES..+OC_LANES`, is inside `x` and every weight it
+            // broadcasts, `rows[r] + p`, inside `weight` (the caller's
+            // preconditions); the caller vouches for the CPU feature.
+            unsafe { tile(xs, taps, &rows, weight, &seeds, &mut acc) };
+            for (r, row) in acc.iter().take(valid).enumerate() {
+                let at = ((c0 + r) * s + pos) * OC_LANES;
+                out[at..at + OC_LANES].copy_from_slice(row);
             }
         }
     }

@@ -13,7 +13,7 @@
 //! so no reader branches on the image edge. A [`ConvWindow`] holds the two
 //! tables (after Dukhan, *The Indirect Convolution Algorithm*,
 //! arXiv:1907.02129); it is derived layer state — built once per input shape,
-//! cloned with the layer — and has four readers:
+//! cloned with the layer — and has five readers:
 //!
 //! * the standard convolution puts **output channels on the vector lanes**
 //!   ([`ConvWindow::conv_forward`]): the layer's weights are packed once as
@@ -33,6 +33,16 @@
 //!   quantized GEMM ([`super::quant_gemm_into`]) runs the same tiles with the
 //!   table `taps[p] = p`, `offs[i] = i * k`, on panels packed per call
 //!   ([`q8_lane_panels`]) or once by a quantized `Dense`;
+//! * a **lane group** — sixteen samples of an eval batch interleaved
+//!   `[c][h][w][16]` ([`crate::LANE_GROUP`]) — reads the same table with
+//!   every entry counting vectors of sixteen instead of elements: its padded
+//!   copy ([`ConvWindow::pad`] with `lanes = 16`) has contiguous rows of
+//!   `16 * wp`, the standard convolution ([`ConvWindow::lane_conv_forward`])
+//!   puts the **samples on the vector lanes** — per output position a tile
+//!   of output channels, each tap one vector of the sixteen activations
+//!   times one weight broadcast straight from the `[oc][c*k*k]` weights, no
+//!   panels — and the depthwise one ([`ConvWindow::depthwise_lanes`]) takes
+//!   per channel the weight broadcast and one vector per output position;
 //! * the depthwise convolution runs as a direct stencil
 //!   ([`ConvWindow::depthwise_forward`] / [`ConvWindow::depthwise_backward`])
 //!   with positions on the lanes (its channels are `hp * wp` apart in NCHW).
@@ -65,7 +75,8 @@
 use super::gemm::{self, GemmInit};
 use super::naive;
 use super::scratch::{self, GrowBuf, QuantScratch};
-use super::simd::{self, ConvOperands, Q8ConvOperands, Q8Input, OC_LANES};
+use super::simd::{self, ConvOperands, LaneOperands, Q8ConvOperands, Q8Input, OC_LANES};
+use crate::layer::LANE_GROUP;
 use crate::quant::{quantize_row_into, QuantMatrix, QK8_0};
 
 /// Window origins the depthwise forward accumulates at a time: one `zmm`, two
@@ -108,6 +119,45 @@ impl Stencil<'_> {
             for (a, &x) in grid.iter_mut().zip(src) {
                 *a += wv * x;
             }
+        }
+    }
+}
+
+/// Output positions the lane-group depthwise stencil accumulates at a time:
+/// one vector of sixteen samples each, next to a broadcast weight.
+const LANE_STENCIL_ROWS: usize = 8;
+
+/// One depthwise channel of a lane group as its stencil sees it.
+struct LaneStencil<'a> {
+    /// The channel's padded plane, one vector of [`LANE_GROUP`] samples per
+    /// element.
+    plane: &'a [f32],
+    /// Tap offsets from a window origin, ascending `(ky, kx)`.
+    taps: &'a [u32],
+    weight: &'a [f32],
+    bias: f32,
+}
+
+impl LaneStencil<'_> {
+    /// `dst[r][lane] = bias + Σ_tap weight[tap] * plane[16 * (taps[tap] +
+    /// offs[r]) + lane]` for the `N` output positions whose origins are
+    /// `offs`, the accumulators a fixed-size array so they stay in vector
+    /// registers across the taps.
+    #[inline(always)]
+    fn run<const N: usize>(&self, offs: &[u32], dst: &mut [f32]) {
+        const L: usize = LANE_GROUP;
+        let mut acc = [[self.bias; L]; N];
+        for (&wv, &tap) in self.weight.iter().zip(self.taps) {
+            for (a, &o) in acc.iter_mut().zip(offs) {
+                let at = (tap + o) as usize * L;
+                let src: &[f32; L] = self.plane[at..at + L].try_into().expect("one vector");
+                for (al, &x) in a.iter_mut().zip(src) {
+                    *al += wv * x;
+                }
+            }
+        }
+        for (d, a) in dst.chunks_exact_mut(L).zip(&acc) {
+            d.copy_from_slice(a);
         }
     }
 }
@@ -206,28 +256,30 @@ impl ConvWindow {
     }
 
     /// The zero-padded copy of the `[c, h, w]` image `x` that the table
-    /// indexes, drawn from `buf` (dirty by contract, so the border is
-    /// re-zeroed on every call) — or `x` itself when there is no padding.
-    pub(crate) fn pad<'a>(&self, x: &'a [f32], buf: &'a mut GrowBuf) -> &'a [f32] {
+    /// indexes — or, with `lanes == LANE_GROUP`, of a lane group's `[c, h,
+    /// w][16]`, every element one vector of sixteen samples' values and every
+    /// row `16 * w` contiguous floats — drawn from `buf` (dirty by contract,
+    /// so the border is re-zeroed on every call); `x` itself when there is no
+    /// padding.
+    pub(crate) fn pad<'a>(&self, x: &'a [f32], lanes: usize, buf: &'a mut GrowBuf) -> &'a [f32] {
+        let (w, wp) = (self.w * lanes, self.wp * lanes);
         assert_eq!(
             x.len(),
-            self.c * self.h * self.w,
+            self.c * self.h * w,
             "ConvWindow: image must be c*h*w"
         );
         if self.padding == 0 {
             return x;
         }
-        let xpad = buf.take(self.padded_len());
+        let (left, plane) = (self.padding * lanes, self.hp * wp);
+        let xpad = buf.take(self.padded_len() * lanes);
         xpad.fill(0.0);
-        for (channel, xc) in xpad
-            .chunks_exact_mut(self.hp * self.wp)
-            .zip(x.chunks_exact(self.h * self.w))
-        {
-            let interior = channel[self.padding * self.wp..]
-                .chunks_exact_mut(self.wp)
-                .zip(xc.chunks_exact(self.w));
+        for (channel, xc) in xpad.chunks_exact_mut(plane).zip(x.chunks_exact(self.h * w)) {
+            let interior = channel[self.padding * wp..]
+                .chunks_exact_mut(wp)
+                .zip(xc.chunks_exact(w));
             for (dst, src) in interior {
-                dst[self.padding..self.padding + self.w].copy_from_slice(src);
+                dst[left..left + w].copy_from_slice(src);
             }
         }
         xpad
@@ -282,6 +334,42 @@ impl ConvWindow {
                 panels: &panels.panels,
                 lanes: panels.oc,
                 init: GemmInit::RowBias(bias),
+                taps: &self.tapoff,
+                offs: &self.off,
+                x: xpad,
+                out,
+            },
+        );
+    }
+
+    /// Standard-convolution forward of a lane group — [`LANE_GROUP`]
+    /// samples, `xpad` their padded lane image ([`ConvWindow::pad`]):
+    /// `out[oc][s][lane] = bias[oc] + Σ_p weight[oc][p] * xpad[(tapoff[p] +
+    /// off[s]) * 16 + lane]`, taps ascending, on the dispatched backend of
+    /// the tile with the samples on the lanes ([`simd::lane_tiles`]). Per
+    /// sample these are [`ConvWindow::conv_forward`]'s bytes, from the
+    /// layer's `[oc][c*k*k]` weights as they are.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xpad`, `weight`, `bias` or `out` does not match the table.
+    pub(crate) fn lane_conv_forward(
+        &self,
+        xpad: &[f32],
+        weight: &[f32],
+        bias: &[f32],
+        out: &mut [f32],
+    ) {
+        assert_eq!(
+            xpad.len(),
+            self.padded_len() * LANE_GROUP,
+            "lane conv: padded image does not match its window"
+        );
+        simd::lane_tiles(
+            simd::active_isa(),
+            LaneOperands {
+                weight,
+                bias,
                 taps: &self.tapoff,
                 offs: &self.off,
                 x: xpad,
@@ -500,6 +588,62 @@ impl ConvWindow {
                 for (o, &v) in dst.iter_mut().zip(src.iter().step_by(self.stride)) {
                     *o = v;
                 }
+            }
+        }
+    }
+
+    /// Depthwise forward of a lane group, `xpad` its padded lane image:
+    /// `out[ch][s][lane] = bias[ch] + Σ_tap weight[ch][tap] * xpad[..]`, taps
+    /// ascending, multiply then add — per channel the weight broadcast and,
+    /// per output position, one vector of the sixteen samples' activations
+    /// through the table, a few positions at a time. No origin that is no
+    /// output is computed. Per sample these are
+    /// [`ConvWindow::depthwise_forward`]'s bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xpad`, `weight`, `bias` or `out` does not match the table.
+    pub(crate) fn depthwise_lanes(
+        &self,
+        xpad: &[f32],
+        weight: &[f32],
+        bias: &[f32],
+        out: &mut [f32],
+    ) {
+        const L: usize = LANE_GROUP;
+        let kk = self.k * self.k;
+        assert_eq!(
+            xpad.len(),
+            self.padded_len() * L,
+            "lane depthwise: padded image does not match its window"
+        );
+        assert_eq!(
+            out.len(),
+            self.c * self.s * L,
+            "lane depthwise: out must be c*s*16"
+        );
+        // Channel 0's taps are the offsets inside any one padded plane.
+        let taps = &self.tapoff[..kk];
+        let planes = xpad.chunks_exact(self.hp * self.wp * L);
+        let outs = out.chunks_exact_mut(self.s * L);
+        for (ch, (plane, ochan)) in planes.zip(outs).enumerate() {
+            let stencil = LaneStencil {
+                plane,
+                taps,
+                weight: &weight[ch * kk..(ch + 1) * kk],
+                bias: bias[ch],
+            };
+            let mut groups = self.off.chunks_exact(LANE_STENCIL_ROWS);
+            let mut dst = ochan.chunks_exact_mut(LANE_STENCIL_ROWS * L);
+            for (offs, dst) in (&mut groups).zip(&mut dst) {
+                stencil.run::<LANE_STENCIL_ROWS>(offs, dst);
+            }
+            for (&o, dst) in groups
+                .remainder()
+                .iter()
+                .zip(dst.into_remainder().chunks_exact_mut(L))
+            {
+                stencil.run::<1>(&[o], dst);
             }
         }
     }
@@ -780,7 +924,7 @@ mod tests {
         let panels = OcPanels::pack(oc, window.taps(), weight);
         let mut buf = GrowBuf::new();
         buf.take(window.padded_len()).fill(f32::NAN);
-        let xpad = window.pad(x, &mut buf);
+        let xpad = window.pad(x, 1, &mut buf);
         let mut out = vec![f32::NAN; oc * window.s];
         window.conv_forward(xpad, &panels, bias, &mut out);
         out
@@ -939,7 +1083,7 @@ mod tests {
                         scratch.qa.take(window.padded_len() + 64).fill(0x55);
                         scratch.row.take(taps + 64).fill(f32::NAN);
                         scratch.qrows.take(16 * (taps + 2)).fill(i32::MAX);
-                        let xpad = window.pad(&x, &mut pad_buf);
+                        let xpad = window.pad(&x, 1, &mut pad_buf);
                         let mut got = vec![f32::NAN; oc * s];
                         window.q8_conv_forward(
                             xpad,
@@ -1016,7 +1160,7 @@ mod tests {
             let want =
                 naive::depthwise_forward_naive(&x, 1, c, h, w, &weight, &bias, k, stride, padding);
             let mut buf = GrowBuf::new();
-            let mut xpad = window.pad(&x, &mut buf).to_vec();
+            let mut xpad = window.pad(&x, 1, &mut buf).to_vec();
             let read = read_by_outputs(&window);
             for (i, v) in xpad.iter_mut().enumerate().filter(|(i, _)| !read[*i]) {
                 *v = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][i % 3];
@@ -1035,7 +1179,7 @@ mod tests {
         let window = ConvWindow::new(2, 4, 4, 2, 2, 0);
         let x = vec![1.0f32; 2 * 4 * 4];
         let mut buf = GrowBuf::new();
-        let xpad = window.pad(&x, &mut buf);
+        let xpad = window.pad(&x, 1, &mut buf);
         assert!(std::ptr::eq(xpad, x.as_slice()));
         assert_eq!(buf.capacity(), 0);
     }

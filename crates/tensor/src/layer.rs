@@ -10,6 +10,79 @@
 
 use crate::tensor::Tensor;
 
+/// Samples in a lane group: one vector of `f32` lanes.
+///
+/// An eval forward of at least this many samples through a container whose
+/// layers all have a lane form ([`LaneForm`]) runs each group of
+/// `LANE_GROUP` samples with the samples on the vector lanes: the group is
+/// one `[1, c, h, LANE_GROUP * w]` tensor, sample `l`'s element `(ch, y, x)`
+/// at `[0][ch][y][LANE_GROUP * x + l]` — `[c][h][w][16]` — from the
+/// container's entry to the layer that ends the group
+/// ([`GlobalAvgPool2d`](crate::layers::GlobalAvgPool2d)). A batch's last
+/// `n % LANE_GROUP` samples run sample by sample. Per sample the bytes are
+/// those of the per-sample forward.
+pub const LANE_GROUP: usize = 16;
+
+/// How a layer takes part in a lane group (see [`LANE_GROUP`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LaneForm {
+    /// No lane form: a container holding this layer before its group ends
+    /// runs sample by sample.
+    None,
+    /// The eval forward is the lane form: the layer works per channel plane
+    /// or per element, so a lane group is one sample with wider planes.
+    Plane,
+    /// [`Layer::forward_lanes`] keeps the group in lane form.
+    Lanes,
+    /// [`Layer::forward_lanes`] ends the group: `[LANE_GROUP, ..]`, one row
+    /// per sample in order.
+    Ends,
+}
+
+impl LaneForm {
+    /// `true` for a layer a group passes through in lane form.
+    pub fn keeps_lanes(self) -> bool {
+        matches!(self, LaneForm::Plane | LaneForm::Lanes)
+    }
+}
+
+/// The lane group of [`LANE_GROUP`] consecutive `[c, h, w]` samples:
+/// sample `l`'s element `i` at `i * 16 + l` of one `[1, c, h, 16 * w]`
+/// tensor.
+///
+/// # Panics
+///
+/// Panics if `samples` is not sixteen samples of `c * h * w`.
+pub(crate) fn lane_group(samples: &[f32], (c, h, w): (usize, usize, usize)) -> Tensor {
+    assert_eq!(
+        samples.len(),
+        LANE_GROUP * c * h * w,
+        "a lane group is 16 samples"
+    );
+    let mut group = Tensor::zeros(&[1, c, h, LANE_GROUP * w]);
+    for (l, x) in samples.chunks_exact((c * h * w).max(1)).enumerate() {
+        let lane = group.data_mut().iter_mut().skip(l).step_by(LANE_GROUP);
+        for (dst, &v) in lane.zip(x) {
+            *dst = v;
+        }
+    }
+    group
+}
+
+/// The per-sample `(c, h, w)` of a lane group.
+///
+/// # Panics
+///
+/// Panics if `group` is not a `[1, c, h, 16 * w]` tensor.
+pub(crate) fn lane_group_shape(group: &Tensor) -> (usize, usize, usize) {
+    let shape = group.shape();
+    assert!(
+        shape.len() == 4 && shape[0] == 1 && shape[3].is_multiple_of(LANE_GROUP),
+        "a lane group is one [1, c, h, 16 * w] tensor, not {shape:?}"
+    );
+    (shape[1], shape[2], shape[3] / LANE_GROUP)
+}
+
 /// A trainable parameter: value plus accumulated gradient.
 #[derive(Debug, Clone)]
 pub struct Param {
@@ -71,6 +144,42 @@ pub trait Layer: Send + Sync {
     /// fresh one. Containers pass every intermediate activation this way.
     fn forward_owned(&mut self, input: Tensor, train: bool) -> Tensor {
         self.forward(&input, train)
+    }
+
+    /// How this layer runs in a lane group ([`LANE_GROUP`]). The default has
+    /// no lane form.
+    fn lane_form(&self) -> LaneForm {
+        LaneForm::None
+    }
+
+    /// Eval forward of one lane group: sixteen samples as one
+    /// `[1, c, h, 16 * w]` tensor ([`LANE_GROUP`]). Returns the output group, or — for a
+    /// layer whose [`Layer::lane_form`] is [`LaneForm::Ends`] — one row per
+    /// sample. Per sample the bytes are those of [`Layer::forward`] in eval
+    /// mode. The default is that eval forward, for a [`LaneForm::Plane`]
+    /// layer; layers whose form is `Lanes` or `Ends` override it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layer has no lane form.
+    fn forward_lanes(&mut self, group: &Tensor) -> Tensor {
+        assert_eq!(
+            self.lane_form(),
+            LaneForm::Plane,
+            "{} has no lane form of its own",
+            self.name()
+        );
+        self.forward(group, false)
+    }
+
+    /// [`Layer::forward_lanes`] on a group the caller gives up: a
+    /// [`LaneForm::Plane`] layer runs its eval forward in the buffer it is
+    /// handed ([`Layer::forward_owned`]).
+    fn forward_lanes_owned(&mut self, group: Tensor) -> Tensor {
+        match self.lane_form() {
+            LaneForm::Plane => self.forward_owned(group, false),
+            _ => self.forward_lanes(&group),
+        }
     }
 
     /// Backpropagates `grad_output` (gradient w.r.t. the last forward output)

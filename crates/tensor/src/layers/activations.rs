@@ -1,7 +1,7 @@
 //! Elementwise activation layers.
 
 use crate::kernels::elementwise;
-use crate::layer::Layer;
+use crate::layer::{LaneForm, Layer};
 use crate::tensor::Tensor;
 
 /// Rectified linear unit: `y = x > 0 ? x : 0`.
@@ -50,6 +50,10 @@ impl Layer for Relu {
         self.mask = None;
         elementwise::relu_inplace(input.data_mut());
         input
+    }
+
+    fn lane_form(&self) -> LaneForm {
+        LaneForm::Plane
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {

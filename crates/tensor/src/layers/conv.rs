@@ -35,6 +35,18 @@
 //! for bit against the lowering whose order it keeps, and against naive by
 //! tolerance and gradcheck.
 //!
+//! In a lane group — sixteen samples of an eval batch as one `[1, c, h, 16 *
+//! w]` tensor, `[c][h][w][16]` ([`crate::LANE_GROUP`]) — both layers have
+//! a lane form ([`Layer::forward_lanes`]) over the same window table, its
+//! entries counting vectors of sixteen: [`Conv2d`] runs the tile with the
+//! **samples on the vector lanes** — `R` output channels × 16 samples per
+//! output position, each tap one vector load of the sixteen activations and
+//! one weight broadcast per channel, read from the `[oc][c*k*k]` weights as
+//! they are, so a lane group packs no panels — and [`DepthwiseConv2d`] a
+//! stencil with one weight broadcast per channel and one vector per output
+//! position. Per sample the bytes are those of the eval forward. A
+//! quantized `Conv2d` has no lane form: its eval forward is the Q8 tier's.
+//!
 //! Both layers draw the padded image (and the backward its panels and
 //! columns) from the current thread's [`kernels::with_thread_scratch`] arena,
 //! so steady-state inference reuses warmed high-water buffers instead of
@@ -54,7 +66,7 @@ use crate::init::Init;
 use crate::kernels;
 use crate::kernels::naive::conv_out;
 use crate::kernels::window::{transposed_lane_panels, ConvWindow, OcPanels, Q8Panels};
-use crate::layer::{Layer, Param};
+use crate::layer::{lane_group_shape, LaneForm, Layer, Param, LANE_GROUP};
 use crate::quant::{QuantLayerReport, QuantMatrix, QuantWeights};
 use crate::rng::SeededRng;
 use crate::tensor::Tensor;
@@ -73,6 +85,28 @@ fn window_for(
         _ => *slot = Some(ConvWindow::new(c, h, w, kernel, stride, padding)),
     }
     slot.as_ref().expect("window table was just ensured")
+}
+
+/// A lane group's eval forward through one convolution geometry: the group
+/// padded once (rows of `16 * wp`) and handed with the layer's window table to
+/// `run`, which fills the `[1, oc, oh, 16 * ow]` output group.
+fn lane_forward(
+    slot: &mut Option<ConvWindow>,
+    group: &Tensor,
+    (in_c, oc): (usize, usize),
+    (kernel, stride, padding): (usize, usize, usize),
+    run: impl FnOnce(&ConvWindow, &[f32], &mut [f32]),
+) -> Tensor {
+    let (c, h, w) = lane_group_shape(group);
+    assert_eq!(c, in_c, "convolution channel mismatch");
+    let (oh, ow) = conv_out(h, w, kernel, stride, padding);
+    let mut out = Tensor::zeros(&[1, oc, oh, LANE_GROUP * ow]);
+    let window = window_for(slot, (c, h, w), kernel, stride, padding);
+    kernels::with_thread_scratch(|scratch| {
+        let xpad = window.pad(group.data(), LANE_GROUP, &mut scratch.xpad);
+        run(window, xpad, out.data_mut());
+    });
+    out
 }
 
 /// Standard 2-D convolution over NCHW tensors.
@@ -210,7 +244,7 @@ impl Layer for Conv2d {
             let (panels, act_scale) = (&q.weight, q.act_scale);
             kernels::with_thread_scratch(|scratch| {
                 for (xb, ob) in samples {
-                    let xpad = window.pad(xb, &mut scratch.xpad);
+                    let xpad = window.pad(xb, 1, &mut scratch.xpad);
                     window.q8_conv_forward(xpad, act_scale, panels, bias, ob, &mut scratch.quant);
                 }
             });
@@ -230,11 +264,36 @@ impl Layer for Conv2d {
         };
         kernels::with_thread_scratch(|scratch| {
             for (xb, ob) in samples {
-                let xpad = window.pad(xb, &mut scratch.xpad);
+                let xpad = window.pad(xb, 1, &mut scratch.xpad);
                 window.conv_forward(xpad, panels, bias, ob);
             }
         });
         out
+    }
+
+    /// A quantized layer has none: its eval forward is the Q8 tier's.
+    fn lane_form(&self) -> LaneForm {
+        if self.quant.is_some() {
+            LaneForm::None
+        } else {
+            LaneForm::Lanes
+        }
+    }
+
+    /// The eval forward of a lane group on the tile with the samples on the
+    /// lanes, reading the `[oc][c*k*k]` weights as they are: no panels are
+    /// packed.
+    fn forward_lanes(&mut self, group: &Tensor) -> Tensor {
+        assert!(self.quant.is_none(), "a quantized Conv2d has no lane form");
+        self.cached_input = None;
+        let (wgt, bias) = (self.weight.value.data(), self.bias.value.data());
+        lane_forward(
+            &mut self.window,
+            group,
+            (self.in_channels, self.out_channels),
+            (self.kernel, self.stride, self.padding),
+            |window, xpad, out| window.lane_conv_forward(xpad, wgt, bias, out),
+        )
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -281,7 +340,7 @@ impl Layer for Conv2d {
                     }
                     *gbo = acc;
                 }
-                let xpad = window.pad(xb, &mut scratch.xpad);
+                let xpad = window.pad(xb, 1, &mut scratch.xpad);
                 window.weight_grad(xpad, gob, gw, &mut scratch.packs.a);
                 window.input_grad(
                     wt,
@@ -441,11 +500,29 @@ impl Layer for DepthwiseConv2d {
                 .chunks_exact(c * h * w)
                 .zip(out.data_mut().chunks_exact_mut(c * oh * ow))
             {
-                let xpad = window.pad(xb, &mut scratch.xpad);
+                let xpad = window.pad(xb, 1, &mut scratch.xpad);
                 window.depthwise_forward(xpad, wgt, bias, ob, &mut scratch.grid);
             }
         });
         out
+    }
+
+    fn lane_form(&self) -> LaneForm {
+        LaneForm::Lanes
+    }
+
+    /// The eval forward of a lane group: per channel the weight broadcast and
+    /// one vector of the sixteen samples per output position.
+    fn forward_lanes(&mut self, group: &Tensor) -> Tensor {
+        self.cached_input = None;
+        let (wgt, bias) = (self.weight.value.data(), self.bias.value.data());
+        lane_forward(
+            &mut self.window,
+            group,
+            (self.channels, self.channels),
+            (self.kernel, self.stride, self.padding),
+            |window, xpad, out| window.depthwise_lanes(xpad, wgt, bias, out),
+        )
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -484,7 +561,7 @@ impl Layer for DepthwiseConv2d {
                 .zip(grad_output.data().chunks_exact(c * oh * ow))
                 .zip(grad_input.data_mut().chunks_exact_mut(c * h * w))
             {
-                let xpad = window.pad(xb, &mut scratch.xpad);
+                let xpad = window.pad(xb, 1, &mut scratch.xpad);
                 window.depthwise_backward(xpad, wgt, gob, gw, gb, gib, &mut scratch.grad_pad);
             }
         });

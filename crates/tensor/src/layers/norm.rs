@@ -1,6 +1,6 @@
 //! Batch normalization over the channel dimension of NCHW tensors.
 
-use crate::layer::{Layer, Param};
+use crate::layer::{LaneForm, Layer, Param};
 use crate::tensor::Tensor;
 
 /// Batch normalization for convolutional feature maps.
@@ -168,6 +168,10 @@ impl Layer for BatchNorm2d {
             }
         }
         input
+    }
+
+    fn lane_form(&self) -> LaneForm {
+        LaneForm::Plane
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {

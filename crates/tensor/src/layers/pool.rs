@@ -1,6 +1,12 @@
 //! Global average pooling, NCHW layout.
+//!
+//! The pooling is where a lane group ends ([`crate::LANE_GROUP`]): sixteen
+//! samples that ran the backbone interleaved `[c][h][w][16]` leave it here as
+//! `[16, c]` rows in sample order, each channel's positions summed ascending
+//! into one vector of sixteen lanes — per sample the eval forward's
+//! sequence — so a batched eval pass converts its layout exactly twice.
 
-use crate::layer::Layer;
+use crate::layer::{lane_group_shape, LaneForm, Layer, LANE_GROUP};
 use crate::tensor::Tensor;
 
 /// Global average pooling: `[n, c, h, w] -> [n, c]`.
@@ -48,6 +54,34 @@ impl Layer for GlobalAvgPool2d {
                     acc += x[base + i];
                 }
                 odata[b * c + ch] = acc * norm;
+            }
+        }
+        out
+    }
+
+    fn lane_form(&self) -> LaneForm {
+        LaneForm::Ends
+    }
+
+    /// Ends a lane group: per channel, the sixteen samples' positions summed
+    /// ascending into one vector from `0.0`, times `norm` — each sample's
+    /// [`Layer::forward`] sequence — as `[16, c]` in sample order.
+    fn forward_lanes(&mut self, group: &Tensor) -> Tensor {
+        const L: usize = LANE_GROUP;
+        let (c, h, w) = lane_group_shape(group);
+        self.input_shape = None;
+        let norm = 1.0 / (h * w) as f32;
+        let mut out = Tensor::zeros(&[L, c]);
+        let odata = out.data_mut();
+        for (ch, plane) in group.data().chunks_exact((h * w * L).max(1)).enumerate() {
+            let mut acc = [0.0f32; L];
+            for pixel in plane.chunks_exact(L) {
+                for (a, &v) in acc.iter_mut().zip(pixel) {
+                    *a += v;
+                }
+            }
+            for (l, &a) in acc.iter().enumerate() {
+                odata[l * c + ch] = a * norm;
             }
         }
         out

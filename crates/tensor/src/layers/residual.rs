@@ -1,6 +1,6 @@
 //! Residual block: `y = body(x) + shortcut(x)`.
 
-use crate::layer::{Layer, Param};
+use crate::layer::{LaneForm, Layer, Param};
 use crate::layers::Sequential;
 use crate::tensor::Tensor;
 
@@ -33,6 +33,29 @@ impl Residual {
     }
 }
 
+impl Residual {
+    /// `run(body, input) + skip`, the skip `run(shortcut, input)` or — for the
+    /// identity shortcut — the borrowed input itself, added into the body's
+    /// output rather than into a third tensor: `main + 1.0 * skip`, and `1.0 *
+    /// x` is `x` exactly.
+    fn add_paths(
+        &mut self,
+        input: &Tensor,
+        mut run: impl FnMut(&mut Sequential, &Tensor) -> Tensor,
+    ) -> Tensor {
+        let mut main = run(&mut self.body, input);
+        let projected = self.shortcut.as_mut().map(|s| run(s, input));
+        let skip = projected.as_ref().unwrap_or(input);
+        assert_eq!(
+            main.shape(),
+            skip.shape(),
+            "residual body and shortcut must produce equal shapes"
+        );
+        main.add_scaled_inplace(skip, 1.0);
+        main
+    }
+}
+
 impl std::fmt::Debug for Residual {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -57,19 +80,22 @@ impl Layer for Residual {
     }
 
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut main = self.body.forward(input, train);
-        let projected = self.shortcut.as_mut().map(|s| s.forward(input, train));
-        // The identity shortcut adds the borrowed input itself.
-        let skip = projected.as_ref().unwrap_or(input);
-        assert_eq!(
-            main.shape(),
-            skip.shape(),
-            "residual body and shortcut must produce equal shapes"
-        );
-        // The skip is added into the body's output rather than into a third
-        // tensor: `main + 1.0 * skip`, and `1.0 * x` is `x` exactly.
-        main.add_scaled_inplace(skip, 1.0);
-        main
+        self.add_paths(input, |path, x| path.forward(x, train))
+    }
+
+    /// A block whose body and shortcut keep a lane group keeps it too.
+    fn lane_form(&self) -> LaneForm {
+        let keeps = |path: &Sequential| path.lane_form() == LaneForm::Lanes;
+        if keeps(&self.body) && self.shortcut.as_ref().is_none_or(keeps) {
+            LaneForm::Lanes
+        } else {
+            LaneForm::None
+        }
+    }
+
+    /// Both paths in lane form, the skip added in the body's output group.
+    fn forward_lanes(&mut self, group: &Tensor) -> Tensor {
+        self.add_paths(group, |path, x| path.forward_lanes(x))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {

@@ -1,6 +1,17 @@
 //! The [`Sequential`] container.
+//!
+//! An eval forward of at least [`LANE_GROUP`] samples through a container
+//! whose layers keep a lane group up to one that ends it — every zoo
+//! backbone, from its stem to its `GlobalAvgPool2d` — runs each group of
+//! sixteen samples with the samples on the vector lanes: the group is
+//! interleaved once on entry (`[c][h][w][16]`), stays in that layout through
+//! every layer, and leaves it once, as the pooling layer's `[16, c]` rows in
+//! sample order. The last `n % 16` samples, a smaller batch, a train forward
+//! and a container holding a layer without a lane form (a quantized
+//! `Conv2d`, a `Dense` before the pooling) run sample by sample. Per sample
+//! both paths compute the same bytes.
 
-use crate::layer::{Layer, Param};
+use crate::layer::{lane_group, LaneForm, Layer, Param, LANE_GROUP};
 use crate::tensor::Tensor;
 
 /// A container that applies layers in order.
@@ -90,6 +101,59 @@ impl Sequential {
     }
 }
 
+impl Sequential {
+    /// The index of the layer that ends a lane group, when every layer
+    /// before it keeps one.
+    fn lane_group_end(&self) -> Option<usize> {
+        let end = self
+            .layers
+            .iter()
+            .position(|l| !l.lane_form().keeps_lanes())?;
+        (self.layers[end].lane_form() == LaneForm::Ends).then_some(end)
+    }
+
+    /// The eval forward of `input` when it can run in lane groups: layers
+    /// `..=end` group by group (the remainder sample by sample), then the
+    /// rest on the stacked rows.
+    fn forward_in_lane_groups(&mut self, input: &Tensor) -> Option<Tensor> {
+        let shape = input.shape();
+        let sample: usize = shape.iter().skip(1).product();
+        if shape.len() != 4 || shape[0] < LANE_GROUP || sample == 0 {
+            return None;
+        }
+        let end = self.lane_group_end()?;
+        let (n, [c, h, w]) = (shape[0], [shape[1], shape[2], shape[3]]);
+        let (grouped, tail) = self.layers.split_at_mut(end + 1);
+        let full = n / LANE_GROUP * LANE_GROUP;
+        let mut rows = Vec::new();
+        let mut row_shape = Vec::new();
+        for samples in input.data()[..full * sample].chunks_exact(LANE_GROUP * sample) {
+            let group = lane_group(samples, (c, h, w));
+            let ended = grouped
+                .iter_mut()
+                .fold(group, |x, l| l.forward_lanes_owned(x));
+            if rows.is_empty() {
+                rows.reserve_exact(n * ended.len() / LANE_GROUP);
+            }
+            rows.extend_from_slice(ended.data());
+            row_shape = ended.shape()[1..].to_vec();
+        }
+        if full < n {
+            let rest =
+                Tensor::from_vec(input.data()[full * sample..].to_vec(), &[n - full, c, h, w])
+                    .expect("the remainder keeps its shape");
+            let ended = grouped
+                .iter_mut()
+                .fold(rest, |x, l| l.forward_owned(x, false));
+            rows.extend_from_slice(ended.data());
+            row_shape = ended.shape()[1..].to_vec();
+        }
+        row_shape.insert(0, n);
+        let x = Tensor::from_vec(rows, &row_shape).expect("one row per sample");
+        Some(tail.iter_mut().fold(x, |x, l| l.forward_owned(x, false)))
+    }
+}
+
 impl std::fmt::Debug for Sequential {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Sequential({} layers: ", self.layers.len())?;
@@ -106,6 +170,11 @@ impl Layer for Sequential {
     }
 
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        if !train {
+            if let Some(out) = self.forward_in_lane_groups(input) {
+                return out;
+            }
+        }
         // Feed the borrowed input straight to the first layer instead of
         // cloning it up front; only an empty container clones. Every later
         // layer owns its predecessor's output.
@@ -120,9 +189,41 @@ impl Layer for Sequential {
     }
 
     fn forward_owned(&mut self, input: Tensor, train: bool) -> Tensor {
+        if !train {
+            if let Some(out) = self.forward_in_lane_groups(&input) {
+                return out;
+            }
+        }
         self.layers
             .iter_mut()
             .fold(input, |x, layer| layer.forward_owned(x, train))
+    }
+
+    /// `Lanes` when every layer keeps a lane group, `Ends` when every layer
+    /// but the last keeps it and the last ends it.
+    fn lane_form(&self) -> LaneForm {
+        match self.lane_group_end() {
+            None if self.layers.iter().all(|l| l.lane_form().keeps_lanes()) => LaneForm::Lanes,
+            Some(end) if end + 1 == self.layers.len() => LaneForm::Ends,
+            _ => LaneForm::None,
+        }
+    }
+
+    fn forward_lanes(&mut self, group: &Tensor) -> Tensor {
+        match self.layers.split_first_mut() {
+            Some((first, rest)) => {
+                let x = first.forward_lanes(group);
+                rest.iter_mut()
+                    .fold(x, |x, layer| layer.forward_lanes_owned(x))
+            }
+            None => group.clone(),
+        }
+    }
+
+    fn forward_lanes_owned(&mut self, group: Tensor) -> Tensor {
+        self.layers
+            .iter_mut()
+            .fold(group, |x, layer| layer.forward_lanes_owned(x))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -320,6 +421,151 @@ mod tests {
                     grad = layer.backward(&grad);
                 }
                 assert_bits_eq(owned.backward(&go).data(), grad.data(), "backward");
+            }
+        }
+    }
+
+    /// A backbone with a layer of every kind a lane group passes through:
+    /// a padded stem, an identity and a projection residual block, a
+    /// stride-2 depthwise and a pointwise convolution whose channel counts
+    /// fill no whole vector of lanes, a channel shuffle — then the pooling
+    /// that ends the group and a dense head behind it.
+    fn lane_test_net(rng: &mut SeededRng) -> Sequential {
+        use crate::layers::{
+            BatchNorm2d, ChannelShuffle, Conv2d, DepthwiseConv2d, GlobalAvgPool2d, Residual,
+        };
+        let body = |rng: &mut SeededRng| {
+            Sequential::new(vec![
+                Box::new(Conv2d::new(6, 6, 3, 1, 1, rng)),
+                Box::new(BatchNorm2d::new(6)),
+                Box::new(Relu::new()),
+                Box::new(Conv2d::new(6, 6, 3, 1, 1, rng)),
+            ])
+        };
+        let down = Sequential::new(vec![
+            Box::new(Conv2d::new(6, 10, 3, 2, 1, rng)),
+            Box::new(BatchNorm2d::new(10)),
+        ]);
+        let shortcut = Sequential::new(vec![Box::new(Conv2d::new(6, 10, 1, 2, 0, rng))]);
+        Sequential::new(vec![
+            Box::new(Conv2d::new(3, 6, 3, 1, 1, rng)),
+            Box::new(BatchNorm2d::new(6)),
+            Box::new(Relu::new()),
+            Box::new(Residual::new(body(rng))),
+            Box::new(Residual::with_shortcut(down, shortcut)),
+            Box::new(DepthwiseConv2d::new(10, 3, 2, 1, rng)),
+            Box::new(Conv2d::new(10, 18, 1, 1, 0, rng)),
+            Box::new(ChannelShuffle::new(2)),
+            Box::new(Relu::new()),
+            Box::new(GlobalAvgPool2d::new()),
+            Box::new(Dense::new(18, 5, rng)),
+        ])
+    }
+
+    /// Fills every buffer of this thread's arena a lane group draws from
+    /// with NaN.
+    fn dirty_thread_scratch() {
+        crate::kernels::with_thread_scratch(|scratch| {
+            scratch.xpad.take(1 << 16).fill(f32::NAN);
+            scratch.grid.take(1 << 12).fill(f32::NAN);
+        });
+    }
+
+    /// `n` samples one at a time, sample by sample.
+    fn per_sample(net: &Sequential, x: &Tensor) -> Vec<f32> {
+        let mut net = net.clone();
+        (0..x.shape()[0])
+            .flat_map(|i| net.forward(&x.select_rows(&[i]), false).into_vec())
+            .collect()
+    }
+
+    /// The lane-group eval forward against the per-sample one, bit for bit,
+    /// on every backend, from NaN-dirtied scratch: a whole group, groups with
+    /// a remainder of one and fifteen samples, and eight groups; borrowed and
+    /// owned entry; with `±0.0`, `±inf` and NaN in the input.
+    #[test]
+    fn lane_batch_forward_matches_per_sample_on_every_isa() {
+        use crate::kernels::simd;
+        use crate::kernels::tolerance::assert_bits_eq;
+        let _lock = simd::isa_override_test_lock();
+        let mut rng = SeededRng::new(0x1A_7E);
+        let mut net = lane_test_net(&mut rng);
+        // One train pass moves the batch-norm statistics off (0, 1).
+        let _ = net.forward(&Tensor::randn(&[4, 3, 9, 9], &mut rng), true);
+        assert_eq!(net.lane_group_end(), Some(9));
+        for n in [16usize, 17, 31, 32, 33, 128] {
+            let mut x = Tensor::randn(&[n, 3, 9, 9], &mut rng);
+            let specials = [-0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+            for (i, v) in specials.into_iter().enumerate() {
+                x.data_mut()[(i * 97 + 5) % (n * 243)] = v;
+            }
+            for isa in simd::supported_isas() {
+                let prev = simd::force_isa(Some(isa));
+                let want = per_sample(&net, &x);
+                dirty_thread_scratch();
+                let borrowed = net.forward(&x, false);
+                dirty_thread_scratch();
+                let owned = net.clone().forward_owned(x.clone(), false);
+                simd::force_isa(prev);
+                assert_eq!(borrowed.shape(), &[n, 5]);
+                assert_bits_eq(borrowed.data(), &want, &format!("n={n} {isa}"));
+                assert_bits_eq(owned.data(), &want, &format!("n={n} {isa} owned"));
+            }
+        }
+    }
+
+    /// A NaN weight times a NaN activation — where which NaN survives
+    /// depends on which operand comes first — yields the per-sample path's
+    /// bits on the lane path: a pointwise convolution's NaN weight meets a
+    /// NaN activation in its only product, and the sum after it carries that
+    /// product's NaN unchanged; the depthwise stencil meets one at its centre
+    /// tap. The explicit-SIMD backends pin the weight as the multiply's first
+    /// operand in both tile roles; the scalar backend is plain Rust, whose
+    /// compiler chooses the operand order (Rust leaves the payload of a
+    /// NaN-by-NaN product unspecified), so there only the positions of the
+    /// NaNs must agree — every other element bit for bit.
+    #[test]
+    fn lane_batch_nan_weight_times_nan_activation_keeps_the_per_sample_bits() {
+        use crate::kernels::simd::{self, Isa};
+        use crate::layers::{Conv2d, DepthwiseConv2d};
+        let _lock = simd::isa_override_test_lock();
+        let mut rng = SeededRng::new(0x0AA7);
+        let (weight_nan, input_nan) = (f32::from_bits(0x7FC0_0A11), f32::from_bits(0xFFC0_0B22));
+        let mut conv = Conv2d::new(2, 3, 1, 1, 0, &mut rng);
+        conv.params_mut()[0].value.data_mut()[0] = weight_nan;
+        let mut dw = DepthwiseConv2d::new(2, 3, 1, 1, &mut rng);
+        dw.params_mut()[0].value.data_mut()[4] = weight_nan;
+        let mut x = Tensor::randn(&[16, 2, 4, 4], &mut rng);
+        for sample in x.data_mut().chunks_exact_mut(32) {
+            sample[5] = input_nan;
+        }
+        let group = lane_group(x.data(), (2, 4, 4));
+        for mut layer in [Box::new(conv) as Box<dyn Layer>, Box::new(dw)] {
+            let name = layer.name();
+            for isa in simd::supported_isas() {
+                let prev = simd::force_isa(Some(isa));
+                let want = layer.forward(&x, false).into_vec();
+                let lanes = layer.forward_lanes(&group);
+                simd::force_isa(prev);
+                // `[c][h][w][16]` back to `[16][c][h][w]`.
+                let per_lane = lanes.len() / LANE_GROUP;
+                let got = (0..want.len())
+                    .map(|i| lanes.data()[(i % per_lane) * LANE_GROUP + i / per_lane]);
+                let both_nan = want
+                    .iter()
+                    .zip(got.clone())
+                    .filter(|(w, g)| w.is_nan() && g.is_nan());
+                assert!(both_nan.count() >= 16, "{name} {isa}: no NaN met");
+                for (i, (g, w)) in got.zip(&want).enumerate() {
+                    if isa == Isa::Scalar && g.is_nan() && w.is_nan() {
+                        continue;
+                    }
+                    assert_eq!(
+                        g.to_bits(),
+                        w.to_bits(),
+                        "{name} {isa} element {i}: {g} vs {w}"
+                    );
+                }
             }
         }
     }

@@ -1,6 +1,6 @@
 //! Channel shuffle (the ShuffleNet building block).
 
-use crate::layer::Layer;
+use crate::layer::{LaneForm, Layer};
 use crate::tensor::Tensor;
 
 /// Channel shuffle: splits channels into `groups`, transposes the group and
@@ -72,6 +72,10 @@ impl Layer for ChannelShuffle {
         assert_eq!(input.rank(), 4, "ChannelShuffle expects NCHW input");
         self.input_shape = train.then(|| input.shape().to_vec());
         self.permute(input, false)
+    }
+
+    fn lane_form(&self) -> LaneForm {
+        LaneForm::Plane
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {

@@ -67,7 +67,7 @@ pub mod rng;
 pub mod tensor;
 
 pub use error::TensorError;
-pub use layer::{Layer, Param};
+pub use layer::{LaneForm, Layer, Param, LANE_GROUP};
 pub use rng::SeededRng;
 pub use tensor::Tensor;
 

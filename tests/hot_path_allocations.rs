@@ -13,7 +13,9 @@
 //! weights out, which must drop the panels; a train forward packs them for
 //! that call, once however many samples it carries. Convolution window
 //! tables are built by the warm-up too, and again only when a layer meets a
-//! new input shape. A quantized convolution's or dense layer's Q8 panels are
+//! new input shape. A batch-128 eval pass, which runs in lane groups of
+//! sixteen samples, grows nothing after one warm-up and packs no weights at
+//! all. A quantized convolution's or dense layer's Q8 panels are
 //! packed by `quantize_weights()` and by nothing else. And what scratch reuse
 //! cannot see — the tensors between layers — is pinned as the exact number
 //! of heap allocations one steady-state `submit` makes, counted by this
@@ -68,8 +70,13 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// (`Layer::forward_owned`), so what is left is one tensor per convolution,
 /// pooling and dense layer, the engine's request and response plumbing, and
 /// nothing that grows with traffic. Before the elementwise layers went in
-/// place this was 135.
-const HEAP_ALLOCS_PER_SUBMIT: u64 = 73;
+/// place this was 135; it was 73 until the big pass stopped copying its
+/// one-request mini-batch — the index list and the `select_rows` copy (data
+/// and shape) — and stopped splitting the logits into one tensor per row
+/// (data and shape) gathered in a list and stacked again (data and shape):
+/// eight allocations, for the one shape of the tensor built on the logits
+/// buffer instead.
+const HEAP_ALLOCS_PER_SUBMIT: u64 = 66;
 
 #[test]
 fn steady_state_submit_reuses_scratch_without_allocating() {
@@ -142,11 +149,47 @@ fn steady_state_submit_reuses_scratch_without_allocating() {
     );
     assert_eq!(engine.stats().requests, 3 + steady_requests);
 
+    lane_batch_eval_reuses_scratch_and_packs_nothing(big_replica.clone(), &mut rng);
     input_shape_change_rebuilds_window_tables(big_replica.clone(), &mut rng);
     params_mut_invalidates_packed_weights(big_replica, &mut rng);
     train_forward_packs_once_per_call(&mut rng);
     q8_panels_follow_the_weights(&mut rng);
     large_matmul_reuses_the_callers_thread_arena(&mut rng);
+}
+
+/// A batch-128 eval pass runs in lane groups of sixteen samples: after one
+/// warm-up pass it grows no scratch buffer and builds no window table, and
+/// no pass — the warm-up included, on a replica that never packed — packs a
+/// weight, because the lane tile reads each convolution's `[oc][c*k*k]`
+/// weights as they are. The bytes repeat.
+fn lane_batch_eval_reuses_scratch_and_packs_nothing(
+    mut big: appeal_models::ClassifierParts,
+    rng: &mut SeededRng,
+) {
+    let batch = Tensor::randn(&[128, 3, 12, 12], rng);
+    let packed = kernels::scratch_stats().weight_floats_packed;
+    let warm = big.forward(&batch, false);
+    let before = kernels::scratch_stats();
+    for _ in 0..3 {
+        assert_eq!(big.forward(&batch, false).data(), warm.data());
+    }
+    let after = kernels::scratch_stats();
+    assert_eq!(
+        after.allocs, before.allocs,
+        "steady-state batch-128 passes must not grow any scratch buffer"
+    );
+    assert!(
+        after.reuses > before.reuses,
+        "batch-128 passes must reuse the warmed scratch"
+    );
+    assert_eq!(
+        after.window_tables_built, before.window_tables_built,
+        "steady-state batch-128 passes must not rebuild any window table"
+    );
+    assert_eq!(
+        after.weight_floats_packed, packed,
+        "lane-group passes read the convolution weights unpacked"
+    );
 }
 
 /// A window table is only valid for the input shape it was built for: the
