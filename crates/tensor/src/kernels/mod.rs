@@ -5,21 +5,22 @@
 //! convolutions, their backward passes — bottoms out in the handful of
 //! kernels defined here:
 //!
-//! * [`simd`] — the explicit-SIMD backend: the one f32 tile kernel every
-//!   multiply-accumulate of the crate runs on (sixteen output lanes per
-//!   vector row, activations broadcast through a window table), its Q8 twin
-//!   every int8 product runs on, a portable `f32x8` abstraction with SSE2/AVX2 implementations for the
-//!   elementwise kernels, and cached runtime CPU-feature dispatch
-//!   ([`active_isa`] reports the choice, [`force_isa`] /
-//!   `APPEALNET_FORCE_SCALAR` pin it).
+//! * [`simd`] — the explicit-SIMD backend and the crate's only `unsafe`
+//!   code: the one f32 tile kernel every multiply-accumulate of the crate
+//!   runs on (sixteen output lanes per vector row, activations broadcast
+//!   through a window table) and its Q8 twin every int8 product runs on,
+//!   each on AVX2 and AVX-512 beside a safe scalar reference, and cached
+//!   runtime CPU-feature dispatch ([`active_isa`] reports the choice,
+//!   [`force_isa`] / `APPEALNET_FORCE_SCALAR` pin it).
 //! * [`gemm_into`] / [`gemm_bias_cols`] — the matrix multiply: A's rows
 //!   packed as lane panels, B read through the table `taps[p] = p * n`,
 //!   `offs[j] = j`, on the tile kernel; a plain `i-k-j` loop for products
 //!   too thin to pack. Like every kernel here it runs on the calling thread;
 //!   parallelism lives one level up, across batch shards.
-//! * [`elementwise`] — vectorized order-safe elementwise kernels (ReLU
+//! * [`elementwise`] — order-safe elementwise kernels (ReLU
 //!   forward/backward/in place, bias broadcast, axpy/scale, residual add)
-//!   used by the hot layers and `Tensor` operations.
+//!   used by the hot layers and `Tensor` operations: plain per-element
+//!   loops the compiler vectorizes for the build's `target-cpu`.
 //! * `window` (crate-internal) — per-layer window tables over a zero-padded
 //!   input, so no convolution materialises an im2col matrix: the standard
 //!   convolution keeps its weights as output-channel-lane panels and
@@ -194,7 +195,7 @@ mod tests {
     }
 
     /// The tile kernel is bit-identical to the naive loop on every
-    /// dispatchable ISA (scalar, SSE2, AVX2, AVX-512 where supported) and on
+    /// dispatchable ISA (scalar, AVX2, AVX-512 where supported) and on
     /// the dispatched default, over remainder-heavy shapes that exercise
     /// partial tiles on every edge.
     #[test]
@@ -293,7 +294,7 @@ mod tests {
         );
     }
 
-    /// Every backend's rows per tile (12, 6, 2 and 4 columns of the output)
+    /// Every backend's rows per tile (12, 6 and 4 columns of the output)
     /// and a lane block (16 rows) both ragged, under all three [`GemmInit`]
     /// modes: `m` one short of, equal to and one past a lane block, and past
     /// two; `n` one short of, equal to and one past the AVX-512 tile.
@@ -428,8 +429,8 @@ mod tests {
 
     /// "A concurrently flipped override can change speed, never results": a
     /// second thread cycles [`force_isa`] over every backend while this one
-    /// runs a tiled GEMM, a convolution layer and an axpy, each
-    /// compared bit for bit with its naive reference. Every round waits for
+    /// runs a tiled GEMM and a convolution layer, each compared bit for bit
+    /// with its naive reference. Every round waits for
     /// a flip it has not seen, so the rounds cover every backend even where
     /// the two threads share a core.
     #[test]
@@ -451,11 +452,6 @@ mod tests {
             naive::conv2d_forward_naive(&x, 1, c, hw, hw, &weight, &bias, oc, kernel, 1, 1);
         let win = window::ConvWindow::new(c, hw, hw, kernel, 1, 1);
         let panels = window::OcPanels::pack(oc, win.taps(), &weight);
-
-        let alpha = rng.uniform(-2.0, 2.0);
-        let ax = random_vec(&mut rng, 67);
-        let y0 = random_vec(&mut rng, 67);
-        let axpy_want: Vec<f32> = y0.iter().zip(&ax).map(|(&y, &x)| y + alpha * x).collect();
 
         let prev = force_isa(None);
         let (stop, flips) = (AtomicBool::new(false), AtomicUsize::new(0));
@@ -491,9 +487,6 @@ mod tests {
                 let mut out = vec![f32::NAN; conv_want.len()];
                 win.conv_forward(win.pad(&x, 1, &mut pad), &panels, &bias, &mut out);
                 assert_bits_eq(&out, &conv_want, &format!("round {round} conv"));
-                let mut y = y0.clone();
-                elementwise::axpy(alpha, &ax, &mut y);
-                assert_bits_eq(&y, &axpy_want, &format!("round {round} axpy"));
             }
         });
         force_isa(prev);

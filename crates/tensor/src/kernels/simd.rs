@@ -1,13 +1,17 @@
-//! Explicit-SIMD backend: runtime ISA detection and the one f32 tile kernel.
+//! Explicit-SIMD backend: runtime ISA detection and the tile kernels — the
+//! crate's only explicit SIMD and its only `unsafe` code.
 //!
 //! An autovectorized kernel is at the mercy of the compiler's loop vectorizer
-//! (and of whatever `-C target-cpu` the binary was built with). This module
-//! takes that out of the compiler's hands: a small portable `f32x8`
-//! abstraction (the `F32x8` trait) with SSE2 and AVX2 implementations, a
-//! 16-lane one with an AVX-512 implementation, and a cached runtime
-//! CPU-feature dispatch ([`active_isa`]) that picks the widest instruction
-//! set the host actually supports — independent of how the binary was
-//! compiled.
+//! (and of whatever `-C target-cpu` the binary was built with), and a
+//! plain-Rust tile loses to it: LLVM spills the accumulators or gathers
+//! across taps. This module takes the tiles out of the compiler's hands: one
+//! sixteen-lane accumulator row (the `Lanes16` trait) as two AVX2 `ymm` or
+//! one AVX-512 `zmm`, its int8 twin (`DotLanes16`) on AVX2, and a cached
+//! runtime CPU-feature dispatch ([`active_isa`]) that picks the widest
+//! instruction set the host actually supports — independent of how the
+//! binary was compiled. A host without AVX2 runs the safe scalar reference
+//! tiles. Everything else — the elementwise kernels, the depthwise stencil,
+//! eval batch norm, the pooling — is plain Rust for the loop vectorizer.
 //!
 //! Every f32 multiply-accumulate of the crate runs on one inner loop
 //! (`conv_tile`): sixteen output lanes per vector row, as many rows per tile
@@ -42,9 +46,10 @@
 //! under every [`supported_isas`] entry. One thing no Rust code pins is
 //! which payload a product or sum of two NaNs carries: the compiler may swap
 //! the operands of `*` and `+`. The lane tile's multiply, whose weight is the
-//! broadcast, is therefore written in assembly (`F32x8::mul_first`), so
-//! that a NaN weight times a NaN activation carries the weight's payload on
-//! the explicit-SIMD backends, as in the per-sample tile.
+//! broadcast, is therefore written in assembly (`vmulps_first_256`,
+//! `vmulps_first_512`), so that a NaN weight times a NaN activation carries
+//! the weight's payload on the explicit-SIMD backends, as in the per-sample
+//! tile.
 //!
 //! # Forcing a backend
 //!
@@ -64,15 +69,15 @@ use super::gemm::GemmInit;
 use super::scratch::GrowBuf;
 use crate::quant::{quantize_row_into, QK8_0};
 
-/// An instruction-set backend for the compute kernels, ordered from
-/// narrowest to widest.
+/// An instruction-set backend for the tile kernels, ordered from narrowest
+/// to widest. Only the f32 and Q8 tiles dispatch on it; every other kernel
+/// of the crate is a plain loop compiled for the build's `target-cpu`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Isa {
-    /// Plain Rust loops (whatever the compiler autovectorizes them to).
+    /// The safe scalar reference tiles (whatever the compiler autovectorizes
+    /// them to): what a host without AVX2 runs.
     Scalar,
-    /// 128-bit SSE2 vectors (baseline on every `x86_64`).
-    Sse2,
-    /// 256-bit AVX2 vectors.
+    /// 256-bit AVX2 vectors (a six-row tile of two `ymm` per row).
     Avx2,
     /// 512-bit AVX-512F vectors (a twelve-row tile of one `zmm` per row).
     Avx512,
@@ -83,7 +88,6 @@ impl Isa {
     pub fn name(self) -> &'static str {
         match self {
             Isa::Scalar => "scalar",
-            Isa::Sse2 => "sse2",
             Isa::Avx2 => "avx2",
             Isa::Avx512 => "avx512",
         }
@@ -92,8 +96,7 @@ impl Isa {
     fn from_index(i: u8) -> Isa {
         match i {
             0 => Isa::Scalar,
-            1 => Isa::Sse2,
-            2 => Isa::Avx2,
+            1 => Isa::Avx2,
             _ => Isa::Avx512,
         }
     }
@@ -101,9 +104,8 @@ impl Isa {
     fn index(self) -> u8 {
         match self {
             Isa::Scalar => 0,
-            Isa::Sse2 => 1,
-            Isa::Avx2 => 2,
-            Isa::Avx512 => 3,
+            Isa::Avx2 => 1,
+            Isa::Avx512 => 2,
         }
     }
 }
@@ -134,9 +136,6 @@ fn detected_isa() -> Isa {
             }
             if std::arch::is_x86_feature_detected!("avx2") {
                 return Isa::Avx2;
-            }
-            if std::arch::is_x86_feature_detected!("sse2") {
-                return Isa::Sse2;
             }
         }
         Isa::Scalar
@@ -176,58 +175,10 @@ pub fn force_isa(isa: Option<Isa>) -> Option<Isa> {
 /// each dispatchable path.
 pub fn supported_isas() -> Vec<Isa> {
     let max = detected_isa();
-    [Isa::Scalar, Isa::Sse2, Isa::Avx2, Isa::Avx512]
+    [Isa::Scalar, Isa::Avx2, Isa::Avx512]
         .into_iter()
         .filter(|isa| *isa <= max)
         .collect()
-}
-
-// ---------------------------------------------------------------------------
-// The portable 8-lane vector abstraction.
-// ---------------------------------------------------------------------------
-
-/// Eight `f32` lanes with the handful of operations the kernels need.
-///
-/// Implementations must be **lanewise IEEE-754 exact**: `add`/`mul` are the
-/// plain (unfused) operations, `gt_zero_mask` yields all-ones/all-zeros lane
-/// bit-masks from an ordered quiet `>` compare, and `load`/`store` preserve
-/// bit patterns (including NaN payloads — masks travel through these
-/// registers).
-///
-/// # Safety
-///
-/// `load`/`store` dereference raw pointers (8 lanes' worth), and every
-/// method of a SIMD implementation must only be executed on hosts where the
-/// corresponding CPU feature is available; [`active_isa`] guarantees this
-/// for all dispatched calls.
-pub(crate) trait F32x8: Copy {
-    /// Loads 8 consecutive lanes from `ptr` (unaligned).
-    ///
-    /// # Safety
-    ///
-    /// `ptr..ptr+8` must be readable; the impl's CPU feature must be active.
-    unsafe fn load(ptr: *const f32) -> Self;
-    /// Stores 8 consecutive lanes to `ptr` (unaligned).
-    ///
-    /// # Safety
-    ///
-    /// `ptr..ptr+8` must be writable; the impl's CPU feature must be active.
-    unsafe fn store(self, ptr: *mut f32);
-    /// Broadcasts one value to all lanes.
-    fn splat(v: f32) -> Self;
-    /// Lanewise `self + other` (single IEEE addition per lane).
-    fn add(self, other: Self) -> Self;
-    /// Lanewise `self * other` (single IEEE multiplication per lane).
-    fn mul(self, other: Self) -> Self;
-    /// [`F32x8::mul`] with `self` pinned as the instruction's first source
-    /// operand, the one whose payload a product of two NaNs carries (the
-    /// compiler is free to swap the operands of `mul`).
-    fn mul_first(self, other: Self) -> Self;
-    /// Lanewise `self > 0.0` as an all-ones/all-zeros bit mask
-    /// (ordered, quiet: NaN lanes compare false).
-    fn gt_zero_mask(self) -> Self;
-    /// Lanewise bitwise AND.
-    fn and(self, other: Self) -> Self;
 }
 
 /// Lanes of one output-channel block of the convolution kernel, and the
@@ -237,13 +188,11 @@ pub(crate) const OC_LANES: usize = 16;
 
 /// Output positions per convolution tile — what each backend's register file
 /// holds as `OC_LANES`-wide accumulators next to one weight row: twelve of
-/// 32 `zmm`, six pairs of 16 `ymm`, two quads of 16 `xmm`.
+/// 32 `zmm`, six pairs of 16 `ymm`.
 #[cfg(target_arch = "x86_64")]
 const CONV_ROWS_AVX512: usize = 12;
 #[cfg(target_arch = "x86_64")]
 const CONV_ROWS_AVX2: usize = 6;
-#[cfg(target_arch = "x86_64")]
-const CONV_ROWS_SSE2: usize = 2;
 /// The scalar tile's rows: few enough that the autovectorizer keeps the
 /// `4 x 16` accumulators in registers.
 const CONV_ROWS_SCALAR: usize = 4;
@@ -251,11 +200,15 @@ const CONV_ROWS_SCALAR: usize = 4;
 /// [`OC_LANES`] `f32` lanes — one accumulator row of the convolution tile —
 /// with the one arithmetic step its inner loop takes.
 ///
+/// Implementations must be lanewise IEEE-754 exact: the multiply and the add
+/// are the plain (unfused) operations, and `load`/`store` preserve bit
+/// patterns.
+///
 /// # Safety
 ///
-/// As for [`F32x8`]: `load`/`store` dereference raw pointers ([`OC_LANES`]
-/// lanes' worth), and an implementation may only execute on hosts with its
-/// CPU feature.
+/// `load`/`store` dereference raw pointers ([`OC_LANES`] lanes' worth), and
+/// an implementation may only execute on hosts with its CPU feature;
+/// [`active_isa`] guarantees this for all dispatched calls.
 #[cfg(target_arch = "x86_64")]
 pub(crate) trait Lanes16: Copy {
     /// Loads [`OC_LANES`] consecutive lanes from `ptr` (unaligned).
@@ -278,7 +231,7 @@ pub(crate) trait Lanes16: Copy {
     /// — with `SAMPLE_LANES` — the weight is the broadcast `s` and `x` the
     /// vector. Which operand comes first decides the payload of a product of
     /// two NaNs, and the compiler may swap the operands of a multiply, so the
-    /// `SAMPLE_LANES` product is written in assembly ([`F32x8::mul_first`]):
+    /// `SAMPLE_LANES` product is written in assembly (`vmulps_first_*`):
     /// the operand order the other role gets from code generation — the
     /// weight vector in a register, the broadcast folded into the multiply
     /// as its second operand.
@@ -438,142 +391,37 @@ unsafe fn q8_tile<V: DotLanes16, const R: usize>(
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{
-        conv_tile, q8_tile, DotLanes16, F32x8, Lanes16, CONV_ROWS_AVX2, CONV_ROWS_SSE2, OC_LANES,
-    };
+    use super::{conv_tile, q8_tile, DotLanes16, Lanes16, CONV_ROWS_AVX2, OC_LANES};
     use std::arch::asm;
     use std::arch::x86_64::*;
 
-    /// Two SSE2 `__m128` halves acting as one 8-lane vector.
+    /// Two AVX2 `__m256` as one output-channel block.
     #[derive(Clone, Copy)]
-    pub(crate) struct Sse2V(__m128, __m128);
+    pub(crate) struct Avx2V(__m256, __m256);
 
-    impl F32x8 for Sse2V {
+    impl Lanes16 for Avx2V {
         #[inline(always)]
         unsafe fn load(ptr: *const f32) -> Self {
-            Sse2V(_mm_loadu_ps(ptr), _mm_loadu_ps(ptr.add(4)))
-        }
-
-        #[inline(always)]
-        unsafe fn store(self, ptr: *mut f32) {
-            _mm_storeu_ps(ptr, self.0);
-            _mm_storeu_ps(ptr.add(4), self.1);
-        }
-
-        #[inline(always)]
-        fn splat(v: f32) -> Self {
-            unsafe { Sse2V(_mm_set1_ps(v), _mm_set1_ps(v)) }
-        }
-
-        #[inline(always)]
-        fn add(self, other: Self) -> Self {
-            unsafe { Sse2V(_mm_add_ps(self.0, other.0), _mm_add_ps(self.1, other.1)) }
-        }
-
-        #[inline(always)]
-        fn mul(self, other: Self) -> Self {
-            unsafe { Sse2V(_mm_mul_ps(self.0, other.0), _mm_mul_ps(self.1, other.1)) }
-        }
-
-        #[inline(always)]
-        fn mul_first(self, other: Self) -> Self {
-            let half = |mut a: __m128, b: __m128| {
-                // SAFETY: a register-only SSE2 multiply (the `x86_64`
-                // baseline); `a` is both the first source and the result.
-                unsafe {
-                    asm!("mulps {a}, {b}", a = inout(xmm_reg) a, b = in(xmm_reg) b,
-                         options(pure, nomem, nostack, preserves_flags));
-                }
-                a
-            };
-            Sse2V(half(self.0, other.0), half(self.1, other.1))
-        }
-
-        #[inline(always)]
-        fn gt_zero_mask(self) -> Self {
-            unsafe {
-                let z = _mm_setzero_ps();
-                Sse2V(_mm_cmpgt_ps(self.0, z), _mm_cmpgt_ps(self.1, z))
-            }
-        }
-
-        #[inline(always)]
-        fn and(self, other: Self) -> Self {
-            unsafe { Sse2V(_mm_and_ps(self.0, other.0), _mm_and_ps(self.1, other.1)) }
-        }
-    }
-
-    /// One AVX2 `__m256`.
-    #[derive(Clone, Copy)]
-    pub(crate) struct Avx2V(__m256);
-
-    impl F32x8 for Avx2V {
-        #[inline(always)]
-        unsafe fn load(ptr: *const f32) -> Self {
-            Avx2V(_mm256_loadu_ps(ptr))
+            Avx2V(_mm256_loadu_ps(ptr), _mm256_loadu_ps(ptr.add(8)))
         }
 
         #[inline(always)]
         unsafe fn store(self, ptr: *mut f32) {
             _mm256_storeu_ps(ptr, self.0);
-        }
-
-        #[inline(always)]
-        fn splat(v: f32) -> Self {
-            unsafe { Avx2V(_mm256_set1_ps(v)) }
-        }
-
-        #[inline(always)]
-        fn add(self, other: Self) -> Self {
-            unsafe { Avx2V(_mm256_add_ps(self.0, other.0)) }
-        }
-
-        #[inline(always)]
-        fn mul(self, other: Self) -> Self {
-            unsafe { Avx2V(_mm256_mul_ps(self.0, other.0)) }
-        }
-
-        #[inline(always)]
-        fn mul_first(self, other: Self) -> Self {
-            // SAFETY: `Avx2V` only runs on AVX2 hosts (the trait's contract).
-            unsafe { Avx2V(vmulps_first_256(self.0, other.0)) }
-        }
-
-        #[inline(always)]
-        fn gt_zero_mask(self) -> Self {
-            unsafe { Avx2V(_mm256_cmp_ps::<_CMP_GT_OQ>(self.0, _mm256_setzero_ps())) }
-        }
-
-        #[inline(always)]
-        fn and(self, other: Self) -> Self {
-            unsafe { Avx2V(_mm256_and_ps(self.0, other.0)) }
-        }
-    }
-
-    /// Two 8-lane vectors as one output-channel block: the SSE2 and AVX2
-    /// backends of the convolution kernel.
-    #[derive(Clone, Copy)]
-    pub(crate) struct Pair<V>(V, V);
-
-    impl<V: F32x8> Lanes16 for Pair<V> {
-        #[inline(always)]
-        unsafe fn load(ptr: *const f32) -> Self {
-            Pair(V::load(ptr), V::load(ptr.add(8)))
-        }
-
-        #[inline(always)]
-        unsafe fn store(self, ptr: *mut f32) {
-            self.0.store(ptr);
-            self.1.store(ptr.add(8));
+            _mm256_storeu_ps(ptr.add(8), self.1);
         }
 
         #[inline(always)]
         fn mul_acc<const SAMPLE_LANES: bool>(self, v: Self, s: f32) -> Self {
-            let sv = V::splat(s);
-            if SAMPLE_LANES {
-                Pair(self.0.add(sv.mul_first(v.0)), self.1.add(sv.mul_first(v.1)))
-            } else {
-                Pair(self.0.add(v.0.mul(sv)), self.1.add(v.1.mul(sv)))
+            // SAFETY: `Avx2V` only runs on AVX2 hosts (the trait's contract).
+            unsafe {
+                let sv = _mm256_set1_ps(s);
+                let (p0, p1) = if SAMPLE_LANES {
+                    (vmulps_first_256(sv, v.0), vmulps_first_256(sv, v.1))
+                } else {
+                    (_mm256_mul_ps(v.0, sv), _mm256_mul_ps(v.1, sv))
+                };
+                Avx2V(_mm256_add_ps(self.0, p0), _mm256_add_ps(self.1, p1))
             }
         }
     }
@@ -635,24 +483,6 @@ mod x86 {
         }
     }
 
-    /// SSE2 instantiation of the convolution tile ([`conv_tile`]).
-    ///
-    /// # Safety
-    ///
-    /// Host must support SSE2 (always true on `x86_64`); table and panel
-    /// invariants as in [`conv_tile`].
-    #[target_feature(enable = "sse2")]
-    pub(crate) unsafe fn conv_tile_sse2<const R: usize, const SAMPLE_LANES: bool>(
-        lanes: &[f32],
-        taps: &[u32],
-        offs: &[usize; R],
-        bcast: &[f32],
-        seeds: &[[f32; OC_LANES]; R],
-        acc: &mut [[f32; OC_LANES]; R],
-    ) {
-        conv_tile::<Pair<Sse2V>, R, SAMPLE_LANES>(lanes, taps, offs, bcast, seeds, acc);
-    }
-
     /// AVX2 instantiation of the convolution tile ([`conv_tile`]).
     ///
     /// # Safety
@@ -668,7 +498,7 @@ mod x86 {
         seeds: &[[f32; OC_LANES]; R],
         acc: &mut [[f32; OC_LANES]; R],
     ) {
-        conv_tile::<Pair<Avx2V>, R, SAMPLE_LANES>(lanes, taps, offs, bcast, seeds, acc);
+        conv_tile::<Avx2V, R, SAMPLE_LANES>(lanes, taps, offs, bcast, seeds, acc);
     }
 
     /// AVX-512 instantiation of the convolution tile ([`conv_tile`]): one
@@ -688,63 +518,6 @@ mod x86 {
         acc: &mut [[f32; OC_LANES]; R],
     ) {
         conv_tile::<Avx512V, R, SAMPLE_LANES>(lanes, taps, offs, bcast, seeds, acc);
-    }
-
-    /// Four SSE2 `__m128i` as one block of sixteen `i32` dots.
-    #[derive(Clone, Copy)]
-    pub(crate) struct Sse2I(__m128i, __m128i, __m128i, __m128i);
-
-    impl DotLanes16 for Sse2I {
-        #[inline(always)]
-        fn zero() -> Self {
-            let z = unsafe { _mm_setzero_si128() };
-            Sse2I(z, z, z, z)
-        }
-
-        #[inline(always)]
-        unsafe fn load_pairs(ptr: *const i16) -> Self {
-            let p = ptr.cast::<__m128i>();
-            Sse2I(
-                _mm_loadu_si128(p),
-                _mm_loadu_si128(p.add(1)),
-                _mm_loadu_si128(p.add(2)),
-                _mm_loadu_si128(p.add(3)),
-            )
-        }
-
-        #[inline(always)]
-        fn madd(self, w: Self, pair: i32) -> Self {
-            unsafe {
-                let x = _mm_set1_epi32(pair);
-                Sse2I(
-                    _mm_add_epi32(self.0, _mm_madd_epi16(w.0, x)),
-                    _mm_add_epi32(self.1, _mm_madd_epi16(w.1, x)),
-                    _mm_add_epi32(self.2, _mm_madd_epi16(w.2, x)),
-                    _mm_add_epi32(self.3, _mm_madd_epi16(w.3, x)),
-                )
-            }
-        }
-
-        #[inline(always)]
-        unsafe fn scale_into(self, scale: *const f32, acc: *mut f32) {
-            for (i, d) in [self.0, self.1, self.2, self.3].into_iter().enumerate() {
-                let term = _mm_mul_ps(_mm_loadu_ps(scale.add(4 * i)), _mm_cvtepi32_ps(d));
-                let sum = _mm_add_ps(_mm_loadu_ps(acc.add(4 * i)), term);
-                _mm_storeu_ps(acc.add(4 * i), sum);
-            }
-        }
-
-        #[inline(always)]
-        unsafe fn finish(acc: *mut f32, a: f32, seed: *const f32) {
-            let av = _mm_set1_ps(a);
-            for i in 0..4 {
-                let scaled = _mm_mul_ps(av, _mm_loadu_ps(acc.add(4 * i)));
-                _mm_storeu_ps(
-                    acc.add(4 * i),
-                    _mm_add_ps(scaled, _mm_loadu_ps(seed.add(4 * i))),
-                );
-            }
-        }
     }
 
     /// Two AVX2 `__m256i` as one block of sixteen `i32` dots.
@@ -797,25 +570,6 @@ mod x86 {
         }
     }
 
-    /// SSE2 instantiation of the Q8 convolution tile ([`q8_tile`]).
-    ///
-    /// # Safety
-    ///
-    /// Host must support SSE2 (always true on `x86_64`); panel and row
-    /// invariants as in [`q8_tile`].
-    #[target_feature(enable = "sse2")]
-    pub(crate) unsafe fn q8_tile_sse2(
-        w: &[i16],
-        scales: &[f32],
-        x: &[i32],
-        row_pairs: usize,
-        a_scale: &[f32; CONV_ROWS_SSE2],
-        seed: &[f32; OC_LANES],
-        acc: &mut [[f32; OC_LANES]; CONV_ROWS_SSE2],
-    ) {
-        q8_tile::<Sse2I, CONV_ROWS_SSE2>(w, scales, x, row_pairs, a_scale, seed, acc);
-    }
-
     /// AVX2 instantiation of the Q8 convolution tile ([`q8_tile`]).
     ///
     /// # Safety
@@ -856,9 +610,6 @@ mod x86 {
         }
     }
 }
-
-#[cfg(target_arch = "x86_64")]
-pub(crate) use x86::{Avx2V, Sse2V};
 
 // ---------------------------------------------------------------------------
 // The tile kernel: output lanes on the vector lanes, activations broadcast
@@ -956,9 +707,6 @@ pub(crate) fn conv_tiles(isa: Isa, ops: ConvOperands<'_>) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above.
         Isa::Avx2 => unsafe { conv_drive(x86::conv_tile_avx2::<CONV_ROWS_AVX2, false>, ops) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above (SSE2 is the `x86_64` baseline).
-        Isa::Sse2 => unsafe { conv_drive(x86::conv_tile_sse2::<CONV_ROWS_SSE2, false>, ops) },
         // SAFETY: the scalar tile is safe code and needs no CPU feature.
         _ => unsafe { conv_drive(conv_tile_scalar::<CONV_ROWS_SCALAR, false>, ops) },
     }
@@ -1149,8 +897,6 @@ pub(crate) struct LaneOperands<'a> {
 const LANE_ROWS_AVX512: (usize, usize) = (CONV_ROWS_AVX512, 8);
 #[cfg(target_arch = "x86_64")]
 const LANE_ROWS_AVX2: (usize, usize) = (CONV_ROWS_AVX2, 4);
-#[cfg(target_arch = "x86_64")]
-const LANE_ROWS_SSE2: (usize, usize) = (CONV_ROWS_SSE2, 1);
 const LANE_ROWS_SCALAR: (usize, usize) = (CONV_ROWS_SCALAR, 2);
 
 /// One lane-group convolution with the samples on the vector lanes
@@ -1184,15 +930,6 @@ pub(crate) fn lane_tiles(isa: Isa, ops: LaneOperands<'_>) {
             lane_drive(
                 x86::conv_tile_avx2::<{ LANE_ROWS_AVX2.0 }, true>,
                 x86::conv_tile_avx2::<{ LANE_ROWS_AVX2.1 }, true>,
-                ops,
-            )
-        },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above (SSE2 is the `x86_64` baseline).
-        Isa::Sse2 => unsafe {
-            lane_drive(
-                x86::conv_tile_sse2::<{ LANE_ROWS_SSE2.0 }, true>,
-                x86::conv_tile_sse2::<{ LANE_ROWS_SSE2.1 }, true>,
                 ops,
             )
         },
@@ -1439,9 +1176,6 @@ pub(crate) fn q8_conv_forward(isa: Isa, ops: Q8ConvOperands<'_>) {
         // SAFETY: `isa` comes from `active_isa`, which only reports CPU
         // features the host has; AVX-512 hosts always have AVX2.
         Isa::Avx2 | Isa::Avx512 => unsafe { q8_conv_drive(x86::q8_tile_avx2, ops) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above (SSE2 is the `x86_64` baseline).
-        Isa::Sse2 => unsafe { q8_conv_drive(x86::q8_tile_sse2, ops) },
         // SAFETY: the scalar tile is safe code and needs no CPU feature.
         _ => unsafe { q8_conv_drive(q8_tile_scalar, ops) },
     }
@@ -1594,10 +1328,12 @@ mod tests {
 
     #[test]
     fn isa_ordering_and_names() {
-        assert!(Isa::Scalar < Isa::Sse2);
-        assert!(Isa::Sse2 < Isa::Avx2);
-        assert!(Isa::Avx2 < Isa::Avx512);
-        assert_eq!(Isa::Avx2.name(), "avx2");
+        let isas = [Isa::Scalar, Isa::Avx2, Isa::Avx512];
+        assert!(isas.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(isas.map(Isa::name), ["scalar", "avx2", "avx512"]);
+        for isa in isas {
+            assert_eq!(Isa::from_index(isa.index()), isa);
+        }
         assert_eq!(format!("{}", Isa::Scalar), "scalar");
     }
 

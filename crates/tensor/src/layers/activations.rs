@@ -1,4 +1,4 @@
-//! Elementwise activation layers.
+//! Elementwise activation layers, on plain loops the compiler vectorizes.
 
 use crate::kernels::elementwise;
 use crate::layer::{LaneForm, Layer};
@@ -6,10 +6,9 @@ use crate::tensor::Tensor;
 
 /// Rectified linear unit: `y = x > 0 ? x : 0`.
 ///
-/// Forward and backward run on the vectorized elementwise kernels
+/// Forward and backward run on the elementwise kernels
 /// ([`crate::kernels::elementwise`]); the backward mask is stored as
-/// all-ones/all-zeros words so the gradient select is a single bitwise AND
-/// on every ISA backend.
+/// all-ones/all-zeros words so the gradient select is a single bitwise AND.
 #[derive(Debug, Default, Clone)]
 pub struct Relu {
     mask: Option<Vec<u32>>,

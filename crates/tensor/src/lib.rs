@@ -47,10 +47,10 @@
 //! ```
 
 #![warn(missing_docs)]
-// `deny` rather than `forbid`: the explicit-SIMD backend
-// (`kernels::simd` / `kernels::elementwise`) opts back in with a scoped
-// `allow` — it is the only place in the workspace permitted to use `unsafe`
-// (std::arch intrinsics behind runtime CPU-feature detection).
+// `deny` rather than `forbid`: the tile kernels (`kernels::simd`) opt back
+// in with a scoped `allow` — the only place in the workspace permitted to
+// use `unsafe` (std::arch intrinsics behind runtime CPU-feature detection;
+// CI's lint job fails if another module allows it).
 #![deny(unsafe_code)]
 
 pub mod error;

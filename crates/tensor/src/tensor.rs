@@ -540,9 +540,7 @@ impl Tensor {
         let c = self.shape[1];
         assert_eq!(bias.len(), c, "bias length must equal number of columns");
         let mut out = self.clone();
-        if c > 0 {
-            crate::kernels::elementwise::bias_add_rows(&mut out.data, &bias.data);
-        }
+        crate::kernels::elementwise::bias_add_rows(&mut out.data, &bias.data);
         out
     }
 
@@ -650,7 +648,7 @@ mod tests {
     #[test]
     fn matmul_bias_matches_unfused_pair_bitwise() {
         let mut rng = SeededRng::new(11);
-        for &(m, k, n) in &[(1usize, 3usize, 4usize), (5, 17, 9), (33, 64, 65)] {
+        for &(m, k, n) in &[(1, 3, 4), (5, 17, 9), (33, 64, 65), (3, 4, 0)] {
             let a = Tensor::randn(&[m, k], &mut rng);
             let b = Tensor::randn(&[k, n], &mut rng);
             let bias = Tensor::randn(&[n], &mut rng);
