@@ -399,22 +399,35 @@ mod tests {
         }
     }
 
+    /// Calibration freezes the same scales whatever the batch size: below
+    /// the lane-group threshold, and across it — batches of 16 and 40 run
+    /// their quantized backbone in lane groups (`appeal_tensor::LANE_GROUP`),
+    /// a batch of 1 sample by sample.
     #[test]
     fn calibration_is_batch_size_invariant() {
-        let mut net = small_two_head(4);
         let mut rng = SeededRng::new(10);
-        let x = Tensor::randn(&[9, 3, 12, 12], &mut rng);
-        net.quantize_weights();
-        let mut other = net.clone();
-        net.calibrate_activation_scales(&x, 2);
-        other.calibrate_activation_scales(&x, 9);
-        let a = net.forward(&x, false);
-        let b = other.forward(&x, false);
-        for (p, q) in a.logits.data().iter().zip(b.logits.data()) {
-            assert_eq!(p.to_bits(), q.to_bits());
-        }
-        for (p, q) in a.q.iter().zip(b.q.iter()) {
-            assert_eq!(p.to_bits(), q.to_bits());
+        for (seed, n, batch_sizes) in [(4, 9, &[2, 9][..]), (6, 40, &[1, 16, 40])] {
+            let mut net = small_two_head(seed);
+            let x = Tensor::randn(&[n, 3, 12, 12], &mut rng);
+            net.quantize_weights();
+            let outputs: Vec<_> = batch_sizes
+                .iter()
+                .map(|&batch_size| {
+                    let mut net = net.clone();
+                    net.calibrate_activation_scales(&x, batch_size);
+                    net.forward(&x, false)
+                })
+                .collect();
+            for (other, batch_size) in outputs.iter().zip(batch_sizes).skip(1) {
+                let a = &outputs[0];
+                let tag = format!("n={n}: batch size {batch_size} vs {}", batch_sizes[0]);
+                for (p, q) in a.logits.data().iter().zip(other.logits.data()) {
+                    assert_eq!(p.to_bits(), q.to_bits(), "{tag}");
+                }
+                for (p, q) in a.q.iter().zip(other.q.iter()) {
+                    assert_eq!(p.to_bits(), q.to_bits(), "{tag}");
+                }
+            }
         }
     }
 

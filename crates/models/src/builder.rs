@@ -384,6 +384,9 @@ mod tests {
         }
     }
 
+    /// Serializes this crate's tests that override the ISA.
+    static ISA_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     /// Eval forwards of sixteen samples and more run in lane groups
     /// (`appeal_tensor::LANE_GROUP`): the samples on the vector lanes from the
     /// stem to the pooling, a remainder of `n % 16` sample by sample. Against
@@ -395,8 +398,6 @@ mod tests {
     #[test]
     fn lane_batch_forwards_match_per_sample_on_every_zoo_net() {
         use appeal_tensor::kernels::{self, force_isa, supported_isas};
-        // The only test in this crate that overrides the ISA.
-        static ISA_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         let _lock = ISA_LOCK
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
@@ -428,6 +429,68 @@ mod tests {
                         pairs.all(|(g, w)| g.to_bits() == w.to_bits()),
                         "{spec}: n={n} {isa}: the lane groups differ from the per-sample forward"
                     );
+                }
+            }
+        }
+    }
+
+    /// The quantized backbones run in lane groups too: a quantized `Conv2d`
+    /// computes its Q8 tier on the lane tile, block by block. Against the
+    /// per-sample forward, bit for bit, on all four backbones — ResNet-like's
+    /// 108/216/360-tap convolutions span several Q8 blocks, the last partial
+    /// — under dynamic per-field scales and under calibrated ones: whole
+    /// groups, remainders of one and fifteen, eight groups; every backend,
+    /// each pass from a NaN-dirtied arena.
+    #[test]
+    fn lane_batch_q8_forwards_match_per_sample_on_every_zoo_net() {
+        use appeal_tensor::kernels::{self, force_isa, supported_isas};
+        let _lock = ISA_LOCK
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let dirty = || {
+            kernels::with_thread_scratch(|s| {
+                s.xpad.take(1 << 16).fill(f32::NAN);
+                s.quant.qa.take(1 << 16).fill(0x55);
+            })
+        };
+        let mut rng = SeededRng::new(14);
+        let specs = ModelFamily::little_families()
+            .into_iter()
+            .map(|family| ModelSpec::little(family, [3, 12, 12], 10))
+            .chain([ModelSpec::big([3, 12, 12], 10)]);
+        for spec in specs {
+            let mut model = spec.build(&mut rng);
+            // One train pass moves the batch-norm statistics off (0, 1).
+            let _ = model.forward(&Tensor::randn(&[4, 3, 12, 12], &mut rng), true);
+            model.quantize_weights();
+            assert!(model.backbone.is_quantized());
+            assert_eq!(model.backbone.lane_form(), appeal_tensor::LaneForm::Ends);
+            for calibrated in [false, true] {
+                if calibrated {
+                    model.backbone.begin_calibration();
+                    model.head.begin_calibration();
+                    let _ = model.forward(&Tensor::randn(&[20, 3, 12, 12], &mut rng), false);
+                    model.backbone.end_calibration();
+                    model.head.end_calibration();
+                }
+                for n in [16usize, 17, 31, 32, 33, 128] {
+                    let x = Tensor::randn(&[n, 3, 12, 12], &mut rng);
+                    for isa in supported_isas() {
+                        let prev = force_isa(Some(isa));
+                        let want: Vec<f32> = (0..n)
+                            .flat_map(|i| model.forward(&x.select_rows(&[i]), false).into_vec())
+                            .collect();
+                        dirty();
+                        let got = model.forward(&x, false);
+                        force_isa(prev);
+                        assert_eq!(got.shape(), &[n, 10]);
+                        let mut pairs = got.data().iter().zip(&want);
+                        assert!(
+                            pairs.all(|(g, w)| g.to_bits() == w.to_bits()),
+                            "{spec}: n={n} {isa} calibrated={calibrated}: \
+                             the lane groups differ from the per-sample forward"
+                        );
+                    }
                 }
             }
         }

@@ -174,14 +174,19 @@ impl<T> Clone for GrowBuf<T> {
 /// quantized into — the whole padded image or GEMM operand (static scale) or
 /// one receptive field or GEMM row (dynamic scales) — and the tile's staging
 /// rows; for [`crate::kernels::quant_gemm_into`] also its weight panels,
-/// window table and transposed product.
+/// window table and transposed product. A lane group's quantized convolution
+/// (`kernels/window.rs`), which runs on the `f32` lane tile, draws its
+/// integer-valued activations, scales, table and block dots from the `f32`
+/// and `u32` arenas.
 #[derive(Debug, Default, Clone)]
 pub struct QuantScratch {
     /// Quantized activations: a padded image `[c, h + 2p, w + 2p]` or GEMM
     /// operand `[m, k]`; or a receptive field `[c*k*k]` or GEMM row `[k]`.
     pub qa: GrowBuf<i8>,
     /// One receptive field (GEMM row) gathered through the window table, on
-    /// its way to a dynamic per-row scale.
+    /// its way to a dynamic per-row scale. In a lane group: the quantized
+    /// padded lane image `[c, h + 2p, (w + 2p) * 16]` (static scale) or every
+    /// quantized receptive field, `[oh * ow][c*k*k][16]` (dynamic scales).
     pub(crate) row: GrowBuf,
     /// A tile's quantized rows as the tap-pair words its kernel broadcasts,
     /// `[rows per tile][taps / 2, rounded up]`.
@@ -189,13 +194,15 @@ pub struct QuantScratch {
     /// A quantized GEMM's weights as Q8 panels, `[n block][k / 2][16][2]`,
     /// packed per call.
     pub(crate) panels: GrowBuf<i16>,
-    /// Their block scales, `[n block][Q8 block][16]`.
+    /// Their block scales, `[n block][Q8 block][16]`. In a lane group: `oc`
+    /// zero seeds, then the activation scales `[oh * ow][16]`.
     pub(crate) scales: GrowBuf,
     /// A quantized GEMM's window table: `taps[p] = p`, then `offs[i] = i *
-    /// k`.
+    /// k`; in a lane group under dynamic scales `taps[p] = p`, then `offs[s] =
+    /// s * c*k*k`.
     pub(crate) table: GrowBuf<u32>,
     /// A quantized GEMM's `[n, m]` product, on its way to the `[m, n]`
-    /// output.
+    /// output. In a lane group: one Q8 block's dots, `[oc][oh * ow][16]`.
     pub(crate) product: GrowBuf,
 }
 

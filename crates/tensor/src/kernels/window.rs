@@ -42,7 +42,12 @@
 //!   of output channels, each tap one vector of the sixteen activations
 //!   times one weight broadcast straight from the `[oc][c*k*k]` weights, no
 //!   panels — and the depthwise one ([`ConvWindow::depthwise_lanes`]) takes
-//!   per channel the weight broadcast and one vector per output position;
+//!   per channel the weight broadcast and one vector per output position.
+//!   The quantized convolution ([`ConvWindow::q8_lane_conv_forward`]) runs
+//!   the same `f32` tile on integer-valued operands — its activations
+//!   quantized to the int8 grid, one pass per Q8 block on the block's
+//!   integer weights ([`Q8LaneWeights`]) — exact, because a block's partial
+//!   sums stay below `2^24`;
 //! * the depthwise convolution runs as a direct stencil
 //!   ([`ConvWindow::depthwise_forward`] / [`ConvWindow::depthwise_backward`])
 //!   with positions on the lanes (its channels are `hp * wp` apart in NCHW).
@@ -77,7 +82,7 @@ use super::naive;
 use super::scratch::{self, GrowBuf, QuantScratch};
 use super::simd::{self, ConvOperands, LaneOperands, Q8ConvOperands, Q8Input, OC_LANES};
 use crate::layer::LANE_GROUP;
-use crate::quant::{quantize_row_into, QuantMatrix, QK8_0};
+use crate::quant::{quantize_lanes_in_place, quantize_row_into, QuantMatrix, QK8_0};
 
 /// Window origins the depthwise forward accumulates at a time: one `zmm`, two
 /// `ymm` or four `xmm` of accumulators next to a broadcast weight.
@@ -530,6 +535,129 @@ impl ConvWindow {
         );
     }
 
+    /// Q8_0 standard-convolution forward of a lane group, `xpad` its padded
+    /// lane image: per sample the bytes of [`ConvWindow::q8_conv_forward`],
+    /// on the `f32` tile with the samples on the lanes ([`simd::lane_tiles`]).
+    ///
+    /// The group is quantized to integer-valued `f32`: with a calibrated
+    /// `act_scale` the padded image once, read through the layer's table;
+    /// without one each output position's receptive field per lane, under
+    /// that lane's own scale ([`quantize_lanes_in_place`]), laid out
+    /// `[s][taps][16]` and read through the table `taps[p] = p`,
+    /// `offs[s] = s * taps`. Each Q8 block of taps, ascending, is then one
+    /// tile call seeded with `+0.0` on the block's integer weights
+    /// ([`Q8LaneWeights`]). Every product and partial sum is an integer of
+    /// magnitude at most `32 * 127² < 2^24`, so the tile computes the exact
+    /// `i32` block dot. A plain loop combines the blocks as the Q8 tile does:
+    /// `acc = +0.0; acc += scale_b[oc] * dot_b`, then `a_scale * acc +
+    /// bias[oc]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights` was built for a different tap count, or `xpad`,
+    /// `bias` or `out` does not match the table and the weights.
+    pub(crate) fn q8_lane_conv_forward(
+        &self,
+        xpad: &[f32],
+        act_scale: Option<f32>,
+        weights: &Q8LaneWeights,
+        bias: &[f32],
+        out: &mut [f32],
+        scratch: &mut QuantScratch,
+    ) {
+        const L: usize = LANE_GROUP;
+        let (taps, s, oc) = (self.taps(), self.s, weights.oc);
+        assert_eq!(
+            weights.taps, taps,
+            "q8 lane conv: weights were built for a different tap count"
+        );
+        assert_eq!(bias.len(), oc, "q8 lane conv: bias must have oc entries");
+        assert_eq!(
+            xpad.len(),
+            self.padded_len() * L,
+            "q8 lane conv: padded image does not match its window"
+        );
+        assert_eq!(out.len(), oc * s * L, "q8 lane conv: out must be oc*s*16");
+        let QuantScratch {
+            row,
+            scales,
+            table,
+            product,
+            ..
+        } = scratch;
+        let (zeros, a_scales) = scales.take(oc + s * L).split_at_mut(oc);
+        zeros.fill(0.0);
+        let (q, tap_table, off_table): (&[f32], &[u32], &[u32]) = match act_scale {
+            Some(scale) => {
+                let q = row.take(xpad.len());
+                let scale = quantize_row_into(xpad, q, Some(scale));
+                a_scales.fill(scale);
+                (q, &self.tapoff, &self.off)
+            }
+            None => {
+                assert!(
+                    u32::try_from(s * taps).is_ok(),
+                    "q8 lane conv: receptive fields too large for a window table"
+                );
+                let q = row.take(s * taps * L);
+                let fields = q
+                    .chunks_exact_mut(taps * L)
+                    .zip(a_scales.chunks_exact_mut(L));
+                for ((field, a), &o) in fields.zip(&self.off) {
+                    for (dst, &tap) in field.chunks_exact_mut(L).zip(&self.tapoff) {
+                        let at = (tap + o) as usize * L;
+                        dst.copy_from_slice(&xpad[at..at + L]);
+                    }
+                    quantize_lanes_in_place(field, a.try_into().expect("one vector"));
+                }
+                let (tap_table, off_table) = table.take(taps + s).split_at_mut(taps);
+                for (p, t) in tap_table.iter_mut().enumerate() {
+                    *t = p as u32;
+                }
+                for (i, o) in off_table.iter_mut().enumerate() {
+                    *o = (i * taps) as u32;
+                }
+                (q, tap_table, off_table)
+            }
+        };
+        let blocks = taps.div_ceil(QK8_0);
+        let dots = product.take(if blocks > 1 { oc * s * L } else { 0 });
+        for b in 0..blocks {
+            let first = b == 0;
+            simd::lane_tiles(
+                simd::active_isa(),
+                LaneOperands {
+                    weight: weights.block(b),
+                    bias: zeros,
+                    taps: &tap_table[b * QK8_0..taps.min((b + 1) * QK8_0)],
+                    offs: off_table,
+                    x: q,
+                    out: if first { &mut *out } else { &mut *dots },
+                },
+            );
+            let scale_b = &weights.scales[b * oc..(b + 1) * oc];
+            let chans = out.chunks_exact_mut(s * L).zip(scale_b);
+            if first {
+                for (ochan, &scale) in chans {
+                    for v in ochan {
+                        *v = 0.0 + scale * *v;
+                    }
+                }
+            } else {
+                for ((ochan, &scale), dchan) in chans.zip(dots.chunks_exact(s * L)) {
+                    for (v, &dot) in ochan.iter_mut().zip(dchan) {
+                        *v += scale * dot;
+                    }
+                }
+            }
+        }
+        for (ochan, &bias) in out.chunks_exact_mut(s * L).zip(bias) {
+            for (v, &a) in ochan.iter_mut().zip(a_scales.iter()) {
+                *v = a * *v + bias;
+            }
+        }
+    }
+
     /// Depthwise forward of one sample: `out[ch][s] = bias[ch] + Σ_tap
     /// weight[ch][tap] * xpad[..]`, taps ascending, multiply then add.
     ///
@@ -861,6 +989,53 @@ impl Q8Panels {
     }
 }
 
+/// A convolution's Q8_0 filters as the lane-group tile reads them: per Q8
+/// block `b`, ascending, the block's integer weights `[oc][taps in the block]`
+/// as `f32` (exact: they are in `[-127, 127]`) — the `[oc][taps]` operand of
+/// [`simd::lane_tiles`] — and the filters' block scales as `[Q8 block][oc]`.
+/// Derived layer state next to the [`Q8Panels`]: built by
+/// `quantize_weights()` and cloned with the layer. Not counted as packed
+/// weights: no panel is laid out, the blocks are the quantized filters
+/// widened in place.
+#[derive(Debug, Clone)]
+pub(crate) struct Q8LaneWeights {
+    oc: usize,
+    taps: usize,
+    weights: Vec<f32>,
+    scales: Vec<f32>,
+}
+
+impl Q8LaneWeights {
+    /// The lane-group form of a quantized `[oc, taps]` weight matrix.
+    pub(crate) fn new(weight: &QuantMatrix) -> Self {
+        let (oc, taps) = (weight.rows(), weight.cols());
+        let blocks = taps.div_ceil(QK8_0);
+        let mut weights = Vec::with_capacity(oc * taps);
+        let mut scales = Vec::with_capacity(blocks * oc);
+        for b in 0..blocks {
+            let len = QK8_0.min(taps - b * QK8_0);
+            for o in 0..oc {
+                let block = &weight.row(o)[b];
+                weights.extend(block.qs[..len].iter().map(|&q| f32::from(q)));
+                scales.push(block.scale);
+            }
+        }
+        Self {
+            oc,
+            taps,
+            weights,
+            scales,
+        }
+    }
+
+    /// Q8 block `b`'s integer weights, `[oc][taps in the block]`.
+    fn block(&self, b: usize) -> &[f32] {
+        let start = b * QK8_0 * self.oc;
+        let len = QK8_0.min(self.taps - b * QK8_0);
+        &self.weights[start..start + self.oc * len]
+    }
+}
+
 /// The [`Q8Panels`] layout of `weight` — panels, then block scales — drawn
 /// from the scratch buffers `panels` and `scales`: the quantized GEMM's
 /// per-call packing. Not counted as packed weights.
@@ -1120,6 +1295,165 @@ mod tests {
             &mut [0.0; 48],
             &mut scratch,
         );
+    }
+
+    /// Sixteen samples `xs` (`[16][c][h][w]`) through the lane-group Q8
+    /// forward and each one through the per-sample Q8 forward, on every
+    /// backend, each from NaN-dirtied arenas; asserts the two bit for bit and
+    /// returns the lane output back in `[16][oc][s]` order.
+    fn q8_lanes_against_per_sample(
+        (c, h, w, k, stride, padding): (usize, usize, usize, usize, usize, usize),
+        xs: &[f32],
+        qm: &QuantMatrix,
+        bias: &[f32],
+        act_scale: Option<f32>,
+        tag: &str,
+    ) -> Vec<f32> {
+        const L: usize = LANE_GROUP;
+        let window = ConvWindow::new(c, h, w, k, stride, padding);
+        let (panels, lanes) = (Q8Panels::pack(qm), Q8LaneWeights::new(qm));
+        let (oc, s, image) = (qm.rows(), window.s, c * h * w);
+        let group = crate::layer::lane_group(xs, (c, h, w));
+        let dirty = || {
+            let mut scratch = QuantScratch::new();
+            scratch.qa.take(1 << 14).fill(0x55);
+            scratch.row.take(1 << 16).fill(f32::NAN);
+            scratch.qrows.take(1 << 12).fill(i32::MAX);
+            scratch.scales.take(1 << 12).fill(f32::NAN);
+            scratch.table.take(1 << 12).fill(u32::MAX);
+            scratch.product.take(1 << 16).fill(f32::NAN);
+            let mut pad = GrowBuf::new();
+            pad.take(1 << 16).fill(f32::NAN);
+            (scratch, pad)
+        };
+        let mut result = Vec::new();
+        for isa in simd::supported_isas() {
+            let prev = simd::force_isa(Some(isa));
+            let mut want = vec![f32::NAN; L * oc * s];
+            for (x, o) in xs.chunks_exact(image).zip(want.chunks_exact_mut(oc * s)) {
+                let (mut scratch, mut pad) = dirty();
+                let xpad = window.pad(x, 1, &mut pad);
+                window.q8_conv_forward(xpad, act_scale, &panels, bias, o, &mut scratch);
+            }
+            let (mut scratch, mut pad) = dirty();
+            let xpad = window.pad(group.data(), L, &mut pad);
+            let mut got = vec![f32::NAN; oc * s * L];
+            window.q8_lane_conv_forward(xpad, act_scale, &lanes, bias, &mut got, &mut scratch);
+            simd::force_isa(prev);
+            // `[oc][s][16]` back to `[16][oc][s]`.
+            let per_lane = oc * s;
+            result = (0..L * per_lane)
+                .map(|i| got[(i % per_lane) * L + i / per_lane])
+                .collect();
+            assert_bits_eq(&result, &want, &format!("{tag} scale={act_scale:?} {isa}"));
+        }
+        result
+    }
+
+    /// The lane-group Q8 convolution against the per-sample one, bit for bit,
+    /// with dynamic per-field scales and a calibrated one, on every backend:
+    /// partial, whole and multiple Q8 blocks (8 to 360 taps, the partial last
+    /// block of 27, 33, 70, 108 and 360, the big net's 12/24/40 channels),
+    /// partial and multiple lane tiles of output channels, strides 1-3,
+    /// pointwise and padded, non-square images, inputs far beyond the static
+    /// scale's int8 grid and an all-zero first receptive field in every lane.
+    #[test]
+    fn lane_batch_q8_conv_matches_per_sample_on_every_isa() {
+        let _lock = simd::isa_override_test_lock();
+        let mut rng = SeededRng::new(0x0C_18);
+        let geometries = [
+            (8, 6, 6, 1, 1, 0),   // 8 taps, pointwise
+            (4, 7, 5, 2, 2, 0),   // 16 taps, stride 2, non-square
+            (3, 12, 12, 3, 1, 1), // 27 taps: the little net's stem
+            (3, 9, 9, 3, 3, 1),   // 27 taps, stride 3
+            (2, 5, 5, 4, 1, 2),   // 32 taps: exactly one Q8 block
+            (33, 3, 3, 1, 1, 0),  // 33 taps: one block and one tap
+            (70, 4, 4, 1, 2, 0),  // 70 taps: three blocks, the last partial
+            (12, 6, 6, 3, 1, 1),  // 108 taps
+            (24, 3, 3, 3, 1, 1),  // 216 taps
+            (40, 3, 3, 3, 1, 1),  // 360 taps: the big net's last stage
+        ];
+        for (c, h, w, k, stride, padding) in geometries {
+            let taps = c * k * k;
+            let mut xs: Vec<f32> = (0..LANE_GROUP * c * h * w)
+                .map(|_| rng.uniform(-2.0, 2.0))
+                .collect();
+            for channel in xs.chunks_exact_mut(h * w) {
+                for row in channel.chunks_exact_mut(w).take(k - padding.min(k)) {
+                    row[..k - padding.min(k)].fill(0.0);
+                }
+                channel[h * w - 1] = 9.0e3;
+                channel[h * w - 2] = -4.0e4;
+            }
+            for oc in [1usize, 8, 12, 17, 24, 40] {
+                let weight: Vec<f32> = (0..oc * taps).map(|_| rng.uniform(-1.0, 1.0)).collect();
+                let bias: Vec<f32> = (0..oc).map(|_| rng.uniform(-1.0, 1.0)).collect();
+                let qm = QuantMatrix::from_rows(&weight, oc, taps);
+                for act_scale in [None, Some(crate::quant::q8_block_scale(2.0))] {
+                    let tag = format!("c={c} h={h} w={w} k={k} s={stride} p={padding} oc={oc}");
+                    let geometry = (c, h, w, k, stride, padding);
+                    let got =
+                        q8_lanes_against_per_sample(geometry, &xs, &qm, &bias, act_scale, &tag);
+                    if act_scale.is_none() {
+                        let s = got.len() / (LANE_GROUP * oc);
+                        for (lane, sample) in got.chunks_exact(oc * s).enumerate() {
+                            let first = sample.iter().step_by(s).copied().collect::<Vec<_>>();
+                            assert_bits_eq(&first, &bias, &format!("{tag} lane {lane} zero field"));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The block dots at their bounds. Every weight and every activation at
+    /// `±127` on the int8 grid (`±127/128` under the scale `2^-7`), with every
+    /// product of one sign, puts a Q8 block's dot at `±32 * 127² = ±516,128`,
+    /// the largest any block can reach, still below `2^24`: one and two whole
+    /// blocks of 32 taps, pointwise and 2x2, under dynamic and static scales,
+    /// and the result is exact (`2^-7 · 2^-7 · 516,128` per block). Static
+    /// inputs `2^10` times past the scale saturate to `±127` on both paths.
+    /// An all-zero group takes the dynamic scale 0 and yields the bias.
+    #[test]
+    fn lane_batch_q8_block_dots_stay_exact_at_the_bounds() {
+        let _lock = simd::isa_override_test_lock();
+        let top = 127.0f32 / 128.0;
+        let geometries = [(32, 2, 3, 1, 1, 0), (8, 3, 3, 2, 1, 0), (64, 2, 2, 1, 1, 0)];
+        for (c, h, w, k, stride, padding) in geometries {
+            let (taps, image) = (c * k * k, c * h * w);
+            let blocks = taps / QK8_0;
+            for (oc, wsign, xsign) in [(3usize, 1.0f32, 1.0f32), (17, -1.0, -1.0), (5, 1.0, -1.0)] {
+                let weight = vec![wsign * top; oc * taps];
+                let qm = QuantMatrix::from_rows(&weight, oc, taps);
+                assert!(qm
+                    .row(0)
+                    .iter()
+                    .all(|b| b.qs.iter().all(|&q| q == wsign as i8 * 127)));
+                let bias = vec![0.0f32; oc];
+                let geometry = (c, h, w, k, stride, padding);
+                let tag = format!("c={c} k={k} oc={oc} signs {wsign}/{xsign}");
+                let want = (wsign * xsign) as f64 * blocks as f64 * 516_128.0 / 16_384.0;
+                for act_scale in [None, Some(1.0 / 128.0)] {
+                    let xs = vec![xsign * top; LANE_GROUP * image];
+                    let got =
+                        q8_lanes_against_per_sample(geometry, &xs, &qm, &bias, act_scale, &tag);
+                    assert!(got.iter().all(|&v| f64::from(v) == want), "{tag}: {want}");
+                }
+                // Saturation: 2^10 times past the static scale's grid.
+                let xs = vec![xsign * 1024.0; LANE_GROUP * image];
+                let got =
+                    q8_lanes_against_per_sample(geometry, &xs, &qm, &bias, Some(1.0 / 128.0), &tag);
+                assert!(got.iter().all(|&v| f64::from(v) == want), "{tag} saturated");
+                // All zero: dynamic scale 0, every output the bias.
+                let bias: Vec<f32> = (0..oc).map(|o| o as f32 - 2.5).collect();
+                let xs = vec![0.0f32; LANE_GROUP * image];
+                let got = q8_lanes_against_per_sample(geometry, &xs, &qm, &bias, None, &tag);
+                let s = got.len() / (LANE_GROUP * oc);
+                for (i, &v) in got.iter().enumerate() {
+                    assert_eq!(v.to_bits(), bias[i / s % oc].to_bits(), "{tag} zero field");
+                }
+            }
+        }
     }
 
     /// Every element of the padded image that some output position's window

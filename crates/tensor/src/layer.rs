@@ -23,11 +23,13 @@ use crate::tensor::Tensor;
 /// those of the per-sample forward.
 pub const LANE_GROUP: usize = 16;
 
-/// How a layer takes part in a lane group (see [`LANE_GROUP`]).
+/// How a layer takes part in a lane group (see [`LANE_GROUP`]). A layer's
+/// form does not depend on its tier: a quantized convolution keeps its lane
+/// form and runs its Q8 tier on the lane tile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaneForm {
-    /// No lane form: a container holding this layer before its group ends
-    /// runs sample by sample.
+    /// No lane form (a `Dense` layer): a container holding this layer before
+    /// its group ends runs sample by sample.
     None,
     /// The eval forward is the lane form: the layer works per channel plane
     /// or per element, so a lane group is one sample with wider planes.

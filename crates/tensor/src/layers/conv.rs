@@ -44,8 +44,13 @@
 //! one weight broadcast per channel, read from the `[oc][c*k*k]` weights as
 //! they are, so a lane group packs no panels — and [`DepthwiseConv2d`] a
 //! stencil with one weight broadcast per channel and one vector per output
-//! position. Per sample the bytes are those of the eval forward. A
-//! quantized `Conv2d` has no lane form: its eval forward is the Q8 tier's.
+//! position. A quantized `Conv2d` runs its Q8 tier on the same tile: the
+//! group quantized to integer-valued `f32` (once under a calibrated scale,
+//! per receptive field and lane under dynamic ones), one tile pass per Q8
+//! block of taps on the block's integer weights — every partial sum an
+//! integer below `32 * 127² < 2^24`, so the exact block dot — and the blocks
+//! combined in `f32` as the Q8 tile combines them. Per sample the bytes are
+//! those of the eval forward, f32 or Q8.
 //!
 //! Both layers draw the padded image (and the backward its panels and
 //! columns) from the current thread's [`kernels::with_thread_scratch`] arena,
@@ -65,7 +70,8 @@
 use crate::init::Init;
 use crate::kernels;
 use crate::kernels::naive::conv_out;
-use crate::kernels::window::{transposed_lane_panels, ConvWindow, OcPanels, Q8Panels};
+use crate::kernels::scratch::QuantScratch;
+use crate::kernels::window::{transposed_lane_panels, ConvWindow, OcPanels};
 use crate::layer::{lane_group_shape, LaneForm, Layer, Param, LANE_GROUP};
 use crate::quant::{QuantLayerReport, QuantMatrix, QuantWeights};
 use crate::rng::SeededRng;
@@ -89,13 +95,14 @@ fn window_for(
 
 /// A lane group's eval forward through one convolution geometry: the group
 /// padded once (rows of `16 * wp`) and handed with the layer's window table to
-/// `run`, which fills the `[1, oc, oh, 16 * ow]` output group.
+/// `run`, which fills the `[1, oc, oh, 16 * ow]` output group (drawing on the
+/// Q8 arenas if it is quantized).
 fn lane_forward(
     slot: &mut Option<ConvWindow>,
     group: &Tensor,
     (in_c, oc): (usize, usize),
     (kernel, stride, padding): (usize, usize, usize),
-    run: impl FnOnce(&ConvWindow, &[f32], &mut [f32]),
+    run: impl FnOnce(&ConvWindow, &[f32], &mut [f32], &mut QuantScratch),
 ) -> Tensor {
     let (c, h, w) = lane_group_shape(group);
     assert_eq!(c, in_c, "convolution channel mismatch");
@@ -104,7 +111,7 @@ fn lane_forward(
     let window = window_for(slot, (c, h, w), kernel, stride, padding);
     kernels::with_thread_scratch(|scratch| {
         let xpad = window.pad(group.data(), LANE_GROUP, &mut scratch.xpad);
-        run(window, xpad, out.data_mut());
+        run(window, xpad, out.data_mut(), &mut scratch.quant);
     });
     out
 }
@@ -241,7 +248,8 @@ impl Layer for Conv2d {
             .zip(out.data_mut().chunks_exact_mut((oc * s).max(1)));
         if let (false, Some(q)) = (train, self.quant.as_mut()) {
             q.observe(input.data());
-            let (panels, act_scale) = (&q.weight, q.act_scale);
+            // The bias it was quantized with, like the weights.
+            let (panels, bias, act_scale) = (&q.weight, &q.bias, q.act_scale);
             kernels::with_thread_scratch(|scratch| {
                 for (xb, ob) in samples {
                     let xpad = window.pad(xb, 1, &mut scratch.xpad);
@@ -271,28 +279,37 @@ impl Layer for Conv2d {
         out
     }
 
-    /// A quantized layer has none: its eval forward is the Q8 tier's.
     fn lane_form(&self) -> LaneForm {
-        if self.quant.is_some() {
-            LaneForm::None
-        } else {
-            LaneForm::Lanes
-        }
+        LaneForm::Lanes
     }
 
     /// The eval forward of a lane group on the tile with the samples on the
     /// lanes, reading the `[oc][c*k*k]` weights as they are: no panels are
-    /// packed.
+    /// packed. A quantized layer observes the group and runs its Q8 tier on
+    /// the same tile, block by block on the integer weights
+    /// `quantize_weights()` derived.
     fn forward_lanes(&mut self, group: &Tensor) -> Tensor {
-        assert!(self.quant.is_none(), "a quantized Conv2d has no lane form");
         self.cached_input = None;
+        if let Some(q) = self.quant.as_mut() {
+            q.observe(group.data());
+        }
+        let quant = self.quant.as_ref();
         let (wgt, bias) = (self.weight.value.data(), self.bias.value.data());
         lane_forward(
             &mut self.window,
             group,
             (self.in_channels, self.out_channels),
             (self.kernel, self.stride, self.padding),
-            |window, xpad, out| window.lane_conv_forward(xpad, wgt, bias, out),
+            |window, xpad, out, scratch| match quant {
+                Some(q) => {
+                    let lanes = q
+                        .lanes
+                        .as_ref()
+                        .expect("a quantized Conv2d has lane weights");
+                    window.q8_lane_conv_forward(xpad, q.act_scale, lanes, &q.bias, out, scratch)
+                }
+                None => window.lane_conv_forward(xpad, wgt, bias, out),
+            },
         )
     }
 
@@ -389,7 +406,7 @@ impl Layer for Conv2d {
         let report = qm.report_against_rows(self.name(), w);
         // Eval forwards run the Q8 kernel from here on.
         self.oc_panels = None;
-        self.quant = Some(QuantWeights::new(Q8Panels::pack(&qm)));
+        self.quant = Some(QuantWeights::new(&qm, self.bias.value.data()).with_lanes(&qm));
         vec![report]
     }
 
@@ -521,7 +538,7 @@ impl Layer for DepthwiseConv2d {
             group,
             (self.channels, self.channels),
             (self.kernel, self.stride, self.padding),
-            |window, xpad, out| window.depthwise_lanes(xpad, wgt, bias, out),
+            |window, xpad, out, _| window.depthwise_lanes(xpad, wgt, bias, out),
         )
     }
 

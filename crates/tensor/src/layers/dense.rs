@@ -7,7 +7,6 @@
 
 use crate::init::Init;
 use crate::kernels::quant_gemm::quant_gemm_panels;
-use crate::kernels::window::Q8Panels;
 use crate::kernels::with_thread_scratch;
 use crate::layer::{Layer, Param};
 use crate::quant::{QuantLayerReport, QuantMatrix, QuantWeights};
@@ -109,7 +108,7 @@ impl Layer for Dense {
                         input.data(),
                         &q.weight.panels,
                         &q.weight.scales,
-                        Some(self.bias.value.data()),
+                        Some(&q.bias),
                         q.act_scale,
                         out.data_mut(),
                         &mut s.quant,
@@ -167,7 +166,7 @@ impl Layer for Dense {
         }
         let qm = QuantMatrix::from_rows(&gathered, n, k);
         let report = qm.report_against_rows(self.name(), &gathered);
-        self.quant = Some(QuantWeights::new(Q8Panels::pack(&qm)));
+        self.quant = Some(QuantWeights::new(&qm, self.bias.value.data()));
         vec![report]
     }
 

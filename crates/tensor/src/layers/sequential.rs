@@ -6,10 +6,11 @@
 //! sixteen samples with the samples on the vector lanes: the group is
 //! interleaved once on entry (`[c][h][w][16]`), stays in that layout through
 //! every layer, and leaves it once, as the pooling layer's `[16, c]` rows in
-//! sample order. The last `n % 16` samples, a smaller batch, a train forward
-//! and a container holding a layer without a lane form (a quantized
-//! `Conv2d`, a `Dense` before the pooling) run sample by sample. Per sample
-//! both paths compute the same bytes.
+//! sample order — quantized backbones too, whose convolutions run their Q8
+//! tier on the lane tile. The last `n % 16` samples, a smaller batch, a
+//! train forward and a container holding a layer without a lane form (a
+//! `Dense` before the pooling) run sample by sample. Per sample both paths
+//! compute the same bytes.
 
 use crate::layer::{lane_group, LaneForm, Layer, Param, LANE_GROUP};
 use crate::tensor::Tensor;

@@ -21,12 +21,16 @@
 //!   power-of-two scale multiplies it exactly, leaving the cross-block f32
 //!   accumulation as the only rounding site — which is why the quantized
 //!   path has a *single* numeric contract across every ISA
-//!   (`quantized-tolerance`, see `docs/DETERMINISM.md`).
+//!   (`quantized-tolerance`, see `docs/DETERMINISM.md`). The same bound
+//!   lets a lane group's quantized convolution take its block dots on the
+//!   `f32` lane tile: on integer-valued operands every partial sum is an
+//!   integer below `2^24`, so no step rounds.
 //!
 //! Scales are clamped to at least `2^-126` (the smallest normal `f32`) so
 //! the idempotence argument survives denormal inputs.
 
-use crate::kernels::window::Q8Panels;
+use crate::kernels::window::{Q8LaneWeights, Q8Panels};
+use crate::layer::LANE_GROUP;
 
 /// Number of elements per quantization block.
 pub const QK8_0: usize = 32;
@@ -179,13 +183,19 @@ pub fn quantize_f32(src: &[f32]) -> Vec<BlockQ8_0> {
 /// `qs` may be longer than `src`; the tail is left untouched. Each element is
 /// a function of `(x, scale)` alone, so a row may as well be a whole image:
 /// when the scale is static the Q8 convolution quantizes its padded input,
-/// and the quantized GEMM its whole `A`, in one call.
+/// and the quantized GEMM its whole `A`, in one call. The int8 values land
+/// in `qs` as `i8`, or as any type that holds them exactly: a lane group's
+/// Q8 convolution keeps them as integer-valued `f32` for the `f32` tile.
 ///
 /// # Panics
 ///
 /// Panics if `qs` is shorter than `src`, and (debug) on non-finite input or
 /// magnitudes beyond [`MAX_QUANT_INPUT`], whichever scale is in force.
-pub fn quantize_row_into(src: &[f32], qs: &mut [i8], static_scale: Option<f32>) -> f32 {
+pub fn quantize_row_into<T: Copy + From<i8>>(
+    src: &[f32],
+    qs: &mut [T],
+    static_scale: Option<f32>,
+) -> f32 {
     assert!(qs.len() >= src.len(), "quantized row buffer too short");
     debug_assert_quantizable(src);
     let scale = match static_scale {
@@ -196,13 +206,49 @@ pub fn quantize_row_into(src: &[f32], qs: &mut [i8], static_scale: Option<f32>) 
         None => q8_block_scale(absmax_of(src)),
     };
     if scale <= 0.0 {
-        qs[..src.len()].fill(0);
+        qs[..src.len()].fill(T::from(0));
         return 0.0;
     }
     for (q, &x) in qs.iter_mut().zip(src) {
-        *q = round_to_i8(x / scale);
+        *q = T::from(round_to_i8(x / scale));
     }
     scale
+}
+
+/// [`quantize_row_into`] with dynamic scales on [`LANE_GROUP`] interleaved
+/// rows, in place: `field` is `[element][16]`, lane `l` one row, and each
+/// lane takes the scale of its own absmax ([`q8_block_scale`]), written to
+/// `scales[l]`; every element becomes its int8 value as an integer-valued
+/// `f32`. Per lane these are `quantize_row_into`'s values and scale.
+///
+/// # Panics
+///
+/// Panics if `field` is not whole vectors of sixteen, and (debug) on
+/// non-finite input or magnitudes beyond [`MAX_QUANT_INPUT`].
+pub(crate) fn quantize_lanes_in_place(field: &mut [f32], scales: &mut [f32; LANE_GROUP]) {
+    assert!(
+        field.len().is_multiple_of(LANE_GROUP),
+        "a lane field is whole vectors of sixteen"
+    );
+    debug_assert_quantizable(field);
+    let mut absmax = [0.0f32; LANE_GROUP];
+    for v in field.chunks_exact(LANE_GROUP) {
+        for (m, &x) in absmax.iter_mut().zip(v) {
+            *m = m.max(x.abs());
+        }
+    }
+    for (scale, &m) in scales.iter_mut().zip(&absmax) {
+        *scale = q8_block_scale(m);
+    }
+    for v in field.chunks_exact_mut(LANE_GROUP) {
+        for (x, &scale) in v.iter_mut().zip(scales.iter()) {
+            *x = if scale > 0.0 {
+                f32::from(round_to_i8(*x / scale))
+            } else {
+                0.0
+            };
+        }
+    }
 }
 
 /// `t.round().clamp(-127.0, 127.0) as i8` — round half away from zero,
@@ -379,16 +425,23 @@ impl QuantMatrix {
 }
 
 /// Quantized-tier state of a layer with a Q8_0 path (`Dense`, `Conv2d`): the
-/// quantized weights plus activation-scale calibration state. Present only
-/// after [`crate::Layer::quantize_weights`]; eval forwards then run the Q8
-/// tile kernel while training keeps using the f32 weights.
+/// quantized weights, the bias they were quantized with, plus
+/// activation-scale calibration state. Present only after
+/// [`crate::Layer::quantize_weights`]; eval forwards then run the Q8 tile
+/// kernel while training keeps using the f32 parameters. Like the weights,
+/// the bias is a snapshot: an edit through `params_mut` reaches the Q8 tier
+/// only by quantizing again.
 #[derive(Debug, Clone)]
 pub(crate) struct QuantWeights {
     /// The quantized weights as output-channel-lane panels
-    /// (`kernels/window.rs`), the one layout the Q8 tile reads: a
-    /// convolution's filters or a dense layer's output features on the
-    /// lanes.
+    /// (`kernels/window.rs`), the layout the Q8 tile reads: a convolution's
+    /// filters or a dense layer's output features on the lanes.
     pub(crate) weight: Q8Panels,
+    /// A convolution's quantized filters as the lane-group tile reads them
+    /// ([`Q8LaneWeights`]); `None` for a dense layer, which has no lane form.
+    pub(crate) lanes: Option<Q8LaneWeights>,
+    /// The layer's bias when it was quantized.
+    pub(crate) bias: Vec<f32>,
     /// Static power-of-two activation scale frozen by calibration; `None`
     /// selects dynamic per-row absmax quantization.
     pub(crate) act_scale: Option<f32>,
@@ -397,13 +450,23 @@ pub(crate) struct QuantWeights {
 }
 
 impl QuantWeights {
-    pub(crate) fn new(weight: Q8Panels) -> Self {
+    /// The Q8 tier of a layer with the quantized weights `weight` and the
+    /// bias `bias`, its panels packed here.
+    pub(crate) fn new(weight: &QuantMatrix, bias: &[f32]) -> Self {
         Self {
-            weight,
+            weight: Q8Panels::pack(weight),
+            lanes: None,
+            bias: bias.to_vec(),
             act_scale: None,
             observed_absmax: 0.0,
             observing: false,
         }
+    }
+
+    /// Adds the lane-group form of `weight` (a convolution's filters).
+    pub(crate) fn with_lanes(mut self, weight: &QuantMatrix) -> Self {
+        self.lanes = Some(Q8LaneWeights::new(weight));
+        self
     }
 
     /// Folds an eval forward's input into the running absmax while a
@@ -424,8 +487,9 @@ impl QuantWeights {
     /// Closes the calibration pass and freezes the static activation scale
     /// (dynamic quantization stays in force if nothing non-zero was seen).
     /// For a convolution the *input* absmax is the right statistic: padding
-    /// contributes only zeros to the im2col rows, so it equals the
-    /// receptive-field absmax.
+    /// contributes only zeros to the receptive fields, so no field's absmax
+    /// exceeds it. A forward in lane groups observes the same values as one
+    /// sample by sample, so it freezes the same scale.
     pub(crate) fn end_calibration(&mut self) {
         if self.observing && self.observed_absmax > 0.0 {
             self.act_scale = Some(q8_block_scale(self.observed_absmax));

@@ -15,8 +15,9 @@
 //! tables are built by the warm-up too, and again only when a layer meets a
 //! new input shape. A batch-128 eval pass, which runs in lane groups of
 //! sixteen samples, grows nothing after one warm-up and packs no weights at
-//! all. A quantized convolution's or dense layer's Q8 panels are
-//! packed by `quantize_weights()` and by nothing else. And what scratch reuse
+//! all, quantized or not. A quantized convolution's or dense layer's Q8
+//! panels are packed by `quantize_weights()` and by nothing else, and its Q8
+//! tier serves the weights and bias it was quantized from. And what scratch reuse
 //! cannot see — the tensors between layers — is pinned as the exact number
 //! of heap allocations one steady-state `submit` makes, counted by this
 //! binary's own global allocator.
@@ -150,6 +151,7 @@ fn steady_state_submit_reuses_scratch_without_allocating() {
     assert_eq!(engine.stats().requests, 3 + steady_requests);
 
     lane_batch_eval_reuses_scratch_and_packs_nothing(big_replica.clone(), &mut rng);
+    lane_batch_q8_eval_reuses_scratch_and_packs_nothing(big_replica.clone(), &mut rng);
     input_shape_change_rebuilds_window_tables(big_replica.clone(), &mut rng);
     params_mut_invalidates_packed_weights(big_replica, &mut rng);
     train_forward_packs_once_per_call(&mut rng);
@@ -190,6 +192,52 @@ fn lane_batch_eval_reuses_scratch_and_packs_nothing(
         after.weight_floats_packed, packed,
         "lane-group passes read the convolution weights unpacked"
     );
+}
+
+/// The Q8 twin of `lane_batch_eval_reuses_scratch_and_packs_nothing`: a
+/// quantized net's batch-128 eval passes run in lane groups too, its
+/// convolutions' Q8 tier on the lane tile. After one warm-up pass — under
+/// dynamic scales, then under calibrated ones — no pass grows a scratch
+/// buffer, builds a window table or packs a weight: the lane tile reads the
+/// integer weights `quantize_weights()` derived. The bytes repeat.
+fn lane_batch_q8_eval_reuses_scratch_and_packs_nothing(
+    mut big: appeal_models::ClassifierParts,
+    rng: &mut SeededRng,
+) {
+    let batch = Tensor::randn(&[128, 3, 12, 12], rng);
+    big.quantize_weights();
+    for calibrated in [false, true] {
+        if calibrated {
+            big.backbone.begin_calibration();
+            big.head.begin_calibration();
+            let _ = big.forward(&batch, false);
+            big.backbone.end_calibration();
+            big.head.end_calibration();
+        }
+        let warm = big.forward(&batch, false);
+        let before = kernels::scratch_stats();
+        for _ in 0..3 {
+            assert_eq!(big.forward(&batch, false).data(), warm.data());
+        }
+        let after = kernels::scratch_stats();
+        assert_eq!(
+            after.allocs, before.allocs,
+            "steady-state quantized batch-128 passes must not grow any scratch buffer \
+             (calibrated: {calibrated})"
+        );
+        assert!(
+            after.reuses > before.reuses,
+            "quantized batch-128 passes must reuse the warmed scratch"
+        );
+        assert_eq!(
+            after.window_tables_built, before.window_tables_built,
+            "steady-state quantized batch-128 passes must not rebuild any window table"
+        );
+        assert_eq!(
+            after.weight_floats_packed, before.weight_floats_packed,
+            "quantized lane-group passes pack no weight"
+        );
+    }
 }
 
 /// A window table is only valid for the input shape it was built for: the
@@ -287,13 +335,17 @@ fn train_forward_packs_once_per_call(rng: &mut SeededRng) {
 /// `[oc blocks][tap pairs][16][2]` lanes, here 2 blocks of 14 pairs — and by
 /// nothing after it: not the eval forwards, dynamic or calibrated, not a
 /// replica (which carries them) and not a train forward (which packs the f32
-/// weights it runs on, and leaves the Q8 panels be). Quantizing again after a
-/// weight edit packs again, and the output follows the new weights. A
-/// quantized `Dense` packs its panels in `quantize_weights()` too, and its
-/// eval forwards and replicas pack nothing.
+/// weights it runs on, and leaves the Q8 panels be). An edit of the weights
+/// and the (nonzero) bias through `params_mut` leaves the Q8 tier serving the
+/// snapshot it was quantized from; quantizing again packs again, and the
+/// output follows the new parameters. A quantized `Dense` packs its panels in
+/// `quantize_weights()` too, its eval forwards and replicas pack nothing, and
+/// it serves its snapshot in the same way.
 fn q8_panels_follow_the_weights(rng: &mut SeededRng) {
     let (c, oc, k) = (3usize, 17usize, 3usize);
     let mut conv = Conv2d::new(c, oc, k, 1, 1, rng);
+    // A nonzero bias, so that an edit to it shows.
+    conv.params_mut()[1].value = Tensor::randn(&[oc], rng);
     let batch = Tensor::randn(&[2, c, 6, 6], rng);
     let packed = || kernels::scratch_stats().weight_floats_packed;
     let q8_lanes = (oc.div_ceil(16) * (c * k * k).div_ceil(2) * 16 * 2) as u64;
@@ -334,7 +386,7 @@ fn q8_panels_follow_the_weights(rng: &mut SeededRng) {
     assert_eq!(
         conv.forward(&batch, false).data(),
         calibrated.data(),
-        "the Q8 tier serves the weights it was quantized from"
+        "the Q8 tier serves the weights and bias it was quantized from"
     );
     conv.quantize_weights();
     assert_eq!(packed() - before, 2 * q8_lanes + f32_lanes);
@@ -344,6 +396,7 @@ fn q8_panels_follow_the_weights(rng: &mut SeededRng) {
     // output features on the lanes: here 2 blocks of 20 pairs.
     let (inputs, outputs) = (40usize, 17usize);
     let mut dense = Dense::new(inputs, outputs, rng);
+    dense.params_mut()[1].value = Tensor::randn(&[outputs], rng);
     let x = Tensor::randn(&[3, inputs], rng);
     let dense_lanes = (outputs.div_ceil(16) * inputs.div_ceil(2) * 16 * 2) as u64;
     let before = packed();
@@ -365,6 +418,18 @@ fn q8_panels_follow_the_weights(rng: &mut SeededRng) {
         dense_lanes,
         "quantized dense eval forwards and replicas must pack nothing"
     );
+    for p in dense.params_mut() {
+        for v in p.value.data_mut() {
+            *v = -*v;
+        }
+    }
+    assert_eq!(
+        dense.forward(&x, false).data(),
+        calibrated.data(),
+        "the dense Q8 tier serves the weights and bias it was quantized from"
+    );
+    dense.quantize_weights();
+    assert_ne!(dense.forward(&x, false).data(), calibrated.data());
 }
 
 /// Steady-state large GEMMs through the scratch-less `Tensor::matmul` entry
