@@ -99,8 +99,8 @@ impl std::fmt::Debug for EngineStats {
 }
 
 /// The numeric contract for debug output. A quantized edge scorer reports
-/// the "quantized-tolerance" contract instead of the f32 one: its GEMMs run
-/// the int8 path, which is bit-identical on every ISA, so scores differ from
+/// the "quantized-tolerance" contract instead of the f32 one: its products run
+/// the Q8_0 tier, which is bit-identical on every ISA, so scores differ from
 /// an f32 edge pass only by bounded quantization error.
 fn numeric_contract_label(quantized: bool) -> &'static str {
     if quantized {

@@ -178,8 +178,9 @@ impl TwoHeadNet {
     /// Quantizes every dense and convolution weight in the backbone and both
     /// heads, returning the per-layer round-trip reports (aggregate them with
     /// [`appeal_tensor::quant::QuantReportSummary::from_reports`]). Subsequent
-    /// eval-mode forwards run the int8 GEMM under the "quantized-tolerance"
-    /// numeric contract; training forwards keep using the f32 weights.
+    /// eval-mode forwards run the Q8_0 tier — integer-valued operands on the
+    /// `f32` tiles — under the "quantized-tolerance" numeric contract;
+    /// training forwards keep using the f32 weights.
     pub fn quantize_weights(&mut self) -> Vec<appeal_tensor::quant::QuantLayerReport> {
         let mut reports = self.backbone.quantize_weights();
         reports.extend(self.approximator_head.quantize_weights());
@@ -187,7 +188,7 @@ impl TwoHeadNet {
         reports
     }
 
-    /// `true` once [`TwoHeadNet::quantize_weights`] has installed the int8 tier.
+    /// `true` once [`TwoHeadNet::quantize_weights`] has installed the Q8_0 tier.
     pub fn is_quantized(&self) -> bool {
         self.backbone.is_quantized()
             || self.approximator_head.is_quantized()

@@ -88,8 +88,9 @@ impl ClassifierParts {
     ///
     /// Quantizes every dense and convolution weight in backbone and head
     /// (see [`appeal_tensor::quant`]), returning per-layer round-trip
-    /// reports. Eval-mode forwards then run the int8 GEMM under the
-    /// "quantized-tolerance" numeric contract; training stays f32.
+    /// reports. Eval-mode forwards then run the Q8_0 tier — integer-valued
+    /// operands on the `f32` tiles — under the "quantized-tolerance" numeric
+    /// contract; training stays f32.
     pub fn quantize_weights(&mut self) -> Vec<appeal_tensor::quant::QuantLayerReport> {
         let mut reports = self.backbone.quantize_weights();
         reports.extend(self.head.quantize_weights());
@@ -97,7 +98,7 @@ impl ClassifierParts {
     }
 
     /// `true` once [`ClassifierParts::quantize_weights`] has installed the
-    /// int8 tier.
+    /// Q8_0 tier.
     pub fn is_quantized(&self) -> bool {
         self.backbone.is_quantized() || self.head.is_quantized()
     }
@@ -115,8 +116,9 @@ fn scaled(base: usize, width: f32) -> usize {
 /// the pointwise (1x1) ones that are the bulk of the MobileNet/ShuffleNet-
 /// style blocks included — runs one kernel with output channels on the
 /// vector lanes, its weights packed once per layer and its input read
-/// through a per-layer window table with no im2col matrix in between (in
-/// int8 once quantized, on the same tiles); depthwise convolutions are
+/// through a per-layer window table with no im2col matrix in between (on
+/// integer-valued operands once quantized, on the same tiles); depthwise
+/// convolutions are
 /// direct stencils over the same padded input; dense layers are GEMMs on
 /// the convolutions' tile kernel; eval batch-norm, ReLU and residual adds
 /// work in place. Layers own no scratch: buffers come from the calling
@@ -450,7 +452,7 @@ mod tests {
         let dirty = || {
             kernels::with_thread_scratch(|s| {
                 s.xpad.take(1 << 16).fill(f32::NAN);
-                s.quant.qa.take(1 << 16).fill(0x55);
+                s.quant.quantized.take(1 << 16).fill(f32::NAN);
             })
         };
         let mut rng = SeededRng::new(14);

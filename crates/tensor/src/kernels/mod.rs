@@ -8,8 +8,8 @@
 //! * [`simd`] — the explicit-SIMD backend and the crate's only `unsafe`
 //!   code: the one f32 tile kernel every multiply-accumulate of the crate
 //!   runs on (sixteen output lanes per vector row, activations broadcast
-//!   through a window table) and its Q8 twin every int8 product runs on,
-//!   each on AVX2 and AVX-512 beside a safe scalar reference, and cached
+//!   through a window table), the Q8_0 tier's included, on AVX2 and AVX-512
+//!   beside a safe scalar reference, and cached
 //!   runtime CPU-feature dispatch ([`active_isa`] reports the choice,
 //!   [`force_isa`] / `APPEALNET_FORCE_SCALAR` pin it).
 //! * [`gemm_into`] / [`gemm_bias_cols`] — the matrix multiply: A's rows
@@ -24,8 +24,9 @@
 //! * `window` (crate-internal) — per-layer window tables over a zero-padded
 //!   input, so no convolution materialises an im2col matrix: the standard
 //!   convolution keeps its weights as output-channel-lane panels and
-//!   broadcasts activations through the table, in f32 and — its filters as
-//!   Q8 tap-pair panels, its input quantized once per layer — in int8; its
+//!   broadcasts activations through the table, in f32 and — once quantized,
+//!   on integer-valued operands, one exact tile pass per Q8 block — in the
+//!   Q8_0 tier; its
 //!   backward runs the same tile kernel with the table's roles swapped for
 //!   the weight gradient, and scatters the input gradient's columns
 //!   tap-major through the table; the depthwise convolution is a direct
@@ -41,11 +42,12 @@
 //!   persistent batch-shard workers retain every high-water buffer across
 //!   calls.
 //!
-//! * [`quant_gemm_into`] — the int8 GEMM of the quantized (Q8_0) little-net
-//!   tier, on the Q8 tile kernel the quantized convolutions run on:
-//!   pre-quantized weights packed as Q8 panels (once by a quantized dense
+//! * [`quant_gemm_into`] — the GEMM of the quantized (Q8_0) little-net tier,
+//!   on the `f32` tile the quantized convolutions run on: pre-quantized
+//!   weights' integer values packed as panels (once by a quantized dense
 //!   layer, per call here), A's rows behind the table `taps[p] = p`,
-//!   `offs[i] = i * k`, quantized on the fly, exact integer block dots.
+//!   `offs[i] = i * k`, quantized on the fly to integer-valued `f32`, one
+//!   exact tile pass per Q8 block.
 //!
 //! # Determinism
 //!
@@ -69,7 +71,7 @@
 //!   whose order it keeps, and to a tolerance against the naive loop.
 //! * **Quantized path —
 //!   [`QuantizedTolerance`](NumericContract::QuantizedTolerance).** The
-//!   Q8 tile is bit-identical everywhere — on every ISA and thread count, and
+//!   Q8_0 tier is bit-identical everywhere — on every ISA and thread count, and
 //!   to the row loop [`naive::quant_matmul_naive`] — but the network differs
 //!   from the f32 one by the quantization error itself, bounded per weight
 //!   by [`crate::quant::q8_error_bound`].

@@ -1,8 +1,8 @@
 //! Retained naive reference kernels.
 //!
 //! These are verbatim ports of the seed implementations that the tiled GEMM,
-//! the window-table convolutions and the Q8 tile kernel replaced. They are
-//! kept (and exported) for two reasons:
+//! the window-table convolutions and the Q8_0 tier's tile passes replaced.
+//! They are kept (and exported) for two reasons:
 //!
 //! 1. **Equivalence testing.** The optimized kernels promise bit-identical
 //!    results (see [`super::numeric_contract`]); the property suites in
@@ -51,8 +51,8 @@ pub fn matmul_naive(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Vec<f
 /// absmax, or the static `act_scale`); per output feature the blocks give
 /// exact `i32` dots, combined as `acc += scale * dot as f32` for blocks
 /// ascending from `0.0`, and the element is `a_scale * acc` plus the bias
-/// (nothing added without one). The Q8 tile kernel reproduces it bit for
-/// bit.
+/// (nothing added without one). The Q8_0 tier's tile passes reproduce it
+/// bit for bit.
 ///
 /// # Panics
 ///

@@ -1,5 +1,5 @@
-//! The quantized (int8 × int8 → i32) GEMM, on the tile kernel every quantized
-//! convolution runs on.
+//! The quantized GEMM, on the `f32` tile every quantized convolution runs
+//! on.
 //!
 //! Computes `out[m x n] = A[m x k] · Wᵀ` where `W` is a pre-quantized
 //! [`QuantMatrix`] (each of its `n` rows holds one output feature's
@@ -7,44 +7,45 @@
 //! quantized **on the fly**, one row-wide power-of-two scale per activation
 //! row (per-row absmax by default, or a calibrated static scale).
 //!
-//! [`quant_gemm_into`] is to the Q8 tile what [`super::gemm_into`] is to the
-//! f32 one: `W`'s output features go on the vector lanes as Q8 panels (the
-//! layout of a quantized convolution's filters), and A's rows are read
-//! through the window table `taps[p] = p`, `offs[i] = i * k` — a row of A is
-//! to the GEMM what a receptive field is to a convolution. The tile writes
-//! `[n][m]`, which is transposed into the `[m][n]` output (for `m == 1` or
-//! `n == 1` the two are the same bytes and the tile writes `out` itself).
+//! [`quant_gemm_into`] is to the Q8_0 tier what [`super::gemm_into`] is to
+//! the `f32` one: `W`'s integer weights go on the vector lanes as panels (the
+//! layout of a quantized convolution's filters), A is quantized to
+//! integer-valued `f32`, and its rows are read through the window table
+//! `taps[p] = p`, `offs[i] = i * k` — a row of A is to the GEMM what a
+//! receptive field is to a convolution — one tile pass per Q8 block. The
+//! tile writes `[n][m]`, which is transposed into the `[m][n]` output (for
+//! `m == 1` or `n == 1` the two are the same bytes and the tile writes `out`
+//! itself).
 //!
 //! # Numeric structure (why this path has one contract)
 //!
 //! Per output element the computation is
 //!
 //! ```text
-//! out[i][j] = a_scale[i] * Σ_b  w_scale[j][b] * dot_i32(qa[i][b], qw[j][b])
+//! out[i][j] = a_scale[i] * Σ_b  w_scale[j][b] * dot(qa[i][b], qw[j][b])
 //! ```
 //!
 //! Every term is exact except the cross-block `f32` accumulation: the block
-//! dot is integer arithmetic (`<= 32·127² < 2^24`, so the i32→f32 convert is
-//! exact), both scales are powers of two (exact multiplies), and blocks are
-//! summed in ascending order with separate `mul` + `add` on every backend.
-//! The SIMD paths only vectorize the *integer* part, which is
-//! order-insensitive — so every backend is **bit-identical** to the scalar
-//! tile and to the row loop it replaced ([`super::naive::quant_matmul_naive`]).
-//! What is *not* exact is quantization itself; that error is governed by the
-//! `quantized-tolerance` contract ([`super::NumericContract`]).
+//! dot is a sum of integer products (`<= 32·127² < 2^24`), so the `f32` tile
+//! computes it exactly, in any order and on any backend; both scales are
+//! powers of two (exact multiplies), and blocks are summed in ascending order
+//! with separate `mul` + `add`. So every backend is **bit-identical** to the
+//! scalar tile and to the row loop it replaced
+//! ([`super::naive::quant_matmul_naive`]). What is *not* exact is
+//! quantization itself; that error is governed by the `quantized-tolerance`
+//! contract ([`super::NumericContract`]).
 //!
 //! # Scratch
 //!
 //! Like the f32 GEMM, the kernel runs on the calling thread and draws
-//! everything it packs from the caller's [`QuantScratch`] arena: the Q8
-//! panels of `W` (every call), the window table, the quantized rows and the
-//! `[n][m]` product. A quantized `Dense` packs its panels once, in
-//! `quantize_weights()`, and calls `quant_gemm_panels`.
+//! everything it makes from the caller's [`QuantScratch`] arena: the panels
+//! of `W` (every call), the quantized A and its scales, the window table,
+//! the block dots and the `[n][m]` product. A quantized `Dense` packs its
+//! panels once, in `quantize_weights()`, and calls `quant_gemm_panels`.
 
 use super::gemm::transpose_into;
 use super::scratch::QuantScratch;
-use super::simd::{self, Q8ConvOperands, Q8Input};
-use super::window::q8_lane_panels;
+use super::window::{pack_q8_blocks, q8_tiles, row_table, Q8Blocks};
 use crate::quant::{quantize_row_into, QuantMatrix};
 
 /// `out[m x n] <- A[m x k] · W + bias`, with `W` the quantized `B` operand.
@@ -81,30 +82,28 @@ pub fn quant_gemm_into(
     if m == 0 || n == 0 {
         return;
     }
-    // The arena's panel buffers, lent to this call's packing.
-    let mut panels = std::mem::take(&mut quant.panels);
-    let mut scales = std::mem::take(&mut quant.scales);
-    let (wp, ws) = q8_lane_panels(w, &mut panels, &mut scales);
-    quant_gemm_panels(m, k, n, a, wp, ws, bias, act_scale, out, quant);
-    (quant.panels, quant.scales) = (panels, scales);
+    // The arena's panel buffer, lent to this call's packing.
+    let mut packed = std::mem::take(&mut quant.panels);
+    let weights = pack_q8_blocks(w, &mut packed);
+    quant_gemm_panels(m, k, n, a, weights, bias, act_scale, out, quant);
+    quant.panels = packed;
 }
 
-/// [`quant_gemm_into`] with `W` already packed as Q8 panels and their block
-/// scales (`window::Q8Panels`' layout, `n` output features of depth `k`),
-/// for a caller that keeps them — a quantized `Dense`.
+/// [`quant_gemm_into`] with `W` already packed (`window::Q8Weights`' panels
+/// and block scales, `n` output features of depth `k`), for a caller that
+/// keeps them — a quantized `Dense`.
 ///
 /// # Panics
 ///
-/// Panics if a slice length disagrees with `m`/`k`/`n`, or if `A` has more
-/// than `u32::MAX` elements.
+/// Panics if a slice length or the panels disagree with `m`/`k`/`n`, or if
+/// `A` has more than `u32::MAX` elements.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn quant_gemm_panels(
     m: usize,
     k: usize,
     n: usize,
     a: &[f32],
-    panels: &[i16],
-    scales: &[f32],
+    weights: Q8Blocks<'_>,
     bias: Option<&[f32]>,
     act_scale: Option<f32>,
     out: &mut [f32],
@@ -112,70 +111,35 @@ pub(crate) fn quant_gemm_panels(
 ) {
     assert_eq!(a.len(), m * k, "quant_gemm: A must be m*k");
     assert_eq!(out.len(), m * n, "quant_gemm: out must be m*n");
-    assert!(
-        u32::try_from(m * k).is_ok(),
-        "quant_gemm: A too large for a window table"
+    assert_eq!(
+        (weights.oc, weights.taps),
+        (n, k),
+        "quant_gemm: panels must be n features of depth k"
     );
-    if k == 0 {
-        // No products: each element is the empty sum, `+0.0`, plus its bias.
-        match bias {
-            Some(b) => {
-                for (o, &bj) in out.iter_mut().zip(b.iter().cycle()) {
-                    *o = 0.0 + bj;
-                }
-            }
-            None => out.fill(0.0),
-        }
-        return;
-    }
     let QuantScratch {
-        qa,
-        row,
-        qrows,
+        quantized,
+        scales,
         table,
+        dots,
         product,
         ..
     } = quant;
-    let (taps, offs) = table.take(k + m).split_at_mut(k);
-    for (p, tap) in taps.iter_mut().enumerate() {
-        *tap = p as u32;
-    }
-    for (i, off) in offs.iter_mut().enumerate() {
-        *off = (i * k) as u32;
-    }
-    let input = match act_scale {
-        Some(scale) => {
-            let qpad = qa.take(a.len());
-            let scale = quantize_row_into(a, qpad, Some(scale));
-            Q8Input::Static { qpad, scale }
+    let (q, a_scales) = (quantized.take(a.len()), scales.take(m));
+    match act_scale {
+        Some(scale) => a_scales.fill(quantize_row_into(a, q, Some(scale))),
+        None => {
+            for (i, a_scale) in a_scales.iter_mut().enumerate() {
+                let row = i * k..(i + 1) * k;
+                *a_scale = quantize_row_into(&a[row.clone()], &mut q[row], None);
+            }
         }
-        None => Q8Input::Dynamic {
-            xpad: a,
-            field: row.take(k),
-            q8: qa.take(k),
-        },
-    };
-    let tile = |out: &mut [f32]| {
-        simd::q8_conv_forward(
-            simd::active_isa(),
-            Q8ConvOperands {
-                panels,
-                scales,
-                oc: n,
-                bias,
-                taps,
-                offs,
-                input,
-                qrows,
-                out,
-            },
-        );
-    };
+    }
+    let table = row_table(table, k, m);
     if m == 1 || n == 1 {
-        tile(out);
+        q8_tiles(weights, table, q, a_scales, bias, out, dots);
     } else {
         let product = product.take(n * m);
-        tile(product);
+        q8_tiles(weights, table, q, a_scales, bias, product, dots);
         transpose_into(product, n, m, out);
     }
 }
@@ -376,13 +340,12 @@ mod tests {
         let _lock = isa_override_test_lock();
         let mut rng = SeededRng::new(0x0E_08);
         let mut q = QuantScratch::new();
-        q.qa.take(13 * 70 + 64).fill(0x55);
-        q.row.take(128).fill(f32::NAN);
-        q.qrows.take(16 * 64).fill(i32::MAX);
-        q.panels.take(2 * 35 * 32 + 64).fill(i16::MAX);
-        q.scales.take(2 * 3 * 16 + 64).fill(f32::NAN);
+        q.quantized.take(13 * 70 + 64).fill(f32::NAN);
+        q.scales.take(64).fill(f32::NAN);
         q.table.take(128).fill(u32::MAX);
+        q.dots.take(13 * 17 + 64).fill(f32::NAN);
         q.product.take(13 * 17 + 64).fill(f32::NAN);
+        q.panels.take(3 * 70 * 32 + 64).fill(f32::NAN);
         let subnormal = |rng: &mut SeededRng| {
             let v = f32::from_bits((rng.next_u64() % (1 << 23)) as u32);
             if rng.bernoulli(0.5) {

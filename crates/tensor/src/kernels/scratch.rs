@@ -31,18 +31,18 @@
 //!    reads. (This is why there is no `clear` — zeroing would put a
 //!    memset on the hot path for no semantic gain.)
 //! 4. **Packed weights and window tables are not scratch.** A convolution's
-//!    output-channel-lane weight panels (f32, or Q8 once quantized), a
-//!    quantized dense layer's Q8 panels and a convolution's window table
-//!    (all in `kernels/window.rs`) are derived state owned by the layer, not
-//!    an arena: they are cloned with it, the f32 panels rebuilt only after
-//!    the layer's parameters were handed out mutably (a train forward packs
-//!    for its own call and keeps nothing), the Q8 panels only by
-//!    `quantize_weights()`, the table only when the input shape changes.
-//!    What the table *indexes* — the padded image, and its int8 twin — is
-//!    scratch ([`KernelScratch::xpad`], [`QuantScratch::qa`]), and so is
-//!    everything a bare GEMM packs per call: lane panels of its A, and the
-//!    Q8 panels [`crate::kernels::quant_gemm_into`] makes of its
-//!    `QuantMatrix`.
+//!    output-channel-lane weight panels (of its `f32` weights, or of its
+//!    integer Q8 weights once quantized), a quantized dense layer's Q8
+//!    panels and a convolution's window table (all in `kernels/window.rs`)
+//!    are derived state owned by the layer, not an arena: they are cloned
+//!    with it, the f32 panels rebuilt only after the layer's parameters were
+//!    handed out mutably (a train forward packs for its own call and keeps
+//!    nothing), the Q8 panels only by `quantize_weights()`, the table only
+//!    when the input shape changes. What the table *indexes* — the padded
+//!    image, and its quantized twin — is scratch ([`KernelScratch::xpad`],
+//!    [`QuantScratch::quantized`]), and so is everything a bare GEMM packs
+//!    per call: lane panels of its A, and the Q8 panels
+//!    [`crate::kernels::quant_gemm_into`] makes of its `QuantMatrix`.
 //!
 //! Growth and reuse events — and floats packed into weight panels, and
 //! window tables built — are counted in process-wide atomics (see [`stats`])
@@ -69,14 +69,15 @@ pub struct ScratchStats {
     pub allocs: u64,
     /// Cumulative allocation-free buffer reuses since process start.
     pub reuses: u64,
-    /// Cumulative lanes written into layers' weight panels
-    /// (`kernels/window.rs`: `f32` lanes of a convolution's f32 panels,
-    /// `i16` lanes of the Q8 ones; padding lanes included) since process
-    /// start. Layers pack on their first eval forward and again only after
-    /// their parameters were handed out mutably — the Q8 panels in
-    /// `quantize_weights()` and nowhere else — so a steady-state serving loop
-    /// must not increase this; a train forward packs once per call. Panels a
-    /// bare GEMM packs into scratch are not counted.
+    /// Cumulative `f32` lanes written into layers' weight panels
+    /// (`kernels/window.rs`: a convolution's panels of its `f32` weights, a
+    /// quantized convolution's or dense layer's panels of its integer Q8
+    /// weights; padding lanes included) since process start. Layers pack on
+    /// their first eval forward and again only after their parameters were
+    /// handed out mutably — the Q8 panels in `quantize_weights()` and
+    /// nowhere else — so a steady-state serving loop must not increase this;
+    /// a train forward packs once per call. Panels a bare GEMM packs into
+    /// scratch are not counted.
     pub weight_floats_packed: u64,
     /// Cumulative convolution window tables built since process start. A
     /// conv layer builds one on its first forward and again only when its
@@ -108,11 +109,9 @@ pub(crate) fn count_window_table_built() {
     WINDOW_TABLES_BUILT.fetch_add(1, Ordering::Relaxed);
 }
 
-/// A grow-only buffer with high-water-mark reuse: `f32` by default, `i8` for
-/// the activations the quantized kernels quantize on the fly (see
-/// [`crate::kernels::quant_gemm`]), `i32` for the Q8 tile's rows of tap-pair
-/// words, `i16` for a quantized GEMM's weight panels, `u32` for a GEMM's
-/// window table. Every element type bumps the same process-wide counters.
+/// A grow-only buffer with high-water-mark reuse: `f32` by default, `u32`
+/// for a GEMM's window table. Every element type bumps the same process-wide
+/// counters.
 ///
 /// [`GrowBuf::take`] returns a slice of the requested length, growing the
 /// backing storage only when the request exceeds everything seen before.
@@ -169,41 +168,39 @@ impl<T> Clone for GrowBuf<T> {
     }
 }
 
-/// Arenas used by the Q8 tile kernel — every quantized convolution and GEMM
-/// ([`crate::kernels::quant_gemm`]): the int8 buffer activations are
-/// quantized into — the whole padded image or GEMM operand (static scale) or
-/// one receptive field or GEMM row (dynamic scales) — and the tile's staging
-/// rows; for [`crate::kernels::quant_gemm_into`] also its weight panels,
-/// window table and transposed product. A lane group's quantized convolution
-/// (`kernels/window.rs`), which runs on the `f32` lane tile, draws its
-/// integer-valued activations, scales, table and block dots from the `f32`
-/// and `u32` arenas.
+/// Arenas of the Q8_0 tier — every quantized convolution, per sample or in
+/// lane groups, and every quantized GEMM ([`crate::kernels::quant_gemm`]).
+/// The tier runs on the `f32` tiles, so every buffer is `f32` but the
+/// table: the activations quantized to integer-valued `f32`, their scales,
+/// one Q8 block's dots, and for [`crate::kernels::quant_gemm_into`] its
+/// weights packed per call and its transposed product.
 #[derive(Debug, Default, Clone)]
 pub struct QuantScratch {
-    /// Quantized activations: a padded image `[c, h + 2p, w + 2p]` or GEMM
-    /// operand `[m, k]`; or a receptive field `[c*k*k]` or GEMM row `[k]`.
-    pub qa: GrowBuf<i8>,
-    /// One receptive field (GEMM row) gathered through the window table, on
-    /// its way to a dynamic per-row scale. In a lane group: the quantized
-    /// padded lane image `[c, h + 2p, (w + 2p) * 16]` (static scale) or every
-    /// quantized receptive field, `[oh * ow][c*k*k][16]` (dynamic scales).
+    /// Activations quantized to integer-valued `f32`: a padded image
+    /// `[c, h + 2p, w + 2p]` or GEMM operand `[m, k]` under one calibrated
+    /// scale; every receptive field `[oh * ow][c*k*k]` or GEMM row `[m][k]`
+    /// under its own. In a lane group the same with every element a vector
+    /// of sixteen samples.
+    pub quantized: GrowBuf,
+    /// One receptive field gathered through the window table, on its way to
+    /// its own dynamic scale.
     pub(crate) row: GrowBuf,
-    /// A tile's quantized rows as the tap-pair words its kernel broadcasts,
-    /// `[rows per tile][taps / 2, rounded up]`.
-    pub(crate) qrows: GrowBuf<i32>,
-    /// A quantized GEMM's weights as Q8 panels, `[n block][k / 2][16][2]`,
-    /// packed per call.
-    pub(crate) panels: GrowBuf<i16>,
-    /// Their block scales, `[n block][Q8 block][16]`. In a lane group: `oc`
-    /// zero seeds, then the activation scales `[oh * ow][16]`.
+    /// The activation scales, one per output position or GEMM row. In a
+    /// lane group: `oc` zero seeds, then the scales `[oh * ow][16]`.
     pub(crate) scales: GrowBuf,
-    /// A quantized GEMM's window table: `taps[p] = p`, then `offs[i] = i *
-    /// k`; in a lane group under dynamic scales `taps[p] = p`, then `offs[s] =
-    /// s * c*k*k`.
+    /// The window table of rows laid out one after another: `taps[p] = p`,
+    /// then `offs[i] = i * k` (a GEMM) or `offs[s] = s * c*k*k` (receptive
+    /// fields under dynamic scales).
     pub(crate) table: GrowBuf<u32>,
-    /// A quantized GEMM's `[n, m]` product, on its way to the `[m, n]`
-    /// output. In a lane group: one Q8 block's dots, `[oc][oh * ow][16]`.
+    /// One Q8 block's dots past the first, `[oc][oh * ow]` (`[oc][oh *
+    /// ow][16]` in a lane group, `[n][m]` in a GEMM).
+    pub(crate) dots: GrowBuf,
+    /// A quantized GEMM's `[n, m]` result, on its way to the `[m, n]`
+    /// output.
     pub(crate) product: GrowBuf,
+    /// A quantized GEMM's weights packed per call: their integer weights,
+    /// panels and block scales (`kernels/window.rs`, `Q8Weights`' layout).
+    pub(crate) panels: GrowBuf,
 }
 
 impl QuantScratch {
@@ -259,8 +256,8 @@ pub struct KernelScratch {
     pub weight_t: GrowBuf,
     /// The tile kernel's panels and GEMM window table.
     pub packs: PackScratch,
-    /// Q8 tile arenas (int8 activations, tile rows, a quantized GEMM's
-    /// panels, table and product).
+    /// Q8_0 arenas (quantized activations and their scales, block dots, a
+    /// quantized GEMM's panels, table and product).
     pub quant: QuantScratch,
 }
 

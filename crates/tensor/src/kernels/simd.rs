@@ -6,10 +6,9 @@
 //! plain-Rust tile loses to it: LLVM spills the accumulators or gathers
 //! across taps. This module takes the tiles out of the compiler's hands: one
 //! sixteen-lane accumulator row (the `Lanes16` trait) as two AVX2 `ymm` or
-//! one AVX-512 `zmm`, its int8 twin (`DotLanes16`) on AVX2, and a cached
-//! runtime CPU-feature dispatch ([`active_isa`]) that picks the widest
-//! instruction set the host actually supports — independent of how the
-//! binary was compiled. A host without AVX2 runs the safe scalar reference
+//! one AVX-512 `zmm`, and a cached runtime CPU-feature dispatch
+//! ([`active_isa`]) that picks the widest instruction set the host actually
+//! supports — independent of how the binary was compiled. A host without AVX2 runs the safe scalar reference
 //! tiles. Everything else — the elementwise kernels, the depthwise stencil,
 //! eval batch norm, the pooling — is plain Rust for the loop vectorizer.
 //!
@@ -25,11 +24,12 @@
 //! operands' roles swapped (`lane_tiles`): the samples on the lanes, the
 //! activations the vector load through the table, the weight the broadcast
 //! read straight from the layer's `[oc][taps]` weights, the rows output
-//! channels. Every Q8_0 product — a
-//! quantized convolution's forward and every quantized GEMM
-//! (`kernels/quant_gemm.rs`) — runs the same tiles with exact integer block
-//! dots (`q8_tile`, driven by `q8_conv_forward`) and hands them to the same
-//! tile store.
+//! channels. This module holds no Q8_0 code: every quantized product — a
+//! quantized convolution's forward, per sample or in lane groups, and every
+//! quantized GEMM (`kernels/quant_gemm.rs`) — hands these `f32` tiles
+//! integer-valued operands, one pass per Q8 block (`kernels/window.rs`), and
+//! gets the exact integer block dots back because every partial sum stays
+//! below `2^24`.
 //!
 //! # Determinism contract
 //!
@@ -66,12 +66,11 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 use super::gemm::GemmInit;
-use super::scratch::GrowBuf;
-use crate::quant::{quantize_row_into, QK8_0};
 
 /// An instruction-set backend for the tile kernels, ordered from narrowest
-/// to widest. Only the f32 and Q8 tiles dispatch on it; every other kernel
-/// of the crate is a plain loop compiled for the build's `target-cpu`.
+/// to widest. Only the `f32` tiles dispatch on it — the Q8_0 tier runs on
+/// them too; every other kernel of the crate is a plain loop compiled for the
+/// build's `target-cpu`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Isa {
     /// The safe scalar reference tiles (whatever the compiler autovectorizes
@@ -295,103 +294,9 @@ unsafe fn conv_tile<V: Lanes16, const R: usize, const SAMPLE_LANES: bool>(
     }
 }
 
-/// [`OC_LANES`] `i32` lanes — one Q8 block's dots of one output position
-/// against sixteen filters — and the two `f32` steps that follow them. The
-/// dots are integer arithmetic on values bounded by `32 * 127²`: exact, in
-/// any order. The `f32` steps are lanewise, a multiply and then an add.
-///
-/// # Safety
-///
-/// As for [`Lanes16`]: the pointer methods dereference [`OC_LANES`] lanes'
-/// worth (`load_pairs` twice that many `i16`), and an implementation may only
-/// execute on hosts with its CPU feature.
-#[cfg(target_arch = "x86_64")]
-pub(crate) trait DotLanes16: Copy {
-    /// All lanes zero.
-    fn zero() -> Self;
-    /// Loads one tap pair of sixteen filters: `2 * OC_LANES` consecutive
-    /// `i16`, `[lane][2]` (unaligned).
-    ///
-    /// # Safety
-    ///
-    /// `ptr..ptr + 2 * OC_LANES` must be readable; the impl's CPU feature
-    /// must be active.
-    unsafe fn load_pairs(ptr: *const i16) -> Self;
-    /// Lanewise `self + w[lane][0] * x0 + w[lane][1] * x1`, with `pair` the
-    /// two activations as one word ([`pair_word`]): `pmaddwd` on the
-    /// broadcast pair, then `paddd`.
-    fn madd(self, w: Self, pair: i32) -> Self;
-    /// `acc[lane] += scale[lane] * self[lane] as f32`.
-    ///
-    /// # Safety
-    ///
-    /// `scale..scale + OC_LANES` must be readable and `acc..acc + OC_LANES`
-    /// readable and writable; the impl's CPU feature must be active.
-    unsafe fn scale_into(self, scale: *const f32, acc: *mut f32);
-    /// `acc[lane] = a * acc[lane] + seed[lane]`.
-    ///
-    /// # Safety
-    ///
-    /// As for [`DotLanes16::scale_into`], with `seed` in place of `scale`.
-    unsafe fn finish(acc: *mut f32, a: f32, seed: *const f32);
-}
-
-/// The Q8 convolution tile's one inner loop, for every vector backend: `R`
-/// output positions by [`OC_LANES`] output channels. Per Q8 block `b`,
-/// ascending: `dot[r][lane] = Σ_q w[q][lane][0] * x0(r, q) + w[q][lane][1] *
-/// x1(r, q)` over the block's tap pairs — the weight pair row one vector
-/// load, the activation pair one word `x[r * row_pairs + q]` ([`pair_word`])
-/// broadcast to every lane — then `acc[r][lane] += scales[b][lane] *
-/// dot[r][lane] as f32`; last, `acc[r][lane] = a_scale[r] * acc[r][lane] +
-/// seed[lane]`. Per element that is the operation sequence of the quantized
-/// GEMM's row loop ([`super::naive::quant_matmul_naive`]).
-///
-/// # Safety
-///
-/// Caller must guarantee `V`'s CPU feature is active, `w.len()` is a
-/// multiple of `2 * OC_LANES`, `x.len() >= (R - 1) * row_pairs + w.len() / (2
-/// * OC_LANES)` and `scales.len() >= OC_LANES` per started [`QK8_0`] taps of
-/// `w`.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn q8_tile<V: DotLanes16, const R: usize>(
-    w: &[i16],
-    scales: &[f32],
-    x: &[i32],
-    row_pairs: usize,
-    a_scale: &[f32; R],
-    seed: &[f32; OC_LANES],
-    acc: &mut [[f32; OC_LANES]; R],
-) {
-    debug_assert!(w.len().is_multiple_of(2 * OC_LANES));
-    debug_assert!(w.is_empty() || x.len() >= (R - 1) * row_pairs + w.len() / (2 * OC_LANES));
-    debug_assert!(scales.len() >= w.len().div_ceil(QK8_0 * OC_LANES) * OC_LANES);
-    *acc = [[0.0; OC_LANES]; R];
-    let mut xq = x.as_ptr();
-    for (wb, ws) in w
-        .chunks(QK8_0 * OC_LANES)
-        .zip(scales.chunks_exact(OC_LANES))
-    {
-        let mut d = [V::zero(); R];
-        for wq in wb.chunks_exact(2 * OC_LANES) {
-            let wv = V::load_pairs(wq.as_ptr());
-            for (r, dr) in d.iter_mut().enumerate() {
-                *dr = dr.madd(wv, *xq.add(r * row_pairs));
-            }
-            xq = xq.add(1);
-        }
-        for (dr, row) in d.iter().zip(acc.iter_mut()) {
-            dr.scale_into(ws.as_ptr(), row.as_mut_ptr());
-        }
-    }
-    for (row, &a) in acc.iter_mut().zip(a_scale) {
-        V::finish(row.as_mut_ptr(), a, seed.as_ptr());
-    }
-}
-
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{conv_tile, q8_tile, DotLanes16, Lanes16, CONV_ROWS_AVX2, OC_LANES};
+    use super::{conv_tile, Lanes16, OC_LANES};
     use std::arch::asm;
     use std::arch::x86_64::*;
 
@@ -518,74 +423,6 @@ mod x86 {
         acc: &mut [[f32; OC_LANES]; R],
     ) {
         conv_tile::<Avx512V, R, SAMPLE_LANES>(lanes, taps, offs, bcast, seeds, acc);
-    }
-
-    /// Two AVX2 `__m256i` as one block of sixteen `i32` dots.
-    #[derive(Clone, Copy)]
-    pub(crate) struct Avx2I(__m256i, __m256i);
-
-    impl DotLanes16 for Avx2I {
-        #[inline(always)]
-        fn zero() -> Self {
-            let z = unsafe { _mm256_setzero_si256() };
-            Avx2I(z, z)
-        }
-
-        #[inline(always)]
-        unsafe fn load_pairs(ptr: *const i16) -> Self {
-            let p = ptr.cast::<__m256i>();
-            Avx2I(_mm256_loadu_si256(p), _mm256_loadu_si256(p.add(1)))
-        }
-
-        #[inline(always)]
-        fn madd(self, w: Self, pair: i32) -> Self {
-            unsafe {
-                let x = _mm256_set1_epi32(pair);
-                Avx2I(
-                    _mm256_add_epi32(self.0, _mm256_madd_epi16(w.0, x)),
-                    _mm256_add_epi32(self.1, _mm256_madd_epi16(w.1, x)),
-                )
-            }
-        }
-
-        #[inline(always)]
-        unsafe fn scale_into(self, scale: *const f32, acc: *mut f32) {
-            for (i, d) in [self.0, self.1].into_iter().enumerate() {
-                let term = _mm256_mul_ps(_mm256_loadu_ps(scale.add(8 * i)), _mm256_cvtepi32_ps(d));
-                let sum = _mm256_add_ps(_mm256_loadu_ps(acc.add(8 * i)), term);
-                _mm256_storeu_ps(acc.add(8 * i), sum);
-            }
-        }
-
-        #[inline(always)]
-        unsafe fn finish(acc: *mut f32, a: f32, seed: *const f32) {
-            let av = _mm256_set1_ps(a);
-            for i in 0..2 {
-                let scaled = _mm256_mul_ps(av, _mm256_loadu_ps(acc.add(8 * i)));
-                _mm256_storeu_ps(
-                    acc.add(8 * i),
-                    _mm256_add_ps(scaled, _mm256_loadu_ps(seed.add(8 * i))),
-                );
-            }
-        }
-    }
-
-    /// AVX2 instantiation of the Q8 convolution tile ([`q8_tile`]).
-    ///
-    /// # Safety
-    ///
-    /// Host must support AVX2; panel and row invariants as in [`q8_tile`].
-    #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn q8_tile_avx2(
-        w: &[i16],
-        scales: &[f32],
-        x: &[i32],
-        row_pairs: usize,
-        a_scale: &[f32; CONV_ROWS_AVX2],
-        seed: &[f32; OC_LANES],
-        acc: &mut [[f32; OC_LANES]; CONV_ROWS_AVX2],
-    ) {
-        q8_tile::<Avx2I, CONV_ROWS_AVX2>(w, scales, x, row_pairs, a_scale, seed, acc);
     }
 
     /// `dst[i][j] = src[j][i]`: a 4x4 transposition in four `xmm` registers
@@ -1037,273 +874,6 @@ unsafe fn lane_pass<const R: usize>(
                 let at = ((c0 + r) * s + pos) * OC_LANES;
                 out[at..at + OC_LANES].copy_from_slice(row);
             }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The Q8_0 convolution kernel: the same tiles, exact integer block dots.
-// ---------------------------------------------------------------------------
-
-/// Two quantized activations as the word the tile kernels broadcast: `x0` in
-/// the low half, `x1` in the high half — the `[2]` order of a weight pair in
-/// memory on this (little-endian) target.
-#[inline(always)]
-fn pair_word(x0: i8, x1: i8) -> i32 {
-    i32::from(i16::from(x0) as u16) | i32::from(x1) << 16
-}
-
-/// One Q8 convolution tile on some backend: `acc[r][lane] = a_scale[r] *
-/// (Σ_b scales[b][lane] * dot_b(r, lane)) + seed[lane]`, `dot_b` the exact
-/// integer dot of Q8 block `b` of `w` (`[tap pair][lane][2]`) with the pair
-/// words `x[r * row_pairs..]`.
-type Q8TileFn<const R: usize> = unsafe fn(
-    w: &[i16],
-    scales: &[f32],
-    x: &[i32],
-    row_pairs: usize,
-    a_scale: &[f32; R],
-    seed: &[f32; OC_LANES],
-    acc: &mut [[f32; OC_LANES]; R],
-);
-
-/// The scalar Q8 convolution tile — the `Isa::Scalar` backend and the
-/// reference every vector backend must match bit for bit: per lane, the
-/// block dots, combine and epilogue of the quantized GEMM's row loop
-/// ([`super::naive::quant_matmul_naive`]). Plain indexing: a short row panics
-/// instead of reading.
-fn q8_tile_scalar(
-    w: &[i16],
-    scales: &[f32],
-    x: &[i32],
-    row_pairs: usize,
-    a_scale: &[f32; CONV_ROWS_SCALAR],
-    seed: &[f32; OC_LANES],
-    acc: &mut [[f32; OC_LANES]; CONV_ROWS_SCALAR],
-) {
-    let mut tile = [[0.0f32; OC_LANES]; CONV_ROWS_SCALAR];
-    let blocks = w
-        .chunks(QK8_0 * OC_LANES)
-        .zip(scales.chunks_exact(OC_LANES));
-    for (b, (wb, ws)) in blocks.enumerate() {
-        for (r, row) in tile.iter_mut().enumerate() {
-            let mut dots = [0i32; OC_LANES];
-            let xb = &x[r * row_pairs + b * QK8_0 / 2..];
-            for (wq, &pair) in wb.chunks_exact(2 * OC_LANES).zip(xb) {
-                let (x0, x1) = (i32::from(pair as i16), pair >> 16);
-                for (d, wl) in dots.iter_mut().zip(wq.chunks_exact(2)) {
-                    *d += i32::from(wl[0]) * x0 + i32::from(wl[1]) * x1;
-                }
-            }
-            for ((a, &d), &scale) in row.iter_mut().zip(&dots).zip(ws) {
-                *a += scale * d as f32;
-            }
-        }
-    }
-    for (row, &a) in tile.iter_mut().zip(a_scale) {
-        for (v, &bias) in row.iter_mut().zip(seed) {
-            *v = a * *v + bias;
-        }
-    }
-    *acc = tile;
-}
-
-/// Where a Q8 product's int8 activations come from.
-pub(crate) enum Q8Input<'a> {
-    /// One calibrated scale for every element: the padded image (a GEMM's
-    /// A), quantized once by the caller. A tile's rows are int8 gathers
-    /// through the table.
-    Static { qpad: &'a [i8], scale: f32 },
-    /// One scale per receptive field (GEMM row): each is gathered in `f32`
-    /// from the padded image into `field` and goes through
-    /// [`crate::quant::quantize_row_into`] (into `q8`) for its own scale.
-    /// Both buffers hold one field, `taps.len()` elements.
-    Dynamic {
-        xpad: &'a [f32],
-        field: &'a mut [f32],
-        q8: &'a mut [i8],
-    },
-}
-
-/// One sample's Q8_0 convolution as the kernel sees it: `out[oc][s] =
-/// a_scale[s] * (Σ_b scales[oc][b] * dot_b(oc, s)) + bias[oc]`, `dot_b` the
-/// exact int8 dot of Q8 block `b` of filter `oc` with the quantized receptive
-/// field `q[s][p] = quantize(xpad[taps[p] + offs[s]])`. A quantized GEMM
-/// ([`super::quant_gemm_into`]) has its output features as the channels and
-/// A's rows behind the table `taps[p] = p`, `offs[i] = i * k`.
-pub(crate) struct Q8ConvOperands<'a> {
-    /// The Q8 filters as `[oc block][tap pair][OC_LANES][2]`, widened to
-    /// `i16`, lanes past the last channel and the odd last tap zero.
-    pub(crate) panels: &'a [i16],
-    /// Their block scales as `[oc block][Q8 block][OC_LANES]`.
-    pub(crate) scales: &'a [f32],
-    /// Output channels.
-    pub(crate) oc: usize,
-    /// One final addend per output channel. `None` adds `-0.0`, the exact
-    /// additive identity: an `a_scale * acc` that underflowed to `-0.0`
-    /// keeps its sign.
-    pub(crate) bias: Option<&'a [f32]>,
-    /// Window table: the offset of tap `p` from a receptive field's origin.
-    pub(crate) taps: &'a [u32],
-    /// Window table: the origin of output position `s` in the padded image.
-    pub(crate) offs: &'a [u32],
-    /// The padded image both tables index, quantized or about to be.
-    pub(crate) input: Q8Input<'a>,
-    /// Arena for a tile's quantized rows, as pair words.
-    pub(crate) qrows: &'a mut GrowBuf<i32>,
-    /// `[oc, s]` row-major.
-    pub(crate) out: &'a mut [f32],
-}
-
-/// One sample's Q8_0 convolution forward with output channels on the vector
-/// lanes. Per tile of positions the quantized receptive fields are laid out
-/// as rows once ([`Q8Input`]); every lane block then takes exact `i32` block
-/// dots against them, combines them in `f32` — `acc += scale_b * dot_b as
-/// f32` for blocks ascending (a multiply, then an add), then `a_scale * acc +
-/// bias` — and stores the tile like [`conv_tiles`]. The integer part is all
-/// a backend computes, so all backends are bit-identical, to each other and
-/// to the row loop of [`super::naive::quant_matmul_naive`]. AVX-512 hosts
-/// take the AVX2 tile.
-///
-/// # Panics
-///
-/// Panics if `panels`, `scales`, `bias` or `out` does not match `oc`,
-/// `taps.len()` and `offs.len()`, or if the table addresses an element
-/// outside the padded image.
-pub(crate) fn q8_conv_forward(isa: Isa, ops: Q8ConvOperands<'_>) {
-    match isa {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `isa` comes from `active_isa`, which only reports CPU
-        // features the host has; AVX-512 hosts always have AVX2.
-        Isa::Avx2 | Isa::Avx512 => unsafe { q8_conv_drive(x86::q8_tile_avx2, ops) },
-        // SAFETY: the scalar tile is safe code and needs no CPU feature.
-        _ => unsafe { q8_conv_drive(q8_tile_scalar, ops) },
-    }
-}
-
-/// `rows[r][q] = pair_word(qpad[taps[2q] + offs[r]], qpad[taps[2q + 1] +
-/// offs[r]])` (`0` for the partner of an odd last tap): `R` int8 receptive
-/// fields read through the window table, pair by pair so that the table
-/// entries and the `R` origins stay in registers, each pair stored as the one
-/// word the tile kernel loads back.
-///
-/// # Panics
-///
-/// Panics if the table reaches outside `qpad` or the rows outside `rows`.
-fn gather_pairs<const R: usize>(
-    qpad: &[i8],
-    taps: &[u32],
-    offs: &[usize; R],
-    rows: &mut [i32],
-    row_pairs: usize,
-) {
-    let max_tap = taps.iter().fold(0, |m, &t| m.max(t as usize));
-    let max_off = offs.iter().fold(0, |m, &o| m.max(o));
-    assert!(
-        taps.is_empty() || max_tap + max_off < qpad.len(),
-        "q8 conv: window table reaches outside the padded image"
-    );
-    assert!(
-        taps.len().div_ceil(2) <= row_pairs && R * row_pairs <= rows.len(),
-        "q8 conv: receptive fields do not fit their rows"
-    );
-    for (q, pair) in taps.chunks(2).enumerate() {
-        for (r, &o) in offs.iter().enumerate() {
-            // SAFETY: every `tap + o <= max_tap + max_off < qpad.len()` and
-            // `r * row_pairs + q < R * row_pairs <= rows.len()`, both by the
-            // asserts above the loop.
-            unsafe {
-                let x0 = *qpad.get_unchecked(pair[0] as usize + o);
-                let x1 = match pair.get(1) {
-                    Some(&tap) => *qpad.get_unchecked(tap as usize + o),
-                    None => 0,
-                };
-                *rows.get_unchecked_mut(r * row_pairs + q) = pair_word(x0, x1);
-            }
-        }
-    }
-}
-
-/// [`q8_conv_forward`] on one backend: walks the position tiles of `R` rows
-/// and, inside each — its rows quantized once — the channel blocks.
-///
-/// # Safety
-///
-/// `tile` must be runnable on this host (its CPU feature available). Its
-/// other preconditions are established here.
-unsafe fn q8_conv_drive<const R: usize>(tile: Q8TileFn<R>, ops: Q8ConvOperands<'_>) {
-    let Q8ConvOperands {
-        panels,
-        scales,
-        oc,
-        bias,
-        taps,
-        offs,
-        mut input,
-        qrows,
-        out,
-    } = ops;
-    let s = offs.len();
-    if let Some(bias) = bias {
-        assert_eq!(bias.len(), oc, "q8 conv: bias must have oc entries");
-    }
-    let row_pairs = taps.len().div_ceil(2);
-    let block_len = row_pairs * 2 * OC_LANES;
-    let q8_blocks = taps.len().div_ceil(QK8_0);
-    assert_eq!(
-        panels.len(),
-        oc.div_ceil(OC_LANES) * block_len,
-        "q8 conv: weight panels must be [oc blocks][tap pairs][OC_LANES][2]"
-    );
-    assert_eq!(
-        scales.len(),
-        oc.div_ceil(OC_LANES) * q8_blocks * OC_LANES,
-        "q8 conv: scales must be [oc blocks][Q8 blocks][OC_LANES]"
-    );
-    assert_eq!(out.len(), oc * s, "q8 conv: out must be oc*s");
-    let qrows = qrows.take(R * row_pairs);
-    let mut a_scale = [0.0f32; R];
-    let mut acc = [[0.0f32; OC_LANES]; R];
-    for (t, group) in offs.chunks(R).enumerate() {
-        match &mut input {
-            Q8Input::Static { qpad, scale } => {
-                // Rows past the last position re-read the tile's first window.
-                let mut origins = [group[0] as usize; R];
-                for (origin, &o) in origins.iter_mut().zip(group) {
-                    *origin = o as usize;
-                }
-                gather_pairs(qpad, taps, &origins, qrows, row_pairs);
-                a_scale = [*scale; R];
-            }
-            Q8Input::Dynamic { xpad, field, q8 } => {
-                // Rows past the last position keep the previous tile's.
-                let rows = qrows.chunks_exact_mut(row_pairs).zip(&mut a_scale);
-                for ((qrow, a), &o) in rows.zip(group) {
-                    let src = &xpad[o as usize..];
-                    for (x, &tap) in field.iter_mut().zip(taps) {
-                        *x = src[tap as usize];
-                    }
-                    *a = quantize_row_into(field, q8, None);
-                    for (word, pair) in qrow.iter_mut().zip(q8.chunks(2)) {
-                        *word = pair_word(pair[0], pair.get(1).copied().unwrap_or(0));
-                    }
-                }
-            }
-        }
-        for (block, ochans) in out.chunks_mut(OC_LANES * s).enumerate() {
-            let w = &panels[block * block_len..(block + 1) * block_len];
-            let ws = &scales[block * q8_blocks * OC_LANES..(block + 1) * q8_blocks * OC_LANES];
-            let mut seed = [-0.0f32; OC_LANES];
-            if let Some(bias) = bias {
-                let bchans = &bias[block * OC_LANES..oc.min((block + 1) * OC_LANES)];
-                seed[..bchans.len()].copy_from_slice(bchans);
-            }
-            // SAFETY: `w` is `row_pairs` pair rows of `2 * OC_LANES`, `ws` one
-            // row of `OC_LANES` scales per started `QK8_0` taps of them, and
-            // each of the `R` rows of `qrows` holds `row_pairs` words; the
-            // caller vouches for the CPU feature.
-            unsafe { tile(w, ws, qrows, row_pairs, &a_scale, &seed, &mut acc) };
-            store_tile(&acc, group.len(), ochans, s, t * R);
         }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! * [`assert_bits_eq`] — the **bit**-equality check every equivalence suite
 //!   asserts against its reference: the f32 kernels against the retained
-//!   [`super::naive`] loops, the Q8 tile against the quantized GEMM's row
+//!   [`super::naive`] loops, the Q8_0 tier against the quantized GEMM's row
 //!   loop ([`super::naive::quant_matmul_naive`]).
 //! * [`accumulation_bound`] — the worst-case absolute divergence between
 //!   any two rounding schedules of the same `steps`-step `f32` dot-product

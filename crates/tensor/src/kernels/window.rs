@@ -23,16 +23,19 @@
 //!   serves the broadcast operand, so nothing is gathered, copied into
 //!   panels or padded to a column count, and a layer with 9 or 36 output
 //!   positions wastes no lanes on them;
-//! * its Q8_0 tier ([`ConvWindow::q8_conv_forward`]) runs the same tiles on
-//!   int8: the Q8 filters are packed once as tap-pair panels with channels on
-//!   the lanes ([`Q8Panels`]), a tile's quantized activation rows are
-//!   gathered through the table — from the padded image quantized **once**
-//!   when the layer has a calibrated scale, from `xpad` and then through
-//!   [`quantize_row_into`] when every receptive field takes its own — and the
-//!   block dots are exact integers, combined in `f32` block by block. The
-//!   quantized GEMM ([`super::quant_gemm_into`]) runs the same tiles with the
-//!   table `taps[p] = p`, `offs[i] = i * k`, on panels packed per call
-//!   ([`q8_lane_panels`]) or once by a quantized `Dense`;
+//! * its Q8_0 tier ([`ConvWindow::q8_conv_forward`]) runs the same tile on
+//!   integer-valued `f32` operands: the activations quantized to the int8
+//!   grid — the padded image **once** when the layer has a calibrated scale,
+//!   read through the table; every receptive field under its own scale
+//!   otherwise, laid out one after another — and one tile pass per Q8 block
+//!   of taps on the block's integer weights, packed once as panels
+//!   ([`Q8Weights`]). Every partial sum is an integer below `2^24`, so each
+//!   pass is the exact block dot, and the blocks are combined in `f32` as the
+//!   quantized GEMM's row loop combines them ([`q8_combine`]). The quantized
+//!   GEMM ([`super::quant_gemm_into`]) runs the same passes with A's rows
+//!   behind the table `taps[p] = p`, `offs[i] = i * k` ([`row_table`]), on
+//!   panels packed per call ([`pack_q8_blocks`]) or once by a quantized
+//!   `Dense`;
 //! * a **lane group** — sixteen samples of an eval batch interleaved
 //!   `[c][h][w][16]` ([`crate::LANE_GROUP`]) — reads the same table with
 //!   every entry counting vectors of sixteen instead of elements: its padded
@@ -44,10 +47,9 @@
 //!   panels — and the depthwise one ([`ConvWindow::depthwise_lanes`]) takes
 //!   per channel the weight broadcast and one vector per output position.
 //!   The quantized convolution ([`ConvWindow::q8_lane_conv_forward`]) runs
-//!   the same `f32` tile on integer-valued operands — its activations
-//!   quantized to the int8 grid, one pass per Q8 block on the block's
-//!   integer weights ([`Q8LaneWeights`]) — exact, because a block's partial
-//!   sums stay below `2^24`;
+//!   the Q8 tier as one sample does, on this tile: one pass per Q8 block on
+//!   the block's integer weights as `[oc][taps in the block]` rows, the same
+//!   combine;
 //! * the depthwise convolution runs as a direct stencil
 //!   ([`ConvWindow::depthwise_forward`] / [`ConvWindow::depthwise_backward`])
 //!   with positions on the lanes (its channels are `hp * wp` apart in NCHW).
@@ -70,17 +72,17 @@
 //! add: the operation sequence of a row-accumulate GEMM over the im2col
 //! matrix. A border tap contributes `w * 0.0` — not nothing —
 //! just as im2col's explicit zero entries do (see docs/DETERMINISM.md,
-//! "Padding taps"); quantized, it is an exact integer zero.
+//! "Padding taps"); quantized, it is an exact integer zero too.
 //!
 //! The stencil is plain Rust, which never contracts `a * b + c`, so it does
 //! not depend on [`super::simd::active_isa`]. The standard convolution
-//! dispatches on it, f32 and Q8: its backends are bit-identical to each other
-//! and to the scalar reference.
+//! dispatches on it, f32 and Q8 alike: its backends are bit-identical to
+//! each other and to the scalar reference.
 
 use super::gemm::{self, GemmInit};
 use super::naive;
 use super::scratch::{self, GrowBuf, QuantScratch};
-use super::simd::{self, ConvOperands, LaneOperands, Q8ConvOperands, Q8Input, OC_LANES};
+use super::simd::{self, ConvOperands, LaneOperands, OC_LANES};
 use crate::layer::LANE_GROUP;
 use crate::quant::{quantize_lanes_in_place, quantize_row_into, QuantMatrix, QK8_0};
 
@@ -471,68 +473,72 @@ impl ConvWindow {
     }
 
     /// Q8_0 standard-convolution forward of one sample: `out[oc][s] =
-    /// a_scale[s] * (Σ_b w_scale[oc][b] * dot_b) + bias[oc]` over the int8
-    /// receptive fields `q[s][p] = quantize(xpad[tapoff[p] + off[s]])`, on the
-    /// dispatched backend of the Q8 tile kernel ([`simd::q8_conv_forward`]).
+    /// a_scale[s] * (Σ_b w_scale[b][oc] * dot_b) + bias[oc]` over the
+    /// quantized receptive fields `q[s][p] = quantize(xpad[tapoff[p] +
+    /// off[s]])`, on the dispatched backend of the output-channel-lane tile
+    /// ([`q8_tiles`]).
     ///
-    /// With a calibrated `act_scale` every element has the same scale, so the
-    /// padded image is quantized once and a tile's rows are int8 gathers
-    /// through the table; without one, each receptive field is gathered in
-    /// `f32` and takes its own scale from [`quantize_row_into`]. Either way
-    /// the bytes are those of `im2col`, a transpose and
-    /// [`super::quant_gemm_into`] on the same operands.
+    /// The activations are quantized to integer-valued `f32`: with a
+    /// calibrated `act_scale` every element has the same scale, so the padded
+    /// image is quantized once and read through the layer's table; without
+    /// one, each receptive field is gathered and takes its own scale from
+    /// [`quantize_row_into`], the fields laid out `[s][taps]` behind the
+    /// table `taps[p] = p`, `offs[s] = s * taps`. Either way the bytes are
+    /// those of `im2col`, a transpose and [`super::quant_gemm_into`] on the
+    /// same operands.
     ///
     /// # Panics
     ///
-    /// Panics if `panels` was packed for a different tap count, or `xpad`,
-    /// `bias` or `out` does not match the table and the panels.
+    /// Panics if `weights` was built for a different tap count, or `xpad`,
+    /// `bias` or `out` does not match the table and the weights.
     pub(crate) fn q8_conv_forward(
         &self,
         xpad: &[f32],
         act_scale: Option<f32>,
-        panels: &Q8Panels,
+        weights: &Q8Weights,
         bias: &[f32],
         out: &mut [f32],
         scratch: &mut QuantScratch,
     ) {
-        let taps = self.taps();
+        let (taps, s) = (self.taps(), self.s);
         assert_eq!(
-            panels.taps, taps,
+            weights.taps, taps,
             "q8 conv: weight panels were packed for a different tap count"
         );
-        assert_eq!(bias.len(), panels.oc, "q8 conv: bias must have oc entries");
+        assert_eq!(bias.len(), weights.oc, "q8 conv: bias must have oc entries");
         assert_eq!(
             xpad.len(),
             self.padded_len(),
             "q8 conv: padded image does not match its window"
         );
-        let QuantScratch { qa, row, qrows, .. } = scratch;
-        let input = match act_scale {
+        let QuantScratch {
+            quantized,
+            row,
+            scales,
+            table,
+            dots,
+            ..
+        } = scratch;
+        let a_scales = scales.take(s);
+        let (q, tables): (&[f32], (&[u32], &[u32])) = match act_scale {
             Some(scale) => {
-                let qpad = qa.take(xpad.len());
-                let scale = quantize_row_into(xpad, qpad, Some(scale));
-                Q8Input::Static { qpad, scale }
+                let q = quantized.take(xpad.len());
+                a_scales.fill(quantize_row_into(xpad, q, Some(scale)));
+                (q, (&self.tapoff, &self.off))
             }
-            None => Q8Input::Dynamic {
-                xpad,
-                field: row.take(taps),
-                q8: qa.take(taps),
-            },
+            None => {
+                let (q, field) = (quantized.take(s * taps), row.take(taps));
+                for (i, (a, &o)) in a_scales.iter_mut().zip(&self.off).enumerate() {
+                    let src = &xpad[o as usize..];
+                    for (x, &tap) in field.iter_mut().zip(&self.tapoff) {
+                        *x = src[tap as usize];
+                    }
+                    *a = quantize_row_into(field, &mut q[i * taps..(i + 1) * taps], None);
+                }
+                (q, row_table(table, taps, s))
+            }
         };
-        simd::q8_conv_forward(
-            simd::active_isa(),
-            Q8ConvOperands {
-                panels: &panels.panels,
-                scales: &panels.scales,
-                oc: panels.oc,
-                bias: Some(bias),
-                taps: &self.tapoff,
-                offs: &self.off,
-                input,
-                qrows,
-                out,
-            },
-        );
+        q8_tiles(weights.blocks(), tables, q, a_scales, Some(bias), out, dots);
     }
 
     /// Q8_0 standard-convolution forward of a lane group, `xpad` its padded
@@ -545,12 +551,9 @@ impl ConvWindow {
     /// that lane's own scale ([`quantize_lanes_in_place`]), laid out
     /// `[s][taps][16]` and read through the table `taps[p] = p`,
     /// `offs[s] = s * taps`. Each Q8 block of taps, ascending, is then one
-    /// tile call seeded with `+0.0` on the block's integer weights
-    /// ([`Q8LaneWeights`]). Every product and partial sum is an integer of
-    /// magnitude at most `32 * 127² < 2^24`, so the tile computes the exact
-    /// `i32` block dot. A plain loop combines the blocks as the Q8 tile does:
-    /// `acc = +0.0; acc += scale_b[oc] * dot_b`, then `a_scale * acc +
-    /// bias[oc]`.
+    /// tile pass seeded with `+0.0` on the block's integer weights as
+    /// `[oc][taps in the block]` rows ([`Q8Weights`]), and the blocks are
+    /// combined as one sample's are ([`q8_combine`]).
     ///
     /// # Panics
     ///
@@ -560,7 +563,7 @@ impl ConvWindow {
         &self,
         xpad: &[f32],
         act_scale: Option<f32>,
-        weights: &Q8LaneWeights,
+        weights: &Q8Weights,
         bias: &[f32],
         out: &mut [f32],
         scratch: &mut QuantScratch,
@@ -579,27 +582,23 @@ impl ConvWindow {
         );
         assert_eq!(out.len(), oc * s * L, "q8 lane conv: out must be oc*s*16");
         let QuantScratch {
-            row,
+            quantized,
             scales,
             table,
-            product,
+            dots,
             ..
         } = scratch;
         let (zeros, a_scales) = scales.take(oc + s * L).split_at_mut(oc);
         zeros.fill(0.0);
+        let zeros: &[f32] = zeros;
         let (q, tap_table, off_table): (&[f32], &[u32], &[u32]) = match act_scale {
             Some(scale) => {
-                let q = row.take(xpad.len());
-                let scale = quantize_row_into(xpad, q, Some(scale));
-                a_scales.fill(scale);
+                let q = quantized.take(xpad.len());
+                a_scales.fill(quantize_row_into(xpad, q, Some(scale)));
                 (q, &self.tapoff, &self.off)
             }
             None => {
-                assert!(
-                    u32::try_from(s * taps).is_ok(),
-                    "q8 lane conv: receptive fields too large for a window table"
-                );
-                let q = row.take(s * taps * L);
+                let q = quantized.take(s * taps * L);
                 let fields = q
                     .chunks_exact_mut(taps * L)
                     .zip(a_scales.chunks_exact_mut(L));
@@ -610,52 +609,31 @@ impl ConvWindow {
                     }
                     quantize_lanes_in_place(field, a.try_into().expect("one vector"));
                 }
-                let (tap_table, off_table) = table.take(taps + s).split_at_mut(taps);
-                for (p, t) in tap_table.iter_mut().enumerate() {
-                    *t = p as u32;
-                }
-                for (i, o) in off_table.iter_mut().enumerate() {
-                    *o = (i * taps) as u32;
-                }
+                let (tap_table, off_table) = row_table(table, taps, s);
                 (q, tap_table, off_table)
             }
         };
-        let blocks = taps.div_ceil(QK8_0);
-        let dots = product.take(if blocks > 1 { oc * s * L } else { 0 });
-        for b in 0..blocks {
-            let first = b == 0;
-            simd::lane_tiles(
-                simd::active_isa(),
-                LaneOperands {
-                    weight: weights.block(b),
-                    bias: zeros,
-                    taps: &tap_table[b * QK8_0..taps.min((b + 1) * QK8_0)],
-                    offs: off_table,
-                    x: q,
-                    out: if first { &mut *out } else { &mut *dots },
-                },
-            );
-            let scale_b = &weights.scales[b * oc..(b + 1) * oc];
-            let chans = out.chunks_exact_mut(s * L).zip(scale_b);
-            if first {
-                for (ochan, &scale) in chans {
-                    for v in ochan {
-                        *v = 0.0 + scale * *v;
-                    }
-                }
-            } else {
-                for ((ochan, &scale), dchan) in chans.zip(dots.chunks_exact(s * L)) {
-                    for (v, &dot) in ochan.iter_mut().zip(dchan) {
-                        *v += scale * dot;
-                    }
-                }
-            }
-        }
-        for (ochan, &bias) in out.chunks_exact_mut(s * L).zip(bias) {
-            for (v, &a) in ochan.iter_mut().zip(a_scales.iter()) {
-                *v = a * *v + bias;
-            }
-        }
+        let isa = simd::active_isa();
+        q8_combine(
+            &weights.scales,
+            a_scales,
+            Some(bias),
+            out,
+            dots,
+            |b, dst| {
+                simd::lane_tiles(
+                    isa,
+                    LaneOperands {
+                        weight: &weights.rows[q8_block(oc, taps, b)],
+                        bias: zeros,
+                        taps: &tap_table[q8_block(1, taps, b)],
+                        offs: off_table,
+                        x: q,
+                        out: dst,
+                    },
+                );
+            },
+        );
     }
 
     /// Depthwise forward of one sample: `out[ch][s] = bias[ch] + Σ_tap
@@ -952,128 +930,269 @@ pub(crate) fn transposed_lane_panels<'a>(
     panels
 }
 
-/// A convolution's Q8_0 weights with output channels on the vector lanes: one
-/// block per [`OC_LANES`] channels, each `[tap pair q][OC_LANES][2]` — taps
-/// `2q` and `2q + 1` of sixteen filters, widened to `i16` so one `pmaddwd`
-/// against a broadcast activation pair yields sixteen partial dots — next to
-/// the filters' block scales as `[Q8 block][OC_LANES]`. Lanes past the last
-/// channel, and the pair partner of an odd last tap, are zero. Q8 blocks are
-/// an even [`QK8_0`] taps, so no pair straddles two. The layout is the same on
-/// every ISA. Derived layer state, like [`OcPanels`]: built by
-/// `quantize_weights()` — a quantized `Conv2d`'s filters, a quantized
-/// `Dense`'s output features — and cloned with the layer.
+/// A layer's Q8_0 weights as the `f32` tiles read them: per Q8 block `b`,
+/// ascending, the block's integer weights — in `[-127, 127]`, exact as `f32`
+/// — as output-channel-lane panels, the [`OcPanels`] layout of the block
+/// (`[16-oc block][taps in block b][16]`, lanes past the last channel zero),
+/// which one sample's Q8 tier reads ([`q8_tiles`]); the same weights as
+/// `[oc][taps in block b]` rows, which a lane group reads
+/// ([`ConvWindow::q8_lane_conv_forward`]); and the block scales as `[Q8
+/// block][oc]`. The layout is the same on every ISA. This is derived `f32`
+/// execution state, like [`OcPanels`] and the window table, not the Q8_0
+/// storage (`QuantMatrix::bytes`, about 4x smaller than the `f32` weights):
+/// built by `quantize_weights()` — a quantized `Conv2d`'s filters, a
+/// quantized `Dense`'s output features — and cloned with the layer.
 #[derive(Debug, Clone)]
-pub(crate) struct Q8Panels {
+pub(crate) struct Q8Weights {
     oc: usize,
     taps: usize,
-    pub(crate) panels: Vec<i16>,
-    pub(crate) scales: Vec<f32>,
+    rows: Vec<f32>,
+    panels: Vec<f32>,
+    scales: Vec<f32>,
 }
 
-impl Q8Panels {
-    /// Packs a quantized `[oc, taps]` weight matrix. Counted in
-    /// [`scratch::ScratchStats::weight_floats_packed`] (one per `i16` lane
-    /// written), so tests can pin that eval forwards never re-pack.
-    pub(crate) fn pack(weight: &QuantMatrix) -> Self {
-        let (panels_len, scales_len) = q8_panel_lens(weight);
-        let mut panels = vec![0i16; panels_len];
-        let mut scales = vec![0.0f32; scales_len];
-        pack_q8(weight, &mut panels, &mut scales);
+impl Q8Weights {
+    /// Both forms of a quantized `[oc, taps]` weight matrix. The panels are
+    /// counted in [`scratch::ScratchStats::weight_floats_packed`] (one per
+    /// `f32` lane written), so tests can pin that eval forwards never
+    /// re-pack.
+    pub(crate) fn new(weight: &QuantMatrix) -> Self {
+        let (oc, taps) = (weight.rows(), weight.cols());
+        let mut rows = vec![0.0f32; oc * taps];
+        let mut panels = vec![0.0f32; oc.div_ceil(OC_LANES) * taps * OC_LANES];
+        let mut scales = vec![0.0f32; taps.div_ceil(QK8_0) * oc];
+        q8_rows_into(weight, &mut rows, &mut scales);
+        q8_panels_into(oc, taps, &rows, &mut panels);
         scratch::count_weight_floats_packed(panels.len());
         Self {
-            oc: weight.rows(),
-            taps: weight.cols(),
+            oc,
+            taps,
+            rows,
             panels,
             scales,
         }
     }
-}
 
-/// A convolution's Q8_0 filters as the lane-group tile reads them: per Q8
-/// block `b`, ascending, the block's integer weights `[oc][taps in the block]`
-/// as `f32` (exact: they are in `[-127, 127]`) — the `[oc][taps]` operand of
-/// [`simd::lane_tiles`] — and the filters' block scales as `[Q8 block][oc]`.
-/// Derived layer state next to the [`Q8Panels`]: built by
-/// `quantize_weights()` and cloned with the layer. Not counted as packed
-/// weights: no panel is laid out, the blocks are the quantized filters
-/// widened in place.
-#[derive(Debug, Clone)]
-pub(crate) struct Q8LaneWeights {
-    oc: usize,
-    taps: usize,
-    weights: Vec<f32>,
-    scales: Vec<f32>,
-}
-
-impl Q8LaneWeights {
-    /// The lane-group form of a quantized `[oc, taps]` weight matrix.
-    pub(crate) fn new(weight: &QuantMatrix) -> Self {
-        let (oc, taps) = (weight.rows(), weight.cols());
-        let blocks = taps.div_ceil(QK8_0);
-        let mut weights = Vec::with_capacity(oc * taps);
-        let mut scales = Vec::with_capacity(blocks * oc);
-        for b in 0..blocks {
-            let len = QK8_0.min(taps - b * QK8_0);
-            for o in 0..oc {
-                let block = &weight.row(o)[b];
-                weights.extend(block.qs[..len].iter().map(|&q| f32::from(q)));
-                scales.push(block.scale);
-            }
-        }
-        Self {
-            oc,
-            taps,
-            weights,
-            scales,
+    /// The panels and scales one sample's Q8 tier reads.
+    pub(crate) fn blocks(&self) -> Q8Blocks<'_> {
+        Q8Blocks {
+            oc: self.oc,
+            taps: self.taps,
+            panels: &self.panels,
+            scales: &self.scales,
         }
     }
-
-    /// Q8 block `b`'s integer weights, `[oc][taps in the block]`.
-    fn block(&self, b: usize) -> &[f32] {
-        let start = b * QK8_0 * self.oc;
-        let len = QK8_0.min(self.taps - b * QK8_0);
-        &self.weights[start..start + self.oc * len]
-    }
 }
 
-/// The [`Q8Panels`] layout of `weight` — panels, then block scales — drawn
-/// from the scratch buffers `panels` and `scales`: the quantized GEMM's
-/// per-call packing. Not counted as packed weights.
-pub(crate) fn q8_lane_panels<'a>(
-    weight: &QuantMatrix,
-    panels: &'a mut GrowBuf<i16>,
-    scales: &'a mut GrowBuf,
-) -> (&'a [i16], &'a [f32]) {
-    let (panels_len, scales_len) = q8_panel_lens(weight);
-    let (panels, scales) = (panels.take(panels_len), scales.take(scales_len));
-    pack_q8(weight, panels, scales);
-    (panels, scales)
+/// The [`Q8Weights`] panels and block scales of an `[oc, taps]` weight
+/// matrix, borrowed from a layer or from the quantized GEMM's scratch.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Q8Blocks<'a> {
+    pub(crate) oc: usize,
+    pub(crate) taps: usize,
+    panels: &'a [f32],
+    scales: &'a [f32],
 }
 
-/// Lengths of `weight`'s [`Q8Panels`] panels and scales.
-fn q8_panel_lens(weight: &QuantMatrix) -> (usize, usize) {
-    let (oc_blocks, taps) = (weight.rows().div_ceil(OC_LANES), weight.cols());
-    (
-        oc_blocks * taps.div_ceil(2) * OC_LANES * 2,
-        oc_blocks * taps.div_ceil(QK8_0) * OC_LANES,
-    )
-}
-
-/// Fills the [`Q8Panels`] layout of `weight` into `panels` and `scales`
-/// ([`q8_panel_lens`] long, possibly dirty).
-fn pack_q8(weight: &QuantMatrix, panels: &mut [i16], scales: &mut [f32]) {
+/// The [`Q8Blocks`] of `weight`, packed into the scratch buffer `buf`: the
+/// quantized GEMM's per-call packing. Not counted as packed weights.
+pub(crate) fn pack_q8_blocks<'a>(weight: &QuantMatrix, buf: &'a mut GrowBuf) -> Q8Blocks<'a> {
     let (oc, taps) = (weight.rows(), weight.cols());
-    let (pairs, q8_blocks) = (taps.div_ceil(2), taps.div_ceil(QK8_0));
-    panels.fill(0);
-    scales.fill(0.0);
-    for o in 0..oc {
-        let (block, lane) = (o / OC_LANES, o % OC_LANES);
-        for (b, q8) in weight.row(o).iter().take(q8_blocks).enumerate() {
-            scales[(block * q8_blocks + b) * OC_LANES + lane] = q8.scale;
-            let taps_here = q8.qs.iter().take(taps - b * QK8_0);
-            for (p, &q) in (b * QK8_0..).zip(taps_here) {
-                panels[((block * pairs + p / 2) * OC_LANES + lane) * 2 + p % 2] = i16::from(q);
+    let (rows_len, panels_len) = (oc * taps, oc.div_ceil(OC_LANES) * taps * OC_LANES);
+    let scales_len = taps.div_ceil(QK8_0) * oc;
+    let (rows, rest) = buf
+        .take(rows_len + panels_len + scales_len)
+        .split_at_mut(rows_len);
+    let (panels, scales) = rest.split_at_mut(panels_len);
+    q8_rows_into(weight, rows, scales);
+    q8_panels_into(oc, taps, rows, panels);
+    Q8Blocks {
+        oc,
+        taps,
+        panels,
+        scales,
+    }
+}
+
+/// Where Q8 block `b` sits in a block-major array with `width` values per
+/// tap: taps `32b` up to `32(b + 1)` or `taps`, whichever comes first.
+fn q8_block(width: usize, taps: usize, b: usize) -> std::ops::Range<usize> {
+    b * QK8_0 * width..taps.min((b + 1) * QK8_0) * width
+}
+
+/// `weight`'s integer weights into `rows` as `f32`, block by block — per Q8
+/// block, ascending, `[oc][taps in the block]` — and its block scales into
+/// `scales` as `[Q8 block][oc]` (both possibly dirty, every element
+/// written).
+fn q8_rows_into(weight: &QuantMatrix, rows: &mut [f32], scales: &mut [f32]) {
+    let (oc, taps) = (weight.rows(), weight.cols());
+    for b in 0..taps.div_ceil(QK8_0) {
+        let len = QK8_0.min(taps - b * QK8_0);
+        let block = rows[q8_block(oc, taps, b)].chunks_exact_mut(len);
+        for (o, (row, scale)) in block.zip(&mut scales[b * oc..(b + 1) * oc]).enumerate() {
+            let q8 = &weight.row(o)[b];
+            for (r, &q) in row.iter_mut().zip(&q8.qs) {
+                *r = f32::from(q);
             }
+            *scale = q8.scale;
+        }
+    }
+}
+
+/// The [`q8_rows_into`] rows of an `[oc, taps]` matrix as output-channel-lane
+/// panels, block by block: per Q8 block, the [`OcPanels`] layout of its rows.
+fn q8_panels_into(oc: usize, taps: usize, rows: &[f32], panels: &mut [f32]) {
+    let width = oc.div_ceil(OC_LANES) * OC_LANES;
+    for b in 0..taps.div_ceil(QK8_0) {
+        let len = QK8_0.min(taps - b * QK8_0);
+        let (src, dst) = (
+            &rows[q8_block(oc, taps, b)],
+            &mut panels[q8_block(width, taps, b)],
+        );
+        pack_lanes(oc, len, src, dst);
+    }
+}
+
+/// The window table of `rows` contiguous rows of `len` elements, drawn from
+/// `buf`: `taps[p] = p`, then `offs[i] = i * len`. A quantized GEMM reads A's
+/// rows through it, and a Q8 convolution under dynamic scales its receptive
+/// fields, laid out one after another.
+///
+/// # Panics
+///
+/// Panics if the rows hold more than `u32::MAX` elements.
+pub(crate) fn row_table(buf: &mut GrowBuf<u32>, len: usize, rows: usize) -> (&[u32], &[u32]) {
+    assert!(
+        u32::try_from(len * rows).is_ok(),
+        "q8: rows too large for a window table"
+    );
+    let (taps, offs) = buf.take(len + rows).split_at_mut(len);
+    for (p, tap) in taps.iter_mut().enumerate() {
+        *tap = p as u32;
+    }
+    for (i, off) in offs.iter_mut().enumerate() {
+        *off = (i * len) as u32;
+    }
+    (taps, offs)
+}
+
+/// One Q8_0 product on the output-channel-lane tile ([`simd::conv_tiles`],
+/// dispatched backend): `out[oc][i] = a_scales[i] * Σ_b scale_b[oc] *
+/// dot_b(oc, i) + bias[oc]`, `dot_b` the dot of Q8 block `b` of filter `oc`
+/// with the integer-valued activations `q[taps[p] + offs[i]]`. Each block is
+/// one tile pass over its taps, seeded with `+0.0` ([`GemmInit::Zero`]) on
+/// the block's panels. Every product and partial sum is an integer of
+/// magnitude at most `32 * 127² < 2^24`, so every backend computes the
+/// exact `i32` dot, `+0.0` where it is zero, and [`q8_combine`] folds the
+/// blocks in.
+///
+/// # Panics
+///
+/// Panics if the panels, `a_scales`, `bias` or `out` do not match each other
+/// and the table, or if the table addresses an element outside `q`.
+pub(crate) fn q8_tiles(
+    weights: Q8Blocks<'_>,
+    (taps, offs): (&[u32], &[u32]),
+    q: &[f32],
+    a_scales: &[f32],
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+    dots: &mut GrowBuf,
+) {
+    let Q8Blocks {
+        oc,
+        taps: depth,
+        panels,
+        scales,
+    } = weights;
+    assert_eq!(taps.len(), depth, "q8: table and panels disagree on taps");
+    assert_eq!(
+        a_scales.len(),
+        offs.len(),
+        "q8: one activation scale per row"
+    );
+    let (isa, width) = (simd::active_isa(), oc.div_ceil(OC_LANES) * OC_LANES);
+    q8_combine(scales, a_scales, bias, out, dots, |b, dst| {
+        simd::conv_tiles(
+            isa,
+            ConvOperands {
+                panels: &panels[q8_block(width, depth, b)],
+                lanes: oc,
+                init: GemmInit::Zero,
+                taps: &taps[q8_block(1, depth, b)],
+                offs,
+                x: q,
+                out: dst,
+            },
+        );
+    });
+}
+
+/// The combine and epilogue of every Q8_0 product, on `[oc][positions]`
+/// accumulators `out`: for each Q8 block `b`, ascending, `block_dots(b,
+/// dst)` writes the block's exact integer dots into `dst` — `out` itself for
+/// the first block, `dots` after it — and they are folded in as the
+/// quantized GEMM's row loop does ([`naive::quant_matmul_naive`]): `acc =
+/// 0.0 + scale_0 * dot_0`, then `acc += scale_b * dot_b`, a multiply and then
+/// an add. Last, `out = a_scale * acc + bias`, with `-0.0` where there is no
+/// bias: the exact additive identity, so an `a_scale * acc` that underflowed
+/// to `-0.0` keeps its sign. No taps at all leave every `acc` the empty sum,
+/// `+0.0`.
+///
+/// # Panics
+///
+/// Panics if `out` is no whole number of rows of `a_scales.len()`, or
+/// `scales` (`[Q8 block][oc]`) or `bias` does not match its rows.
+fn q8_combine(
+    scales: &[f32],
+    a_scales: &[f32],
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+    dots: &mut GrowBuf,
+    mut block_dots: impl FnMut(usize, &mut [f32]),
+) {
+    let positions = a_scales.len();
+    if out.is_empty() || positions == 0 {
+        return;
+    }
+    let oc = out.len() / positions;
+    assert_eq!(out.len(), oc * positions, "q8: out must be oc*positions");
+    assert!(
+        scales.len().is_multiple_of(oc),
+        "q8: one block scale per output channel"
+    );
+    if let Some(bias) = bias {
+        assert_eq!(bias.len(), oc, "q8: bias must have oc entries");
+    }
+    let blocks = scales.len() / oc;
+    if blocks == 0 {
+        out.fill(0.0);
+    }
+    let dots = dots.take(if blocks > 1 { out.len() } else { 0 });
+    for (b, scale_b) in scales.chunks_exact(oc).enumerate() {
+        if b == 0 {
+            block_dots(0, out);
+            for (ochan, &scale) in out.chunks_exact_mut(positions).zip(scale_b) {
+                for v in ochan {
+                    *v = 0.0 + scale * *v;
+                }
+            }
+        } else {
+            block_dots(b, dots);
+            let chans = out
+                .chunks_exact_mut(positions)
+                .zip(dots.chunks_exact(positions));
+            for ((ochan, dchan), &scale) in chans.zip(scale_b) {
+                for (v, &dot) in ochan.iter_mut().zip(dchan) {
+                    *v += scale * dot;
+                }
+            }
+        }
+    }
+    for (o, ochan) in out.chunks_exact_mut(positions).enumerate() {
+        let seed = bias.map_or(-0.0, |bias| bias[o]);
+        for (v, &a) in ochan.iter_mut().zip(a_scales) {
+            *v = a * *v + seed;
         }
     }
 }
@@ -1188,19 +1307,123 @@ mod tests {
         window.conv_forward(&xpad, &panels, &[0.0; 3], &mut [0.0; 3 * 16]);
     }
 
-    /// The Q8 forward against the lowering it replaced, rebuilt here from
-    /// `im2col`, `transpose_into`, the quantized GEMM's row loop
-    /// ([`naive::quant_matmul_naive`]) and `transpose_into` — so a tile is
-    /// checked against an independent loop, not against another tile — bit
-    /// for bit, with dynamic per-row scales and with a static one, on every
-    /// backend, from a dirtied arena: partial, whole and
-    /// multiple Q8 blocks (8, 16, 27, 32, 33 and 70 taps), partial and
-    /// multiple lane blocks, strides 1-3, pointwise, inputs far beyond the
-    /// static scale's int8 grid (saturating) and one all-zero receptive field
-    /// (dynamic scale 0).
+    /// A convolution geometry: `(c, h, w, k, stride, padding)`.
+    type Geometry = (usize, usize, usize, usize, usize, usize);
+
+    /// One sample's Q8 convolution as the quantized GEMM's lowering computes
+    /// it, rebuilt from `im2col`, `transpose_into`, the row loop
+    /// ([`naive::quant_matmul_naive`]) and `transpose_into` — an independent
+    /// loop, not another tile: the GEMM operand `[s][taps]`, the row loop's
+    /// `[s][oc]` and the convolution's `[oc][s]`.
+    fn q8_lowering(
+        (c, h, w, k, stride, padding): Geometry,
+        x: &[f32],
+        qm: &QuantMatrix,
+        bias: &[f32],
+        act_scale: Option<f32>,
+    ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+        use super::super::{im2col, transpose_into};
+        let (oh, ow) = naive::conv_out(h, w, k, stride, padding);
+        let (s, taps, oc) = (oh * ow, c * k * k, qm.rows());
+        let mut cols = vec![0.0f32; taps * s];
+        let mut cols_t = vec![0.0f32; s * taps];
+        let mut want = vec![0.0f32; oc * s];
+        im2col(x, c, h, w, k, stride, padding, oh, ow, &mut cols);
+        transpose_into(&cols, taps, s, &mut cols_t);
+        let out_t = naive::quant_matmul_naive(s, taps, oc, &cols_t, qm, Some(bias), act_scale);
+        transpose_into(&out_t, s, oc, &mut want);
+        (cols_t, out_t, want)
+    }
+
+    /// A Q8 arena whose buffers are all dirtied: NaN, and `u32::MAX` in the
+    /// table.
+    fn dirty_quant_scratch() -> QuantScratch {
+        let mut scratch = QuantScratch::new();
+        scratch.quantized.take(1 << 16).fill(f32::NAN);
+        scratch.row.take(1 << 12).fill(f32::NAN);
+        scratch.scales.take(1 << 12).fill(f32::NAN);
+        scratch.table.take(1 << 12).fill(u32::MAX);
+        scratch.dots.take(1 << 16).fill(f32::NAN);
+        scratch.product.take(1 << 12).fill(f32::NAN);
+        scratch.panels.take(1 << 16).fill(f32::NAN);
+        scratch
+    }
+
+    /// One sample through the per-sample Q8 forward on the active backend,
+    /// from dirtied arenas.
+    fn q8_per_sample(
+        (c, h, w, k, stride, padding): Geometry,
+        x: &[f32],
+        weights: &Q8Weights,
+        bias: &[f32],
+        act_scale: Option<f32>,
+    ) -> Vec<f32> {
+        let window = ConvWindow::new(c, h, w, k, stride, padding);
+        let mut pad = GrowBuf::new();
+        pad.take(window.padded_len()).fill(f32::NAN);
+        let xpad = window.pad(x, 1, &mut pad);
+        let mut out = vec![f32::NAN; bias.len() * window.s];
+        let mut scratch = dirty_quant_scratch();
+        window.q8_conv_forward(xpad, act_scale, weights, bias, &mut out, &mut scratch);
+        out
+    }
+
+    /// One sample `x` through the per-sample Q8 forward, and its lowered
+    /// operand through [`super::super::quant_gemm_into`], on every backend
+    /// from dirtied arenas: each against the row loop, bit for bit. Returns
+    /// the convolution's output.
+    fn q8_against_the_row_loop(
+        geometry: Geometry,
+        x: &[f32],
+        qm: &QuantMatrix,
+        bias: &[f32],
+        act_scale: Option<f32>,
+        tag: &str,
+    ) -> Vec<f32> {
+        let (cols_t, want_t, want) = q8_lowering(geometry, x, qm, bias, act_scale);
+        let weights = Q8Weights::new(qm);
+        let (oc, taps) = (qm.rows(), qm.cols());
+        let s = want.len() / oc;
+        for isa in simd::supported_isas() {
+            let prev = simd::force_isa(Some(isa));
+            let got = q8_per_sample(geometry, x, &weights, bias, act_scale);
+            let mut got_t = vec![f32::NAN; s * oc];
+            let mut scratch = dirty_quant_scratch();
+            super::super::quant_gemm_into(
+                s,
+                taps,
+                oc,
+                &cols_t,
+                qm,
+                Some(bias),
+                act_scale,
+                &mut got_t,
+                &mut scratch,
+            );
+            simd::force_isa(prev);
+            assert_bits_eq(
+                &got,
+                &want,
+                &format!("{tag} conv scale={act_scale:?} {isa}"),
+            );
+            assert_bits_eq(
+                &got_t,
+                &want_t,
+                &format!("{tag} gemm scale={act_scale:?} {isa}"),
+            );
+        }
+        want
+    }
+
+    /// The Q8 forward against the lowering it replaced ([`q8_lowering`]),
+    /// bit for bit, with dynamic per-row scales and with a static one, on
+    /// every backend, from dirtied arenas: partial, whole and multiple Q8
+    /// blocks (8, 16, 27, 32, 33 and 70 taps), partial and multiple lane
+    /// blocks, strides 1-3, pointwise, inputs far beyond the static scale's
+    /// int8 grid (saturating) and one all-zero receptive field (dynamic
+    /// scale 0).
     #[test]
     fn q8_conv_matches_the_gemm_lowering_on_every_isa() {
-        use super::super::{im2col, transpose_into};
         let _lock = simd::isa_override_test_lock();
         let mut rng = SeededRng::new(0x0C_08);
         let geometries = [
@@ -1213,9 +1436,8 @@ mod tests {
             (70, 4, 4, 1, 2, 0),  // 70 taps: three blocks, the last partial
         ];
         for (c, h, w, k, stride, padding) in geometries {
-            let (oh, ow) = naive::conv_out(h, w, k, stride, padding);
-            let (s, taps) = (oh * ow, c * k * k);
-            let window = ConvWindow::new(c, h, w, k, stride, padding);
+            let geometry = (c, h, w, k, stride, padding);
+            let taps = c * k * k;
             let mut x: Vec<f32> = (0..c * h * w).map(|_| rng.uniform(-2.0, 2.0)).collect();
             for channel in x.chunks_exact_mut(h * w) {
                 // The first receptive field is all zeros; two elements
@@ -1230,44 +1452,15 @@ mod tests {
                 let weight: Vec<f32> = (0..oc * taps).map(|_| rng.uniform(-1.0, 1.0)).collect();
                 let bias: Vec<f32> = (0..oc).map(|_| rng.uniform(-1.0, 1.0)).collect();
                 let qm = QuantMatrix::from_rows(&weight, oc, taps);
-                let panels = Q8Panels::pack(&qm);
+                let weights = Q8Weights::new(&qm);
                 for act_scale in [None, Some(crate::quant::q8_block_scale(2.0))] {
-                    let mut cols = vec![0.0f32; taps * s];
-                    let mut cols_t = vec![0.0f32; s * taps];
-                    let mut want = vec![0.0f32; oc * s];
-                    im2col(&x, c, h, w, k, stride, padding, oh, ow, &mut cols);
-                    transpose_into(&cols, taps, s, &mut cols_t);
-                    let out_t = naive::quant_matmul_naive(
-                        s,
-                        taps,
-                        oc,
-                        &cols_t,
-                        &qm,
-                        Some(&bias),
-                        act_scale,
-                    );
-                    transpose_into(&out_t, s, oc, &mut want);
+                    let (_, _, want) = q8_lowering(geometry, &x, &qm, &bias, act_scale);
                     if act_scale.is_none() {
                         assert_bits_eq(&want[..1], &bias[..1], "an all-zero field yields the bias");
                     }
                     for isa in simd::supported_isas() {
                         let prev = simd::force_isa(Some(isa));
-                        let mut pad_buf = GrowBuf::new();
-                        pad_buf.take(window.padded_len()).fill(f32::NAN);
-                        let mut scratch = QuantScratch::new();
-                        scratch.qa.take(window.padded_len() + 64).fill(0x55);
-                        scratch.row.take(taps + 64).fill(f32::NAN);
-                        scratch.qrows.take(16 * (taps + 2)).fill(i32::MAX);
-                        let xpad = window.pad(&x, 1, &mut pad_buf);
-                        let mut got = vec![f32::NAN; oc * s];
-                        window.q8_conv_forward(
-                            xpad,
-                            act_scale,
-                            &panels,
-                            &bias,
-                            &mut got,
-                            &mut scratch,
-                        );
+                        let got = q8_per_sample(geometry, &x, &weights, &bias, act_scale);
                         simd::force_isa(prev);
                         let tag = format!(
                             "c={c} h={h} w={w} k={k} s={stride} p={padding} oc={oc} \
@@ -1284,13 +1477,13 @@ mod tests {
     #[should_panic(expected = "packed for a different tap count")]
     fn q8_conv_rejects_panels_of_another_geometry() {
         let window = ConvWindow::new(2, 4, 4, 3, 1, 1);
-        let panels = Q8Panels::pack(&QuantMatrix::from_rows(&[0.0; 6], 3, 2));
+        let weights = Q8Weights::new(&QuantMatrix::from_rows(&[0.0; 6], 3, 2));
         let xpad = vec![0.0f32; window.padded_len()];
         let mut scratch = QuantScratch::new();
         window.q8_conv_forward(
             &xpad,
             None,
-            &panels,
+            &weights,
             &[0.0; 3],
             &mut [0.0; 48],
             &mut scratch,
@@ -1299,10 +1492,10 @@ mod tests {
 
     /// Sixteen samples `xs` (`[16][c][h][w]`) through the lane-group Q8
     /// forward and each one through the per-sample Q8 forward, on every
-    /// backend, each from NaN-dirtied arenas; asserts the two bit for bit and
+    /// backend, each from dirtied arenas; asserts the two bit for bit and
     /// returns the lane output back in `[16][oc][s]` order.
     fn q8_lanes_against_per_sample(
-        (c, h, w, k, stride, padding): (usize, usize, usize, usize, usize, usize),
+        geometry: Geometry,
         xs: &[f32],
         qm: &QuantMatrix,
         bias: &[f32],
@@ -1310,35 +1503,24 @@ mod tests {
         tag: &str,
     ) -> Vec<f32> {
         const L: usize = LANE_GROUP;
+        let (c, h, w, k, stride, padding) = geometry;
         let window = ConvWindow::new(c, h, w, k, stride, padding);
-        let (panels, lanes) = (Q8Panels::pack(qm), Q8LaneWeights::new(qm));
+        let weights = Q8Weights::new(qm);
         let (oc, s, image) = (qm.rows(), window.s, c * h * w);
         let group = crate::layer::lane_group(xs, (c, h, w));
-        let dirty = || {
-            let mut scratch = QuantScratch::new();
-            scratch.qa.take(1 << 14).fill(0x55);
-            scratch.row.take(1 << 16).fill(f32::NAN);
-            scratch.qrows.take(1 << 12).fill(i32::MAX);
-            scratch.scales.take(1 << 12).fill(f32::NAN);
-            scratch.table.take(1 << 12).fill(u32::MAX);
-            scratch.product.take(1 << 16).fill(f32::NAN);
-            let mut pad = GrowBuf::new();
-            pad.take(1 << 16).fill(f32::NAN);
-            (scratch, pad)
-        };
         let mut result = Vec::new();
         for isa in simd::supported_isas() {
             let prev = simd::force_isa(Some(isa));
-            let mut want = vec![f32::NAN; L * oc * s];
-            for (x, o) in xs.chunks_exact(image).zip(want.chunks_exact_mut(oc * s)) {
-                let (mut scratch, mut pad) = dirty();
-                let xpad = window.pad(x, 1, &mut pad);
-                window.q8_conv_forward(xpad, act_scale, &panels, bias, o, &mut scratch);
-            }
-            let (mut scratch, mut pad) = dirty();
+            let want: Vec<f32> = xs
+                .chunks_exact(image)
+                .flat_map(|x| q8_per_sample(geometry, x, &weights, bias, act_scale))
+                .collect();
+            let mut pad = GrowBuf::new();
+            pad.take(1 << 16).fill(f32::NAN);
             let xpad = window.pad(group.data(), L, &mut pad);
             let mut got = vec![f32::NAN; oc * s * L];
-            window.q8_lane_conv_forward(xpad, act_scale, &lanes, bias, &mut got, &mut scratch);
+            let mut scratch = dirty_quant_scratch();
+            window.q8_lane_conv_forward(xpad, act_scale, &weights, bias, &mut got, &mut scratch);
             simd::force_isa(prev);
             // `[oc][s][16]` back to `[16][oc][s]`.
             let per_lane = oc * s;
@@ -1406,51 +1588,75 @@ mod tests {
         }
     }
 
-    /// The block dots at their bounds. Every weight and every activation at
-    /// `±127` on the int8 grid (`±127/128` under the scale `2^-7`), with every
-    /// product of one sign, puts a Q8 block's dot at `±32 * 127² = ±516,128`,
-    /// the largest any block can reach, still below `2^24`: one and two whole
-    /// blocks of 32 taps, pointwise and 2x2, under dynamic and static scales,
-    /// and the result is exact (`2^-7 · 2^-7 · 516,128` per block). Static
-    /// inputs `2^10` times past the scale saturate to `±127` on both paths.
-    /// An all-zero group takes the dynamic scale 0 and yields the bias.
+    /// The block dots at their bounds, on every path a Q8 product takes: one
+    /// sample's convolution and [`super::super::quant_gemm_into`] against the
+    /// row loop ([`naive::quant_matmul_naive`]), and the lane group against
+    /// one sample, bit for bit on every backend. Every weight and every
+    /// activation at `±127` on the int8 grid, with every product of one sign,
+    /// puts a Q8 block's dot at `±32 * 127² = ±516,128`, the largest any
+    /// block can reach, still below `2^24`: one, two and three whole blocks
+    /// of 32 taps and three and a partial one of 6 (102 taps), pointwise and
+    /// 2x2, under dynamic and static scales. Each block's weights are half
+    /// the previous block's, so every block has its own scale (`2^(-7-b)`)
+    /// and a pass that ran across two blocks would show; the result is exact.
+    /// Static inputs `2^10` times past the scale saturate to `±127` on every
+    /// path. All-zero inputs yield the bias, under the dynamic scale 0 and
+    /// under a static one.
     #[test]
     fn lane_batch_q8_block_dots_stay_exact_at_the_bounds() {
         let _lock = simd::isa_override_test_lock();
         let top = 127.0f32 / 128.0;
-        let geometries = [(32, 2, 3, 1, 1, 0), (8, 3, 3, 2, 1, 0), (64, 2, 2, 1, 1, 0)];
-        for (c, h, w, k, stride, padding) in geometries {
+        let static_scale = Some(1.0f32 / 128.0);
+        let geometries = [
+            (32, 2, 3, 1, 1, 0),
+            (8, 3, 3, 2, 1, 0),
+            (64, 2, 2, 1, 1, 0),
+            (102, 2, 2, 1, 1, 0),
+        ];
+        for geometry in geometries {
+            let (c, h, w, k, _, _) = geometry;
             let (taps, image) = (c * k * k, c * h * w);
-            let blocks = taps / QK8_0;
+            let block_len = |b: usize| QK8_0.min(taps - b * QK8_0);
             for (oc, wsign, xsign) in [(3usize, 1.0f32, 1.0f32), (17, -1.0, -1.0), (5, 1.0, -1.0)] {
-                let weight = vec![wsign * top; oc * taps];
+                let weight: Vec<f32> = (0..oc * taps)
+                    .map(|i| wsign * top / (1u32 << (i % taps / QK8_0)) as f32)
+                    .collect();
                 let qm = QuantMatrix::from_rows(&weight, oc, taps);
-                assert!(qm
-                    .row(0)
-                    .iter()
-                    .all(|b| b.qs.iter().all(|&q| q == wsign as i8 * 127)));
-                let bias = vec![0.0f32; oc];
-                let geometry = (c, h, w, k, stride, padding);
-                let tag = format!("c={c} k={k} oc={oc} signs {wsign}/{xsign}");
-                let want = (wsign * xsign) as f64 * blocks as f64 * 516_128.0 / 16_384.0;
-                for act_scale in [None, Some(1.0 / 128.0)] {
-                    let xs = vec![xsign * top; LANE_GROUP * image];
-                    let got =
-                        q8_lanes_against_per_sample(geometry, &xs, &qm, &bias, act_scale, &tag);
-                    assert!(got.iter().all(|&v| f64::from(v) == want), "{tag}: {want}");
+                for (b, block) in qm.row(0).iter().enumerate() {
+                    assert_eq!(block.scale, 1.0 / (128u32 << b) as f32);
+                    let qs = &block.qs[..block_len(b)];
+                    assert!(qs.iter().all(|&q| q == wsign as i8 * 127));
                 }
-                // Saturation: 2^10 times past the static scale's grid.
-                let xs = vec![xsign * 1024.0; LANE_GROUP * image];
-                let got =
-                    q8_lanes_against_per_sample(geometry, &xs, &qm, &bias, Some(1.0 / 128.0), &tag);
-                assert!(got.iter().all(|&v| f64::from(v) == want), "{tag} saturated");
-                // All zero: dynamic scale 0, every output the bias.
+                // a_scale 2^-7 times Σ_b 2^(-7-b) * len_b * 127².
+                let want = (wsign * xsign) as f64
+                    * (0..taps.div_ceil(QK8_0))
+                        .map(|b| (block_len(b) * 127 * 127) as f64 / (16_384u64 << b) as f64)
+                        .sum::<f64>();
+                let tag = format!("c={c} k={k} oc={oc} signs {wsign}/{xsign}");
+                let zeros = vec![0.0f32; oc];
                 let bias: Vec<f32> = (0..oc).map(|o| o as f32 - 2.5).collect();
-                let xs = vec![0.0f32; LANE_GROUP * image];
-                let got = q8_lanes_against_per_sample(geometry, &xs, &qm, &bias, None, &tag);
-                let s = got.len() / (LANE_GROUP * oc);
-                for (i, &v) in got.iter().enumerate() {
-                    assert_eq!(v.to_bits(), bias[i / s % oc].to_bits(), "{tag} zero field");
+                let cases = [
+                    (xsign * top, None, &zeros, Some(want)),
+                    (xsign * top, static_scale, &zeros, Some(want)),
+                    // Saturation: 2^10 times past the static scale's grid.
+                    (xsign * 1024.0, static_scale, &zeros, Some(want)),
+                    // All zero: every output the bias.
+                    (0.0, None, &bias, None),
+                    (0.0, static_scale, &bias, None),
+                ];
+                for (x, act_scale, bias, want) in cases {
+                    let xs = vec![x; LANE_GROUP * image];
+                    let one =
+                        q8_against_the_row_loop(geometry, &xs[..image], &qm, bias, act_scale, &tag);
+                    let got =
+                        q8_lanes_against_per_sample(geometry, &xs, &qm, bias, act_scale, &tag);
+                    let s = one.len() / oc;
+                    for (i, &v) in got.iter().chain(&one).enumerate() {
+                        match want {
+                            Some(want) => assert_eq!(f64::from(v), want, "{tag} x={x}"),
+                            None => assert_eq!(v.to_bits(), bias[i / s % oc].to_bits(), "{tag}"),
+                        }
+                    }
                 }
             }
         }

@@ -12,13 +12,15 @@
 //! tile of output positions `acc[r][oc] = bias[oc]; for taps ascending:
 //! acc[r][oc] += w[tap][oc] * xpad[tapoff[tap] + off[s0 + r]]` — the weight
 //! row one vector load, the activation a scalar broadcast through the table.
-//! After `quantize_weights()` its eval forward runs the same tiles on int8:
-//! the Q8_0 filters packed once as tap-pair panels, a tile's activation rows
-//! gathered through the table — from the padded image quantized once under a
-//! calibrated scale, or field by field under dynamic ones — and exact integer
-//! block dots combined in `f32` block by block (the tile `quant_gemm_into`
-//! runs too), so the bytes are those of `im2col` + transpose + a quantized
-//! GEMM without any of the three. Its backward runs on the forward's tile kernel too, and
+//! After `quantize_weights()` its eval forward runs the same tile on
+//! integer-valued operands: the Q8_0 filters' integer weights packed once as
+//! panels, one per Q8 block; the activations quantized to integer-valued
+//! `f32` — the padded image once under a calibrated scale, read through the
+//! table, or field by field under dynamic ones — and one tile pass per block,
+//! each the exact integer block dot (every partial sum is below `2^24`),
+//! combined in `f32` block by block (the passes `quant_gemm_into` runs too),
+//! so the bytes are those of `im2col` + transpose + a quantized GEMM without
+//! any of the three. Its backward runs on the forward's tile kernel too, and
 //! reads the input through the same table: the weight gradient `grad_out x
 //! im2col(x)^T` with the table's roles swapped (`grad_out`'s channels on the
 //! lanes, the reduction over positions, the rows over taps), the input
@@ -49,8 +51,8 @@
 //! per receptive field and lane under dynamic ones), one tile pass per Q8
 //! block of taps on the block's integer weights — every partial sum an
 //! integer below `32 * 127² < 2^24`, so the exact block dot — and the blocks
-//! combined in `f32` as the Q8 tile combines them. Per sample the bytes are
-//! those of the eval forward, f32 or Q8.
+//! combined in `f32` as one sample's are. Per sample the bytes are those of
+//! the eval forward, f32 or Q8.
 //!
 //! Both layers draw the padded image (and the backward its panels and
 //! columns) from the current thread's [`kernels::with_thread_scratch`] arena,
@@ -142,8 +144,9 @@ pub struct Conv2d {
     padding: usize,
     cached_input: Option<Tensor>,
     /// Q8_0 tier: the filters — one reduction row of length `in_c*k*k` per
-    /// output channel, exactly the f32 weight layout — quantized and packed
-    /// as output-channel-lane panels by `quantize_weights()`.
+    /// output channel, exactly the f32 weight layout — quantized, their
+    /// integer weights packed as output-channel-lane panels by
+    /// `quantize_weights()`.
     /// [`DepthwiseConv2d`] deliberately has none: its per-channel `k*k`
     /// reductions are too short for int8 blocking to pay off.
     quant: Option<QuantWeights>,
@@ -249,11 +252,11 @@ impl Layer for Conv2d {
         if let (false, Some(q)) = (train, self.quant.as_mut()) {
             q.observe(input.data());
             // The bias it was quantized with, like the weights.
-            let (panels, bias, act_scale) = (&q.weight, &q.bias, q.act_scale);
+            let (weights, bias, act_scale) = (&q.weight, &q.bias, q.act_scale);
             kernels::with_thread_scratch(|scratch| {
                 for (xb, ob) in samples {
                     let xpad = window.pad(xb, 1, &mut scratch.xpad);
-                    window.q8_conv_forward(xpad, act_scale, panels, bias, ob, &mut scratch.quant);
+                    window.q8_conv_forward(xpad, act_scale, weights, bias, ob, &mut scratch.quant);
                 }
             });
             return out;
@@ -302,11 +305,7 @@ impl Layer for Conv2d {
             (self.kernel, self.stride, self.padding),
             |window, xpad, out, scratch| match quant {
                 Some(q) => {
-                    let lanes = q
-                        .lanes
-                        .as_ref()
-                        .expect("a quantized Conv2d has lane weights");
-                    window.q8_lane_conv_forward(xpad, q.act_scale, lanes, &q.bias, out, scratch)
+                    window.q8_lane_conv_forward(xpad, q.act_scale, &q.weight, &q.bias, out, scratch)
                 }
                 None => window.lane_conv_forward(xpad, wgt, bias, out),
             },
@@ -406,7 +405,7 @@ impl Layer for Conv2d {
         let report = qm.report_against_rows(self.name(), w);
         // Eval forwards run the Q8 kernel from here on.
         self.oc_panels = None;
-        self.quant = Some(QuantWeights::new(&qm, self.bias.value.data()).with_lanes(&qm));
+        self.quant = Some(QuantWeights::new(&qm, self.bias.value.data()));
         vec![report]
     }
 

@@ -1,9 +1,11 @@
 //! Fully-connected (dense) layer.
 //!
-//! After `quantize_weights()` its eval forward runs the Q8 tile kernel every
-//! quantized convolution runs on (`kernels/quant_gemm.rs`): the output
-//! features are packed once as Q8 panels, like a convolution's filters, and
-//! each input row is quantized with its own scale or the calibrated one.
+//! After `quantize_weights()` its eval forward runs the quantized GEMM
+//! (`kernels/quant_gemm.rs`) on the `f32` tile every quantized convolution
+//! runs on: the output features' integer weights are packed once as panels,
+//! like a convolution's filters, each input row is quantized to
+//! integer-valued `f32` with its own scale or the calibrated one, and each
+//! Q8 block is one exact tile pass.
 
 use crate::init::Init;
 use crate::kernels::quant_gemm::quant_gemm_panels;
@@ -106,8 +108,7 @@ impl Layer for Dense {
                         self.in_features,
                         self.out_features,
                         input.data(),
-                        &q.weight.panels,
-                        &q.weight.scales,
+                        q.weight.blocks(),
                         Some(&q.bias),
                         q.act_scale,
                         out.data_mut(),

@@ -15,21 +15,19 @@
 //!   is bitwise idempotent: re-quantizing a dequantized block reproduces the
 //!   identical scale and bytes. With an `absmax / 127` scale this fails in
 //!   f32 because `fl(fl(127 * d) / 127)` double-rounds.
-//! * In the Q8 tile kernel — every quantized convolution and GEMM
-//!   ([`crate::kernels::quant_gemm`]) — the per-block integer dot product
-//!   (`<= 32 * 127 * 127 < 2^24`) converts to `f32` exactly and the
-//!   power-of-two scale multiplies it exactly, leaving the cross-block f32
-//!   accumulation as the only rounding site — which is why the quantized
-//!   path has a *single* numeric contract across every ISA
-//!   (`quantized-tolerance`, see `docs/DETERMINISM.md`). The same bound
-//!   lets a lane group's quantized convolution take its block dots on the
-//!   `f32` lane tile: on integer-valued operands every partial sum is an
-//!   integer below `2^24`, so no step rounds.
+//! * In the Q8_0 tier — every quantized convolution and GEMM
+//!   ([`crate::kernels::quant_gemm`]), run on the `f32` tiles over
+//!   integer-valued operands — every partial sum of a per-block dot product
+//!   is an integer below `32 * 127 * 127 < 2^24`, so the tile computes the
+//!   dot exactly, and the power-of-two scale multiplies it exactly, leaving
+//!   the cross-block f32 accumulation as the only rounding site — which is
+//!   why the quantized path has a *single* numeric contract across every ISA
+//!   (`quantized-tolerance`, see `docs/DETERMINISM.md`).
 //!
 //! Scales are clamped to at least `2^-126` (the smallest normal `f32`) so
 //! the idempotence argument survives denormal inputs.
 
-use crate::kernels::window::{Q8LaneWeights, Q8Panels};
+use crate::kernels::window::Q8Weights;
 use crate::layer::LANE_GROUP;
 
 /// Number of elements per quantization block.
@@ -184,8 +182,8 @@ pub fn quantize_f32(src: &[f32]) -> Vec<BlockQ8_0> {
 /// a function of `(x, scale)` alone, so a row may as well be a whole image:
 /// when the scale is static the Q8 convolution quantizes its padded input,
 /// and the quantized GEMM its whole `A`, in one call. The int8 values land
-/// in `qs` as `i8`, or as any type that holds them exactly: a lane group's
-/// Q8 convolution keeps them as integer-valued `f32` for the `f32` tile.
+/// in `qs` as `i8`, or as any type that holds them exactly: the Q8_0 tier
+/// keeps them as integer-valued `f32` for the `f32` tiles.
 ///
 /// # Panics
 ///
@@ -425,21 +423,20 @@ impl QuantMatrix {
 }
 
 /// Quantized-tier state of a layer with a Q8_0 path (`Dense`, `Conv2d`): the
-/// quantized weights, the bias they were quantized with, plus
-/// activation-scale calibration state. Present only after
-/// [`crate::Layer::quantize_weights`]; eval forwards then run the Q8 tile
-/// kernel while training keeps using the f32 parameters. Like the weights,
+/// quantized weights as the `f32` tiles read them, the bias they were
+/// quantized with, plus activation-scale calibration state. Present only
+/// after [`crate::Layer::quantize_weights`]; eval forwards then run the Q8
+/// tier — integer-valued operands on the `f32` tiles — while training keeps
+/// using the f32 parameters. Like the weights,
 /// the bias is a snapshot: an edit through `params_mut` reaches the Q8 tier
 /// only by quantizing again.
 #[derive(Debug, Clone)]
 pub(crate) struct QuantWeights {
-    /// The quantized weights as output-channel-lane panels
-    /// (`kernels/window.rs`), the layout the Q8 tile reads: a convolution's
-    /// filters or a dense layer's output features on the lanes.
-    pub(crate) weight: Q8Panels,
-    /// A convolution's quantized filters as the lane-group tile reads them
-    /// ([`Q8LaneWeights`]); `None` for a dense layer, which has no lane form.
-    pub(crate) lanes: Option<Q8LaneWeights>,
+    /// The quantized weights' integer values and block scales
+    /// ([`Q8Weights`]): output-channel-lane panels for one sample's tier — a
+    /// convolution's filters or a dense layer's output features on the lanes
+    /// — and `[oc][taps]` rows for a convolution's lane groups.
+    pub(crate) weight: Q8Weights,
     /// The layer's bias when it was quantized.
     pub(crate) bias: Vec<f32>,
     /// Static power-of-two activation scale frozen by calibration; `None`
@@ -454,19 +451,12 @@ impl QuantWeights {
     /// bias `bias`, its panels packed here.
     pub(crate) fn new(weight: &QuantMatrix, bias: &[f32]) -> Self {
         Self {
-            weight: Q8Panels::pack(weight),
-            lanes: None,
+            weight: Q8Weights::new(weight),
             bias: bias.to_vec(),
             act_scale: None,
             observed_absmax: 0.0,
             observing: false,
         }
-    }
-
-    /// Adds the lane-group form of `weight` (a convolution's filters).
-    pub(crate) fn with_lanes(mut self, weight: &QuantMatrix) -> Self {
-        self.lanes = Some(Q8LaneWeights::new(weight));
-        self
     }
 
     /// Folds an eval forward's input into the running absmax while a

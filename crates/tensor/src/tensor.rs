@@ -252,7 +252,7 @@ impl Tensor {
     pub fn select_rows(&self, indices: &[usize]) -> Self {
         assert!(self.rank() >= 1, "select_rows requires rank >= 1");
         let n = self.shape[0];
-        let row_len: usize = self.shape[1..].iter().product::<usize>().max(1);
+        let row_len: usize = self.shape[1..].iter().product();
         let mut data = Vec::with_capacity(indices.len() * row_len);
         for &i in indices {
             assert!(i < n, "row index {i} out of bounds for {n} rows");
@@ -706,6 +706,14 @@ mod tests {
         let sel = t.select_rows(&[3, 0]);
         assert_eq!(sel.shape(), &[2, 3]);
         assert_eq!(sel.data(), &[9.0, 10.0, 11.0, 0.0, 1.0, 2.0]);
+        // Rows of no elements: a rank-1 tensor's rows are its scalars, but a
+        // zero trailing extent selects empty rows.
+        let v = Tensor::from_vec(vec![5.0, 6.0, 7.0], &[3]).unwrap();
+        assert_eq!(v.select_rows(&[2, 0]).data(), &[7.0, 5.0]);
+        let empty = Tensor::zeros(&[2, 0]).select_rows(&[1, 1, 0]);
+        assert_eq!((empty.shape(), empty.data().len()), (&[3, 0][..], 0));
+        let empty = Tensor::zeros(&[3, 2, 0, 4]).select_rows(&[0, 2]);
+        assert_eq!((empty.shape(), empty.data().len()), (&[2, 2, 0, 4][..], 0));
     }
 
     #[test]

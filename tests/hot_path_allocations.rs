@@ -17,7 +17,8 @@
 //! sixteen samples, grows nothing after one warm-up and packs no weights at
 //! all, quantized or not. A quantized convolution's or dense layer's Q8
 //! panels are packed by `quantize_weights()` and by nothing else, and its Q8
-//! tier serves the weights and bias it was quantized from. And what scratch reuse
+//! tier serves the weights and bias it was quantized from. A quantized edge
+//! scorer's steady-state `submit` grows, packs and builds nothing either. And what scratch reuse
 //! cannot see — the tensors between layers — is pinned as the exact number
 //! of heap allocations one steady-state `submit` makes, counted by this
 //! binary's own global allocator.
@@ -78,6 +79,13 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// eight allocations, for the one shape of the tensor built on the logits
 /// buffer instead.
 const HEAP_ALLOCS_PER_SUBMIT: u64 = 66;
+
+/// Heap allocations of one steady-state `submit` when the edge scorer is a
+/// calibrated quantized AppealNet, at `max_batch` 1 and δ = 1: the same
+/// tensors and plumbing as [`HEAP_ALLOCS_PER_SUBMIT`] — the Q8_0 tier draws
+/// its quantized activations, scales, tables and block dots from the thread's
+/// scratch arena, and its weights were packed by `quantize_weights()`.
+const HEAP_ALLOCS_PER_Q8_SUBMIT: u64 = 66;
 
 #[test]
 fn steady_state_submit_reuses_scratch_without_allocating() {
@@ -150,6 +158,7 @@ fn steady_state_submit_reuses_scratch_without_allocating() {
     );
     assert_eq!(engine.stats().requests, 3 + steady_requests);
 
+    steady_state_q8_submit_reuses_scratch_without_allocating(&mut rng);
     lane_batch_eval_reuses_scratch_and_packs_nothing(big_replica.clone(), &mut rng);
     lane_batch_q8_eval_reuses_scratch_and_packs_nothing(big_replica.clone(), &mut rng);
     input_shape_change_rebuilds_window_tables(big_replica.clone(), &mut rng);
@@ -157,6 +166,63 @@ fn steady_state_submit_reuses_scratch_without_allocating() {
     train_forward_packs_once_per_call(&mut rng);
     q8_panels_follow_the_weights(&mut rng);
     large_matmul_reuses_the_callers_thread_arena(&mut rng);
+}
+
+/// The Q8 twin of `steady_state_submit_reuses_scratch_without_allocating`:
+/// the edge scorer is the same little network quantized and calibrated, so
+/// every `submit`'s edge pass — one sample — runs the per-sample Q8_0 tier.
+/// After the warm-up no submit grows a scratch buffer, packs a weight or
+/// builds a window table, and each makes the pinned number of heap
+/// allocations.
+fn steady_state_q8_submit_reuses_scratch_without_allocating(rng: &mut SeededRng) {
+    let (mut net, big) = model_pair(31_337, 6);
+    net.quantize_weights();
+    net.calibrate_activation_scales(&Tensor::randn(&[20, 3, 12, 12], rng), 8);
+    let mut engine = Engine::builder()
+        .appealnet(net)
+        .big(big)
+        .policy(ThresholdPolicy::new(1.0).unwrap())
+        .max_batch(1)
+        .build()
+        .unwrap();
+    assert!(engine.stats().edge_quantized);
+    for id in 0..3u64 {
+        let image = Tensor::randn(&[3, 12, 12], rng);
+        assert!(engine
+            .submit(InferenceRequest::new(id, image))
+            .unwrap()
+            .is_some());
+    }
+    let before = kernels::scratch_stats();
+    let steady_requests = 16u64;
+    for id in 0..steady_requests {
+        let request = InferenceRequest::new(100 + id, Tensor::randn(&[3, 12, 12], rng));
+        let heap_before = HEAP_ALLOCS.load(Ordering::Relaxed);
+        let out = engine.submit(request).unwrap();
+        let heap_allocs = HEAP_ALLOCS.load(Ordering::Relaxed) - heap_before;
+        assert!(out.is_some());
+        assert_eq!(
+            heap_allocs, HEAP_ALLOCS_PER_Q8_SUBMIT,
+            "steady-state quantized submit {id} made {heap_allocs} heap allocations"
+        );
+    }
+    let after = kernels::scratch_stats();
+    assert_eq!(
+        after.allocs, before.allocs,
+        "steady-state quantized submits must not grow any scratch buffer"
+    );
+    assert!(
+        after.reuses - before.reuses >= steady_requests,
+        "steady-state quantized submits must reuse warmed scratch buffers"
+    );
+    assert_eq!(
+        after.weight_floats_packed, before.weight_floats_packed,
+        "steady-state quantized submits must not pack any weights"
+    );
+    assert_eq!(
+        after.window_tables_built, before.window_tables_built,
+        "steady-state quantized submits must not rebuild any window table"
+    );
 }
 
 /// A batch-128 eval pass runs in lane groups of sixteen samples: after one
@@ -332,7 +398,8 @@ fn train_forward_packs_once_per_call(rng: &mut SeededRng) {
 }
 
 /// A quantized convolution's Q8 panels are packed by `quantize_weights()` —
-/// `[oc blocks][tap pairs][16][2]` lanes, here 2 blocks of 14 pairs — and by
+/// its integer weights as `f32` lanes, `[Q8 block][16-oc block][taps in the
+/// block][16]`, here 2 channel blocks of one 27-tap Q8 block — and by
 /// nothing after it: not the eval forwards, dynamic or calibrated, not a
 /// replica (which carries them) and not a train forward (which packs the f32
 /// weights it runs on, and leaves the Q8 panels be). An edit of the weights
@@ -348,7 +415,7 @@ fn q8_panels_follow_the_weights(rng: &mut SeededRng) {
     conv.params_mut()[1].value = Tensor::randn(&[oc], rng);
     let batch = Tensor::randn(&[2, c, 6, 6], rng);
     let packed = || kernels::scratch_stats().weight_floats_packed;
-    let q8_lanes = (oc.div_ceil(16) * (c * k * k).div_ceil(2) * 16 * 2) as u64;
+    let q8_lanes = (oc.div_ceil(16) * c * k * k * 16) as u64;
 
     let before = packed();
     conv.quantize_weights();
@@ -393,12 +460,12 @@ fn q8_panels_follow_the_weights(rng: &mut SeededRng) {
     assert_ne!(conv.forward(&batch, false).data(), calibrated.data());
 
     // A quantized dense layer runs the same tile on the same panels, its
-    // output features on the lanes: here 2 blocks of 20 pairs.
+    // output features on the lanes: here 2 feature blocks of 40 inputs.
     let (inputs, outputs) = (40usize, 17usize);
     let mut dense = Dense::new(inputs, outputs, rng);
     dense.params_mut()[1].value = Tensor::randn(&[outputs], rng);
     let x = Tensor::randn(&[3, inputs], rng);
-    let dense_lanes = (outputs.div_ceil(16) * inputs.div_ceil(2) * 16 * 2) as u64;
+    let dense_lanes = (outputs.div_ceil(16) * inputs * 16) as u64;
     let before = packed();
     dense.quantize_weights();
     assert_eq!(
