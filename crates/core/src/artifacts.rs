@@ -14,10 +14,9 @@ use crate::two_head::TwoHeadNet;
 use appeal_models::ClassifierParts;
 use appeal_tensor::loss::SoftmaxCrossEntropy;
 use appeal_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Per-sample artifacts of evaluating a little/big model pair on a dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EvaluationArtifacts {
     /// Routing score per input (higher = keep on the edge).
     pub scores: Vec<f32>,
@@ -48,7 +47,7 @@ impl EvaluationArtifacts {
 
     /// Validates that the artifacts support routing queries: non-empty, no
     /// NaN score, and per-sample correctness vectors as long as `scores`
-    /// (hand-built or deserialized artifacts can violate any of these).
+    /// (hand-built artifacts can violate any of these).
     pub fn validate(&self) -> CoreResult<()> {
         if self.is_empty() {
             return Err(CoreError::EmptyArtifacts);
@@ -354,7 +353,7 @@ fn classifier_correctness(
 
 /// How the routing induced by two score sets compares at one threshold δ
 /// (see [`EvaluationArtifacts::routing_divergence`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RoutingDivergence {
     /// Samples compared.
     pub total: usize,

@@ -15,10 +15,9 @@ use appeal_tensor::layers::{Dense, Sequential, Sigmoid};
 use appeal_tensor::loss::BinaryCrossEntropy;
 use appeal_tensor::optim::{Optimizer, Sgd};
 use appeal_tensor::{Layer, SeededRng, Tensor};
-use serde::{Deserialize, Serialize};
 
 /// Result of training AppealNet with one β value.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BetaAblationRow {
     /// The β used for joint training.
     pub beta: f32,
@@ -80,7 +79,7 @@ pub fn render_beta_table(rows: &[BetaAblationRow]) -> String {
 
 /// Comparison of the jointly trained predictor against a post-hoc predictor
 /// trained on the frozen baseline little network.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct JointVsPostHoc {
     /// AUROC of the jointly trained predictor head.
     pub joint_auroc: f64,

@@ -7,10 +7,9 @@ use crate::experiments::PreparedExperiment;
 use crate::scores::ScoreKind;
 use crate::tuning::min_cost_for_acci;
 use appeal_hw::SystemModel;
-use serde::{Deserialize, Serialize};
 
 /// Energy comparison at one AccI target.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct EnergyEntry {
     /// Relative accuracy-improvement target.
     pub acci_target: f64,
@@ -33,7 +32,7 @@ impl EnergyEntry {
 }
 
 /// Energy report for one dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EnergyReport {
     /// Dataset name (paper naming).
     pub dataset: String,

@@ -10,10 +10,9 @@
 use crate::artifacts::EvaluationArtifacts;
 use crate::experiments::PreparedExperiment;
 use crate::scores::ScoreKind;
-use serde::{Deserialize, Serialize};
 
 /// Histogram of one score, split by little-network correctness.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScoreHistogram {
     /// The score being histogrammed.
     pub kind: ScoreKind,
@@ -28,7 +27,7 @@ pub struct ScoreHistogram {
 }
 
 /// The full Figure 4 result: one histogram per compared score.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig4Result {
     /// Dataset the histograms were computed on.
     pub dataset: String,

@@ -4,10 +4,9 @@
 use crate::experiments::PreparedExperiment;
 use crate::scores::ScoreKind;
 use crate::sweep::{paper_sr_grid, sweep_methods, SweepResult};
-use serde::{Deserialize, Serialize};
 
 /// The Figure 5 panel for one dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig5Result {
     /// Dataset name (paper naming).
     pub dataset: String,

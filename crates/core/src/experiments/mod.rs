@@ -27,7 +27,6 @@ use appeal_dataset::{DatasetPair, DatasetPreset, Fidelity};
 use appeal_models::{ClassifierParts, ModelFamily, ModelSpec};
 use appeal_tensor::loss::SoftmaxCrossEntropy;
 use appeal_tensor::{Layer, SeededRng};
-use serde::{Deserialize, Serialize};
 
 /// Extension helpers on [`CloudMode`] used by the experiment harnesses.
 pub trait CloudModeExt {
@@ -45,7 +44,7 @@ impl CloudModeExt for CloudMode {
 }
 
 /// Shared configuration of an experiment run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentContext {
     /// Dataset / training scale.
     pub fidelity: Fidelity,

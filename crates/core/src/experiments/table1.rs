@@ -4,13 +4,12 @@
 use crate::experiments::PreparedExperiment;
 use crate::scores::ScoreKind;
 use crate::tuning::min_cost_for_acci;
-use serde::{Deserialize, Serialize};
 
 /// The AccI targets used by the paper (50%, 75%, 90%, 95%).
 pub const ACCI_TARGETS: [f64; 4] = [0.50, 0.75, 0.90, 0.95];
 
 /// One (dataset, AccI target) cell of Table I.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Table1Entry {
     /// Relative accuracy-improvement target (Eq. 14).
     pub acci_target: f64,
@@ -36,7 +35,7 @@ impl Table1Entry {
 }
 
 /// One dataset row of Table I.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table1Row {
     /// Dataset name (paper naming).
     pub dataset: String,

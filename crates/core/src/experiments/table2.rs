@@ -6,13 +6,12 @@ use crate::experiments::PreparedExperiment;
 use crate::loss::CloudMode;
 use crate::scores::ScoreKind;
 use crate::tuning::min_cost_for_acci;
-use serde::{Deserialize, Serialize};
 
 /// The AccI targets used by the paper's Table II.
 pub const ACCI_TARGETS: [f64; 4] = [0.50, 0.75, 0.90, 0.95];
 
 /// One (family, AccI target) cell of Table II.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Table2Entry {
     /// Relative accuracy-improvement target.
     pub acci_target: f64,
@@ -33,7 +32,7 @@ impl Table2Entry {
 }
 
 /// One little-network-family row of Table II.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table2Row {
     /// Little-network family (paper naming).
     pub family: String,

@@ -12,10 +12,9 @@
 
 use appeal_tensor::loss::SoftmaxCrossEntropy;
 use appeal_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// How the big cloud network is treated during training.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CloudMode {
     /// The big network's per-sample losses are available (paper Section IV-A).
     WhiteBox,

@@ -1,10 +1,8 @@
 //! Evaluation metrics of the edge/cloud collaborative system
 //! (the paper's Eq. 11 — Eq. 15).
 
-use serde::{Deserialize, Serialize};
-
 /// Metrics of the collaborative system at a particular routing threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoutedMetrics {
     /// Skipping rate SR (Eq. 11): fraction of inputs handled on the edge.
     pub skipping_rate: f64,

@@ -22,12 +22,11 @@ use crate::two_head::{TwoHeadNet, TwoHeadOutput};
 use appeal_dataset::Fidelity;
 use appeal_models::ClassifierParts;
 use appeal_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::ops::Range;
 
 /// Decides how a batch evaluation workload is split across worker threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkPolicy {
     /// Minimum number of samples a shard must contain. Workloads smaller
     /// than `2 * min_shard` are not split at all.

@@ -14,11 +14,10 @@
 //! `q(1|x)` and [`crate::serve::ConfidenceScorer`] for the baselines here.
 
 use appeal_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which per-input routing score to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScoreKind {
     /// AppealNet's learned predictor output `q(1|x)`.
     AppealNetQ,

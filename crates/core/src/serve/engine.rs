@@ -18,7 +18,6 @@ use crate::two_head::TwoHeadNet;
 use appeal_hw::{InferenceCost, SystemModel};
 use appeal_models::ClassifierParts;
 use appeal_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// One classification request: an id chosen by the caller and a single image
@@ -39,7 +38,7 @@ impl InferenceRequest {
 }
 
 /// The engine's answer to one request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InferenceResponse {
     /// The id of the request this answers.
     pub id: u64,
@@ -61,7 +60,7 @@ pub struct InferenceResponse {
 /// (`appeal_tensor::kernels::numeric_contract`, or `quantized_contract` for a
 /// Q8_0 edge tier), so logged throughput numbers are always attributable to a
 /// compute backend *and* a numeric guarantee.
-#[derive(Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq)]
 pub struct EngineStats {
     /// Requests answered.
     pub requests: u64,
@@ -143,9 +142,9 @@ impl EngineStats {
 
     /// Requests per second of busy time; 0 before any work was timed.
     ///
-    /// Never returns NaN or infinity: a deserialized or hand-built stats
-    /// value with zero, negative or non-finite `busy_seconds` reports 0
-    /// instead of poisoning downstream aggregates.
+    /// Never returns NaN or infinity: a hand-built stats value with zero,
+    /// negative or non-finite `busy_seconds` reports 0 instead of poisoning
+    /// downstream aggregates.
     pub fn throughput_rps(&self) -> f64 {
         if self.busy_seconds.is_finite() && self.busy_seconds > 0.0 {
             self.requests as f64 / self.busy_seconds

@@ -17,10 +17,9 @@ use crate::error::{CoreError, CoreResult};
 use crate::scores::ScoreKind;
 use crate::tuning;
 use appeal_hw::{CostBudget, CostMeter, InferenceCost};
-use serde::{Deserialize, Serialize};
 
 /// Where one request was answered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Route {
     /// The little network's answer was trusted; the request stayed on the edge.
     Edge,
@@ -57,7 +56,7 @@ pub trait RoutingPolicy: Send {
 }
 
 /// The paper's Eq. 1: keep the input on the edge iff `score ≥ δ`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThresholdPolicy {
     delta: f64,
 }
@@ -172,7 +171,7 @@ impl RoutingPolicy for BudgetPolicy {
 /// Unlike [`ThresholdPolicy`], the calibrated δ may legitimately sit outside
 /// `[0, 1]` (e.g. "offload everything" is a threshold above the maximum
 /// observed score), so no range restriction applies.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CalibratedPolicy {
     delta: f64,
     calibrated_from: ScoreKind,

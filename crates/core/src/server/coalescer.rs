@@ -26,7 +26,6 @@
 use crate::error::{CoreError, CoreResult};
 use crate::serve::{Engine, EngineStats, InferenceRequest, InferenceResponse};
 use appeal_hw::{CostBudget, CostMeter, InferenceCost};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -51,7 +50,7 @@ pub enum FlushTrigger {
 /// meter charges each answered request's *actual* cost, so a traffic mix the
 /// edge absorbs cheaply sheds far less than one that appeals everything —
 /// the shed signal is the paper's edge/cloud cost split, live.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShedConfig {
     /// Cost budget per accounting window.
     pub budget: CostBudget,
@@ -122,7 +121,7 @@ pub struct ClientResponse {
 }
 
 /// Per-client serving counters (the fairness ledger).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ClientStats {
     /// Client id.
     pub client: u32,
@@ -143,7 +142,7 @@ pub struct ClientStats {
 /// Cumulative serving-layer statistics: the engine's [`EngineStats`] plus
 /// the front-end's admission/shedding/flush counters and the per-client
 /// fairness ledger.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerStats {
     /// The wrapped engine's cumulative stats.
     pub engine: EngineStats,

@@ -9,10 +9,9 @@
 //! compositions reproducible end to end.
 
 use appeal_tensor::SeededRng;
-use serde::{Deserialize, Serialize};
 
 /// The temporal shape of a synthetic trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TraceShape {
     /// Exponential inter-arrival gaps at a constant mean rate (Poisson-like
     /// steady load).
@@ -36,7 +35,7 @@ pub enum TraceShape {
 }
 
 /// A deterministic synthetic trace: shape + scale + seed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceSpec {
     /// Temporal shape.
     pub shape: TraceShape,
@@ -51,7 +50,7 @@ pub struct TraceSpec {
 }
 
 /// One request arrival.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Arrival time in nanoseconds from trace start.
     pub at_nanos: u64,

@@ -4,10 +4,9 @@ use crate::artifacts::EvaluationArtifacts;
 use crate::error::{CoreError, CoreResult};
 use crate::metrics::RoutedMetrics;
 use crate::scores::ScoreKind;
-use serde::{Deserialize, Serialize};
 
 /// The accuracy-vs-skipping-rate curve of one routing method.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MethodSeries {
     /// Routing score used by this method.
     pub score: ScoreKind,
@@ -23,7 +22,7 @@ impl MethodSeries {
 }
 
 /// Result of sweeping several methods over a skipping-rate grid.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SweepResult {
     /// The requested skipping rates (fractions in `[0, 1]`).
     pub skipping_rates: Vec<f64>,

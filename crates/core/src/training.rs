@@ -15,10 +15,9 @@ use appeal_models::ClassifierParts;
 use appeal_tensor::loss::SoftmaxCrossEntropy;
 use appeal_tensor::optim::{GradClip, LrSchedule, Optimizer, Sgd};
 use appeal_tensor::{Layer, SeededRng};
-use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters shared by both trainers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainerConfig {
     /// Number of passes over the training set.
     pub epochs: usize,
@@ -81,7 +80,7 @@ impl Default for TrainerConfig {
 }
 
 /// Summary of one training run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainingReport {
     /// Mean training loss per epoch.
     pub epoch_losses: Vec<f32>,

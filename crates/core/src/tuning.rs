@@ -12,7 +12,6 @@
 use crate::artifacts::EvaluationArtifacts;
 use crate::error::{CoreError, CoreResult};
 use crate::metrics::RoutedMetrics;
-use serde::{Deserialize, Serialize};
 
 /// Evaluates the metrics of every candidate threshold, in candidate order —
 /// the O(n²) scan behind Table I / Table II tuning. The caller has already
@@ -26,7 +25,7 @@ fn candidate_metrics(artifacts: &EvaluationArtifacts) -> CoreResult<Vec<(f64, Ro
 }
 
 /// A chosen threshold and the metrics it achieves.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThresholdChoice {
     /// The selected threshold δ.
     pub threshold: f64,

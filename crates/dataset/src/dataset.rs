@@ -1,7 +1,6 @@
 //! In-memory labelled image datasets and batching.
 
 use appeal_tensor::{SeededRng, Tensor};
-use serde::{Deserialize, Serialize};
 
 /// A mini-batch of images and labels.
 #[derive(Debug, Clone)]
@@ -20,7 +19,7 @@ pub struct Batch {
 /// whether the synthesizer produced it as a long-tail "hard" input. The flag
 /// is used only for analysis and visualization (e.g. Fig. 4-style
 /// histograms); it is never shown to the models.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dataset {
     images: Tensor,
     labels: Vec<usize>,

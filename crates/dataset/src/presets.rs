@@ -1,7 +1,6 @@
 //! Named dataset presets mirroring the paper's four benchmarks.
 
 use crate::synth::SynthSpec;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Experiment fidelity level.
@@ -9,7 +8,7 @@ use std::fmt;
 /// `Smoke` keeps sample counts tiny so unit and integration tests run in
 /// milliseconds; `Paper` is the scale used by the benchmark harness to
 /// regenerate the paper's tables and figures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Fidelity {
     /// Minimal sizes for fast tests.
     Smoke,
@@ -35,7 +34,7 @@ impl fmt::Display for Fidelity {
 /// | `Cifar10Like` | CIFAR-10 | 10 | easy (gap ≈ 1.5%) |
 /// | `Cifar100Like` | CIFAR-100 | 100 | harder (gap ≈ 5%) |
 /// | `TinyImageNetLike` | Tiny-ImageNet | 200 | hardest (gap ≈ 9%) |
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatasetPreset {
     /// 43-class traffic-sign-like task (GTSRB stand-in).
     GtsrbLike,

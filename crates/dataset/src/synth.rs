@@ -15,10 +15,9 @@
 
 use crate::dataset::Dataset;
 use appeal_tensor::{SeededRng, Tensor};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a synthetic dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SynthSpec {
     /// Human-readable name (used in reports).
     pub name: String,

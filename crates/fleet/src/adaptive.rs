@@ -14,10 +14,9 @@
 
 use crate::error::{is_positive, FleetError, FleetResult};
 use appeal_hw::{CostBudget, CostMeter, InferenceCost};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the per-node adaptive offload budget.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveConfig {
     /// Requests per control window; the budget is re-evaluated and the spend
     /// meter reset at every window boundary.

@@ -41,11 +41,10 @@
 
 use crate::error::{is_positive, FleetError, FleetResult};
 use crate::ms_to_nanos;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Parameters of the per-node appeal circuit breaker.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BreakerConfig {
     /// Rolling outcome-window size; the breaker only trips once it has seen
     /// this many appeal outcomes.
@@ -109,7 +108,7 @@ impl BreakerConfig {
 }
 
 /// The breaker's externally visible state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerState {
     /// Appeals flow normally; outcomes fill the rolling window.
     Closed,

@@ -21,7 +21,6 @@
 use crate::error::{is_positive, FleetError, FleetResult};
 use crate::ms_to_nanos;
 use appeal_tensor::SeededRng;
-use serde::{Deserialize, Serialize};
 
 /// Stream salts for the gossip plane's two dedicated RNG streams. Arbitrary
 /// odd constants; they only need to differ from each other and from the
@@ -30,7 +29,7 @@ const TIMING_SALT: u64 = 0xA076_1D64_78BD_642F;
 const PEER_SALT: u64 = 0xE703_7ED1_A0B4_28DB;
 
 /// Parameters of the fleet health gossip plane.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GossipConfig {
     /// Master switch. Disabled means *no gossip events exist at all*: the
     /// simulator schedules nothing and replays the pre-gossip event

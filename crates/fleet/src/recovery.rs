@@ -19,10 +19,9 @@
 use crate::breaker::BreakerConfig;
 use crate::error::{is_non_negative, is_positive, FleetError, FleetResult};
 use appeal_tensor::SeededRng;
-use serde::{Deserialize, Serialize};
 
 /// Bounded-retry parameters for a single appeal.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryConfig {
     /// Total transmission attempts per appeal (first send included), so
     /// `max_attempts = 1` means "never retry". Must be positive.
@@ -76,7 +75,7 @@ impl RetryConfig {
 /// node). `breaker: None` gives the *naive-retry* baseline the fault
 /// experiment compares against: retries and deadlines still apply, but
 /// nothing ever stops the node from appealing into a dead cloud.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryConfig {
     /// How long a node waits for an appeal's answer before treating the
     /// attempt as failed, in milliseconds. Must be positive.
@@ -140,7 +139,7 @@ impl RecoveryConfig {
 ///    instead of a thundering herd.
 ///
 /// [`FleetHealthView`]: crate::health::FleetHealthView
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CooperativeConfig {
     /// Staleness-weighted unhealthy-neighbour mass at which a node
     /// pre-emptively opens its own breaker. Must be positive; fractional

@@ -9,11 +9,10 @@
 //! one more offload still fits the budget.
 
 use crate::cost::InferenceCost;
-use serde::{Deserialize, Serialize};
 
 /// An upper bound on accumulated inference cost. Unset components are
 /// unconstrained; a budget with no component set admits everything.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CostBudget {
     /// Maximum accumulated FLOPs, if bounded.
     pub max_flops: Option<u64>,
@@ -75,7 +74,7 @@ impl CostBudget {
 }
 
 /// Accumulates the cost a running system has charged so far.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostMeter {
     spent: InferenceCost,
     charges: u64,

@@ -3,10 +3,9 @@
 
 use crate::device::DeviceSpec;
 use crate::link::LinkSpec;
-use serde::{Deserialize, Serialize};
 
 /// Cost of processing one input, in three units.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InferenceCost {
     /// FLOPs-equivalent cost (the unit used by the paper's Table I).
     ///
@@ -58,7 +57,7 @@ impl InferenceCost {
 }
 
 /// The full edge + link + cloud system used to derive per-input costs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemModel {
     /// Edge device running the little network and the predictor.
     pub edge: DeviceSpec,

@@ -1,7 +1,6 @@
 //! Compute device specifications.
 
 use crate::error::{require_positive, HwError, HwResult};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A compute device (edge or cloud) described by throughput, energy
@@ -11,7 +10,7 @@ use std::fmt;
 /// device classes the paper targets (IoT microcontroller, mobile SoC, cloud
 /// GPU); they drive the *relative* cost comparisons, which is what the
 /// paper's evaluation reports.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceSpec {
     /// Human-readable device name.
     pub name: String,

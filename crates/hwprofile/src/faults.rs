@@ -26,10 +26,9 @@
 //!   at `at_nanos`; requests arriving while it is down wait for the restart.
 
 use crate::error::{require_positive, require_probability_inclusive, HwError, HwResult};
-use serde::{Deserialize, Serialize};
 
 /// One scripted fault on the virtual clock.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultEvent {
     /// The cloud tier is unreachable in `[from_nanos, until_nanos)`.
     CloudBlackout {
@@ -145,7 +144,7 @@ fn require_window(from_nanos: u64, until_nanos: u64) -> HwResult<()> {
 /// decisions hash from. Construct with [`FaultPlan::new`] (or
 /// [`FaultPlan::none`] for the empty plan) and query it from a simulation's
 /// event loop; queries are pure functions of `(plan, arguments)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
     events: Vec<FaultEvent>,

@@ -1,11 +1,10 @@
 //! Edge-to-cloud communication link specifications.
 
 use crate::error::{require_non_negative, require_positive, HwResult};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A wireless (or wired) uplink between the edge device and the cloud.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkSpec {
     /// Human-readable link name.
     pub name: String,

@@ -10,10 +10,9 @@ use crate::device::DeviceSpec;
 use crate::error::{require_positive, HwResult};
 use appeal_models::{ModelCost, ModelSpec};
 use appeal_tensor::SeededRng;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of profiling one candidate model on a device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProfileDecision {
     /// The candidate that was profiled.
     pub spec: ModelSpec,

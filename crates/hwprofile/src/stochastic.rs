@@ -19,7 +19,6 @@ use crate::error::{
 };
 use crate::link::LinkSpec;
 use appeal_tensor::SeededRng;
-use serde::{Deserialize, Serialize};
 
 /// Maximum retransmissions charged to a single transfer — the per-transfer
 /// retransmit budget. [`StochasticLink::try_transmit_ms`] gives up with
@@ -45,7 +44,7 @@ pub struct TransferSample {
 /// All sampling draws from a caller-supplied [`SeededRng`] so the model has
 /// no hidden state: a fixed seed plus a fixed sequence of calls reproduces
 /// the same link weather bit for bit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StochasticLink {
     /// The nominal link this model perturbs.
     pub spec: LinkSpec,

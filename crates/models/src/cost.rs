@@ -1,11 +1,10 @@
 //! Model cost summaries.
 
 use crate::zoo::ModelFamily;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// FLOP and parameter counts for one model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModelCost {
     /// FLOPs for one forward pass of a single sample.
     pub flops: u64,

@@ -2,7 +2,6 @@
 
 use crate::builder::{build_parts, ClassifierParts};
 use appeal_tensor::SeededRng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// CNN architecture families available in the zoo.
@@ -10,7 +9,7 @@ use std::fmt;
 /// The first three are "efficient" families suitable for edge deployment
 /// (counterparts of the paper's MobileNet / EfficientNet / ShuffleNet); the
 /// last is the big cloud network (counterpart of ResNet-101).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelFamily {
     /// Depthwise-separable convolutions (MobileNet-style).
     MobileNetLike,
@@ -65,7 +64,7 @@ impl fmt::Display for ModelFamily {
 }
 
 /// Full specification of a model instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelSpec {
     /// Architecture family.
     pub family: ModelFamily,

@@ -281,7 +281,9 @@ impl ConvWindow {
         let (left, plane) = (self.padding * lanes, self.hp * wp);
         let xpad = buf.take(self.padded_len() * lanes);
         xpad.fill(0.0);
-        for (channel, xc) in xpad.chunks_exact_mut(plane).zip(x.chunks_exact(self.h * w)) {
+        // `max(1)`: an image without rows or columns is all padding.
+        let channels = x.chunks_exact((self.h * w).max(1));
+        for (channel, xc) in xpad.chunks_exact_mut(plane).zip(channels) {
             let interior = channel[self.padding * wp..]
                 .chunks_exact_mut(wp)
                 .zip(xc.chunks_exact(w));
@@ -297,7 +299,7 @@ impl ConvWindow {
     fn unpad(&self, gpad: &[f32], g: &mut [f32]) {
         for (channel, rows) in gpad
             .chunks_exact(self.hp * self.wp)
-            .zip(g.chunks_exact_mut(self.h * self.w))
+            .zip(g.chunks_exact_mut((self.h * self.w).max(1)))
         {
             let interior = channel[self.padding * self.wp..]
                 .chunks_exact(self.wp)
@@ -529,9 +531,8 @@ impl ConvWindow {
             None => {
                 let (q, field) = (quantized.take(s * taps), row.take(taps));
                 for (i, (a, &o)) in a_scales.iter_mut().zip(&self.off).enumerate() {
-                    let src = &xpad[o as usize..];
                     for (x, &tap) in field.iter_mut().zip(&self.tapoff) {
-                        *x = src[tap as usize];
+                        *x = xpad[o as usize + tap as usize];
                     }
                     *a = quantize_row_into(field, &mut q[i * taps..(i + 1) * taps], None);
                 }

@@ -244,11 +244,14 @@ impl Layer for Conv2d {
         let wgt = self.weight.value.data();
         let bias = self.bias.value.data();
         let window = window_for(&mut self.window, (c, h, w), k, self.stride, self.padding);
-        // `max(1)`: an empty image or output is no sample, not a zero chunk.
-        let samples = input
-            .data()
-            .chunks_exact((c * h * w).max(1))
-            .zip(out.data_mut().chunks_exact_mut((oc * s).max(1)));
+        // By index: a sample with an empty image still has outputs (the
+        // bias), and an empty output has nothing to write.
+        let (x, chw) = (input.data(), c * h * w);
+        let samples = out
+            .data_mut()
+            .chunks_exact_mut((oc * s).max(1))
+            .enumerate()
+            .map(|(b, ob)| (&x[b * chw..(b + 1) * chw], ob));
         if let (false, Some(q)) = (train, self.quant.as_mut()) {
             q.observe(input.data());
             // The bias it was quantized with, like the weights.
@@ -510,13 +513,15 @@ impl Layer for DepthwiseConv2d {
             self.stride,
             self.padding,
         );
+        let (x, chw) = (input.data(), c * h * w);
         kernels::with_thread_scratch(|scratch| {
-            for (xb, ob) in input
-                .data()
-                .chunks_exact(c * h * w)
-                .zip(out.data_mut().chunks_exact_mut(c * oh * ow))
+            // By index, as in `Conv2d::forward`.
+            for (b, ob) in out
+                .data_mut()
+                .chunks_exact_mut((c * oh * ow).max(1))
+                .enumerate()
             {
-                let xpad = window.pad(xb, 1, &mut scratch.xpad);
+                let xpad = window.pad(&x[b * chw..(b + 1) * chw], 1, &mut scratch.xpad);
                 window.depthwise_forward(xpad, wgt, bias, ob, &mut scratch.grid);
             }
         });
@@ -569,15 +574,16 @@ impl Layer for DepthwiseConv2d {
             self.stride,
             self.padding,
         );
+        let (x, go) = (input.data(), grad_output.data());
+        let (chw, cs) = (c * h * w, c * oh * ow);
+        let gi = grad_input.data_mut();
         kernels::with_thread_scratch(|scratch| {
-            // Batch-major, like the naive loop.
-            for ((xb, gob), gib) in input
-                .data()
-                .chunks_exact(c * h * w)
-                .zip(grad_output.data().chunks_exact(c * oh * ow))
-                .zip(grad_input.data_mut().chunks_exact_mut(c * h * w))
-            {
-                let xpad = window.pad(xb, 1, &mut scratch.xpad);
+            // Batch-major, like the naive loop, and by index: a sample with
+            // an empty image still feeds the bias gradient.
+            for b in 0..n {
+                let xpad = window.pad(&x[b * chw..(b + 1) * chw], 1, &mut scratch.xpad);
+                let gob = &go[b * cs..(b + 1) * cs];
+                let gib = &mut gi[b * chw..(b + 1) * chw];
                 window.depthwise_backward(xpad, wgt, gob, gw, gb, gib, &mut scratch.grad_pad);
             }
         });
@@ -976,6 +982,39 @@ mod equivalence {
                 );
             }
         }
+        // Samples with an empty image (no channels, or no rows) still have
+        // outputs: the bias, since every tap reads padding or nothing. Eval,
+        // train and the Q8 tier alike; no product survives, so Q8 is exact.
+        for &(n, c, oc, h, w, k, padding) in &[
+            (2usize, 0usize, 2usize, 4usize, 4usize, 3usize, 1usize),
+            (1, 1, 2, 0, 3, 1, 1),
+        ] {
+            let mut conv = Conv2d::new(c, oc, k, 1, padding, &mut rng);
+            conv.bias.value = Tensor::from_vec(vec![0.5, -1.25], &[oc]).unwrap();
+            let x = Tensor::zeros(&[n, c, h, w]);
+            let expect = naive::conv2d_forward_naive(
+                x.data(),
+                n,
+                c,
+                h,
+                w,
+                conv.weight.value.data(),
+                conv.bias.value.data(),
+                oc,
+                k,
+                1,
+                padding,
+            );
+            let tag = format!("conv fwd of an empty {:?}", x.shape());
+            assert_bits_eq(conv.forward(&x, false).data(), &expect, &tag);
+            assert_bits_eq(conv.forward(&x, true).data(), &expect, &tag);
+            conv.quantize_weights();
+            assert_bits_eq(
+                conv.forward(&x, false).data(),
+                &expect,
+                &format!("q8 {tag}"),
+            );
+        }
     }
 
     #[test]
@@ -1044,6 +1083,17 @@ mod equivalence {
                 );
             }
         }
+        // A sample with no rows still has outputs: the bias.
+        let mut dw = DepthwiseConv2d::new(2, 1, 1, 1, &mut rng);
+        dw.bias.value = Tensor::from_vec(vec![0.5, -1.25], &[2]).unwrap();
+        let x = Tensor::zeros(&[1, 2, 0, 3]);
+        let (w, b) = (dw.weight.value.data(), dw.bias.value.data());
+        let expect = naive::depthwise_forward_naive(x.data(), 1, 2, 0, 3, w, b, 1, 1, 1);
+        assert_bits_eq(
+            dw.forward(&x, false).data(),
+            &expect,
+            "dw fwd of an empty sample",
+        );
     }
 
     #[test]
@@ -1078,6 +1128,22 @@ mod equivalence {
                 "{tag} gi deviates beyond reassociation noise"
             );
         }
+        // A sample with no rows still feeds the bias gradient.
+        let mut dw = DepthwiseConv2d::new(2, 1, 1, 1, &mut rng);
+        let x = Tensor::zeros(&[1, 2, 0, 3]);
+        let y = dw.forward(&x, true);
+        let go = Tensor::randn(y.shape(), &mut rng);
+        let gi = dw.backward(&go);
+        let w = dw.weight.value.data();
+        let (_, gw_ref, gb_ref) =
+            naive::depthwise_backward_naive(x.data(), 1, 2, 0, 3, w, go.data(), 1, 1, 1);
+        assert_eq!(gi.shape(), x.shape());
+        assert_bits_eq(
+            dw.weight.grad.data(),
+            &gw_ref,
+            "dw bwd of an empty sample gw",
+        );
+        assert_bits_eq(dw.bias.grad.data(), &gb_ref, "dw bwd of an empty sample gb");
     }
 
     #[test]

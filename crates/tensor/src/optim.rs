@@ -2,7 +2,6 @@
 
 use crate::layer::Param;
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Gradient clipping configuration (global L2 norm).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,7 +39,7 @@ impl GradClip {
 }
 
 /// Learning-rate schedules.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LrSchedule {
     /// Constant learning rate.
     Constant,

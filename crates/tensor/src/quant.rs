@@ -156,9 +156,9 @@ pub fn quantize_block(src: &[f32]) -> BlockQ8_0 {
         // quotient is an exponent shift (subnormal quotients round to 0
         // with error < scale * 2^-126, far inside the d/2 bound).
         for (q, &x) in qs.iter_mut().zip(src) {
-            let t = (x / scale).round();
-            debug_assert!(t.abs() <= 127.0);
-            *q = t as i8;
+            let t = x / scale;
+            debug_assert!(t.abs() < 127.5);
+            *q = round_to_i8(t);
         }
     }
     BlockQ8_0 { scale, qs }
@@ -253,7 +253,8 @@ pub(crate) fn quantize_lanes_in_place(field: &mut [f32], scales: &mut [f32; LANE
 /// saturate, NaN to 0 — for every `f32` bit pattern, spelled without
 /// `f32::round` (a libm call per element on x86) or a float-to-int `as` cast
 /// (whose saturation LLVM scalarises), so that a loop over it vectorises on
-/// any backend: this is the activation quantizer's per-element cost.
+/// any backend: this is the per-element cost of quantizing activations, and
+/// the one rounding routine of every Q8_0 quantizer, weights included.
 ///
 /// Adding `1.5 * 2^23` to `a = min(|t|, 127)` lands in the binade whose ulp
 /// is 1: the sum is `a` rounded to an integer, ties to even, and that integer

@@ -6,7 +6,6 @@
 
 use crate::error::TensorError;
 use crate::rng::SeededRng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense, row-major `f32` tensor.
@@ -24,7 +23,7 @@ use std::fmt;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f32>,

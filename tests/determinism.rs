@@ -2,8 +2,8 @@
 //!
 //! The rayon-backed engine shards evaluation passes across worker threads;
 //! these tests pin down that (a) two identical `prepare` runs produce
-//! byte-identical serialized `EvaluationArtifacts`, and (b) a sharded
-//! evaluation is bit-identical to a sequential one on the same model, so no
+//! bit-identical `EvaluationArtifacts`, and (b) a sharded evaluation is
+//! bit-identical to a sequential one on the same model, so no
 //! nondeterministic reduction order can creep into results.
 
 use appeal_bench::fixtures::model_pair;
@@ -21,26 +21,27 @@ use appealnet_core::two_head::TwoHeadNet;
 fn prepare_produces_byte_identical_artifacts_across_runs() {
     let run = || {
         let ctx = ExperimentContext::new(Fidelity::Smoke, 2468);
-        let prepared = PreparedExperiment::prepare(
+        PreparedExperiment::prepare(
             DatasetPreset::Cifar10Like,
             ModelFamily::MobileNetLike,
             CloudMode::WhiteBox,
             &ctx,
-        );
-        prepared
-            .score_kinds()
-            .into_iter()
-            .map(|kind| {
-                serde_json::to_string(prepared.artifacts(kind))
-                    .expect("artifacts serialize to JSON")
-            })
-            .collect::<Vec<String>>()
+        )
     };
-    let first = run();
-    let second = run();
-    assert_eq!(first.len(), 4, "one artifact set per score kind");
-    for (a, b) in first.iter().zip(second.iter()) {
-        assert_eq!(a, b, "serialized artifacts must be byte-identical");
+    let (first, second) = (run(), run());
+    let kinds = first.score_kinds();
+    assert_eq!(kinds.len(), 4, "one artifact set per score kind");
+    assert_eq!(second.score_kinds(), kinds);
+    let bits = |s: &[f32]| s.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    for kind in kinds {
+        let (a, b) = (first.artifacts(kind), second.artifacts(kind));
+        assert_eq!(a.score_kind, b.score_kind);
+        assert_eq!(bits(&a.scores), bits(&b.scores), "{kind:?}: scores");
+        assert_eq!(a.little_correct, b.little_correct, "{kind:?}: little");
+        assert_eq!(a.big_correct, b.big_correct, "{kind:?}: big_correct");
+        assert_eq!(a.hard_flags, b.hard_flags, "{kind:?}: hard_flags");
+        assert_eq!(a.little_flops, b.little_flops, "{kind:?}: little_flops");
+        assert_eq!(a.big_flops, b.big_flops, "{kind:?}: big_flops");
     }
 }
 
